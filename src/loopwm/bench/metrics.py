@@ -28,7 +28,7 @@ import json
 import numpy as np
 
 from ..critic.scoring import COHERENCE_SCALE
-from ..errors import NoPlanError, SuiteError
+from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
 from ..loop import EpisodeLog, LoopConfig, run_episode
 from ..microworld import Segment
 from ..numerics import RandomSource
@@ -231,8 +231,9 @@ def evaluate_policy(
 ) -> MetricReport:
     """Run one episode per task and aggregate the metric set.
 
-    Unsolvable tasks do not raise: they contribute zero completeness and a
-    failed episode, per the convention that evaluation never aborts.
+    Unsolvable tasks and episodes whose numbers go non-finite (a diverged
+    sampler, NaN frames) do not raise: they contribute zero completeness and
+    a failed episode, per the convention that evaluation never aborts.
     """
     if not suite.tasks:
         raise SuiteError("cannot evaluate an empty suite")
@@ -252,7 +253,7 @@ def evaluate_policy(
                 rng=rng.split(index),
                 critic=critic,
             )
-        except NoPlanError:
+        except (NoPlanError, DivergenceError, NumericError):
             return _EpisodeSamples(0.0, False, [], [], [])
         return _episode_samples(log, recorder.segments)
 

@@ -29,6 +29,13 @@ class DivergenceError(LoopwmError):
     """Raised when an iterative numeric procedure produces non-finite state."""
 
 
+class NumericError(LoopwmError, ValueError):
+    """Raised when an array that must be finite holds NaN or infinity.
+
+    Also a ValueError, which is what callers caught before it existed.
+    """
+
+
 class WireError(LoopwmError):
     """Raised for wire payloads that do not match the documented schemas."""
 

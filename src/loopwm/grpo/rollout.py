@@ -3,7 +3,8 @@
 Every member of a group denoises from the same initial latent; members differ
 only through the Wiener increments of their reverse-SDE paths. Sharing the
 initial noise keeps the group comparable so that reward differences reflect
-the stochastic paths rather than the starting point.
+the stochastic paths rather than the starting point. The group is sampled in
+one `sample_group` call: member i is row i, with its own noise stream.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
 from ..numerics import NetParams, RandomSource
 from ..planner import PlanStep
-from ..worldmodel import DenoiseTrace, SamplerConfig, embed_condition, sample_sde
+from ..worldmodel import DenoiseTrace, SamplerConfig, embed_condition, sample_group
 from .config import GrpoConfig
 
 __all__ = [
@@ -110,14 +111,15 @@ def rollout_group(
     *,
     critic=None,
     reward_model: RewardModelParams | None = None,
-    shared_member_streams: bool = False,
 ) -> RolloutGroup:
     """Sample G segments from one shared z_init under the frozen sampling policy.
 
-    `critic` is a callable (spec, segment, step) -> CriticReport, defaulting to
-    the programmatic critic. `shared_member_streams` is a test hook that gives
-    every member the same Wiener stream, collapsing the group to G identical
-    rollouts.
+    Row contract: the G members share `cond` and `z_init` (drawn from `rng`)
+    and are sampled together, one (G, width) network evaluation per denoise
+    step; member i draws its noise from stream `rng.split(i)`. The critic
+    then scores each member. `critic` is a callable
+    (spec, segment, step) -> CriticReport, defaulting to the programmatic
+    critic.
     """
     if sampler_config.eta_scale <= 0.0:
         raise LoopwmError(
@@ -126,10 +128,9 @@ def rollout_group(
         )
     cond = embed_condition(spec, step, memory)
     z_init = np.asarray(rng.normal(shape=sampler_config.latent_width), dtype=np.float64)
+    streams = rng.split_many(grpo_config.group_size)
     members = []
-    for index in range(grpo_config.group_size):
-        stream = rng.split(0 if shared_member_streams else index)
-        segment, trace = sample_sde(theta_old, cond, z_init, sampler_config, stream)
+    for segment, trace in sample_group(theta_old, cond, z_init, sampler_config, streams):
         if critic is None:
             report = evaluate(spec, segment, step)
         else:

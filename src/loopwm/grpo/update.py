@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import LoopwmError
 from ..numerics import NetParams, OptState, net_backward_batch, net_forward_batch, opt_init, opt_step
 from ..numerics.stats import LOG_2PI
-from ..worldmodel import mean_velocity_coeff, transition_mean, velocity_input
+from ..worldmodel import mean_affine_coeffs, net_input, transition_mean
 from .config import GrpoConfig
 from .rollout import RolloutGroup
 
@@ -130,32 +130,25 @@ def objective_terms(
     if any(len(m.trace.steps) != k_steps for m in members):
         raise LoopwmError("all group traces must share the same number of denoise steps")
 
-    latent = members[0].trace.steps[0].z.size
-    rows_x, rows_z, rows_znext, rows_base = [], [], [], []
-    rows_c, rows_std, rows_logp_old, rows_adv = [], [], [], []
-    for i, member in enumerate(members):
-        for ts in member.trace.steps:
-            if ts.std <= 0.0:
-                raise LoopwmError("grpo update needs stochastic traces (std > 0)")
-            eta_sq = ts.std * ts.std / ts.dt
-            sigma = max(ts.t, delta)
-            rows_x.append(velocity_input(ts.z, ts.t, cond))
-            rows_z.append(ts.z)
-            rows_znext.append(ts.z_next)
-            # transition mean is affine in the velocity: mean = base + c * u
-            rows_base.append(ts.z * (1.0 - ts.dt * eta_sq * ts.t / (2.0 * sigma * sigma)))
-            rows_c.append(mean_velocity_coeff(ts, delta))
-            rows_std.append(ts.std)
-            rows_logp_old.append(ts.logp)
-            rows_adv.append(advantages[i])
+    # rows run member-major, step-minor
+    steps = [ts for member in members for ts in member.trace.steps]
+    t = np.array([ts.t for ts in steps])
+    dt = np.array([ts.dt for ts in steps])
+    std = np.array([ts.std for ts in steps])
+    if np.any(std <= 0.0):
+        raise LoopwmError("grpo update needs stochastic traces (std > 0)")
+    z = np.stack([ts.z for ts in steps])
+    z_next = np.stack([ts.z_next for ts in steps])
+    logp_old = np.array([ts.logp for ts in steps])
+    adv = np.repeat(advantages, k_steps)
+    latent = z.shape[1]
 
-    x = np.stack(rows_x)
-    z_next = np.stack(rows_znext)
-    base = np.stack(rows_base)
-    coeff = np.array(rows_c)[:, None]
-    std = np.array(rows_std)[:, None]
-    logp_old = np.array(rows_logp_old)
-    adv = np.array(rows_adv)
+    x = net_input(z, t, cond)
+    # transition mean is affine in the velocity: mean = base + coeff * u
+    scale, coeff = mean_affine_coeffs(t, dt, std, delta)
+    base = z * scale[:, None]
+    coeff = coeff[:, None]
+    std = std[:, None]
 
     u_theta = net_forward_batch(theta, x)
     u_ref = net_forward_batch(reference, x)

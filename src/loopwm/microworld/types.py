@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, NumericError
 
 DEFAULT_CONTACT = (0.25, 0.75)
 MAX_INSTRUCTION_WORDS = 36
@@ -184,7 +184,7 @@ class Segment:
         if self.frames.ndim != 2:
             raise ValueError(f"segment frames must be 2-D, got shape {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
-            raise ValueError("segment contains non-finite values")
+            raise NumericError("segment contains non-finite values")
 
     @property
     def n_frames(self) -> int:

@@ -1,11 +1,13 @@
 from .net import (
     NetParams,
+    check_params,
     clone_params,
     load_checkpoint,
     net_backward,
     net_backward_batch,
     net_forward,
     net_forward_batch,
+    net_forward_unchecked,
     net_init,
     params_as_list,
     save_checkpoint,
@@ -13,7 +15,7 @@ from .net import (
 )
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
-from .stats import finite_diff_grad, gaussian_logpdf
+from .stats import finite_diff_grad, gaussian_logpdf, gaussian_logpdf_rows
 from .tensor import Tensor, require_finite, require_vector, tensor, zeros
 
 __all__ = [
@@ -21,14 +23,17 @@ __all__ = [
     "OptState",
     "RandomSource",
     "Tensor",
+    "check_params",
     "clone_params",
     "finite_diff_grad",
     "gaussian_logpdf",
+    "gaussian_logpdf_rows",
     "load_checkpoint",
     "net_backward",
     "net_backward_batch",
     "net_forward",
     "net_forward_batch",
+    "net_forward_unchecked",
     "net_init",
     "opt_init",
     "opt_step",

@@ -58,7 +58,8 @@ class NetParams:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
-def _check_params(params: NetParams) -> None:
+def check_params(params: NetParams) -> None:
+    """Raise ValueError unless the activation and every layer shape agree with `sizes`."""
     if params.activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {params.activation!r}")
     if len(params.sizes) < 2 or len(params.weights) != len(params.sizes) - 1:
@@ -107,11 +108,22 @@ def zeros_like_grads(params: NetParams) -> list[Tensor]:
 
 def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
     """Forward pass for a batch of row vectors, shape (n, sizes[0]) -> (n, sizes[-1])."""
-    _check_params(params)
+    check_params(params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.sizes[0]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
     require_finite(x, "net input")
+    h = net_forward_unchecked(params, x)
+    require_finite(h, "net output")
+    return h
+
+
+def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
+    """`net_forward_batch` without its checks, for loops that validated once.
+
+    The caller guarantees `check_params(params)` passed and that x is a
+    float64 array of shape (n, sizes[0]). Non-finite values pass through.
+    """
     act, _ = _ACTIVATIONS[params.activation]
     h = x
     last = params.n_layers() - 1
@@ -119,7 +131,6 @@ def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
         h = h @ w.T + b
         if i < last:
             h = act(h)
-    require_finite(h, "net output")
     return h
 
 
@@ -140,7 +151,7 @@ def net_backward_batch(
     `params_as_list` ordering and is summed over the batch, and input_grads
     has the same shape as x.
     """
-    _check_params(params)
+    check_params(params)
     x = np.asarray(x, dtype=np.float64)
     out_grad = np.asarray(out_grad, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.sizes[0]:
@@ -187,7 +198,7 @@ def net_backward(params: NetParams, x: Tensor, out_grad: Tensor) -> tuple[list[T
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:
     """Write the documented binary layout. Deterministic bytes for equal params."""
-    _check_params(params)
+    check_params(params)
     name = params.activation.encode("ascii")
     parts = [MAGIC, struct.pack("<B", len(name)), name,
              struct.pack("<I", len(params.sizes)),

@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import NumericError
+
 Tensor = np.ndarray
 
 
@@ -29,7 +31,7 @@ def zeros(shape: Sequence[int] | int) -> Tensor:
 
 def require_finite(arr: Tensor, what: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise NumericError(f"{what} contains non-finite values")
 
 
 def require_vector(arr: Tensor, length: int, what: str) -> Tensor:

@@ -19,14 +19,14 @@ from .sampler import (
     DenoiseTrace,
     SamplerConfig,
     TraceStep,
-    mean_velocity_coeff,
+    mean_affine_coeffs,
+    net_input,
+    sample_group,
     sample_ode,
     sample_sde,
     score_term,
     transition_logprob,
     transition_mean,
-    velocity,
-    velocity_input,
 )
 from .training import build_demos, flow_matching_loss, sft_train, velocity_net_sizes
 
@@ -44,9 +44,11 @@ __all__ = [
     "embed_condition",
     "flow_matching_loss",
     "load_policy",
-    "mean_velocity_coeff",
+    "mean_affine_coeffs",
+    "net_input",
     "operator_index",
     "policy_manifest",
+    "sample_group",
     "sample_ode",
     "sample_sde",
     "save_policy",
@@ -54,7 +56,5 @@ __all__ = [
     "sft_train",
     "transition_logprob",
     "transition_mean",
-    "velocity",
-    "velocity_input",
     "velocity_net_sizes",
 ]

@@ -81,9 +81,10 @@ def load_policy(path: str | Path, spec: DomainSpec, config: SamplerConfig) -> Ne
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable policy manifest {sidecar}: {exc}") from exc
     expected = policy_manifest(spec, config)
+    # delta and eta_scale are sampling-time knobs: any value suits any checkpoint
     mismatched = [
         key for key in expected
-        if key != "delta" and manifest.get(key) != expected[key]
+        if key not in ("delta", "eta_scale") and manifest.get(key) != expected[key]
     ]
     if mismatched:
         detail = ", ".join(

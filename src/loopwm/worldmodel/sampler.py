@@ -14,17 +14,32 @@ sigma_t = max(t, delta), and the rectified-flow identity x_pred = z - t*u.
 Every stochastic transition is Gaussian with mean z - drift*dt and
 std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
+
+Sampling works on rows: `sample_group` denoises G paths that share one
+condition and one initial latent, with one (G, width) network evaluation per
+step, and row i draws its noise from its own stream. `sample_sde` is the
+one-row call and `sample_ode` the one-row call without noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
-from ..numerics import NetParams, RandomSource, gaussian_logpdf, net_forward
+from ..numerics import (
+    NetParams,
+    RandomSource,
+    check_params,
+    gaussian_logpdf,
+    gaussian_logpdf_rows,
+    net_forward_batch,
+    net_forward_unchecked,
+    require_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -88,23 +103,24 @@ class DenoiseTrace:
         return float(sum(s.logp for s in self.steps))
 
 
-def velocity(theta: NetParams, z: np.ndarray, t: float, cond: np.ndarray) -> np.ndarray:
-    """Network velocity estimate at (z, t, cond)."""
-    if not 0.0 < t <= 1.0:
+def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
+    """Network input rows [z | t | cond], shape (n, L + 1 + C).
+
+    `z` is one latent of shape (L,) or n of them, (n, L). `t` is one time for
+    every row or one per row, each in (0, 1]. `cond` is one condition (C,)
+    shared by every row, or one per row, (n, C).
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t > 0.0) & (t <= 1.0)):
         raise LoopwmError(f"t must lie in (0, 1], got {t}")
-    z = np.asarray(z, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
-    x = np.concatenate([z, [t], cond])
-    if x.shape[0] != theta.sizes[0]:
-        raise LoopwmError(
-            f"velocity input width {x.shape[0]} does not match net input {theta.sizes[0]}"
-        )
-    return net_forward(theta, x)
-
-
-def velocity_input(z: np.ndarray, t: float, cond: np.ndarray) -> np.ndarray:
-    """The flattened network input for (z, t, cond); exposed for batched callers."""
-    return np.concatenate([np.asarray(z, dtype=np.float64), [t], np.asarray(cond, dtype=np.float64)])
+    n, latent = z.shape
+    x = np.empty((n, latent + 1 + cond.shape[-1]))
+    x[:, :latent] = z
+    x[:, latent] = t
+    x[:, latent + 1:] = cond
+    return x
 
 
 def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, delta: float = 1e-3) -> np.ndarray:
@@ -125,55 +141,87 @@ def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
     return Segment(frames=frames)
 
 
-def sample_ode(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-               config: SamplerConfig) -> Segment:
-    """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
-    z = np.asarray(z_init, dtype=np.float64).copy()
-    if z.shape[0] != config.latent_width:
-        raise LoopwmError(f"z has width {z.shape[0]}, expected {config.latent_width}")
-    dt = 1.0 / config.k_steps
-    for t in config.time_grid():
-        u = velocity(theta, z, t, cond)
-        z = z - u * dt
-        _check_finite(z, t)
-    return _to_segment(z, config)
+def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
+                 config: SamplerConfig,
+                 rngs: Sequence[RandomSource]) -> list[tuple[Segment, DenoiseTrace]]:
+    """Euler-Maruyama integration of the score-corrected reverse SDE, one path per row.
 
+    Row contract: all G = len(rngs) rows start from the same `z_init` under
+    the same `cond`, and row i draws one (L,) block of noise from `rngs[i]`
+    per step, in step order. Row i therefore equals `sample_sde` on the same
+    stream, up to rounding: BLAS may sum a G-row matrix product in another
+    order than a one-row product. Each step makes one (G, width) network
+    evaluation.
 
-def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-               config: SamplerConfig, rng: RandomSource) -> tuple[Segment, DenoiseTrace]:
-    """Euler-Maruyama integration of the score-corrected reverse SDE.
-
-    With eta_scale = 0 the diffusion and score terms vanish and the path is
-    bitwise identical to sample_ode on the same grid.
+    `theta`, the widths and `cond` are validated once, here; inside the loop
+    only the state is checked, and a non-finite state (from a net that
+    returns NaN or infinity, or a blow-up) raises DivergenceError. With
+    eta_scale = 0 no noise is drawn: the diffusion and score terms vanish and
+    every row follows the Euler path of `sample_ode` (bitwise for one row).
     """
-    z = np.asarray(z_init, dtype=np.float64).copy()
-    if z.shape[0] != config.latent_width:
-        raise LoopwmError(f"z has width {z.shape[0]}, expected {config.latent_width}")
+    if not rngs:
+        raise LoopwmError("sample_group needs at least one row")
+    check_params(theta)
+    cond = np.asarray(cond, dtype=np.float64)
+    z = np.asarray(z_init, dtype=np.float64)
+    latent = config.latent_width
+    if z.shape != (latent,):
+        raise LoopwmError(f"z has shape {z.shape}, expected ({latent},)")
+    if cond.ndim != 1 or latent + 1 + cond.size != theta.sizes[0]:
+        raise LoopwmError(
+            f"net input width {latent + 1 + cond.size} does not match net input {theta.sizes[0]}"
+        )
+    require_finite(cond, "cond")
+    require_finite(z, "z_init")
+    z = np.tile(z, (len(rngs), 1))
+    # the cond columns are written once; each step rewrites z and t in place
+    x = net_input(z, 1.0, cond)
     dt = 1.0 / config.k_steps
-    trace = DenoiseTrace(cond=np.asarray(cond, dtype=np.float64))
+    traces = [DenoiseTrace(cond=cond) for _ in rngs]
     for t in config.time_grid():
-        u = velocity(theta, z, t, cond)
+        x[:, :latent] = z
+        x[:, latent] = t
+        u = net_forward_unchecked(theta, x)
         if config.eta_scale == 0.0:
-            # keep the arithmetic identical to the ODE branch: no score term,
-            # no noise add, so the paths agree bitwise
+            # the plain Euler step of sample_ode: no score term, no noise
             mean = z - u * dt
-            step = TraceStep(t=t, dt=dt, z=z, u=u, mean=mean, std=0.0,
-                             z_next=mean, logp=0.0)
+            std, z_next, logps = 0.0, mean, np.zeros(len(rngs))
         else:
             x_pred = z - t * u
             eta = config.eta_scale * np.sqrt(t)
             drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, config.delta)
             mean = z - drift * dt
             std = float(eta * np.sqrt(dt))
-            noise = rng.normal(shape=z.shape[0])
+            noise = np.empty_like(z)
+            for i, rng in enumerate(rngs):
+                noise[i] = rng.normal(shape=latent)
             z_next = mean + std * noise
-            logp = gaussian_logpdf(z_next, mean, std)
-            step = TraceStep(t=t, dt=dt, z=z, u=u, mean=mean, std=std,
-                             z_next=z_next, logp=logp)
-        trace.steps.append(step)
-        z = step.z_next
+            logps = gaussian_logpdf_rows(z_next, mean, std)
+        for i, trace in enumerate(traces):
+            trace.steps.append(TraceStep(t=t, dt=dt, z=z[i], u=u[i], mean=mean[i], std=std,
+                                         z_next=z_next[i], logp=float(logps[i])))
+        z = z_next
         _check_finite(z, t)
-    return _to_segment(z, config), trace
+    return [(_to_segment(z[i], config), trace) for i, trace in enumerate(traces)]
+
+
+def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
+               config: SamplerConfig, rng: RandomSource) -> tuple[Segment, DenoiseTrace]:
+    """One stochastic path: the one-row call of `sample_group`.
+
+    With eta_scale = 0 the path is bitwise identical to sample_ode on the
+    same grid.
+    """
+    return sample_group(theta, cond, z_init, config, [rng])[0]
+
+
+def sample_ode(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
+               config: SamplerConfig) -> Segment:
+    """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
+    # at eta_scale = 0 the stream is never drawn from
+    segment, _ = sample_sde(theta, cond, z_init, replace(config, eta_scale=0.0),
+                            RandomSource(0))
+    return segment
 
 
 def transition_mean(theta: NetParams, step: TraceStep, cond: np.ndarray,
@@ -183,7 +231,7 @@ def transition_mean(theta: NetParams, step: TraceStep, cond: np.ndarray,
     Returns (mean, u).  The std never depends on theta, so callers reuse
     step.std.
     """
-    u = velocity(theta, step.z, step.t, cond)
+    u = net_forward_batch(theta, net_input(step.z, step.t, cond))[0]
     x_pred = step.z - step.t * u
     eta_sq = (step.std * step.std) / step.dt
     drift = u - 0.5 * eta_sq * score_term(step.z, x_pred, step.t, delta)
@@ -202,16 +250,20 @@ def transition_logprob(theta: NetParams, step: TraceStep, cond: np.ndarray,
     return gaussian_logpdf(step.z_next, mean, step.std)
 
 
-def mean_velocity_coeff(step: TraceStep, delta: float = 1e-3) -> float:
-    """Scalar c with d(mean)/d(u) = c * I for one transition.
+def mean_affine_coeffs(t, dt, std, delta: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """(a, c) with transition mean = a*z + c*u, elementwise over transitions.
 
     Substituting x_pred = z - t*u into the score makes the mean affine in u:
       mean = z - dt*u - dt*(eta^2/2) * (t*z + t*(1-t)*u) / sigma^2
-    so c = -dt * (1 + eta^2 * t * (1-t) / (2*sigma^2)).  Gradients of the
-    transition log-density w.r.t. the network output reduce to
-    c * (z_next - mean) / std^2.
+    so a = 1 - dt*eta^2*t / (2*sigma^2) and
+    c = -dt * (1 + eta^2 * t * (1-t) / (2*sigma^2)), with eta^2 = std^2/dt.
+    Gradients of the transition log-density w.r.t. the network output reduce
+    to c * (z_next - mean) / std^2.
     """
-    t = step.t
-    sigma = max(t, delta)
-    eta_sq = (step.std * step.std) / step.dt
-    return float(-step.dt * (1.0 + eta_sq * t * (1.0 - t) / (2.0 * sigma * sigma)))
+    t, dt, std = (np.asarray(v, dtype=np.float64) for v in (t, dt, std))
+    eta_sq = (std * std) / dt
+    sigma = np.maximum(t, delta)
+    a = 1.0 - dt * eta_sq * t / (2.0 * sigma * sigma)
+    c = -dt * (1.0 + eta_sq * t * (1.0 - t) / (2.0 * sigma * sigma))
+    return a, c
+

@@ -22,7 +22,7 @@ from ..numerics import (
 )
 from ..planner import PlanStep
 from .context import context_width, embed_condition
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, net_input
 
 
 def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64,
@@ -46,7 +46,7 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
     if not (conds.shape[0] == xs.shape[0] == ts.shape[0] == eps.shape[0]):
         raise LoopwmError("batch arrays disagree on length")
     z_t = (1.0 - ts) * xs + ts * eps
-    inputs = np.concatenate([z_t, ts, conds], axis=1)
+    inputs = net_input(z_t, ts[:, 0], conds)
     u = net_forward_batch(theta, inputs)
     resid = u - (eps - xs)
     n_terms = resid.size

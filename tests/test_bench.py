@@ -30,8 +30,10 @@ from loopwm.critic import CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
 from loopwm.loop import FrozenPolicy, OraclePolicy
-from loopwm.numerics import RandomSource
+from loopwm.microworld import Segment
+from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import plan
+from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 
 
 def small_suite(spec, seed=7, counts=(3, 2, 1)):
@@ -198,6 +200,45 @@ def test_frozen_policy_completes_nothing(kitchen):
     assert report.overall.success_rate == 0.0
     oracle = oracle_report(kitchen, suite)
     assert report.overall.action_completeness <= oracle.overall.action_completeness
+
+
+class NanOnOneStep:
+    """Oracle segments, except that one instruction gets NaN from `bad`."""
+
+    def __init__(self, spec, instruction, bad):
+        self.oracle = OraclePolicy(spec)
+        self.instruction = instruction
+        self.bad = bad
+
+    def generate(self, step, memory, rng):
+        if step.instruction == self.instruction:
+            return self.bad(step, memory, rng)
+        return self.oracle.generate(step, memory, rng)
+
+
+def nan_frames(step, memory, rng):
+    return Segment(frames=np.full((16, len(memory.context_frame())), np.nan))
+
+
+def nan_net(spec):
+    config = SamplerConfig(n_frames=4, frame_width=len(spec.channels))
+    theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(2))
+    theta.biases[-1][0] = np.nan
+    return WorldModelPolicy(theta, spec, config).generate
+
+
+@pytest.mark.parametrize("source", ["frames", "net"])
+def test_numeric_failure_fails_only_its_episodes(kitchen, source):
+    # NaN frames raise NumericError, a NaN net DivergenceError; either way
+    # the episode fails and the rest of the 50-task report stands
+    suite = generate_suite(kitchen, seed=7)
+    instruction = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0].instruction
+    bad = nan_frames if source == "frames" else nan_net(kitchen)
+    report = evaluate_policy(NanOnOneStep(kitchen, instruction, bad), suite,
+                             rng=RandomSource(3))
+    assert report.overall.n_tasks == 50
+    assert 0.0 < report.overall.action_completeness < 1.0
+    assert report.overall.success_rate < 1.0
 
 
 def test_evaluation_reproducible_and_thread_invariant(kitchen):

@@ -379,6 +379,20 @@ def test_bench_needs_exactly_one_policy_source(sft_small, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_eta_scale_is_free_but_k_steps_pinned(sft_small, tmp_path, capsys):
+    # the checkpoint was saved at the default eta_scale 0.3
+    ckpt = str(sft_small / "checkpoints" / "model.ckpt")
+    flags = ["--counts", "2,0,0", "--seed", "1", "--n-frames", "6"]
+    rc = main(["bench", "--checkpoint", ckpt, "--k-steps", "6", "--eta-scale", "0",
+               "--out", str(tmp_path / "ode")] + flags)
+    assert rc == 0
+    assert (tmp_path / "ode" / "reports" / "report.json").exists()
+    rc = main(["bench", "--checkpoint", ckpt, "--k-steps", "4",
+               "--out", str(tmp_path / "k4")] + flags)
+    assert rc == 2
+    assert "k_steps" in capsys.readouterr().err
+
+
 def test_mode_presets_override_configured_budgets():
     config = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4})
     assert _mode_loop_config(config, "open-loop").k_retries == 0

@@ -30,6 +30,8 @@ from loopwm.numerics import (
     RandomSource,
     clone_params,
     finite_diff_grad,
+    gaussian_logpdf,
+    net_backward,
     net_init,
     params_as_list,
 )
@@ -40,6 +42,10 @@ from loopwm.worldmodel import (
     SamplerConfig,
     TraceStep,
     build_demos,
+    embed_condition,
+    mean_affine_coeffs,
+    net_input,
+    sample_group,
     sample_sde,
     sft_train,
     transition_logprob,
@@ -211,16 +217,20 @@ def test_rollout_group_shares_initial_noise(kitchen):
     assert np.array_equal(group.rewards, again.rewards)
 
 
-def test_rollout_shared_stream_hook_collapses_group(kitchen):
+def test_group_sampler_shared_stream_collapses_group(kitchen):
+    # two rows on equal streams see the same noise, so the group collapses
+    # to identical members
     sampler = kitchen_sampler(kitchen)
     theta = kitchen_net(kitchen, sampler)
     step = first_step(kitchen, "kettle.grasped")
-    config = GrpoConfig(group_size=2)
-    group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
-                          sampler, config, RandomSource(1), shared_member_streams=True)
-    first, second = group.members
-    assert np.array_equal(first.segment.frames, second.segment.frames)
-    assert first.reward == second.reward
+    cond = embed_condition(kitchen, step, WorldMemory.fresh(kitchen))
+    z_init = np.asarray(RandomSource(1).normal(shape=sampler.latent_width))
+    streams = [RandomSource(1).split(0), RandomSource(1).split(0)]
+    (first, first_trace), (second, second_trace) = sample_group(
+        theta, cond, z_init, sampler, streams)
+    assert np.array_equal(first.frames, second.frames)
+    assert first_trace.total_logp == second_trace.total_logp
+    assert evaluate(kitchen, first, step).scalar == evaluate(kitchen, second, step).scalar
 
 
 def test_rollout_requires_stochastic_sampler(kitchen):
@@ -360,6 +370,59 @@ def test_surrogate_gradient_matches_finite_differences():
     assert abs(surrogate(theta) - terms.surrogate) < 1e-9
     fd = finite_diff_grad(surrogate, theta)
     assert flat_rel_err(terms.grads, fd) < 1e-3
+
+
+def row_loop_objective(theta, reference, group, cond, config):
+    """One row at a time through transition_mean: (value, ratios, grads).
+
+    Reference for the stacked rows of objective_terms; assumes no member is
+    dropped.
+    """
+    rows = [(float(group.advantages[i]), ts)
+            for i, member in enumerate(group.members) for ts in member.trace.steps]
+    values, kls, ratios, grads = [], [], [], None
+    for adv, ts in rows:
+        mean_t, _ = transition_mean(theta, ts, cond)
+        mean_r, _ = transition_mean(reference, ts, cond)
+        rho = math.exp(gaussian_logpdf(ts.z_next, mean_t, ts.std) - ts.logp)
+        clipped = min(max(rho, 1.0 - config.epsilon), 1.0 + config.epsilon)
+        values.append(min(rho * adv, clipped * adv))
+        kls.append(float((mean_t - mean_r) @ (mean_t - mean_r)) / (2.0 * ts.std ** 2))
+        ratios.append(rho)
+        binding = (adv > 0 and rho > 1.0 + config.epsilon) or \
+            (adv < 0 and rho < 1.0 - config.epsilon)
+        flow = 0.0 if binding else 1.0
+        weight = (flow * adv * rho * (ts.z_next - mean_t) - config.beta * (mean_t - mean_r)) \
+            / ts.std ** 2
+        out_grad = mean_affine_coeffs(ts.t, ts.dt, ts.std)[1] * weight / len(rows)
+        row_grads, _ = net_backward(theta, net_input(ts.z, ts.t, cond)[0], out_grad)
+        grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
+    value = float(np.mean(values)) - config.beta * float(np.mean(kls))
+    return value, np.array(ratios), grads
+
+
+@pytest.mark.parametrize("beta, scale", [(0.0, 0.01), (0.05, 0.01), (0.05, 0.5)])
+def test_objective_terms_match_row_loop(beta, scale):
+    # scale 0.5 pushes ratios past the clip, so binding rows are covered too
+    sampler = small_sampler(frame_width=2, k_steps=4)
+    cond = np.array([0.3, -0.6, 0.2])
+    theta_old = tiny_net(4, 3, hidden=5, seed=21)
+    group = synthetic_group(theta_old, cond, sampler,
+                            rewards=[0.1, 0.8, 0.4, 0.6, 0.3], seed=9)
+    theta = clone_params(theta_old)
+    jitter = RandomSource(23)
+    for array in params_as_list(theta):
+        array += scale * np.asarray(jitter.normal(shape=array.shape))
+    reference = tiny_net(4, 3, hidden=5, seed=22)
+    config = GrpoConfig(group_size=5, beta=beta)
+    terms = objective_terms(theta, reference, group, cond, config)
+    assert terms.dropped == 0
+    value, ratios, grads = row_loop_objective(theta, reference, group, cond, config)
+    assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(terms.ratios, ratios, rtol=1e-9, atol=0)
+    assert flat_rel_err(terms.grads, grads) < 1e-9
+    if scale > 0.1:
+        assert terms.clip_fraction > 0.0
 
 
 def test_single_member_gradient_is_vanilla_policy_gradient():

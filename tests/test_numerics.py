@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwm.errors import CheckpointError
+from loopwm.errors import CheckpointError, LoopwmError, NumericError
 from loopwm.numerics import (
     NetParams,
     RandomSource,
@@ -40,6 +40,16 @@ def test_forward_shape_mismatch_errors():
         net_forward(params, np.zeros(4))
     with pytest.raises(ValueError):
         net_forward(params, np.array([np.nan, 0.0, 0.0]))
+
+
+def test_nonfinite_values_raise_numeric_error():
+    params = net_init([3, 2], RandomSource(0))
+    with pytest.raises(NumericError) as info:
+        net_forward_batch(params, np.array([[0.0, np.inf, 0.0]]))
+    assert isinstance(info.value, LoopwmError) and isinstance(info.value, ValueError)
+    params.biases[0][1] = np.nan
+    with pytest.raises(NumericError, match="net output"):
+        net_forward_batch(params, np.zeros((2, 3)))
 
 
 def test_forward_batch_matches_single():

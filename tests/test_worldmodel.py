@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loopwm.errors import CheckpointError, DomainError, LoopwmError
+from loopwm.errors import CheckpointError, DivergenceError, DomainError, LoopwmError
 from loopwm.memory import WorldMemory
 from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
@@ -11,6 +11,7 @@ from loopwm.numerics import (
     finite_diff_grad,
     gaussian_logpdf,
     net_backward,
+    net_forward_batch,
     net_init,
 )
 from loopwm.planner import Goal, plan
@@ -23,7 +24,9 @@ from loopwm.worldmodel import (
     embed_condition,
     flow_matching_loss,
     load_policy,
-    mean_velocity_coeff,
+    mean_affine_coeffs,
+    net_input,
+    sample_group,
     sample_ode,
     sample_sde,
     save_policy,
@@ -31,8 +34,6 @@ from loopwm.worldmodel import (
     sft_train,
     transition_logprob,
     transition_mean,
-    velocity,
-    velocity_input,
     velocity_net_sizes,
 )
 
@@ -108,18 +109,31 @@ def test_velocity_zero_net_is_zero():
         w[:] = 0.0
     for b in theta.biases:
         b[:] = 0.0
-    u = velocity(theta, np.ones(4), 0.5, np.ones(3))
-    np.testing.assert_array_equal(u, np.zeros(4))
+    u = net_forward_batch(theta, net_input(np.ones(4), 0.5, np.ones(3)))
+    np.testing.assert_array_equal(u, np.zeros((1, 4)))
+
+
+def test_net_input_rows():
+    z = np.arange(6.0).reshape(2, 3)
+    x = net_input(z, np.array([0.5, 1.0]), np.array([7.0, 8.0]))
+    np.testing.assert_array_equal(x, [[0, 1, 2, 0.5, 7, 8], [3, 4, 5, 1.0, 7, 8]])
+    one = net_input(np.ones(3), 0.25, np.array([[9.0]]))
+    np.testing.assert_array_equal(one, [[1, 1, 1, 0.25, 9]])
 
 
 def test_velocity_rejects_bad_time_and_shape():
     theta = tiny_net(latent=4, cond_width=3)
+    config = small_config(frame_width=2)
     with pytest.raises(LoopwmError):
-        velocity(theta, np.ones(4), 0.0, np.ones(3))
+        net_input(np.ones(4), 0.0, np.ones(3))
     with pytest.raises(LoopwmError):
-        velocity(theta, np.ones(4), 1.5, np.ones(3))
+        net_input(np.ones(4), 1.5, np.ones(3))
     with pytest.raises(LoopwmError):
-        velocity(theta, np.ones(5), 0.5, np.ones(3))
+        net_input(np.ones((2, 4)), np.array([0.5, 0.0]), np.ones(3))
+    with pytest.raises(LoopwmError):
+        sample_ode(theta, np.ones(3), np.ones(5), config)
+    with pytest.raises(LoopwmError):
+        sample_sde(theta, np.ones(4), np.ones(4), config, RandomSource(0))
 
 
 def test_ode_zero_velocity_returns_input():
@@ -140,7 +154,7 @@ def test_ode_single_step_unroll():
     z = np.linspace(-1.0, 1.0, 4)
     cond = np.array([0.3, 0.6, 0.9])
     seg = sample_ode(theta, cond, z, config)
-    expected = z - velocity(theta, z, 1.0, cond) * 1.0
+    expected = z - net_forward_batch(theta, net_input(z, 1.0, cond))[0] * 1.0
     np.testing.assert_array_equal(seg.frames.reshape(-1), expected)
 
 
@@ -193,6 +207,45 @@ def test_trace_records_consistent_transitions():
         x_pred = step.z - step.t * step.u
         drift = step.u - 0.5 * eta * eta * score_term(step.z, x_pred, step.t, config.delta)
         np.testing.assert_allclose(step.mean, step.z - drift * dt, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta_scale", [0.3, 0.0])
+def test_group_sampler_matches_sequential_sde(eta_scale):
+    # the group sampler must reproduce G one-row calls on the same streams,
+    # every trace field included; the G rows share one network evaluation
+    theta = tiny_net(latent=6, cond_width=3, hidden=8, seed=14)
+    config = small_config(frame_width=3, k_steps=5, eta_scale=eta_scale)
+    z = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.9])
+    cond = np.array([0.4, -0.2, 0.6])
+    rows = sample_group(theta, cond, z, config, RandomSource(17).split_many(5))
+    assert len(rows) == 5
+    for i, (segment, trace) in enumerate(rows):
+        want_seg, want = sample_sde(theta, cond, z, config, RandomSource(17).split(i))
+        np.testing.assert_allclose(segment.frames, want_seg.frames, rtol=0, atol=1e-12)
+        assert len(trace.steps) == len(want.steps) == config.k_steps
+        for got, ref in zip(trace.steps, want.steps):
+            assert (got.t, got.dt) == (ref.t, ref.dt)
+            for name in ("z", "u", "mean", "z_next"):
+                np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                           rtol=0, atol=1e-12)
+            assert got.std == pytest.approx(ref.std, abs=1e-12)
+            assert got.logp == pytest.approx(ref.logp, abs=1e-12)
+        if eta_scale == 0.0:
+            np.testing.assert_allclose(segment.frames, sample_ode(theta, cond, z, config).frames,
+                                       rtol=0, atol=1e-12)
+    if eta_scale > 0.0:
+        assert not np.array_equal(rows[0][0].frames, rows[1][0].frames)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampler_nonfinite_net_raises_divergence(bad):
+    theta = tiny_net(latent=4, cond_width=3, seed=15)
+    theta.biases[-1][2] = bad
+    config = small_config(frame_width=2)
+    with pytest.raises(DivergenceError):
+        sample_group(theta, np.ones(3), np.ones(4), config, RandomSource(1).split_many(3))
+    with pytest.raises(DivergenceError):
+        sample_ode(theta, np.ones(3), np.ones(4), config)
 
 
 def test_first_transition_std_monte_carlo():
@@ -264,7 +317,7 @@ def test_transition_logprob_requires_noise():
 
 def test_logprob_gradient_matches_finite_differences():
     # the analytic route: d(logp)/d(u) = c(t) * (z_next - mean) / std^2,
-    # with c from mean_velocity_coeff, pushed through net_backward
+    # with c from mean_affine_coeffs, pushed through net_backward
     theta = tiny_net(latent=3, cond_width=2, hidden=4, seed=9)
     config = small_config(frame_width=1, n_frames=3, k_steps=4)
     z = np.array([0.2, -0.1, 0.5])
@@ -273,9 +326,9 @@ def test_logprob_gradient_matches_finite_differences():
     step = trace.steps[2]
 
     mean, _ = transition_mean(theta, step, cond, config.delta)
-    coeff = mean_velocity_coeff(step, config.delta)
+    _, coeff = mean_affine_coeffs(step.t, step.dt, step.std, config.delta)
     out_grad = coeff * (step.z_next - mean) / (step.std * step.std)
-    analytic, _ = net_backward(theta, velocity_input(step.z, step.t, cond), out_grad)
+    analytic, _ = net_backward(theta, net_input(step.z, step.t, cond)[0], out_grad)
 
     numeric = finite_diff_grad(
         lambda p: transition_logprob(p, step, cond, config.delta), theta)
