@@ -13,14 +13,12 @@ averaged over every generated segment in the bucket:
                       has no motion profile; all-skipped buckets report N/A
   physical fidelity   per-frame physics compliance
 
-Episodes run concurrently (they are independent and the policy is only
-read); the report is assembled in task order, so results do not depend on
-scheduling.
+Episodes run one after another in task order, each on its own stream split
+from the evaluation's, so a task's result does not depend on the others.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 import json
@@ -138,23 +136,6 @@ def load_report(path: str | Path) -> MetricReport:
         raise SuiteError(f"{path}: malformed report: {exc}") from exc
 
 
-class _RecordingPolicy:
-    """Pass-through wrapper that keeps every generated segment, in call order.
-
-    The engine logs one AttemptRecord per generate() call, so the recorded
-    segments align 1:1 with log.attempts.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.segments: list[Segment] = []
-
-    def generate(self, step, memory, rng):
-        segment = self.inner.generate(step, memory, rng)
-        self.segments.append(segment)
-        return segment
-
-
 @dataclass
 class _EpisodeSamples:
     completeness: float
@@ -176,20 +157,20 @@ def _boundary_score(prev: Segment, nxt: Segment) -> float:
     return 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
 
 
-def _episode_samples(log: EpisodeLog, segments: list[Segment]) -> _EpisodeSamples:
+def _episode_samples(log: EpisodeLog) -> _EpisodeSamples:
     completed = 0
     smooth: list[float] = []
     inter: list[float] = []
     fidel: list[float] = []
     accepted: list[Segment] = []
-    for attempt, segment in zip(log.attempts, segments):
+    for attempt in log.attempts:
         scores = attempt.report.scores
         smooth.append(scores["temporal_coherence"])
         if attempt.report.details.get("contact_applicable", True):
             inter.append(scores["object_interaction"])
         fidel.append(scores["physical_realism"])
         if attempt.accepted:
-            accepted.append(segment)
+            accepted.append(attempt.segment)
             if scores["goal_achievement"] >= 1.0 - _COMPLETE_EPS:
                 completed += 1
     for prev, nxt in zip(accepted, accepted[1:]):
@@ -227,7 +208,6 @@ def evaluate_policy(
     config: LoopConfig | None = None,
     critic=None,
     rng: RandomSource | None = None,
-    max_workers: int | None = None,
 ) -> MetricReport:
     """Run one episode per task and aggregate the metric set.
 
@@ -243,27 +223,20 @@ def evaluate_policy(
 
     def run_one(index: int) -> _EpisodeSamples:
         task = suite.tasks[index]
-        recorder = _RecordingPolicy(policy)
         try:
             log = run_episode(
                 spec,
                 task.goal,
-                recorder,
+                policy,
                 config=config,
                 rng=rng.split(index),
                 critic=critic,
             )
         except (NoPlanError, DivergenceError, NumericError):
             return _EpisodeSamples(0.0, False, [], [], [])
-        return _episode_samples(log, recorder.segments)
+        return _episode_samples(log)
 
-    n = len(suite.tasks)
-    workers = max_workers if max_workers is not None else min(4, n)
-    if workers <= 1:
-        per_task = [run_one(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(run_one, range(n)))
+    per_task = [run_one(i) for i in range(len(suite.tasks))]
 
     by_difficulty = {}
     for name in DIFFICULTIES:

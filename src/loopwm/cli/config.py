@@ -72,7 +72,6 @@ DEFAULTS: dict = {
         "counts": [20, 20, 10],
         "mode": "full",
         "suite_seed": None,
-        "max_workers": None,
     },
     "backend": {
         "kind": "builtin",

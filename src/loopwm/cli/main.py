@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
 import traceback
@@ -425,7 +424,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bench.mode": args.mode,
         "bench.suite_seed": args.suite_seed,
         "bench.counts": list(_parse_counts(args.counts)) if args.counts else None,
-        "bench.max_workers": args.max_workers,
         "sampler.n_frames": args.n_frames,
         "sampler.k_steps": args.k_steps,
         "sampler.eta_scale": args.eta_scale,
@@ -452,20 +450,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
 
-    workers = config.bench["max_workers"]
-    if workers is not None:
-        workers = max(1, min(int(workers), os.cpu_count() or 1))
-
     run_dir = _prepare_run_dir(config, args.out)
     client = _remote_client(config)
     critic = remote_critic_fn(client, weights=config.critic_weights(),
                               tau=config.loop["tau"]) if client else None
     with _run_logging(run_dir):
-        _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d workers=%s",
-                  spec.name, mode, suite_seed, len(suite), workers or "auto")
+        _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d",
+                  spec.name, mode, suite_seed, len(suite))
         report = evaluate_policy(
             policy, suite, config=_mode_loop_config(config, mode), critic=critic,
-            rng=RandomSource(config.seed).split(7), max_workers=workers,
+            rng=RandomSource(config.seed).split(7),
         )
         save_suite(suite, run_dir / "reports" / "suite.json")
         report.write_json(run_dir / "reports" / "report.json")
@@ -584,8 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, help="feedback ablation mode")
     p.add_argument("--suite-seed", type=int, dest="suite_seed")
     p.add_argument("--counts", help="tasks per difficulty as 'simple,medium,hard'")
-    p.add_argument("--max-workers", type=int, dest="max_workers",
-                   help="parallel episodes, clipped to the machine's cores")
     p.add_argument("--n-frames", type=int, dest="n_frames")
     p.add_argument("--k-steps", type=int, dest="k_steps")
     p.add_argument("--eta-scale", type=float, dest="eta_scale")

@@ -116,7 +116,7 @@ def rollout_group(
 
     Row contract: the G members share `cond` and `z_init` (drawn from `rng`)
     and are sampled together, one (G, width) network evaluation per denoise
-    step; member i draws its noise from stream `rng.split(i)`. The critic
+    step; member i draws its (K, L) noise from stream `rng.split(i)`. The critic
     then scores each member. `critic` is a callable
     (spec, segment, step) -> CriticReport, defaulting to the programmatic
     critic.
@@ -128,9 +128,11 @@ def rollout_group(
         )
     cond = embed_condition(spec, step, memory)
     z_init = np.asarray(rng.normal(shape=sampler_config.latent_width), dtype=np.float64)
-    streams = rng.split_many(grpo_config.group_size)
+    shape = (sampler_config.k_steps, sampler_config.latent_width)
+    noise = np.stack([stream.normal(shape=shape)
+                      for stream in rng.split_many(grpo_config.group_size)])
     members = []
-    for segment, trace in sample_group(theta_old, cond, z_init, sampler_config, streams):
+    for segment, trace in sample_group(theta_old, cond, z_init, sampler_config, noise):
         if critic is None:
             report = evaluate(spec, segment, step)
         else:

@@ -12,7 +12,6 @@ from .engine import (
     SearchPlanner,
     default_critic,
     inner_refine,
-    memory_update,
     run_episode,
     write_episode_logs,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "WorldMemory",
     "default_critic",
     "inner_refine",
-    "memory_update",
     "run_episode",
     "write_episode_logs",
 ]

@@ -5,6 +5,13 @@ scalar >= tau. A rejection triggers the inner loop (revised instruction and
 fresh noise, up to k_retries). Inner exhaustion triggers the outer loop:
 replan from the simulated state, at most max_outer_replans times per
 episode. Accepted history is never revisited.
+
+A policy whose output ignores the instruction text may offer
+`generate_many(step, memory, rng, n)`; the inner loop then takes a step's
+retries from it instead of calling `generate` once per retry with the revised
+instruction. Its contract (see `Policy`) keeps every episode's random draws
+those of the sequential path: candidates are drawn candidate-major, and after
+j+1 candidates the stream stands where j+1 `generate` calls leave it.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ class AttemptRecord:
     instruction: str
     report: CriticReport
     accepted: bool
+    # the scored segment; kept for metrics, left out of the episode log
+    segment: Segment = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,20 +168,28 @@ def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, policy:
 
     Returns (accepted segment or None, best report seen, attempt records).
     ``budget`` already accounts for both k_retries and the episode's segment
-    budget; zero means fail immediately without generating.
+    budget; zero means fail immediately without generating. A policy with
+    ``generate_many`` supplies the retries from one lazy batch of ``budget``
+    candidates; since its output ignores the instruction, the revised
+    instruction is only recorded and scored against.
     """
     best = report
     records: list[AttemptRecord] = []
     current = report
+    generate_many = getattr(policy, "generate_many", None)
+    candidates = None if generate_many is None else generate_many(step, memory, rng, budget)
     for attempt in range(1, budget + 1):
         retry_step = step
         if current.revised_instruction != step.instruction:
             retry_step = step.with_instruction(current.revised_instruction)
-        segment = policy.generate(retry_step, memory, rng)
+        if candidates is None:
+            segment = policy.generate(retry_step, memory, rng)
+        else:
+            segment = next(candidates)
         current = critic(spec, segment, retry_step)
         accepted = current.scalar >= config.tau
         records.append(AttemptRecord(step.sid, attempt, retry_step.instruction,
-                                     current, accepted))
+                                     current, accepted, segment))
         if current.scalar > best.scalar:
             best = current
         if accepted:
@@ -238,7 +255,8 @@ def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
         log.segments_generated += 1
         report = critic(spec, segment, step)
         accepted = report.scalar >= config.tau
-        log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted))
+        log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
+                                          segment))
         if accepted:
             memory.advance(step, segment, report.scalar)
             log.accepted_steps += 1
@@ -282,12 +300,3 @@ def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
     log.final_state_text = state_summary(spec, memory.state)
     return log
 
-
-def memory_update(memory: WorldMemory, step: PlanStep, segment: Segment,
-                  report: CriticReport, tau: float = 0.7) -> WorldMemory:
-    """Acceptance-gated advancement; rejecting callers that ignore tau."""
-    if report.scalar < tau:
-        raise LoopwmError(
-            f"memory_update called with scalar {report.scalar:.3f} < tau {tau}")
-    memory.advance(step, segment, report.scalar)
-    return memory

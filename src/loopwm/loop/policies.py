@@ -18,6 +18,18 @@ from ..planner import PlanStep
 
 
 class Policy(Protocol):
+    """What the loop engine drives.
+
+    A policy may also offer ``generate_many(step, memory, rng, n)``, an
+    iterator over n retry candidates, but only if its output ignores
+    ``step.instruction``: the engine then scores the candidates against the
+    revised instructions it would have passed to ``generate``. Its draws
+    must be those of n successive ``generate`` calls, candidate-major (all of
+    candidate j's draws before candidate j+1's), and when candidate j is
+    handed out, ``rng`` must stand where j+1 ``generate`` calls leave it, so
+    the engine may stop at any candidate without changing later draws.
+    """
+
     def generate(self, step: PlanStep, memory: WorldMemory, rng: RandomSource) -> Segment:
         ...
 

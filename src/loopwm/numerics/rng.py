@@ -57,6 +57,14 @@ class RandomSource:
     def split_many(self, count: int) -> list["RandomSource"]:
         return [self.split(i) for i in range(count)]
 
+    def tell(self) -> dict:
+        """The stream's position: a snapshot that `seek` returns to."""
+        return self.generator().bit_generator.state
+
+    def seek(self, position: dict) -> None:
+        """Put the stream back at a position taken by `tell` on this source."""
+        self.generator().bit_generator.state = position
+
     # Draw helpers. These consume from the stream in call order.
 
     def normal(self, shape=None) -> np.ndarray | float:

@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, DivergenceError
 from ..microworld import DomainSpec, Segment, domain_hash
 from ..numerics import NetParams, RandomSource, clone_params, load_checkpoint, save_checkpoint
 from .context import context_width, embed_condition
-from .sampler import DenoiseTrace, SamplerConfig, sample_sde
+from .sampler import SamplerConfig, sample_group, sample_sde
 
 MANIFEST_FORMAT = "loopwm-policy-v1"
 
@@ -96,7 +97,12 @@ def load_policy(path: str | Path, spec: DomainSpec, config: SamplerConfig) -> Ne
 
 
 class WorldModelPolicy:
-    """Generates segments by denoising noise conditioned on (step, memory)."""
+    """Generates segments by denoising noise conditioned on (step, memory).
+
+    The condition reads the step's operator, channel mask and sid and the
+    memory's context frame, never the instruction text, so the policy offers
+    the loop engine's batched `generate_many`.
+    """
 
     def __init__(self, theta: NetParams, spec: DomainSpec, config: SamplerConfig):
         self.theta = theta
@@ -104,10 +110,45 @@ class WorldModelPolicy:
         self.config = config
 
     def generate(self, step, memory, rng: RandomSource) -> Segment:
-        segment, _ = self.generate_traced(step, memory, rng)
-        return segment
-
-    def generate_traced(self, step, memory, rng: RandomSource) -> tuple[Segment, DenoiseTrace]:
+        """One segment: draws z_init, then the path's (K, L) noise, from `rng`."""
         cond = embed_condition(self.spec, step, memory)
         z_init = np.asarray(rng.normal(shape=self.config.latent_width), dtype=np.float64)
-        return sample_sde(self.theta, cond, z_init, self.config, rng)
+        segment, _ = sample_sde(self.theta, cond, z_init, self.config, rng)
+        return segment
+
+    def generate_many(self, step, memory, rng: RandomSource, n: int) -> Iterator[Segment]:
+        """Lazily yield the n segments of n successive `generate` calls.
+
+        Candidate j's z_init and noise are drawn in the order n sequential
+        calls would draw them, and all n rows are sampled in one
+        `sample_group` call on the first request. Before candidate j is
+        yielded, `rng` is put where the sequential calls leave it after j+1
+        candidates, so a caller may stop at any candidate. If the batch
+        diverges, the candidates are generated one at a time instead, and
+        only a candidate that diverges on its own raises.
+        """
+        if n < 1:
+            return
+        cond = embed_condition(self.spec, step, memory)
+        latent, stochastic = self.config.latent_width, self.config.eta_scale > 0.0
+        start = rng.tell()
+        z_init = np.empty((n, latent))
+        noise = np.empty((n, self.config.k_steps, latent)) if stochastic else None
+        positions = []
+        for j in range(n):
+            z_init[j] = rng.normal(shape=latent)
+            if stochastic:
+                noise[j] = rng.normal(shape=(self.config.k_steps, latent))
+            positions.append(rng.tell())
+        try:
+            rows = sample_group(self.theta, cond, z_init, self.config, noise)
+        except DivergenceError:
+            rows = None
+        if rows is None:
+            rng.seek(start)
+            for _ in range(n):
+                yield self.generate(step, memory, rng)
+            return
+        for (segment, _), position in zip(rows, positions):
+            rng.seek(position)
+            yield segment

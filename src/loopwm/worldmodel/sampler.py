@@ -16,15 +16,15 @@ std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
 
 Sampling works on rows: `sample_group` denoises G paths that share one
-condition and one initial latent, with one (G, width) network evaluation per
-step, and row i draws its noise from its own stream. `sample_sde` is the
-one-row call and `sample_ode` the one-row call without noise.
+condition, with one (G, width) network evaluation per step. It takes the
+initial latents and every step's noise as arrays, so the caller decides which
+stream draws what. `sample_sde` is the one-row call that draws its noise from
+one stream, and `sample_ode` the one-row call without noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -143,59 +143,75 @@ def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
 
 def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
                  config: SamplerConfig,
-                 rngs: Sequence[RandomSource]) -> list[tuple[Segment, DenoiseTrace]]:
+                 noise: np.ndarray | None) -> list[tuple[Segment, DenoiseTrace]]:
     """Euler-Maruyama integration of the score-corrected reverse SDE, one path per row.
 
-    Row contract: all G = len(rngs) rows start from the same `z_init` under
-    the same `cond`, and row i draws one (L,) block of noise from `rngs[i]`
-    per step, in step order. Row i therefore equals `sample_sde` on the same
-    stream, up to rounding: BLAS may sum a G-row matrix product in another
-    order than a one-row product. Each step makes one (G, width) network
-    evaluation.
+    Row contract: the G rows share `cond`. `z_init` is one initial latent of
+    shape (L,) shared by every row, or one per row, (G, L). `noise` holds
+    every row's Wiener increments, shape (G, K, L): row i takes
+    `noise[i, k]` at denoise step k. A stream's (K, L) draw equals K
+    successive (L,) draws, so row i equals `sample_sde` on the stream that
+    drew `noise[i]`, up to rounding: BLAS may sum a G-row matrix product in
+    another order than a one-row product. Each step makes one (G, width)
+    network evaluation.
 
-    `theta`, the widths and `cond` are validated once, here; inside the loop
-    only the state is checked, and a non-finite state (from a net that
-    returns NaN or infinity, or a blow-up) raises DivergenceError. With
-    eta_scale = 0 no noise is drawn: the diffusion and score terms vanish and
-    every row follows the Euler path of `sample_ode` (bitwise for one row).
+    `theta`, the widths, `cond`, `z_init` and the noise shape are validated
+    once, here; inside the loop only the state is checked, and a non-finite
+    state (from a net that returns NaN or infinity, non-finite noise, or a
+    blow-up) raises DivergenceError. With eta_scale = 0 the noise is not
+    used and may be None: the diffusion and score terms vanish and every row
+    follows the Euler path of `sample_ode` (bitwise for one row).
     """
-    if not rngs:
-        raise LoopwmError("sample_group needs at least one row")
     check_params(theta)
     cond = np.asarray(cond, dtype=np.float64)
-    z = np.asarray(z_init, dtype=np.float64)
+    z = np.array(z_init, dtype=np.float64, ndmin=2)
     latent = config.latent_width
-    if z.shape != (latent,):
-        raise LoopwmError(f"z has shape {z.shape}, expected ({latent},)")
+    if z.ndim != 2 or z.shape[1] != latent:
+        raise LoopwmError(
+            f"z_init has shape {np.shape(z_init)}, expected ({latent},) or (G, {latent})"
+        )
     if cond.ndim != 1 or latent + 1 + cond.size != theta.sizes[0]:
         raise LoopwmError(
             f"net input width {latent + 1 + cond.size} does not match net input {theta.sizes[0]}"
         )
     require_finite(cond, "cond")
     require_finite(z, "z_init")
-    z = np.tile(z, (len(rngs), 1))
+    stochastic = config.eta_scale > 0.0
+    if noise is None:
+        if stochastic:
+            raise LoopwmError("sample_group needs noise when eta_scale > 0")
+        rows = z.shape[0]
+    else:
+        noise = np.asarray(noise, dtype=np.float64)
+        rows = noise.shape[0] if noise.ndim == 3 else 0
+        if noise.shape != (rows, config.k_steps, latent) or z.shape[0] not in (1, rows):
+            raise LoopwmError(
+                f"noise has shape {noise.shape}, expected (G, {config.k_steps}, {latent}) "
+                f"with G matching z_init's {z.shape[0]} rows"
+            )
+    if rows < 1:
+        raise LoopwmError("sample_group needs at least one row")
+    if z.shape[0] != rows:
+        z = np.tile(z, (rows, 1))
     # the cond columns are written once; each step rewrites z and t in place
     x = net_input(z, 1.0, cond)
     dt = 1.0 / config.k_steps
-    traces = [DenoiseTrace(cond=cond) for _ in rngs]
-    for t in config.time_grid():
+    traces = [DenoiseTrace(cond=cond) for _ in range(rows)]
+    for k, t in enumerate(config.time_grid()):
         x[:, :latent] = z
         x[:, latent] = t
         u = net_forward_unchecked(theta, x)
-        if config.eta_scale == 0.0:
+        if not stochastic:
             # the plain Euler step of sample_ode: no score term, no noise
             mean = z - u * dt
-            std, z_next, logps = 0.0, mean, np.zeros(len(rngs))
+            std, z_next, logps = 0.0, mean, np.zeros(rows)
         else:
             x_pred = z - t * u
             eta = config.eta_scale * np.sqrt(t)
             drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, config.delta)
             mean = z - drift * dt
             std = float(eta * np.sqrt(dt))
-            noise = np.empty_like(z)
-            for i, rng in enumerate(rngs):
-                noise[i] = rng.normal(shape=latent)
-            z_next = mean + std * noise
+            z_next = mean + std * noise[:, k]
             logps = gaussian_logpdf_rows(z_next, mean, std)
         for i, trace in enumerate(traces):
             trace.steps.append(TraceStep(t=t, dt=dt, z=z[i], u=u[i], mean=mean[i], std=std,
@@ -209,18 +225,20 @@ def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
                config: SamplerConfig, rng: RandomSource) -> tuple[Segment, DenoiseTrace]:
     """One stochastic path: the one-row call of `sample_group`.
 
-    With eta_scale = 0 the path is bitwise identical to sample_ode on the
+    Draws the path's (K, L) noise from `rng` in one block, and nothing at
+    eta_scale = 0, where the path is bitwise identical to sample_ode on the
     same grid.
     """
-    return sample_group(theta, cond, z_init, config, [rng])[0]
+    noise = None
+    if config.eta_scale > 0.0:
+        noise = rng.normal(shape=(1, config.k_steps, config.latent_width))
+    return sample_group(theta, cond, z_init, config, noise)[0]
 
 
 def sample_ode(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
                config: SamplerConfig) -> Segment:
     """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
-    # at eta_scale = 0 the stream is never drawn from
-    segment, _ = sample_sde(theta, cond, z_init, replace(config, eta_scale=0.0),
-                            RandomSource(0))
+    segment, _ = sample_group(theta, cond, z_init, replace(config, eta_scale=0.0), None)[0]
     return segment
 
 

@@ -225,9 +225,10 @@ def test_group_sampler_shared_stream_collapses_group(kitchen):
     step = first_step(kitchen, "kettle.grasped")
     cond = embed_condition(kitchen, step, WorldMemory.fresh(kitchen))
     z_init = np.asarray(RandomSource(1).normal(shape=sampler.latent_width))
-    streams = [RandomSource(1).split(0), RandomSource(1).split(0)]
+    noise = np.stack([RandomSource(1).split(0).normal(
+        shape=(sampler.k_steps, sampler.latent_width)) for _ in range(2)])
     (first, first_trace), (second, second_trace) = sample_group(
-        theta, cond, z_init, sampler, streams)
+        theta, cond, z_init, sampler, noise)
     assert np.array_equal(first.frames, second.frames)
     assert first_trace.total_logp == second_trace.total_logp
     assert evaluate(kitchen, first, step).scalar == evaluate(kitchen, second, step).scalar

@@ -1,10 +1,14 @@
 """Episode engine: acceptance gating, inner retries, outer replans, budgets."""
 
 import json
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from loopwm.errors import LoopwmError, NoPlanError
+import loopwm.worldmodel.policy as policy_module
+from loopwm.errors import DivergenceError, NoPlanError
 from loopwm.loop import (
     STATUS_BUDGET,
     STATUS_PLAN_FAILURE,
@@ -13,14 +17,14 @@ from loopwm.loop import (
     LoopConfig,
     OraclePolicy,
     WorldMemory,
-    memory_update,
     run_episode,
     write_episode_logs,
 )
 from loopwm.microworld import apply_operator, parse_literal, reference_segment
-from loopwm.numerics import RandomSource
+from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import RETRY_SAME_TAG, Goal
 from loopwm.critic import evaluate
+from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 
 
 def goal_of(*texts):
@@ -173,7 +177,7 @@ def test_unsolvable_goal_raises(kitchen):
                     OraclePolicy(kitchen), rng=RandomSource(9))
 
 
-def test_memory_update_guard_and_chain_replay(kitchen):
+def test_memory_advance_chain_replay(kitchen):
     memory = WorldMemory.fresh(kitchen)
     goal = goal_of("cup.full")
     from loopwm.planner import plan
@@ -183,21 +187,11 @@ def test_memory_update_guard_and_chain_replay(kitchen):
     for step in seq.steps:
         seg = reference_segment(kitchen, memory.state, step.actions[0], rng=rng)
         report = evaluate(kitchen, seg, step)
-        memory_update(memory, step, seg, report, tau=0.7)
+        memory.advance(step, seg, report.scalar)
         state = apply_operator(kitchen, state, step.actions[0])
     assert memory.state.predicates == state.predicates
     assert memory.state.poses == state.poses
     assert memory.depth == len(seq.steps)
-
-    fresh = WorldMemory.fresh(kitchen)
-    seg = reference_segment(kitchen, fresh.state, seq.steps[0].actions[0])
-    bad = evaluate(kitchen, seg, seq.steps[0])
-    low = type(bad)(scores=bad.scores, reasons=bad.reasons, tags=bad.tags,
-                    revised_instruction=bad.revised_instruction, scalar=0.2,
-                    details=bad.details)
-    with pytest.raises(LoopwmError):
-        memory_update(fresh, seq.steps[0], seg, low, tau=0.7)
-    assert fresh.depth == 0
 
 
 def test_episode_log_roundtrips_as_jsonl(tmp_path, kitchen):
@@ -220,3 +214,95 @@ def test_episode_log_roundtrips_as_jsonl(tmp_path, kitchen):
         for attempt in rec["attempts"]:
             assert set(attempt) >= {"sid", "attempt", "instruction", "accepted",
                                     "scalar", "tags", "scores"}
+
+
+# ---------------------------------------------------- batched inner retries
+
+
+def learned_policy(spec, seed=0):
+    config = SamplerConfig(k_steps=3, eta_scale=0.3, n_frames=4, frame_width=len(spec.channels))
+    theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(seed))
+    return WorldModelPolicy(theta, spec, config)
+
+
+class GenerateOnly:
+    """The sequential path of a policy: hides its generate_many from the engine."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def generate(self, step, memory, rng):
+        return self.policy.generate(step, memory, rng)
+
+
+def assert_same_episode(log, reference):
+    summary = [
+        ([(a.sid, a.attempt, a.instruction, a.accepted, a.report.scalar) for a in run.attempts],
+         run.replans, run.status)
+        for run in (log, reference)
+    ]
+    assert summary[0] == summary[1]
+    for got, want in zip(log.attempts, reference.attempts):
+        np.testing.assert_allclose(got.segment.frames, want.segment.frames, rtol=0, atol=1e-12)
+
+
+def test_batched_retries_match_sequential_generate(kitchen):
+    policy = learned_policy(kitchen)
+    config = LoopConfig(tau=0.4)
+    rng = RandomSource(3)
+    early = exhausted = 0
+    for i in range(6):
+        goal = random_solvable_goal(kitchen, rng.split(i))
+        for seed in range(2):
+            batched, sequential = (
+                run_episode(kitchen, goal, p, config, rng=rng.split(1000 + 10 * i + seed))
+                for p in (policy, GenerateOnly(policy))
+            )
+            assert_same_episode(batched, sequential)
+            early += sum(a.accepted for a in batched.attempts if 0 < a.attempt < config.k_retries)
+            exhausted += sum(not a.accepted for a in batched.attempts
+                             if a.attempt == config.k_retries)
+    # both ways out of a batch occur: a retry accepted early, and a budget spent
+    assert early > 0 and exhausted > 0
+
+
+def first_retry_critic():
+    """Rejects each step's first try and accepts its first retry."""
+    tries = Counter()
+
+    def critic(spec, segment, step):
+        tries[step.sid] += 1
+        return replace(evaluate(spec, segment, step), scalar=float(tries[step.sid] == 2))
+
+    return critic
+
+
+def test_divergence_in_an_untaken_batch_row_keeps_the_episode(kitchen, monkeypatch):
+    policy = learned_policy(kitchen)
+    # hidden unit 0 sums max/1.8 * z[0] and -inf * t: NaN once a row's first
+    # latent coordinate passes 1.8, so whether a row diverges rests on its noise
+    weights = policy.theta.weights[0]
+    weights[0, :] = 0.0
+    weights[0, 0] = np.finfo(np.float64).max / 1.8
+    weights[0, policy.config.latent_width] = -np.inf
+    batch_divergences = []
+    sample_group = policy_module.sample_group
+
+    def counting_sample_group(*args):
+        try:
+            return sample_group(*args)
+        except DivergenceError:
+            batch_divergences.append(len(args[2]))
+            raise
+
+    monkeypatch.setattr(policy_module, "sample_group", counting_sample_group)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched, sequential = (
+            run_episode(kitchen, goal_of("cup.full"), p, rng=RandomSource(6),
+                        critic=first_retry_critic())
+            for p in (policy, GenerateOnly(policy))
+        )
+    # a retry batch diverged in a row after the accepted first retry
+    assert batch_divergences == [3]
+    assert batched.status == STATUS_SUCCESS
+    assert_same_episode(batched, sequential)

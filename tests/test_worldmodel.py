@@ -18,6 +18,7 @@ from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
     PolicyBundle,
     SamplerConfig,
+    WorldModelPolicy,
     build_demos,
     channel_mask,
     context_width,
@@ -134,6 +135,14 @@ def test_velocity_rejects_bad_time_and_shape():
         sample_ode(theta, np.ones(3), np.ones(5), config)
     with pytest.raises(LoopwmError):
         sample_sde(theta, np.ones(4), np.ones(4), config, RandomSource(0))
+    # noise is (G, K, L), needed at eta_scale > 0, and matches z_init's rows
+    with pytest.raises(LoopwmError):
+        sample_group(theta, np.ones(3), np.ones(4), config, None)
+    with pytest.raises(LoopwmError):
+        sample_group(theta, np.ones(3), np.ones(4), config, np.ones((2, config.k_steps, 3)))
+    with pytest.raises(LoopwmError):
+        sample_group(theta, np.ones(3), np.ones((3, 4)), config,
+                     np.ones((2, config.k_steps, 4)))
 
 
 def test_ode_zero_velocity_returns_input():
@@ -217,7 +226,9 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     config = small_config(frame_width=3, k_steps=5, eta_scale=eta_scale)
     z = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.9])
     cond = np.array([0.4, -0.2, 0.6])
-    rows = sample_group(theta, cond, z, config, RandomSource(17).split_many(5))
+    noise = np.stack([stream.normal(shape=(config.k_steps, z.size))
+                      for stream in RandomSource(17).split_many(5)])
+    rows = sample_group(theta, cond, z, config, noise)
     assert len(rows) == 5
     for i, (segment, trace) in enumerate(rows):
         want_seg, want = sample_sde(theta, cond, z, config, RandomSource(17).split(i))
@@ -237,13 +248,42 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
         assert not np.array_equal(rows[0][0].frames, rows[1][0].frames)
 
 
+@pytest.mark.parametrize("eta_scale", [0.3, 0.0])
+def test_generate_many_matches_sequential_generate(kitchen, eta_scale):
+    # n batched candidates are the segments of n generate calls on an equal
+    # stream, and after j+1 of them the stream stands where j+1 calls leave it
+    config = SamplerConfig(k_steps=4, eta_scale=eta_scale, n_frames=3,
+                           frame_width=len(kitchen.channels))
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
+    policy = WorldModelPolicy(theta, kitchen, config)
+    step = plan_steps(kitchen, "cup.full")[1]
+    memory = WorldMemory.fresh(kitchen)
+    n = 4
+    for seed in range(3):
+        batched = list(policy.generate_many(step, memory, RandomSource(seed, 1), n))
+        sequential_rng = RandomSource(seed, 1)
+        assert len(batched) == n
+        for segment in batched:
+            want = policy.generate(step, memory, sequential_rng)
+            np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
+        assert not np.array_equal(batched[0].frames, batched[1].frames)
+        for taken in range(1, n + 1):
+            batch_rng, sequential_rng = RandomSource(seed, 1), RandomSource(seed, 1)
+            candidates = policy.generate_many(step, memory, batch_rng, n)
+            for _ in range(taken):
+                next(candidates)
+                policy.generate(step, memory, sequential_rng)
+            assert batch_rng.normal() == sequential_rng.normal()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sampler_nonfinite_net_raises_divergence(bad):
     theta = tiny_net(latent=4, cond_width=3, seed=15)
     theta.biases[-1][2] = bad
     config = small_config(frame_width=2)
     with pytest.raises(DivergenceError):
-        sample_group(theta, np.ones(3), np.ones(4), config, RandomSource(1).split_many(3))
+        sample_group(theta, np.ones(3), np.ones(4), config,
+                     RandomSource(1).normal(shape=(3, config.k_steps, 4)))
     with pytest.raises(DivergenceError):
         sample_ode(theta, np.ones(3), np.ones(4), config)
 
