@@ -4,7 +4,7 @@ Subpackages:
     numerics    float64 MLP, Adam, Gaussian log-densities, splittable RNG
     microworld  symbolic domains, frame encoding, demonstration segments
     planner     breadth-first symbolic planning and replanning
-    critic      programmatic segment scoring and a pairwise reward model
+    critic      programmatic segment scoring
     worldmodel  conditional flow model, ODE/SDE samplers, flow-matching SFT
     loop        episode engine with inner retries and outer replanning
     grpo        group-relative policy optimization over denoise trajectories

@@ -25,7 +25,7 @@ import json
 
 import numpy as np
 
-from ..critic.scoring import COHERENCE_SCALE
+from ..critic.scoring import coherence_score
 from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
 from ..loop import EpisodeLog, LoopConfig, run_episode
 from ..microworld import Segment
@@ -153,8 +153,7 @@ def _boundary_score(prev: Segment, nxt: Segment) -> float:
     scale the critic uses for intra-segment curvature.
     """
     delta = nxt.frames[0] - prev.frames[-1]
-    msd = float(np.mean(delta * delta))
-    return 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
+    return coherence_score(float(np.mean(delta * delta)))
 
 
 def _episode_samples(log: EpisodeLog) -> _EpisodeSamples:

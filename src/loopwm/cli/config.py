@@ -62,7 +62,6 @@ DEFAULTS: dict = {
         "lr": 3e-4,
         "iterations": 300,
         "curriculum": [[1, 1], [101, 3], [201, 5]],
-        "reward_source": "programmatic",
         "reward_dimension": None,
     },
     "critic": {
@@ -198,8 +197,3 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(yaml.safe_dump(config.to_dict(), sort_keys=True))
     return path
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    """Read back a config written by `write_config` (used by --resume)."""
-    return resolve_config(path)

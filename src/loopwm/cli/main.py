@@ -321,10 +321,6 @@ def cmd_grpo(args: argparse.Namespace) -> int:
     }
     config = resolve_config(config_path, overrides)
     grpo_cfg = config.grpo_config()
-    if grpo_cfg.reward_source != "programmatic":
-        raise UsageError(
-            "the command-line trainer only supports reward_source 'programmatic'"
-        )
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
 
@@ -357,7 +353,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         # resumed runs restart optimizer moments; iteration numbering and the
         # curriculum position carry over through start_iteration
         rng = RandomSource(config.seed).split(100 + start)
-        theta, tlog = train(bundle, spec, SearchPlanner(), None, goals, sampler,
+        theta, tlog = train(bundle, spec, SearchPlanner(), goals, sampler,
                             grpo_cfg, rng, start_iteration=start)
         merged = TrainingLog(records=prev_records + tlog.records, events=tlog.events)
         save_policy(run_dir / "checkpoints" / "model.ckpt", theta, spec, sampler)

@@ -1,14 +1,3 @@
-from .reward_model import (
-    PreferencePair,
-    RewardModelParams,
-    bt_loss,
-    feature_width,
-    features,
-    rm_init,
-    rm_score,
-    rm_train,
-    synthetic_pairs,
-)
 from .scoring import (
     CONTACT_RADIUS,
     DEFAULT_TAU,
@@ -29,17 +18,8 @@ __all__ = [
     "DEFAULT_TAU",
     "DEFAULT_WEIGHTS",
     "DIMENSIONS",
-    "PreferencePair",
-    "RewardModelParams",
     "aggregate",
-    "bt_loss",
     "evaluate",
-    "feature_width",
-    "features",
     "revise_instruction",
-    "rm_init",
-    "rm_score",
-    "rm_train",
-    "synthetic_pairs",
     "tag_dimension",
 ]

@@ -105,6 +105,11 @@ def tag_dimension(tag: str) -> str:
     return "action_adherence"
 
 
+def coherence_score(msd: float) -> float:
+    """Map a mean squared frame difference to [0, 1]: 1 at zero, 0 from COHERENCE_SCALE up."""
+    return 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
+
+
 def _interaction(
     spec: DomainSpec, frames: np.ndarray, op: Operator
 ) -> tuple[float, bool, float, tuple[int, int]]:
@@ -188,7 +193,7 @@ def evaluate(
     else:
         second = frames[2:] - 2.0 * frames[1:-1] + frames[:-2]
         msd = float(np.mean(second * second))
-    coherence = 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
+    coherence = coherence_score(msd)
 
     realism, worst_excess = _realism(frames)
 

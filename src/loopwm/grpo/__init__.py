@@ -1,4 +1,4 @@
-from .config import DEFAULT_CURRICULUM, REWARD_SOURCES, GrpoConfig, curriculum_schedule
+from .config import DEFAULT_CURRICULUM, GrpoConfig, curriculum_schedule
 from .rollout import (
     GroupMember,
     RolloutGroup,
@@ -24,7 +24,6 @@ __all__ = [
     "GroupMember",
     "GrpoConfig",
     "ObjectiveTerms",
-    "REWARD_SOURCES",
     "RolloutGroup",
     "TrainingLog",
     "TrainingRecord",

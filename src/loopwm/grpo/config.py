@@ -10,17 +10,14 @@ from ..errors import LoopwmError
 # entry (101, 3) governs iterations 101 through the next entry's start minus 1.
 DEFAULT_CURRICULUM: tuple[tuple[int, int], ...] = ((1, 1), (101, 3), (201, 5))
 
-REWARD_SOURCES = ("programmatic", "blended")
-
 
 @dataclass(frozen=True)
 class GrpoConfig:
     """Knobs for group-relative policy optimization.
 
-    `reward_source` picks between the programmatic critic scalar and a blend
-    with the learned reward model. `reward_dimension`, when set, trains on a
-    single critic dimension (for per-dimension reward curves) instead of the
-    weighted scalar.
+    The group reward is the programmatic critic's weighted scalar;
+    `reward_dimension`, when set, trains on that single critic dimension (for
+    per-dimension reward curves) instead.
     """
 
     group_size: int = 8
@@ -30,7 +27,6 @@ class GrpoConfig:
     lr: float = 3e-4
     iterations: int = 300
     curriculum: tuple[tuple[int, int], ...] = DEFAULT_CURRICULUM
-    reward_source: str = "programmatic"
     reward_dimension: str | None = None
 
     def __post_init__(self) -> None:
@@ -46,10 +42,6 @@ class GrpoConfig:
             raise LoopwmError(f"lr must be positive, got {self.lr}")
         if self.iterations < 0:
             raise LoopwmError(f"iterations must be nonnegative, got {self.iterations}")
-        if self.reward_source not in REWARD_SOURCES:
-            raise LoopwmError(
-                f"reward_source must be one of {REWARD_SOURCES}, got {self.reward_source!r}"
-            )
         if not self.curriculum:
             raise LoopwmError("curriculum must contain at least one entry")
         starts = [start for start, _ in self.curriculum]

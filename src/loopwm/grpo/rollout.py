@@ -9,12 +9,11 @@ one `sample_group` call: member i is row i, with its own noise stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..critic import CriticReport, RewardModelParams, evaluate, features, rm_score
+from ..critic import CriticReport, evaluate
 from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
@@ -70,34 +69,16 @@ def compute_advantages(rewards, delta: float = 1e-8) -> np.ndarray:
     return (rewards - rewards.mean()) / (std + delta)
 
 
-def member_reward(
-    spec: DomainSpec,
-    segment: Segment,
-    step: PlanStep,
-    report: CriticReport,
-    config: GrpoConfig,
-    reward_model: RewardModelParams | None = None,
-) -> float:
-    """Scalar reward for one rollout, per the configured source.
-
-    Programmatic: the critic scalar (or one named dimension). Blended: equal
-    mix of that and the learned reward model's score squashed to (0, 1).
-    """
-    if config.reward_dimension is not None:
-        if config.reward_dimension not in report.scores:
-            raise LoopwmError(
-                f"unknown reward dimension {config.reward_dimension!r}; "
-                f"critic reports {sorted(report.scores)}"
-            )
-        base = report.scores[config.reward_dimension]
-    else:
-        base = report.scalar
-    if config.reward_source == "blended":
-        if reward_model is None:
-            raise LoopwmError("blended reward requires a reward model")
-        raw = rm_score(reward_model, features(spec, segment, step))
-        base = 0.5 * base + 0.5 / (1.0 + math.exp(-raw))
-    return float(base)
+def member_reward(report: CriticReport, config: GrpoConfig) -> float:
+    """Scalar reward for one rollout: the critic scalar, or one named dimension."""
+    if config.reward_dimension is None:
+        return float(report.scalar)
+    if config.reward_dimension not in report.scores:
+        raise LoopwmError(
+            f"unknown reward dimension {config.reward_dimension!r}; "
+            f"critic reports {sorted(report.scores)}"
+        )
+    return float(report.scores[config.reward_dimension])
 
 
 def rollout_group(
@@ -108,18 +89,14 @@ def rollout_group(
     sampler_config: SamplerConfig,
     grpo_config: GrpoConfig,
     rng: RandomSource,
-    *,
-    critic=None,
-    reward_model: RewardModelParams | None = None,
 ) -> RolloutGroup:
     """Sample G segments from one shared z_init under the frozen sampling policy.
 
     Row contract: the G members share `cond` and `z_init` (drawn from `rng`)
     and are sampled together, one (G, width) network evaluation per denoise
-    step; member i draws its (K, L) noise from stream `rng.split(i)`. The critic
-    then scores each member. `critic` is a callable
-    (spec, segment, step) -> CriticReport, defaulting to the programmatic
-    critic.
+    step; member i draws its (K, L) noise from stream `rng.split(i)`. The
+    programmatic critic then scores each member, and `member_reward` turns its
+    report into the member's reward.
     """
     if sampler_config.eta_scale <= 0.0:
         raise LoopwmError(
@@ -133,10 +110,7 @@ def rollout_group(
                       for stream in rng.split_many(grpo_config.group_size)])
     members = []
     for segment, trace in sample_group(theta_old, cond, z_init, sampler_config, noise):
-        if critic is None:
-            report = evaluate(spec, segment, step)
-        else:
-            report = critic(spec, segment, step)
-        reward = member_reward(spec, segment, step, report, grpo_config, reward_model)
-        members.append(GroupMember(segment=segment, trace=trace, report=report, reward=reward))
+        report = evaluate(spec, segment, step)
+        members.append(GroupMember(segment=segment, trace=trace, report=report,
+                                   reward=member_reward(report, grpo_config)))
     return RolloutGroup(z_init=z_init, cond=cond, members=tuple(members))

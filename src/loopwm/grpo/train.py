@@ -19,7 +19,7 @@ from ..memory import WorldMemory
 from ..microworld import DomainSpec
 from ..numerics import NetParams, RandomSource, opt_init
 from ..planner import Goal, PlanSequence
-from ..report import svg_line_chart, write_csv
+from ..report import write_csv
 from ..worldmodel import SamplerConfig
 from .config import GrpoConfig, curriculum_schedule
 from .rollout import compute_advantages, rollout_group
@@ -77,20 +77,6 @@ class TrainingLog:
     def write_csv(self, path: str | Path) -> Path:
         return write_csv(path, CSV_HEADER, self.rows())
 
-    def write_charts(self, directory: str | Path) -> list[Path]:
-        """One SVG line chart per logged metric, named after the column."""
-        directory = Path(directory)
-        xs = [r.iteration for r in self.records]
-        written = []
-        for column in CSV_HEADER[1:]:
-            ys = [getattr(r, column) for r in self.records]
-            out = svg_line_chart(
-                directory / f"{column}.svg", xs, ys,
-                title=column.replace("_", " "), x_label="iteration",
-            )
-            written.append(out)
-        return written
-
 
 def _sample_goal(
     spec: DomainSpec,
@@ -121,20 +107,17 @@ def train(
     bundle,
     spec: DomainSpec,
     planner,
-    critic,
     goals: list[Goal],
     sampler_config: SamplerConfig,
     grpo_config: GrpoConfig,
     rng: RandomSource,
     *,
-    reward_model=None,
     start_iteration: int = 1,
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
-    `planner` exposes plan(spec, goal, state); `critic` is a callable
-    (spec, segment, step) -> CriticReport or None for the programmatic
-    default. Zero iterations returns the parameters untouched.
+    `planner` exposes plan(spec, goal, state); every group is scored by the
+    programmatic critic. Zero iterations returns the parameters untouched.
 
     `start_iteration` resumes numbering mid-schedule: records and the
     curriculum both use the global iteration count, and iterations before
@@ -155,10 +138,8 @@ def train(
         memory = WorldMemory.fresh(spec)
         rewards, adherence, coherence, kls, clips = [], [], [], [], []
         for step in plan.steps:
-            group = rollout_group(
-                bundle.theta_old, spec, step, memory, sampler_config, grpo_config, rng,
-                critic=critic, reward_model=reward_model,
-            )
+            group = rollout_group(bundle.theta_old, spec, step, memory,
+                                  sampler_config, grpo_config, rng)
             group.advantages = compute_advantages(group.rewards, grpo_config.delta)
             _, opt_state, stats = grpo_update(bundle, group, group.cond, grpo_config, opt_state)
             if stats.skipped:

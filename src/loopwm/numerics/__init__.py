@@ -16,7 +16,7 @@ from .net import (
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
 from .stats import finite_diff_grad, gaussian_logpdf, gaussian_logpdf_rows
-from .tensor import Tensor, require_finite, require_vector, tensor, zeros
+from .tensor import Tensor, require_finite, tensor, zeros
 
 __all__ = [
     "NetParams",
@@ -39,7 +39,6 @@ __all__ = [
     "opt_step",
     "params_as_list",
     "require_finite",
-    "require_vector",
     "save_checkpoint",
     "tensor",
     "zeros",

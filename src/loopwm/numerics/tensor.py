@@ -32,11 +32,3 @@ def zeros(shape: Sequence[int] | int) -> Tensor:
 def require_finite(arr: Tensor, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} contains non-finite values")
-
-
-def require_vector(arr: Tensor, length: int, what: str) -> Tensor:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ValueError(f"{what} must be a vector of length {length}, got shape {arr.shape}")
-    require_finite(arr, what)
-    return arr

@@ -340,14 +340,21 @@ def test_grpo_resume_without_state_exits_2(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
-def test_grpo_blended_rewards_rejected(sft_small, tmp_path, capsys):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("grpo: {reward_source: blended}\n")
-    rc = main(["grpo", "--config", str(cfg),
+def test_grpo_config_with_reward_source_exits_2(sft_small, tmp_path, capsys):
+    # run directories saved before the reward model was removed still carry
+    # grpo.reward_source; it is an unknown key now, named on both entry paths
+    old = tmp_path / "old"
+    old.mkdir()
+    tree = {**DEFAULTS, "grpo": {**DEFAULTS["grpo"], "reward_source": "programmatic"}}
+    (old / "config.yaml").write_text(yaml.safe_dump(tree))
+    (old / "state.json").write_text(json.dumps({"iterations_done": 2, "seed": 0}))
+    assert main(["grpo", "--resume", str(old), "--out", str(tmp_path / "resumed")]) == 2
+    assert "grpo.reward_source" in capsys.readouterr().err
+    rc = main(["grpo", "--config", str(old / "config.yaml"),
                "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
                "--out", str(tmp_path / "run")] + SMALL)
     assert rc == 2
-    assert "programmatic" in capsys.readouterr().err
+    assert "grpo.reward_source" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- bench

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,17 +7,10 @@ from loopwm.critic import (
     CriticReport,
     CriticWeights,
     aggregate,
-    bt_loss,
     evaluate,
-    feature_width,
-    features,
     revise_instruction,
-    rm_score,
-    rm_train,
-    synthetic_pairs,
 )
 from loopwm.microworld import Segment, apply_operator, load_domain, reference_segment
-from loopwm.numerics import RandomSource
 from loopwm.planner import Goal, plan
 from loopwm.microworld import parse_literal
 
@@ -199,34 +190,3 @@ def test_scores_bounded_and_tags_match_threshold(data):
         assert 0.0 <= s <= 1.0, d
     assert 0.0 <= report.scalar <= 1.0
     assert (len(report.tags) > 0) == (report.scalar < 0.7)
-
-
-def test_bt_loss_values():
-    assert bt_loss(1.3, 1.3) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert bt_loss(5.0, 1.0) < bt_loss(2.0, 1.0) < bt_loss(1.0, 2.0)
-    # stable far out in both tails
-    assert bt_loss(60.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert bt_loss(0.0, 60.0) == pytest.approx(60.0, rel=1e-9)
-    # margin shifts the decision boundary
-    assert bt_loss(1.0, 0.0, margin=1.0) == pytest.approx(math.log(2.0))
-
-
-def test_rm_learns_separable_pairs():
-    rng = RandomSource(17)
-    pairs = synthetic_pairs(150, 10, rng.split(0))
-    params, history = rm_train(pairs, rng.split(1), epochs=40)
-    assert history["holdout_accuracy"] >= 0.9
-    fresh = synthetic_pairs(200, 10, rng.split(2))
-    correct = sum(rm_score(params, p.winner) > rm_score(params, p.loser) for p in fresh)
-    assert correct / len(fresh) >= 0.9
-    assert history["train_loss"][-1] < history["train_loss"][0]
-
-
-def test_features_width_and_determinism(kitchen):
-    step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
-    f1 = features(kitchen, seg, step)
-    f2 = features(kitchen, seg, step)
-    assert f1.shape == (feature_width(kitchen),)
-    assert feature_width(kitchen) == kitchen.n_predicates + 7
-    np.testing.assert_array_equal(f1, f2)
