@@ -3,8 +3,10 @@
 Difficulty is the minimal plan length from the task's start state: simple
 tasks solve in 1-3 steps, medium in 3-5, hard in more than 5 (capped at the
 oracle's search depth). The generator samples goals from random forward
-walks, so every emitted task is reachable by construction, and every task's
-band membership is re-checked with `minimal_plan_length` before it is kept.
+walks, so every emitted task is reachable by construction. A candidate's
+minimal plan length comes from one breadth-first pass over the predicate
+states reachable from the start (operators read and write predicates only);
+`verify_suite` re-checks every band with the independent `minimal_plan_length`.
 """
 
 from __future__ import annotations
@@ -126,7 +128,43 @@ def verify_suite(suite: PromptSuite) -> None:
             )
 
 
-def _sample_task(spec: DomainSpec, start: SymbolicState, rng: RandomSource) -> SuiteTask | None:
+def _reachable_states(spec: DomainSpec, start: SymbolicState) -> list[tuple[SymbolicState, int]]:
+    """Every predicate state within DEFAULT_MAX_LEN steps of `start`, with its distance.
+
+    Breadth-first, so the distances never decrease along the list.
+    """
+    seen = {start.pred_key()}
+    reachable = [(start, 0)]
+    frontier = [start]
+    for depth in range(1, DEFAULT_MAX_LEN + 1):
+        nxt = []
+        for state in frontier:
+            for op in spec.operators:
+                if not state.satisfies(op.pre):
+                    continue
+                successor = apply_operator(spec, state, op.binding)
+                key = successor.pred_key()
+                if key not in seen:
+                    seen.add(key)
+                    reachable.append((successor, depth))
+                    nxt.append(successor)
+        frontier = nxt
+    return reachable
+
+
+def _plan_length(
+    reachable: list[tuple[SymbolicState, int]], literals: tuple[Literal, ...]
+) -> int | None:
+    """Distance of the nearest reachable state where the literals hold, or None."""
+    for state, depth in reachable:
+        if state.satisfies(literals):
+            return depth
+    return None
+
+
+def _sample_literals(
+    spec: DomainSpec, start: SymbolicState, rng: RandomSource
+) -> tuple[Literal, ...]:
     """Walk forward from `start`, then pose some of the walked state as a goal."""
     state = start
     walk = 1 + rng.choice(DEFAULT_MAX_LEN)
@@ -139,14 +177,7 @@ def _sample_task(spec: DomainSpec, start: SymbolicState, rng: RandomSource) -> S
     order = list(range(len(keys)))
     rng.shuffle(order)
     n_literals = 1 + rng.choice(_MAX_GOAL_LITERALS)
-    literals = tuple(
-        Literal(keys[i], state.predicates[keys[i]]) for i in order[:n_literals]
-    )
-    m = minimal_plan_length(spec, start, literals)
-    level = classify(m)
-    if level is None:
-        return None
-    return SuiteTask(Goal(literals), start, level, m)
+    return tuple(Literal(keys[i], state.predicates[keys[i]]) for i in order[:n_literals])
 
 
 def generate_suite(
@@ -166,15 +197,19 @@ def generate_suite(
     need = dict(zip(DIFFICULTIES, counts))
     rng = RandomSource(seed)
     start = spec.initial_state()
+    reachable = _reachable_states(spec, start)
     found: dict[str, list[SuiteTask]] = {d: [] for d in DIFFICULTIES}
     seen: set[tuple[str, ...]] = set()
     budget = _ATTEMPTS_PER_TASK * max(sum(counts), 1)
     for _ in range(budget):
         if all(len(found[d]) >= need[d] for d in DIFFICULTIES):
             break
-        task = _sample_task(spec, start, rng)
-        if task is None or len(found[task.difficulty]) >= need[task.difficulty]:
+        literals = _sample_literals(spec, start, rng)
+        steps = _plan_length(reachable, literals)
+        level = classify(steps)
+        if level is None or len(found[level]) >= need[level]:
             continue
+        task = SuiteTask(Goal(literals), start, level, steps)
         if task.key() in seen:
             continue
         seen.add(task.key())

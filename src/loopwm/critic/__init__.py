@@ -7,6 +7,7 @@ from .scoring import (
     CriticWeights,
     aggregate,
     evaluate,
+    evaluate_batch,
     revise_instruction,
     tag_dimension,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "DIMENSIONS",
     "aggregate",
     "evaluate",
+    "evaluate_batch",
     "revise_instruction",
     "tag_dimension",
 ]

@@ -12,17 +12,21 @@ a severity factor clamp(1 - worst_excess/0.25, 0, 1). The plain fraction
 barely reacts to a single hard teleport in a long segment; the severity
 factor makes one large violation collapse the score, which is what the
 feedback loop needs to catch physically broken rollouts.
+
+Row contract: `evaluate_batch` scores G segments of one step, frames of shape
+(G, F, C), with every reduction taken along a contiguous per-row axis. Rows
+are scored independently, and each row's report is bitwise equal to the
+one-row call, which is what `evaluate` is.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
-from ..microworld.frames import decode_frame
+from ..microworld.frames import DECODE_THRESHOLD
 from ..microworld.types import DomainSpec, Literal, Operator, Segment
 from ..planner.types import PlanStep
 
@@ -110,51 +114,86 @@ def coherence_score(msd: float) -> float:
     return 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
 
 
+def _row_mean(values: np.ndarray) -> np.ndarray:
+    """Mean along the last axis: np.mean's sum-then-divide, without its call overhead."""
+    return values.sum(axis=-1) / values.shape[-1]
+
+
+def _literal_hits(
+    spec: DomainSpec, frame: np.ndarray, literals: tuple[Literal, ...]
+) -> tuple[tuple[Literal, ...], np.ndarray]:
+    """(distinct literals, (G, n) hits) of the literals in one (G, C) frame per row.
+
+    A predicate channel reads true at DECODE_THRESHOLD and above, ties
+    included, as `decode_frame` decodes it.
+    """
+    distinct = tuple(dict.fromkeys(literals))
+    cols = [spec.channel_index[lit.pred] for lit in distinct]
+    values = np.array([lit.value for lit in distinct], dtype=bool)
+    return distinct, (frame[:, cols] >= DECODE_THRESHOLD) == values
+
+
+def _hit_fraction(hits: np.ndarray) -> np.ndarray:
+    """Per-row share of hits; 1 for every row when there are no literals."""
+    if hits.shape[1] == 0:
+        return np.ones(hits.shape[0])
+    return _row_mean(hits)
+
+
 def _interaction(
     spec: DomainSpec, frames: np.ndarray, op: Operator
-) -> tuple[float, bool, float, tuple[int, int]]:
-    """(score, applicable, mean window distance, window) for the contact check."""
+) -> tuple[np.ndarray, bool, np.ndarray, tuple[int, int]]:
+    """(scores, applicable, mean window distances, window) for the contact check."""
+    rows = frames.shape[0]
     actor = spec.acting_entity(op)
     if actor is None:
-        return 1.0, False, 0.0, (0, 0)
-    w0, w1 = contact_window_frames(op.motion.contact, frames.shape[0])
+        return np.ones(rows), False, np.zeros(rows), (0, 0)
+    w0, w1 = contact_window_frames(op.motion.contact, frames.shape[1])
+    window = frames[:, w0 : w1 + 1]
     ax = spec.channel_index[f"{actor}.x"]
     ay = spec.channel_index[f"{actor}.y"]
     target = op.motion.target
     if spec.objects[target].movable:
-        tx = frames[:, spec.channel_index[f"{target}.x"]]
-        ty = frames[:, spec.channel_index[f"{target}.y"]]
+        tx = window[:, :, spec.channel_index[f"{target}.x"]]
+        ty = window[:, :, spec.channel_index[f"{target}.y"]]
     else:
         tx, ty = spec.objects[target].position
-    dist = np.hypot(frames[:, ax] - tx, frames[:, ay] - ty)
-    window = dist[w0 : w1 + 1]
-    score = float(np.mean(window <= CONTACT_RADIUS))
-    return score, True, float(window.mean()), (w0, w1)
+    dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
+    return _row_mean(dist <= CONTACT_RADIUS), True, _row_mean(dist), (w0, w1)
 
 
 def _progress_monotone_fraction(
     frames: np.ndarray, post: tuple[Literal, ...], spec: DomainSpec
-) -> float:
-    """Fraction of consecutive frames whose distance-to-post is non-increasing."""
-    if frames.shape[0] < 2:
-        return 1.0
+) -> np.ndarray:
+    """Per-row fraction of consecutive frames whose distance-to-post is non-increasing."""
     cols = [spec.channel_index[lit.pred] for lit in post]
     targets = np.array([1.0 if lit.value else 0.0 for lit in post])
-    dist = np.abs(frames[:, cols] - targets).sum(axis=1)
-    return float(np.mean(np.diff(dist) <= _MONO_EPS))
+    dist = np.abs(frames[:, :, cols] - targets).sum(axis=2)
+    return _row_mean(np.diff(dist, axis=1) <= _MONO_EPS)
 
 
-def _realism(frames: np.ndarray) -> tuple[float, float]:
-    """(score, worst_excess). See the module docstring for the severity factor."""
+def _second_difference_msd(frames: np.ndarray) -> np.ndarray:
+    """Per-row mean squared second difference; 0 below three frames."""
+    rows, n_frames = frames.shape[:2]
+    if n_frames < 3:
+        return np.zeros(rows)
+    second = frames[:, 2:] - 2.0 * frames[:, 1:-1] + frames[:, :-2]
+    return _row_mean((second * second).reshape(rows, -1))
+
+
+def _realism(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (score, worst_excess). See the module docstring for the severity factor."""
     lo, hi = VALUE_BOX
-    range_excess = np.maximum(frames - hi, lo - frames).max(axis=1)
+    range_excess = np.maximum(frames - hi, lo - frames).max(axis=2)
     range_excess = np.maximum(range_excess, 0.0)
-    deltas = np.abs(np.diff(frames, axis=0)).max(axis=1)
-    delta_excess = np.concatenate([[0.0], np.maximum(deltas - MAX_FRAME_DELTA, 0.0)])
+    deltas = np.abs(np.diff(frames, axis=1)).max(axis=2)
+    delta_excess = np.concatenate(
+        [np.zeros((frames.shape[0], 1)), np.maximum(deltas - MAX_FRAME_DELTA, 0.0)], axis=1
+    )
     per_frame_excess = np.maximum(range_excess, delta_excess)
-    compliant = float(np.mean(per_frame_excess <= 0.0))
-    worst = float(per_frame_excess.max())
-    severity = min(max(1.0 - worst / MAX_FRAME_DELTA, 0.0), 1.0)
+    compliant = _row_mean(per_frame_excess <= 0.0)
+    worst = per_frame_excess.max(axis=1)
+    severity = np.clip(1.0 - worst / MAX_FRAME_DELTA, 0.0, 1.0)
     return compliant * severity, worst
 
 
@@ -166,37 +205,75 @@ def evaluate(
     tau: float = DEFAULT_TAU,
 ) -> CriticReport:
     """Score one generated segment against its plan step."""
-    frames = segment.frames
-    if frames.shape[1] != spec.n_channels:
+    return evaluate_batch(spec, segment.frames[np.newaxis], step, weights, tau)[0]
+
+
+def evaluate_batch(
+    spec: DomainSpec,
+    frames: np.ndarray,
+    step: PlanStep,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
+    tau: float = DEFAULT_TAU,
+) -> list[CriticReport]:
+    """Score G segments of one plan step, frames of shape (G, F, C), one report per row."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3:
+        raise ValueError(f"frames must be 3-D (rows, frames, channels), got shape {frames.shape}")
+    if frames.shape[2] != spec.n_channels:
         raise ValueError(
-            f"segment has {frames.shape[1]} channels, domain {spec.name!r} has {spec.n_channels}"
+            f"segment has {frames.shape[2]} channels, domain {spec.name!r} has {spec.n_channels}"
         )
-    if frames.shape[0] < 2:
+    if frames.shape[1] < 2:
         raise ValueError("segments need at least 2 frames to score")
     op = spec.find_operator(step.actions[0])
-    first = decode_frame(spec, frames[0])
-    final = decode_frame(spec, frames[-1])
 
-    post_hits = {lit: lit.holds_in(final.predicates) for lit in step.post}
-    goal_score = float(np.mean([v for v in post_hits.values()])) if post_hits else 1.0
+    post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
+    pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], step.pre)
+    goal_scores = _hit_fraction(post_hits)
+    pre_fracs = _hit_fraction(pre_hits)
+    monos = _progress_monotone_fraction(frames, step.post, spec)
+    mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
+    adherences = (pre_fracs + goal_scores + mono_scores) / 3.0
+    interactions, applicable, mean_dists, window = _interaction(spec, frames, op)
+    msds = _second_difference_msd(frames)
+    realisms, worst_excesses = _realism(frames)
 
-    pre_hits = {lit: lit.holds_in(first.predicates) for lit in step.pre}
-    pre_frac = float(np.mean([v for v in pre_hits.values()])) if pre_hits else 1.0
-    mono = _progress_monotone_fraction(frames, step.post, spec)
-    mono_score = 1.0 if mono >= MONOTONE_FRACTION else mono / MONOTONE_FRACTION
-    adherence = (pre_frac + goal_score + mono_score) / 3.0
+    rows = zip(post_hits.tolist(), pre_hits.tolist(), adherences.tolist(), goal_scores.tolist(),
+               pre_fracs.tolist(), monos.tolist(), interactions.tolist(), mean_dists.tolist(),
+               msds.tolist(), realisms.tolist(), worst_excesses.tolist())
+    return [
+        _report(step, op, weights, tau, applicable, window,
+                post_hits=dict(zip(post_lits, post_hit)), pre_hits=dict(zip(pre_lits, pre_hit)),
+                adherence=adherence, goal_score=goal_score, pre_frac=pre_frac, mono=mono,
+                interaction=interaction, mean_dist=mean_dist, msd=msd, realism=realism,
+                worst_excess=worst_excess)
+        for (post_hit, pre_hit, adherence, goal_score, pre_frac, mono, interaction, mean_dist,
+             msd, realism, worst_excess) in rows
+    ]
 
-    interaction, applicable, mean_dist, window = _interaction(spec, frames, op)
 
-    if frames.shape[0] < 3:
-        msd = 0.0
-    else:
-        second = frames[2:] - 2.0 * frames[1:-1] + frames[:-2]
-        msd = float(np.mean(second * second))
+def _report(
+    step: PlanStep,
+    op: Operator,
+    weights: CriticWeights,
+    tau: float,
+    applicable: bool,
+    window: tuple[int, int],
+    *,
+    post_hits: dict[Literal, bool],
+    pre_hits: dict[Literal, bool],
+    adherence: float,
+    goal_score: float,
+    pre_frac: float,
+    mono: float,
+    interaction: float,
+    mean_dist: float,
+    msd: float,
+    realism: float,
+    worst_excess: float,
+) -> CriticReport:
+    """Assemble one row's report from its numbers."""
     coherence = coherence_score(msd)
-
-    realism, worst_excess = _realism(frames)
-
     scores = {
         "action_adherence": adherence,
         "object_interaction": interaction,

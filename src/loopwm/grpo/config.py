@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..critic import DIMENSIONS
 from ..errors import LoopwmError
 
 # (first_iteration, max_plan_length) pairs; intervals are left-closed, so the
@@ -17,7 +18,8 @@ class GrpoConfig:
 
     The group reward is the programmatic critic's weighted scalar;
     `reward_dimension`, when set, trains on that single critic dimension (for
-    per-dimension reward curves) instead.
+    per-dimension reward curves) instead; it must name one of
+    `critic.DIMENSIONS`.
     """
 
     group_size: int = 8
@@ -42,6 +44,11 @@ class GrpoConfig:
             raise LoopwmError(f"lr must be positive, got {self.lr}")
         if self.iterations < 0:
             raise LoopwmError(f"iterations must be nonnegative, got {self.iterations}")
+        if self.reward_dimension is not None and self.reward_dimension not in DIMENSIONS:
+            raise LoopwmError(
+                f"unknown reward dimension {self.reward_dimension!r}; "
+                f"the critic scores {list(DIMENSIONS)}"
+            )
         if not self.curriculum:
             raise LoopwmError("curriculum must contain at least one entry")
         starts = [start for start, _ in self.curriculum]

@@ -4,7 +4,8 @@ Every member of a group denoises from the same initial latent; members differ
 only through the Wiener increments of their reverse-SDE paths. Sharing the
 initial noise keeps the group comparable so that reward differences reflect
 the stochastic paths rather than the starting point. The group is sampled in
-one `sample_group` call: member i is row i, with its own noise stream.
+one `sample_group` call: member i is row i, with its own noise stream. The
+critic then scores the stacked group in one `evaluate_batch` call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..critic import CriticReport, evaluate
+from ..critic import CriticReport, evaluate_batch
 from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
@@ -73,11 +74,6 @@ def member_reward(report: CriticReport, config: GrpoConfig) -> float:
     """Scalar reward for one rollout: the critic scalar, or one named dimension."""
     if config.reward_dimension is None:
         return float(report.scalar)
-    if config.reward_dimension not in report.scores:
-        raise LoopwmError(
-            f"unknown reward dimension {config.reward_dimension!r}; "
-            f"critic reports {sorted(report.scores)}"
-        )
     return float(report.scores[config.reward_dimension])
 
 
@@ -95,8 +91,8 @@ def rollout_group(
     Row contract: the G members share `cond` and `z_init` (drawn from `rng`)
     and are sampled together, one (G, width) network evaluation per denoise
     step; member i draws its (K, L) noise from stream `rng.split(i)`. The
-    programmatic critic then scores each member, and `member_reward` turns its
-    report into the member's reward.
+    programmatic critic scores the G segments in one `evaluate_batch` call,
+    and `member_reward` turns each member's report into its reward.
     """
     if sampler_config.eta_scale <= 0.0:
         raise LoopwmError(
@@ -108,9 +104,11 @@ def rollout_group(
     shape = (sampler_config.k_steps, sampler_config.latent_width)
     noise = np.stack([stream.normal(shape=shape)
                       for stream in rng.split_many(grpo_config.group_size)])
-    members = []
-    for segment, trace in sample_group(theta_old, cond, z_init, sampler_config, noise):
-        report = evaluate(spec, segment, step)
-        members.append(GroupMember(segment=segment, trace=trace, report=report,
-                                   reward=member_reward(report, grpo_config)))
-    return RolloutGroup(z_init=z_init, cond=cond, members=tuple(members))
+    samples = sample_group(theta_old, cond, z_init, sampler_config, noise)
+    reports = evaluate_batch(spec, np.stack([segment.frames for segment, _ in samples]), step)
+    members = tuple(
+        GroupMember(segment=segment, trace=trace, report=report,
+                    reward=member_reward(report, grpo_config))
+        for (segment, trace), report in zip(samples, reports)
+    )
+    return RolloutGroup(z_init=z_init, cond=cond, members=members)

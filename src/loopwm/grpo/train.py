@@ -86,13 +86,24 @@ def _sample_goal(
     rng: RandomSource,
     log: TrainingLog,
     iteration: int,
+    plans: dict[int, PlanSequence | None],
 ) -> tuple[Goal, PlanSequence]:
-    state = spec.initial_state()
+    """Draw pool goals until one plans within `level` steps.
+
+    `plans` memoizes the planner's answer per pool index (None for no plan),
+    so each goal is planned once per `train` call. Every draw consumes one
+    random number, and every draw of an unplannable goal logs an event.
+    """
     for _ in range(_MAX_GOAL_TRIES):
-        goal = goals[rng.choice(len(goals))]
-        try:
-            plan = planner.plan(spec, goal, state)
-        except NoPlanError:
+        index = rng.choice(len(goals))
+        goal = goals[index]
+        if index not in plans:
+            try:
+                plans[index] = planner.plan(spec, goal, spec.initial_state())
+            except NoPlanError:
+                plans[index] = None
+        plan = plans[index]
+        if plan is None:
             log.events.append(f"iteration {iteration}: no plan for '{goal.text}', resampled")
             continue
         if 1 <= len(plan.steps) <= level:
@@ -116,8 +127,10 @@ def train(
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
-    `planner` exposes plan(spec, goal, state); every group is scored by the
-    programmatic critic. Zero iterations returns the parameters untouched.
+    `planner` exposes plan(spec, goal, state) and answers the same goal from
+    the same state the same way, so each pool goal is planned at most once;
+    every group is scored by the programmatic critic. Zero iterations returns
+    the parameters untouched.
 
     `start_iteration` resumes numbering mid-schedule: records and the
     curriculum both use the global iteration count, and iterations before
@@ -131,9 +144,10 @@ def train(
     if not goals:
         raise LoopwmError("goal pool is empty")
     opt_state = opt_init(bundle.theta)
+    plans: dict[int, PlanSequence | None] = {}
     for iteration in range(start_iteration, grpo_config.iterations + 1):
         level = curriculum_schedule(grpo_config, iteration)
-        goal, plan = _sample_goal(spec, planner, goals, level, rng, log, iteration)
+        goal, plan = _sample_goal(spec, planner, goals, level, rng, log, iteration, plans)
         bundle.sync_old()
         memory = WorldMemory.fresh(spec)
         rewards, adherence, coherence, kls, clips = [], [], [], [], []

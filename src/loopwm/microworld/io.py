@@ -8,6 +8,7 @@ package and can be addressed by bare name: "kitchen" and "workshop".
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from importlib import resources
@@ -34,6 +35,15 @@ BUILTIN_DOMAINS = ("kitchen", "workshop")
 def _schema() -> dict:
     text = resources.files("loopwm.microworld.data").joinpath("domain.schema.json").read_text()
     return json.loads(text)
+
+
+@functools.cache
+def _validator():
+    """The domain-schema validator, built and meta-schema-checked once per process."""
+    schema = _schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def default_instruction(verb: str, objects: tuple[str, ...], tool: str | None, actor: str) -> str:
@@ -100,11 +110,10 @@ def _validate_semantics(spec: DomainSpec) -> None:
 
 
 def domain_from_dict(raw: dict, source: str = "<dict>") -> DomainSpec:
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise DomainError(f"{source}: schema violation at '{path}': {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path)
+        raise DomainError(f"{source}: schema violation at '{path}': {error.message}") from error
     objects = {
         name: ObjectSpec(tuple(info["position"]), bool(info.get("movable", False)))
         for name, info in raw["objects"].items()

@@ -1,9 +1,10 @@
 """Suite generation, evaluation metrics, comparisons, and curve emission.
 
-Difficulty bands are cross-checked two independent ways: the exhaustive
-sequence enumerator that the generator itself uses, and the breadth-first
-planner (shortest plan by construction). Oracle-policy and frozen-policy
-evaluations pin the upper and lower ends of the metric scales.
+The generator's plan lengths, from one pass over the reachable predicate
+states, are cross-checked two independent ways: the exhaustive sequence
+enumerator behind `verify_suite`, and the breadth-first planner (shortest
+plan by construction). Oracle-policy and frozen-policy evaluations pin the
+upper and lower ends of the metric scales.
 """
 
 import json
@@ -26,11 +27,12 @@ from loopwm.bench import (
     verify_suite,
 )
 from loopwm.bench.metrics import MetricReport, MetricRow, load_report
+from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
 from loopwm.critic import CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
 from loopwm.loop import FrozenPolicy, OraclePolicy
-from loopwm.microworld import Segment
+from loopwm.microworld import Literal, Segment, load_domain
 from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
@@ -74,6 +76,28 @@ def test_generate_suite_deterministic(kitchen):
     assert [t.goal.literals for t in a.tasks] == [t.goal.literals for t in b.tasks]
     c = generate_suite(kitchen, seed=8, counts=(5, 4, 2))
     assert c.digest != a.digest
+
+
+@pytest.mark.parametrize("name", ["kitchen", "workshop"])
+def test_reachable_state_lengths_match_the_oracle(name):
+    spec = load_domain(name)
+    start = spec.initial_state()
+    reachable = _reachable_states(spec, start)
+    rng = RandomSource(0)
+    for _ in range(300):
+        literals = _sample_literals(spec, start, rng)
+        assert _plan_length(reachable, literals) == minimal_plan_length(spec, start, literals)
+    # goals off the sampled walks too, unreachable ones included
+    for _ in range(100):
+        picks = rng.integers(0, 2, shape=len(spec.predicates))
+        chosen = [i for i in range(len(spec.predicates)) if rng.choice(3) == 0][:3]
+        literals = tuple(Literal(spec.predicates[i][0], bool(picks[i])) for i in chosen)
+        assert _plan_length(reachable, literals) == minimal_plan_length(spec, start, literals)
+
+
+def test_pinned_kitchen_suite_digest(kitchen):
+    suite = generate_suite(kitchen, seed=0, counts=(20, 20, 10))
+    assert suite.digest == "fd42ea1610686572211a1615997f5dada7ea4a9310a97a2025fc07fa074c3865"
 
 
 def test_generate_suite_zero_counts_is_empty(kitchen):

@@ -357,6 +357,19 @@ def test_grpo_config_with_reward_source_exits_2(sft_small, tmp_path, capsys):
     assert "grpo.reward_source" in capsys.readouterr().err
 
 
+def test_grpo_unknown_reward_dimension_exits_2_before_the_run(sft_small, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("grpo: {reward_dimension: style}\n")
+    out = tmp_path / "run"
+    rc = main(["grpo", "--config", str(cfg), "--iterations", "1",
+               "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
+               "--out", str(out)] + SMALL)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "'style'" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- bench
 
 def test_bench_oracle_reaches_full_completeness(tmp_path):

@@ -1,16 +1,34 @@
+from dataclasses import fields
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopwm.bench import generate_suite
 from loopwm.critic import (
     CriticReport,
     CriticWeights,
     aggregate,
     evaluate,
+    evaluate_batch,
     revise_instruction,
 )
-from loopwm.microworld import Segment, apply_operator, load_domain, reference_segment
+from loopwm.critic.scoring import (
+    CONTACT_RADIUS,
+    MAX_FRAME_DELTA,
+    VALUE_BOX,
+    coherence_score,
+)
+from loopwm.microworld import (
+    Segment,
+    apply_operator,
+    contact_window_frames,
+    decode_frame,
+    load_domain,
+    reference_segment,
+)
 from loopwm.planner import Goal, plan
 from loopwm.microworld import parse_literal
 
@@ -190,3 +208,107 @@ def test_scores_bounded_and_tags_match_threshold(data):
         assert 0.0 <= s <= 1.0, d
     assert 0.0 <= report.scalar <= 1.0
     assert (len(report.tags) > 0) == (report.scalar < 0.7)
+
+
+# batch scoring
+
+
+@cache
+def pinned_suite_steps():
+    """Every step of every plan in the pinned kitchen suite (seed 0, 20/20/10)."""
+    kitchen = load_domain("kitchen")
+    suite = generate_suite(kitchen, 0, counts=(20, 20, 10))
+    steps = [step for task in suite.tasks
+             for step in plan(kitchen, task.goal, task.state).steps]
+    return kitchen, steps
+
+
+def reference_scores(spec, frames, step):
+    """The five scores of one (F, C) segment from decoded frames, segment by segment."""
+    op = spec.find_operator(step.actions[0])
+    first = decode_frame(spec, frames[0]).predicates
+    final = decode_frame(spec, frames[-1]).predicates
+    post = {lit: lit.holds_in(final) for lit in step.post}
+    pre = {lit: lit.holds_in(first) for lit in step.pre}
+    goal = float(np.mean(list(post.values()))) if post else 1.0
+    pre_frac = float(np.mean(list(pre.values()))) if pre else 1.0
+    cols = [spec.channel_index[lit.pred] for lit in step.post]
+    targets = np.array([1.0 if lit.value else 0.0 for lit in step.post])
+    mono = float(np.mean(np.diff(np.abs(frames[:, cols] - targets).sum(axis=1)) <= 1e-9))
+    adherence = (pre_frac + goal + (1.0 if mono >= 0.8 else mono / 0.8)) / 3.0
+
+    def position(name):
+        if spec.objects[name].movable:
+            return (frames[:, spec.channel_index[f"{name}.x"]],
+                    frames[:, spec.channel_index[f"{name}.y"]])
+        return spec.objects[name].position
+
+    actor = spec.acting_entity(op)
+    interaction = 1.0
+    if actor is not None:
+        w0, w1 = contact_window_frames(op.motion.contact, frames.shape[0])
+        (ax, ay), (tx, ty) = position(actor), position(op.motion.target)
+        window = np.hypot(ax - tx, ay - ty)[w0 : w1 + 1]
+        interaction = float(np.mean(window <= CONTACT_RADIUS))
+    msd = 0.0
+    if frames.shape[0] >= 3:
+        second = frames[2:] - 2.0 * frames[1:-1] + frames[:-2]
+        msd = float(np.mean(second * second))
+    lo, hi = VALUE_BOX
+    excess = np.maximum(np.maximum(frames - hi, lo - frames).max(axis=1), 0.0)
+    excess[1:] = np.maximum(excess[1:],
+                            np.abs(np.diff(frames, axis=0)).max(axis=1) - MAX_FRAME_DELTA)
+    severity = min(max(1.0 - float(excess.max()) / MAX_FRAME_DELTA, 0.0), 1.0)
+    return {
+        "action_adherence": adherence,
+        "object_interaction": interaction,
+        "goal_achievement": goal,
+        "temporal_coherence": coherence_score(msd),
+        "physical_realism": float(np.mean(excess <= 0.0)) * severity,
+    }
+
+
+def assert_reports_equal(got: CriticReport, want: CriticReport) -> None:
+    for f in fields(CriticReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    rows=st.sampled_from([1, 3, 8]),
+    n_frames=st.sampled_from([2, 3, 8, 16]),
+    # per-frame steps below, near and far beyond the 0.25 delta bound; the
+    # walks leave the [-0.05, 1.05] box at the larger scales
+    scale=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+    snap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_rows_equal_one_row_calls(rows, n_frames, scale, snap, seed):
+    kitchen, steps = pinned_suite_steps()
+    rng = np.random.default_rng(seed)
+    for step in steps:
+        start = rng.uniform(0.0, 1.0, size=(1, 1, kitchen.n_channels))
+        frames = start + np.cumsum(
+            rng.normal(0.0, scale, size=(rows, n_frames, kitchen.n_channels)), axis=1)
+        if snap:
+            # predicate channels on and around the decode threshold
+            frames[:, :, :kitchen.n_predicates] = rng.choice(
+                [0.0, 0.5 - 1e-12, 0.5, 1.0], size=(rows, n_frames, kitchen.n_predicates))
+        reports = evaluate_batch(kitchen, frames, step)
+        assert len(reports) == rows
+        for row, report in zip(frames, reports):
+            assert_reports_equal(report, evaluate(kitchen, Segment(row), step))
+            assert report.scores == reference_scores(kitchen, row, step)
+
+
+def test_batch_rejects_bad_shapes(kitchen):
+    step = open_jar_step(kitchen)
+    width = kitchen.n_channels
+    with pytest.raises(ValueError, match="3-D"):
+        evaluate_batch(kitchen, np.zeros((4, width)), step)
+    with pytest.raises(ValueError, match="channels"):
+        evaluate_batch(kitchen, np.zeros((2, 4, width + 1)), step)
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        evaluate_batch(kitchen, np.zeros((2, 1, width)), step)
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        evaluate(kitchen, Segment(np.zeros((1, width))), step)

@@ -1,12 +1,12 @@
 """Group-rollout training: advantages, clipped updates, KL terms, curriculum."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from loopwm.critic import evaluate
+from loopwm.critic import CriticReport, evaluate
 from loopwm.errors import LoopwmError
 from loopwm.grpo import (
     GroupMember,
@@ -109,6 +109,7 @@ def test_config_defaults_and_validation():
         dict(delta=0.0),
         dict(lr=0.0),
         dict(iterations=-1),
+        dict(reward_dimension="style"),
     ):
         with pytest.raises(LoopwmError):
             GrpoConfig(**bad)
@@ -252,8 +253,21 @@ def test_member_reward_sources(kitchen):
     assert member_reward(report, dim_config) == pytest.approx(
         report.scores["action_adherence"]
     )
-    with pytest.raises(LoopwmError):
-        member_reward(report, GrpoConfig(reward_dimension="style"))
+
+
+@pytest.mark.parametrize("dimension", [None, "temporal_coherence"])
+def test_rollout_group_reports_equal_per_member_evaluate(kitchen, dimension):
+    sampler = kitchen_sampler(kitchen, n_frames=8)
+    theta = kitchen_net(kitchen, sampler)
+    step = first_step(kitchen, "kettle.grasped")
+    config = GrpoConfig(group_size=5, reward_dimension=dimension)
+    group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
+                          sampler, config, RandomSource(2))
+    for member in group.members:
+        want = evaluate(kitchen, member.segment, step)
+        for f in fields(CriticReport):
+            assert getattr(member.report, f.name) == getattr(want, f.name), f.name
+        assert member.reward == (want.scalar if dimension is None else want.scores[dimension])
 
 
 # surrogate and clipping
@@ -592,6 +606,56 @@ def test_train_resamples_unplannable_goals(kitchen):
                    RandomSource(1))
     assert len(log.records) == 1
     assert any("resampled" in event for event in log.events)
+
+
+class CountingPlanner(SearchPlanner):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def plan(self, spec, goal, state):
+        self.calls.append(goal.text)
+        return super().plan(spec, goal, state)
+
+
+class RecordingSource(RandomSource):
+    """A source that remembers its `choice` draws (only goal sampling makes them)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.choices = []
+
+    def choice(self, n):
+        value = super().choice(n)
+        self.choices.append(value)
+        return value
+
+
+def test_train_plans_each_pool_goal_once(kitchen):
+    sampler = kitchen_sampler(kitchen, k_steps=2)
+    config = GrpoConfig(iterations=5, group_size=2, curriculum=((1, 1),))
+    # no plan, one step, and a plan longer than the curriculum allows
+    goals = [goal_of("not jar.closed", "not jar.lid_removed"), goal_of("kettle.grasped"),
+             goal_of("cup.full")]
+    planner, rng = CountingPlanner(), RecordingSource(4)
+    bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
+    _, log = train(bundle, kitchen, planner, goals, sampler, config, rng)
+    assert sorted(planner.calls) == sorted({goal.text for goal in goals})
+    # the unplannable goal was drawn more than once, and each draw still logs
+    assert rng.choices.count(0) >= 2 and 2 in rng.choices
+    expected, iteration = [], 1
+    for index in rng.choices:
+        if index == 0:
+            expected.append(f"iteration {iteration}: no plan for '{goals[0].text}', resampled")
+        iteration += index == 1
+    assert iteration == 6
+    assert [e for e in log.events if "resampled" in e] == expected
+    # counting and recording change nothing
+    plain = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
+    _, plain_log = train(plain, kitchen, SearchPlanner(), goals, sampler, config,
+                         RandomSource(4))
+    assert plain_log.records == log.records
+    assert plain_log.events == log.events
 
 
 def test_train_rejects_empty_goal_pool(kitchen):
