@@ -4,7 +4,6 @@ from .compare import ComparisonTable, compare
 from .curves import emit_curves
 from .metrics import (
     MODES,
-    SCALE_METRICS,
     MetricReport,
     MetricRow,
     evaluate_policy,
@@ -35,7 +34,6 @@ __all__ = [
     "MetricReport",
     "MetricRow",
     "PromptSuite",
-    "SCALE_METRICS",
     "SuiteTask",
     "classify",
     "compare",

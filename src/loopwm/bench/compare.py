@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import SuiteError
+from ..report import write_csv
 from .metrics import MetricReport
 
 _COLUMNS = (
@@ -25,13 +25,7 @@ class ComparisonTable:
     text: str
 
     def write_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.header)
-            writer.writerows(self.rows)
-        return path
+        return write_csv(path, self.header, self.rows)
 
 
 def _fmt(value: float | None) -> str:

@@ -34,8 +34,6 @@ from .suite import DIFFICULTIES, PromptSuite
 
 REPORT_FORMAT = "loopwm-report-v1"
 
-SCALE_METRICS = ("motion_smoothness", "object_interaction", "physical_fidelity")
-
 # loop configurations for the standard ablation rows
 MODES = ("open-loop", "inner-only", "full")
 
@@ -207,12 +205,14 @@ def evaluate_policy(
     config: LoopConfig | None = None,
     critic=None,
     rng: RandomSource | None = None,
+    planner=None,
 ) -> MetricReport:
     """Run one episode per task and aggregate the metric set.
 
     Unsolvable tasks and episodes whose numbers go non-finite (a diverged
     sampler, NaN frames) do not raise: they contribute zero completeness and
     a failed episode, per the convention that evaluation never aborts.
+    `planner` defaults to the builtin search; a remote backend passes its own.
     """
     if not suite.tasks:
         raise SuiteError("cannot evaluate an empty suite")
@@ -229,6 +229,7 @@ def evaluate_policy(
                 policy,
                 config=config,
                 rng=rng.split(index),
+                planner=planner,
                 critic=critic,
             )
         except (NoPlanError, DivergenceError, NumericError):

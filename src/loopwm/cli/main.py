@@ -456,6 +456,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report = evaluate_policy(
             policy, suite, config=_mode_loop_config(config, mode), critic=critic,
             rng=RandomSource(config.seed).split(7),
+            planner=RemotePlanner(client) if client else None,
         )
         save_suite(suite, run_dir / "reports" / "suite.json")
         report.write_json(run_dir / "reports" / "report.json")

@@ -4,7 +4,6 @@ from .backend import (
     AgentBackend,
     RemoteClient,
     WireRecord,
-    builtin_backend,
     canonical_bytes,
     payload_hash,
     remote_backend,
@@ -41,7 +40,6 @@ __all__ = [
     "RemotePlanner",
     "WIRE_DIMENSIONS",
     "WireRecord",
-    "builtin_backend",
     "canonical_bytes",
     "encode_step",
     "load_mock_script",

@@ -50,10 +50,6 @@ class AgentBackend:
                 raise LoopwmError(f"retries must be >= 0, got {self.retries}")
 
 
-def builtin_backend() -> AgentBackend:
-    return AgentBackend("builtin")
-
-
 def remote_backend(base_url: str, **kwargs) -> AgentBackend:
     return AgentBackend("remote", base_url=base_url, **kwargs)
 

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LoopwmError
-from ..numerics import NetParams, OptState, net_backward_batch, net_forward_batch, opt_init, opt_step
+from ..numerics import (
+    NetParams,
+    OptState,
+    net_activations,
+    net_backward_batch,
+    net_forward_batch,
+    opt_init,
+    opt_step,
+)
 from ..numerics.stats import LOG_2PI
 from ..worldmodel import mean_affine_coeffs, net_input, transition_mean
 from .config import GrpoConfig
@@ -150,9 +158,9 @@ def objective_terms(
     coeff = coeff[:, None]
     std = std[:, None]
 
-    u_theta = net_forward_batch(theta, x)
+    acts = net_activations(theta, x)
     u_ref = net_forward_batch(reference, x)
-    mean_theta = base + coeff * u_theta
+    mean_theta = base + coeff * acts[-1]
     mean_ref = base + coeff * u_ref
     resid = z_next - mean_theta
     logp_theta = (
@@ -178,7 +186,7 @@ def objective_terms(
         )
 
     keep_rows = np.repeat(finite, k_steps)
-    x, z_next, base = x[keep_rows], z_next[keep_rows], base[keep_rows]
+    acts = [a[keep_rows] for a in acts]
     coeff, std, adv = coeff[keep_rows], std[keep_rows], adv[keep_rows]
     mean_theta, mean_ref, resid = mean_theta[keep_rows], mean_ref[keep_rows], resid[keep_rows]
     ratios = ratios[keep_rows]
@@ -197,7 +205,7 @@ def objective_terms(
         std * std
     )
     out_grads = coeff * weight / n_rows
-    grads, _ = net_backward_batch(theta, x, out_grads)
+    grads, _ = net_backward_batch(theta, acts, out_grads)
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,
         clip_fraction=clip_fraction, ratios=ratios, kept=kept, dropped=dropped,

@@ -142,17 +142,11 @@ def write_episode_logs(path: str | Path, logs: list[EpisodeLog]) -> None:
 class SearchPlanner:
     """Default planner adapter over the breadth-first search module."""
 
-    def __init__(self, node_budget: int | None = None):
-        self.node_budget = node_budget
-
-    def _kwargs(self):
-        return {} if self.node_budget is None else {"node_budget": self.node_budget}
-
     def plan(self, spec: DomainSpec, goal: Goal, state) -> PlanSequence:
-        return plan(spec, goal, state, **self._kwargs())
+        return plan(spec, goal, state)
 
     def replan(self, spec: DomainSpec, goal: Goal, failure: FailureContext) -> PlanSequence:
-        return replan(spec, goal, failure, **self._kwargs())
+        return replan(spec, goal, failure)
 
 
 def default_critic(config: LoopConfig):

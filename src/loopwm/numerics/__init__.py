@@ -3,9 +3,8 @@ from .net import (
     check_params,
     clone_params,
     load_checkpoint,
-    net_backward,
+    net_activations,
     net_backward_batch,
-    net_forward,
     net_forward_batch,
     net_forward_unchecked,
     net_init,
@@ -16,7 +15,7 @@ from .net import (
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
 from .stats import finite_diff_grad, gaussian_logpdf, gaussian_logpdf_rows
-from .tensor import Tensor, require_finite, tensor, zeros
+from .tensor import Tensor, require_finite
 
 __all__ = [
     "NetParams",
@@ -29,9 +28,8 @@ __all__ = [
     "gaussian_logpdf",
     "gaussian_logpdf_rows",
     "load_checkpoint",
-    "net_backward",
+    "net_activations",
     "net_backward_batch",
-    "net_forward",
     "net_forward_batch",
     "net_forward_unchecked",
     "net_init",
@@ -40,7 +38,5 @@ __all__ = [
     "params_as_list",
     "require_finite",
     "save_checkpoint",
-    "tensor",
-    "zeros",
     "zeros_like_grads",
 ]

@@ -1,10 +1,14 @@
 """A small fully-connected network with hand-written reverse-mode gradients.
 
 The architecture is deliberately plain: affine layers with a smooth
-activation on every hidden layer and a linear output layer. Gradients are
-computed by explicit backprop (no autograd framework) so they can be checked
-coordinate-by-coordinate against the central-difference oracle in
-`stats.finite_diff_grad`; the two code paths must stay independent.
+activation on every hidden layer and a linear output layer. One layer loop
+serves every forward pass. `net_activations` returns its per-layer outputs,
+and `net_backward_batch` takes those activations and runs only the reverse
+sweep, so a training step runs the network forward once per gradient.
+Gradients are computed by explicit backprop (no autograd framework) so they
+can be checked coordinate-by-coordinate against the central-difference oracle
+in `stats.finite_diff_grad`, which stays independent of this module's
+backward pass.
 
 Checkpoint layout (all integers and floats little-endian):
 
@@ -106,16 +110,25 @@ def zeros_like_grads(params: NetParams) -> list[Tensor]:
     return [np.zeros_like(a) for a in params_as_list(params)]
 
 
-def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
-    """Forward pass for a batch of row vectors, shape (n, sizes[0]) -> (n, sizes[-1])."""
+def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
+    """Validated forward pass returning every layer's output, `[x, h_1, ..., y]`.
+
+    x has shape (n, sizes[0]) and y has shape (n, sizes[-1]). Pass the list
+    to `net_backward_batch` to differentiate this forward without rerunning it.
+    """
     check_params(params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.sizes[0]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
     require_finite(x, "net input")
-    h = net_forward_unchecked(params, x)
-    require_finite(h, "net output")
-    return h
+    acts = _layer_outputs(params, x)
+    require_finite(acts[-1], "net output")
+    return acts
+
+
+def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
+    """Forward pass for a batch of row vectors, shape (n, sizes[0]) -> (n, sizes[-1])."""
+    return net_activations(params, x)[-1]
 
 
 def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
@@ -124,57 +137,38 @@ def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
     The caller guarantees `check_params(params)` passed and that x is a
     float64 array of shape (n, sizes[0]). Non-finite values pass through.
     """
+    return _layer_outputs(params, x)[-1]
+
+
+def _layer_outputs(params: NetParams, x: Tensor) -> list[Tensor]:
+    """The one layer loop: post-activation outputs, linear on the last layer."""
     act, _ = _ACTIVATIONS[params.activation]
-    h = x
+    acts = [x]
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
-        if i < last:
-            h = act(h)
-    return h
-
-
-def net_forward(params: NetParams, x: Tensor) -> Tensor:
-    """Single-vector forward pass, shape (sizes[0],) -> (sizes[-1],)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"input must be a vector, got shape {x.shape}")
-    return net_forward_batch(params, x[None, :])[0]
+        h = acts[-1] @ w.T + b
+        acts.append(act(h) if i < last else h)
+    return acts
 
 
 def net_backward_batch(
-    params: NetParams, x: Tensor, out_grad: Tensor
+    params: NetParams, acts: Sequence[Tensor], out_grad: Tensor
 ) -> tuple[list[Tensor], Tensor]:
-    """Reverse-mode gradients for a batch.
+    """Reverse-mode gradients through a forward already run by `net_activations`.
 
     Returns (param_grads, input_grads) where param_grads follows the
     `params_as_list` ordering and is summed over the batch, and input_grads
-    has the same shape as x.
+    has the shape of the input `acts[0]`.
     """
-    check_params(params)
-    x = np.asarray(x, dtype=np.float64)
+    if len(acts) != params.n_layers() + 1:
+        raise ValueError(f"expected {params.n_layers() + 1} activations, got {len(acts)}")
     out_grad = np.asarray(out_grad, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.sizes[0]:
-        raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
-    if out_grad.shape != (x.shape[0], params.sizes[-1]):
-        raise ValueError(
-            f"out_grad has shape {out_grad.shape}, expected ({x.shape[0]}, {params.sizes[-1]})"
-        )
-    require_finite(x, "net input")
+    if out_grad.shape != acts[-1].shape:
+        raise ValueError(f"out_grad has shape {out_grad.shape}, expected {acts[-1].shape}")
     require_finite(out_grad, "out_grad")
 
-    act, dact = _ACTIVATIONS[params.activation]
+    _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
-
-    # Forward, keeping post-activation values per layer.
-    acts = [x]
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
-        if i < last:
-            h = act(h)
-        acts.append(h)
-
     grads = zeros_like_grads(params)
     g = out_grad  # gradient w.r.t. the current layer's pre-activation (output layer is linear)
     for i in range(last, -1, -1):
@@ -184,16 +178,6 @@ def net_backward_batch(
         grads[2 * i + 1] += g.sum(axis=0)
         g = g @ params.weights[i]
     return grads, g
-
-
-def net_backward(params: NetParams, x: Tensor, out_grad: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Single-vector form of `net_backward_batch`."""
-    x = np.asarray(x, dtype=np.float64)
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    if x.ndim != 1 or out_grad.ndim != 1:
-        raise ValueError("net_backward expects vectors; use net_backward_batch for batches")
-    grads, gin = net_backward_batch(params, x[None, :], out_grad[None, :])
-    return grads, gin[0]
 
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:

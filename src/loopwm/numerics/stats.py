@@ -36,7 +36,7 @@ def finite_diff_grad(
 ) -> list[Tensor]:
     """Central differences of a scalar objective over every parameter coordinate.
 
-    Independent oracle for `net_backward`-derived gradients; keep it free of
+    Independent oracle for `net_backward_batch`-derived gradients; keep it free of
     any analytic-gradient code. O(2 * n_params) objective evaluations, so use
     small nets in tests.
     """

@@ -7,26 +7,11 @@ boundaries instead of propagating NaNs into training loops.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import NumericError
 
 Tensor = np.ndarray
-
-
-def tensor(data, shape: Sequence[int] | None = None) -> Tensor:
-    """Build a float64 array, optionally reshaped, and verify it is finite."""
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(tuple(shape))
-    require_finite(arr, "tensor")
-    return arr
-
-
-def zeros(shape: Sequence[int] | int) -> Tensor:
-    return np.zeros(shape, dtype=np.float64)
 
 
 def require_finite(arr: Tensor, what: str) -> None:

@@ -15,8 +15,8 @@ from ..microworld import DomainSpec, Segment, reference_segment
 from ..numerics import (
     NetParams,
     RandomSource,
+    net_activations,
     net_backward_batch,
-    net_forward_batch,
     opt_init,
     opt_step,
 )
@@ -46,12 +46,11 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
     if not (conds.shape[0] == xs.shape[0] == ts.shape[0] == eps.shape[0]):
         raise LoopwmError("batch arrays disagree on length")
     z_t = (1.0 - ts) * xs + ts * eps
-    inputs = net_input(z_t, ts[:, 0], conds)
-    u = net_forward_batch(theta, inputs)
-    resid = u - (eps - xs)
+    acts = net_activations(theta, net_input(z_t, ts[:, 0], conds))
+    resid = acts[-1] - (eps - xs)
     n_terms = resid.size
     loss = float(np.sum(resid * resid) / n_terms)
-    grads, _ = net_backward_batch(theta, inputs, 2.0 * resid / n_terms)
+    grads, _ = net_backward_batch(theta, acts, 2.0 * resid / n_terms)
     return loss, grads
 
 

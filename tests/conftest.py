@@ -1,6 +1,7 @@
 import pytest
 
 from loopwm.microworld import load_domain
+from loopwm.numerics import net
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +12,17 @@ def kitchen():
 @pytest.fixture(scope="session")
 def workshop():
     return load_domain("workshop")
+
+
+@pytest.fixture
+def tanh_calls(monkeypatch):
+    """Input shapes of every forward tanh call, one per hidden layer run."""
+    calls = []
+    act, dact = net._ACTIVATIONS["tanh"]
+
+    def counted(h):
+        calls.append(h.shape)
+        return act(h)
+
+    monkeypatch.setitem(net._ACTIVATIONS, "tanh", (counted, dact))
+    return calls

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 import yaml
 
-from loopwm.bench import load_report, load_suite
+from loopwm.bench import generate_suite, load_report, load_suite
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
 from loopwm.cli.main import _mode_loop_config
-from loopwm.gateway import run_mock_server
+from loopwm.gateway import MockRule, encode_step, run_mock_server
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
+from loopwm.planner import plan
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
 
 GOLDEN_WIRE = Path(__file__).parent / "data" / "plan_jar.wire.json"
@@ -381,6 +382,34 @@ def test_bench_oracle_reaches_full_completeness(tmp_path):
     assert report.overall.action_completeness == 1.0
     assert report.overall.success_rate == 1.0
     assert load_suite(out / "reports" / "suite.json").digest == report.suite_digest
+
+
+def test_bench_remote_backend_plans_over_the_wire(kitchen, tmp_path, capsys):
+    suite = generate_suite(kitchen, 1, counts=(1, 0, 0))
+    (task,) = suite.tasks
+    steps = plan(kitchen, task.goal, kitchen.initial_state()).steps
+    critic = json.loads((Path(__file__).parent / "data" / "mock_script.json").read_text())
+    rules = [MockRule("/plan", {"steps": [encode_step(s) for s in steps]},
+                      match={"goal": task.goal.text}),
+             MockRule("/critic", critic["rules"][1]["response"])]
+    handle = run_mock_server(rules)
+    try:
+        cfg = tmp_path / "remote.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"backend": {"kind": "remote", "base_url": handle.base_url}}
+        ))
+        out = tmp_path / "run"
+        assert main(["bench", "--oracle", "--counts", "1,0,0", "--seed", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        endpoints = [r["endpoint"] for r in handle.seen]
+    finally:
+        handle.stop()
+    assert endpoints[0] == "/plan"
+    assert endpoints.count("/critic") == len(steps)
+    wire = [json.loads(line) for line in (out / "logs" / "wire.jsonl").read_text().splitlines()]
+    assert [r["endpoint"] for r in wire] == endpoints
+    assert load_report(out / "reports" / "report.json").overall.success_rate == 1.0
 
 
 def test_bench_invalid_mode_exits_2(tmp_path, capsys):

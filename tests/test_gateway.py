@@ -17,7 +17,6 @@ from loopwm.gateway import (
     MockRule,
     RemoteClient,
     RemotePlanner,
-    builtin_backend,
     canonical_bytes,
     encode_step,
     parse_critic_response,
@@ -72,7 +71,7 @@ def open_step(kitchen):
 
 
 def test_backend_validation():
-    assert builtin_backend().kind == "builtin"
+    assert AgentBackend("builtin").kind == "builtin"
     remote = remote_backend("http://127.0.0.1:1", timeout=1.0, retries=0)
     assert remote.kind == "remote"
     with pytest.raises(LoopwmError):
@@ -84,7 +83,7 @@ def test_backend_validation():
     with pytest.raises(LoopwmError):
         remote_backend("http://x", retries=-1)
     with pytest.raises(LoopwmError):
-        RemoteClient(builtin_backend())
+        RemoteClient(AgentBackend("builtin"))
 
 
 def test_bearer_token_from_environment(monkeypatch):

@@ -31,7 +31,8 @@ from loopwm.numerics import (
     clone_params,
     finite_diff_grad,
     gaussian_logpdf,
-    net_backward,
+    net_activations,
+    net_backward_batch,
     net_init,
     params_as_list,
 )
@@ -399,7 +400,8 @@ def row_loop_objective(theta, reference, group, cond, config):
         weight = (flow * adv * rho * (ts.z_next - mean_t) - config.beta * (mean_t - mean_r)) \
             / ts.std ** 2
         out_grad = mean_affine_coeffs(ts.t, ts.dt, ts.std)[1] * weight / len(rows)
-        row_grads, _ = net_backward(theta, net_input(ts.z, ts.t, cond)[0], out_grad)
+        acts = net_activations(theta, net_input(ts.z, ts.t, cond))
+        row_grads, _ = net_backward_batch(theta, acts, out_grad[None, :])
         grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
     value = float(np.mean(values)) - config.beta * float(np.mean(kls))
     return value, np.array(ratios), grads
@@ -427,6 +429,20 @@ def test_objective_terms_match_row_loop(beta, scale):
     assert flat_rel_err(terms.grads, grads) < 1e-9
     if scale > 0.1:
         assert terms.clip_fraction > 0.0
+
+
+def test_objective_terms_runs_each_net_forward_once(tanh_calls):
+    # theta's forward feeds the backward pass, so each net runs its hidden
+    # layers once per call: one activation call per hidden layer and net
+    sampler = small_sampler(frame_width=2, k_steps=4)
+    cond = np.array([0.3, -0.6, 0.2])
+    theta = net_init([8, 5, 5, 4], RandomSource(21))
+    reference = net_init([8, 5, 5, 4], RandomSource(22))
+    group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.8, 0.4], seed=9)
+    tanh_calls.clear()
+    terms = objective_terms(theta, reference, group, cond, GrpoConfig(group_size=3))
+    assert terms.dropped == 0
+    assert tanh_calls == [(12, 5)] * 4
 
 
 def test_single_member_gradient_is_vanilla_policy_gradient():

@@ -12,9 +12,8 @@ from loopwm.numerics import (
     finite_diff_grad,
     gaussian_logpdf,
     load_checkpoint,
-    net_backward,
+    net_activations,
     net_backward_batch,
-    net_forward,
     net_forward_batch,
     net_init,
     opt_init,
@@ -31,15 +30,15 @@ def rel_err(a, b):
 def test_identity_single_layer_returns_input():
     params = NetParams((4, 4), [np.eye(4)], [np.zeros(4)], "tanh")
     x = np.array([0.3, -1.2, 0.0, 2.5])
-    np.testing.assert_array_equal(net_forward(params, x), x)
+    np.testing.assert_array_equal(net_forward_batch(params, x[None, :])[0], x)
 
 
 def test_forward_shape_mismatch_errors():
     params = net_init([3, 5, 2], RandomSource(0))
     with pytest.raises(ValueError):
-        net_forward(params, np.zeros(4))
+        net_forward_batch(params, np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        net_forward(params, np.array([np.nan, 0.0, 0.0]))
+        net_forward_batch(params, np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_nonfinite_values_raise_numeric_error():
@@ -58,7 +57,8 @@ def test_forward_batch_matches_single():
     xs = rng.normal((5, 6))
     batch = net_forward_batch(params, xs)
     for i in range(5):
-        np.testing.assert_allclose(batch[i], net_forward(params, xs[i]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(batch[i], net_forward_batch(params, xs[i:i + 1])[0],
+                                   rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("sizes,activation", [
@@ -73,8 +73,8 @@ def test_backward_matches_finite_differences(sizes, activation):
     x = rng.normal(sizes[0])
     og = rng.normal(sizes[-1])
 
-    grads, _ = net_backward(params, x, og)
-    fd = finite_diff_grad(lambda p: float(og @ net_forward(p, x)), params)
+    grads, _ = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
+    fd = finite_diff_grad(lambda p: float(og @ net_forward_batch(p, x[None, :])[0]), params)
     for a, b in zip(grads, fd):
         worst = max(rel_err(u, v) for u, v in zip(a.reshape(-1), b.reshape(-1)))
         assert worst < 1e-6
@@ -85,14 +85,15 @@ def test_backward_input_gradient_matches_finite_differences():
     params = net_init([4, 6, 2], rng)
     x = rng.normal(4)
     og = rng.normal(2)
-    _, gin = net_backward(params, x, og)
+    _, gin = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
     h = 1e-6
     for i in range(4):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fd = (og @ net_forward(params, xp) - og @ net_forward(params, xm)) / (2 * h)
-        assert rel_err(gin[i], fd) < 1e-5
+        fd = (og @ net_forward_batch(params, xp[None, :])[0]
+              - og @ net_forward_batch(params, xm[None, :])[0]) / (2 * h)
+        assert rel_err(gin[0, i], fd) < 1e-5
 
 
 def test_backward_batch_sums_per_sample_grads():
@@ -100,21 +101,31 @@ def test_backward_batch_sums_per_sample_grads():
     params = net_init([3, 5, 2], rng)
     xs = rng.normal((4, 3))
     ogs = rng.normal((4, 2))
-    batch_grads, batch_gin = net_backward_batch(params, xs, ogs)
+    batch_grads, batch_gin = net_backward_batch(params, net_activations(params, xs), ogs)
     acc = [np.zeros_like(a) for a in batch_grads]
     for i in range(4):
-        g, gin = net_backward(params, xs[i], ogs[i])
+        g, gin = net_backward_batch(params, net_activations(params, xs[i:i + 1]), ogs[i:i + 1])
         for a, b in zip(acc, g):
             a += b
-        np.testing.assert_allclose(batch_gin[i], gin, atol=1e-12)
+        np.testing.assert_allclose(batch_gin[i], gin[0], atol=1e-12)
     for a, b in zip(acc, batch_grads):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_backward_out_grad_shape_errors():
     params = net_init([3, 4, 2], RandomSource(1))
-    with pytest.raises(ValueError):
-        net_backward(params, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="out_grad"):
+        net_backward_batch(params, net_activations(params, np.zeros((1, 3))), np.zeros((1, 3)))
+
+
+def test_backward_rejects_short_activations_and_nonfinite_out_grad():
+    params = net_init([3, 4, 2], RandomSource(1))
+    acts = net_activations(params, np.zeros((2, 3)))
+    assert [a.shape for a in acts] == [(2, 3), (2, 4), (2, 2)]
+    with pytest.raises(ValueError, match="activations"):
+        net_backward_batch(params, acts[1:], np.zeros((2, 2)))
+    with pytest.raises(NumericError, match="out_grad"):
+        net_backward_batch(params, acts, np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 def test_adam_single_step_matches_hand_value():

@@ -10,7 +10,8 @@ from loopwm.numerics import (
     RandomSource,
     finite_diff_grad,
     gaussian_logpdf,
-    net_backward,
+    net_activations,
+    net_backward_batch,
     net_forward_batch,
     net_init,
 )
@@ -357,7 +358,7 @@ def test_transition_logprob_requires_noise():
 
 def test_logprob_gradient_matches_finite_differences():
     # the analytic route: d(logp)/d(u) = c(t) * (z_next - mean) / std^2,
-    # with c from mean_affine_coeffs, pushed through net_backward
+    # with c from mean_affine_coeffs, pushed through net_backward_batch
     theta = tiny_net(latent=3, cond_width=2, hidden=4, seed=9)
     config = small_config(frame_width=1, n_frames=3, k_steps=4)
     z = np.array([0.2, -0.1, 0.5])
@@ -368,7 +369,8 @@ def test_logprob_gradient_matches_finite_differences():
     mean, _ = transition_mean(theta, step, cond, config.delta)
     _, coeff = mean_affine_coeffs(step.t, step.dt, step.std, config.delta)
     out_grad = coeff * (step.z_next - mean) / (step.std * step.std)
-    analytic, _ = net_backward(theta, net_input(step.z, step.t, cond)[0], out_grad)
+    acts = net_activations(theta, net_input(step.z, step.t, cond))
+    analytic, _ = net_backward_batch(theta, acts, out_grad[None, :])
 
     numeric = finite_diff_grad(
         lambda p: transition_logprob(p, step, cond, config.delta), theta)
@@ -393,6 +395,18 @@ def test_flow_matching_gradient_matches_finite_differences():
     for a, n in zip(analytic, numeric):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
+
+
+def test_flow_matching_loss_runs_the_net_forward_once(tanh_calls):
+    # the backward pass reads the loss's own forward activations
+    rng = RandomSource(17)
+    theta = net_init([5, 4, 3, 2], rng)
+    conds = np.asarray(rng.normal(shape=(6, 2)))
+    xs = np.asarray(rng.normal(shape=(6, 2)))
+    ts = np.asarray(1.0 - rng.uniform(shape=6))
+    eps = np.asarray(rng.normal(shape=(6, 2)))
+    flow_matching_loss(theta, conds, xs, ts, eps)
+    assert tanh_calls == [(6, 4), (6, 3)]
 
 
 def test_sft_zero_epochs_is_identity(kitchen):
