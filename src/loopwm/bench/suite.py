@@ -5,8 +5,9 @@ tasks solve in 1-3 steps, medium in 3-5, hard in more than 5 (capped at the
 oracle's search depth). The generator samples goals from random forward
 walks, so every emitted task is reachable by construction. A candidate's
 minimal plan length comes from one breadth-first pass over the predicate
-states reachable from the start (operators read and write predicates only);
-`verify_suite` re-checks every band with the independent `minimal_plan_length`.
+states reachable from the start (operators read and write predicates only),
+and the walks follow that pass's successor lists; `verify_suite` re-checks
+every band with the independent `minimal_plan_length`.
 """
 
 from __future__ import annotations
@@ -128,51 +129,66 @@ def verify_suite(suite: PromptSuite) -> None:
             )
 
 
-def _reachable_states(spec: DomainSpec, start: SymbolicState) -> list[tuple[SymbolicState, int]]:
-    """Every predicate state within DEFAULT_MAX_LEN steps of `start`, with its distance.
+def _reachable_states(
+    spec: DomainSpec, start: SymbolicState
+) -> list[tuple[SymbolicState, int, list[int]]]:
+    """Every predicate state within DEFAULT_MAX_LEN steps of `start`: (state, distance, successors).
 
-    Breadth-first, so the distances never decrease along the list.
+    Breadth-first, so the distances never decrease along the list. A state's
+    successors are the list indices its applicable operators lead to, in
+    operator order, repeats included; states at the depth cap are not
+    expanded and keep an empty list.
     """
-    seen = {start.pred_key()}
-    reachable = [(start, 0)]
-    frontier = [start]
+    index = {start.pred_key(): 0}
+    reachable = [(start, 0, [])]
+    frontier = [0]
     for depth in range(1, DEFAULT_MAX_LEN + 1):
         nxt = []
-        for state in frontier:
+        for i in frontier:
+            state, _, successors = reachable[i]
             for op in spec.operators:
                 if not state.satisfies(op.pre):
                     continue
                 successor = apply_operator(spec, state, op.binding)
                 key = successor.pred_key()
-                if key not in seen:
-                    seen.add(key)
-                    reachable.append((successor, depth))
-                    nxt.append(successor)
+                if key not in index:
+                    index[key] = len(reachable)
+                    reachable.append((successor, depth, []))
+                    nxt.append(index[key])
+                successors.append(index[key])
         frontier = nxt
     return reachable
 
 
 def _plan_length(
-    reachable: list[tuple[SymbolicState, int]], literals: tuple[Literal, ...]
+    reachable: list[tuple[SymbolicState, int, list[int]]], literals: tuple[Literal, ...]
 ) -> int | None:
     """Distance of the nearest reachable state where the literals hold, or None."""
-    for state, depth in reachable:
+    for state, depth, _ in reachable:
         if state.satisfies(literals):
             return depth
     return None
 
 
 def _sample_literals(
-    spec: DomainSpec, start: SymbolicState, rng: RandomSource
+    spec: DomainSpec, start: SymbolicState, rng: RandomSource,
+    reachable: list[tuple[SymbolicState, int, list[int]]] | None = None,
 ) -> tuple[Literal, ...]:
-    """Walk forward from `start`, then pose some of the walked state as a goal."""
-    state = start
+    """Walk forward from `start`, then pose some of the walked state as a goal.
+
+    The walk follows the successor lists of `reachable`, searched from `start`;
+    it never needs those of a state at the depth cap.
+    """
+    if reachable is None:
+        reachable = _reachable_states(spec, start)
+    current = 0
     walk = 1 + rng.choice(DEFAULT_MAX_LEN)
     for _ in range(walk):
-        applicable = [op for op in spec.operators if state.satisfies(op.pre)]
-        if not applicable:
+        successors = reachable[current][2]
+        if not successors:
             break
-        state = apply_operator(spec, state, applicable[rng.choice(len(applicable))].binding)
+        current = successors[rng.choice(len(successors))]
+    state = reachable[current][0]
     keys = sorted(state.predicates)
     order = list(range(len(keys)))
     rng.shuffle(order)
@@ -204,7 +220,7 @@ def generate_suite(
     for _ in range(budget):
         if all(len(found[d]) >= need[d] for d in DIFFICULTIES):
             break
-        literals = _sample_literals(spec, start, rng)
+        literals = _sample_literals(spec, start, rng, reachable)
         steps = _plan_length(reachable, literals)
         level = classify(steps)
         if level is None or len(found[level]) >= need[level]:

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
 run command materializes a directory holding the resolved config, logs,
 checkpoints, and reports for that run.
+
+Flags name the config keys they set as their argparse `dest` (`--lr` on
+`sft` is `sft.lr`; `--seed` and `--domain` are top-level keys), so `_resolve`
+is the one map from flags to settings. The other flags (`--config`, `--out`,
+`--checkpoint`, ...) are plumbing and set no key.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from ..bench import (
 from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError, WireError
 from ..gateway import RemoteClient, RemotePlanner, canonical_bytes, encode_step, parse_wire_literal, remote_critic_fn, run_mock_server
 from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, train
-from ..loop import OraclePolicy, SearchPlanner
+from ..loop import OraclePolicy, SearchPlanner, default_critic
 from ..microworld import DomainSpec, load_domain
 from ..numerics import RandomSource, clone_params, net_init
 from ..planner import Goal
@@ -53,13 +58,11 @@ _log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------- helpers
 
-def _resolve(args: argparse.Namespace, extra: dict | None = None) -> RunConfig:
-    overrides: dict = {
-        "seed": getattr(args, "seed", None),
-        "domain": getattr(args, "domain", None),
-    }
-    overrides.update(extra or {})
-    return resolve_config(getattr(args, "config", None), overrides)
+def _resolve(args: argparse.Namespace, config_path: str | Path | None = None) -> RunConfig:
+    """Defaults < config file < every flag whose dest names a config key."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key or key in ("seed", "domain")}
+    return resolve_config(config_path or args.config, overrides)
 
 
 def _load_spec(domain: str) -> DomainSpec:
@@ -97,9 +100,9 @@ def _parse_goal(spec: DomainSpec, text: str) -> Goal:
     return Goal(literals)
 
 
-def _parse_counts(text: str) -> tuple[int, int, int]:
+def _parse_counts(text: str) -> list[int]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"counts must be integers: {text!r}") from exc
     if len(parts) != 3:
@@ -176,8 +179,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- suite
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    extra = {"bench.counts": list(_parse_counts(args.counts)) if args.counts else None}
-    config = _resolve(args, extra)
+    config = _resolve(args)
     spec = _load_spec(config.domain)
     try:
         suite = generate_suite(spec, config.seed, counts=tuple(config.bench["counts"]))
@@ -197,17 +199,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sft
 
 def cmd_sft(args: argparse.Namespace) -> int:
-    config = _resolve(args, {
-        "sft.demos": args.demos,
-        "sft.epochs": args.epochs,
-        "sft.lr": args.lr,
-        "sft.batch_size": args.batch_size,
-        "net.hidden": args.hidden,
-        "net.depth": args.depth,
-        "sampler.n_frames": args.n_frames,
-        "sampler.k_steps": args.k_steps,
-        "sampler.eta_scale": args.eta_scale,
-    })
+    config = _resolve(args)
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
     run_dir = _prepare_run_dir(config, args.out)
@@ -307,19 +299,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         if not candidate.exists():
             raise UsageError(f"resume directory has no config.yaml: {resume_dir}")
         config_path = str(candidate)
-    overrides = {
-        "seed": args.seed,
-        "domain": args.domain,
-        "grpo.iterations": args.iterations,
-        "grpo.group_size": args.group_size,
-        "grpo.lr": args.lr,
-        "sampler.n_frames": args.n_frames,
-        "sampler.k_steps": args.k_steps,
-        "sampler.eta_scale": args.eta_scale,
-        "net.hidden": args.hidden,
-        "net.depth": args.depth,
-    }
-    config = resolve_config(config_path, overrides)
+    config = _resolve(args, config_path)
     grpo_cfg = config.grpo_config()
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
@@ -353,8 +333,8 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         # resumed runs restart optimizer moments; iteration numbering and the
         # curriculum position carry over through start_iteration
         rng = RandomSource(config.seed).split(100 + start)
-        theta, tlog = train(bundle, spec, SearchPlanner(), goals, sampler,
-                            grpo_cfg, rng, start_iteration=start)
+        theta, tlog = train(bundle, spec, SearchPlanner(), goals, sampler, grpo_cfg, rng,
+                            start_iteration=start, weights=config.critic_weights())
         merged = TrainingLog(records=prev_records + tlog.records, events=tlog.events)
         save_policy(run_dir / "checkpoints" / "model.ckpt", theta, spec, sampler)
         save_policy(run_dir / "checkpoints" / "reference.ckpt", bundle.reference, spec, sampler)
@@ -416,15 +396,7 @@ def _report_lines(mode: str, report) -> list[str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _resolve(args, {
-        "bench.mode": args.mode,
-        "bench.suite_seed": args.suite_seed,
-        "bench.counts": list(_parse_counts(args.counts)) if args.counts else None,
-        "sampler.n_frames": args.n_frames,
-        "sampler.k_steps": args.k_steps,
-        "sampler.eta_scale": args.eta_scale,
-        "loop.tau": args.tau,
-    })
+    config = _resolve(args)
     mode = config.bench["mode"]
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
@@ -446,15 +418,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
 
+    loop_config = _mode_loop_config(config, mode)
+    weights = config.critic_weights()
     run_dir = _prepare_run_dir(config, args.out)
     client = _remote_client(config)
-    critic = remote_critic_fn(client, weights=config.critic_weights(),
-                              tau=config.loop["tau"]) if client else None
+    if client:
+        critic = remote_critic_fn(client, weights=weights, tau=loop_config.tau)
+    else:
+        critic = default_critic(loop_config, weights)
     with _run_logging(run_dir):
         _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d",
                   spec.name, mode, suite_seed, len(suite))
         report = evaluate_policy(
-            policy, suite, config=_mode_loop_config(config, mode), critic=critic,
+            policy, suite, config=loop_config, critic=critic,
             rng=RandomSource(config.seed).split(7),
             planner=RemotePlanner(client) if client else None,
         )
@@ -528,6 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("--config", help="YAML config file; flags override its values")
     base.add_argument("--seed", type=int, help="global random seed")
     base.add_argument("--domain", help="builtin domain name or a domain YAML path")
+    sampler = argparse.ArgumentParser(add_help=False)
+    sampler.add_argument("--n-frames", type=int, dest="sampler.n_frames")
+    sampler.add_argument("--k-steps", type=int, dest="sampler.k_steps")
+    sampler.add_argument("--eta-scale", type=float, dest="sampler.eta_scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", parents=[base], help="plan a goal from the initial state")
@@ -538,47 +518,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("suite", parents=[base], help="generate a frozen benchmark suite")
-    p.add_argument("--counts", help="tasks per difficulty as 'simple,medium,hard'")
+    p.add_argument("--counts", type=_parse_counts, dest="bench.counts",
+                   help="tasks per difficulty as 'simple,medium,hard'")
     p.add_argument("--out", required=True, help="suite JSON path")
     p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("sft", parents=[base], help="supervised pretraining on demo walks")
-    p.add_argument("--demos", type=int, help="number of demonstration segments")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--hidden", type=int, help="velocity net width")
-    p.add_argument("--depth", type=int, help="velocity net hidden layers")
-    p.add_argument("--n-frames", type=int, dest="n_frames")
-    p.add_argument("--k-steps", type=int, dest="k_steps")
-    p.add_argument("--eta-scale", type=float, dest="eta_scale")
+    p = sub.add_parser("sft", parents=[base, sampler], help="supervised pretraining on demo walks")
+    p.add_argument("--demos", type=int, dest="sft.demos", help="number of demonstration segments")
+    p.add_argument("--epochs", type=int, dest="sft.epochs")
+    p.add_argument("--lr", type=float, dest="sft.lr")
+    p.add_argument("--batch-size", type=int, dest="sft.batch_size")
+    p.add_argument("--hidden", type=int, dest="net.hidden", help="velocity net width")
+    p.add_argument("--depth", type=int, dest="net.depth", help="velocity net hidden layers")
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_sft)
 
-    p = sub.add_parser("grpo", parents=[base], help="group-relative policy optimization")
+    p = sub.add_parser("grpo", parents=[base, sampler], help="group-relative policy optimization")
     p.add_argument("--checkpoint", help="supervised checkpoint to start from")
     p.add_argument("--resume", help="previous grpo run directory to continue")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--group-size", type=int, dest="group_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--n-frames", type=int, dest="n_frames")
-    p.add_argument("--k-steps", type=int, dest="k_steps")
-    p.add_argument("--eta-scale", type=float, dest="eta_scale")
+    p.add_argument("--iterations", type=int, dest="grpo.iterations")
+    p.add_argument("--group-size", type=int, dest="grpo.group_size")
+    p.add_argument("--lr", type=float, dest="grpo.lr")
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_grpo)
 
-    p = sub.add_parser("bench", parents=[base], help="score a policy on a generated suite")
+    p = sub.add_parser("bench", parents=[base, sampler], help="score a policy on a generated suite")
     p.add_argument("--checkpoint", help="policy checkpoint to evaluate")
     p.add_argument("--oracle", action="store_true", help="evaluate the reference generator")
-    p.add_argument("--mode", choices=MODES, help="feedback ablation mode")
-    p.add_argument("--suite-seed", type=int, dest="suite_seed")
-    p.add_argument("--counts", help="tasks per difficulty as 'simple,medium,hard'")
-    p.add_argument("--n-frames", type=int, dest="n_frames")
-    p.add_argument("--k-steps", type=int, dest="k_steps")
-    p.add_argument("--eta-scale", type=float, dest="eta_scale")
-    p.add_argument("--tau", type=float, help="acceptance threshold")
+    p.add_argument("--mode", choices=MODES, dest="bench.mode", help="feedback ablation mode")
+    p.add_argument("--suite-seed", type=int, dest="bench.suite_seed")
+    p.add_argument("--counts", type=_parse_counts, dest="bench.counts",
+                   help="tasks per difficulty as 'simple,medium,hard'")
+    p.add_argument("--tau", type=float, dest="loop.tau", help="acceptance threshold")
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_bench)
 
@@ -599,14 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # --counts converts through _parse_counts, which raises UsageError
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse already printed usage/help; fold into the exit-code contract
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

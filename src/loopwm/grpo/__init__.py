@@ -8,7 +8,6 @@ from .rollout import (
 )
 from .train import CSV_HEADER, TrainingLog, TrainingRecord, train
 from .update import (
-    DEFAULT_DELTA,
     ObjectiveTerms,
     UpdateStats,
     grpo_update,
@@ -20,7 +19,6 @@ from .update import (
 __all__ = [
     "CSV_HEADER",
     "DEFAULT_CURRICULUM",
-    "DEFAULT_DELTA",
     "GroupMember",
     "GrpoConfig",
     "ObjectiveTerms",

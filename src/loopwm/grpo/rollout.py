@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..critic import CriticReport, evaluate_batch
+from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate_batch
 from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
@@ -85,6 +85,7 @@ def rollout_group(
     sampler_config: SamplerConfig,
     grpo_config: GrpoConfig,
     rng: RandomSource,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
 ) -> RolloutGroup:
     """Sample G segments from one shared z_init under the frozen sampling policy.
 
@@ -105,7 +106,8 @@ def rollout_group(
     noise = np.stack([stream.normal(shape=shape)
                       for stream in rng.split_many(grpo_config.group_size)])
     samples = sample_group(theta_old, cond, z_init, sampler_config, noise)
-    reports = evaluate_batch(spec, np.stack([segment.frames for segment, _ in samples]), step)
+    frames = np.stack([segment.frames for segment, _ in samples])
+    reports = evaluate_batch(spec, frames, step, weights)
     members = tuple(
         GroupMember(segment=segment, trace=trace, report=report,
                     reward=member_reward(report, grpo_config))

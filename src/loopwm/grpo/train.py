@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..critic import DEFAULT_WEIGHTS, CriticWeights
 from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec
@@ -124,13 +125,15 @@ def train(
     rng: RandomSource,
     *,
     start_iteration: int = 1,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
     `planner` exposes plan(spec, goal, state) and answers the same goal from
     the same state the same way, so each pool goal is planned at most once;
-    every group is scored by the programmatic critic. Zero iterations returns
-    the parameters untouched.
+    every group is scored by the programmatic critic under `weights`, and the
+    objective recomputes each transition mean with the sampler's `delta`.
+    Zero iterations returns the parameters untouched.
 
     `start_iteration` resumes numbering mid-schedule: records and the
     curriculum both use the global iteration count, and iterations before
@@ -153,9 +156,10 @@ def train(
         rewards, adherence, coherence, kls, clips = [], [], [], [], []
         for step in plan.steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
-                                  sampler_config, grpo_config, rng)
+                                  sampler_config, grpo_config, rng, weights)
             group.advantages = compute_advantages(group.rewards, grpo_config.delta)
-            _, opt_state, stats = grpo_update(bundle, group, group.cond, grpo_config, opt_state)
+            _, opt_state, stats = grpo_update(bundle, group, group.cond, grpo_config,
+                                              opt_state, delta=sampler_config.delta)
             if stats.skipped:
                 log.events.append(
                     f"iteration {iteration}: update skipped at step {step.sid} "

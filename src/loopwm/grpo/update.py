@@ -31,7 +31,6 @@ from .config import GrpoConfig
 from .rollout import RolloutGroup
 
 __all__ = [
-    "DEFAULT_DELTA",
     "ObjectiveTerms",
     "UpdateStats",
     "grpo_update",
@@ -41,9 +40,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-# sigma floor, shared with the sampler default
-DEFAULT_DELTA = 1e-3
 
 
 def surrogate_rows(
@@ -69,7 +65,7 @@ def kl_term(
     reference: NetParams,
     trace,
     cond: np.ndarray,
-    delta: float = DEFAULT_DELTA,
+    delta: float,
 ) -> float:
     """Mean over denoise steps of the Gaussian KL between theta and reference.
 
@@ -122,9 +118,12 @@ def objective_terms(
     group: RolloutGroup,
     cond: np.ndarray,
     config: GrpoConfig,
-    delta: float = DEFAULT_DELTA,
+    delta: float,
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
+
+    `delta` is the sigma floor the sampler used, so each recomputed
+    transition mean matches the one the trace was drawn from.
 
     Members whose ratios go non-finite are dropped with a warning and excluded
     from every average. Gradients flow only through rows where the clip does
@@ -218,7 +217,8 @@ def grpo_update(
     cond: np.ndarray,
     config: GrpoConfig,
     opt_state: OptState | None = None,
-    delta: float = DEFAULT_DELTA,
+    *,
+    delta: float,
 ) -> tuple[NetParams, OptState, UpdateStats]:
     """One ascent step on the group objective; mutates bundle.theta.
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..critic import CriticReport, evaluate, tag_dimension
+from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate, tag_dimension
 from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment, state_summary
@@ -149,9 +149,10 @@ class SearchPlanner:
         return replan(spec, goal, failure)
 
 
-def default_critic(config: LoopConfig):
+def default_critic(config: LoopConfig, weights: CriticWeights = DEFAULT_WEIGHTS):
+    """The builtin critic at the loop's tau and the given dimension weights."""
     def critic(spec: DomainSpec, segment: Segment, step: PlanStep) -> CriticReport:
-        return evaluate(spec, segment, step, tau=config.tau)
+        return evaluate(spec, segment, step, weights=weights, tau=config.tau)
     return critic
 
 

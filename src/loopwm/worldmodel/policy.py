@@ -1,4 +1,10 @@
-"""Parameter bundle, checkpoint sidecar, and the segment-generating policy."""
+"""Parameter bundle, checkpoint sidecar, and the segment-generating policy.
+
+The sidecar manifest pins only what the weights depend on: the domain hash
+and the net's input and output widths (`n_frames`, `frame_width`,
+`context_width`). The velocity net is trained on continuous t, so any
+`k_steps`, `eta_scale` and `delta` can sample from any checkpoint.
+"""
 
 from __future__ import annotations
 
@@ -55,9 +61,6 @@ def policy_manifest(spec: DomainSpec, config: SamplerConfig) -> dict:
         "domain_hash": domain_hash(spec),
         "n_frames": config.n_frames,
         "frame_width": config.frame_width,
-        "k_steps": config.k_steps,
-        "eta_scale": config.eta_scale,
-        "delta": config.delta,
         "context_width": context_width(spec),
     }
 
@@ -82,11 +85,8 @@ def load_policy(path: str | Path, spec: DomainSpec, config: SamplerConfig) -> Ne
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable policy manifest {sidecar}: {exc}") from exc
     expected = policy_manifest(spec, config)
-    # delta and eta_scale are sampling-time knobs: any value suits any checkpoint
-    mismatched = [
-        key for key in expected
-        if key not in ("delta", "eta_scale") and manifest.get(key) != expected[key]
-    ]
+    # older sidecars also carry sampling settings; only the expected keys count
+    mismatched = [key for key in expected if manifest.get(key) != expected[key]]
     if mismatched:
         detail = ", ".join(
             f"{k}: checkpoint {manifest.get(k)!r} vs requested {expected[k]!r}"

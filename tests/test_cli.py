@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import subprocess
@@ -13,7 +14,7 @@ import yaml
 
 from loopwm.bench import generate_suite, load_report, load_suite
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
-from loopwm.cli.main import _mode_loop_config
+from loopwm.cli.main import _mode_loop_config, build_parser
 from loopwm.gateway import MockRule, encode_step, run_mock_server
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
@@ -23,8 +24,14 @@ from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
 GOLDEN_WIRE = Path(__file__).parent / "data" / "plan_jar.wire.json"
 
 # small-but-consistent knobs shared by the sft/grpo/bench plumbing tests;
-# checkpoint manifests pin the sampler, so every consumer repeats these
-SMALL = ["--n-frames", "6", "--k-steps", "6", "--hidden", "24", "--depth", "2"]
+# checkpoint manifests pin the frame count, so every consumer repeats it, and
+# only sft builds a net
+SAMPLER = ["--n-frames", "6", "--k-steps", "6"]
+SMALL = SAMPLER + ["--hidden", "24", "--depth", "2"]
+
+# flags that set no config key
+PLUMBING = {"--config", "--out", "--checkpoint", "--resume", "--oracle",
+            "--format", "--labels", "--csv", "--port", "--duration"}
 
 
 def read_loss(run_dir: Path) -> list[float]:
@@ -161,6 +168,49 @@ def test_resolved_config_round_trips(tmp_path):
         "seed": 9, "sft.demos": 20, "sft.epochs": 0, "sampler.n_frames": 6,
         "sampler.k_steps": 6, "net.hidden": 24, "net.depth": 2,
     })
+
+
+def _flags_by_command():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sub._actions if a.option_strings]
+            for name, sub in commands.choices.items()}
+
+
+def _config_keys(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _config_keys(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_every_flag_names_a_config_key():
+    keys = set(_config_keys(DEFAULTS))
+    for command, actions in _flags_by_command().items():
+        for action in actions:
+            if isinstance(action, argparse._HelpAction) or PLUMBING & set(action.option_strings):
+                continue
+            assert action.dest in keys, (command, action.option_strings, action.dest)
+            assert "." in action.dest or action.dest in ("seed", "domain")
+
+
+def test_sampler_flags_are_shared_by_sft_grpo_and_bench():
+    flags = {command: {opt for a in actions for opt in a.option_strings}
+             for command, actions in _flags_by_command().items()}
+    for command in ("sft", "grpo", "bench"):
+        assert {"--n-frames", "--k-steps", "--eta-scale"} <= flags[command]
+
+
+def test_grpo_net_flags_exit_2(sft_small, tmp_path, capsys):
+    # the net comes from the checkpoint, so grpo has no flag to size it
+    ckpt = str(sft_small / "checkpoints" / "model.ckpt")
+    for flag in ("--hidden", "--depth"):
+        out = tmp_path / flag.strip("-")
+        rc = main(["grpo", "--checkpoint", ckpt, flag, "8", "--out", str(out)] + SAMPLER)
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
@@ -301,7 +351,7 @@ def test_grpo_emits_log_curves_and_state(sft_small, tmp_path):
     out = tmp_path / "run"
     rc = main(["grpo", "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
                "--iterations", "2", "--group-size", "2", "--seed", "11",
-               "--out", str(out)] + SMALL)
+               "--out", str(out)] + SAMPLER)
     assert rc == 0
     rows = list(csv.reader((out / "reports" / "training_log.csv").open()))
     assert [r[0] for r in rows[1:]] == ["1", "2"]
@@ -319,7 +369,7 @@ def test_grpo_resume_continues_iteration_numbering(sft_small, tmp_path):
     first = tmp_path / "first"
     rc = main(["grpo", "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
                "--iterations", "2", "--group-size", "2", "--seed", "11",
-               "--out", str(first)] + SMALL)
+               "--out", str(first)] + SAMPLER)
     assert rc == 0
     resumed = tmp_path / "resumed"
     # no sampler flags here: the resume dir's config.yaml supplies them
@@ -353,9 +403,22 @@ def test_grpo_config_with_reward_source_exits_2(sft_small, tmp_path, capsys):
     assert "grpo.reward_source" in capsys.readouterr().err
     rc = main(["grpo", "--config", str(old / "config.yaml"),
                "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
-               "--out", str(tmp_path / "run")] + SMALL)
+               "--out", str(tmp_path / "run")] + SAMPLER)
     assert rc == 2
     assert "grpo.reward_source" in capsys.readouterr().err
+
+
+def test_grpo_critic_weights_shape_the_reward(sft_small, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("critic: {weights: [1, 0, 0, 0, 0]}\n")
+    out = tmp_path / "run"
+    rc = main(["grpo", "--config", str(cfg), "--iterations", "2", "--group-size", "2",
+               "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
+               "--seed", "11", "--out", str(out)] + SAMPLER)
+    assert rc == 0
+    rows = list(csv.DictReader((out / "reports" / "training_log.csv").open()))
+    assert len(rows) == 2
+    assert all(row["mean_reward"] == row["adherence_mean"] for row in rows)
 
 
 def test_grpo_unknown_reward_dimension_exits_2_before_the_run(sft_small, tmp_path, capsys):
@@ -364,7 +427,7 @@ def test_grpo_unknown_reward_dimension_exits_2_before_the_run(sft_small, tmp_pat
     out = tmp_path / "run"
     rc = main(["grpo", "--config", str(cfg), "--iterations", "1",
                "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
-               "--out", str(out)] + SMALL)
+               "--out", str(out)] + SAMPLER)
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "'style'" in err
@@ -428,8 +491,8 @@ def test_bench_needs_exactly_one_policy_source(sft_small, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_eta_scale_is_free_but_k_steps_pinned(sft_small, tmp_path, capsys):
-    # the checkpoint was saved at the default eta_scale 0.3
+def test_bench_sampling_settings_are_free(sft_small, tmp_path, capsys):
+    # the checkpoint was saved at K=6 and the default eta_scale 0.3
     ckpt = str(sft_small / "checkpoints" / "model.ckpt")
     flags = ["--counts", "2,0,0", "--seed", "1", "--n-frames", "6"]
     rc = main(["bench", "--checkpoint", ckpt, "--k-steps", "6", "--eta-scale", "0",
@@ -438,8 +501,23 @@ def test_bench_eta_scale_is_free_but_k_steps_pinned(sft_small, tmp_path, capsys)
     assert (tmp_path / "ode" / "reports" / "report.json").exists()
     rc = main(["bench", "--checkpoint", ckpt, "--k-steps", "4",
                "--out", str(tmp_path / "k4")] + flags)
+    assert rc == 0
+    assert (tmp_path / "k4" / "reports" / "report.json").exists()
+    rc = main(["bench", "--checkpoint", ckpt, "--k-steps", "4", "--n-frames", "8",
+               "--counts", "2,0,0", "--out", str(tmp_path / "f8")])
     assert rc == 2
-    assert "k_steps" in capsys.readouterr().err
+    assert "n_frames" in capsys.readouterr().err
+
+
+def test_bench_critic_weights_reach_the_builtin_critic(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("critic: {weights: [0, 0, 0, 0, 1]}\n")
+    flags = ["bench", "--oracle", "--counts", "3,3,1", "--n-frames", "8", "--seed", "1"]
+    assert main(flags + ["--out", str(tmp_path / "default")]) == 0
+    assert main(flags + ["--config", str(cfg), "--out", str(tmp_path / "realism")]) == 0
+    capsys.readouterr()
+    report = lambda name: (tmp_path / name / "reports" / "report.json").read_bytes()
+    assert report("default") != report("realism")
 
 
 def test_mode_presets_override_configured_budgets():

@@ -306,7 +306,7 @@ def test_ratios_equal_one_at_sync(kitchen):
             assert abs(rho - 1.0) <= 1e-12
     group.advantages = compute_advantages(group.rewards, config.delta)
     bundle = PolicyBundle.from_reference(theta)
-    _, _, stats = grpo_update(bundle, group, group.cond, config)
+    _, _, stats = grpo_update(bundle, group, group.cond, config, delta=sampler.delta)
     assert stats.clip_fraction == 0.0
     assert stats.dropped == 0
     assert abs(stats.mean_ratio - 1.0) <= 1e-12
@@ -320,7 +320,8 @@ def test_fixed_point_leaves_parameters_untouched():
     assert np.array_equal(group.advantages, np.zeros(4))
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
-    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=4))
+    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=4),
+                                    delta=sampler.delta)
     assert stats.surrogate == 0.0
     assert stats.kl == 0.0
     drift = max(float(np.abs(a - b).max()) for a, b in zip(params_as_list(updated), before))
@@ -334,12 +335,13 @@ def test_degenerate_group_gradient_is_pure_kl():
     reference = tiny_net(4, 3, seed=7)
     group = synthetic_group(theta, cond, sampler, rewards=[0.6] * 3, seed=9)
     config = GrpoConfig(group_size=3, beta=0.05)
-    terms = objective_terms(theta, reference, group, cond, config)
+    terms = objective_terms(theta, reference, group, cond, config, sampler.delta)
     assert terms.surrogate == 0.0
     assert terms.kl > 0.0
 
     def scaled_neg_kl(params):
-        values = [kl_term(params, reference, m.trace, cond) for m in group.members]
+        values = [kl_term(params, reference, m.trace, cond, sampler.delta)
+                  for m in group.members]
         return -config.beta * float(np.mean(values))
 
     fd = finite_diff_grad(scaled_neg_kl, theta)
@@ -357,7 +359,7 @@ def test_surrogate_gradient_matches_finite_differences():
     for array in params_as_list(theta):
         array += 0.01 * np.asarray(jitter.normal(shape=array.shape))
     config = GrpoConfig(group_size=4, beta=0.0)
-    terms = objective_terms(theta, theta_old, group, cond, config)
+    terms = objective_terms(theta, theta_old, group, cond, config, sampler.delta)
     # the check only covers the smooth regime: no row may be clipped
     assert terms.clip_fraction == 0.0
     eps = config.epsilon
@@ -377,7 +379,7 @@ def test_surrogate_gradient_matches_finite_differences():
     assert flat_rel_err(terms.grads, fd) < 1e-3
 
 
-def row_loop_objective(theta, reference, group, cond, config):
+def row_loop_objective(theta, reference, group, cond, config, delta):
     """One row at a time through transition_mean: (value, ratios, grads).
 
     Reference for the stacked rows of objective_terms; assumes no member is
@@ -387,8 +389,8 @@ def row_loop_objective(theta, reference, group, cond, config):
             for i, member in enumerate(group.members) for ts in member.trace.steps]
     values, kls, ratios, grads = [], [], [], None
     for adv, ts in rows:
-        mean_t, _ = transition_mean(theta, ts, cond)
-        mean_r, _ = transition_mean(reference, ts, cond)
+        mean_t, _ = transition_mean(theta, ts, cond, delta)
+        mean_r, _ = transition_mean(reference, ts, cond, delta)
         rho = math.exp(gaussian_logpdf(ts.z_next, mean_t, ts.std) - ts.logp)
         clipped = min(max(rho, 1.0 - config.epsilon), 1.0 + config.epsilon)
         values.append(min(rho * adv, clipped * adv))
@@ -399,7 +401,7 @@ def row_loop_objective(theta, reference, group, cond, config):
         flow = 0.0 if binding else 1.0
         weight = (flow * adv * rho * (ts.z_next - mean_t) - config.beta * (mean_t - mean_r)) \
             / ts.std ** 2
-        out_grad = mean_affine_coeffs(ts.t, ts.dt, ts.std)[1] * weight / len(rows)
+        out_grad = mean_affine_coeffs(ts.t, ts.dt, ts.std, delta)[1] * weight / len(rows)
         acts = net_activations(theta, net_input(ts.z, ts.t, cond))
         row_grads, _ = net_backward_batch(theta, acts, out_grad[None, :])
         grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
@@ -421,9 +423,10 @@ def test_objective_terms_match_row_loop(beta, scale):
         array += scale * np.asarray(jitter.normal(shape=array.shape))
     reference = tiny_net(4, 3, hidden=5, seed=22)
     config = GrpoConfig(group_size=5, beta=beta)
-    terms = objective_terms(theta, reference, group, cond, config)
+    terms = objective_terms(theta, reference, group, cond, config, sampler.delta)
     assert terms.dropped == 0
-    value, ratios, grads = row_loop_objective(theta, reference, group, cond, config)
+    value, ratios, grads = row_loop_objective(theta, reference, group, cond, config,
+                                              sampler.delta)
     assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
     np.testing.assert_allclose(terms.ratios, ratios, rtol=1e-9, atol=0)
     assert flat_rel_err(terms.grads, grads) < 1e-9
@@ -440,7 +443,8 @@ def test_objective_terms_runs_each_net_forward_once(tanh_calls):
     reference = net_init([8, 5, 5, 4], RandomSource(22))
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.8, 0.4], seed=9)
     tanh_calls.clear()
-    terms = objective_terms(theta, reference, group, cond, GrpoConfig(group_size=3))
+    terms = objective_terms(theta, reference, group, cond, GrpoConfig(group_size=3),
+                            sampler.delta)
     assert terms.dropped == 0
     assert tanh_calls == [(12, 5)] * 4
 
@@ -454,7 +458,7 @@ def test_single_member_gradient_is_vanilla_policy_gradient():
     group = synthetic_group(theta, cond, sampler, rewards=[1.0, 0.0], seed=12)
     assert group.advantages[0] > 0.99
     config = GrpoConfig(group_size=2, beta=0.0)
-    terms = objective_terms(theta, theta, group, cond, config)
+    terms = objective_terms(theta, theta, group, cond, config, sampler.delta)
 
     def weighted_loglik(params):
         values = []
@@ -480,12 +484,12 @@ def test_kl_zero_at_reference_and_hand_offset():
     _, trace = sample_sde(theta, cond, np.zeros(4), sampler, RandomSource(4))
     step = trace.steps[0]
     assert step.t == 1.0 and step.std == pytest.approx(0.3)
-    assert kl_term(theta, theta, trace, cond) == 0.0
+    assert kl_term(theta, theta, trace, cond, sampler.delta) == 0.0
     # at t=1 the mean is z - dt*u, so a velocity offset of std in one
     # coordinate shifts the mean by exactly std: KL contribution 0.5
     reference = clone_params(theta)
     params_as_list(reference)[-1][0] = step.std
-    assert kl_term(theta, reference, trace, cond) == pytest.approx(0.5, abs=1e-12)
+    assert kl_term(theta, reference, trace, cond, sampler.delta) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_matches_monte_carlo_estimate_1d():
@@ -496,10 +500,10 @@ def test_kl_matches_monte_carlo_estimate_1d():
     theta = net_init([4, 1], RandomSource(3))
     reference = clone_params(theta)
     params_as_list(reference)[-1][0] += 1.0
-    exact = kl_term(theta, reference, trace, cond)
+    exact = kl_term(theta, reference, trace, cond, 1e-3)
     assert exact > 0.1
-    mu_theta, _ = transition_mean(theta, ts, cond)
-    mu_ref, _ = transition_mean(reference, ts, cond)
+    mu_theta, _ = transition_mean(theta, ts, cond, 1e-3)
+    mu_ref, _ = transition_mean(reference, ts, cond, 1e-3)
     gen = np.random.default_rng(42)
     draws = gen.normal(mu_theta[0], ts.std, size=200_000)
     log_ratio = (-((draws - mu_theta[0]) ** 2) + (draws - mu_ref[0]) ** 2) / (
@@ -515,7 +519,7 @@ def test_kl_rejects_deterministic_trace():
                    mean=np.array([0.2]), std=0.0, z_next=np.array([0.2]), logp=0.0)
     theta = net_init([3, 1], RandomSource(0))
     with pytest.raises(LoopwmError):
-        kl_term(theta, theta, DenoiseTrace(cond=cond, steps=[ts]), cond)
+        kl_term(theta, theta, DenoiseTrace(cond=cond, steps=[ts]), cond, 1e-3)
 
 
 # dropping and skipping
@@ -535,7 +539,7 @@ def test_nonfinite_ratio_drops_member():
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
     group.members = (poison(group.members[0], cond), group.members[1])
     config = GrpoConfig(group_size=2)
-    terms = objective_terms(theta, theta, group, cond, config)
+    terms = objective_terms(theta, theta, group, cond, config, sampler.delta)
     assert terms.kept == (1,)
     assert terms.dropped == 1
     assert all(np.all(np.isfinite(g)) for g in terms.grads)
@@ -549,7 +553,8 @@ def test_all_members_dropped_skips_update():
     group.members = tuple(poison(m, cond) for m in group.members)
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
-    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=2))
+    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=2),
+                                    delta=sampler.delta)
     assert stats.skipped
     assert stats.dropped == 2
     assert all(np.array_equal(a, b) for a, b in zip(params_as_list(updated), before))
@@ -563,7 +568,7 @@ def test_update_moves_parameters_and_reports_stats():
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
     updated, opt_state, stats = grpo_update(bundle, group, cond,
-                                            GrpoConfig(group_size=3))
+                                            GrpoConfig(group_size=3), delta=sampler.delta)
     assert updated is bundle.theta
     assert opt_state.step == 1
     assert not stats.skipped
@@ -672,6 +677,27 @@ def test_train_plans_each_pool_goal_once(kitchen):
                          RandomSource(4))
     assert plain_log.records == log.records
     assert plain_log.events == log.events
+
+
+def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
+    # theta equals theta_old at an iteration's first update, so every ratio
+    # is 1 exactly when the objective recomputes the sampler's own means
+    seen = []
+
+    def spy(*args, **kwargs):
+        terms = objective_terms(*args, **kwargs)
+        seen.append(terms)
+        return terms
+
+    monkeypatch.setattr("loopwm.grpo.update.objective_terms", spy)
+    sampler = replace(kitchen_sampler(kitchen, k_steps=4, n_frames=4), delta=0.5)
+    theta = net_init(velocity_net_sizes(kitchen, sampler, hidden=16, depth=2),
+                     RandomSource(5))
+    config = GrpoConfig(iterations=1, group_size=4, curriculum=((1, 1),))
+    train(PolicyBundle.from_reference(theta), kitchen, SearchPlanner(),
+          [goal_of("kettle.grasped")], sampler, config, RandomSource(8))
+    assert seen and seen[0].ratios.size == 16
+    np.testing.assert_allclose(seen[0].ratios, 1.0, rtol=0, atol=1e-9)
 
 
 def test_train_rejects_empty_goal_pool(kitchen):

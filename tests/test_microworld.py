@@ -1,10 +1,14 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopwm.errors import DomainError, PreconditionError
 from loopwm.microworld import (
+    BUILTIN_DOMAINS,
     ActionBinding,
     SymbolicState,
     apply_operator,
@@ -66,6 +70,20 @@ def test_workshop_loads(workshop):
 def test_load_domain_missing_file():
     with pytest.raises(DomainError, match="not found"):
         load_domain("/nonexistent/place.yaml")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", BUILTIN_DOMAINS)
+def test_builtin_domains_parse_alike_under_both_loaders(name):
+    text = resources.files("loopwm.microworld.data").joinpath(f"{name}.yaml").read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_invalid_yaml_is_a_domain_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: [unclosed\n")
+    with pytest.raises(DomainError, match="not valid YAML"):
+        load_domain(path)
 
 
 def test_schema_violation_is_named():

@@ -1,5 +1,7 @@
 """Generative world model: context encoding, samplers, densities, training."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -480,12 +482,29 @@ def test_policy_checkpoint_roundtrip_and_mismatch(tmp_path, kitchen, workshop):
     with pytest.raises(CheckpointError, match="domain_hash"):
         load_policy(path, workshop,
                     SamplerConfig(n_frames=4, frame_width=len(workshop.channels)))
-    with pytest.raises(CheckpointError, match="k_steps"):
-        load_policy(path, kitchen,
-                    SamplerConfig(k_steps=20, n_frames=4, frame_width=len(kitchen.channels)))
+    with pytest.raises(CheckpointError, match="n_frames"):
+        load_policy(path, kitchen, SamplerConfig(n_frames=6, frame_width=len(kitchen.channels)))
     (tmp_path / "policy.ckpt.json").unlink()
     with pytest.raises(CheckpointError, match="manifest"):
         load_policy(path, kitchen, config)
+
+
+def test_policy_manifest_leaves_sampling_settings_free(tmp_path, kitchen):
+    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(13))
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, theta, kitchen, config)
+    sidecar = tmp_path / "policy.ckpt.json"
+    manifest = json.loads(sidecar.read_text())
+    assert sorted(manifest) == ["context_width", "domain_hash", "format", "frame_width",
+                                "n_frames"]
+    other = SamplerConfig(k_steps=3, eta_scale=0.0, delta=0.5, n_frames=4,
+                          frame_width=len(kitchen.channels))
+    load_policy(path, kitchen, other)
+    # a sidecar written when the sampling settings were pinned still loads
+    sidecar.write_text(json.dumps({**manifest, "k_steps": 10, "eta_scale": 0.3,
+                                   "delta": 1e-3}))
+    load_policy(path, kitchen, other)
 
 
 def test_build_demos_chain_from_initial_state(kitchen):
