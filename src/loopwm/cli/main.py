@@ -20,6 +20,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from ..bench import (
@@ -38,7 +39,7 @@ from ..gateway import RemoteClient, RemotePlanner, canonical_bytes, encode_step,
 from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, train
 from ..loop import OraclePolicy, SearchPlanner, default_critic
 from ..microworld import DomainSpec, load_domain
-from ..numerics import RandomSource, clone_params, net_init
+from ..numerics import NetParams, RandomSource, clone_params, net_init
 from ..planner import Goal
 from ..report import svg_line_chart, write_csv
 from ..worldmodel import (
@@ -87,6 +88,11 @@ def _load_ckpt(path: str | Path, spec: DomainSpec, sampler: SamplerConfig):
         return load_policy(path, spec, sampler)
     except CheckpointError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _with_net_of(config: RunConfig, theta: NetParams) -> RunConfig:
+    """`config` with its `net` section read from a loaded checkpoint's layer sizes."""
+    return replace(config, net={"hidden": theta.sizes[1], "depth": len(theta.sizes) - 2})
 
 
 def _parse_goal(spec: DomainSpec, text: str) -> Goal:
@@ -321,6 +327,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         reference = _load_ckpt(args.checkpoint, spec, sampler)
         bundle = PolicyBundle.from_reference(reference)
         start = 1
+    config = _with_net_of(config, bundle.theta)
 
     goals = _goal_pool(spec, config)
     run_dir = _prepare_run_dir(config, args.out)
@@ -396,6 +403,11 @@ def _report_lines(mode: str, report) -> list[str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Evaluate a checkpoint, or the oracle, on a generated suite.
+
+    With `--checkpoint` the run's config.yaml records the checkpoint's net;
+    an `--oracle` run has no net and records the resolved `net` section.
+    """
     config = _resolve(args)
     mode = config.bench["mode"]
     spec = _load_spec(config.domain)
@@ -407,6 +419,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     elif args.checkpoint:
         theta = _load_ckpt(args.checkpoint, spec, sampler)
         policy = WorldModelPolicy(theta, spec, sampler)
+        config = _with_net_of(config, theta)
     else:
         raise UsageError("bench needs --checkpoint or --oracle")
 

@@ -4,8 +4,9 @@ Every member of a group denoises from the same initial latent; members differ
 only through the Wiener increments of their reverse-SDE paths. Sharing the
 initial noise keeps the group comparable so that reward differences reflect
 the stochastic paths rather than the starting point. The group is sampled in
-one `sample_group` call: member i is row i, with its own noise stream. The
-critic then scores the stacked group in one `evaluate_batch` call.
+one `sample_group` call: member i is row i, with its own noise stream, and
+its trace is row i of the sampler's (G, K) record array. The critic then
+scores the stacked group in one `evaluate_batch` call.
 """
 
 from __future__ import annotations

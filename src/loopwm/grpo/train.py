@@ -158,8 +158,8 @@ def train(
             group = rollout_group(bundle.theta_old, spec, step, memory,
                                   sampler_config, grpo_config, rng, weights)
             group.advantages = compute_advantages(group.rewards, grpo_config.delta)
-            _, opt_state, stats = grpo_update(bundle, group, group.cond, grpo_config,
-                                              opt_state, delta=sampler_config.delta)
+            _, opt_state, stats = grpo_update(bundle, group, grpo_config, opt_state,
+                                              delta=sampler_config.delta)
             if stats.skipped:
                 log.events.append(
                     f"iteration {iteration}: update skipped at step {step.sid} "

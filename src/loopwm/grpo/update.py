@@ -5,7 +5,8 @@ K Gaussian likelihood ratios under- or overflows long before it is useful,
 while per-step ratios stay near 1 and give the clip a clean interpretation.
 The surrogate is averaged over steps and members; the KL term is the
 closed-form Gaussian divergence against the frozen reference, averaged the
-same way.
+same way. The objective reads the group's trace records as they are: the
+members' (K,) rows, concatenated, are its G*K rows.
 """
 
 from __future__ import annotations
@@ -60,30 +61,24 @@ def surrogate_rows(
     return values, binding
 
 
-def kl_term(
-    theta: NetParams,
-    reference: NetParams,
-    trace,
-    cond: np.ndarray,
-    delta: float,
-) -> float:
+def kl_term(theta: NetParams, reference: NetParams, trace, delta: float) -> float:
     """Mean over denoise steps of the Gaussian KL between theta and reference.
 
     Both transition kernels share the recorded std, so each step reduces to
     ||mu_theta - mu_ref||^2 / (2 std^2). Nonnegative, zero exactly when the
     two nets produce identical means along the trace.
     """
-    if not trace.steps:
+    steps = trace.steps
+    if len(steps) == 0:
         raise LoopwmError("kl_term needs a non-empty trace")
+    if np.any(steps["std"] <= 0.0):
+        raise LoopwmError("kl_term needs stochastic trace steps (std > 0)")
     total = 0.0
-    for ts in trace.steps:
-        if ts.std <= 0.0:
-            raise LoopwmError("kl_term needs stochastic trace steps (std > 0)")
-        mean_t, _ = transition_mean(theta, ts, cond, delta)
-        mean_r, _ = transition_mean(reference, ts, cond, delta)
-        diff = mean_t - mean_r
-        total += float(diff @ diff) / (2.0 * ts.std * ts.std)
-    return total / len(trace.steps)
+    for ts in steps:
+        diff = (transition_mean(theta, ts, trace.cond, delta=delta)
+                - transition_mean(reference, ts, trace.cond, delta=delta))
+        total += float(diff @ diff) / (2.0 * ts["std"] * ts["std"])
+    return float(total / len(steps))
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,6 @@ def objective_terms(
     theta: NetParams,
     reference: NetParams,
     group: RolloutGroup,
-    cond: np.ndarray,
     config: GrpoConfig,
     delta: float,
 ) -> ObjectiveTerms:
@@ -138,21 +132,16 @@ def objective_terms(
         raise LoopwmError("all group traces must share the same number of denoise steps")
 
     # rows run member-major, step-minor
-    steps = [ts for member in members for ts in member.trace.steps]
-    t = np.array([ts.t for ts in steps])
-    dt = np.array([ts.dt for ts in steps])
-    std = np.array([ts.std for ts in steps])
+    rows = np.concatenate([m.trace.steps for m in members])
+    t, dt, std, z, z_next = rows["t"], rows["dt"], rows["std"], rows["z"], rows["z_next"]
     if np.any(std <= 0.0):
         raise LoopwmError("grpo update needs stochastic traces (std > 0)")
-    z = np.stack([ts.z for ts in steps])
-    z_next = np.stack([ts.z_next for ts in steps])
-    logp_old = np.array([ts.logp for ts in steps])
     adv = np.repeat(advantages, k_steps)
     latent = z.shape[1]
 
-    x = net_input(z, t, cond)
+    x = net_input(z, t, group.cond)
     # transition mean is affine in the velocity: mean = base + coeff * u
-    scale, coeff = mean_affine_coeffs(t, dt, std, delta)
+    scale, coeff = mean_affine_coeffs(t, dt, std, delta=delta)
     base = z * scale[:, None]
     coeff = coeff[:, None]
     std = std[:, None]
@@ -169,7 +158,7 @@ def objective_terms(
     )
     # overflow to inf is fine here: the member gets dropped just below
     with np.errstate(over="ignore"):
-        ratios = np.exp(logp_theta - logp_old)
+        ratios = np.exp(logp_theta - rows["logp"])
 
     member_rows = ratios.reshape(len(members), k_steps)
     finite = np.isfinite(member_rows).all(axis=1)
@@ -214,7 +203,6 @@ def objective_terms(
 def grpo_update(
     bundle,
     group: RolloutGroup,
-    cond: np.ndarray,
     config: GrpoConfig,
     opt_state: OptState | None = None,
     *,
@@ -227,7 +215,7 @@ def grpo_update(
     """
     if opt_state is None:
         opt_state = opt_init(bundle.theta)
-    terms = objective_terms(bundle.theta, bundle.reference, group, cond, config, delta)
+    terms = objective_terms(bundle.theta, bundle.reference, group, config, delta)
     if not terms.kept:
         _log.warning("skipping update: all %d members dropped", terms.dropped)
         stats = UpdateStats(

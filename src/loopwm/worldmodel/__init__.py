@@ -18,13 +18,13 @@ from .policy import (
 from .sampler import (
     DenoiseTrace,
     SamplerConfig,
-    TraceStep,
     mean_affine_coeffs,
     net_input,
     sample_group,
     sample_ode,
     sample_sde,
     score_term,
+    trace_dtype,
     transition_logprob,
     transition_mean,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "MAX_NORM_SID",
     "PolicyBundle",
     "SamplerConfig",
-    "TraceStep",
     "WorldModelPolicy",
     "build_demos",
     "channel_mask",
@@ -54,6 +53,7 @@ __all__ = [
     "save_policy",
     "score_term",
     "sft_train",
+    "trace_dtype",
     "transition_logprob",
     "transition_mean",
     "velocity_net_sizes",

@@ -15,6 +15,13 @@ Every stochastic transition is Gaussian with mean z - drift*dt and
 std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
 
+A trace is a record array of dtype `trace_dtype(L)`, one record per
+transition with fields `t`, `dt`, `std` and `logp` (float64) and `z` and
+`z_next` ((L,) float64). `sample_group` writes one (G, K) array of them,
+column k at denoise step k, and row i's `DenoiseTrace.steps` is the (K,)
+view of row i. Deterministic transitions (eta_scale = 0) record std = 0 and
+logp = 0: they carry no density, and transition_logprob refuses them.
+
 Sampling works on rows: `sample_group` denoises G paths that share one
 condition, with one (G, width) network evaluation per step. It takes the
 initial latents and every step's noise as arrays, so the caller decides which
@@ -24,7 +31,8 @@ one stream, and `sample_ode` the one-row call without noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -71,36 +79,19 @@ class SamplerConfig:
         return [1.0 - k / self.k_steps for k in range(self.k_steps)]
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One denoising transition, self-contained for replay.
-
-    ``std`` comes from the schedule alone; only ``u`` and ``mean`` depend on
-    the parameters that sampled the step.  Deterministic transitions
-    (eta_scale = 0) record std = 0 and a placeholder logp of 0.0; they carry
-    no density and transition_logprob refuses them.
-    """
-
-    t: float
-    dt: float
-    z: np.ndarray
-    u: np.ndarray
-    mean: np.ndarray
-    std: float
-    z_next: np.ndarray
-    logp: float
+@cache
+def trace_dtype(latent: int) -> np.dtype:
+    """Record layout of one denoising transition at latent width `latent`."""
+    return np.dtype([("t", "f8"), ("dt", "f8"), ("std", "f8"), ("logp", "f8"),
+                     ("z", "f8", (latent,)), ("z_next", "f8", (latent,))])
 
 
 @dataclass
 class DenoiseTrace:
-    """Full record of one SDE rollout: K transitions plus the condition."""
+    """Full record of one SDE rollout: the condition and its (K,) transitions."""
 
     cond: np.ndarray
-    steps: list[TraceStep] = field(default_factory=list)
-
-    @property
-    def total_logp(self) -> float:
-        return float(sum(s.logp for s in self.steps))
+    steps: np.ndarray
 
 
 def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
@@ -123,7 +114,7 @@ def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
     return x
 
 
-def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, delta: float = 1e-3) -> np.ndarray:
+def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> np.ndarray:
     """Analytic conditional score -(z - (1-t)*x_pred) / max(t, delta)^2."""
     if not 0.0 < t <= 1.0:
         raise LoopwmError(f"t must lie in (0, 1], got {t}")
@@ -196,29 +187,32 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     # the cond columns are written once; each step rewrites z and t in place
     x = net_input(z, 1.0, cond)
     dt = 1.0 / config.k_steps
-    traces = [DenoiseTrace(cond=cond) for _ in range(rows)]
+    steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(latent))
+    steps["dt"] = dt
     for k, t in enumerate(config.time_grid()):
         x[:, :latent] = z
         x[:, latent] = t
         u = net_forward_unchecked(theta, x)
+        column = steps[:, k]
         if not stochastic:
-            # the plain Euler step of sample_ode: no score term, no noise
-            mean = z - u * dt
-            std, z_next, logps = 0.0, mean, np.zeros(rows)
+            # the plain Euler step of sample_ode; std and logp stay 0
+            z_next = z - u * dt
         else:
             x_pred = z - t * u
             eta = config.eta_scale * np.sqrt(t)
-            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, config.delta)
+            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
             mean = z - drift * dt
             std = float(eta * np.sqrt(dt))
             z_next = mean + std * noise[:, k]
-            logps = gaussian_logpdf_rows(z_next, mean, std)
-        for i, trace in enumerate(traces):
-            trace.steps.append(TraceStep(t=t, dt=dt, z=z[i], u=u[i], mean=mean[i], std=std,
-                                         z_next=z_next[i], logp=float(logps[i])))
+            column["std"] = std
+            column["logp"] = gaussian_logpdf_rows(z_next, mean, std)
+        column["t"] = t
+        column["z"] = z
+        column["z_next"] = z_next
         z = z_next
         _check_finite(z, t)
-    return [(_to_segment(z[i], config), trace) for i, trace in enumerate(traces)]
+    return [(_to_segment(z[i], config), DenoiseTrace(cond=cond, steps=steps[i]))
+            for i in range(rows)]
 
 
 def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
@@ -242,33 +236,33 @@ def sample_ode(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     return segment
 
 
-def transition_mean(theta: NetParams, step: TraceStep, cond: np.ndarray,
-                    delta: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute a trace step's transition mean under fresh parameters.
+def transition_mean(theta: NetParams, step: np.void, cond: np.ndarray, *,
+                    delta: float) -> np.ndarray:
+    """Recompute a trace record's transition mean under fresh parameters.
 
-    Returns (mean, u).  The std never depends on theta, so callers reuse
-    step.std.
+    The std never depends on theta, so callers reuse step["std"].
     """
-    u = net_forward_batch(theta, net_input(step.z, step.t, cond))[0]
-    x_pred = step.z - step.t * u
-    eta_sq = (step.std * step.std) / step.dt
-    drift = u - 0.5 * eta_sq * score_term(step.z, x_pred, step.t, delta)
-    return step.z - drift * step.dt, u
+    t, dt, std, z = step["t"], step["dt"], step["std"], step["z"]
+    u = net_forward_batch(theta, net_input(z, t, cond))[0]
+    x_pred = z - t * u
+    eta_sq = (std * std) / dt
+    drift = u - 0.5 * eta_sq * score_term(z, x_pred, t, delta=delta)
+    return z - drift * dt
 
 
-def transition_logprob(theta: NetParams, step: TraceStep, cond: np.ndarray,
-                       delta: float = 1e-3) -> float:
+def transition_logprob(theta: NetParams, step: np.void, cond: np.ndarray, *,
+                       delta: float) -> float:
     """Log-density of the recorded next state under theta's transition mean."""
-    if step.std <= 0.0:
+    if step["std"] <= 0.0:
         raise LoopwmError(
             "transition has degenerate std; stochastic sampling (eta_scale > 0) "
             "is required for likelihood ratios"
         )
-    mean, _ = transition_mean(theta, step, cond, delta)
-    return gaussian_logpdf(step.z_next, mean, step.std)
+    mean = transition_mean(theta, step, cond, delta=delta)
+    return gaussian_logpdf(step["z_next"], mean, step["std"])
 
 
-def mean_affine_coeffs(t, dt, std, delta: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, c) with transition mean = a*z + c*u, elementwise over transitions.
 
     Substituting x_pred = z - t*u into the score makes the mean affine in u:

@@ -383,6 +383,29 @@ def test_grpo_resume_continues_iteration_numbering(sft_small, tmp_path):
     assert resolved["sampler"]["n_frames"] == 6  # inherited through the saved config
 
 
+def test_grpo_and_bench_record_the_checkpoint_net(tmp_path, capsys):
+    # the net comes from the checkpoint, so the run's config.yaml says so
+    # whatever the resolved net section holds; an oracle run keeps it
+    sft = tmp_path / "sft"
+    assert main(["sft", "--demos", "8", "--epochs", "1", "--hidden", "16", "--depth", "2",
+                 "--out", str(sft)] + SAMPLER) == 0
+    ckpt = str(sft / "checkpoints" / "model.ckpt")
+    runs = {
+        "grpo": ["grpo", "--checkpoint", ckpt, "--iterations", "1", "--group-size", "2"]
+        + SAMPLER,
+        "resumed": ["grpo", "--resume", str(tmp_path / "grpo"), "--iterations", "2"],
+        "bench": ["bench", "--checkpoint", ckpt, "--counts", "1,0,0"] + SAMPLER,
+        "oracle": ["bench", "--oracle", "--counts", "1,0,0"] + SAMPLER,
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    net = lambda name: yaml.safe_load((tmp_path / name / "config.yaml").read_text())["net"]
+    for name in ("grpo", "resumed", "bench"):
+        assert net(name) == {"hidden": 16, "depth": 2}, name
+    assert net("oracle") == DEFAULTS["net"]
+
+
 def test_grpo_resume_without_state_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -41,7 +41,6 @@ from loopwm.worldmodel import (
     DenoiseTrace,
     PolicyBundle,
     SamplerConfig,
-    TraceStep,
     build_demos,
     embed_condition,
     mean_affine_coeffs,
@@ -49,6 +48,7 @@ from loopwm.worldmodel import (
     sample_group,
     sample_sde,
     sft_train,
+    trace_dtype,
     transition_logprob,
     transition_mean,
     velocity_net_sizes,
@@ -206,7 +206,7 @@ def test_rollout_group_shares_initial_noise(kitchen):
     assert group.z_init.shape == (sampler.latent_width,)
     frames = []
     for member in group.members:
-        assert np.array_equal(member.trace.steps[0].z, group.z_init)
+        assert np.array_equal(member.trace.steps[0]["z"], group.z_init)
         assert 0.0 <= member.reward <= 1.0
         assert member.report.scores
         frames.append(member.segment.frames)
@@ -231,7 +231,7 @@ def test_group_sampler_shared_stream_collapses_group(kitchen):
     (first, first_trace), (second, second_trace) = sample_group(
         theta, cond, z_init, sampler, noise)
     assert np.array_equal(first.frames, second.frames)
-    assert first_trace.total_logp == second_trace.total_logp
+    assert np.array_equal(first_trace.steps["logp"], second_trace.steps["logp"])
     assert evaluate(kitchen, first, step).scalar == evaluate(kitchen, second, step).scalar
 
 
@@ -302,11 +302,12 @@ def test_ratios_equal_one_at_sync(kitchen):
                           sampler, config, RandomSource(2))
     for member in group.members:
         for ts in member.trace.steps:
-            rho = math.exp(transition_logprob(theta, ts, group.cond) - ts.logp)
+            rho = math.exp(transition_logprob(theta, ts, group.cond, delta=sampler.delta)
+                           - ts["logp"])
             assert abs(rho - 1.0) <= 1e-12
     group.advantages = compute_advantages(group.rewards, config.delta)
     bundle = PolicyBundle.from_reference(theta)
-    _, _, stats = grpo_update(bundle, group, group.cond, config, delta=sampler.delta)
+    _, _, stats = grpo_update(bundle, group, config, delta=sampler.delta)
     assert stats.clip_fraction == 0.0
     assert stats.dropped == 0
     assert abs(stats.mean_ratio - 1.0) <= 1e-12
@@ -320,7 +321,7 @@ def test_fixed_point_leaves_parameters_untouched():
     assert np.array_equal(group.advantages, np.zeros(4))
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
-    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=4),
+    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=4),
                                     delta=sampler.delta)
     assert stats.surrogate == 0.0
     assert stats.kl == 0.0
@@ -335,13 +336,12 @@ def test_degenerate_group_gradient_is_pure_kl():
     reference = tiny_net(4, 3, seed=7)
     group = synthetic_group(theta, cond, sampler, rewards=[0.6] * 3, seed=9)
     config = GrpoConfig(group_size=3, beta=0.05)
-    terms = objective_terms(theta, reference, group, cond, config, sampler.delta)
+    terms = objective_terms(theta, reference, group, config, sampler.delta)
     assert terms.surrogate == 0.0
     assert terms.kl > 0.0
 
     def scaled_neg_kl(params):
-        values = [kl_term(params, reference, m.trace, cond, sampler.delta)
-                  for m in group.members]
+        values = [kl_term(params, reference, m.trace, sampler.delta) for m in group.members]
         return -config.beta * float(np.mean(values))
 
     fd = finite_diff_grad(scaled_neg_kl, theta)
@@ -359,7 +359,7 @@ def test_surrogate_gradient_matches_finite_differences():
     for array in params_as_list(theta):
         array += 0.01 * np.asarray(jitter.normal(shape=array.shape))
     config = GrpoConfig(group_size=4, beta=0.0)
-    terms = objective_terms(theta, theta_old, group, cond, config, sampler.delta)
+    terms = objective_terms(theta, theta_old, group, config, sampler.delta)
     # the check only covers the smooth regime: no row may be clipped
     assert terms.clip_fraction == 0.0
     eps = config.epsilon
@@ -369,7 +369,8 @@ def test_surrogate_gradient_matches_finite_differences():
         for i, member in enumerate(group.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
-                rho = math.exp(transition_logprob(params, ts, cond) - ts.logp)
+                rho = math.exp(transition_logprob(params, ts, cond, delta=sampler.delta)
+                               - ts["logp"])
                 clipped = min(max(rho, 1.0 - eps), 1.0 + eps)
                 values.append(min(rho * adv, clipped * adv))
         return float(np.mean(values))
@@ -379,30 +380,32 @@ def test_surrogate_gradient_matches_finite_differences():
     assert flat_rel_err(terms.grads, fd) < 1e-3
 
 
-def row_loop_objective(theta, reference, group, cond, config, delta):
+def row_loop_objective(theta, reference, group, config, delta):
     """One row at a time through transition_mean: (value, ratios, grads).
 
     Reference for the stacked rows of objective_terms; assumes no member is
     dropped.
     """
+    cond = group.cond
     rows = [(float(group.advantages[i]), ts)
             for i, member in enumerate(group.members) for ts in member.trace.steps]
     values, kls, ratios, grads = [], [], [], None
     for adv, ts in rows:
-        mean_t, _ = transition_mean(theta, ts, cond, delta)
-        mean_r, _ = transition_mean(reference, ts, cond, delta)
-        rho = math.exp(gaussian_logpdf(ts.z_next, mean_t, ts.std) - ts.logp)
+        t, dt, std, z, z_next = ts["t"], ts["dt"], ts["std"], ts["z"], ts["z_next"]
+        mean_t = transition_mean(theta, ts, cond, delta=delta)
+        mean_r = transition_mean(reference, ts, cond, delta=delta)
+        rho = math.exp(gaussian_logpdf(z_next, mean_t, std) - ts["logp"])
         clipped = min(max(rho, 1.0 - config.epsilon), 1.0 + config.epsilon)
         values.append(min(rho * adv, clipped * adv))
-        kls.append(float((mean_t - mean_r) @ (mean_t - mean_r)) / (2.0 * ts.std ** 2))
+        kls.append(float((mean_t - mean_r) @ (mean_t - mean_r)) / (2.0 * std ** 2))
         ratios.append(rho)
         binding = (adv > 0 and rho > 1.0 + config.epsilon) or \
             (adv < 0 and rho < 1.0 - config.epsilon)
         flow = 0.0 if binding else 1.0
-        weight = (flow * adv * rho * (ts.z_next - mean_t) - config.beta * (mean_t - mean_r)) \
-            / ts.std ** 2
-        out_grad = mean_affine_coeffs(ts.t, ts.dt, ts.std, delta)[1] * weight / len(rows)
-        acts = net_activations(theta, net_input(ts.z, ts.t, cond))
+        weight = (flow * adv * rho * (z_next - mean_t) - config.beta * (mean_t - mean_r)) \
+            / std ** 2
+        out_grad = mean_affine_coeffs(t, dt, std, delta=delta)[1] * weight / len(rows)
+        acts = net_activations(theta, net_input(z, t, cond))
         row_grads, _ = net_backward_batch(theta, acts, out_grad[None, :])
         grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
     value = float(np.mean(values)) - config.beta * float(np.mean(kls))
@@ -423,10 +426,9 @@ def test_objective_terms_match_row_loop(beta, scale):
         array += scale * np.asarray(jitter.normal(shape=array.shape))
     reference = tiny_net(4, 3, hidden=5, seed=22)
     config = GrpoConfig(group_size=5, beta=beta)
-    terms = objective_terms(theta, reference, group, cond, config, sampler.delta)
+    terms = objective_terms(theta, reference, group, config, sampler.delta)
     assert terms.dropped == 0
-    value, ratios, grads = row_loop_objective(theta, reference, group, cond, config,
-                                              sampler.delta)
+    value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
     assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
     np.testing.assert_allclose(terms.ratios, ratios, rtol=1e-9, atol=0)
     assert flat_rel_err(terms.grads, grads) < 1e-9
@@ -443,8 +445,7 @@ def test_objective_terms_runs_each_net_forward_once(tanh_calls):
     reference = net_init([8, 5, 5, 4], RandomSource(22))
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.8, 0.4], seed=9)
     tanh_calls.clear()
-    terms = objective_terms(theta, reference, group, cond, GrpoConfig(group_size=3),
-                            sampler.delta)
+    terms = objective_terms(theta, reference, group, GrpoConfig(group_size=3), sampler.delta)
     assert terms.dropped == 0
     assert tanh_calls == [(12, 5)] * 4
 
@@ -458,14 +459,14 @@ def test_single_member_gradient_is_vanilla_policy_gradient():
     group = synthetic_group(theta, cond, sampler, rewards=[1.0, 0.0], seed=12)
     assert group.advantages[0] > 0.99
     config = GrpoConfig(group_size=2, beta=0.0)
-    terms = objective_terms(theta, theta, group, cond, config, sampler.delta)
+    terms = objective_terms(theta, theta, group, config, sampler.delta)
 
     def weighted_loglik(params):
         values = []
         for i, member in enumerate(group.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
-                values.append(adv * transition_logprob(params, ts, cond))
+                values.append(adv * transition_logprob(params, ts, cond, delta=sampler.delta))
         return float(np.mean(values))
 
     fd = finite_diff_grad(weighted_loglik, theta)
@@ -483,52 +484,54 @@ def test_kl_zero_at_reference_and_hand_offset():
         array[:] = 0.0
     _, trace = sample_sde(theta, cond, np.zeros(4), sampler, RandomSource(4))
     step = trace.steps[0]
-    assert step.t == 1.0 and step.std == pytest.approx(0.3)
-    assert kl_term(theta, theta, trace, cond, sampler.delta) == 0.0
+    assert step["t"] == 1.0 and step["std"] == pytest.approx(0.3)
+    assert kl_term(theta, theta, trace, sampler.delta) == 0.0
     # at t=1 the mean is z - dt*u, so a velocity offset of std in one
     # coordinate shifts the mean by exactly std: KL contribution 0.5
     reference = clone_params(theta)
-    params_as_list(reference)[-1][0] = step.std
-    assert kl_term(theta, reference, trace, cond, sampler.delta) == pytest.approx(0.5, abs=1e-12)
+    params_as_list(reference)[-1][0] = step["std"]
+    assert kl_term(theta, reference, trace, sampler.delta) == pytest.approx(0.5, abs=1e-12)
+
+
+def one_step_trace(cond, t, dt, std, z, z_next):
+    """A hand-built one-transition trace of latent width 1."""
+    steps = np.array([(t, dt, std, 0.0, [z], [z_next])], dtype=trace_dtype(1))
+    return DenoiseTrace(cond=cond, steps=steps)
 
 
 def test_kl_matches_monte_carlo_estimate_1d():
-    cond = np.array([0.5, -0.3])
-    ts = TraceStep(t=0.6, dt=0.25, z=np.array([0.4]), u=np.array([0.0]),
-                   mean=np.array([0.0]), std=0.2, z_next=np.array([0.1]), logp=0.0)
-    trace = DenoiseTrace(cond=cond, steps=[ts])
+    trace = one_step_trace(np.array([0.5, -0.3]), t=0.6, dt=0.25, std=0.2, z=0.4, z_next=0.1)
+    ts = trace.steps[0]
     theta = net_init([4, 1], RandomSource(3))
     reference = clone_params(theta)
     params_as_list(reference)[-1][0] += 1.0
-    exact = kl_term(theta, reference, trace, cond, 1e-3)
+    exact = kl_term(theta, reference, trace, 1e-3)
     assert exact > 0.1
-    mu_theta, _ = transition_mean(theta, ts, cond, 1e-3)
-    mu_ref, _ = transition_mean(reference, ts, cond, 1e-3)
+    mu_theta = transition_mean(theta, ts, trace.cond, delta=1e-3)
+    mu_ref = transition_mean(reference, ts, trace.cond, delta=1e-3)
+    std = ts["std"]
     gen = np.random.default_rng(42)
-    draws = gen.normal(mu_theta[0], ts.std, size=200_000)
-    log_ratio = (-((draws - mu_theta[0]) ** 2) + (draws - mu_ref[0]) ** 2) / (
-        2.0 * ts.std * ts.std
-    )
+    draws = gen.normal(mu_theta[0], std, size=200_000)
+    log_ratio = (-((draws - mu_theta[0]) ** 2) + (draws - mu_ref[0]) ** 2) / (2.0 * std * std)
     estimate = float(log_ratio.mean())
     assert abs(estimate - exact) / exact < 0.05
 
 
 def test_kl_rejects_deterministic_trace():
-    cond = np.array([0.1])
-    ts = TraceStep(t=1.0, dt=1.0, z=np.array([0.2]), u=np.array([0.0]),
-                   mean=np.array([0.2]), std=0.0, z_next=np.array([0.2]), logp=0.0)
+    trace = one_step_trace(np.array([0.1]), t=1.0, dt=1.0, std=0.0, z=0.2, z_next=0.2)
     theta = net_init([3, 1], RandomSource(0))
     with pytest.raises(LoopwmError):
-        kl_term(theta, theta, DenoiseTrace(cond=cond, steps=[ts]), cond, 1e-3)
+        kl_term(theta, theta, trace, 1e-3)
 
 
 # dropping and skipping
 
 
-def poison(member, cond):
-    steps = [replace(ts, logp=ts.logp - 1000.0) for ts in member.trace.steps]
+def poison(member):
+    steps = member.trace.steps.copy()
+    steps["logp"] -= 1000.0
     return GroupMember(segment=member.segment,
-                       trace=DenoiseTrace(cond=cond, steps=steps),
+                       trace=DenoiseTrace(cond=member.trace.cond, steps=steps),
                        report=None, reward=member.reward)
 
 
@@ -537,9 +540,9 @@ def test_nonfinite_ratio_drops_member():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group.members = (poison(group.members[0], cond), group.members[1])
+    group.members = (poison(group.members[0]), group.members[1])
     config = GrpoConfig(group_size=2)
-    terms = objective_terms(theta, theta, group, cond, config, sampler.delta)
+    terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.kept == (1,)
     assert terms.dropped == 1
     assert all(np.all(np.isfinite(g)) for g in terms.grads)
@@ -550,10 +553,10 @@ def test_all_members_dropped_skips_update():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group.members = tuple(poison(m, cond) for m in group.members)
+    group.members = tuple(poison(m) for m in group.members)
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
-    updated, _, stats = grpo_update(bundle, group, cond, GrpoConfig(group_size=2),
+    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2),
                                     delta=sampler.delta)
     assert stats.skipped
     assert stats.dropped == 2
@@ -567,8 +570,8 @@ def test_update_moves_parameters_and_reports_stats():
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=7)
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
-    updated, opt_state, stats = grpo_update(bundle, group, cond,
-                                            GrpoConfig(group_size=3), delta=sampler.delta)
+    updated, opt_state, stats = grpo_update(bundle, group, GrpoConfig(group_size=3),
+                                            delta=sampler.delta)
     assert updated is bundle.theta
     assert opt_state.step == 1
     assert not stats.skipped

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopwm.errors import CheckpointError, DivergenceError, DomainError, LoopwmError
 from loopwm.memory import WorldMemory
@@ -180,7 +182,7 @@ def test_sde_zero_noise_matches_ode_bitwise():
         ode = sample_ode(theta, cond, z, config)
         sde, trace = sample_sde(theta, cond, z, config, RandomSource(999, trial))
         assert np.array_equal(ode.frames, sde.frames)
-        assert all(s.std == 0.0 for s in trace.steps)
+        assert np.all(trace.steps["std"] == 0.0)
 
 
 def test_sde_reproducible_and_trace_shape():
@@ -193,10 +195,10 @@ def test_sde_reproducible_and_trace_shape():
     assert np.array_equal(seg_a.frames, seg_b.frames)
     assert len(tr_a.steps) == 6
     for sa, sb in zip(tr_a.steps, tr_b.steps):
-        assert np.array_equal(sa.z_next, sb.z_next)
-        assert sa.logp == sb.logp
-        assert sa.std > 0.0
-        assert np.isfinite(sa.logp)
+        assert np.array_equal(sa["z_next"], sb["z_next"])
+        assert sa["logp"] == sb["logp"]
+        assert sa["std"] > 0.0
+        assert np.isfinite(sa["logp"])
 
 
 def test_trace_records_consistent_transitions():
@@ -205,20 +207,23 @@ def test_trace_records_consistent_transitions():
     z = np.array([0.4, -0.2, 0.8, 0.0])
     cond = np.array([1.0, 0.0, 0.5])
     _, trace = sample_sde(theta, cond, z, config, RandomSource(21))
+    noise = RandomSource(21).normal(shape=(1, config.k_steps, z.size))[0]
     dt = 1.0 / config.k_steps
-    for step in trace.steps:
-        assert step.dt == dt
+    for k, step in enumerate(trace.steps):
+        t, std = step["t"], step["std"]
+        assert step["dt"] == dt
         # schedule std
-        eta = config.eta_scale * np.sqrt(step.t)
-        assert step.std == pytest.approx(eta * np.sqrt(dt), abs=1e-15)
-        # the recorded u regenerates the recorded mean under the same params
-        mean, u = transition_mean(theta, step, cond, config.delta)
-        np.testing.assert_allclose(mean, step.mean, atol=1e-12)
-        np.testing.assert_allclose(u, step.u, atol=1e-12)
+        eta = config.eta_scale * np.sqrt(t)
+        assert std == pytest.approx(eta * np.sqrt(dt), abs=1e-15)
+        # the recomputed mean under the same params regenerates the recorded
+        # next state with the stream's noise
+        mean = transition_mean(theta, step, cond, delta=config.delta)
+        np.testing.assert_allclose(step["z_next"], mean + std * noise[k], atol=1e-12)
         # x_pred identity feeds the score: mean = z - (u - 0.5*eta^2*score)*dt
-        x_pred = step.z - step.t * step.u
-        drift = step.u - 0.5 * eta * eta * score_term(step.z, x_pred, step.t, config.delta)
-        np.testing.assert_allclose(step.mean, step.z - drift * dt, atol=1e-12)
+        u = net_forward_batch(theta, net_input(step["z"], t, cond))[0]
+        x_pred = step["z"] - t * u
+        drift = u - 0.5 * eta * eta * score_term(step["z"], x_pred, t, delta=config.delta)
+        np.testing.assert_allclose(mean, step["z"] - drift * dt, atol=1e-12)
 
 
 @pytest.mark.parametrize("eta_scale", [0.3, 0.0])
@@ -238,17 +243,49 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
         np.testing.assert_allclose(segment.frames, want_seg.frames, rtol=0, atol=1e-12)
         assert len(trace.steps) == len(want.steps) == config.k_steps
         for got, ref in zip(trace.steps, want.steps):
-            assert (got.t, got.dt) == (ref.t, ref.dt)
-            for name in ("z", "u", "mean", "z_next"):
-                np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
-                                           rtol=0, atol=1e-12)
-            assert got.std == pytest.approx(ref.std, abs=1e-12)
-            assert got.logp == pytest.approx(ref.logp, abs=1e-12)
+            assert (got["t"], got["dt"]) == (ref["t"], ref["dt"])
+            for name in ("z", "z_next"):
+                np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(transition_mean(theta, got, cond, delta=config.delta),
+                                       transition_mean(theta, ref, cond, delta=config.delta),
+                                       rtol=0, atol=1e-12)
+            assert got["std"] == pytest.approx(ref["std"], abs=1e-12)
+            assert got["logp"] == pytest.approx(ref["logp"], abs=1e-12)
         if eta_scale == 0.0:
             np.testing.assert_allclose(segment.frames, sample_ode(theta, cond, z, config).frames,
                                        rtol=0, atol=1e-12)
     if eta_scale > 0.0:
         assert not np.array_equal(rows[0][0].frames, rows[1][0].frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.sampled_from([1, 3, 8]), k_steps=st.sampled_from([1, 2, 5]),
+       eta_scale=st.sampled_from([0.0, 0.3]), shared_init=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed):
+    # each row's (K,) records chain z -> z_next along the time grid, end at
+    # the segment, and are views of one (G, K) array
+    config = small_config(frame_width=2, k_steps=k_steps, eta_scale=eta_scale)
+    theta = tiny_net(latent=4, cond_width=3, seed=seed)
+    rng = RandomSource(seed)
+    z_init = np.asarray(rng.normal(shape=4 if shared_init else (rows, 4)))
+    cond = np.asarray(rng.normal(shape=3))
+    noise = np.asarray(rng.normal(shape=(rows, k_steps, 4)))
+    samples = sample_group(theta, cond, z_init, config, noise)
+    assert len(samples) == rows
+    for i, (segment, trace) in enumerate(samples):
+        steps = trace.steps
+        assert len(trace.steps) == k_steps
+        assert steps.base is samples[0][1].steps.base and steps.base.shape == (rows, k_steps)
+        assert np.array_equal(steps["z"][0], z_init if shared_init else z_init[i])
+        assert np.array_equal(steps["z"][1:], steps["z_next"][:-1])
+        assert steps["t"].tolist() == config.time_grid()
+        assert np.all(steps["dt"] == 1.0 / k_steps)
+        assert np.array_equal(segment.frames, steps["z_next"][-1].reshape(2, 2))
+        if eta_scale == 0.0:
+            assert np.all(steps["std"] == 0.0) and np.all(steps["logp"] == 0.0)
+        else:
+            assert np.all(steps["std"] > 0.0) and np.all(np.isfinite(steps["logp"]))
 
 
 @pytest.mark.parametrize("eta_scale", [0.3, 0.0])
@@ -279,7 +316,12 @@ def test_generate_many_matches_sequential_generate(kitchen, eta_scale):
             assert batch_rng.normal() == sequential_rng.normal()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [
+    np.nan,
+    # at t = 1 the score's (1 - t) * x_pred is 0 * inf for an infinite velocity
+    pytest.param(np.inf, marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in multiply:RuntimeWarning")),
+])
 def test_sampler_nonfinite_net_raises_divergence(bad):
     theta = tiny_net(latent=4, cond_width=3, seed=15)
     theta.biases[-1][2] = bad
@@ -299,7 +341,10 @@ def test_first_transition_std_monte_carlo():
     samples = []
     for i in range(10_000):
         _, trace = sample_sde(theta, cond, z, config, RandomSource(13, i))
-        samples.append(trace.steps[0].z_next - trace.steps[0].mean)
+        samples.append(trace.steps[0]["z_next"])
+    # every path starts at z and t = 1, so all share one transition mean
+    mean = transition_mean(theta, trace.steps[0], cond, delta=config.delta)
+    samples = np.asarray(samples) - mean
     observed = float(np.std(np.asarray(samples)))
     expected = 0.3 * np.sqrt(1.0) * np.sqrt(1.0)  # eta_1 * sqrt(dt), K=1
     assert abs(observed - expected) / expected < 0.03
@@ -310,13 +355,31 @@ def test_score_term_schedule():
     x_pred = np.array([0.25, 0.75])
     t = 0.5
     expected = -(z - 0.5 * x_pred) / 0.25
-    np.testing.assert_allclose(score_term(z, x_pred, t), expected)
+    np.testing.assert_allclose(score_term(z, x_pred, t, delta=1e-3), expected)
     # at the conditional mean the score vanishes
-    np.testing.assert_array_equal(score_term(0.5 * x_pred, x_pred, 0.5), np.zeros(2))
+    np.testing.assert_array_equal(score_term(0.5 * x_pred, x_pred, 0.5, delta=1e-3),
+                                  np.zeros(2))
     # alpha = 0 at t = 1: score reduces to -z
-    np.testing.assert_allclose(score_term(z, x_pred, 1.0), -z)
+    np.testing.assert_allclose(score_term(z, x_pred, 1.0, delta=1e-3), -z)
     # linearity in the residual
-    np.testing.assert_allclose(score_term(2 * z, 2 * x_pred, 0.5), 2 * expected)
+    np.testing.assert_allclose(score_term(2 * z, 2 * x_pred, 0.5, delta=1e-3), 2 * expected)
+
+
+def test_mean_recomputation_requires_delta():
+    # a caller that leaves delta out fails instead of recomputing at a default
+    theta = tiny_net(latent=4, cond_width=3, seed=10)
+    config = small_config(frame_width=2, k_steps=2)
+    cond = np.ones(3)
+    _, trace = sample_sde(theta, cond, np.ones(4), config, RandomSource(3))
+    calls = [
+        lambda: score_term(np.ones(2), np.ones(2), 0.5),
+        lambda: mean_affine_coeffs(0.5, 0.5, 0.1),
+        lambda: transition_mean(theta, trace.steps[0], cond),
+        lambda: transition_logprob(theta, trace.steps[0], cond),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="delta"):
+            call()
 
 
 # transition log-densities
@@ -330,23 +393,26 @@ def test_transition_logprob_self_consistency():
     _, trace = sample_sde(theta, cond, z, config, RandomSource(31))
     total = 0.0
     for step in trace.steps:
-        lp = transition_logprob(theta, step, cond, config.delta)
-        assert lp == pytest.approx(step.logp, abs=1e-12)
+        lp = transition_logprob(theta, step, cond, delta=config.delta)
+        assert lp == pytest.approx(step["logp"], abs=1e-12)
         total += lp
-    assert total == pytest.approx(trace.total_logp, abs=1e-10)
+    assert total == pytest.approx(trace.steps["logp"].sum(), abs=1e-10)
 
 
 def test_transition_logprob_mode_and_additivity():
     theta = tiny_net(latent=4, cond_width=3, seed=7)
     config = small_config(frame_width=2, k_steps=3)
-    _, trace = sample_sde(theta, np.ones(3) * 0.4, np.ones(4) * 0.1, config, RandomSource(41))
+    cond = np.ones(3) * 0.4
+    _, trace = sample_sde(theta, cond, np.ones(4) * 0.1, config, RandomSource(41))
     step = trace.steps[0]
-    at_mode = gaussian_logpdf(step.mean, step.mean, step.std)
-    assert at_mode > step.logp or np.allclose(step.z_next, step.mean)
+    z_next, std = step["z_next"], step["std"]
+    mean = transition_mean(theta, step, cond, delta=config.delta)
+    at_mode = gaussian_logpdf(mean, mean, std)
+    assert at_mode > step["logp"] or np.allclose(z_next, mean)
     # additivity over coordinate slices
-    whole = gaussian_logpdf(step.z_next, step.mean, step.std)
-    parts = gaussian_logpdf(step.z_next[:2], step.mean[:2], step.std) + \
-        gaussian_logpdf(step.z_next[2:], step.mean[2:], step.std)
+    whole = gaussian_logpdf(z_next, mean, std)
+    parts = gaussian_logpdf(z_next[:2], mean[:2], std) + \
+        gaussian_logpdf(z_next[2:], mean[2:], std)
     assert whole == pytest.approx(parts, abs=1e-12)
 
 
@@ -355,7 +421,7 @@ def test_transition_logprob_requires_noise():
     config = small_config(frame_width=2, k_steps=2, eta_scale=0.0)
     _, trace = sample_sde(theta, np.ones(3), np.ones(4), config, RandomSource(5))
     with pytest.raises(LoopwmError):
-        transition_logprob(theta, trace.steps[0], np.ones(3), config.delta)
+        transition_logprob(theta, trace.steps[0], np.ones(3), delta=config.delta)
 
 
 def test_logprob_gradient_matches_finite_differences():
@@ -368,14 +434,15 @@ def test_logprob_gradient_matches_finite_differences():
     _, trace = sample_sde(theta, cond, z, config, RandomSource(61))
     step = trace.steps[2]
 
-    mean, _ = transition_mean(theta, step, cond, config.delta)
-    _, coeff = mean_affine_coeffs(step.t, step.dt, step.std, config.delta)
-    out_grad = coeff * (step.z_next - mean) / (step.std * step.std)
-    acts = net_activations(theta, net_input(step.z, step.t, cond))
+    t, std = step["t"], step["std"]
+    mean = transition_mean(theta, step, cond, delta=config.delta)
+    _, coeff = mean_affine_coeffs(t, step["dt"], std, delta=config.delta)
+    out_grad = coeff * (step["z_next"] - mean) / (std * std)
+    acts = net_activations(theta, net_input(step["z"], t, cond))
     analytic, _ = net_backward_batch(theta, acts, out_grad[None, :])
 
     numeric = finite_diff_grad(
-        lambda p: transition_logprob(p, step, cond, config.delta), theta)
+        lambda p: transition_logprob(p, step, cond, delta=config.delta), theta)
     for a, n in zip(analytic, numeric):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
