@@ -19,7 +19,7 @@ from the evaluation's, so a task's result does not depend on the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 import json
 
@@ -42,18 +42,19 @@ MODES = ("open-loop", "inner-only", "full")
 _COMPLETE_EPS = 1e-9
 
 
-def mode_config(mode: str, **overrides) -> LoopConfig:
-    """LoopConfig preset: no feedback, inner retries only, or both loops."""
+def mode_config(mode: str, loop: LoopConfig) -> LoopConfig:
+    """`loop` under a mode preset: no feedback, inner retries only, or both loops.
+
+    Open-loop zeroes both budgets, inner-only zeroes the replan budget, and
+    full returns `loop` unchanged; every other setting passes through.
+    """
     if mode == "open-loop":
-        base = {"k_retries": 0, "max_outer_replans": 0}
-    elif mode == "inner-only":
-        base = {"max_outer_replans": 0}
-    elif mode == "full":
-        base = {}
-    else:
-        raise SuiteError(f"unknown mode {mode!r}, expected one of {MODES}")
-    base.update(overrides)
-    return LoopConfig(**base)
+        return replace(loop, k_retries=0, max_outer_replans=0)
+    if mode == "inner-only":
+        return replace(loop, max_outer_replans=0)
+    if mode == "full":
+        return loop
+    raise SuiteError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 @dataclass

@@ -365,21 +365,6 @@ def cmd_grpo(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def _mode_loop_config(config: RunConfig, mode: str):
-    """Mode presets win over configured budgets; shared knobs pass through."""
-    loop = config.loop
-    overrides = {"tau": loop["tau"], "max_total_segments": loop["max_total_segments"]}
-    if mode == "full":
-        overrides["k_retries"] = loop["k_retries"]
-        overrides["max_outer_replans"] = loop["max_outer_replans"]
-    elif mode == "inner-only":
-        overrides["k_retries"] = loop["k_retries"]
-    try:
-        return mode_config(mode, **overrides)
-    except (LoopwmError, SuiteError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _fmt_metric(value: float | None, scaled: bool) -> str:
     if value is None:
         return "n/a"
@@ -431,7 +416,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
 
-    loop_config = _mode_loop_config(config, mode)
+    try:
+        loop_config = mode_config(mode, config.loop_config())
+    except SuiteError as exc:
+        raise UsageError(str(exc)) from exc
     weights = config.critic_weights()
     run_dir = _prepare_run_dir(config, args.out)
     client = _remote_client(config)

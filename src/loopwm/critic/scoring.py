@@ -27,7 +27,7 @@ import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
 from ..microworld.frames import DECODE_THRESHOLD
-from ..microworld.types import DomainSpec, Literal, Operator, Segment
+from ..microworld.types import MAX_INSTRUCTION_WORDS, DomainSpec, Literal, Operator, Segment
 from ..planner.types import PlanStep
 
 DIMENSIONS = (
@@ -374,13 +374,13 @@ def _clause_for(tag: str, step: PlanStep) -> str:
     return "Execute the step more carefully"
 
 
-def revise_instruction(step: PlanStep, report: CriticReport, max_words: int = 36) -> str:
+def revise_instruction(step: PlanStep, report: CriticReport) -> str:
     """Deterministic template revision; identity when the report carries no tags.
 
     Clauses are appended most-severe first (report tags are already ordered);
     at most two are used and clauses are dropped from the back if the word
-    budget would be exceeded. Re-running with an identical report returns the
-    same text.
+    budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces) would be
+    exceeded. Re-running with an identical report returns the same text.
     """
     if not report.tags:
         return step.instruction
@@ -390,8 +390,8 @@ def revise_instruction(step: PlanStep, report: CriticReport, max_words: int = 36
         if suffix in step.instruction:
             return step.instruction
         text = f"{step.instruction} {suffix}"
-        if len(text.split()) <= max_words:
+        if len(text.split()) <= MAX_INSTRUCTION_WORDS:
             return text
         clauses.pop()
-    words = step.instruction.split()[:max_words]
+    words = step.instruction.split()[:MAX_INSTRUCTION_WORDS]
     return " ".join(words)

@@ -9,7 +9,6 @@ from .rollout import (
 from .train import CSV_HEADER, TrainingLog, TrainingRecord, train
 from .update import (
     ObjectiveTerms,
-    UpdateStats,
     grpo_update,
     kl_term,
     objective_terms,
@@ -25,7 +24,6 @@ __all__ = [
     "RolloutGroup",
     "TrainingLog",
     "TrainingRecord",
-    "UpdateStats",
     "compute_advantages",
     "curriculum_schedule",
     "grpo_update",

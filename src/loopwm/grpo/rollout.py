@@ -4,9 +4,13 @@ Every member of a group denoises from the same initial latent; members differ
 only through the Wiener increments of their reverse-SDE paths. Sharing the
 initial noise keeps the group comparable so that reward differences reflect
 the stochastic paths rather than the starting point. The group is sampled in
-one `sample_group` call: member i is row i, with its own noise stream, and
+one `sample_group` call: member i is row i, with its own row of noise, and
 its trace is row i of the sampler's (G, K) record array. The critic then
 scores the stacked group in one `evaluate_batch` call.
+
+A group is its members plus their group-normalized advantages, nothing more:
+each member's trace carries its own condition (`trace.cond`) and its start
+(the first transition's `z`).
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ class GroupMember:
     reward: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RolloutGroup:
-    """One shared-noise group: z_init, members, and (once computed) advantages."""
+    """One shared-noise group: the members and their advantages, in member order."""
 
-    z_init: np.ndarray
-    cond: np.ndarray
     members: tuple[GroupMember, ...]
-    advantages: np.ndarray | None = None
+    advantages: np.ndarray
 
     @property
     def rewards(self) -> np.ndarray:
@@ -92,9 +94,11 @@ def rollout_group(
 
     Row contract: the G members share `cond` and `z_init` (drawn from `rng`)
     and are sampled together, one (G, width) network evaluation per denoise
-    step; member i draws its (K, L) noise from stream `rng.split(i)`. The
-    programmatic critic scores the G segments in one `evaluate_batch` call,
-    and `member_reward` turns each member's report into its reward.
+    step; member i's (K, L) noise is row i of one (G, K, L) draw from `rng`
+    after `z_init`, so every group gets fresh noise. The programmatic critic
+    scores the G segments in one `evaluate_batch` call, `member_reward`
+    turns each member's report into its reward, and the rewards are
+    normalized with `grpo_config.delta`.
     """
     if sampler_config.eta_scale <= 0.0:
         raise LoopwmError(
@@ -103,9 +107,8 @@ def rollout_group(
         )
     cond = embed_condition(spec, step, memory)
     z_init = np.asarray(rng.normal(shape=sampler_config.latent_width), dtype=np.float64)
-    shape = (sampler_config.k_steps, sampler_config.latent_width)
-    noise = np.stack([stream.normal(shape=shape)
-                      for stream in rng.split_many(grpo_config.group_size)])
+    noise = np.asarray(rng.normal(shape=(grpo_config.group_size, sampler_config.k_steps,
+                                         sampler_config.latent_width)))
     samples = sample_group(theta_old, cond, z_init, sampler_config, noise)
     frames = np.stack([segment.frames for segment, _ in samples])
     reports = evaluate_batch(spec, frames, step, weights)
@@ -114,4 +117,5 @@ def rollout_group(
                     reward=member_reward(report, grpo_config))
         for (segment, trace), report in zip(samples, reports)
     )
-    return RolloutGroup(z_init=z_init, cond=cond, members=members)
+    rewards = [m.reward for m in members]
+    return RolloutGroup(members, compute_advantages(rewards, grpo_config.delta))

@@ -23,7 +23,7 @@ from ..planner import Goal, PlanSequence
 from ..report import write_csv
 from ..worldmodel import SamplerConfig
 from .config import GrpoConfig, curriculum_schedule
-from .rollout import compute_advantages, rollout_group
+from .rollout import rollout_group
 from .update import grpo_update
 
 __all__ = ["TrainingLog", "TrainingRecord", "train"]
@@ -157,17 +157,16 @@ def train(
         for step in plan.steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
                                   sampler_config, grpo_config, rng, weights)
-            group.advantages = compute_advantages(group.rewards, grpo_config.delta)
-            _, opt_state, stats = grpo_update(bundle, group, grpo_config, opt_state,
+            _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state,
                                               delta=sampler_config.delta)
-            if stats.skipped:
+            if terms.skipped:
                 log.events.append(
                     f"iteration {iteration}: update skipped at step {step.sid} "
                     f"(all members dropped)"
                 )
             else:
-                kls.append(stats.kl)
-                clips.append(stats.clip_fraction)
+                kls.append(terms.kl)
+                clips.append(terms.clip_fraction)
             rewards.extend(float(m.reward) for m in group.members)
             adherence.extend(float(m.report.scores["action_adherence"]) for m in group.members)
             coherence.extend(float(m.report.scores["temporal_coherence"]) for m in group.members)

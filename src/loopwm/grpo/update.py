@@ -6,7 +6,10 @@ while per-step ratios stay near 1 and give the clip a clean interpretation.
 The surrogate is averaged over steps and members; the KL term is the
 closed-form Gaussian divergence against the frozen reference, averaged the
 same way. The objective reads the group's trace records as they are: the
-members' (K,) rows, concatenated, are its G*K rows.
+members' (K,) rows, concatenated, are its G*K rows, and each row is scored
+under the condition its own trace recorded. A group is its members plus
+their advantages, and `grpo_update` reports the `ObjectiveTerms` it stepped
+along.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .rollout import RolloutGroup
 
 __all__ = [
     "ObjectiveTerms",
-    "UpdateStats",
     "grpo_update",
     "kl_term",
     "objective_terms",
@@ -94,17 +96,10 @@ class ObjectiveTerms:
     kept: tuple[int, ...]
     dropped: int
 
-
-@dataclass(frozen=True)
-class UpdateStats:
-    objective: float
-    surrogate: float
-    kl: float
-    clip_fraction: float
-    mean_ratio: float
-    kept: int
-    dropped: int
-    skipped: bool
+    @property
+    def skipped(self) -> bool:
+        """True when every member was dropped, so there is nothing to step along."""
+        return not self.kept
 
 
 def objective_terms(
@@ -116,6 +111,7 @@ def objective_terms(
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
+    Each row is scored under the condition its member's trace recorded, and
     `delta` is the sigma floor the sampler used, so each recomputed
     transition mean matches the one the trace was drawn from.
 
@@ -123,8 +119,6 @@ def objective_terms(
     from every average. Gradients flow only through rows where the clip does
     not bind; clipped rows still count toward the surrogate value.
     """
-    if group.advantages is None:
-        raise LoopwmError("compute advantages before the update")
     advantages = np.asarray(group.advantages, dtype=np.float64)
     members = group.members
     k_steps = len(members[0].trace.steps)
@@ -137,9 +131,10 @@ def objective_terms(
     if np.any(std <= 0.0):
         raise LoopwmError("grpo update needs stochastic traces (std > 0)")
     adv = np.repeat(advantages, k_steps)
+    cond = np.repeat(np.stack([m.trace.cond for m in members]), k_steps, axis=0)
     latent = z.shape[1]
 
-    x = net_input(z, t, group.cond)
+    x = net_input(z, t, cond)
     # transition mean is affine in the velocity: mean = base + coeff * u
     scale, coeff = mean_affine_coeffs(t, dt, std, delta=delta)
     base = z * scale[:, None]
@@ -207,35 +202,19 @@ def grpo_update(
     opt_state: OptState | None = None,
     *,
     delta: float,
-) -> tuple[NetParams, OptState, UpdateStats]:
-    """One ascent step on the group objective; mutates bundle.theta.
+) -> tuple[NetParams, OptState, ObjectiveTerms]:
+    """One ascent step on the group objective; updates bundle.theta in place.
 
-    Returns (theta, opt_state, stats). When every member is dropped the
-    update is skipped and parameters pass through unchanged.
+    Returns (theta, opt_state, terms), where terms are the objective's terms
+    at the parameters before the step. When every member is dropped the
+    update is skipped (`terms.skipped`) and parameters pass through unchanged.
     """
     if opt_state is None:
         opt_state = opt_init(bundle.theta)
     terms = objective_terms(bundle.theta, bundle.reference, group, config, delta)
-    if not terms.kept:
+    if terms.skipped:
         _log.warning("skipping update: all %d members dropped", terms.dropped)
-        stats = UpdateStats(
-            objective=0.0, surrogate=0.0, kl=0.0, clip_fraction=0.0, mean_ratio=1.0,
-            kept=0, dropped=terms.dropped, skipped=True,
-        )
-        return bundle.theta, opt_state, stats
-    # opt_step descends, so feed the negated ascent gradient
-    theta, opt_state = opt_step(
-        bundle.theta, [-g for g in terms.grads], opt_state, lr=config.lr
-    )
-    bundle.theta = theta
-    stats = UpdateStats(
-        objective=terms.value,
-        surrogate=terms.surrogate,
-        kl=terms.kl,
-        clip_fraction=terms.clip_fraction,
-        mean_ratio=float(terms.ratios.mean()),
-        kept=len(terms.kept),
-        dropped=terms.dropped,
-        skipped=False,
-    )
-    return theta, opt_state, stats
+    else:
+        # opt_step descends, so feed the negated ascent gradient
+        opt_step(bundle.theta, [-g for g in terms.grads], opt_state, lr=config.lr)
+    return bundle.theta, opt_state, terms

@@ -1,7 +1,8 @@
 """Adaptive-moment gradient descent (Adam with bias correction).
 
-`opt_step` is functional: it returns fresh parameter and state objects and
-never mutates its inputs. Gradients follow the `params_as_list` ordering.
+`opt_step` works in place: it updates the parameter arrays and the moment
+estimates it is given and returns nothing. Gradients follow the
+`params_as_list` ordering.
 """
 
 from __future__ import annotations
@@ -40,27 +41,21 @@ def opt_step(
     beta1: float = DEFAULT_BETA1,
     beta2: float = DEFAULT_BETA2,
     eps: float = DEFAULT_EPS,
-) -> tuple[NetParams, OptState]:
-    """One descent step along `grads`; pass the negated gradient to ascend."""
+) -> None:
+    """One descent step along `grads`, in place; pass the negated gradient to ascend."""
     flat = params_as_list(params)
     if len(grads) != len(flat):
         raise ValueError(f"got {len(grads)} gradient arrays, expected {len(flat)}")
-    t = state.step + 1
-    new_m, new_v, new_flat = [], [], []
-    for p, g, m, v in zip(flat, grads, state.m, state.v):
+    for p, g in zip(flat, grads):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m2 = beta1 * m + (1.0 - beta1) * g
-        v2 = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m2 / (1.0 - beta1**t)
-        v_hat = v2 / (1.0 - beta2**t)
-        new_flat.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    new_params = NetParams(
-        params.sizes,
-        [new_flat[2 * i] for i in range(len(params.weights))],
-        [new_flat[2 * i + 1] for i in range(len(params.weights))],
-        params.activation,
-    )
-    return new_params, OptState(new_m, new_v, t)
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(flat, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -54,9 +54,6 @@ class RandomSource:
         child = _splitmix64((self.stream + _GOLDEN * (index + 1)) & _MASK64)
         return RandomSource(self.seed, child)
 
-    def split_many(self, count: int) -> list["RandomSource"]:
-        return [self.split(i) for i in range(count)]
-
     def tell(self) -> dict:
         """The stream's position: a snapshot that `seek` returns to."""
         return self.generator().bit_generator.state

@@ -57,10 +57,10 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
 def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epochs: int,
               lr: float, rng: RandomSource, batch_size: int = 16,
               beta1: float = 0.9, beta2: float = 0.999) -> tuple[NetParams, list[float]]:
-    """Minibatch Adam on the flow-matching objective.
+    """Minibatch Adam on the flow-matching objective, updating `theta` in place.
 
-    Returns (updated params, per-epoch mean training loss).  Zero epochs
-    return the input parameters untouched.
+    Returns (theta, per-epoch mean training loss), where theta is the object
+    passed in.  Zero epochs leave the parameters untouched.
     """
     if not dataset:
         raise LoopwmError("sft_train requires a non-empty dataset")
@@ -81,7 +81,7 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             loss, grads = flow_matching_loss(theta, conds[idx], xs[idx], ts, eps)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
-            theta, state = opt_step(theta, grads, state, lr=lr, beta1=beta1, beta2=beta2)
+            opt_step(theta, grads, state, lr=lr, beta1=beta1, beta2=beta2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return theta, history

@@ -31,7 +31,7 @@ from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
 from loopwm.critic import CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
-from loopwm.loop import FrozenPolicy, OraclePolicy
+from loopwm.loop import FrozenPolicy, LoopConfig, OraclePolicy
 from loopwm.microworld import Literal, Segment, load_domain
 from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import plan
@@ -341,14 +341,16 @@ def test_report_roundtrip(tmp_path, kitchen):
 
 
 def test_mode_presets():
-    assert mode_config("open-loop").k_retries == 0
-    assert mode_config("open-loop").max_outer_replans == 0
-    assert mode_config("inner-only").k_retries > 0
-    assert mode_config("inner-only").max_outer_replans == 0
-    assert mode_config("full").max_outer_replans > 0
-    assert mode_config("full", tau=0.5).tau == 0.5
+    loop = LoopConfig()
+    assert mode_config("open-loop", loop).k_retries == 0
+    assert mode_config("open-loop", loop).max_outer_replans == 0
+    assert mode_config("inner-only", loop).k_retries > 0
+    assert mode_config("inner-only", loop).max_outer_replans == 0
+    assert mode_config("full", loop).max_outer_replans > 0
+    assert mode_config("open-loop", LoopConfig(tau=0.5)).tau == 0.5
+    assert mode_config("full", loop) == loop
     with pytest.raises(SuiteError):
-        mode_config("closed-loop")
+        mode_config("closed-loop", loop)
     assert MODES == ("open-loop", "inner-only", "full")
 
 

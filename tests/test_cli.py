@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from loopwm.bench import generate_suite, load_report, load_suite
+import loopwm
+from loopwm.bench import generate_suite, load_report, load_suite, mode_config
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
-from loopwm.cli.main import _mode_loop_config, build_parser
+from loopwm.cli.main import build_parser
 from loopwm.gateway import MockRule, encode_step, run_mock_server
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
@@ -544,13 +546,13 @@ def test_bench_critic_weights_reach_the_builtin_critic(tmp_path, capsys):
 
 
 def test_mode_presets_override_configured_budgets():
-    config = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4})
-    assert _mode_loop_config(config, "open-loop").k_retries == 0
-    assert _mode_loop_config(config, "open-loop").max_outer_replans == 0
-    assert _mode_loop_config(config, "inner-only").k_retries == 5
-    assert _mode_loop_config(config, "inner-only").max_outer_replans == 0
-    assert _mode_loop_config(config, "full").k_retries == 5
-    assert _mode_loop_config(config, "full").max_outer_replans == 4
+    loop = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4}).loop_config()
+    assert mode_config("open-loop", loop).k_retries == 0
+    assert mode_config("open-loop", loop).max_outer_replans == 0
+    assert mode_config("inner-only", loop).k_retries == 5
+    assert mode_config("inner-only", loop).max_outer_replans == 0
+    assert mode_config("full", loop).k_retries == 5
+    assert mode_config("full", loop).max_outer_replans == 4
 
 
 def test_full_mode_beats_open_loop_on_seed_7(sft_strong, tmp_path):
@@ -637,9 +639,12 @@ def test_mock_serve_busy_port_exits_2(capsys):
 # ---------------------------------------------------------------- entry point
 
 def test_module_entry_point_runs():
+    # the child imports the same loopwm package as this process
+    package_root = str(Path(loopwm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "loopwm.cli", "plan", "lid removed"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "open the jar" in proc.stdout

@@ -81,9 +81,7 @@ def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
         segment, trace = sample_sde(theta_old, cond, z_init, sampler, rng.split(i))
         members.append(GroupMember(segment=segment, trace=trace, report=None,
                                    reward=float(reward)))
-    group = RolloutGroup(z_init=z_init, cond=cond, members=tuple(members))
-    group.advantages = compute_advantages(group.rewards, delta)
-    return group
+    return RolloutGroup(tuple(members), compute_advantages(rewards, delta))
 
 
 def flat_rel_err(got, want):
@@ -203,10 +201,11 @@ def test_rollout_group_shares_initial_noise(kitchen):
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
     assert len(group.members) == 4
-    assert group.z_init.shape == (sampler.latent_width,)
+    z_init = group.members[0].trace.steps[0]["z"]
+    assert z_init.shape == (sampler.latent_width,)
     frames = []
     for member in group.members:
-        assert np.array_equal(member.trace.steps[0]["z"], group.z_init)
+        assert np.array_equal(member.trace.steps[0]["z"], z_init)
         assert 0.0 <= member.reward <= 1.0
         assert member.report.scores
         frames.append(member.segment.frames)
@@ -216,6 +215,31 @@ def test_rollout_group_shares_initial_noise(kitchen):
     again = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
     assert np.array_equal(group.rewards, again.rewards)
+
+
+def test_successive_groups_draw_fresh_noise(kitchen, monkeypatch):
+    drawn = []
+
+    def spy(theta, cond, z_init, config, noise):
+        drawn.append(noise)
+        return sample_group(theta, cond, z_init, config, noise)
+
+    monkeypatch.setattr("loopwm.grpo.rollout.sample_group", spy)
+    sampler = kitchen_sampler(kitchen)
+    theta = kitchen_net(kitchen, sampler)
+    step = first_step(kitchen, "kettle.grasped")
+    config = GrpoConfig(group_size=3)
+    for _ in range(2):
+        rng = RandomSource(5)
+        for _ in range(2):
+            rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
+                          sampler, config, rng)
+    first, second, first_again, second_again = drawn
+    # member i of the second group does not reuse member i's increments
+    for i in range(3):
+        assert not np.any(first[i] == second[i])
+    assert np.array_equal(first, first_again)
+    assert np.array_equal(second, second_again)
 
 
 def test_group_sampler_shared_stream_collapses_group(kitchen):
@@ -302,15 +326,14 @@ def test_ratios_equal_one_at_sync(kitchen):
                           sampler, config, RandomSource(2))
     for member in group.members:
         for ts in member.trace.steps:
-            rho = math.exp(transition_logprob(theta, ts, group.cond, delta=sampler.delta)
-                           - ts["logp"])
+            rho = math.exp(transition_logprob(theta, ts, member.trace.cond,
+                                              delta=sampler.delta) - ts["logp"])
             assert abs(rho - 1.0) <= 1e-12
-    group.advantages = compute_advantages(group.rewards, config.delta)
     bundle = PolicyBundle.from_reference(theta)
-    _, _, stats = grpo_update(bundle, group, config, delta=sampler.delta)
-    assert stats.clip_fraction == 0.0
-    assert stats.dropped == 0
-    assert abs(stats.mean_ratio - 1.0) <= 1e-12
+    _, _, terms = grpo_update(bundle, group, config, delta=sampler.delta)
+    assert terms.clip_fraction == 0.0
+    assert terms.dropped == 0
+    assert abs(terms.ratios.mean() - 1.0) <= 1e-12
 
 
 def test_fixed_point_leaves_parameters_untouched():
@@ -386,11 +409,10 @@ def row_loop_objective(theta, reference, group, config, delta):
     Reference for the stacked rows of objective_terms; assumes no member is
     dropped.
     """
-    cond = group.cond
-    rows = [(float(group.advantages[i]), ts)
+    rows = [(float(group.advantages[i]), member.trace.cond, ts)
             for i, member in enumerate(group.members) for ts in member.trace.steps]
     values, kls, ratios, grads = [], [], [], None
-    for adv, ts in rows:
+    for adv, cond, ts in rows:
         t, dt, std, z, z_next = ts["t"], ts["dt"], ts["std"], ts["z"], ts["z_next"]
         mean_t = transition_mean(theta, ts, cond, delta=delta)
         mean_r = transition_mean(reference, ts, cond, delta=delta)
@@ -434,6 +456,30 @@ def test_objective_terms_match_row_loop(beta, scale):
     assert flat_rel_err(terms.grads, grads) < 1e-9
     if scale > 0.1:
         assert terms.clip_fraction > 0.0
+
+
+def test_objective_terms_scores_each_member_under_its_own_condition():
+    # members sampled under different conditions: at theta == theta_old every
+    # ratio is 1 only if each member is re-scored under the condition its
+    # trace recorded
+    sampler = small_sampler(frame_width=2, k_steps=3)
+    theta = tiny_net(4, 3, hidden=5, seed=31)
+    near = synthetic_group(theta, np.array([0.3, -0.6, 0.2]), sampler,
+                           rewards=[0.1, 0.8], seed=4)
+    far = synthetic_group(theta, np.array([-0.9, 0.5, 0.7]), sampler,
+                          rewards=[0.4, 0.6], seed=5)
+    group = RolloutGroup((near.members[0], far.members[1]), near.advantages)
+    config = GrpoConfig(group_size=2, beta=0.05)
+    terms = objective_terms(theta, theta, group, config, sampler.delta)
+    assert terms.dropped == 0
+    np.testing.assert_allclose(terms.ratios, 1.0, rtol=0, atol=1e-12)
+    reference = tiny_net(4, 3, hidden=5, seed=32)
+    terms = objective_terms(theta, reference, group, config, sampler.delta)
+    value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
+    assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+    kls = [kl_term(theta, reference, m.trace, sampler.delta) for m in group.members]
+    assert terms.kl == pytest.approx(float(np.mean(kls)), rel=1e-9)
+    assert flat_rel_err(terms.grads, grads) < 1e-9
 
 
 def test_objective_terms_runs_each_net_forward_once(tanh_calls):
@@ -540,7 +586,7 @@ def test_nonfinite_ratio_drops_member():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group.members = (poison(group.members[0]), group.members[1])
+    group = replace(group, members=(poison(group.members[0]), group.members[1]))
     config = GrpoConfig(group_size=2)
     terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.kept == (1,)
@@ -553,7 +599,7 @@ def test_all_members_dropped_skips_update():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group.members = tuple(poison(m) for m in group.members)
+    group = replace(group, members=tuple(poison(m) for m in group.members))
     bundle = PolicyBundle.from_reference(theta)
     before = [a.copy() for a in params_as_list(bundle.theta)]
     updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2),
@@ -575,7 +621,7 @@ def test_update_moves_parameters_and_reports_stats():
     assert updated is bundle.theta
     assert opt_state.step == 1
     assert not stats.skipped
-    assert stats.kept == 3
+    assert stats.kept == (0, 1, 2)
     assert stats.kl >= 0.0
     assert 0.0 <= stats.clip_fraction <= 1.0
     moved = max(float(np.abs(a - b).max()) for a, b in zip(params_as_list(updated), before))

@@ -133,12 +133,9 @@ def test_adam_single_step_matches_hand_value():
     params = NetParams((1, 1), [np.array([[0.0]])], [np.array([0.0])], "tanh")
     grads = [np.array([[1.0]]), np.array([0.0])]
     state = opt_init(params)
-    new_params, new_state = opt_step(params, grads, state, lr=0.1)
-    assert abs(new_params.weights[0][0, 0] + 0.1) < 1e-7
-    assert new_state.step == 1
-    # inputs untouched
-    assert params.weights[0][0, 0] == 0.0
-    assert state.step == 0
+    opt_step(params, grads, state, lr=0.1)
+    assert abs(params.weights[0][0, 0] + 0.1) < 1e-7
+    assert state.step == 1
 
 
 def test_adam_zero_grads_leave_params_unchanged():
@@ -146,9 +143,46 @@ def test_adam_zero_grads_leave_params_unchanged():
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
     zero = [np.zeros_like(a) for a in params_as_list(params)]
-    new_params, state = opt_step(params, zero, state, lr=0.5)
-    for a, b in zip(params_as_list(params), params_as_list(new_params)):
+    before = [a.copy() for a in params_as_list(params)]
+    opt_step(params, zero, state, lr=0.5)
+    for a, b in zip(before, params_as_list(params)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_adam_in_place_steps_equal_the_textbook_update_bitwise():
+    rng = RandomSource(8)
+    params = net_init([3, 4, 2], rng)
+    state = opt_init(params)
+    want = [a.copy() for a in params_as_list(params)]
+    m = [np.zeros_like(a) for a in want]
+    v = [np.zeros_like(a) for a in want]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        grads = [np.asarray(rng.normal(shape=a.shape)) for a in want]
+        opt_step(params, grads, state, lr=lr)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat, v_hat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, ref in zip(params_as_list(params), want):
+            np.testing.assert_array_equal(got, ref)
+    assert state.step == 3
+
+
+def test_adam_rejects_bad_gradients_before_touching_anything():
+    params = net_init([3, 4, 2], RandomSource(2))
+    state = opt_init(params)
+    before = [a.copy() for a in params_as_list(params)]
+    grads = [np.ones_like(a) for a in before]
+    grads[-1] = np.ones(3)
+    with pytest.raises(ValueError, match="gradient shape"):
+        opt_step(params, grads, state, lr=0.1)
+    with pytest.raises(ValueError, match="gradient arrays"):
+        opt_step(params, grads[:-1], state, lr=0.1)
+    assert state.step == 0
+    assert all(np.array_equal(a, b) for a, b in zip(before, params_as_list(params)))
+    assert all(not m.any() for m in state.m)
 
 
 def test_gaussian_logpdf_standard_normal_at_zero():

@@ -234,8 +234,8 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     config = small_config(frame_width=3, k_steps=5, eta_scale=eta_scale)
     z = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.9])
     cond = np.array([0.4, -0.2, 0.6])
-    noise = np.stack([stream.normal(shape=(config.k_steps, z.size))
-                      for stream in RandomSource(17).split_many(5)])
+    noise = np.stack([RandomSource(17).split(i).normal(shape=(config.k_steps, z.size))
+                      for i in range(5)])
     rows = sample_group(theta, cond, z, config, noise)
     assert len(rows) == 5
     for i, (segment, trace) in enumerate(rows):
