@@ -72,6 +72,38 @@ def test_plan_prints_single_step_for_jar_goal(capsys):
     assert "1. open the jar and set the lid aside" in out
 
 
+PLAN_GOLDEN = {
+    "lid removed": (
+        "plan for 'achieve lid removed' in kitchen (1 step):\n"
+        "  1. open the jar and set the lid aside\n"
+    ),
+    "cup stirred": (
+        "plan for 'achieve stirred' in kitchen (6 steps):\n"
+        "  1. grasp the kettle by its handle\n"
+        "  2. grasp the spoon\n"
+        "  3. open the jar and set the lid aside\n"
+        "  4. pour tea leaves from the jar into the cup\n"
+        "  5. pour hot water from the kettle into the cup\n"
+        "  6. stir the cup with the spoon\n"
+    ),
+    "not jar.closed, cup full": (
+        "plan for 'achieve not closed and full' in kitchen (4 steps):\n"
+        "  1. grasp the kettle by its handle\n"
+        "  2. open the jar and set the lid aside\n"
+        "  3. pour tea leaves from the jar into the cup\n"
+        "  4. pour hot water from the kettle into the cup\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("goal", sorted(PLAN_GOLDEN))
+def test_plan_stdout_matches_golden_text(goal, capsysbinary):
+    assert main(["plan", goal]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == PLAN_GOLDEN[goal].encode()
+    assert captured.err == b""
+
+
 def test_plan_unreachable_goal_exits_2(capsys):
     rc = main(["plan", "jar.closed, jar.lid_removed"])
     assert rc == 2
