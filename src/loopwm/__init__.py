@@ -9,7 +9,6 @@ Subpackages:
     loop        episode engine with inner retries and outer replanning
     grpo        group-relative policy optimization over denoise trajectories
     bench       task suites, evaluation metrics, comparisons, curves
-    gateway     wire schemas, remote backends, scripted mock server
 """
 
 __version__ = "0.1.0"

@@ -213,7 +213,7 @@ def evaluate_policy(
     Unsolvable tasks and episodes whose numbers go non-finite (a diverged
     sampler, NaN frames) do not raise: they contribute zero completeness and
     a failed episode, per the convention that evaluation never aborts.
-    `planner` defaults to the builtin search; a remote backend passes its own.
+    `planner` defaults to the builtin search.
     """
     if not suite.tasks:
         raise SuiteError("cannot evaluate an empty suite")

@@ -14,7 +14,6 @@ import yaml
 
 from ..critic import CriticWeights
 from ..errors import LoopwmError
-from ..gateway import AgentBackend
 from ..grpo import GrpoConfig
 from ..loop import LoopConfig
 from ..microworld import DomainSpec
@@ -72,13 +71,6 @@ DEFAULTS: dict = {
         "mode": "full",
         "suite_seed": None,
     },
-    "backend": {
-        "kind": "builtin",
-        "base_url": None,
-        "timeout": 5.0,
-        "retries": 2,
-        "token_env": None,
-    },
 }
 
 
@@ -96,7 +88,6 @@ class RunConfig:
     grpo: dict
     critic: dict
     bench: dict
-    backend: dict
 
     def to_dict(self) -> dict:
         return {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self)}
@@ -120,18 +111,6 @@ class RunConfig:
         if len(weights) != 5:
             raise UsageError(f"critic.weights needs 5 entries, got {len(weights)}")
         return CriticWeights(*[float(w) for w in weights])
-
-    def agent_backend(self) -> AgentBackend:
-        raw = self.backend
-        if raw["kind"] == "builtin":
-            return AgentBackend(kind="builtin")
-        return AgentBackend(
-            kind=raw["kind"],
-            base_url=raw["base_url"] or "",
-            timeout=float(raw["timeout"]),
-            retries=int(raw["retries"]),
-            token_env=raw["token_env"],
-        )
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -185,7 +164,6 @@ def resolve_config(config_path: str | Path | None = None,
         config.loop_config()
         config.grpo_config()
         config.critic_weights()
-        config.agent_backend()
     except (LoopwmError, ValueError, TypeError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return config

@@ -1,4 +1,4 @@
-"""Command-line entry point: plan, train, benchmark, compare, serve.
+"""Command-line entry point: plan, train, benchmark, compare.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
 run command materializes a directory holding the resolved config, logs,
@@ -17,7 +17,6 @@ import csv
 import json
 import logging
 import sys
-import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import replace
@@ -34,13 +33,12 @@ from ..bench import (
     save_suite,
     verify_suite,
 )
-from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError, WireError
-from ..gateway import RemoteClient, RemotePlanner, canonical_bytes, encode_step, parse_wire_literal, remote_critic_fn, run_mock_server
+from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError
 from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, train
 from ..loop import OraclePolicy, SearchPlanner, default_critic
 from ..microworld import DomainSpec, load_domain
 from ..numerics import NetParams, RandomSource, clone_params, net_init
-from ..planner import Goal
+from ..planner import Goal, parse_goal_literal, plan
 from ..report import svg_line_chart, write_csv
 from ..worldmodel import (
     PolicyBundle,
@@ -100,8 +98,8 @@ def _parse_goal(spec: DomainSpec, text: str) -> Goal:
     if not tokens:
         raise UsageError("goal text is empty")
     try:
-        literals = tuple(parse_wire_literal(spec, tok) for tok in tokens)
-    except WireError as exc:
+        literals = tuple(parse_goal_literal(spec, tok) for tok in tokens)
+    except DomainError as exc:
         raise UsageError(str(exc)) from exc
     return Goal(literals)
 
@@ -142,43 +140,20 @@ def _run_logging(run_dir: Path):
         logger.setLevel(prev_level)
 
 
-def _remote_client(config: RunConfig) -> RemoteClient | None:
-    if config.backend["kind"] == "builtin":
-        return None
-    try:
-        return RemoteClient(config.agent_backend())
-    except LoopwmError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------- plan
 
 def cmd_plan(args: argparse.Namespace) -> int:
     config = _resolve(args)
     spec = _load_spec(config.domain)
     goal = _parse_goal(spec, args.goal)
-    client = _remote_client(config)
-    planner = RemotePlanner(client) if client else SearchPlanner()
     try:
-        sequence = planner.plan(spec, goal, spec.initial_state())
+        sequence = plan(spec, goal, spec.initial_state())
     except NoPlanError as exc:
         raise UsageError(f"no plan: {exc}") from exc
-    payload = {"steps": [encode_step(step) for step in sequence.steps]}
-    blob = canonical_bytes(payload) + b"\n"
-    if args.format == "wire":
-        sys.stdout.buffer.write(blob)
-        sys.stdout.flush()
-    else:
-        noun = "step" if len(sequence.steps) == 1 else "steps"
-        print(f"plan for '{goal.text}' in {spec.name} ({len(sequence.steps)} {noun}):")
-        for step in sequence.steps:
-            print(f"  {step.sid}. {step.instruction}")
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(blob)
-        if args.format != "wire":
-            print(f"wrote {out}")
+    noun = "step" if len(sequence.steps) == 1 else "steps"
+    print(f"plan for '{goal.text}' in {spec.name} ({len(sequence.steps)} {noun}):")
+    for step in sequence.steps:
+        print(f"  {step.sid}. {step.instruction}")
     return 0
 
 
@@ -422,23 +397,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     weights = config.critic_weights()
     run_dir = _prepare_run_dir(config, args.out)
-    client = _remote_client(config)
-    if client:
-        critic = remote_critic_fn(client, weights=weights, tau=loop_config.tau)
-    else:
-        critic = default_critic(loop_config, weights)
     with _run_logging(run_dir):
         _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d",
                   spec.name, mode, suite_seed, len(suite))
         report = evaluate_policy(
-            policy, suite, config=loop_config, critic=critic,
+            policy, suite, config=loop_config, critic=default_critic(loop_config, weights),
             rng=RandomSource(config.seed).split(7),
-            planner=RemotePlanner(client) if client else None,
         )
         save_suite(suite, run_dir / "reports" / "suite.json")
         report.write_json(run_dir / "reports" / "report.json")
-        if client is not None:
-            client.write_transcript(run_dir / "logs" / "wire.jsonl")
     for line in _report_lines(mode, report):
         print(line)
     print(f"report: {run_dir / 'reports' / 'report.json'}")
@@ -470,30 +437,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- mock-serve
-
-def cmd_mock_serve(args: argparse.Namespace) -> int:
-    script = Path(args.script)
-    if not script.exists():
-        raise UsageError(f"script not found: {script}")
-    try:
-        handle = run_mock_server(script, port=args.port)
-    except LoopwmError as exc:
-        raise UsageError(str(exc)) from exc
-    print(f"mock server on {handle.base_url}", flush=True)
-    try:
-        if args.duration > 0:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.stop()
-    return 0
-
-
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[base], help="plan a goal from the initial state")
     p.add_argument("goal", help="comma-separated goal literals, e.g. 'lid removed'")
-    p.add_argument("--format", choices=("human", "wire"), default="human",
-                   help="wire prints the canonical JSON plan payload")
-    p.add_argument("--out", help="also write the wire payload to this file")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("suite", parents=[base], help="generate a frozen benchmark suite")
@@ -559,13 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="comma-separated column labels")
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("mock-serve", help="serve a scripted agent for offline tests")
-    p.add_argument("script", help="mock script JSON path")
-    p.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    p.add_argument("--duration", type=float, default=0.0,
-                   help="seconds to serve; 0 means until interrupted")
-    p.set_defaults(func=cmd_mock_serve)
 
     return parser
 

@@ -326,24 +326,6 @@ def _report(
     details = {
         "contact_applicable": applicable,
         "contact_window": window,
-        "per_action": [
-            {
-                "verb": b.verb,
-                "tool": b.tool or "",
-                "match": bool(applicable and interaction >= 0.5),
-                "score": interaction,
-                "reason": reasons["object_interaction"],
-            }
-            for b in step.actions
-        ],
-        "per_event": [
-            {
-                "event_id": str(lit),
-                "score": 1.0 if ok else 0.0,
-                "reason": f"final frame {'satisfies' if ok else 'violates'} '{lit}'",
-            }
-            for lit, ok in post_hits.items()
-        ],
     }
 
     report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, details)

@@ -36,13 +36,5 @@ class NumericError(LoopwmError, ValueError):
     """
 
 
-class WireError(LoopwmError):
-    """Raised for wire payloads that do not match the documented schemas."""
-
-
-class RemoteError(LoopwmError):
-    """Raised when a remote backend fails after retries or returns garbage."""
-
-
 class SuiteError(LoopwmError):
     """Raised when a benchmark suite cannot be generated or reconciled."""

@@ -34,7 +34,7 @@ def decode_frame(spec: DomainSpec, frame: np.ndarray) -> SymbolicState:
 
 
 def state_summary(spec: DomainSpec, state: SymbolicState) -> str:
-    """Deterministic one-line text rendering, used on the wire instead of pixels."""
+    """Deterministic one-line text rendering."""
     parts = []
     for pred, _ in spec.predicates:
         parts.append(pred if state.predicates[pred] else f"not {pred}")

@@ -12,6 +12,7 @@ from .types import (
     PlanStep,
     ValidationReport,
     describe_literals,
+    parse_goal_literal,
 )
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "RETRY_SAME_TAG",
     "ValidationReport",
     "describe_literals",
+    "parse_goal_literal",
     "plan",
     "replan",
     "validate_plan",

@@ -189,7 +189,7 @@ def test_interaction_not_applicable_scores_one():
     report = evaluate(spec, seg, step)
     assert report.scores["object_interaction"] == 1.0
     assert report.details["contact_applicable"] is False
-    assert report.details["per_action"][0]["match"] is False
+    assert report.reasons["object_interaction"] == "no motion profile; contact check not applicable"
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,12 +2,13 @@ import pytest
 
 from loopwm.bench.oracle import minimal_plan_length
 from loopwm.errors import DomainError, NoPlanError
-from loopwm.microworld import ActionBinding, apply_operator, parse_literal
+from loopwm.microworld import ActionBinding, Literal, apply_operator, parse_literal
 from loopwm.numerics import RandomSource
 from loopwm.planner import (
     FailureContext,
     Goal,
     PlanSequence,
+    parse_goal_literal,
     plan,
     replan,
     validate_plan,
@@ -68,6 +69,21 @@ def test_node_budget_exhaustion_raises(kitchen):
 def test_unknown_goal_predicate_raises(kitchen):
     with pytest.raises(DomainError, match="cup.levitating"):
         plan(kitchen, goal_of("cup.levitating"), kitchen.initial_state())
+
+
+def test_goal_literal_forms(kitchen):
+    assert parse_goal_literal(kitchen, "jar.closed") == Literal("jar.closed", True)
+    assert parse_goal_literal(kitchen, "not jar.closed") == Literal("jar.closed", False)
+    assert parse_goal_literal(kitchen, "jar closed") == Literal("jar.closed", True)
+    assert parse_goal_literal(kitchen, "lid removed") == Literal("jar.lid_removed", True)
+    assert parse_goal_literal(kitchen, "kettle grasped") == Literal("kettle.grasped", True)
+    # "grasped" is a suffix of two predicates, so it must be rejected
+    with pytest.raises(DomainError, match="grasped"):
+        parse_goal_literal(kitchen, "grasped")
+    with pytest.raises(DomainError, match="does not name a predicate"):
+        parse_goal_literal(kitchen, "cup levitating")
+    with pytest.raises(DomainError):
+        parse_goal_literal(kitchen, "")
 
 
 def renumbered(step, sid):
