@@ -9,6 +9,7 @@ from .metrics import (
     evaluate_policy,
     load_report,
     mode_config,
+    run_suite,
 )
 from .oracle import DEFAULT_MAX_LEN, minimal_plan_length
 from .suite import (
@@ -44,6 +45,7 @@ __all__ = [
     "load_suite",
     "minimal_plan_length",
     "mode_config",
+    "run_suite",
     "save_suite",
     "verify_suite",
 ]

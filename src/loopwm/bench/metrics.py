@@ -13,8 +13,13 @@ averaged over every generated segment in the bucket:
                       has no motion profile; all-skipped buckets report N/A
   physical fidelity   per-frame physics compliance
 
-Episodes run one after another in task order, each on its own stream split
-from the evaluation's, so a task's result does not depend on the others.
+Every task's episode runs on its own stream split from the evaluation's, so
+a task's draws do not depend on the others. The episodes run in lockstep:
+each round, every episode waiting for segments hands its request to one
+`fulfil` call, so a batching policy samples the whole round in one batch. A
+row's last bits may depend on which rows share its batch (see
+`sample_group`), so a task's frames equal those of the task run alone up to
+rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from ..critic.scoring import coherence_score
 from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
-from ..loop import EpisodeLog, LoopConfig, run_episode
+from ..loop import EpisodeLog, LoopConfig, episode, fulfil
 from ..microworld import Segment
 from ..numerics import RandomSource
 from .suite import DIFFICULTIES, PromptSuite
@@ -200,6 +205,47 @@ def _aggregate(samples: list[_EpisodeSamples]) -> MetricRow:
     )
 
 
+def run_suite(
+    policy,
+    suite: PromptSuite,
+    config: LoopConfig | None = None,
+    critic=None,
+    rng: RandomSource | None = None,
+    planner=None,
+) -> list[EpisodeLog | None]:
+    """Run one episode per task in lockstep; None marks an episode that failed.
+
+    Every episode starts at once, task i on `rng.split(i)`. Each round
+    hands the requests of all episodes still running to one `fulfil` call
+    and resumes each episode with its draw, until every episode has ended.
+    An unsolvable task, or an episode whose numbers go non-finite (a
+    diverged sampler, NaN frames), fails alone and the rest run on.
+    """
+    config = config or LoopConfig()
+    rng = rng or RandomSource(0)
+    running = [episode(suite.spec, task.goal, config, rng.split(i), planner, critic)
+               for i, task in enumerate(suite.tasks)]
+    logs: list[EpisodeLog | None] = [None] * len(running)
+    pending = {}
+
+    def resume(i: int, draw) -> None:
+        try:
+            pending[i] = running[i].send(draw)
+        except StopIteration as done:
+            logs[i] = done.value
+        except (NoPlanError, DivergenceError, NumericError):
+            pass
+
+    for i in range(len(running)):
+        resume(i, None)
+    while pending:
+        waiting = list(pending)
+        requests = [pending.pop(i) for i in waiting]
+        for i, draw in zip(waiting, fulfil(policy, requests)):
+            resume(i, draw)
+    return logs
+
+
 def evaluate_policy(
     policy,
     suite: PromptSuite,
@@ -208,36 +254,18 @@ def evaluate_policy(
     rng: RandomSource | None = None,
     planner=None,
 ) -> MetricReport:
-    """Run one episode per task and aggregate the metric set.
+    """Run one episode per task (`run_suite`) and aggregate the metric set.
 
-    Unsolvable tasks and episodes whose numbers go non-finite (a diverged
-    sampler, NaN frames) do not raise: they contribute zero completeness and
-    a failed episode, per the convention that evaluation never aborts.
-    `planner` defaults to the builtin search.
+    Unsolvable tasks and episodes whose numbers go non-finite do not raise:
+    they contribute zero completeness and a failed episode, per the
+    convention that evaluation never aborts. `planner` defaults to the
+    builtin search.
     """
     if not suite.tasks:
         raise SuiteError("cannot evaluate an empty suite")
-    config = config or LoopConfig()
-    rng = rng or RandomSource(0)
-    spec = suite.spec
-
-    def run_one(index: int) -> _EpisodeSamples:
-        task = suite.tasks[index]
-        try:
-            log = run_episode(
-                spec,
-                task.goal,
-                policy,
-                config=config,
-                rng=rng.split(index),
-                planner=planner,
-                critic=critic,
-            )
-        except (NoPlanError, DivergenceError, NumericError):
-            return _EpisodeSamples(0.0, False, [], [], [])
-        return _episode_samples(log)
-
-    per_task = [run_one(i) for i in range(len(suite.tasks))]
+    logs = run_suite(policy, suite, config, critic, rng, planner)
+    per_task = [_EpisodeSamples(0.0, False, [], [], []) if log is None
+                else _episode_samples(log) for log in logs]
 
     by_difficulty = {}
     for name in DIFFICULTIES:

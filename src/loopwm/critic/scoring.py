@@ -142,12 +142,12 @@ def _hit_fraction(hits: np.ndarray) -> np.ndarray:
 
 def _interaction(
     spec: DomainSpec, frames: np.ndarray, op: Operator
-) -> tuple[np.ndarray, bool, np.ndarray, tuple[int, int]]:
-    """(scores, applicable, mean window distances, window) for the contact check."""
+) -> tuple[np.ndarray, bool, np.ndarray]:
+    """(scores, applicable, mean window distances) for the contact check."""
     rows = frames.shape[0]
     actor = spec.acting_entity(op)
     if actor is None:
-        return np.ones(rows), False, np.zeros(rows), (0, 0)
+        return np.ones(rows), False, np.zeros(rows)
     w0, w1 = contact_window_frames(op.motion.contact, frames.shape[1])
     window = frames[:, w0 : w1 + 1]
     ax = spec.channel_index[f"{actor}.x"]
@@ -159,7 +159,7 @@ def _interaction(
     else:
         tx, ty = spec.objects[target].position
     dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
-    return _row_mean(dist <= CONTACT_RADIUS), True, _row_mean(dist), (w0, w1)
+    return _row_mean(dist <= CONTACT_RADIUS), True, _row_mean(dist)
 
 
 def _progress_monotone_fraction(
@@ -234,7 +234,7 @@ def evaluate_batch(
     monos = _progress_monotone_fraction(frames, step.post, spec)
     mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
     adherences = (pre_fracs + goal_scores + mono_scores) / 3.0
-    interactions, applicable, mean_dists, window = _interaction(spec, frames, op)
+    interactions, applicable, mean_dists = _interaction(spec, frames, op)
     msds = _second_difference_msd(frames)
     realisms, worst_excesses = _realism(frames)
 
@@ -242,7 +242,7 @@ def evaluate_batch(
                pre_fracs.tolist(), monos.tolist(), interactions.tolist(), mean_dists.tolist(),
                msds.tolist(), realisms.tolist(), worst_excesses.tolist())
     return [
-        _report(step, op, weights, tau, applicable, window,
+        _report(step, op, weights, tau, applicable,
                 post_hits=dict(zip(post_lits, post_hit)), pre_hits=dict(zip(pre_lits, pre_hit)),
                 adherence=adherence, goal_score=goal_score, pre_frac=pre_frac, mono=mono,
                 interaction=interaction, mean_dist=mean_dist, msd=msd, realism=realism,
@@ -258,7 +258,6 @@ def _report(
     weights: CriticWeights,
     tau: float,
     applicable: bool,
-    window: tuple[int, int],
     *,
     post_hits: dict[Literal, bool],
     pre_hits: dict[Literal, bool],
@@ -323,11 +322,7 @@ def _report(
             tags.append(f"low-score:{worst_dim}")
         tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
 
-    details = {
-        "contact_applicable": applicable,
-        "contact_window": window,
-    }
-
+    details = {"contact_applicable": applicable}
     report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, details)
     report.revised_instruction = revise_instruction(step, report)
     return report

@@ -9,8 +9,11 @@ from .engine import (
     EpisodeLog,
     LoopConfig,
     ReplanEvent,
+    Request,
     SearchPlanner,
     default_critic,
+    episode,
+    fulfil,
     inner_refine,
     run_episode,
     write_episode_logs,
@@ -25,6 +28,7 @@ __all__ = [
     "OraclePolicy",
     "Policy",
     "ReplanEvent",
+    "Request",
     "STATUS_BUDGET",
     "STATUS_PLAN_FAILURE",
     "STATUS_SUCCESS",
@@ -32,6 +36,8 @@ __all__ = [
     "Transition",
     "WorldMemory",
     "default_critic",
+    "episode",
+    "fulfil",
     "inner_refine",
     "run_episode",
     "write_episode_logs",

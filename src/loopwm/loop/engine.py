@@ -6,12 +6,16 @@ fresh noise, up to k_retries). Inner exhaustion triggers the outer loop:
 replan from the simulated state, at most max_outer_replans times per
 episode. Accepted history is never revisited.
 
-A policy whose output ignores the instruction text may offer
-`generate_many(step, memory, rng, n)`; the inner loop then takes a step's
-retries from it instead of calling `generate` once per retry with the revised
-instruction. Its contract (see `Policy`) keeps every episode's random draws
-those of the sequential path: candidates are drawn candidate-major, and after
-j+1 candidates the stream stands where j+1 `generate` calls leave it.
+An episode is one generator, `episode`, that never calls the policy. Where
+it needs segments it yields a `Request` for n candidates of one (step,
+memory) from its own stream: n = 1 for a step's first try, and n = the retry
+budget for `inner_refine`. It is resumed with a draw, which it calls once
+per candidate it takes, with the step that candidate is for (a retry's step
+carries the revised instruction). `fulfil(policy, requests)` turns a list of
+requests into their draws: through the policy's own `fulfil` when it has
+one (see `Policy`), else through one `generate` call per candidate taken.
+`run_episode` drives one episode by itself; `bench.metrics` drives a whole
+suite in lockstep, one `fulfil` call per round for every pending request.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Generator
 
 from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate, tag_dimension
 from ..errors import LoopwmError, NoPlanError
@@ -83,6 +88,10 @@ class ReplanEvent:
 
 @dataclass
 class EpisodeLog:
+    """What one episode did. `wall_seconds` runs from planning to the end, and
+    under a lockstep run it spans every round the episode was in flight,
+    including the time spent on the other episodes of those rounds."""
+
     goal: Goal
     status: str = "in-progress"
     attempts: list[AttemptRecord] = field(default_factory=list)
@@ -156,31 +165,53 @@ def default_critic(config: LoopConfig, weights: CriticWeights = DEFAULT_WEIGHTS)
     return critic
 
 
-def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, policy: Policy,
-                 critic, memory: WorldMemory, config: LoopConfig, rng: RandomSource,
-                 budget: int) -> tuple[Segment | None, CriticReport, list[AttemptRecord]]:
+@dataclass(frozen=True)
+class Request:
+    """n candidate segments for (step, memory), drawn from one episode's stream."""
+
+    step: PlanStep
+    memory: WorldMemory
+    rng: RandomSource
+    n: int
+
+
+# called once per candidate taken, with the step that candidate is for
+Draw = Callable[[PlanStep], Segment]
+Episode = Generator[Request, Draw, EpisodeLog]
+
+
+def fulfil(policy: Policy, requests: list[Request]) -> list[Draw]:
+    """One draw per request: the policy's own `fulfil`, else its `generate`."""
+    batched = getattr(policy, "fulfil", None)
+    if batched is not None:
+        return batched(requests)
+    return [lambda step, r=r: policy.generate(step, r.memory, r.rng) for r in requests]
+
+
+def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, critic,
+                 memory: WorldMemory, config: LoopConfig, rng: RandomSource,
+                 budget: int) -> Generator[Request, Draw,
+                                           tuple[Segment | None, CriticReport,
+                                                 list[AttemptRecord]]]:
     """Retry a rejected step with revised instructions and fresh noise.
 
     Returns (accepted segment or None, best report seen, attempt records).
     ``budget`` already accounts for both k_retries and the episode's segment
-    budget; zero means fail immediately without generating. A policy with
-    ``generate_many`` supplies the retries from one lazy batch of ``budget``
-    candidates; since its output ignores the instruction, the revised
-    instruction is only recorded and scored against.
+    budget; zero means fail immediately without generating. Otherwise it
+    yields one request for ``budget`` candidates and takes them in turn,
+    each for the step with the instruction the last report revised.
     """
     best = report
     records: list[AttemptRecord] = []
+    if budget < 1:
+        return None, best, records
     current = report
-    generate_many = getattr(policy, "generate_many", None)
-    candidates = None if generate_many is None else generate_many(step, memory, rng, budget)
+    draw = yield Request(step, memory, rng, budget)
     for attempt in range(1, budget + 1):
         retry_step = step
         if current.revised_instruction != step.instruction:
             retry_step = step.with_instruction(current.revised_instruction)
-        if candidates is None:
-            segment = policy.generate(retry_step, memory, rng)
-        else:
-            segment = next(candidates)
+        segment = draw(retry_step)
         current = critic(spec, segment, retry_step)
         accepted = current.scalar >= config.tau
         records.append(AttemptRecord(step.sid, attempt, retry_step.instruction,
@@ -215,13 +246,14 @@ def _failure_context(goal: Goal, step: PlanStep, best: CriticReport,
                           state=memory.state.copy())
 
 
-def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
-                config: LoopConfig | None = None, rng: RandomSource | None = None,
-                planner=None, critic=None) -> EpisodeLog:
-    """Drive one closed-loop episode to success, plan failure, or budget end.
+def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
+            rng: RandomSource | None = None, planner=None, critic=None) -> Episode:
+    """One closed-loop episode, run to success, plan failure, or budget end.
 
-    An unsolvable goal raises NoPlanError up front; a failed replan mid-episode
-    is recorded as a replan event and ends the episode as a plan failure.
+    Yields a `Request` wherever it needs segments and expects the request's
+    draw back; returns the `EpisodeLog`. An unsolvable goal raises
+    NoPlanError up front; a failed replan mid-episode is recorded as a replan
+    event and ends the episode as a plan failure.
     """
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
@@ -246,7 +278,8 @@ def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
         if log.segments_generated >= config.max_total_segments:
             status = STATUS_BUDGET
             break
-        segment = policy.generate(step, memory, rng)
+        draw = yield Request(step, memory, rng, 1)
+        segment = draw(step)
         log.segments_generated += 1
         report = critic(spec, segment, step)
         accepted = report.scalar >= config.tau
@@ -260,8 +293,8 @@ def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
 
         budget = min(config.k_retries,
                      config.max_total_segments - log.segments_generated)
-        refined, best, records = inner_refine(spec, step, report, policy, critic,
-                                              memory, config, rng, budget)
+        refined, best, records = yield from inner_refine(spec, step, report, critic,
+                                                         memory, config, rng, budget)
         log.segments_generated += len(records)
         log.attempts.extend(records)
         if refined is not None:
@@ -295,3 +328,16 @@ def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
     log.final_state_text = state_summary(spec, memory.state)
     return log
 
+
+def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
+                config: LoopConfig | None = None, rng: RandomSource | None = None,
+                planner=None, critic=None) -> EpisodeLog:
+    """Drive one `episode` by itself, fulfilling each request as it comes."""
+    running = episode(spec, goal, config, rng, planner, critic)
+    try:
+        request = next(running)
+        while True:
+            (draw,) = fulfil(policy, [request])
+            request = running.send(draw)
+    except StopIteration as done:
+        return done.value

@@ -1,8 +1,8 @@
 """Segment-generating policies the loop engine can drive.
 
 Anything with generate(step, memory, rng) -> Segment works; the world-model
-policy lives next to its sampler, and the two here exist for oracle runs and
-adversarial tests.
+policy lives next to its sampler and also serves batched requests, and the
+two here exist for oracle runs and adversarial tests.
 """
 
 from __future__ import annotations
@@ -20,14 +20,20 @@ from ..planner import PlanStep
 class Policy(Protocol):
     """What the loop engine drives.
 
-    A policy may also offer ``generate_many(step, memory, rng, n)``, an
-    iterator over n retry candidates, but only if its output ignores
-    ``step.instruction``: the engine then scores the candidates against the
-    revised instructions it would have passed to ``generate``. Its draws
-    must be those of n successive ``generate`` calls, candidate-major (all of
-    candidate j's draws before candidate j+1's), and when candidate j is
-    handed out, ``rng`` must stand where j+1 ``generate`` calls leave it, so
-    the engine may stop at any candidate without changing later draws.
+    A policy may also offer ``fulfil(requests)``, which serves a list of
+    `Request`s (n candidates for (step, memory) from one episode's stream
+    each) at once and returns one draw per request: a callable that the
+    episode calls once per candidate it takes, with the step that candidate
+    is for. Offer it only if the output ignores ``step.instruction``, since
+    a retry's revised instruction is known only after the previous candidate
+    is scored. A request's draws must be those of n successive ``generate``
+    calls on its stream, candidate-major (all of candidate j's draws before
+    candidate j+1's), and when candidate j is taken the stream must stand
+    where j+1 ``generate`` calls leave it, so the episode may stop at any
+    candidate without changing later draws. A failure that belongs to one
+    request, such as a non-finite condition or a diverged row, is raised by
+    that request's draw, at the candidate it concerns, and by no other.
+    Without ``fulfil`` every candidate is one ``generate`` call.
     """
 
     def generate(self, step: PlanStep, memory: WorldMemory, rng: RandomSource) -> Segment:

@@ -22,6 +22,7 @@ from .sampler import (
     net_input,
     sample_group,
     sample_ode,
+    sample_rows,
     sample_sde,
     score_term,
     trace_dtype,
@@ -49,6 +50,7 @@ __all__ = [
     "policy_manifest",
     "sample_group",
     "sample_ode",
+    "sample_rows",
     "sample_sde",
     "save_policy",
     "score_term",

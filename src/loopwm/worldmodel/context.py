@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, NumericError
 from ..microworld import DomainSpec, encode_state
 from ..planner import PlanStep
 
@@ -73,5 +73,5 @@ def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
     sid_norm = np.array([min(step.sid, MAX_NORM_SID) / MAX_NORM_SID], dtype=np.float64)
     cond = np.concatenate([frame, one_hot, mask, sid_norm])
     if not np.all(np.isfinite(cond)):
-        raise DomainError("non-finite values in condition vector")
+        raise NumericError("non-finite values in condition vector")
     return cond

@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
-from ..errors import CheckpointError, DivergenceError
+from ..errors import CheckpointError, DivergenceError, LoopwmError
 from ..microworld import DomainSpec, Segment, domain_hash
 from ..numerics import NetParams, RandomSource, clone_params, load_checkpoint, save_checkpoint
 from .context import context_width, embed_condition
-from .sampler import SamplerConfig, sample_group, sample_sde
+from .sampler import SamplerConfig, sample_rows, sample_sde
 
 MANIFEST_FORMAT = "loopwm-policy-v1"
 
@@ -100,8 +100,8 @@ class WorldModelPolicy:
     """Generates segments by denoising noise conditioned on (step, memory).
 
     The condition reads the step's operator, channel mask and sid and the
-    memory's context frame, never the instruction text, so the policy offers
-    the loop engine's batched `generate_many`.
+    memory's context frame, never the instruction text, so the policy serves
+    the loop engine's requests in batches through `fulfil`.
     """
 
     def __init__(self, theta: NetParams, spec: DomainSpec, config: SamplerConfig):
@@ -116,39 +116,62 @@ class WorldModelPolicy:
         segment, _ = sample_sde(self.theta, cond, z_init, self.config, rng)
         return segment
 
-    def generate_many(self, step, memory, rng: RandomSource, n: int) -> Iterator[Segment]:
-        """Lazily yield the n segments of n successive `generate` calls.
+    def fulfil(self, requests) -> list[Callable]:
+        """Serve every request's candidates with one `sample_rows` call.
 
-        Candidate j's z_init and noise are drawn in the order n sequential
-        calls would draw them, and all n rows are sampled in one
-        `sample_group` call on the first request. Before candidate j is
-        yielded, `rng` is put where the sequential calls leave it after j+1
-        candidates, so a caller may stop at any candidate. If the batch
-        diverges, the candidates are generated one at a time instead, and
-        only a candidate that diverges on its own raises.
+        Each request's z_init and (K, L) noise are drawn from its own stream
+        in the order its n `generate` calls would draw them, and each of its
+        rows is sampled under its own condition. Its draw hands out the
+        candidates in turn and, before candidate j, puts the stream where j+1
+        `generate` calls leave it. A request whose condition cannot be built
+        draws nothing and fails at its first candidate; a row that diverges
+        fails at its own candidate; neither touches the other requests.
         """
-        if n < 1:
-            return
-        cond = embed_condition(self.spec, step, memory)
-        latent, stochastic = self.config.latent_width, self.config.eta_scale > 0.0
-        start = rng.tell()
-        z_init = np.empty((n, latent))
-        noise = np.empty((n, self.config.k_steps, latent)) if stochastic else None
-        positions = []
-        for j in range(n):
-            z_init[j] = rng.normal(shape=latent)
-            if stochastic:
-                noise[j] = rng.normal(shape=(self.config.k_steps, latent))
-            positions.append(rng.tell())
-        try:
-            rows = sample_group(self.theta, cond, z_init, self.config, noise)
-        except DivergenceError:
-            rows = None
-        if rows is None:
-            rng.seek(start)
-            for _ in range(n):
-                yield self.generate(step, memory, rng)
-            return
-        for (segment, _), position in zip(rows, positions):
-            rng.seek(position)
-            yield segment
+        latent, k_steps = self.config.latent_width, self.config.k_steps
+        stochastic = self.config.eta_scale > 0.0
+        total = sum(request.n for request in requests)
+        cond = np.empty((total, context_width(self.spec)))
+        z_init = np.empty((total, latent))
+        noise = np.empty((total, k_steps, latent)) if stochastic else None
+        served, row = [], 0
+        for request in requests:
+            try:
+                request_cond = embed_condition(self.spec, request.step, request.memory)
+            except LoopwmError as exc:
+                served.append((exc, []))
+                continue
+            positions = []
+            for _ in range(request.n):
+                cond[row] = request_cond
+                z_init[row] = request.rng.normal(shape=latent)
+                if stochastic:
+                    noise[row] = request.rng.normal(shape=(k_steps, latent))
+                positions.append(request.rng.tell())
+                row += 1
+            served.append((None, positions))
+        segments = []
+        if row:
+            segments = sample_rows(self.theta, cond[:row], z_init[:row], self.config,
+                                   None if noise is None else noise[:row])
+        draws, first = [], 0
+        for request, (failure, positions) in zip(requests, served):
+            last = first + len(positions)
+            draws.append(_draw(request.rng, segments[first:last], positions, failure))
+            first = last
+        return draws
+
+
+def _draw(rng: RandomSource, segments: list, positions: list, failure: LoopwmError | None):
+    """Hand out one request's segments in turn, each from its stream position."""
+    candidates = iter(zip(segments, positions))
+
+    def draw(step) -> Segment:
+        if failure is not None:
+            raise failure
+        segment, position = next(candidates)
+        rng.seek(position)
+        if segment is None:
+            raise DivergenceError(f"sampler state of step {step.sid} went non-finite")
+        return segment
+
+    return draw

@@ -22,11 +22,15 @@ column k at denoise step k, and row i's `DenoiseTrace.steps` is the (K,)
 view of row i. Deterministic transitions (eta_scale = 0) record std = 0 and
 logp = 0: they carry no density, and transition_logprob refuses them.
 
-Sampling works on rows: `sample_group` denoises G paths that share one
-condition, with one (G, width) network evaluation per step. It takes the
-initial latents and every step's noise as arrays, so the caller decides which
-stream draws what. `sample_sde` is the one-row call that draws its noise from
-one stream, and `sample_ode` the one-row call without noise.
+Sampling works on rows: `sample_group` denoises G paths, each under the
+shared condition or its own, with one (G, width) network evaluation per step.
+It takes the initial latents and every step's noise as arrays, so the caller
+decides which stream draws what; GRPO samples a group under one condition.
+`sample_rows` integrates the same rows without recording traces and fails
+row by row instead of raising; the world-model policy samples a round of
+requests from many episodes with it. `sample_sde` is the one-row call that
+draws its noise from one stream, and `sample_ode` the one-row call without
+noise.
 """
 
 from __future__ import annotations
@@ -122,37 +126,15 @@ def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> 
     return -(np.asarray(z) - (1.0 - t) * np.asarray(x_pred)) / (sigma * sigma)
 
 
-def _check_finite(z: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError(f"non-finite sampler state at t={t}")
-
-
 def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
-    frames = np.asarray(z, dtype=np.float64).reshape(config.n_frames, config.frame_width)
+    # a copy, so a kept segment does not pin the whole batch's final state
+    frames = np.array(z, dtype=np.float64).reshape(config.n_frames, config.frame_width)
     return Segment(frames=frames)
 
 
-def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-                 config: SamplerConfig,
-                 noise: np.ndarray | None) -> list[tuple[Segment, DenoiseTrace]]:
-    """Euler-Maruyama integration of the score-corrected reverse SDE, one path per row.
-
-    Row contract: the G rows share `cond`. `z_init` is one initial latent of
-    shape (L,) shared by every row, or one per row, (G, L). `noise` holds
-    every row's Wiener increments, shape (G, K, L): row i takes
-    `noise[i, k]` at denoise step k. A stream's (K, L) draw equals K
-    successive (L,) draws, so row i equals `sample_sde` on the stream that
-    drew `noise[i]`, up to rounding: BLAS may sum a G-row matrix product in
-    another order than a one-row product. Each step makes one (G, width)
-    network evaluation.
-
-    `theta`, the widths, `cond`, `z_init` and the noise shape are validated
-    once, here; inside the loop only the state is checked, and a non-finite
-    state (from a net that returns NaN or infinity, non-finite noise, or a
-    blow-up) raises DivergenceError. With eta_scale = 0 the noise is not
-    used and may be None: the diffusion and score terms vanish and every row
-    follows the Euler path of `sample_ode` (bitwise for one row).
-    """
+def _validated(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
+               noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Check the row contract once; return (cond, z_init at one row per path, noise)."""
     check_params(theta)
     cond = np.asarray(cond, dtype=np.float64)
     z = np.array(z_init, dtype=np.float64, ndmin=2)
@@ -161,39 +143,53 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
         raise LoopwmError(
             f"z_init has shape {np.shape(z_init)}, expected ({latent},) or (G, {latent})"
         )
-    if cond.ndim != 1 or latent + 1 + cond.size != theta.sizes[0]:
+    if cond.ndim not in (1, 2) or latent + 1 + cond.shape[-1] != theta.sizes[0]:
         raise LoopwmError(
-            f"net input width {latent + 1 + cond.size} does not match net input {theta.sizes[0]}"
+            f"net input width {latent + 1 + cond.shape[-1]} does not match "
+            f"net input {theta.sizes[0]}"
         )
     require_finite(cond, "cond")
     require_finite(z, "z_init")
-    stochastic = config.eta_scale > 0.0
     if noise is None:
-        if stochastic:
-            raise LoopwmError("sample_group needs noise when eta_scale > 0")
-        rows = z.shape[0]
+        if config.eta_scale > 0.0:
+            raise LoopwmError("sampling needs noise when eta_scale > 0")
+        rows = max(z.shape[0], cond.shape[0] if cond.ndim == 2 else 1)
     else:
         noise = np.asarray(noise, dtype=np.float64)
         rows = noise.shape[0] if noise.ndim == 3 else 0
-        if noise.shape != (rows, config.k_steps, latent) or z.shape[0] not in (1, rows):
+        if noise.shape != (rows, config.k_steps, latent):
             raise LoopwmError(
-                f"noise has shape {noise.shape}, expected (G, {config.k_steps}, {latent}) "
-                f"with G matching z_init's {z.shape[0]} rows"
+                f"noise has shape {noise.shape}, expected (G, {config.k_steps}, {latent})"
             )
     if rows < 1:
-        raise LoopwmError("sample_group needs at least one row")
+        raise LoopwmError("sampling needs at least one row")
+    if z.shape[0] not in (1, rows) or (cond.ndim == 2 and cond.shape[0] != rows):
+        raise LoopwmError(
+            f"z_init has {z.shape[0]} rows and cond {cond.shape}; each must be shared "
+            f"or give one per row of the {rows}"
+        )
     if z.shape[0] != rows:
         z = np.tile(z, (rows, 1))
+    return cond, z, noise
+
+
+def _denoise(theta: NetParams, cond: np.ndarray, z: np.ndarray, config: SamplerConfig,
+             noise: np.ndarray | None,
+             steps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate validated rows from t=1 to t=0: (final states, rows gone non-finite).
+
+    Writes each transition into `steps`, a (G, K) trace array, when given.
+    """
+    latent = config.latent_width
+    stochastic = config.eta_scale > 0.0
     # the cond columns are written once; each step rewrites z and t in place
     x = net_input(z, 1.0, cond)
     dt = 1.0 / config.k_steps
-    steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(latent))
-    steps["dt"] = dt
+    diverged = np.zeros(z.shape[0], dtype=bool)
     for k, t in enumerate(config.time_grid()):
         x[:, :latent] = z
         x[:, latent] = t
         u = net_forward_unchecked(theta, x)
-        column = steps[:, k]
         if not stochastic:
             # the plain Euler step of sample_ode; std and logp stay 0
             z_next = z - u * dt
@@ -204,15 +200,77 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
             mean = z - drift * dt
             std = float(eta * np.sqrt(dt))
             z_next = mean + std * noise[:, k]
-            column["std"] = std
-            column["logp"] = gaussian_logpdf_rows(z_next, mean, std)
-        column["t"] = t
-        column["z"] = z
-        column["z_next"] = z_next
+        if steps is not None:
+            column = steps[:, k]
+            column["t"] = t
+            column["z"] = z
+            column["z_next"] = z_next
+            if stochastic:
+                column["std"] = std
+                column["logp"] = gaussian_logpdf_rows(z_next, mean, std)
         z = z_next
-        _check_finite(z, t)
-    return [(_to_segment(z[i], config), DenoiseTrace(cond=cond, steps=steps[i]))
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            diverged |= ~finite
+            if diverged.all():
+                break
+            # a diverged row restarts from zeros so it stops spreading
+            # non-finite values; it is reported and never returned
+            z[~finite] = 0.0
+    return z, diverged
+
+
+def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
+                 config: SamplerConfig,
+                 noise: np.ndarray | None) -> list[tuple[Segment, DenoiseTrace]]:
+    """Euler-Maruyama integration of the score-corrected reverse SDE, one path per row.
+
+    Row contract: `cond` is one condition of shape (C,) shared by the G
+    rows, or one per row, (G, C). `z_init` is one initial latent of shape
+    (L,) shared by every row, or one per row, (G, L). `noise` holds every
+    row's Wiener increments, shape (G, K, L): row i takes `noise[i, k]` at
+    denoise step k. A stream's (K, L) draw equals K successive (L,) draws, so
+    row i equals `sample_sde` on its own condition and the stream that drew
+    `noise[i]`, up to rounding: BLAS may sum a G-row matrix product in
+    another order than a one-row product, so a row's last bits may depend on
+    which other rows share its call. Each step makes one (G, width) network
+    evaluation. Rows never mix, so each row's state is checked on its own.
+
+    `theta`, the widths, `cond`, `z_init` and the noise shape are validated
+    once, here; inside the loop only each row's state is checked. A row
+    whose state goes non-finite (from a net that returns NaN or infinity,
+    non-finite noise, or a blow-up) restarts from zeros, so it stops
+    spreading non-finite values, and the call raises DivergenceError at the
+    end, or as soon as every row has diverged. With
+    eta_scale = 0 the noise is not used and may be None: the diffusion and
+    score terms vanish and every row follows the Euler path of `sample_ode`
+    (bitwise for one row). Each row's segment holds its own copy of the
+    frames.
+    """
+    cond, z, noise = _validated(theta, cond, z_init, config, noise)
+    rows = z.shape[0]
+    steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(config.latent_width))
+    steps["dt"] = 1.0 / config.k_steps
+    z, diverged = _denoise(theta, cond, z, config, noise, steps)
+    if diverged.any():
+        raise DivergenceError(f"sampler state went non-finite in {int(diverged.sum())} "
+                              f"of {rows} rows")
+    return [(_to_segment(z[i], config),
+             DenoiseTrace(cond=cond if cond.ndim == 1 else cond[i], steps=steps[i]))
             for i in range(rows)]
+
+
+def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
+                config: SamplerConfig, noise: np.ndarray | None) -> list[Segment | None]:
+    """The segments of `sample_group`, without traces, and failing row by row.
+
+    Same row contract and the same frames bit for bit, but no transition is
+    recorded, and a row whose state goes non-finite comes back as None while
+    the other rows are returned as usual.
+    """
+    cond, z, noise = _validated(theta, cond, z_init, config, noise)
+    z, diverged = _denoise(theta, cond, z, config, noise)
+    return [None if diverged[i] else _to_segment(z[i], config) for i in range(z.shape[0])]
 
 
 def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,

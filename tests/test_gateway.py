@@ -219,7 +219,7 @@ def test_remote_critic_matches_builtin_shape(kitchen):
     builtin = evaluate(kitchen, segment, step)
     assert set(builtin.scores) == set(builtin.reasons) == set(DIMENSIONS)
     assert builtin.scalar == aggregate(builtin.scores)
-    assert set(builtin.details) == {"contact_applicable", "contact_window"}
+    assert set(builtin.details) == {"contact_applicable"}
     outside = plain_data_critic(0.7)(kitchen, segment, step)
     assert outside.scores == builtin.scores
     assert outside.scalar == builtin.scalar

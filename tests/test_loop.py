@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import loopwm.worldmodel.policy as policy_module
-from loopwm.errors import DivergenceError, NoPlanError
+from loopwm.bench import evaluate_policy, generate_suite, run_suite
+from loopwm.errors import DivergenceError, NoPlanError, NumericError
 from loopwm.loop import (
     STATUS_BUDGET,
     STATUS_PLAN_FAILURE,
@@ -22,7 +23,7 @@ from loopwm.loop import (
 )
 from loopwm.microworld import apply_operator, parse_literal, reference_segment
 from loopwm.numerics import RandomSource, net_init
-from loopwm.planner import RETRY_SAME_TAG, Goal
+from loopwm.planner import RETRY_SAME_TAG, Goal, plan
 from loopwm.critic import evaluate
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 
@@ -216,17 +217,30 @@ def test_episode_log_roundtrips_as_jsonl(tmp_path, kitchen):
                                     "scalar", "tags", "scores"}
 
 
-# ---------------------------------------------------- batched inner retries
+# ------------------------------------------------- batched and lockstep sampling
 
 
-def learned_policy(spec, seed=0):
-    config = SamplerConfig(k_steps=3, eta_scale=0.3, n_frames=4, frame_width=len(spec.channels))
+def learned_policy(spec, seed=0, eta_scale=0.3):
+    config = SamplerConfig(k_steps=3, eta_scale=eta_scale, n_frames=4,
+                           frame_width=len(spec.channels))
     theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(seed))
     return WorldModelPolicy(theta, spec, config)
 
 
+def diverging_policy(spec):
+    """A learned policy whose rows go NaN or not depending on their own noise."""
+    policy = learned_policy(spec)
+    # hidden unit 0 sums max/1.8 * z[0] and -inf * t: NaN once a row's first
+    # latent coordinate passes 1.8, so whether a row diverges rests on its noise
+    weights = policy.theta.weights[0]
+    weights[0, :] = 0.0
+    weights[0, 0] = np.finfo(np.float64).max / 1.8
+    weights[0, policy.config.latent_width] = -np.inf
+    return policy
+
+
 class GenerateOnly:
-    """The sequential path of a policy: hides its generate_many from the engine."""
+    """The sequential path of a policy: hides its batched `fulfil` from the engine."""
 
     def __init__(self, policy):
         self.policy = policy
@@ -278,31 +292,87 @@ def first_retry_critic():
 
 
 def test_divergence_in_an_untaken_batch_row_keeps_the_episode(kitchen, monkeypatch):
-    policy = learned_policy(kitchen)
-    # hidden unit 0 sums max/1.8 * z[0] and -inf * t: NaN once a row's first
-    # latent coordinate passes 1.8, so whether a row diverges rests on its noise
-    weights = policy.theta.weights[0]
-    weights[0, :] = 0.0
-    weights[0, 0] = np.finfo(np.float64).max / 1.8
-    weights[0, policy.config.latent_width] = -np.inf
-    batch_divergences = []
-    sample_group = policy_module.sample_group
+    policy = diverging_policy(kitchen)
+    batches = []
+    sample_rows = policy_module.sample_rows
 
-    def counting_sample_group(*args):
-        try:
-            return sample_group(*args)
-        except DivergenceError:
-            batch_divergences.append(len(args[2]))
-            raise
+    def recording_sample_rows(*args):
+        rows = sample_rows(*args)
+        batches.append([row is None for row in rows])
+        return rows
 
-    monkeypatch.setattr(policy_module, "sample_group", counting_sample_group)
+    monkeypatch.setattr(policy_module, "sample_rows", recording_sample_rows)
     with np.errstate(over="ignore", invalid="ignore"):
         batched, sequential = (
             run_episode(kitchen, goal_of("cup.full"), p, rng=RandomSource(6),
                         critic=first_retry_critic())
             for p in (policy, GenerateOnly(policy))
         )
-    # a retry batch diverged in a row after the accepted first retry
-    assert batch_divergences == [3]
+    # a row of a retry batch diverged after the accepted first retry
+    assert [False, False, True] in batches or [False, True, False] in batches
     assert batched.status == STATUS_SUCCESS
     assert_same_episode(batched, sequential)
+
+
+def run_alone(spec, suite, policy, config, rng, critic=None):
+    """Each task's episode by itself through `generate`; None where it failed."""
+    logs = []
+    for i, task in enumerate(suite.tasks):
+        try:
+            logs.append(run_episode(spec, task.goal, GenerateOnly(policy), config,
+                                    rng=rng.split(i), critic=critic))
+        except (NoPlanError, DivergenceError, NumericError):
+            logs.append(None)
+    return logs
+
+
+@pytest.mark.parametrize("eta_scale", [0.3, 0.0])
+def test_lockstep_suite_matches_each_episode_alone(kitchen, eta_scale):
+    suite = generate_suite(kitchen, seed=7)
+    policy = learned_policy(kitchen, eta_scale=eta_scale)
+    config = LoopConfig(tau=0.4)
+    rng = RandomSource(3)
+    lockstep = run_suite(policy, suite, config, rng=rng)
+    alone = run_alone(kitchen, suite, policy, config, rng)
+    assert len(lockstep) == len(alone) == 50
+    for log, reference in zip(lockstep, alone):
+        assert_same_episode(log, reference)
+    attempts = [a for log in lockstep for a in log.attempts]
+    assert any(a.accepted for a in attempts) and any(not a.accepted for a in attempts)
+    assert any(log.replans for log in lockstep)
+    assert (evaluate_policy(policy, suite, config, rng=rng)
+            == evaluate_policy(GenerateOnly(policy), suite, config, rng=rng))
+
+
+def poisoning_critic(instruction):
+    """Accepts every segment for `instruction` and then puts NaN in its last frame,
+    so the next step of that episode has a non-finite condition."""
+    def critic(spec, segment, step):
+        report = evaluate(spec, segment, step)
+        if step.instruction != instruction:
+            return report
+        segment.frames[-1, 0] = np.nan
+        return replace(report, scalar=1.0)
+
+    return critic
+
+
+@pytest.mark.parametrize("source", ["net", "condition"])
+def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, source):
+    suite = generate_suite(kitchen, seed=7)
+    config = LoopConfig(tau=0.4)
+    if source == "net":
+        policy, critic = diverging_policy(kitchen), None
+    else:
+        first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0]
+        policy, critic = learned_policy(kitchen), poisoning_critic(first.instruction)
+    rng = RandomSource(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lockstep = run_suite(policy, suite, config, critic=critic, rng=rng)
+        alone = run_alone(kitchen, suite, policy, config, rng, critic=critic)
+    failed = [log is None for log in lockstep]
+    assert failed == [log is None for log in alone]
+    assert 0 < sum(failed) < len(failed)
+    for log, reference in zip(lockstep, alone):
+        if log is not None:
+            assert_same_episode(log, reference)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwm.errors import CheckpointError, DivergenceError, DomainError, LoopwmError
+from loopwm.errors import (
+    CheckpointError,
+    DivergenceError,
+    DomainError,
+    LoopwmError,
+    NumericError,
+)
+from loopwm.loop import Request
 from loopwm.memory import WorldMemory
 from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
@@ -34,6 +41,7 @@ from loopwm.worldmodel import (
     net_input,
     sample_group,
     sample_ode,
+    sample_rows,
     sample_sde,
     save_policy,
     score_term,
@@ -258,6 +266,48 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
         assert not np.array_equal(rows[0][0].frames, rows[1][0].frames)
 
 
+@pytest.mark.parametrize("eta_scale", [0.3, 0.0])
+def test_sample_rows_are_sample_group_per_row_conditions(eta_scale):
+    # per-row conditions: each row is the one-row call under its own
+    # condition, and sample_rows hands back sample_group's frames bit for bit
+    theta = tiny_net(latent=4, cond_width=3, seed=21)
+    config = small_config(frame_width=2, eta_scale=eta_scale)
+    rng = RandomSource(8)
+    cond = rng.normal(shape=(3, 3))
+    z_init = rng.normal(shape=(3, 4))
+    noise = rng.normal(shape=(3, config.k_steps, 4)) if eta_scale else None
+    group = sample_group(theta, cond, z_init, config, noise)
+    rows = sample_rows(theta, cond, z_init, config, noise)
+    for i, ((segment, trace), row) in enumerate(zip(group, rows)):
+        assert np.array_equal(row.frames, segment.frames)
+        assert np.array_equal(trace.cond, cond[i])
+        alone, _ = sample_group(theta, cond[i], z_init[i], config,
+                                None if noise is None else noise[i:i + 1])[0]
+        np.testing.assert_allclose(segment.frames, alone.frames, rtol=0, atol=1e-12)
+    assert not np.allclose(rows[0].frames, rows[1].frames)
+    with pytest.raises(LoopwmError):
+        sample_rows(theta, cond[:2], z_init, config, noise)
+
+
+def test_sample_rows_drop_only_the_rows_that_diverge():
+    theta = tiny_net(latent=4, cond_width=3, seed=15)
+    # hidden unit 0 sums inf * cond[0] and -inf * cond[1]: NaN where the two
+    # entries share a sign, so only that row diverges
+    theta.weights[0][0, :] = 0.0
+    theta.weights[0][0, 5] = np.inf
+    theta.weights[0][0, 6] = -np.inf
+    config = small_config(frame_width=2, eta_scale=0.0)
+    cond = np.array([[1.0, -1.0, 0.5], [1.0, 1.0, 0.5], [-1.0, 1.0, 0.5]])
+    with np.errstate(invalid="ignore"):
+        rows = sample_rows(theta, cond, np.ones(4), config, None)
+        assert [row is None for row in rows] == [False, True, False]
+        with pytest.raises(DivergenceError):
+            sample_group(theta, cond, np.ones(4), config, None)
+    np.testing.assert_allclose(rows[2].frames,
+                               sample_ode(theta, cond[2], np.ones(4), config).frames,
+                               rtol=0, atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=st.sampled_from([1, 3, 8]), k_steps=st.sampled_from([1, 2, 5]),
        eta_scale=st.sampled_from([0.0, 0.3]), shared_init=st.booleans(),
@@ -288,32 +338,75 @@ def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed)
             assert np.all(steps["std"] > 0.0) and np.all(np.isfinite(steps["logp"]))
 
 
+def round_of_requests(spec, config, seed, n):
+    """A round of requests from three streams: two steps of one plan, one with memory."""
+    steps = plan_steps(spec, "cup.full")
+    advanced = WorldMemory.fresh(spec)
+    advanced.advance(steps[0], reference_segment(spec, spec.initial_state(), steps[0].actions[0],
+                                                 n_frames=config.n_frames, rng=RandomSource(9)),
+                     1.0)
+    return [Request(steps[1], WorldMemory.fresh(spec), RandomSource(seed, 1), n),
+            Request(steps[0], WorldMemory.fresh(spec), RandomSource(seed, 2), 1),
+            Request(steps[1], advanced, RandomSource(seed, 3), n)]
+
+
+def twin(rng):
+    return RandomSource(rng.seed, rng.stream)
+
+
 @pytest.mark.parametrize("eta_scale", [0.3, 0.0])
-def test_generate_many_matches_sequential_generate(kitchen, eta_scale):
-    # n batched candidates are the segments of n generate calls on an equal
-    # stream, and after j+1 of them the stream stands where j+1 calls leave it
+def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
+    # a request's n candidates are the segments of n generate calls on an
+    # equal stream, each row under its own request's condition, and after
+    # j+1 of them the stream stands where j+1 calls leave it
     config = SamplerConfig(k_steps=4, eta_scale=eta_scale, n_frames=3,
                            frame_width=len(kitchen.channels))
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
     policy = WorldModelPolicy(theta, kitchen, config)
-    step = plan_steps(kitchen, "cup.full")[1]
-    memory = WorldMemory.fresh(kitchen)
     n = 4
     for seed in range(3):
-        batched = list(policy.generate_many(step, memory, RandomSource(seed, 1), n))
-        sequential_rng = RandomSource(seed, 1)
-        assert len(batched) == n
-        for segment in batched:
-            want = policy.generate(step, memory, sequential_rng)
-            np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
-        assert not np.array_equal(batched[0].frames, batched[1].frames)
+        requests = round_of_requests(kitchen, config, seed, n)
+        sequential = [twin(r.rng) for r in requests]
+        segments = []
+        for request, draw, rng in zip(requests, policy.fulfil(requests), sequential):
+            for _ in range(request.n):
+                segment = draw(request.step)
+                want = policy.generate(request.step, request.memory, rng)
+                np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
+                segments.append(segment)
+        assert len(segments) == 2 * n + 1
+        assert not np.array_equal(segments[0].frames, segments[1].frames)
+        # the same step under another context frame is another condition
+        assert not np.allclose(segments[0].frames, segments[n + 1].frames)
         for taken in range(1, n + 1):
-            batch_rng, sequential_rng = RandomSource(seed, 1), RandomSource(seed, 1)
-            candidates = policy.generate_many(step, memory, batch_rng, n)
+            requests = round_of_requests(kitchen, config, seed, n)
+            sequential = [twin(r.rng) for r in requests]
+            draws = policy.fulfil(requests)
             for _ in range(taken):
-                next(candidates)
-                policy.generate(step, memory, sequential_rng)
-            assert batch_rng.normal() == sequential_rng.normal()
+                draws[0](requests[0].step)
+                policy.generate(requests[0].step, requests[0].memory, sequential[0])
+            assert requests[0].rng.normal() == sequential[0].normal()
+
+
+def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
+    config = SamplerConfig(k_steps=3, eta_scale=0.3, n_frames=3,
+                           frame_width=len(kitchen.channels))
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
+    policy = WorldModelPolicy(theta, kitchen, config)
+    requests = round_of_requests(kitchen, config, seed=0, n=2)
+    # a context frame poisoned after the segment passed its finiteness check
+    requests[2].memory.transitions[-1].segment.frames[-1, 0] = np.nan
+    with pytest.raises(NumericError):
+        embed_condition(kitchen, requests[2].step, requests[2].memory)
+    sequential = [twin(r.rng) for r in requests]
+    draws = policy.fulfil(requests)
+    with pytest.raises(NumericError):
+        draws[2](requests[2].step)
+    for request, draw, rng in list(zip(requests, draws, sequential))[:2]:
+        for _ in range(request.n):
+            want = policy.generate(request.step, request.memory, rng)
+            np.testing.assert_allclose(draw(request.step).frames, want.frames, rtol=0,
+                                       atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
