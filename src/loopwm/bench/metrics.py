@@ -14,12 +14,17 @@ averaged over every generated segment in the bucket:
   physical fidelity   per-frame physics compliance
 
 Every task's episode runs on its own stream split from the evaluation's, so
-a task's draws do not depend on the others. The episodes run in lockstep:
-each round, every episode waiting for segments hands its request to one
-`fulfil` call, so a batching policy samples the whole round in one batch. A
-row's last bits may depend on which rows share its batch (see
-`sample_group`), so a task's frames equal those of the task run alone up to
-rounding, not bitwise.
+a task's draws do not depend on the others. The episodes run in lockstep,
+in rounds. A round is one `fulfil` call, to which every episode waiting for
+segments hands its request, so a batching policy samples the whole round in
+one batch. Then come critique passes: in each, every episode waiting for a
+score hands its segment to one `critique` call, so a critic with `rows`
+scores the pass in one call; the passes repeat while an episode takes
+another candidate of its draw, and the next round starts once every episode
+waits for segments again. A row's last bits may depend on which rows share
+its sampler batch (see `sample_group`), so a task's frames equal those of
+the task run alone up to rounding, not bitwise; its reports are those of
+the one-row critic on those frames (see `evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,16 @@ import numpy as np
 
 from ..critic.scoring import coherence_score
 from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
-from ..loop import EpisodeLog, LoopConfig, episode, fulfil
+from ..loop import (
+    Critique,
+    EpisodeLog,
+    LoopConfig,
+    critique,
+    default_critic,
+    episode,
+    fulfil,
+    resume,
+)
 from ..microworld import Segment
 from ..numerics import RandomSource
 from .suite import DIFFICULTIES, PromptSuite
@@ -217,32 +231,41 @@ def run_suite(
 
     Every episode starts at once, task i on `rng.split(i)`. Each round
     hands the requests of all episodes still running to one `fulfil` call
-    and resumes each episode with its draw, until every episode has ended.
+    and resumes each episode with its draw. Then, as long as any episode
+    waits for a score, a pass hands every pending critique to one
+    `critique` call and resumes each episode with its report (or throws the
+    exception raised for it). Rounds go on until every episode has ended.
     An unsolvable task, or an episode whose numbers go non-finite (a
     diverged sampler, NaN frames), fails alone and the rest run on.
+    `critic` defaults to the builtin critic at the loop's tau.
     """
     config = config or LoopConfig()
+    critic = critic or default_critic(config)
     rng = rng or RandomSource(0)
-    running = [episode(suite.spec, task.goal, config, rng.split(i), planner, critic)
+    running = [episode(suite.spec, task.goal, config, rng.split(i), planner)
                for i, task in enumerate(suite.tasks)]
     logs: list[EpisodeLog | None] = [None] * len(running)
     pending = {}
 
-    def resume(i: int, draw) -> None:
+    def advance(i: int, answer) -> None:
         try:
-            pending[i] = running[i].send(draw)
+            pending[i] = resume(running[i], answer)
         except StopIteration as done:
             logs[i] = done.value
         except (NoPlanError, DivergenceError, NumericError):
             pass
 
     for i in range(len(running)):
-        resume(i, None)
+        advance(i, None)
     while pending:
-        waiting = list(pending)
-        requests = [pending.pop(i) for i in waiting]
-        for i, draw in zip(waiting, fulfil(policy, requests)):
-            resume(i, draw)
+        waiting = [i for i, wanted in pending.items() if isinstance(wanted, Critique)]
+        if waiting:
+            answers = critique(critic, suite.spec, [pending.pop(i) for i in waiting])
+        else:
+            waiting = list(pending)
+            answers = fulfil(policy, [pending.pop(i) for i in waiting])
+        for i, answer in zip(waiting, answers):
+            advance(i, answer)
     return logs
 
 

@@ -7,7 +7,7 @@ from .scoring import (
     CriticWeights,
     aggregate,
     evaluate,
-    evaluate_batch,
+    evaluate_rows,
     revise_instruction,
     tag_dimension,
 )
@@ -21,7 +21,7 @@ __all__ = [
     "DIMENSIONS",
     "aggregate",
     "evaluate",
-    "evaluate_batch",
+    "evaluate_rows",
     "revise_instruction",
     "tag_dimension",
 ]

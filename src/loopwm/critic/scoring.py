@@ -13,14 +13,21 @@ barely reacts to a single hard teleport in a long segment; the severity
 factor makes one large violation collapse the score, which is what the
 feedback loop needs to catch physically broken rollouts.
 
-Row contract: `evaluate_batch` scores G segments of one step, frames of shape
-(G, F, C), with every reduction taken along a contiguous per-row axis. Rows
-are scored independently, and each row's report is bitwise equal to the
-one-row call, which is what `evaluate` is.
+Row contract: `evaluate_rows` scores G rows, each a segment's (F, C) frames
+with its own plan step, and returns one report per row in input order. Rows
+whose steps share (action, pre, post) and whose frames share a shape form a
+group, stacked to (g, F, C) and scored in one vectorized pass with every
+reduction taken along a contiguous per-row axis. A row's numbers therefore
+do not depend on the other rows, and its report is built under its own step,
+so two rows of one group that differ only in their instruction (a first try
+and a retry) get the tags and revised instruction each would get alone.
+Every report is bitwise equal to the one-row call, which is what `evaluate`
+is; a GRPO group, G segments of one step, is the one-group case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,26 +212,52 @@ def evaluate(
     tau: float = DEFAULT_TAU,
 ) -> CriticReport:
     """Score one generated segment against its plan step."""
-    return evaluate_batch(spec, segment.frames[np.newaxis], step, weights, tau)[0]
+    return evaluate_rows(spec, [segment.frames], [step], weights, tau)[0]
 
 
-def evaluate_batch(
+def evaluate_rows(
     spec: DomainSpec,
-    frames: np.ndarray,
-    step: PlanStep,
+    frames: Sequence[np.ndarray],
+    steps: Sequence[PlanStep],
     weights: CriticWeights = DEFAULT_WEIGHTS,
     tau: float = DEFAULT_TAU,
 ) -> list[CriticReport]:
-    """Score G segments of one plan step, frames of shape (G, F, C), one report per row."""
-    frames = np.asarray(frames, dtype=np.float64)
+    """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
+
+    Rows are scored in groups, each report under its own step (see the row
+    contract in the module docstring).
+    """
+    if len(frames) != len(steps):
+        raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
+    groups: dict[tuple, list[int]] = {}
+    for i, (row, step) in enumerate(zip(frames, steps)):
+        groups.setdefault((step.actions[0], step.pre, step.post, np.shape(row)), []).append(i)
+    reports: list[CriticReport | None] = [None] * len(steps)
+    for rows in groups.values():
+        block = np.asarray([frames[i] for i in rows], dtype=np.float64)
+        group = _score_group(spec, block, [steps[i] for i in rows], weights, tau)
+        for i, report in zip(rows, group):
+            reports[i] = report
+    return reports
+
+
+def _score_group(
+    spec: DomainSpec,
+    frames: np.ndarray,
+    steps: list[PlanStep],
+    weights: CriticWeights,
+    tau: float,
+) -> list[CriticReport]:
+    """Score G rows, frames of shape (G, F, C), whose steps share (action, pre, post)."""
     if frames.ndim != 3:
-        raise ValueError(f"frames must be 3-D (rows, frames, channels), got shape {frames.shape}")
+        raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
     if frames.shape[2] != spec.n_channels:
         raise ValueError(
             f"segment has {frames.shape[2]} channels, domain {spec.name!r} has {spec.n_channels}"
         )
     if frames.shape[1] < 2:
         raise ValueError("segments need at least 2 frames to score")
+    step = steps[0]
     op = spec.find_operator(step.actions[0])
 
     post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
@@ -238,17 +271,17 @@ def evaluate_batch(
     msds = _second_difference_msd(frames)
     realisms, worst_excesses = _realism(frames)
 
-    rows = zip(post_hits.tolist(), pre_hits.tolist(), adherences.tolist(), goal_scores.tolist(),
-               pre_fracs.tolist(), monos.tolist(), interactions.tolist(), mean_dists.tolist(),
-               msds.tolist(), realisms.tolist(), worst_excesses.tolist())
+    rows = zip(steps, post_hits.tolist(), pre_hits.tolist(), adherences.tolist(),
+               goal_scores.tolist(), pre_fracs.tolist(), monos.tolist(), interactions.tolist(),
+               mean_dists.tolist(), msds.tolist(), realisms.tolist(), worst_excesses.tolist())
     return [
-        _report(step, op, weights, tau, applicable,
+        _report(row_step, op, weights, tau, applicable,
                 post_hits=dict(zip(post_lits, post_hit)), pre_hits=dict(zip(pre_lits, pre_hit)),
                 adherence=adherence, goal_score=goal_score, pre_frac=pre_frac, mono=mono,
                 interaction=interaction, mean_dist=mean_dist, msd=msd, realism=realism,
                 worst_excess=worst_excess)
-        for (post_hit, pre_hit, adherence, goal_score, pre_frac, mono, interaction, mean_dist,
-             msd, realism, worst_excess) in rows
+        for (row_step, post_hit, pre_hit, adherence, goal_score, pre_frac, mono, interaction,
+             mean_dist, msd, realism, worst_excess) in rows
     ]
 
 

@@ -6,7 +6,8 @@ initial noise keeps the group comparable so that reward differences reflect
 the stochastic paths rather than the starting point. The group is sampled in
 one `sample_group` call: member i is row i, with its own row of noise, and
 its trace is row i of the sampler's (G, K) record array. The critic then
-scores the stacked group in one `evaluate_batch` call.
+scores the group in one `evaluate_rows` call, whose rows all share the step,
+so the G segments go through one vectorized pass.
 
 A group is its members plus their group-normalized advantages, nothing more:
 each member's trace carries its own condition (`trace.cond`) and its start
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate_batch
+from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate_rows
 from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
@@ -96,7 +97,7 @@ def rollout_group(
     and are sampled together, one (G, width) network evaluation per denoise
     step; member i's (K, L) noise is row i of one (G, K, L) draw from `rng`
     after `z_init`, so every group gets fresh noise. The programmatic critic
-    scores the G segments in one `evaluate_batch` call, `member_reward`
+    scores the G segments in one `evaluate_rows` call, `member_reward`
     turns each member's report into its reward, and the rewards are
     normalized with `grpo_config.delta`.
     """
@@ -110,8 +111,8 @@ def rollout_group(
     noise = np.asarray(rng.normal(shape=(grpo_config.group_size, sampler_config.k_steps,
                                          sampler_config.latent_width)))
     samples = sample_group(theta_old, cond, z_init, sampler_config, noise)
-    frames = np.stack([segment.frames for segment, _ in samples])
-    reports = evaluate_batch(spec, frames, step, weights)
+    reports = evaluate_rows(spec, [segment.frames for segment, _ in samples],
+                            [step] * len(samples), weights)
     members = tuple(
         GroupMember(segment=segment, trace=trace, report=report,
                     reward=member_reward(report, grpo_config))

@@ -6,16 +6,24 @@ fresh noise, up to k_retries). Inner exhaustion triggers the outer loop:
 replan from the simulated state, at most max_outer_replans times per
 episode. Accepted history is never revisited.
 
-An episode is one generator, `episode`, that never calls the policy. Where
-it needs segments it yields a `Request` for n candidates of one (step,
-memory) from its own stream: n = 1 for a step's first try, and n = the retry
-budget for `inner_refine`. It is resumed with a draw, which it calls once
-per candidate it takes, with the step that candidate is for (a retry's step
-carries the revised instruction). `fulfil(policy, requests)` turns a list of
-requests into their draws: through the policy's own `fulfil` when it has
-one (see `Policy`), else through one `generate` call per candidate taken.
-`run_episode` drives one episode by itself; `bench.metrics` drives a whole
-suite in lockstep, one `fulfil` call per round for every pending request.
+An episode is one generator, `episode`, that calls neither the policy nor
+the critic. Where it needs segments it yields a `Request` for n candidates
+of one (step, memory) from its own stream: n = 1 for a step's first try, and
+n = the retry budget for `inner_refine`. It is resumed with a draw, which it
+calls once per candidate it takes, with the step that candidate is for (a
+retry's step carries the revised instruction). Where it needs a score it
+yields a `Critique(segment, step)` and is resumed with the report.
+
+`fulfil(policy, requests)` turns a list of requests into their draws:
+through the policy's own `fulfil` when it has one (see `Policy`), else
+through one `generate` call per candidate taken. `critique(critic, spec,
+items)` turns a list of critiques into their reports: through the critic's
+own `rows` when it has one (the builtin `default_critic` does), else through
+one call per item, where an item's exception is handed back in place of its
+report and thrown into its own episode. `run_episode` drives one episode by
+itself; `bench.metrics` drives a whole suite in lockstep, one `fulfil` call
+per round for every pending request, then one `critique` call per pass for
+every pending critique.
 """
 
 from __future__ import annotations
@@ -26,7 +34,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator
 
-from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate, tag_dimension
+from ..critic import (
+    DEFAULT_WEIGHTS,
+    CriticReport,
+    CriticWeights,
+    evaluate,
+    evaluate_rows,
+    tag_dimension,
+)
 from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment, state_summary
@@ -158,11 +173,31 @@ class SearchPlanner:
         return replan(spec, goal, failure)
 
 
-def default_critic(config: LoopConfig, weights: CriticWeights = DEFAULT_WEIGHTS):
-    """The builtin critic at the loop's tau and the given dimension weights."""
-    def critic(spec: DomainSpec, segment: Segment, step: PlanStep) -> CriticReport:
-        return evaluate(spec, segment, step, weights=weights, tau=config.tau)
-    return critic
+@dataclass(frozen=True)
+class BuiltinCritic:
+    """The programmatic critic at one tau and one set of dimension weights.
+
+    Called as ``critic(spec, segment, step)`` it scores one segment, as any
+    critic does; ``rows(spec, frames, steps)`` scores many, each under its
+    own step, with the same reports (`evaluate_rows`).
+    """
+
+    weights: CriticWeights
+    tau: float
+
+    def __call__(self, spec: DomainSpec, segment: Segment, step: PlanStep) -> CriticReport:
+        return evaluate(spec, segment, step, weights=self.weights, tau=self.tau)
+
+    def rows(self, spec: DomainSpec, frames: list, steps: list[PlanStep]) -> list[CriticReport]:
+        return evaluate_rows(spec, frames, steps, weights=self.weights, tau=self.tau)
+
+
+def default_critic(config: LoopConfig, weights: CriticWeights = DEFAULT_WEIGHTS) -> BuiltinCritic:
+    """The builtin critic at the loop's tau and the given dimension weights.
+
+    Its `rows` lets `critique` score a whole pass of critiques in one call.
+    """
+    return BuiltinCritic(weights, config.tau)
 
 
 @dataclass(frozen=True)
@@ -175,9 +210,17 @@ class Request:
     n: int
 
 
+@dataclass(frozen=True)
+class Critique:
+    """A score wanted for one segment under the step it was generated for."""
+
+    segment: Segment
+    step: PlanStep
+
+
 # called once per candidate taken, with the step that candidate is for
 Draw = Callable[[PlanStep], Segment]
-Episode = Generator[Request, Draw, EpisodeLog]
+Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
 
 
 def fulfil(policy: Policy, requests: list[Request]) -> list[Draw]:
@@ -188,9 +231,34 @@ def fulfil(policy: Policy, requests: list[Request]) -> list[Draw]:
     return [lambda step, r=r: policy.generate(step, r.memory, r.rng) for r in requests]
 
 
-def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, critic,
-                 memory: WorldMemory, config: LoopConfig, rng: RandomSource,
-                 budget: int) -> Generator[Request, Draw,
+def critique(critic, spec: DomainSpec, items: list[Critique]) -> list[CriticReport | Exception]:
+    """One report per item: the critic's own `rows`, else one call per item.
+
+    Without `rows`, an exception raised for one item is returned in its
+    place, for its own episode to receive, and the other items are scored.
+    """
+    rows = getattr(critic, "rows", None)
+    if rows is not None:
+        return rows(spec, [item.segment.frames for item in items], [item.step for item in items])
+    answers: list[CriticReport | Exception] = []
+    for item in items:
+        try:
+            answers.append(critic(spec, item.segment, item.step))
+        except Exception as exc:
+            answers.append(exc)
+    return answers
+
+
+def resume(running: Episode, answer):
+    """Resume an episode with its draw or report, or throw an exception into it."""
+    if isinstance(answer, Exception):
+        return running.throw(answer)
+    return running.send(answer)
+
+
+def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
+                 config: LoopConfig, rng: RandomSource,
+                 budget: int) -> Generator[Request | Critique, Draw | CriticReport,
                                            tuple[Segment | None, CriticReport,
                                                  list[AttemptRecord]]]:
     """Retry a rejected step with revised instructions and fresh noise.
@@ -199,7 +267,8 @@ def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, critic,
     ``budget`` already accounts for both k_retries and the episode's segment
     budget; zero means fail immediately without generating. Otherwise it
     yields one request for ``budget`` candidates and takes them in turn,
-    each for the step with the instruction the last report revised.
+    each for the step with the instruction the last report revised, and
+    yields a `Critique` for each candidate it takes.
     """
     best = report
     records: list[AttemptRecord] = []
@@ -212,7 +281,7 @@ def inner_refine(spec: DomainSpec, step: PlanStep, report: CriticReport, critic,
         if current.revised_instruction != step.instruction:
             retry_step = step.with_instruction(current.revised_instruction)
         segment = draw(retry_step)
-        current = critic(spec, segment, retry_step)
+        current = yield Critique(segment, retry_step)
         accepted = current.scalar >= config.tau
         records.append(AttemptRecord(step.sid, attempt, retry_step.instruction,
                                      current, accepted, segment))
@@ -247,18 +316,18 @@ def _failure_context(goal: Goal, step: PlanStep, best: CriticReport,
 
 
 def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
-            rng: RandomSource | None = None, planner=None, critic=None) -> Episode:
+            rng: RandomSource | None = None, planner=None) -> Episode:
     """One closed-loop episode, run to success, plan failure, or budget end.
 
     Yields a `Request` wherever it needs segments and expects the request's
-    draw back; returns the `EpisodeLog`. An unsolvable goal raises
+    draw back, and a `Critique` wherever it needs a score and expects the
+    report back; returns the `EpisodeLog`. An unsolvable goal raises
     NoPlanError up front; a failed replan mid-episode is recorded as a replan
     event and ends the episode as a plan failure.
     """
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
     planner = planner or SearchPlanner()
-    critic = critic or default_critic(config)
 
     t0 = time.monotonic()
     sequence = planner.plan(spec, goal, spec.initial_state())
@@ -281,7 +350,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         draw = yield Request(step, memory, rng, 1)
         segment = draw(step)
         log.segments_generated += 1
-        report = critic(spec, segment, step)
+        report = yield Critique(segment, step)
         accepted = report.scalar >= config.tau
         log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
                                           segment))
@@ -293,8 +362,8 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
 
         budget = min(config.k_retries,
                      config.max_total_segments - log.segments_generated)
-        refined, best, records = yield from inner_refine(spec, step, report, critic,
-                                                         memory, config, rng, budget)
+        refined, best, records = yield from inner_refine(step, report, memory, config, rng,
+                                                         budget)
         log.segments_generated += len(records)
         log.attempts.extend(records)
         if refined is not None:
@@ -332,12 +401,20 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
 def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
                 config: LoopConfig | None = None, rng: RandomSource | None = None,
                 planner=None, critic=None) -> EpisodeLog:
-    """Drive one `episode` by itself, fulfilling each request as it comes."""
-    running = episode(spec, goal, config, rng, planner, critic)
+    """Drive one `episode` by itself, serving each request and critique as it comes.
+
+    `critic` defaults to the builtin critic at the loop's tau.
+    """
+    config = config or LoopConfig()
+    critic = critic or default_critic(config)
+    running = episode(spec, goal, config, rng, planner)
     try:
-        request = next(running)
+        wanted = next(running)
         while True:
-            (draw,) = fulfil(policy, [request])
-            request = running.send(draw)
+            if isinstance(wanted, Critique):
+                (answer,) = critique(critic, spec, [wanted])
+            else:
+                (answer,) = fulfil(policy, [wanted])
+            wanted = resume(running, answer)
     except StopIteration as done:
         return done.value

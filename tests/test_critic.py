@@ -12,7 +12,7 @@ from loopwm.critic import (
     CriticWeights,
     aggregate,
     evaluate,
-    evaluate_batch,
+    evaluate_rows,
     revise_instruction,
 )
 from loopwm.critic.scoring import (
@@ -294,7 +294,7 @@ def test_batch_rows_equal_one_row_calls(rows, n_frames, scale, snap, seed):
             # predicate channels on and around the decode threshold
             frames[:, :, :kitchen.n_predicates] = rng.choice(
                 [0.0, 0.5 - 1e-12, 0.5, 1.0], size=(rows, n_frames, kitchen.n_predicates))
-        reports = evaluate_batch(kitchen, frames, step)
+        reports = evaluate_rows(kitchen, frames, [step] * rows)
         assert len(reports) == rows
         for row, report in zip(frames, reports):
             assert_reports_equal(report, evaluate(kitchen, Segment(row), step))
@@ -304,11 +304,52 @@ def test_batch_rows_equal_one_row_calls(rows, n_frames, scale, snap, seed):
 def test_batch_rejects_bad_shapes(kitchen):
     step = open_jar_step(kitchen)
     width = kitchen.n_channels
-    with pytest.raises(ValueError, match="3-D"):
-        evaluate_batch(kitchen, np.zeros((4, width)), step)
+    with pytest.raises(ValueError, match="2-D"):
+        evaluate_rows(kitchen, np.zeros((4, width)), [step] * 4)
     with pytest.raises(ValueError, match="channels"):
-        evaluate_batch(kitchen, np.zeros((2, 4, width + 1)), step)
+        evaluate_rows(kitchen, np.zeros((2, 4, width + 1)), [step] * 2)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        evaluate_batch(kitchen, np.zeros((2, 1, width)), step)
+        evaluate_rows(kitchen, np.zeros((2, 1, width)), [step] * 2)
+    with pytest.raises(ValueError, match="steps"):
+        evaluate_rows(kitchen, np.zeros((2, 4, width)), [step])
     with pytest.raises(ValueError, match="at least 2 frames"):
         evaluate(kitchen, Segment(np.zeros((1, width))), step)
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_rows_carry_their_own_steps(data, seed):
+    # rows of mixed steps and frame counts, some sharing a step, some a retry
+    # of another row's step; every report is the one-row call's, in order
+    kitchen, pinned = pinned_suite_steps()
+    pool = data.draw(st.lists(st.sampled_from(pinned), min_size=1, max_size=4))
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8]), st.booleans()),
+        min_size=1, max_size=12))
+    rng = np.random.default_rng(seed)
+    frames, steps = [], []
+    for step, n_frames, retry in picks:
+        start = rng.uniform(0.0, 1.0, size=(1, kitchen.n_channels))
+        row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, kitchen.n_channels)),
+                                axis=0)
+        row[:, :kitchen.n_predicates] = rng.choice([0.0, 1.0],
+                                                   size=(n_frames, kitchen.n_predicates))
+        if retry:
+            # the step as a retry takes it: under the instruction that a
+            # rejection of this row revised
+            step = step.with_instruction(
+                evaluate(kitchen, Segment(row), step, tau=1.5).revised_instruction)
+        frames.append(row)
+        steps.append(step)
+    reports = evaluate_rows(kitchen, frames, steps)
+    assert len(reports) == len(steps)
+    for row, step, report in zip(frames, steps, reports):
+        want = evaluate(kitchen, Segment(row), step)
+        assert_reports_equal(report, want)
+        assert bits(report.scalar) == bits(want.scalar)
+        assert {d: bits(v) for d, v in report.scores.items()} == \
+            {d: bits(v) for d, v in want.scores.items()}

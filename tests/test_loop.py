@@ -18,6 +18,7 @@ from loopwm.loop import (
     LoopConfig,
     OraclePolicy,
     WorldMemory,
+    default_critic,
     run_episode,
     write_episode_logs,
 )
@@ -357,15 +358,27 @@ def poisoning_critic(instruction):
     return critic
 
 
-@pytest.mark.parametrize("source", ["net", "condition"])
+def raising_critic(instruction):
+    """Scores one segment at a time, and raises NumericError for `instruction`."""
+    def critic(spec, segment, step):
+        if step.instruction == instruction:
+            raise NumericError(f"no score for {instruction!r}")
+        return evaluate(spec, segment, step)
+
+    return critic
+
+
+@pytest.mark.parametrize("source", ["net", "condition", "critic"])
 def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, source):
     suite = generate_suite(kitchen, seed=7)
     config = LoopConfig(tau=0.4)
+    first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0]
     if source == "net":
         policy, critic = diverging_policy(kitchen), None
-    else:
-        first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0]
+    elif source == "condition":
         policy, critic = learned_policy(kitchen), poisoning_critic(first.instruction)
+    else:
+        policy, critic = learned_policy(kitchen), raising_critic(first.instruction)
     rng = RandomSource(4)
     with np.errstate(over="ignore", invalid="ignore"):
         lockstep = run_suite(policy, suite, config, critic=critic, rng=rng)
@@ -376,3 +389,50 @@ def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, source):
     for log, reference in zip(lockstep, alone):
         if log is not None:
             assert_same_episode(log, reference)
+
+
+class RowsSpy:
+    """The builtin critic, recording how many rows each `rows` call scores."""
+
+    def __init__(self, config):
+        self.critic = default_critic(config)
+        self.calls = []
+
+    def __call__(self, spec, segment, step):
+        raise AssertionError("a critic with rows is never called per item")
+
+    def rows(self, spec, frames, steps):
+        self.calls.append(len(steps))
+        return self.critic.rows(spec, frames, steps)
+
+
+def candidates_taken(log):
+    """Candidates the episode took from each of its draws, in order."""
+    taken = []
+    for attempt in log.attempts:
+        # a first try (0) and a first retry (1) open a draw; later retries
+        # take further candidates of the retry draw
+        if attempt.attempt <= 1:
+            taken.append(0)
+        taken[-1] += 1
+    return taken
+
+
+def test_lockstep_suite_scores_each_pass_in_one_critic_call(kitchen):
+    suite = generate_suite(kitchen, seed=7)
+    config = LoopConfig(tau=0.4)
+    policy = learned_policy(kitchen)
+    spy = RowsSpy(config)
+    lockstep = run_suite(policy, suite, config, critic=spy, rng=RandomSource(3))
+    for log, reference in zip(lockstep, run_suite(policy, suite, config, rng=RandomSource(3))):
+        assert_same_episode(log, reference)
+    # every running episode has one draw per round; pass j of round r scores
+    # the j-th candidate of each episode that takes that many from its draw
+    taken = [candidates_taken(log) for log in lockstep]
+    passes = []
+    for r in range(max(len(t) for t in taken)):
+        in_round = [t[r] for t in taken if len(t) > r]
+        passes.extend(sum(n >= j for n in in_round) for j in range(1, max(in_round) + 1))
+    assert spy.calls == passes
+    assert sum(spy.calls) == sum(len(log.attempts) for log in lockstep)
+    assert len(spy.calls) < sum(spy.calls) / 10
