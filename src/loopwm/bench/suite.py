@@ -5,9 +5,11 @@ tasks solve in 1-3 steps, medium in 3-5, hard in more than 5 (capped at the
 oracle's search depth). The generator samples goals from random forward
 walks, so every emitted task is reachable by construction. A candidate's
 minimal plan length comes from one breadth-first pass over the predicate
-states reachable from the start (operators read and write predicates only),
-and the walks follow that pass's successor lists; `verify_suite` re-checks
-every band with the independent `minimal_plan_length`.
+states reachable from the start (operators read and write predicates only).
+The pass runs over predicate bitmasks with the operator masks `DomainSpec`
+compiles, goals are tested against the same masks, and the walks follow the
+pass's successor lists; `verify_suite` re-checks every band with the
+independent `minimal_plan_length`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 
 from ..errors import SuiteError
 from ..microworld import DomainSpec, load_domain
-from ..microworld.dynamics import apply_operator
 from ..microworld.types import Literal, SymbolicState
 from ..numerics import RandomSource
 from ..planner import Goal
@@ -50,6 +51,9 @@ SUITE_FORMAT = "loopwm-suite-v1"
 _ATTEMPTS_PER_TASK = 500
 
 _MAX_GOAL_LITERALS = 3
+
+# (predicate bitmask, distance from the start, successor indices) per reachable state
+_Reachable = list[tuple[int, int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -129,50 +133,50 @@ def verify_suite(suite: PromptSuite) -> None:
             )
 
 
-def _reachable_states(
-    spec: DomainSpec, start: SymbolicState
-) -> list[tuple[SymbolicState, int, list[int]]]:
-    """Every predicate state within DEFAULT_MAX_LEN steps of `start`: (state, distance, successors).
+def _reachable_states(spec: DomainSpec, start: SymbolicState) -> _Reachable:
+    """Every predicate state within DEFAULT_MAX_LEN steps of `start`: (key, distance, successors).
 
+    A key is the state's predicate bitmask (`DomainSpec.state_key`).
     Breadth-first, so the distances never decrease along the list. A state's
     successors are the list indices its applicable operators lead to, in
     operator order, repeats included; states at the depth cap are not
     expanded and keep an empty list.
     """
-    index = {start.pred_key(): 0}
-    reachable = [(start, 0, [])]
+    start_key = spec.state_key(start)
+    index = {start_key: 0}
+    reachable = [(start_key, 0, [])]
     frontier = [0]
     for depth in range(1, DEFAULT_MAX_LEN + 1):
         nxt = []
         for i in frontier:
-            state, _, successors = reachable[i]
-            for op in spec.operators:
-                if not state.satisfies(op.pre):
+            key, _, successors = reachable[i]
+            for _, pre_true, pre_false, post_true, post_false in spec.operator_masks:
+                if key & pre_true != pre_true or key & pre_false:
                     continue
-                successor = apply_operator(spec, state, op.binding)
-                key = successor.pred_key()
-                if key not in index:
-                    index[key] = len(reachable)
+                successor = (key & ~post_false) | post_true
+                if successor not in index:
+                    index[successor] = len(reachable)
                     reachable.append((successor, depth, []))
-                    nxt.append(index[key])
-                successors.append(index[key])
+                    nxt.append(index[successor])
+                successors.append(index[successor])
         frontier = nxt
     return reachable
 
 
 def _plan_length(
-    reachable: list[tuple[SymbolicState, int, list[int]]], literals: tuple[Literal, ...]
+    spec: DomainSpec, reachable: _Reachable, literals: tuple[Literal, ...]
 ) -> int | None:
     """Distance of the nearest reachable state where the literals hold, or None."""
-    for state, depth, _ in reachable:
-        if state.satisfies(literals):
+    true, false = spec.literal_masks(literals)
+    for key, depth, _ in reachable:
+        if key & true == true and not key & false:
             return depth
     return None
 
 
 def _sample_literals(
     spec: DomainSpec, start: SymbolicState, rng: RandomSource,
-    reachable: list[tuple[SymbolicState, int, list[int]]] | None = None,
+    reachable: _Reachable | None = None,
 ) -> tuple[Literal, ...]:
     """Walk forward from `start`, then pose some of the walked state as a goal.
 
@@ -188,12 +192,14 @@ def _sample_literals(
         if not successors:
             break
         current = successors[rng.choice(len(successors))]
-    state = reachable[current][0]
-    keys = sorted(state.predicates)
-    order = list(range(len(keys)))
+    key = reachable[current][0]
+    preds = sorted(spec.pred_bits)
+    order = list(range(len(preds)))
     rng.shuffle(order)
     n_literals = 1 + rng.choice(_MAX_GOAL_LITERALS)
-    return tuple(Literal(keys[i], state.predicates[keys[i]]) for i in order[:n_literals])
+    return tuple(
+        Literal(preds[i], bool(key & spec.pred_bits[preds[i]])) for i in order[:n_literals]
+    )
 
 
 def generate_suite(
@@ -221,7 +227,7 @@ def generate_suite(
         if all(len(found[d]) >= need[d] for d in DIFFICULTIES):
             break
         literals = _sample_literals(spec, start, rng, reachable)
-        steps = _plan_length(reachable, literals)
+        steps = _plan_length(spec, reachable, literals)
         level = classify(steps)
         if level is None or len(found[level]) >= need[level]:
             continue

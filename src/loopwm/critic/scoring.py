@@ -27,7 +27,7 @@ is; a GRPO group, G segments of one step, is the one-group case.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +76,39 @@ class CriticWeights:
 DEFAULT_WEIGHTS = CriticWeights()
 
 
+class _Reasons(Mapping):
+    """A report's reason per dimension, formatted when first read.
+
+    Only a replan reads reasons, so most reports never format theirs.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._text: dict[str, str] | None = None
+
+    def _reasons(self) -> dict[str, str]:
+        if self._text is None:
+            self._text = self._build()
+            self._build = None
+        return self._text
+
+    def __getitem__(self, dimension: str) -> str:
+        return self._reasons()[dimension]
+
+    def __iter__(self):
+        return iter(self._reasons())
+
+    def __len__(self) -> int:
+        return len(self._reasons())
+
+    def __repr__(self) -> str:
+        return repr(self._reasons())
+
+
 @dataclass
 class CriticReport:
     scores: dict[str, float]
-    reasons: dict[str, str]
+    reasons: Mapping[str, str]
     tags: tuple[str, ...]
     revised_instruction: str
     scalar: float
@@ -315,26 +344,10 @@ def _report(
     }
     scalar = aggregate(scores, weights)
 
-    reasons = {
-        "action_adherence": (
-            f"preconditions {pre_frac:.2f} at start, postconditions {goal_score:.2f} at end, "
-            f"progress non-increasing over {mono:.2f} of frames"
-        ),
-        "object_interaction": (
-            f"pose within {CONTACT_RADIUS} of {op.motion.target} for {interaction:.2f} "
-            f"of the contact window (mean distance {mean_dist:.3f})"
-            if applicable
-            else "no motion profile; contact check not applicable"
-        ),
-        "goal_achievement": (
-            f"{sum(post_hits.values())}/{len(post_hits)} post literals hold in the final frame"
-        ),
-        "temporal_coherence": f"mean squared second difference {msd:.5f}",
-        "physical_realism": (
-            f"worst per-frame excess {worst_excess:.3f} beyond delta {MAX_FRAME_DELTA} "
-            f"or box {VALUE_BOX}"
-        ),
-    }
+    reasons = _Reasons(lambda: _reason_text(
+        op, applicable, post_hits, pre_frac=pre_frac, goal_score=goal_score, mono=mono,
+        interaction=interaction, mean_dist=mean_dist, msd=msd, worst_excess=worst_excess,
+    ))
 
     tags: list[str] = []
     if scalar < tau:
@@ -359,6 +372,42 @@ def _report(
     report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, details)
     report.revised_instruction = revise_instruction(step, report)
     return report
+
+
+def _reason_text(
+    op: Operator,
+    applicable: bool,
+    post_hits: dict[Literal, bool],
+    *,
+    pre_frac: float,
+    goal_score: float,
+    mono: float,
+    interaction: float,
+    mean_dist: float,
+    msd: float,
+    worst_excess: float,
+) -> dict[str, str]:
+    """One row's reason per dimension, from the numbers its scores came from."""
+    return {
+        "action_adherence": (
+            f"preconditions {pre_frac:.2f} at start, postconditions {goal_score:.2f} at end, "
+            f"progress non-increasing over {mono:.2f} of frames"
+        ),
+        "object_interaction": (
+            f"pose within {CONTACT_RADIUS} of {op.motion.target} for {interaction:.2f} "
+            f"of the contact window (mean distance {mean_dist:.3f})"
+            if applicable
+            else "no motion profile; contact check not applicable"
+        ),
+        "goal_achievement": (
+            f"{sum(post_hits.values())}/{len(post_hits)} post literals hold in the final frame"
+        ),
+        "temporal_coherence": f"mean squared second difference {msd:.5f}",
+        "physical_realism": (
+            f"worst per-frame excess {worst_excess:.3f} beyond delta {MAX_FRAME_DELTA} "
+            f"or box {VALUE_BOX}"
+        ),
+    }
 
 
 def _clause_for(tag: str, step: PlanStep) -> str:

@@ -188,7 +188,7 @@ def objective_terms(
         std * std
     )
     out_grads = coeff * weight / n_rows
-    grads, _ = net_backward_batch(theta, acts, out_grads)
+    grads = net_backward_batch(theta, acts, out_grads)
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,
         clip_fraction=clip_fraction, ratios=ratios, kept=kept, dropped=dropped,

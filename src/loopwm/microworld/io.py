@@ -1,9 +1,10 @@
 """Domain file loading, validation, and hashing.
 
 Domain files are YAML documents checked in two passes: structurally against
-`data/domain.schema.json`, then semantically (symbol references, contact
-ordering, instruction length, duplicate bindings). Two domains ship with the
-package and can be addressed by bare name: "kitchen" and "workshop".
+`data/domain.schema.json`, then semantically by `DomainSpec` itself (symbol
+references, contact ordering, instruction length, duplicate bindings). Two
+domains ship with the package and can be addressed by bare name: "kitchen"
+and "workshop".
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import yaml
 from ..errors import DomainError
 from .types import (
     DEFAULT_CONTACT,
-    MAX_INSTRUCTION_WORDS,
     DomainSpec,
     Literal,
     MotionProfile,
@@ -73,45 +73,6 @@ def _build_operator(raw: dict, actor: str) -> Operator:
     return Operator(verb, objects, tool, pre, post, motion, instruction)
 
 
-def _validate_semantics(spec: DomainSpec) -> None:
-    pred_names = {p for p, _ in spec.predicates}
-    if spec.actor not in spec.objects:
-        raise DomainError(f"actor {spec.actor!r} is not a declared object")
-    if not spec.objects[spec.actor].movable:
-        raise DomainError(f"actor {spec.actor!r} must be movable")
-    seen: set[tuple] = set()
-    for op in spec.operators:
-        where = f"operator {op.binding}"
-        key = (op.verb, op.objects)
-        if key in seen:
-            raise DomainError(f"duplicate operator for verb/objects {key}")
-        seen.add(key)
-        for obj in op.objects:
-            if obj not in spec.objects:
-                raise DomainError(f"{where}: unknown object {obj!r}")
-        if op.tool is not None and op.tool not in spec.objects:
-            raise DomainError(f"{where}: unknown tool {op.tool!r}")
-        for lit in (*op.pre, *op.post):
-            if lit.pred not in pred_names:
-                raise DomainError(f"{where}: unknown predicate in literal {lit}")
-        post_preds = [lit.pred for lit in op.post]
-        if len(post_preds) != len(set(post_preds)):
-            raise DomainError(f"{where}: duplicate predicate in post literals")
-        if len(op.instruction.split()) > MAX_INSTRUCTION_WORDS:
-            raise DomainError(f"{where}: instruction exceeds {MAX_INSTRUCTION_WORDS} words")
-        if op.motion is not None:
-            if op.motion.target not in spec.objects:
-                raise DomainError(f"{where}: unknown motion target {op.motion.target!r}")
-            for ent in op.motion.moves:
-                if ent not in spec.objects:
-                    raise DomainError(f"{where}: unknown moving entity {ent!r}")
-                if not spec.objects[ent].movable:
-                    raise DomainError(f"{where}: moving entity {ent!r} is not movable")
-            lo, hi = op.motion.contact
-            if not (0.0 <= lo < hi <= 1.0):
-                raise DomainError(f"{where}: contact window must satisfy 0 <= lo < hi <= 1")
-
-
 def domain_from_dict(raw: dict, source: str = "<dict>") -> DomainSpec:
     error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if error is not None:
@@ -121,15 +82,14 @@ def domain_from_dict(raw: dict, source: str = "<dict>") -> DomainSpec:
         name: ObjectSpec(tuple(info["position"]), bool(info.get("movable", False)))
         for name, info in raw["objects"].items()
     }
-    spec = DomainSpec(
+    # DomainSpec checks the symbol references before it compiles its tables
+    return DomainSpec(
         name=raw["name"],
         actor=raw["actor"],
         objects=objects,
         predicates=[(p, bool(v)) for p, v in raw["predicates"].items()],
         operators=[_build_operator(o, raw["actor"]) for o in raw["operators"]],
     )
-    _validate_semantics(spec)
-    return spec
 
 
 def load_domain(path: str | Path) -> DomainSpec:

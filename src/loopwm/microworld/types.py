@@ -10,6 +10,7 @@ and drag their moving entities toward a target object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from ..errors import DomainError, NumericError
 
 DEFAULT_CONTACT = (0.25, 0.75)
 MAX_INSTRUCTION_WORDS = 36
+# sid cap of a condition's step index; plans longer than this share the top value
+MAX_NORM_SID = 16
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,6 @@ class SymbolicState:
     predicates: dict[str, bool]
     poses: dict[str, float]
 
-    def pred_key(self) -> frozenset[str]:
-        """Hashable view over the true predicates; poses never gate operators."""
-        return frozenset(p for p, v in self.predicates.items() if v)
-
     def copy(self) -> "SymbolicState":
         return SymbolicState(dict(self.predicates), dict(self.poses))
 
@@ -107,8 +106,37 @@ class SymbolicState:
         return all(lit.holds_in(self.predicates) for lit in literals)
 
 
+def _table():
+    """A field compiled in `DomainSpec.__post_init__`: not an argument, compared or shown."""
+    return field(init=False, repr=False, compare=False)
+
+
+class OperatorMasks(NamedTuple):
+    """One operator's literals as predicate bitmasks (bit i is predicate i).
+
+    It applies to a state key k when k & pre_true == pre_true and
+    k & pre_false == 0, and leads to (k & ~post_false) | post_true.
+    """
+
+    index: int
+    pre_true: int
+    pre_false: int
+    post_true: int
+    post_false: int
+
+
 @dataclass
 class DomainSpec:
+    """A validated domain and the tables compiled from it.
+
+    Construction checks the symbol references (see `_check_semantics`) and
+    then builds, once, every table that planning, suite generation and
+    conditioning read: predicate bits, per-operator masks in declaration and
+    in search order, the (verb, objects) operator index, the encoded initial
+    frame, and each operator's condition tails. The tables are derived from
+    the declared fields, so a spec is never mutated after load.
+    """
+
     name: str
     actor: str
     objects: dict[str, ObjectSpec]
@@ -116,6 +144,12 @@ class DomainSpec:
     operators: list[Operator]
     channels: list[str] = field(init=False)
     channel_index: dict[str, int] = field(init=False)
+    pred_bits: dict[str, int] = _table()
+    operator_ids: dict[tuple[str, tuple[str, ...]], int] = _table()
+    operator_masks: tuple[OperatorMasks, ...] = _table()
+    search_order: tuple[OperatorMasks, ...] = _table()
+    initial_frame: np.ndarray = _table()
+    condition_tails: np.ndarray = _table()
 
     def __post_init__(self) -> None:
         names = [p for p, _ in self.predicates]
@@ -124,6 +158,55 @@ class DomainSpec:
                 names.extend((f"{obj}.x", f"{obj}.y"))
         self.channels = names
         self.channel_index = {n: i for i, n in enumerate(names)}
+        _check_semantics(self)
+
+        self.pred_bits = {p: 1 << i for i, (p, _) in enumerate(self.predicates)}
+        self.operator_ids = {(op.verb, op.objects): i for i, op in enumerate(self.operators)}
+        self.operator_masks = tuple(
+            OperatorMasks(i, *self.literal_masks(op.pre), *self.literal_masks(op.post))
+            for i, op in enumerate(self.operators)
+        )
+        self.search_order = tuple(
+            self.operator_masks[i]
+            for i in sorted(range(len(self.operators)),
+                            key=lambda i: (self.operators[i].verb, self.operators[i].objects))
+        )
+        poses = [v for obj in self.movable_entities() for v in self.objects[obj].position]
+        self.initial_frame = _read_only(
+            np.array([1.0 if v else 0.0 for _, v in self.predicates] + poses, dtype=np.float64)
+        )
+        self.condition_tails = _read_only(self._condition_tails())
+
+    def _condition_tails(self) -> np.ndarray:
+        """The condition blocks after the frame, shape (n_ops, MAX_NORM_SID, n_ops + d + 1).
+
+        Row [i, s - 1] holds a one-hot over the operators at i, then a channel
+        mask of operator i's post predicates and the poses of its moving
+        entities, then the sid s over MAX_NORM_SID.
+        """
+        n_ops = len(self.operators)
+        tails = np.zeros((n_ops, MAX_NORM_SID, n_ops + len(self.channels) + 1))
+        for i, op in enumerate(self.operators):
+            touched = [lit.pred for lit in op.post]
+            if op.motion is not None:
+                touched += [f"{name}.{axis}" for name in op.motion.moves for axis in "xy"]
+            tails[i, :, [i] + [n_ops + self.channel_index[ch] for ch in touched]] = 1.0
+        tails[:, :, -1] = np.arange(1, MAX_NORM_SID + 1) / MAX_NORM_SID
+        return tails
+
+    def state_key(self, state: SymbolicState) -> int:
+        """The state's predicates as a bitmask; poses never gate operators."""
+        return sum(bit for pred, bit in self.pred_bits.items() if state.predicates[pred])
+
+    def literal_masks(self, literals) -> tuple[int, int]:
+        """(must-be-true, must-be-false) bitmasks of the literals."""
+        true = false = 0
+        for lit in literals:
+            if lit.value:
+                true |= self.pred_bits[lit.pred]
+            else:
+                false |= self.pred_bits[lit.pred]
+        return true, false
 
     @property
     def n_channels(self) -> int:
@@ -145,12 +228,15 @@ class DomainSpec:
             poses[f"{obj}.y"] = y
         return SymbolicState(preds, poses)
 
+    def operator_id(self, binding: ActionBinding) -> int:
+        """Index of the binding's operator; a binding that names a tool must match it."""
+        i = self.operator_ids.get((binding.verb, tuple(binding.objects)))
+        if i is None or binding.tool not in (None, self.operators[i].tool):
+            raise DomainError(f"domain {self.name!r} has no operator {binding}")
+        return i
+
     def find_operator(self, binding: ActionBinding) -> Operator:
-        for op in self.operators:
-            if op.verb == binding.verb and op.objects == tuple(binding.objects):
-                if binding.tool is None or binding.tool == op.tool:
-                    return op
-        raise DomainError(f"domain {self.name!r} has no operator {binding}")
+        return self.operators[self.operator_id(binding)]
 
     def entity_position(self, state: SymbolicState, name: str) -> tuple[float, float]:
         """Current position: pose channels for movables, fixed layout otherwise."""
@@ -171,6 +257,51 @@ class DomainSpec:
         if op.tool is not None and self.objects.get(op.tool, ObjectSpec((0, 0))).movable:
             return op.tool
         return self.actor
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _check_semantics(spec: DomainSpec) -> None:
+    """Symbol references, contact ordering, instruction length and duplicate bindings."""
+    pred_names = {p for p, _ in spec.predicates}
+    if spec.actor not in spec.objects:
+        raise DomainError(f"actor {spec.actor!r} is not a declared object")
+    if not spec.objects[spec.actor].movable:
+        raise DomainError(f"actor {spec.actor!r} must be movable")
+    seen: set[tuple] = set()
+    for op in spec.operators:
+        where = f"operator {op.binding}"
+        key = (op.verb, op.objects)
+        if key in seen:
+            raise DomainError(f"duplicate operator for verb/objects {key}")
+        seen.add(key)
+        for obj in op.objects:
+            if obj not in spec.objects:
+                raise DomainError(f"{where}: unknown object {obj!r}")
+        if op.tool is not None and op.tool not in spec.objects:
+            raise DomainError(f"{where}: unknown tool {op.tool!r}")
+        for lit in (*op.pre, *op.post):
+            if lit.pred not in pred_names:
+                raise DomainError(f"{where}: unknown predicate in literal {lit}")
+        post_preds = [lit.pred for lit in op.post]
+        if len(post_preds) != len(set(post_preds)):
+            raise DomainError(f"{where}: duplicate predicate in post literals")
+        if len(op.instruction.split()) > MAX_INSTRUCTION_WORDS:
+            raise DomainError(f"{where}: instruction exceeds {MAX_INSTRUCTION_WORDS} words")
+        if op.motion is not None:
+            if op.motion.target not in spec.objects:
+                raise DomainError(f"{where}: unknown motion target {op.motion.target!r}")
+            for ent in op.motion.moves:
+                if ent not in spec.objects:
+                    raise DomainError(f"{where}: unknown moving entity {ent!r}")
+                if not spec.objects[ent].movable:
+                    raise DomainError(f"{where}: moving entity {ent!r} is not movable")
+            lo, hi = op.motion.contact
+            if not (0.0 <= lo < hi <= 1.0):
+                raise DomainError(f"{where}: contact window must satisfy 0 <= lo < hi <= 1")
 
 
 @dataclass

@@ -153,12 +153,12 @@ def _layer_outputs(params: NetParams, x: Tensor) -> list[Tensor]:
 
 def net_backward_batch(
     params: NetParams, acts: Sequence[Tensor], out_grad: Tensor
-) -> tuple[list[Tensor], Tensor]:
-    """Reverse-mode gradients through a forward already run by `net_activations`.
+) -> list[Tensor]:
+    """Reverse-mode parameter gradients through a forward already run by `net_activations`.
 
-    Returns (param_grads, input_grads) where param_grads follows the
-    `params_as_list` ordering and is summed over the batch, and input_grads
-    has the shape of the input `acts[0]`.
+    The gradients follow the `params_as_list` ordering and are summed over
+    the batch. The sweep stops at the first layer's weights: no caller needs
+    the gradient with respect to the input.
     """
     if len(acts) != params.n_layers() + 1:
         raise ValueError(f"expected {params.n_layers() + 1} activations, got {len(acts)}")
@@ -176,8 +176,9 @@ def net_backward_batch(
             g = g * dact(acts[i + 1])
         grads[2 * i] += g.T @ acts[i]
         grads[2 * i + 1] += g.sum(axis=0)
-        g = g @ params.weights[i]
-    return grads, g
+        if i > 0:
+            g = g @ params.weights[i]
+    return grads
 
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:

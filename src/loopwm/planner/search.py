@@ -1,11 +1,12 @@
 """Breadth-first symbolic planning over grounded operator applications.
 
-Search runs over predicate assignments only (poses never gate operators), so
-the visited set is a set of frozen predicate keys. Successors expand in
-(verb, objects) order, which makes the returned plan the lexicographically
-smallest among the minimal-length candidates and keeps every run
-deterministic. Unreachable goals and exhausted budgets raise NoPlanError;
-plans are never silently truncated.
+Poses never gate operators, so search runs over predicate bitmasks alone: a
+state is one int with bit i set when predicate i holds, and each operator is
+the four masks `DomainSpec` compiles once (pre-true, pre-false, post-true,
+post-false). Successors expand in (verb, objects) order, which makes the
+returned plan the lexicographically smallest among the minimal-length
+candidates and keeps every run deterministic. Unreachable goals and exhausted
+budgets raise NoPlanError; plans are never silently truncated.
 """
 
 from __future__ import annotations
@@ -42,11 +43,16 @@ def _search(
     node_budget: int,
     forbidden_first: ActionBinding | None = None,
 ) -> tuple[Operator, ...]:
-    if state.satisfies(goal.literals):
+    goal_true, goal_false = spec.literal_masks(goal.literals)
+    start = spec.state_key(state)
+    if start & goal_true == goal_true and not start & goal_false:
         return ()
-    ordered = sorted(spec.operators, key=lambda op: (op.verb, op.objects))
-    queue: deque[tuple[SymbolicState, tuple[Operator, ...]]] = deque([(state, ())])
-    visited = {state.pred_key()}
+    forbidden = None
+    if forbidden_first is not None:
+        forbidden = next((i for i, op in enumerate(spec.operators)
+                          if op.binding == forbidden_first), None)
+    queue: deque[tuple[int, tuple[int, ...]]] = deque([(start, ())])
+    visited = {start}
     expanded = 0
     while queue:
         current, path = queue.popleft()
@@ -55,19 +61,18 @@ def _search(
             raise NoPlanError(
                 f"no plan within node budget {node_budget} for goal {goal.text!r}"
             )
-        for op in ordered:
-            if not path and forbidden_first is not None and op.binding == forbidden_first:
+        for index, pre_true, pre_false, post_true, post_false in spec.search_order:
+            if current & pre_true != pre_true or current & pre_false:
                 continue
-            if not current.satisfies(op.pre):
+            if not path and index == forbidden:
                 continue
-            nxt = apply_operator(spec, current, op.binding)
-            key = nxt.pred_key()
-            if key in visited:
+            nxt = (current & ~post_false) | post_true
+            if nxt in visited:
                 continue
-            new_path = path + (op,)
-            if nxt.satisfies(goal.literals):
-                return new_path
-            visited.add(key)
+            new_path = path + (index,)
+            if nxt & goal_true == goal_true and not nxt & goal_false:
+                return tuple(spec.operators[i] for i in new_path)
+            visited.add(nxt)
             queue.append((nxt, new_path))
     raise NoPlanError(f"goal {goal.text!r} is unreachable from the given state")
 

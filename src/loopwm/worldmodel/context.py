@@ -10,7 +10,10 @@ A condition concatenates four blocks:
      every moving entity — width d,
   4. the step index, capped and normalized — width 1.
 
-The width is therefore fixed per domain: 2*d + n_ops + 1.
+The width is therefore fixed per domain: 2*d + n_ops + 1. Blocks 2-4 depend
+only on (operator, capped sid), so `DomainSpec` builds them once as the
+condition tails, and the encoded initial state once as `initial_frame`;
+`embed_condition` concatenates the memory frame with the cached tail.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, NumericError
-from ..microworld import DomainSpec, encode_state
+from ..microworld import DomainSpec
+from ..microworld.types import MAX_NORM_SID
 from ..planner import PlanStep
-
-# sid cap before normalization; plans longer than this share the top value
-MAX_NORM_SID = 16
 
 
 def context_width(spec: DomainSpec) -> int:
@@ -32,25 +33,16 @@ def context_width(spec: DomainSpec) -> int:
 def operator_index(spec: DomainSpec, step: PlanStep) -> int:
     """Index of the step's primary action in the domain's operator list."""
     binding = step.actions[0]
-    for i, op in enumerate(spec.operators):
-        if op.verb == binding.verb and tuple(op.objects) == tuple(binding.objects):
-            return i
-    raise DomainError(f"no operator for action {binding}")
+    i = spec.operator_ids.get((binding.verb, tuple(binding.objects)))
+    if i is None:
+        raise DomainError(f"no operator for action {binding}")
+    return i
 
 
 def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
     """1.0 on channels the step should change: post predicates and moving poses."""
-    mask = np.zeros(len(spec.channels), dtype=np.float64)
-    op = spec.find_operator(step.actions[0])
-    for lit in op.post:
-        mask[spec.channel_index[lit.pred]] = 1.0
-    if op.motion is not None:
-        for name in op.motion.moves:
-            for axis in ("x", "y"):
-                key = f"{name}.{axis}"
-                if key in spec.channel_index:
-                    mask[spec.channel_index[key]] = 1.0
-    return mask
+    n_ops = len(spec.operators)
+    return spec.condition_tails[spec.operator_id(step.actions[0]), 0, n_ops:-1].copy()
 
 
 def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
@@ -61,17 +53,14 @@ def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
     """
     frame = memory.last_frame() if memory is not None else None
     if frame is None:
-        frame = encode_state(spec, spec.initial_state())
+        frame = spec.initial_frame
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (len(spec.channels),):
         raise DomainError(
             f"context frame has width {frame.shape}, expected ({len(spec.channels)},)"
         )
-    one_hot = np.zeros(len(spec.operators), dtype=np.float64)
-    one_hot[operator_index(spec, step)] = 1.0
-    mask = channel_mask(spec, step)
-    sid_norm = np.array([min(step.sid, MAX_NORM_SID) / MAX_NORM_SID], dtype=np.float64)
-    cond = np.concatenate([frame, one_hot, mask, sid_norm])
-    if not np.all(np.isfinite(cond)):
+    tail = spec.condition_tails[spec.operator_id(step.actions[0]), min(step.sid, MAX_NORM_SID) - 1]
+    cond = np.concatenate([frame, tail])
+    if not np.isfinite(cond).all():
         raise NumericError("non-finite values in condition vector")
     return cond

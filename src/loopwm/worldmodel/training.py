@@ -50,7 +50,7 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
     resid = acts[-1] - (eps - xs)
     n_terms = resid.size
     loss = float(np.sum(resid * resid) / n_terms)
-    grads, _ = net_backward_batch(theta, acts, 2.0 * resid / n_terms)
+    grads = net_backward_batch(theta, acts, 2.0 * resid / n_terms)
     return loss, grads
 
 

@@ -86,13 +86,13 @@ def test_reachable_state_lengths_match_the_oracle(name):
     rng = RandomSource(0)
     for _ in range(300):
         literals = _sample_literals(spec, start, rng)
-        assert _plan_length(reachable, literals) == minimal_plan_length(spec, start, literals)
+        assert _plan_length(spec, reachable, literals) == minimal_plan_length(spec, start, literals)
     # goals off the sampled walks too, unreachable ones included
     for _ in range(100):
         picks = rng.integers(0, 2, shape=len(spec.predicates))
         chosen = [i for i in range(len(spec.predicates)) if rng.choice(3) == 0][:3]
         literals = tuple(Literal(spec.predicates[i][0], bool(picks[i])) for i in chosen)
-        assert _plan_length(reachable, literals) == minimal_plan_length(spec, start, literals)
+        assert _plan_length(spec, reachable, literals) == minimal_plan_length(spec, start, literals)
 
 
 def test_pinned_kitchen_suite_digest(kitchen):

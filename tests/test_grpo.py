@@ -428,7 +428,7 @@ def row_loop_objective(theta, reference, group, config, delta):
             / std ** 2
         out_grad = mean_affine_coeffs(t, dt, std, delta=delta)[1] * weight / len(rows)
         acts = net_activations(theta, net_input(z, t, cond))
-        row_grads, _ = net_backward_batch(theta, acts, out_grad[None, :])
+        row_grads = net_backward_batch(theta, acts, out_grad[None, :])
         grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
     value = float(np.mean(values)) - config.beta * float(np.mean(kls))
     return value, np.array(ratios), grads

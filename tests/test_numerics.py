@@ -73,27 +73,11 @@ def test_backward_matches_finite_differences(sizes, activation):
     x = rng.normal(sizes[0])
     og = rng.normal(sizes[-1])
 
-    grads, _ = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
+    grads = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
     fd = finite_diff_grad(lambda p: float(og @ net_forward_batch(p, x[None, :])[0]), params)
     for a, b in zip(grads, fd):
         worst = max(rel_err(u, v) for u, v in zip(a.reshape(-1), b.reshape(-1)))
         assert worst < 1e-6
-
-
-def test_backward_input_gradient_matches_finite_differences():
-    rng = RandomSource(7)
-    params = net_init([4, 6, 2], rng)
-    x = rng.normal(4)
-    og = rng.normal(2)
-    _, gin = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
-    h = 1e-6
-    for i in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (og @ net_forward_batch(params, xp[None, :])[0]
-              - og @ net_forward_batch(params, xm[None, :])[0]) / (2 * h)
-        assert rel_err(gin[0, i], fd) < 1e-5
 
 
 def test_backward_batch_sums_per_sample_grads():
@@ -101,13 +85,12 @@ def test_backward_batch_sums_per_sample_grads():
     params = net_init([3, 5, 2], rng)
     xs = rng.normal((4, 3))
     ogs = rng.normal((4, 2))
-    batch_grads, batch_gin = net_backward_batch(params, net_activations(params, xs), ogs)
+    batch_grads = net_backward_batch(params, net_activations(params, xs), ogs)
     acc = [np.zeros_like(a) for a in batch_grads]
     for i in range(4):
-        g, gin = net_backward_batch(params, net_activations(params, xs[i:i + 1]), ogs[i:i + 1])
+        g = net_backward_batch(params, net_activations(params, xs[i:i + 1]), ogs[i:i + 1])
         for a, b in zip(acc, g):
             a += b
-        np.testing.assert_allclose(batch_gin[i], gin[0], atol=1e-12)
     for a, b in zip(acc, batch_grads):
         np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -176,16 +176,19 @@ def test_replan_renumbers_from_failed_sid(kitchen):
 def _reachable_states(spec, limit=5000):
     from collections import deque
 
+    def key(state):
+        return frozenset(p for p, v in state.predicates.items() if v)
+
     start = spec.initial_state()
-    seen = {start.pred_key(): start}
+    seen = {key(start): start}
     queue = deque([start])
     while queue and len(seen) < limit:
         cur = queue.popleft()
         for op in spec.operators:
             if cur.satisfies(op.pre):
                 nxt = apply_operator(spec, cur, op.binding)
-                if nxt.pred_key() not in seen:
-                    seen[nxt.pred_key()] = nxt
+                if key(nxt) not in seen:
+                    seen[key(nxt)] = nxt
                     queue.append(nxt)
     return list(seen.values())
 

@@ -1,0 +1,162 @@
+"""The bitmask planner search against a dict-state reference, and the cached condition tails
+against the uncached assembly.
+
+`reference_search` is the planner's breadth-first search written over
+`SymbolicState` predicate dicts, reading each operator's literals directly and
+none of the tables `DomainSpec` compiles. Both searches must return the same
+operators or raise the same NoPlanError.
+"""
+
+import numpy as np
+import pytest
+from collections import deque
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopwm.errors import NoPlanError
+from loopwm.memory import WorldMemory
+from loopwm.microworld import (
+    ActionBinding,
+    Literal,
+    SymbolicState,
+    encode_state,
+    load_domain,
+    reference_segment,
+)
+from loopwm.planner import DEFAULT_NODE_BUDGET, Goal, PlanStep
+from loopwm.planner.search import _search
+from loopwm.worldmodel import MAX_NORM_SID, embed_condition
+
+SPECS = {name: load_domain(name) for name in ("kitchen", "workshop")}
+
+
+def _true_predicates(state):
+    return frozenset(p for p, v in state.predicates.items() if v)
+
+
+def _successor(state, op):
+    predicates = dict(state.predicates)
+    for lit in op.post:
+        predicates[lit.pred] = lit.value
+    return SymbolicState(predicates, state.poses)
+
+
+def reference_search(spec, goal, state, node_budget, forbidden_first=None):
+    if state.satisfies(goal.literals):
+        return ()
+    ordered = sorted(spec.operators, key=lambda op: (op.verb, op.objects))
+    queue = deque([(state, ())])
+    visited = {_true_predicates(state)}
+    expanded = 0
+    while queue:
+        current, path = queue.popleft()
+        expanded += 1
+        if expanded > node_budget:
+            raise NoPlanError(
+                f"no plan within node budget {node_budget} for goal {goal.text!r}"
+            )
+        for op in ordered:
+            if not path and forbidden_first is not None and op.binding == forbidden_first:
+                continue
+            if not current.satisfies(op.pre):
+                continue
+            nxt = _successor(current, op)
+            key = _true_predicates(nxt)
+            if key in visited:
+                continue
+            new_path = path + (op,)
+            if nxt.satisfies(goal.literals):
+                return new_path
+            visited.add(key)
+            queue.append((nxt, new_path))
+    raise NoPlanError(f"goal {goal.text!r} is unreachable from the given state")
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoPlanError as exc:
+        return ("NoPlanError", str(exc))
+
+
+@st.composite
+def walked_states(draw, spec):
+    """A start state reached by a random walk of 0-8 applicable operators."""
+    state = spec.initial_state()
+    for _ in range(draw(st.integers(0, 8))):
+        applicable = [op for op in spec.operators if state.satisfies(op.pre)]
+        if not applicable:
+            break
+        state = _successor(state, draw(st.sampled_from(applicable)))
+    return state
+
+
+@st.composite
+def goals(draw, spec):
+    """1-3 literals: half read off a walked state, so most are reachable, and half
+    drawn freely, repeats, contradictions (p and not p) and unreachable sets included."""
+    names = [p for p, _ in spec.predicates]
+    if draw(st.booleans()):
+        target = draw(walked_states(spec))
+        picks = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        return Goal(tuple(Literal(p, target.predicates[p]) for p in picks))
+    literals = draw(st.lists(st.builds(Literal, st.sampled_from(names), st.booleans()),
+                             min_size=1, max_size=3))
+    return Goal(tuple(literals))
+
+
+def _forbidden_choices(spec):
+    bindings = [op.binding for op in spec.operators]
+    toolless = [ActionBinding(b.verb, b.objects) for b in bindings]
+    return [None] + bindings + toolless
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bitmask_search_matches_dict_state_reference(name, data):
+    spec = SPECS[name]
+    state = data.draw(walked_states(spec))
+    goal = data.draw(goals(spec))
+    forbidden = data.draw(st.sampled_from(_forbidden_choices(spec)))
+    budget = data.draw(st.one_of(st.integers(1, 40), st.just(DEFAULT_NODE_BUDGET)))
+    args = (spec, goal, state, budget, forbidden)
+    assert _outcome(_search, *args) == _outcome(reference_search, *args)
+
+
+def _uncached_condition(spec, step, memory):
+    """Frame, one-hot, channel mask and capped sid, each assembled from the declared fields."""
+    frame = memory.last_frame()
+    if frame is None:
+        frame = encode_state(spec, spec.initial_state())
+    binding = step.actions[0]
+    index = next(i for i, op in enumerate(spec.operators)
+                 if (op.verb, op.objects) == (binding.verb, binding.objects))
+    op = spec.operators[index]
+    one_hot = np.zeros(len(spec.operators))
+    one_hot[index] = 1.0
+    mask = np.zeros(len(spec.channels))
+    for lit in op.post:
+        mask[spec.channels.index(lit.pred)] = 1.0
+    for entity in op.motion.moves if op.motion is not None else ():
+        mask[spec.channels.index(f"{entity}.x")] = 1.0
+        mask[spec.channels.index(f"{entity}.y")] = 1.0
+    sid = np.array([min(step.sid, MAX_NORM_SID) / MAX_NORM_SID])
+    return np.concatenate([np.asarray(frame, dtype=np.float64), one_hot, mask, sid])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_embed_condition_matches_uncached_assembly(name):
+    spec = SPECS[name]
+    fresh = WorldMemory.fresh(spec)
+    advanced = WorldMemory.fresh(spec)
+    first = next(op for op in spec.operators if advanced.state.satisfies(op.pre))
+    first_step = PlanStep(1, first.instruction, (first.binding,), first.pre, first.post)
+    advanced.advance(first_step, reference_segment(spec, advanced.state, first.binding), 1.0)
+    assert advanced.last_frame() is not None
+    for memory in (fresh, advanced):
+        for op in spec.operators:
+            for sid in range(1, 21):
+                step = PlanStep(sid, op.instruction, (op.binding,), op.pre, op.post)
+                cond = embed_condition(spec, step, memory)
+                assert cond.tobytes() == _uncached_condition(spec, step, memory).tobytes()

@@ -532,7 +532,7 @@ def test_logprob_gradient_matches_finite_differences():
     _, coeff = mean_affine_coeffs(t, step["dt"], std, delta=config.delta)
     out_grad = coeff * (step["z_next"] - mean) / (std * std)
     acts = net_activations(theta, net_input(step["z"], t, cond))
-    analytic, _ = net_backward_batch(theta, acts, out_grad[None, :])
+    analytic = net_backward_batch(theta, acts, out_grad[None, :])
 
     numeric = finite_diff_grad(
         lambda p: transition_logprob(p, step, cond, delta=config.delta), theta)
