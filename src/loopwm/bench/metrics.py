@@ -15,16 +15,17 @@ averaged over every generated segment in the bucket:
 
 Every task's episode runs on its own stream split from the evaluation's, so
 a task's draws do not depend on the others. The episodes run in lockstep,
-in rounds. A round is one `fulfil` call, to which every episode waiting for
-segments hands its request, so a batching policy samples the whole round in
-one batch. Then come critique passes: in each, every episode waiting for a
-score hands its segment to one `critique` call, so a critic with `rows`
-scores the pass in one call; the passes repeat while an episode takes
-another candidate of its draw, and the next round starts once every episode
-waits for segments again. A row's last bits may depend on which rows share
-its sampler batch (see `sample_group`), so a task's frames equal those of
-the task run alone up to rounding, not bitwise; its reports are those of
-the one-row critic on those frames (see `evaluate_rows`).
+in rounds. A round is one call of the policy's `fulfil`, to which every
+episode waiting for segments hands its request, so a batching policy
+samples the whole round in one batch. Then come critique passes: in each,
+every episode waiting for a score hands its segment to one `critique` call,
+so a critic with `rows` scores the pass in one call; the passes repeat
+while an episode takes another candidate of its draw, and the next round
+starts once every episode waits for segments again. A row's last bits may
+depend on which rows share its sampler batch (see `sample_group`), so a
+task's frames equal those of its rows sampled one at a time up to rounding,
+not bitwise; its reports are those of the one-row critic on those frames
+(see `evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from ..loop import (
     Critique,
     EpisodeLog,
     LoopConfig,
+    Policy,
     critique,
     default_critic,
     episode,
-    fulfil,
     resume,
 )
 from ..microworld import Segment
@@ -220,7 +221,7 @@ def _aggregate(samples: list[_EpisodeSamples]) -> MetricRow:
 
 
 def run_suite(
-    policy,
+    policy: Policy,
     suite: PromptSuite,
     config: LoopConfig | None = None,
     critic=None,
@@ -230,8 +231,8 @@ def run_suite(
     """Run one episode per task in lockstep; None marks an episode that failed.
 
     Every episode starts at once, task i on `rng.split(i)`. Each round
-    hands the requests of all episodes still running to one `fulfil` call
-    and resumes each episode with its draw. Then, as long as any episode
+    hands the requests of all episodes still running to one
+    `policy.fulfil` call and resumes each episode with its draw. Then, as long as any episode
     waits for a score, a pass hands every pending critique to one
     `critique` call and resumes each episode with its report (or throws the
     exception raised for it). Rounds go on until every episode has ended.
@@ -263,14 +264,14 @@ def run_suite(
             answers = critique(critic, suite.spec, [pending.pop(i) for i in waiting])
         else:
             waiting = list(pending)
-            answers = fulfil(policy, [pending.pop(i) for i in waiting])
+            answers = policy.fulfil([pending.pop(i) for i in waiting])
         for i, answer in zip(waiting, answers):
             advance(i, answer)
     return logs
 
 
 def evaluate_policy(
-    policy,
+    policy: Policy,
     suite: PromptSuite,
     config: LoopConfig | None = None,
     critic=None,

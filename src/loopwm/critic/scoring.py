@@ -123,6 +123,11 @@ def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS
     for d in DIMENSIONS:
         if not 0.0 <= scores[d] <= 1.0:
             raise ValueError(f"{d} score {scores[d]} outside [0, 1]")
+    return _weighted_mean(scores, weights)
+
+
+def _weighted_mean(scores: dict[str, float], weights: CriticWeights) -> float:
+    """`aggregate` without its checks, for scores built in [0, 1] by the critic."""
     w = weights.as_dict()
     total = sum(w.values())
     return sum(w[d] * scores[d] for d in DIMENSIONS) / total
@@ -342,7 +347,7 @@ def _report(
         "temporal_coherence": coherence,
         "physical_realism": realism,
     }
-    scalar = aggregate(scores, weights)
+    scalar = _weighted_mean(scores, weights)
 
     reasons = _Reasons(lambda: _reason_text(
         op, applicable, post_hits, pre_frac=pre_frac, goal_score=goal_score, mono=mono,

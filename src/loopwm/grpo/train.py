@@ -171,7 +171,7 @@ def train(
             adherence.extend(float(m.report.scores["action_adherence"]) for m in group.members)
             coherence.extend(float(m.report.scores["temporal_coherence"]) for m in group.members)
             best = group.best_member()
-            memory.advance(step, best.segment, best.reward)
+            memory.advance(step, best.segment)
         log.records.append(
             TrainingRecord(
                 iteration=iteration,

@@ -1,6 +1,6 @@
 """Closed-loop think-act-reflect engine."""
 
-from ..memory import Transition, WorldMemory
+from ..memory import WorldMemory
 from .engine import (
     STATUS_BUDGET,
     STATUS_PLAN_FAILURE,
@@ -15,19 +15,15 @@ from .engine import (
     critique,
     default_critic,
     episode,
-    fulfil,
     inner_refine,
     resume,
-    run_episode,
-    write_episode_logs,
 )
-from .policies import FrozenPolicy, OraclePolicy, Policy
+from .policies import OraclePolicy, Policy
 
 __all__ = [
     "AttemptRecord",
     "Critique",
     "EpisodeLog",
-    "FrozenPolicy",
     "LoopConfig",
     "OraclePolicy",
     "Policy",
@@ -37,14 +33,10 @@ __all__ = [
     "STATUS_PLAN_FAILURE",
     "STATUS_SUCCESS",
     "SearchPlanner",
-    "Transition",
     "WorldMemory",
     "critique",
     "default_critic",
     "episode",
-    "fulfil",
     "inner_refine",
     "resume",
-    "run_episode",
-    "write_episode_logs",
 ]

@@ -14,24 +14,20 @@ calls once per candidate it takes, with the step that candidate is for (a
 retry's step carries the revised instruction). Where it needs a score it
 yields a `Critique(segment, step)` and is resumed with the report.
 
-`fulfil(policy, requests)` turns a list of requests into their draws:
-through the policy's own `fulfil` when it has one (see `Policy`), else
-through one `generate` call per candidate taken. `critique(critic, spec,
-items)` turns a list of critiques into their reports: through the critic's
-own `rows` when it has one (the builtin `default_critic` does), else through
-one call per item, where an item's exception is handed back in place of its
-report and thrown into its own episode. `run_episode` drives one episode by
-itself; `bench.metrics` drives a whole suite in lockstep, one `fulfil` call
-per round for every pending request, then one `critique` call per pass for
-every pending critique.
+A policy's `fulfil(requests)` turns a list of requests into their draws
+(see `Policy`). `critique(critic, spec, items)` turns a list of critiques
+into their reports: through the critic's own `rows` when it has one (the
+builtin `default_critic` does), else through one call per item, where an
+item's exception is handed back in place of its report and thrown into its
+own episode. `bench.metrics.run_suite` drives the episodes of a suite in
+lockstep, one `fulfil` call per round for every pending request, then one
+`critique` call per pass for every pending critique.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Generator
 
 from ..critic import (
@@ -55,7 +51,6 @@ from ..planner import (
     plan,
     replan,
 )
-from .policies import Policy
 
 STATUS_SUCCESS = "success"
 STATUS_PLAN_FAILURE = "plan-failure"
@@ -122,46 +117,6 @@ class EpisodeLog:
     def succeeded(self) -> bool:
         return self.status == STATUS_SUCCESS
 
-    def to_dict(self) -> dict:
-        return {
-            "goal": self.goal.text,
-            "goal_literals": [str(lit) for lit in self.goal.literals],
-            "status": self.status,
-            "plan_length": self.plan_length,
-            "accepted_steps": self.accepted_steps,
-            "segments_generated": self.segments_generated,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "attempts": [
-                {
-                    "sid": a.sid,
-                    "attempt": a.attempt,
-                    "instruction": a.instruction,
-                    "accepted": a.accepted,
-                    "scalar": round(a.report.scalar, 6),
-                    "tags": list(a.report.tags),
-                    "scores": {k: round(v, 6) for k, v in a.report.scores.items()},
-                }
-                for a in self.attempts
-            ],
-            "replans": [
-                {
-                    "at_sid": r.at_sid,
-                    "tags": list(r.tags),
-                    "outcome": r.outcome,
-                    "new_length": r.new_length,
-                }
-                for r in self.replans
-            ],
-            "final_state": self.final_state_text,
-        }
-
-
-def write_episode_logs(path: str | Path, logs: list[EpisodeLog]) -> None:
-    """Line-delimited JSON, one episode per line."""
-    with open(path, "w") as fh:
-        for log in logs:
-            fh.write(json.dumps(log.to_dict(), sort_keys=True) + "\n")
-
 
 class SearchPlanner:
     """Default planner adapter over the breadth-first search module."""
@@ -221,14 +176,6 @@ class Critique:
 # called once per candidate taken, with the step that candidate is for
 Draw = Callable[[PlanStep], Segment]
 Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
-
-
-def fulfil(policy: Policy, requests: list[Request]) -> list[Draw]:
-    """One draw per request: the policy's own `fulfil`, else its `generate`."""
-    batched = getattr(policy, "fulfil", None)
-    if batched is not None:
-        return batched(requests)
-    return [lambda step, r=r: policy.generate(step, r.memory, r.rng) for r in requests]
 
 
 def critique(critic, spec: DomainSpec, items: list[Critique]) -> list[CriticReport | Exception]:
@@ -355,7 +302,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
                                           segment))
         if accepted:
-            memory.advance(step, segment, report.scalar)
+            memory.advance(step, segment)
             log.accepted_steps += 1
             i += 1
             continue
@@ -367,7 +314,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         log.segments_generated += len(records)
         log.attempts.extend(records)
         if refined is not None:
-            memory.advance(step, refined, records[-1].report.scalar)
+            memory.advance(step, refined)
             log.accepted_steps += 1
             i += 1
             continue
@@ -396,25 +343,3 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
     log.wall_seconds = time.monotonic() - t0
     log.final_state_text = state_summary(spec, memory.state)
     return log
-
-
-def run_episode(spec: DomainSpec, goal: Goal, policy: Policy,
-                config: LoopConfig | None = None, rng: RandomSource | None = None,
-                planner=None, critic=None) -> EpisodeLog:
-    """Drive one `episode` by itself, serving each request and critique as it comes.
-
-    `critic` defaults to the builtin critic at the loop's tau.
-    """
-    config = config or LoopConfig()
-    critic = critic or default_critic(config)
-    running = episode(spec, goal, config, rng, planner)
-    try:
-        wanted = next(running)
-        while True:
-            if isinstance(wanted, Critique):
-                (answer,) = critique(critic, spec, [wanted])
-            else:
-                (answer,) = fulfil(policy, [wanted])
-            wanted = resume(running, answer)
-    except StopIteration as done:
-        return done.value

@@ -1,4 +1,4 @@
-"""Append-only record of accepted transitions.
+"""What an episode has accepted so far: the symbolic state and the last frame.
 
 The memory is the bridge between an episode's symbolic bookkeeping and the
 generative policy's conditioning: each accepted (step, segment) pair advances
@@ -10,53 +10,32 @@ accepted operators, even when generated frames carry imperfections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .microworld import DomainSpec, Segment, SymbolicState, apply_operator, encode_state
+from .microworld import DomainSpec, Segment, SymbolicState, apply_operator
 from .planner import PlanStep
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One accepted plan step together with its generated segment and reward."""
-
-    step: PlanStep
-    segment: Segment
-    reward: float
 
 
 @dataclass
 class WorldMemory:
-    """World state accumulated over an episode. Entries are append-only."""
+    """World state accumulated over an episode: what conditioning reads of it."""
 
     spec: DomainSpec
     state: SymbolicState
-    transitions: list[Transition] = field(default_factory=list)
+    # final frame of the most recent accepted segment
+    frame: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, spec: DomainSpec, state: SymbolicState | None = None) -> "WorldMemory":
         return cls(spec=spec, state=state.copy() if state is not None else spec.initial_state())
 
-    @property
-    def depth(self) -> int:
-        return len(self.transitions)
-
     def last_frame(self) -> np.ndarray | None:
         """Final frame of the most recent accepted segment, or None when empty."""
-        if not self.transitions:
-            return None
-        return self.transitions[-1].segment.final_frame
+        return self.frame
 
-    def context_frame(self) -> np.ndarray:
-        """Conditioning frame: last accepted final frame, else the encoded current state."""
-        frame = self.last_frame()
-        if frame is not None:
-            return frame
-        return encode_state(self.spec, self.state)
-
-    def advance(self, step: PlanStep, segment: Segment, reward: float) -> None:
-        """Append a transition and advance the simulated state symbolically."""
+    def advance(self, step: PlanStep, segment: Segment) -> None:
+        """Accept `segment` for `step`: apply the step's operator to the state."""
         self.state = apply_operator(self.spec, self.state, step.actions[0])
-        self.transitions.append(Transition(step=step, segment=segment, reward=float(reward)))
+        self.frame = segment.final_frame

@@ -326,9 +326,5 @@ class Segment:
         return self.frames.shape[1]
 
     @property
-    def first_frame(self) -> np.ndarray:
-        return self.frames[0]
-
-    @property
     def final_frame(self) -> np.ndarray:
         return self.frames[-1]

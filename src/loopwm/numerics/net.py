@@ -58,9 +58,6 @@ class NetParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 def check_params(params: NetParams) -> None:
     """Raise ValueError unless the activation and every layer shape agree with `sizes`."""

@@ -3,7 +3,9 @@
 Every stochastic component takes a RandomSource instead of touching global
 state. A source is identified by (seed, stream); the same pair always
 replays the same value sequence, and `split` derives statistically
-independent child streams without consuming draws from the parent.
+independent child streams without consuming draws from the parent. A
+stream only moves forward: a consumer that needs n blocks of normals draws
+them as one (n, ...) array, whose rows equal n successive draws.
 """
 
 from __future__ import annotations
@@ -53,14 +55,6 @@ class RandomSource:
             raise ValueError("split index must be non-negative")
         child = _splitmix64((self.stream + _GOLDEN * (index + 1)) & _MASK64)
         return RandomSource(self.seed, child)
-
-    def tell(self) -> dict:
-        """The stream's position: a snapshot that `seek` returns to."""
-        return self.generator().bit_generator.state
-
-    def seek(self, position: dict) -> None:
-        """Put the stream back at a position taken by `tell` on this source."""
-        self.generator().bit_generator.state = position
 
     # Draw helpers. These consume from the stream in call order.
 

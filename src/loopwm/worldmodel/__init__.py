@@ -6,7 +6,7 @@ log-densities for importance ratios, flow-matching supervised training,
 and checkpointing with a domain manifest sidecar.
 """
 
-from .context import MAX_NORM_SID, channel_mask, context_width, embed_condition, operator_index
+from .context import MAX_NORM_SID, channel_mask, context_width, embed_condition
 from .policy import (
     MANIFEST_FORMAT,
     PolicyBundle,
@@ -21,9 +21,7 @@ from .sampler import (
     mean_affine_coeffs,
     net_input,
     sample_group,
-    sample_ode,
     sample_rows,
-    sample_sde,
     score_term,
     trace_dtype,
     transition_logprob,
@@ -46,12 +44,9 @@ __all__ = [
     "load_policy",
     "mean_affine_coeffs",
     "net_input",
-    "operator_index",
     "policy_manifest",
     "sample_group",
-    "sample_ode",
     "sample_rows",
-    "sample_sde",
     "save_policy",
     "score_term",
     "sft_train",

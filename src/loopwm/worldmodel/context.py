@@ -30,15 +30,6 @@ def context_width(spec: DomainSpec) -> int:
     return 2 * len(spec.channels) + len(spec.operators) + 1
 
 
-def operator_index(spec: DomainSpec, step: PlanStep) -> int:
-    """Index of the step's primary action in the domain's operator list."""
-    binding = step.actions[0]
-    i = spec.operator_ids.get((binding.verb, tuple(binding.objects)))
-    if i is None:
-        raise DomainError(f"no operator for action {binding}")
-    return i
-
-
 def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
     """1.0 on channels the step should change: post predicates and moving poses."""
     n_ops = len(spec.operators)

@@ -1,5 +1,8 @@
 """Parameter bundle, checkpoint sidecar, and the segment-generating policy.
 
+`WorldModelPolicy.fulfil` serves a lockstep round of the loop engine's
+requests: one block draw per request, one `sample_rows` batch per round.
+
 The sidecar manifest pins only what the weights depend on: the domain hash
 and the net's input and output widths (`n_frames`, `frame_width`,
 `context_width`). The velocity net is trained on continuous t, so any
@@ -17,9 +20,9 @@ import numpy as np
 
 from ..errors import CheckpointError, DivergenceError, LoopwmError
 from ..microworld import DomainSpec, Segment, domain_hash
-from ..numerics import NetParams, RandomSource, clone_params, load_checkpoint, save_checkpoint
+from ..numerics import NetParams, clone_params, load_checkpoint, save_checkpoint
 from .context import context_width, embed_condition
-from .sampler import SamplerConfig, sample_rows, sample_sde
+from .sampler import SamplerConfig, sample_rows
 
 MANIFEST_FORMAT = "loopwm-policy-v1"
 
@@ -101,7 +104,7 @@ class WorldModelPolicy:
 
     The condition reads the step's operator, channel mask and sid and the
     memory's context frame, never the instruction text, so the policy serves
-    the loop engine's requests in batches through `fulfil`.
+    a whole round of the loop engine's requests in one batch (`fulfil`).
     """
 
     def __init__(self, theta: NetParams, spec: DomainSpec, config: SamplerConfig):
@@ -109,67 +112,50 @@ class WorldModelPolicy:
         self.spec = spec
         self.config = config
 
-    def generate(self, step, memory, rng: RandomSource) -> Segment:
-        """One segment: draws z_init, then the path's (K, L) noise, from `rng`."""
-        cond = embed_condition(self.spec, step, memory)
-        z_init = np.asarray(rng.normal(shape=self.config.latent_width), dtype=np.float64)
-        segment, _ = sample_sde(self.theta, cond, z_init, self.config, rng)
-        return segment
-
     def fulfil(self, requests) -> list[Callable]:
         """Serve every request's candidates with one `sample_rows` call.
 
-        Each request's z_init and (K, L) noise are drawn from its own stream
-        in the order its n `generate` calls would draw them, and each of its
-        rows is sampled under its own condition. Its draw hands out the
-        candidates in turn and, before candidate j, puts the stream where j+1
-        `generate` calls leave it. A request whose condition cannot be built
-        draws nothing and fails at its first candidate; a row that diverges
-        fails at its own candidate; neither touches the other requests.
+        Each request draws its n candidates from its own stream in one
+        block, `rng.normal(shape=(n, 1 + K, L))`: row j's z_init is
+        `block[j, 0]` and its noise `block[j, 1:]`. At eta_scale 0 the block
+        is (n, L), the z_inits alone. Each row is sampled under its own
+        request's condition, and a request's draw hands out its candidates
+        in turn. A request whose condition cannot be built draws nothing and
+        fails at its first candidate; a row that diverges fails at its own
+        candidate; neither touches the other requests.
         """
         latent, k_steps = self.config.latent_width, self.config.k_steps
         stochastic = self.config.eta_scale > 0.0
-        total = sum(request.n for request in requests)
-        cond = np.empty((total, context_width(self.spec)))
-        z_init = np.empty((total, latent))
-        noise = np.empty((total, k_steps, latent)) if stochastic else None
-        served, row = [], 0
+        conds, blocks, served = [], [], []
         for request in requests:
             try:
-                request_cond = embed_condition(self.spec, request.step, request.memory)
+                cond = embed_condition(self.spec, request.step, request.memory)
             except LoopwmError as exc:
-                served.append((exc, []))
+                served.append((exc, 0))
                 continue
-            positions = []
-            for _ in range(request.n):
-                cond[row] = request_cond
-                z_init[row] = request.rng.normal(shape=latent)
-                if stochastic:
-                    noise[row] = request.rng.normal(shape=(k_steps, latent))
-                positions.append(request.rng.tell())
-                row += 1
-            served.append((None, positions))
+            shape = (request.n, 1 + k_steps, latent) if stochastic else (request.n, latent)
+            blocks.append(request.rng.normal(shape=shape))
+            conds.append(np.broadcast_to(cond, (request.n, cond.size)))
+            served.append((None, request.n))
         segments = []
-        if row:
-            segments = sample_rows(self.theta, cond[:row], z_init[:row], self.config,
-                                   None if noise is None else noise[:row])
+        if blocks:
+            block = np.concatenate(blocks)
+            z_init, noise = (block[:, 0], block[:, 1:]) if stochastic else (block, None)
+            segments = sample_rows(self.theta, np.concatenate(conds), z_init, self.config, noise)
         draws, first = [], 0
-        for request, (failure, positions) in zip(requests, served):
-            last = first + len(positions)
-            draws.append(_draw(request.rng, segments[first:last], positions, failure))
-            first = last
+        for failure, n in served:
+            draws.append(_draw(iter(segments[first:first + n]), failure))
+            first += n
         return draws
 
 
-def _draw(rng: RandomSource, segments: list, positions: list, failure: LoopwmError | None):
-    """Hand out one request's segments in turn, each from its stream position."""
-    candidates = iter(zip(segments, positions))
+def _draw(segments, failure: LoopwmError | None):
+    """Hand out one request's segments in turn."""
 
     def draw(step) -> Segment:
         if failure is not None:
             raise failure
-        segment, position = next(candidates)
-        rng.seek(position)
+        segment = next(segments)
         if segment is None:
             raise DivergenceError(f"sampler state of step {step.sid} went non-finite")
         return segment

@@ -28,14 +28,13 @@ It takes the initial latents and every step's noise as arrays, so the caller
 decides which stream draws what; GRPO samples a group under one condition.
 `sample_rows` integrates the same rows without recording traces and fails
 row by row instead of raising; the world-model policy samples a round of
-requests from many episodes with it. `sample_sde` is the one-row call that
-draws its noise from one stream, and `sample_ode` the one-row call without
-noise.
+requests from many episodes with it. A one-row call is the plain sampler:
+at eta_scale = 0 it is the deterministic Euler integration of dz = u dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -44,7 +43,6 @@ from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
 from ..numerics import (
     NetParams,
-    RandomSource,
     check_params,
     gaussian_logpdf,
     gaussian_logpdf_rows,
@@ -191,7 +189,7 @@ def _denoise(theta: NetParams, cond: np.ndarray, z: np.ndarray, config: SamplerC
         x[:, latent] = t
         u = net_forward_unchecked(theta, x)
         if not stochastic:
-            # the plain Euler step of sample_ode; std and logp stay 0
+            # the plain Euler step; std and logp stay 0
             z_next = z - u * dt
         else:
             x_pred = z - t * u
@@ -229,12 +227,12 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     rows, or one per row, (G, C). `z_init` is one initial latent of shape
     (L,) shared by every row, or one per row, (G, L). `noise` holds every
     row's Wiener increments, shape (G, K, L): row i takes `noise[i, k]` at
-    denoise step k. A stream's (K, L) draw equals K successive (L,) draws, so
-    row i equals `sample_sde` on its own condition and the stream that drew
-    `noise[i]`, up to rounding: BLAS may sum a G-row matrix product in
-    another order than a one-row product, so a row's last bits may depend on
-    which other rows share its call. Each step makes one (G, width) network
-    evaluation. Rows never mix, so each row's state is checked on its own.
+    denoise step k. Row i equals the one-row call on its own condition,
+    z_init and `noise[i:i + 1]`, up to rounding: BLAS may sum a G-row matrix
+    product in another order than a one-row product, so a row's last bits
+    may depend on which other rows share its call. Each step makes one
+    (G, width) network evaluation. Rows never mix, so each row's state is
+    checked on its own.
 
     `theta`, the widths, `cond`, `z_init` and the noise shape are validated
     once, here; inside the loop only each row's state is checked. A row
@@ -243,9 +241,8 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     spreading non-finite values, and the call raises DivergenceError at the
     end, or as soon as every row has diverged. With
     eta_scale = 0 the noise is not used and may be None: the diffusion and
-    score terms vanish and every row follows the Euler path of `sample_ode`
-    (bitwise for one row). Each row's segment holds its own copy of the
-    frames.
+    score terms vanish and every row follows the plain Euler path
+    z <- z - u*dt. Each row's segment holds its own copy of the frames.
     """
     cond, z, noise = _validated(theta, cond, z_init, config, noise)
     rows = z.shape[0]
@@ -271,27 +268,6 @@ def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     cond, z, noise = _validated(theta, cond, z_init, config, noise)
     z, diverged = _denoise(theta, cond, z, config, noise)
     return [None if diverged[i] else _to_segment(z[i], config) for i in range(z.shape[0])]
-
-
-def sample_sde(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-               config: SamplerConfig, rng: RandomSource) -> tuple[Segment, DenoiseTrace]:
-    """One stochastic path: the one-row call of `sample_group`.
-
-    Draws the path's (K, L) noise from `rng` in one block, and nothing at
-    eta_scale = 0, where the path is bitwise identical to sample_ode on the
-    same grid.
-    """
-    noise = None
-    if config.eta_scale > 0.0:
-        noise = rng.normal(shape=(1, config.k_steps, config.latent_width))
-    return sample_group(theta, cond, z_init, config, noise)[0]
-
-
-def sample_ode(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-               config: SamplerConfig) -> Segment:
-    """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
-    segment, _ = sample_group(theta, cond, z_init, replace(config, eta_scale=0.0), None)[0]
-    return segment
 
 
 def transition_mean(theta: NetParams, step: np.void, cond: np.ndarray, *,

@@ -111,7 +111,7 @@ def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int
                                         n_frames=n_frames, rng=rng, jitter=jitter)
             cond = embed_condition(spec, step, memory)
             demos.append((cond, segment))
-            memory.advance(step, segment, reward=1.0)
+            memory.advance(step, segment)
             if len(demos) >= n_demos:
                 break
     return demos

@@ -1,0 +1,121 @@
+"""Sequential references that the lockstep and batched paths are tested against.
+
+The package serves segments only in lockstep rounds (`run_suite` calls one
+`fulfil` per round) and samples rows only in batches (`sample_group`,
+`sample_rows`). These are the one-at-a-time versions of the same contracts:
+
+- `run_episode` drives one `episode` by itself, serving each request and
+  critique as it comes;
+- `SequentialPolicy` serves a `WorldModelPolicy`'s requests one at a time:
+  the same block draw per request, then one one-row `sample_group` call per
+  candidate taken;
+- `sample_sde` and `sample_ode` are the one-row sampler calls, drawing the
+  path's noise from one stream, or none;
+- `GeneratePolicy` turns a `generate(step, memory, rng)` method into a
+  policy, one call per candidate taken, and `FrozenPolicy` is one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from loopwm.errors import LoopwmError
+from loopwm.loop import Critique, LoopConfig, critique, default_critic, episode, resume
+from loopwm.microworld import Segment, encode_state
+from loopwm.worldmodel import embed_condition, sample_group
+
+
+def run_episode(spec, goal, policy, config=None, rng=None, planner=None, critic=None):
+    """Drive one `episode` by itself; `critic` defaults to the builtin one at the loop's tau."""
+    config = config or LoopConfig()
+    critic = critic or default_critic(config)
+    running = episode(spec, goal, config, rng, planner)
+    try:
+        wanted = next(running)
+        while True:
+            if isinstance(wanted, Critique):
+                (answer,) = critique(critic, spec, [wanted])
+            else:
+                (answer,) = policy.fulfil([wanted])
+            wanted = resume(running, answer)
+    except StopIteration as done:
+        return done.value
+
+
+def sample_sde(theta, cond, z_init, config, rng):
+    """One stochastic path: its (1, K, L) noise drawn from `rng`, none at eta_scale 0."""
+    noise = None
+    if config.eta_scale > 0.0:
+        noise = rng.normal(shape=(1, config.k_steps, config.latent_width))
+    return sample_group(theta, cond, z_init, config, noise)[0]
+
+
+def sample_ode(theta, cond, z_init, config):
+    """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
+    segment, _ = sample_group(theta, cond, z_init, replace(config, eta_scale=0.0), None)[0]
+    return segment
+
+
+def block_draw(config, rng, n):
+    """A request's draw for n candidates: (n, 1 + K, L), or (n, L) at eta_scale 0."""
+    if config.eta_scale > 0.0:
+        return rng.normal(shape=(n, 1 + config.k_steps, config.latent_width))
+    return rng.normal(shape=(n, config.latent_width))
+
+
+class SequentialPolicy:
+    """A `WorldModelPolicy` serving one request, and one candidate, at a time."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def fulfil(self, requests):
+        return [self.serve(request) for request in requests]
+
+    def serve(self, request):
+        theta, spec, config = self.policy.theta, self.policy.spec, self.policy.config
+        try:
+            cond = embed_condition(spec, request.step, request.memory)
+        except LoopwmError as exc:
+            failure = exc
+
+            def refuse(step):
+                raise failure
+
+            return refuse
+        rows = iter(block_draw(config, request.rng, request.n))
+
+        def draw(step):
+            row = next(rows)
+            if config.eta_scale > 0.0:
+                return sample_group(theta, cond, row[0], config, row[None, 1:])[0][0]
+            return sample_group(theta, cond, row, config, None)[0][0]
+
+        return draw
+
+
+class GeneratePolicy:
+    """A policy from its `generate(step, memory, rng)`: one call per candidate taken."""
+
+    def fulfil(self, requests):
+        return [lambda step, r=r: self.generate(step, r.memory, r.rng) for r in requests]
+
+
+class FrozenPolicy(GeneratePolicy):
+    """Adversarial stub: repeats the current conditioning frame F times.
+
+    Preconditions hold at frame 0 but nothing ever changes, so post literals
+    stay unmet and the critic rejects every attempt.
+    """
+
+    def __init__(self, spec, n_frames=16):
+        self.spec = spec
+        self.n_frames = n_frames
+
+    def generate(self, step, memory, rng):
+        frame = memory.last_frame()
+        if frame is None:
+            frame = encode_state(self.spec, memory.state)
+        return Segment(frames=np.tile(frame, (self.n_frames, 1)))

@@ -31,11 +31,12 @@ from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
 from loopwm.critic import CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
-from loopwm.loop import FrozenPolicy, LoopConfig, OraclePolicy
+from loopwm.loop import LoopConfig, OraclePolicy, Request
 from loopwm.microworld import Literal, Segment, load_domain
 from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
+from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy
 
 
 def small_suite(spec, seed=7, counts=(3, 2, 1)):
@@ -226,7 +227,7 @@ def test_frozen_policy_completes_nothing(kitchen):
     assert report.overall.action_completeness <= oracle.overall.action_completeness
 
 
-class NanOnOneStep:
+class NanOnOneStep(GeneratePolicy):
     """Oracle segments, except that one instruction gets NaN from `bad`."""
 
     def __init__(self, spec, instruction, bad):
@@ -241,14 +242,15 @@ class NanOnOneStep:
 
 
 def nan_frames(step, memory, rng):
-    return Segment(frames=np.full((16, len(memory.context_frame())), np.nan))
+    return Segment(frames=np.full((16, len(memory.spec.channels)), np.nan))
 
 
 def nan_net(spec):
     config = SamplerConfig(n_frames=4, frame_width=len(spec.channels))
     theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(2))
     theta.biases[-1][0] = np.nan
-    return WorldModelPolicy(theta, spec, config).generate
+    policy = SequentialPolicy(WorldModelPolicy(theta, spec, config))
+    return lambda step, memory, rng: policy.serve(Request(step, memory, rng, 1))(step)
 
 
 @pytest.mark.parametrize("source", ["frames", "net"])

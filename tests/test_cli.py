@@ -16,6 +16,7 @@ import yaml
 import loopwm
 from loopwm.bench import load_report, load_suite, mode_config
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
+from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
@@ -446,6 +447,22 @@ def test_grpo_config_with_reward_source_exits_2(sft_small, tmp_path, capsys):
     # grpo.reward_source
     tree = {**DEFAULTS, "grpo": {**DEFAULTS["grpo"], "reward_source": "programmatic"}}
     _assert_old_config_exits_2(tree, "grpo.reward_source", sft_small, tmp_path, capsys)
+
+
+def test_resolve_config_rejects_a_backend_section_by_name(tmp_path):
+    # run directories saved while the remote agent backend existed carry a
+    # backend section; it is rejected by name instead of silently ignored
+    assert "backend" not in DEFAULTS
+    assert not hasattr(RunConfig, "agent_backend")
+    path = tmp_path / "config.yaml"
+    tree = {**DEFAULTS, "backend": {"kind": "builtin", "base_url": None, "timeout": 5.0,
+                                    "retries": 2, "token_env": None}}
+    path.write_text(yaml.safe_dump(tree, sort_keys=True))
+    with pytest.raises(UsageError, match="unknown config key 'backend'"):
+        resolve_config(path)
+    path.write_text(yaml.safe_dump({"backend": {}}))
+    with pytest.raises(UsageError, match="unknown config key 'backend'"):
+        resolve_config(path)
 
 
 def test_config_with_backend_section_exits_2(sft_small, tmp_path, capsys):

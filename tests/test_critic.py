@@ -17,6 +17,7 @@ from loopwm.critic import (
 )
 from loopwm.critic.scoring import (
     CONTACT_RADIUS,
+    DIMENSIONS,
     MAX_FRAME_DELTA,
     VALUE_BOX,
     coherence_score,
@@ -29,8 +30,10 @@ from loopwm.microworld import (
     load_domain,
     reference_segment,
 )
+from loopwm.numerics import RandomSource
 from loopwm.planner import Goal, plan
 from loopwm.microworld import parse_literal
+from outside import plain_data_critic
 
 
 def first_step(kitchen, *goal_lits):
@@ -353,3 +356,63 @@ def test_rows_carry_their_own_steps(data, seed):
         assert bits(report.scalar) == bits(want.scalar)
         assert {d: bits(v) for d, v in report.scores.items()} == \
             {d: bits(v) for d, v in want.scores.items()}
+
+
+# ------------------------------------------------- scalar, clamps and tags
+
+
+def test_aggregate_of_all_ones_is_one_under_any_simplex_weights():
+    ones = {d: 1.0 for d in DIMENSIONS}
+    assert aggregate(ones) == 1.0
+    for weights in (CriticWeights(0.6, 0.1, 0.1, 0.1, 0.1),
+                    CriticWeights(1.0, 0.0, 0.0, 0.0, 0.0),
+                    CriticWeights(0.2, 0.2, 0.2, 0.2, 0.2)):
+        assert aggregate(ones, weights) == pytest.approx(1.0)
+
+
+def test_realism_clamps_at_zero_and_tags_physics_violation(kitchen):
+    # the realism severity factor is clamped at 0: a frame far outside the
+    # value box zeroes the dimension instead of driving it negative
+    step = open_jar_step(kitchen)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    frames = seg.frames.copy()
+    frames[8, kitchen.channel_index["hand.x"]] = VALUE_BOX[1] + 4 * MAX_FRAME_DELTA
+    report = evaluate(kitchen, Segment(frames), step, tau=0.95)
+    assert report.scores["physical_realism"] == 0.0
+    assert all(0.0 <= report.scores[d] <= 1.0 for d in DIMENSIONS)
+    assert report.scalar < 0.95
+    assert "physics-violation" in report.tags
+    # aggregate takes scores already in [0, 1] and does not clamp them itself
+    with pytest.raises(ValueError, match="outside"):
+        aggregate({**report.scores, "physical_realism": 1.3})
+
+
+def test_scalar_below_tau_without_a_fault_tags_the_weakest_dimension(kitchen):
+    # a segment with no specific fault still gets a tag when its scalar is
+    # below tau: the weakest dimension, as a low-score tag
+    step = open_jar_step(kitchen)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    passing = evaluate(kitchen, seg, step)
+    assert passing.tags == ()
+    strict = evaluate(kitchen, seg, step, tau=1.5)
+    worst = min(DIMENSIONS, key=lambda d: (strict.scores[d], d))
+    assert strict.scalar == passing.scalar
+    assert strict.tags == (f"low-score:{worst}",)
+    assert strict.revised_instruction != step.instruction
+
+
+def test_outside_critic_reports_have_the_builtin_shape(kitchen):
+    # what a critic adapter must hand back: the builtin report's shape, whose
+    # scalar is the checked weighted mean of its scores
+    step = open_jar_step(kitchen)
+    segment = reference_segment(
+        kitchen, kitchen.initial_state(), step.actions[0], rng=RandomSource(1)
+    )
+    builtin = evaluate(kitchen, segment, step)
+    assert set(builtin.scores) == set(builtin.reasons) == set(DIMENSIONS)
+    assert builtin.scalar == aggregate(builtin.scores)
+    assert set(builtin.details) == {"contact_applicable"}
+    outside = plain_data_critic(0.7)(kitchen, segment, step)
+    assert outside.scores == builtin.scores
+    assert outside.scalar == builtin.scalar
+    assert outside.details == {}

@@ -46,13 +46,13 @@ from loopwm.worldmodel import (
     mean_affine_coeffs,
     net_input,
     sample_group,
-    sample_sde,
     sft_train,
     trace_dtype,
     transition_logprob,
     transition_mean,
     velocity_net_sizes,
 )
+from sequential import sample_sde
 
 
 def small_sampler(frame_width, n_frames=2, k_steps=3, eta_scale=0.3):
@@ -774,7 +774,7 @@ def test_group_rewards_vary_for_imperfect_policy(kitchen):
     for step in steps[:-1]:
         segment = reference_segment(kitchen, memory.state, step.actions[0],
                                     n_frames=n_frames)
-        memory.advance(step, segment, 1.0)
+        memory.advance(step, segment)
     pour = steps[-1]
     config = GrpoConfig(group_size=4)
     for trial in range(20):

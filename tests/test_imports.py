@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import loopwm
@@ -33,3 +34,54 @@ def test_no_module_imports_threads_processes_or_networking():
         if root in FORBIDDEN
     ]
     assert offenders == []
+
+
+# Reference implementations that tests compare the package's fast paths
+# against; nothing in the package calls them.
+REFERENCE_ONLY = {
+    "transition_logprob",  # one transition's density; objective_terms batches it
+    "kl_term",  # one trace's KL; objective_terms batches it
+    "finite_diff_grad",  # numeric gradient that checks every backward pass
+    "decode_frame",  # frame -> state decode; the critic thresholds columns itself
+    "channel_mask",  # one step's mask; DomainSpec builds every condition tail
+    "load_suite",  # suite reader; bench regenerates its pinned suite
+    "aggregate",  # checked weighted mean; the critic's reports use it unchecked
+}
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the public methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield item
+
+
+def _named(node: ast.AST):
+    """Every name a subtree reads or calls, as `ast.Name` or `ast.Attribute`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    # one implementation per concept, and no code that the program cannot
+    # reach: a definition whose name appears nowhere else in the package
+    # (its own body aside) is dead or serves only the tests
+    package = Path(loopwm.__file__).parent
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _named(tree))
+    unused = sorted(
+        f"{path.relative_to(package.parent)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in _definitions(tree)
+        if node.name not in REFERENCE_ONLY
+        and uses[node.name] == Counter(_named(node))[node.name]
+    )
+    assert unused == []

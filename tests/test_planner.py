@@ -3,16 +3,19 @@ import pytest
 from loopwm.bench.oracle import minimal_plan_length
 from loopwm.errors import DomainError, NoPlanError
 from loopwm.microworld import ActionBinding, Literal, apply_operator, parse_literal
+from loopwm.microworld.types import MAX_INSTRUCTION_WORDS
 from loopwm.numerics import RandomSource
 from loopwm.planner import (
     FailureContext,
     Goal,
     PlanSequence,
+    PlanStep,
     parse_goal_literal,
     plan,
     replan,
     validate_plan,
 )
+from outside import step_from_plain, step_to_plain
 
 
 def goal_of(*texts):
@@ -215,3 +218,46 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
         assert oracle_len == len(seq)
         checked += 1
     assert checked >= 80
+
+
+# ------------------------------------------------- plans from goal text and plain data
+
+
+def jar_goal():
+    return Goal((Literal("jar.lid_removed", True),))
+
+
+def test_goal_text_plans_the_jar_example(kitchen):
+    # the path `loopwm plan "lid removed"` takes: goal text, then the search;
+    # the step rebuilt from plain data, as an outside planner's adapter
+    # would rebuild it, is the same step
+    goal = Goal((parse_goal_literal(kitchen, "lid removed"),))
+    assert goal == jar_goal()
+    sequence = plan(kitchen, goal, kitchen.initial_state())
+    step = sequence.steps[0]
+    assert len(sequence.steps) == 1
+    assert step.sid == 1
+    assert step.pre == (Literal("jar.closed", True),)
+    assert Literal("jar.lid_removed", True) in step.post
+    assert step.actions[0].verb == "open"
+    assert step.actions[0].objects == ("jar",)
+    assert step.actions[0].tool == "hand"
+    assert step_from_plain(kitchen, step_to_plain(step)) == step
+
+
+def test_plan_value_types_reject_malformed_steps(kitchen):
+    # the checks every plan handed to the loop passes, whoever wrote it
+    step = plan(kitchen, jar_goal(), kitchen.initial_state()).steps[0]
+    with pytest.raises(ValueError, match="sid"):
+        PlanStep(0, step.instruction, step.actions, step.pre, step.post)
+    with pytest.raises(ValueError, match="action"):
+        PlanStep(1, step.instruction, (), step.pre, step.post)
+    wordy = " ".join(["very"] * MAX_INSTRUCTION_WORDS + ["long"])
+    with pytest.raises(ValueError, match="instruction"):
+        PlanStep(1, wordy, step.actions, step.pre, step.post)
+    with pytest.raises(ValueError, match="instruction"):
+        step.with_instruction("   ")
+    with pytest.raises(ValueError, match="increasing"):
+        PlanSequence((step, step), jar_goal())
+    with pytest.raises(ValueError, match="literal"):
+        Goal(())

@@ -152,7 +152,7 @@ def test_embed_condition_matches_uncached_assembly(name):
     advanced = WorldMemory.fresh(spec)
     first = next(op for op in spec.operators if advanced.state.satisfies(op.pre))
     first_step = PlanStep(1, first.instruction, (first.binding,), first.pre, first.post)
-    advanced.advance(first_step, reference_segment(spec, advanced.state, first.binding), 1.0)
+    advanced.advance(first_step, reference_segment(spec, advanced.state, first.binding))
     assert advanced.last_frame() is not None
     for memory in (fresh, advanced):
         for op in spec.operators:

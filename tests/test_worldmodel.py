@@ -40,9 +40,7 @@ from loopwm.worldmodel import (
     mean_affine_coeffs,
     net_input,
     sample_group,
-    sample_ode,
     sample_rows,
-    sample_sde,
     save_policy,
     score_term,
     sft_train,
@@ -50,6 +48,7 @@ from loopwm.worldmodel import (
     transition_mean,
     velocity_net_sizes,
 )
+from sequential import SequentialPolicy, sample_ode, sample_sde
 
 
 def small_config(frame_width, n_frames=2, k_steps=4, eta_scale=0.3):
@@ -88,7 +87,7 @@ def test_context_uses_last_accepted_frame(kitchen):
     memory = WorldMemory.fresh(kitchen)
     op = kitchen.find_operator(steps[0].actions[0])
     seg = reference_segment(kitchen, memory.state, op.binding)
-    memory.advance(steps[0], seg, reward=1.0)
+    memory.advance(steps[0], seg)
     cond = embed_condition(kitchen, steps[1], memory)
     d = len(kitchen.channels)
     np.testing.assert_array_equal(cond[:d], seg.final_frame)
@@ -343,8 +342,7 @@ def round_of_requests(spec, config, seed, n):
     steps = plan_steps(spec, "cup.full")
     advanced = WorldMemory.fresh(spec)
     advanced.advance(steps[0], reference_segment(spec, spec.initial_state(), steps[0].actions[0],
-                                                 n_frames=config.n_frames, rng=RandomSource(9)),
-                     1.0)
+                                                 n_frames=config.n_frames, rng=RandomSource(9)))
     return [Request(steps[1], WorldMemory.fresh(spec), RandomSource(seed, 1), n),
             Request(steps[0], WorldMemory.fresh(spec), RandomSource(seed, 2), 1),
             Request(steps[1], advanced, RandomSource(seed, 3), n)]
@@ -354,24 +352,31 @@ def twin(rng):
     return RandomSource(rng.seed, rng.stream)
 
 
+def twins(requests):
+    """The same requests on equal streams, for the sequential reference."""
+    return [Request(r.step, r.memory, twin(r.rng), r.n) for r in requests]
+
+
 @pytest.mark.parametrize("eta_scale", [0.3, 0.0])
 def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
-    # a request's n candidates are the segments of n generate calls on an
-    # equal stream, each row under its own request's condition, and after
-    # j+1 of them the stream stands where j+1 calls leave it
+    # a request's candidate j is the one-row reference on row j of its block
+    # draw, each row under its own request's condition, and after any 1..n
+    # candidates the stream stands where the one block draw leaves it
     config = SamplerConfig(k_steps=4, eta_scale=eta_scale, n_frames=3,
                            frame_width=len(kitchen.channels))
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
     policy = WorldModelPolicy(theta, kitchen, config)
     n = 4
+    block = (n, 1 + config.k_steps, config.latent_width) if eta_scale else (n, config.latent_width)
     for seed in range(3):
         requests = round_of_requests(kitchen, config, seed, n)
-        sequential = [twin(r.rng) for r in requests]
+        reference = twins(requests)
         segments = []
-        for request, draw, rng in zip(requests, policy.fulfil(requests), sequential):
+        for request, draw, want_draw in zip(requests, policy.fulfil(requests),
+                                            SequentialPolicy(policy).fulfil(reference)):
             for _ in range(request.n):
                 segment = draw(request.step)
-                want = policy.generate(request.step, request.memory, rng)
+                want = want_draw(request.step)
                 np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
                 segments.append(segment)
         assert len(segments) == 2 * n + 1
@@ -380,12 +385,12 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
         assert not np.allclose(segments[0].frames, segments[n + 1].frames)
         for taken in range(1, n + 1):
             requests = round_of_requests(kitchen, config, seed, n)
-            sequential = [twin(r.rng) for r in requests]
+            after = twin(requests[0].rng)
+            after.normal(shape=block)
             draws = policy.fulfil(requests)
             for _ in range(taken):
                 draws[0](requests[0].step)
-                policy.generate(requests[0].step, requests[0].memory, sequential[0])
-            assert requests[0].rng.normal() == sequential[0].normal()
+            assert requests[0].rng.normal() == after.normal()
 
 
 def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
@@ -395,18 +400,17 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
     policy = WorldModelPolicy(theta, kitchen, config)
     requests = round_of_requests(kitchen, config, seed=0, n=2)
     # a context frame poisoned after the segment passed its finiteness check
-    requests[2].memory.transitions[-1].segment.frames[-1, 0] = np.nan
+    requests[2].memory.last_frame()[0] = np.nan
     with pytest.raises(NumericError):
         embed_condition(kitchen, requests[2].step, requests[2].memory)
-    sequential = [twin(r.rng) for r in requests]
+    reference = SequentialPolicy(policy).fulfil(twins(requests))
     draws = policy.fulfil(requests)
     with pytest.raises(NumericError):
         draws[2](requests[2].step)
-    for request, draw, rng in list(zip(requests, draws, sequential))[:2]:
+    for request, draw, want_draw in list(zip(requests, draws, reference))[:2]:
         for _ in range(request.n):
-            want = policy.generate(request.step, request.memory, rng)
-            np.testing.assert_allclose(draw(request.step).frames, want.frames, rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(draw(request.step).frames,
+                                       want_draw(request.step).frames, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
