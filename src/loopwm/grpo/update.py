@@ -90,7 +90,7 @@ class ObjectiveTerms:
     value: float
     surrogate: float
     kl: float
-    grads: list
+    grads: np.ndarray
     clip_fraction: float
     ratios: np.ndarray
     kept: tuple[int, ...]
@@ -164,7 +164,7 @@ def objective_terms(
             _log.warning("dropping rollout member %d: non-finite importance ratio", i)
     if not kept:
         return ObjectiveTerms(
-            value=0.0, surrogate=0.0, kl=0.0, grads=[], clip_fraction=0.0,
+            value=0.0, surrogate=0.0, kl=0.0, grads=np.empty(0), clip_fraction=0.0,
             ratios=np.empty(0), kept=(), dropped=dropped,
         )
 
@@ -215,6 +215,7 @@ def grpo_update(
     if terms.skipped:
         _log.warning("skipping update: all %d members dropped", terms.dropped)
     else:
-        # opt_step descends, so feed the negated ascent gradient
-        opt_step(bundle.theta, [-g for g in terms.grads], opt_state, lr=config.lr)
+        # opt_step descends, so feed the negated ascent gradient; a sign
+        # flip is exact, so this is the same step as ascending along grads
+        opt_step(bundle.theta, -terms.grads, opt_state, lr=config.lr)
     return bundle.theta, opt_state, terms

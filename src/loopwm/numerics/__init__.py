@@ -1,6 +1,5 @@
 from .net import (
     NetParams,
-    check_params,
     clone_params,
     load_checkpoint,
     net_activations,
@@ -8,9 +7,7 @@ from .net import (
     net_forward_batch,
     net_forward_unchecked,
     net_init,
-    params_as_list,
     save_checkpoint,
-    zeros_like_grads,
 )
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
@@ -22,7 +19,6 @@ __all__ = [
     "OptState",
     "RandomSource",
     "Tensor",
-    "check_params",
     "clone_params",
     "finite_diff_grad",
     "gaussian_logpdf",
@@ -35,8 +31,6 @@ __all__ = [
     "net_init",
     "opt_init",
     "opt_step",
-    "params_as_list",
     "require_finite",
     "save_checkpoint",
-    "zeros_like_grads",
 ]

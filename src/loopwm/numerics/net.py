@@ -10,13 +10,20 @@ can be checked coordinate-by-coordinate against the central-difference oracle
 in `stats.finite_diff_grad`, which stays independent of this module's
 backward pass.
 
+Every parameter of a net lives in one contiguous float64 vector,
+`NetParams.vector`, in checkpoint order: W0 row-major, b0, W1, b1, ...
+`weights[i]` and `biases[i]` are views into it. A gradient is one vector of
+the same layout, so the optimizer updates a net with whole-vector operations,
+and the in-memory vector is the checkpoint payload.
+
 Checkpoint layout (all integers and floats little-endian):
 
     bytes 0..7   magic b"LWNET001"
     u8           length of the activation name, then that many ascii bytes
     u32          S, the number of layer sizes
     S * u32      layer sizes, input width first
-    per layer    weight matrix (out*in float64, row-major), then bias (out float64)
+    payload      the parameter vector: per layer the weight matrix
+                 (out*in float64, row-major), then the bias (out float64)
 
 The loader rejects wrong magic, unknown activations, truncated files, and
 trailing bytes.
@@ -25,7 +32,7 @@ trailing bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,74 +44,91 @@ from .tensor import Tensor, require_finite
 
 MAGIC = b"LWNET001"
 
-# name -> (forward, derivative-from-activation-value)
+
+def _tanh_grad(a: Tensor) -> Tensor:
+    d = a * a
+    return np.subtract(1.0, d, out=d)
+
+
+def _softplus_grad(a: Tensor) -> Tensor:
+    d = np.negative(a)
+    np.exp(d, out=d)
+    return np.subtract(1.0, d, out=d)
+
+
+# name -> (forward in place, derivative from the activation value)
 # softplus: a = log(1+e^x) so sigma(x) = 1 - e^(-a); smooth, so finite
 # differences stay a valid oracle (unlike relu's kink)
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "softplus": (lambda x: np.logaddexp(0.0, x), lambda a: 1.0 - np.exp(-a)),
+    "tanh": (lambda h: np.tanh(h, out=h), _tanh_grad),
+    "softplus": (lambda h: np.logaddexp(0.0, h, out=h), _softplus_grad),
 }
 
 
-@dataclass
+def _n_params(sizes: Sequence[int]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(sizes: Sequence[int], vector: Tensor) -> tuple[tuple, tuple]:
+    """(weights, biases): views of a vector in checkpoint order."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = off + fan_out * fan_in
+        weights.append(vector[off:end].reshape(fan_out, fan_in))
+        biases.append(vector[end:end + fan_out])
+        off = end + fan_out
+    return tuple(weights), tuple(biases)
+
+
+@dataclass(frozen=True, eq=False)
 class NetParams:
-    """Ordered affine layers; weights[i] has shape (sizes[i+1], sizes[i])."""
+    """Ordered affine layers over one parameter vector.
+
+    `vector` holds every parameter in checkpoint order; weights[i], of shape
+    (sizes[i+1], sizes[i]), and biases[i] are views into it, so a write
+    through either is a write to the other. Construction checks the
+    activation and the vector's length, so every NetParams is consistent.
+    """
 
     sizes: tuple[int, ...]
-    weights: list[Tensor]
-    biases: list[Tensor]
+    vector: Tensor
     activation: str = "tanh"
+    weights: tuple[Tensor, ...] = field(init=False, repr=False)
+    biases: tuple[Tensor, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if len(self.sizes) < 2:
+            raise ValueError(f"a net needs at least 2 layer sizes, got {self.sizes}")
+        vector = self.vector
+        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+                and vector.ndim == 1 and vector.flags.c_contiguous):
+            raise ValueError("parameters must be one contiguous float64 vector")
+        if vector.size != _n_params(self.sizes):
+            raise ValueError(f"parameter vector has {vector.size} entries, layer sizes "
+                             f"{self.sizes} need {_n_params(self.sizes)}")
+        weights, biases = _layer_views(self.sizes, vector)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     def n_layers(self) -> int:
         return len(self.weights)
 
 
-def check_params(params: NetParams) -> None:
-    """Raise ValueError unless the activation and every layer shape agree with `sizes`."""
-    if params.activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {params.activation!r}")
-    if len(params.sizes) < 2 or len(params.weights) != len(params.sizes) - 1:
-        raise ValueError("layer sizes and weight list disagree")
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if w.shape != (params.sizes[i + 1], params.sizes[i]) or b.shape != (params.sizes[i + 1],):
-            raise ValueError(f"layer {i} has shape {w.shape}/{b.shape}, expected "
-                             f"({params.sizes[i + 1]}, {params.sizes[i]})")
-
-
 def net_init(sizes: Sequence[int], rng: RandomSource, activation: str = "tanh") -> NetParams:
     """Glorot-scaled normal weights, zero biases."""
     sizes = tuple(int(s) for s in sizes)
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+    params = NetParams(sizes, np.zeros(_n_params(sizes)), activation)
     gen = rng.generator()
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for w, fan_in, fan_out in zip(params.weights, sizes[:-1], sizes[1:]):
         scale = np.sqrt(2.0 / (fan_in + fan_out))
-        weights.append(gen.standard_normal((fan_out, fan_in)) * scale)
-        biases.append(np.zeros(fan_out))
-    return NetParams(sizes, weights, biases, activation)
+        w[...] = gen.standard_normal((fan_out, fan_in)) * scale
+    return params
 
 
 def clone_params(params: NetParams) -> NetParams:
-    return NetParams(
-        params.sizes,
-        [w.copy() for w in params.weights],
-        [b.copy() for b in params.biases],
-        params.activation,
-    )
-
-
-def params_as_list(params: NetParams) -> list[Tensor]:
-    """Canonical flat ordering [W0, b0, W1, b1, ...] shared with OptState and grads."""
-    out: list[Tensor] = []
-    for w, b in zip(params.weights, params.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def zeros_like_grads(params: NetParams) -> list[Tensor]:
-    return [np.zeros_like(a) for a in params_as_list(params)]
+    return NetParams(params.sizes, params.vector.copy(), params.activation)
 
 
 def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
@@ -113,7 +137,6 @@ def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     x has shape (n, sizes[0]) and y has shape (n, sizes[-1]). Pass the list
     to `net_backward_batch` to differentiate this forward without rerunning it.
     """
-    check_params(params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.sizes[0]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
@@ -131,8 +154,8 @@ def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
 def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
     """`net_forward_batch` without its checks, for loops that validated once.
 
-    The caller guarantees `check_params(params)` passed and that x is a
-    float64 array of shape (n, sizes[0]). Non-finite values pass through.
+    The caller guarantees that x is a float64 array of shape (n, sizes[0]).
+    Non-finite values pass through.
     """
     return _layer_outputs(params, x)[-1]
 
@@ -143,17 +166,18 @@ def _layer_outputs(params: NetParams, x: Tensor) -> list[Tensor]:
     acts = [x]
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w.T + b
-        acts.append(act(h) if i < last else h)
+        h = acts[-1] @ w.T
+        h += b
+        if i < last:
+            act(h)
+        acts.append(h)
     return acts
 
 
-def net_backward_batch(
-    params: NetParams, acts: Sequence[Tensor], out_grad: Tensor
-) -> list[Tensor]:
-    """Reverse-mode parameter gradients through a forward already run by `net_activations`.
+def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tensor) -> Tensor:
+    """Reverse-mode parameter gradient through a forward already run by `net_activations`.
 
-    The gradients follow the `params_as_list` ordering and are summed over
+    The gradient is one vector in the layout of `params.vector`, summed over
     the batch. The sweep stops at the first layer's weights: no caller needs
     the gradient with respect to the input.
     """
@@ -166,29 +190,30 @@ def net_backward_batch(
 
     _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
-    grads = zeros_like_grads(params)
+    grad = np.empty_like(params.vector)
+    grad_w, grad_b = _layer_views(params.sizes, grad)
     g = out_grad  # gradient w.r.t. the current layer's pre-activation (output layer is linear)
     for i in range(last, -1, -1):
         if i < last:
-            g = g * dact(acts[i + 1])
-        grads[2 * i] += g.T @ acts[i]
-        grads[2 * i + 1] += g.sum(axis=0)
+            # below the output layer g is a product made here, not the caller's
+            # out_grad, so it may be scaled in place
+            g *= dact(acts[i + 1])
+        np.matmul(g.T, acts[i], out=grad_w[i])
+        np.sum(g, axis=0, out=grad_b[i])
         if i > 0:
             g = g @ params.weights[i]
-    return grads
+    return grad
 
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:
     """Write the documented binary layout. Deterministic bytes for equal params."""
-    check_params(params)
     name = params.activation.encode("ascii")
-    parts = [MAGIC, struct.pack("<B", len(name)), name,
-             struct.pack("<I", len(params.sizes)),
-             struct.pack(f"<{len(params.sizes)}I", *params.sizes)]
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    Path(path).write_bytes(b"".join([
+        MAGIC, struct.pack("<B", len(name)), name,
+        struct.pack("<I", len(params.sizes)),
+        struct.pack(f"<{len(params.sizes)}I", *params.sizes),
+        np.ascontiguousarray(params.vector, dtype="<f8").tobytes(),
+    ]))
 
 
 def load_checkpoint(path: str | Path) -> NetParams:
@@ -212,13 +237,8 @@ def load_checkpoint(path: str | Path) -> NetParams:
     (n_sizes,) = struct.unpack("<I", take(4))
     if n_sizes < 2 or n_sizes > 64:
         raise CheckpointError(f"{path}: implausible layer count {n_sizes}")
-    sizes = struct.unpack(f"<{n_sizes}I", take(4 * n_sizes))
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8").reshape(fan_out, fan_in)
-        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
+    sizes = tuple(int(s) for s in struct.unpack(f"<{n_sizes}I", take(4 * n_sizes)))
+    vector = np.frombuffer(take(8 * _n_params(sizes)), dtype="<f8").astype(np.float64)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return NetParams(tuple(int(s) for s in sizes), weights, biases, activation)
+    return NetParams(sizes, vector, activation)

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .net import NetParams, clone_params, params_as_list, zeros_like_grads
+from .net import NetParams, clone_params
 from .tensor import Tensor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -33,27 +33,25 @@ def gaussian_logpdf_rows(x: Tensor, mean: Tensor, std: float) -> Tensor:
 
 def finite_diff_grad(
     fn: Callable[[NetParams], float], params: NetParams, h: float = 1e-5
-) -> list[Tensor]:
+) -> Tensor:
     """Central differences of a scalar objective over every parameter coordinate.
 
     Independent oracle for `net_backward_batch`-derived gradients; keep it free of
-    any analytic-gradient code. O(2 * n_params) objective evaluations, so use
-    small nets in tests.
+    any analytic-gradient code. Returns one vector in the layout of
+    `params.vector`. O(2 * n_params) objective evaluations, so use small nets
+    in tests.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
     work = clone_params(params)
-    arrays = params_as_list(work)
-    grads = zeros_like_grads(params)
-    for arr, grad in zip(arrays, grads):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = fn(work)
-            flat[i] = orig - h
-            f_minus = fn(work)
-            flat[i] = orig
-            gflat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grads
+    flat = work.vector
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = fn(work)
+        flat[i] = orig - h
+        f_minus = fn(work)
+        flat[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad

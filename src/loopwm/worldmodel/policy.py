@@ -43,6 +43,9 @@ class PolicyBundle:
     def __post_init__(self):
         if not (self.theta.sizes == self.theta_old.sizes == self.reference.sizes):
             raise CheckpointError("bundle parameter sets must share one architecture")
+        if any(np.shares_memory(self.theta_old.vector, other.vector)
+               for other in (self.theta, self.reference)):
+            raise LoopwmError("theta_old must own its parameters: sync_old writes into them")
 
     @classmethod
     def from_reference(cls, reference: NetParams) -> "PolicyBundle":
@@ -50,8 +53,8 @@ class PolicyBundle:
                    reference=reference)
 
     def sync_old(self) -> None:
-        """theta_old <- theta (atomic snapshot swap between iterations)."""
-        self.theta_old = clone_params(self.theta)
+        """theta_old <- theta, copied into theta_old's own vector between iterations."""
+        np.copyto(self.theta_old.vector, self.theta.vector)
 
 
 def _manifest_path(path: Path) -> Path:

@@ -43,7 +43,6 @@ from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
 from ..numerics import (
     NetParams,
-    check_params,
     gaussian_logpdf,
     gaussian_logpdf_rows,
     net_forward_batch,
@@ -133,7 +132,6 @@ def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
 def _validated(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
                noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Check the row contract once; return (cond, z_init at one row per path, noise)."""
-    check_params(theta)
     cond = np.asarray(cond, dtype=np.float64)
     z = np.array(z_init, dtype=np.float64, ndmin=2)
     latent = config.latent_width

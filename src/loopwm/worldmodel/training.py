@@ -33,7 +33,7 @@ def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64
 
 
 def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
-                       ts: np.ndarray, eps: np.ndarray) -> tuple[float, list[np.ndarray]]:
+                       ts: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared velocity error and its parameter gradient on one batch.
 
     The (t, eps) draws are explicit arguments so a finite-difference oracle

@@ -1,0 +1,72 @@
+"""Per-array references for the flat parameter vector.
+
+The package keeps every parameter of a net in one vector and updates it with
+whole-vector operations (`opt_step`) and one gradient vector
+(`net_backward_batch`). These are the versions that work one (W, b) array at
+a time, as the package did before the vector:
+
+- `layer_arrays` lists a vector as its arrays [W0, b0, W1, b1, ...];
+- `forward_per_array` is the layer loop with fresh arrays per operation;
+- `backward_per_array` zero-fills one gradient array per parameter array and
+  adds each layer's product into it;
+- `opt_step_per_array` runs Adam's update array by array, with temporaries.
+
+Each does the same float operations in the same order as the package, so
+results must be equal bit for bit, not merely close.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from loopwm.numerics import NetParams
+
+_FORWARD = {"tanh": np.tanh, "softplus": lambda x: np.logaddexp(0.0, x)}
+_DERIVATIVE = {"tanh": lambda a: 1.0 - a * a, "softplus": lambda a: 1.0 - np.exp(-a)}
+
+
+def layer_arrays(params: NetParams, vector=None) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] as views of `vector` (default `params.vector`)."""
+    if vector is not None:
+        params = NetParams(params.sizes, vector, params.activation)
+    out = []
+    for w, b in zip(params.weights, params.biases):
+        out.extend((w, b))
+    return out
+
+
+def forward_per_array(params: NetParams, x: np.ndarray) -> list[np.ndarray]:
+    act = _FORWARD[params.activation]
+    acts = [x]
+    last = params.n_layers() - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = acts[-1] @ w.T + b
+        acts.append(act(h) if i < last else h)
+    return acts
+
+
+def backward_per_array(params: NetParams, acts, out_grad) -> list[np.ndarray]:
+    dact = _DERIVATIVE[params.activation]
+    last = params.n_layers() - 1
+    grads = [np.zeros_like(a) for a in layer_arrays(params)]
+    g = out_grad
+    for i in range(last, -1, -1):
+        if i < last:
+            g = g * dact(acts[i + 1])
+        grads[2 * i] += g.T @ acts[i]
+        grads[2 * i + 1] += g.sum(axis=0)
+        if i > 0:
+            g = g @ params.weights[i]
+    return grads
+
+
+def opt_step_per_array(arrays, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step `t` (from 1) of Adam over parallel lists, updating arrays, m and v in place."""
+    for p, g, m_i, v_i in zip(arrays, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * g * g
+        m_hat = m_i / (1.0 - beta1**t)
+        v_hat = v_i / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

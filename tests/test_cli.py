@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -416,6 +417,66 @@ def test_grpo_and_bench_record_the_checkpoint_net(tmp_path, capsys):
     for name in ("grpo", "resumed", "bench"):
         assert net(name) == {"hidden": 16, "depth": 2}, name
     assert net("oracle") == DEFAULTS["net"]
+
+
+def _rows(args, kwargs, result):
+    return len(args[1])
+
+
+def _objective_reads(args, kwargs, result):
+    return sum(len(m.trace.steps) for m in args[2].members), result.dropped
+
+
+def _update_reads(args, kwargs, result):
+    return bool(result[2].skipped)
+
+
+# Call sites a per-layer tracer replaces, and what it reads from each call:
+# the batch rows of forward and backward calls, an objective's trace steps
+# and dropped members, and whether an update was skipped.
+WRAPPED = {
+    "loopwm.worldmodel.training": {"net_backward_batch": _rows, "opt_step": None},
+    "loopwm.grpo.update": {"net_forward_batch": _rows, "net_backward_batch": _rows,
+                           "opt_step": None, "objective_terms": _objective_reads},
+    "loopwm.grpo.train": {"rollout_group": None, "grpo_update": _update_reads},
+}
+
+
+def test_sft_and_grpo_write_the_same_bytes_under_pass_through_wrappers(tmp_path, monkeypatch):
+    # a tracer swaps these attributes for wrappers that call the original and
+    # read its arguments and result; the stages must run and write the same
+    # bytes either way
+    def stages(out: Path) -> dict[str, bytes]:
+        assert main(["sft", "--demos", "24", "--epochs", "3", "--seed", "5",
+                     "--out", str(out / "sft")] + SMALL) == 0
+        assert main(["grpo", "--checkpoint", str(out / "sft" / "checkpoints" / "model.ckpt"),
+                     "--iterations", "3", "--group-size", "2", "--seed", "7",
+                     "--out", str(out / "grpo")] + SAMPLER) == 0
+        return {name: (out / name).read_bytes() for name in (
+            "sft/reports/loss.csv", "sft/checkpoints/model.ckpt",
+            "grpo/reports/training_log.csv", "grpo/checkpoints/model.ckpt")}
+
+    plain = stages(tmp_path / "plain")
+    calls: dict[str, int] = {}
+
+    def wrap(site: str, fn, read):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if read is not None:
+                read(args, kwargs, result)
+            calls[site] = calls.get(site, 0) + 1
+            return result
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for module_name, sites in WRAPPED.items():
+            module = importlib.import_module(module_name)
+            for attr, read in sites.items():
+                site = f"{module_name}.{attr}"
+                patch.setattr(module, attr, wrap(site, getattr(module, attr), read))
+        wrapped = stages(tmp_path / "wrapped")
+    assert wrapped == plain
+    assert sorted(calls) == sorted(f"{m}.{a}" for m, sites in WRAPPED.items() for a in sites)
 
 
 def test_grpo_resume_without_state_exits_2(tmp_path, capsys):

@@ -34,7 +34,6 @@ from loopwm.numerics import (
     net_activations,
     net_backward_batch,
     net_init,
-    params_as_list,
 )
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
@@ -85,8 +84,6 @@ def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
 
 
 def flat_rel_err(got, want):
-    got = np.concatenate([np.asarray(g).ravel() for g in got])
-    want = np.concatenate([np.asarray(w).ravel() for w in want])
     return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
 
 
@@ -343,12 +340,12 @@ def test_fixed_point_leaves_parameters_untouched():
     group = synthetic_group(theta, cond, sampler, rewards=[0.4] * 4, seed=6)
     assert np.array_equal(group.advantages, np.zeros(4))
     bundle = PolicyBundle.from_reference(theta)
-    before = [a.copy() for a in params_as_list(bundle.theta)]
+    before = bundle.theta.vector.copy()
     updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=4),
                                     delta=sampler.delta)
     assert stats.surrogate == 0.0
     assert stats.kl == 0.0
-    drift = max(float(np.abs(a - b).max()) for a, b in zip(params_as_list(updated), before))
+    drift = float(np.abs(updated.vector - before).max())
     assert drift < 1e-12
 
 
@@ -378,9 +375,7 @@ def test_surrogate_gradient_matches_finite_differences():
     group = synthetic_group(theta_old, cond, sampler,
                             rewards=[0.2, 0.9, 0.5, 0.7], seed=5)
     theta = clone_params(theta_old)
-    jitter = RandomSource(11)
-    for array in params_as_list(theta):
-        array += 0.01 * np.asarray(jitter.normal(shape=array.shape))
+    theta.vector[:] += 0.01 * np.asarray(RandomSource(11).normal(shape=theta.vector.size))
     config = GrpoConfig(group_size=4, beta=0.0)
     terms = objective_terms(theta, theta_old, group, config, sampler.delta)
     # the check only covers the smooth regime: no row may be clipped
@@ -429,7 +424,7 @@ def row_loop_objective(theta, reference, group, config, delta):
         out_grad = mean_affine_coeffs(t, dt, std, delta=delta)[1] * weight / len(rows)
         acts = net_activations(theta, net_input(z, t, cond))
         row_grads = net_backward_batch(theta, acts, out_grad[None, :])
-        grads = row_grads if grads is None else [g + r for g, r in zip(grads, row_grads)]
+        grads = row_grads if grads is None else grads + row_grads
     value = float(np.mean(values)) - config.beta * float(np.mean(kls))
     return value, np.array(ratios), grads
 
@@ -443,9 +438,7 @@ def test_objective_terms_match_row_loop(beta, scale):
     group = synthetic_group(theta_old, cond, sampler,
                             rewards=[0.1, 0.8, 0.4, 0.6, 0.3], seed=9)
     theta = clone_params(theta_old)
-    jitter = RandomSource(23)
-    for array in params_as_list(theta):
-        array += scale * np.asarray(jitter.normal(shape=array.shape))
+    theta.vector[:] += scale * np.asarray(RandomSource(23).normal(shape=theta.vector.size))
     reference = tiny_net(4, 3, hidden=5, seed=22)
     config = GrpoConfig(group_size=5, beta=beta)
     terms = objective_terms(theta, reference, group, config, sampler.delta)
@@ -526,8 +519,7 @@ def test_kl_zero_at_reference_and_hand_offset():
     sampler = small_sampler(frame_width=2, k_steps=1)
     cond = np.array([0.2, 0.2, 0.2])
     theta = net_init([4 + 1 + 3, 4], RandomSource(0))
-    for array in params_as_list(theta):
-        array[:] = 0.0
+    theta.vector[:] = 0.0
     _, trace = sample_sde(theta, cond, np.zeros(4), sampler, RandomSource(4))
     step = trace.steps[0]
     assert step["t"] == 1.0 and step["std"] == pytest.approx(0.3)
@@ -535,7 +527,7 @@ def test_kl_zero_at_reference_and_hand_offset():
     # at t=1 the mean is z - dt*u, so a velocity offset of std in one
     # coordinate shifts the mean by exactly std: KL contribution 0.5
     reference = clone_params(theta)
-    params_as_list(reference)[-1][0] = step["std"]
+    reference.biases[-1][0] = step["std"]
     assert kl_term(theta, reference, trace, sampler.delta) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -550,7 +542,7 @@ def test_kl_matches_monte_carlo_estimate_1d():
     ts = trace.steps[0]
     theta = net_init([4, 1], RandomSource(3))
     reference = clone_params(theta)
-    params_as_list(reference)[-1][0] += 1.0
+    reference.biases[-1][0] += 1.0
     exact = kl_term(theta, reference, trace, 1e-3)
     assert exact > 0.1
     mu_theta = transition_mean(theta, ts, trace.cond, delta=1e-3)
@@ -591,7 +583,8 @@ def test_nonfinite_ratio_drops_member():
     terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.kept == (1,)
     assert terms.dropped == 1
-    assert all(np.all(np.isfinite(g)) for g in terms.grads)
+    assert terms.grads.shape == theta.vector.shape
+    assert np.isfinite(terms.grads).all()
 
 
 def test_all_members_dropped_skips_update():
@@ -601,12 +594,12 @@ def test_all_members_dropped_skips_update():
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
     group = replace(group, members=tuple(poison(m) for m in group.members))
     bundle = PolicyBundle.from_reference(theta)
-    before = [a.copy() for a in params_as_list(bundle.theta)]
+    before = bundle.theta.vector.copy()
     updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2),
                                     delta=sampler.delta)
     assert stats.skipped
     assert stats.dropped == 2
-    assert all(np.array_equal(a, b) for a, b in zip(params_as_list(updated), before))
+    assert np.array_equal(updated.vector, before)
 
 
 def test_update_moves_parameters_and_reports_stats():
@@ -615,7 +608,7 @@ def test_update_moves_parameters_and_reports_stats():
     theta = tiny_net(4, 3, seed=3)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=7)
     bundle = PolicyBundle.from_reference(theta)
-    before = [a.copy() for a in params_as_list(bundle.theta)]
+    before = bundle.theta.vector.copy()
     updated, opt_state, stats = grpo_update(bundle, group, GrpoConfig(group_size=3),
                                             delta=sampler.delta)
     assert updated is bundle.theta
@@ -624,7 +617,7 @@ def test_update_moves_parameters_and_reports_stats():
     assert stats.kept == (0, 1, 2)
     assert stats.kl >= 0.0
     assert 0.0 <= stats.clip_fraction <= 1.0
-    moved = max(float(np.abs(a - b).max()) for a, b in zip(params_as_list(updated), before))
+    moved = float(np.abs(updated.vector - before).max())
     assert moved > 0.0
 
 
@@ -635,13 +628,13 @@ def test_train_zero_iterations_is_identity(kitchen):
     sampler = kitchen_sampler(kitchen)
     theta = kitchen_net(kitchen, sampler)
     bundle = PolicyBundle.from_reference(theta)
-    before = [a.copy() for a in params_as_list(bundle.theta)]
+    before = bundle.theta.vector.copy()
     config = GrpoConfig(iterations=0, group_size=2)
     final, log = train(bundle, kitchen, SearchPlanner(),
                        [goal_of("kettle.grasped")], sampler, config, RandomSource(0))
     assert final is bundle.theta
     assert log.records == []
-    assert all(np.array_equal(a, b) for a, b in zip(params_as_list(final), before))
+    assert np.array_equal(final.vector, before)
 
 
 def test_train_two_iterations_logs_and_emits(kitchen, tmp_path):

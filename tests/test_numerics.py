@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,8 +19,13 @@ from loopwm.numerics import (
     net_init,
     opt_init,
     opt_step,
-    params_as_list,
     save_checkpoint,
+)
+from per_array import (
+    backward_per_array,
+    forward_per_array,
+    layer_arrays,
+    opt_step_per_array,
 )
 
 
@@ -28,9 +34,25 @@ def rel_err(a, b):
 
 
 def test_identity_single_layer_returns_input():
-    params = NetParams((4, 4), [np.eye(4)], [np.zeros(4)], "tanh")
+    params = NetParams((4, 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]), "tanh")
     x = np.array([0.3, -1.2, 0.0, 2.5])
     np.testing.assert_array_equal(net_forward_batch(params, x[None, :])[0], x)
+
+
+def test_net_params_are_views_of_one_vector_and_reject_a_misfit():
+    params = net_init([3, 4, 2], RandomSource(0))
+    assert params.vector.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    params.weights[1][1, 3] = 7.0
+    params.biases[0][2] = -3.0
+    assert params.vector[16 + 7] == 7.0 and params.vector[12 + 2] == -3.0
+    for vector in (np.zeros(25), np.zeros(27), np.zeros(26, dtype=np.float32),
+                   np.zeros((26, 1)), np.zeros(52)[::2]):
+        with pytest.raises(ValueError):
+            NetParams((3, 4, 2), vector)
+    with pytest.raises(ValueError, match="activation"):
+        NetParams((3, 4, 2), np.zeros(26), "relu")
+    with pytest.raises(ValueError):
+        NetParams((3,), np.zeros(0))
 
 
 def test_forward_shape_mismatch_errors():
@@ -75,7 +97,7 @@ def test_backward_matches_finite_differences(sizes, activation):
 
     grads = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
     fd = finite_diff_grad(lambda p: float(og @ net_forward_batch(p, x[None, :])[0]), params)
-    for a, b in zip(grads, fd):
+    for a, b in zip(layer_arrays(params, grads), layer_arrays(params, fd)):
         worst = max(rel_err(u, v) for u, v in zip(a.reshape(-1), b.reshape(-1)))
         assert worst < 1e-6
 
@@ -86,13 +108,10 @@ def test_backward_batch_sums_per_sample_grads():
     xs = rng.normal((4, 3))
     ogs = rng.normal((4, 2))
     batch_grads = net_backward_batch(params, net_activations(params, xs), ogs)
-    acc = [np.zeros_like(a) for a in batch_grads]
+    acc = np.zeros_like(batch_grads)
     for i in range(4):
-        g = net_backward_batch(params, net_activations(params, xs[i:i + 1]), ogs[i:i + 1])
-        for a, b in zip(acc, g):
-            a += b
-    for a, b in zip(acc, batch_grads):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        acc += net_backward_batch(params, net_activations(params, xs[i:i + 1]), ogs[i:i + 1])
+    np.testing.assert_allclose(acc, batch_grads, atol=1e-12)
 
 
 def test_backward_out_grad_shape_errors():
@@ -113,10 +132,9 @@ def test_backward_rejects_short_activations_and_nonfinite_out_grad():
 
 def test_adam_single_step_matches_hand_value():
     # scalar p=0, grad=1, lr=0.1: bias-corrected first step moves by ~lr
-    params = NetParams((1, 1), [np.array([[0.0]])], [np.array([0.0])], "tanh")
-    grads = [np.array([[1.0]]), np.array([0.0])]
+    params = NetParams((1, 1), np.array([0.0, 0.0]), "tanh")
     state = opt_init(params)
-    opt_step(params, grads, state, lr=0.1)
+    opt_step(params, np.array([1.0, 0.0]), state, lr=0.1)
     assert abs(params.weights[0][0, 0] + 0.1) < 1e-7
     assert state.step == 1
 
@@ -125,30 +143,28 @@ def test_adam_zero_grads_leave_params_unchanged():
     rng = RandomSource(3)
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
-    zero = [np.zeros_like(a) for a in params_as_list(params)]
-    before = [a.copy() for a in params_as_list(params)]
-    opt_step(params, zero, state, lr=0.5)
-    for a, b in zip(before, params_as_list(params)):
-        np.testing.assert_array_equal(a, b)
+    before = params.vector.copy()
+    opt_step(params, np.zeros_like(params.vector), state, lr=0.5)
+    np.testing.assert_array_equal(before, params.vector)
 
 
 def test_adam_in_place_steps_equal_the_textbook_update_bitwise():
     rng = RandomSource(8)
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
-    want = [a.copy() for a in params_as_list(params)]
+    want = [a.copy() for a in layer_arrays(params)]
     m = [np.zeros_like(a) for a in want]
     v = [np.zeros_like(a) for a in want]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 4):
         grads = [np.asarray(rng.normal(shape=a.shape)) for a in want]
-        opt_step(params, grads, state, lr=lr)
+        opt_step(params, np.concatenate([g.ravel() for g in grads]), state, lr=lr)
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
             m_hat, v_hat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
             want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        for got, ref in zip(params_as_list(params), want):
+        for got, ref in zip(layer_arrays(params), want):
             np.testing.assert_array_equal(got, ref)
     assert state.step == 3
 
@@ -156,16 +172,68 @@ def test_adam_in_place_steps_equal_the_textbook_update_bitwise():
 def test_adam_rejects_bad_gradients_before_touching_anything():
     params = net_init([3, 4, 2], RandomSource(2))
     state = opt_init(params)
-    before = [a.copy() for a in params_as_list(params)]
-    grads = [np.ones_like(a) for a in before]
-    grads[-1] = np.ones(3)
-    with pytest.raises(ValueError, match="gradient shape"):
-        opt_step(params, grads, state, lr=0.1)
-    with pytest.raises(ValueError, match="gradient arrays"):
-        opt_step(params, grads[:-1], state, lr=0.1)
-    assert state.step == 0
-    assert all(np.array_equal(a, b) for a, b in zip(before, params_as_list(params)))
-    assert all(not m.any() for m in state.m)
+    before = params.vector.copy()
+    n = before.size
+    for grads in (np.ones(n + 1), np.ones(n - 1), np.ones((n, 1)),
+                  [np.ones_like(a) for a in layer_arrays(params)]):
+        with pytest.raises(ValueError, match="gradient shape"):
+            opt_step(params, grads, state, lr=0.1)
+    other = opt_init(net_init([3, 5, 2], RandomSource(2)))
+    with pytest.raises(ValueError, match="another net"):
+        opt_step(params, np.ones(n), other, lr=0.1)
+    assert state.step == other.step == 0
+    assert np.array_equal(before, params.vector)
+    assert not state.m.any() and not other.m.any()
+
+
+@st.composite
+def small_nets(draw):
+    """2-4 affine layers of widths 1-12, tanh or softplus, Glorot-initialised."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=3, max_size=5))
+    activation = draw(st.sampled_from(["tanh", "softplus"]))
+    return net_init(sizes, RandomSource(draw(st.integers(0, 2**32 - 1))), activation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_nets(), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["normal", "zero", "negated"]), min_size=1, max_size=6),
+       lr=st.sampled_from([1e-3, 0.05, 1.0]))
+def test_opt_step_equals_the_per_array_reference_bitwise(params, seed, kinds, lr):
+    rng = RandomSource(seed)
+    arrays = [a.copy() for a in layer_arrays(params)]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    state = opt_init(params)
+    grad = np.asarray(rng.normal(shape=params.vector.size))
+    for t, kind in enumerate(kinds, start=1):
+        if kind == "zero":
+            grad = np.zeros_like(grad)
+        elif kind == "negated":
+            grad = -grad
+        else:
+            grad = np.asarray(rng.normal(shape=grad.size)) * 10.0 ** rng.integers(-6, 3)
+        opt_step(params, grad, state, lr=lr)
+        opt_step_per_array(arrays, layer_arrays(params, grad.copy()), m, v, t, lr)
+        for got, want in ((params.vector, arrays), (state.m, m), (state.v, v)):
+            assert np.array_equal(got, np.concatenate([a.ravel() for a in want]))
+    assert state.step == len(kinds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_nets(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+def test_forward_and_backward_equal_the_per_array_reference_bitwise(params, seed, rows):
+    rng = RandomSource(seed)
+    x = np.asarray(rng.normal(shape=(rows, params.sizes[0])))
+    out_grad = np.asarray(rng.normal(shape=(rows, params.sizes[-1])))
+    acts = net_activations(params, x)
+    reference = forward_per_array(params, x)
+    assert all(np.array_equal(a, b) for a, b in zip(acts, reference))
+    kept = out_grad.copy()
+    grad = net_backward_batch(params, acts, out_grad)
+    want = backward_per_array(params, reference, kept)
+    assert np.array_equal(grad, np.concatenate([a.ravel() for a in want]))
+    assert np.array_equal(out_grad, kept)
+    assert all(np.array_equal(a, b) for a, b in zip(acts, reference))
 
 
 def test_gaussian_logpdf_standard_normal_at_zero():
@@ -194,13 +262,13 @@ def test_gaussian_logpdf_rejects_bad_std():
 
 
 def test_finite_diff_on_quadratic():
-    params = NetParams((2, 2), [np.array([[1.0, 0.5], [-0.25, 2.0]])], [np.zeros(2)], "tanh")
+    params = NetParams((2, 2), np.array([1.0, 0.5, -0.25, 2.0, 0.0, 0.0]), "tanh")
 
     def quad(p):
-        return float(sum((a * a).sum() for a in params_as_list(p)))
+        return float(p.vector @ p.vector)
 
     grads = finite_diff_grad(quad, params)
-    np.testing.assert_allclose(grads[0], 2 * params.weights[0], atol=1e-6)
+    np.testing.assert_allclose(grads, 2 * params.vector, atol=1e-6)
 
 
 def test_random_source_replays_identical_sequence():
@@ -242,8 +310,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.sizes == params.sizes
     assert loaded.activation == params.activation
-    for a, b in zip(params_as_list(params), params_as_list(loaded)):
-        assert a.tobytes() == b.tobytes()
+    assert loaded.vector.tobytes() == params.vector.tobytes()
     # identical params -> identical bytes
     path2 = tmp_path / "net2.ckpt"
     save_checkpoint(path2, loaded)
@@ -270,3 +337,35 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     trailing.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(trailing)
+
+
+# sha256 of `save_checkpoint(net_init((9, 7, 5, 3), RandomSource(0)))`, computed
+# before the parameters moved into one vector; no BLAS call is involved, so it
+# holds on any machine
+PINNED_CHECKPOINT_SHA256 = "fad97d6e961073bac88f32a9dc5ef8f3413e1698935089b0ffe9a9816443b11d"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net_init((9, 7, 5, 3), RandomSource(0)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+
+
+def test_checkpoint_load_then_save_returns_the_same_bytes(tmp_path):
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(first, net_init((9, 7, 5, 3), RandomSource(0), activation="softplus"))
+    loaded = load_checkpoint(first)
+    assert loaded.vector.flags.writeable
+    save_checkpoint(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_rejects_an_unknown_activation(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net_init([3, 4, 2], RandomSource(8)))
+    blob = path.read_bytes()
+    assert blob[8:13] == b"\x04tanh"
+    bad = tmp_path / "relu.ckpt"
+    bad.write_bytes(blob[:9] + b"relu" + blob[13:])
+    with pytest.raises(CheckpointError, match="unknown activation"):
+        load_checkpoint(bad)

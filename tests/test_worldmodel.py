@@ -48,6 +48,7 @@ from loopwm.worldmodel import (
     transition_mean,
     velocity_net_sizes,
 )
+from per_array import layer_arrays
 from sequential import SequentialPolicy, sample_ode, sample_sde
 
 
@@ -540,7 +541,7 @@ def test_logprob_gradient_matches_finite_differences():
 
     numeric = finite_diff_grad(
         lambda p: transition_logprob(p, step, cond, delta=config.delta), theta)
-    for a, n in zip(analytic, numeric):
+    for a, n in zip(layer_arrays(theta, analytic), layer_arrays(theta, numeric)):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
 
@@ -558,7 +559,7 @@ def test_flow_matching_gradient_matches_finite_differences():
     _, analytic = flow_matching_loss(theta, conds, xs, ts, eps)
     numeric = finite_diff_grad(
         lambda p: flow_matching_loss(p, conds, xs, ts, eps)[0], theta)
-    for a, n in zip(analytic, numeric):
+    for a, n in zip(layer_arrays(theta, analytic), layer_arrays(theta, numeric)):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
 
@@ -629,9 +630,17 @@ def test_policy_bundle_sync(kitchen):
     bundle = PolicyBundle.from_reference(reference)
     bundle.theta.weights[0][0, 0] += 1.0
     assert bundle.theta_old.weights[0][0, 0] != bundle.theta.weights[0][0, 0]
+    old_vector = bundle.theta_old.vector
     bundle.sync_old()
+    assert bundle.theta_old.vector is old_vector  # copied into, not replaced
     assert bundle.theta_old.weights[0][0, 0] == bundle.theta.weights[0][0, 0]
     assert reference.weights[0][0, 0] == pytest.approx(bundle.theta.weights[0][0, 0] - 1.0)
+    bundle.theta.weights[0][0, 0] += 1.0
+    assert bundle.theta_old.weights[0][0, 0] != bundle.theta.weights[0][0, 0]
+    # sync_old writes into theta_old, so it may share no memory with the others
+    for theta_old in (reference, bundle.theta):
+        with pytest.raises(LoopwmError, match="theta_old"):
+            PolicyBundle(theta=bundle.theta, theta_old=theta_old, reference=reference)
 
 
 def test_policy_checkpoint_roundtrip_and_mismatch(tmp_path, kitchen, workshop):
