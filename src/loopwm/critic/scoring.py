@@ -13,16 +13,20 @@ barely reacts to a single hard teleport in a long segment; the severity
 factor makes one large violation collapse the score, which is what the
 feedback loop needs to catch physically broken rollouts.
 
-Row contract: `evaluate_rows` scores G rows, each a segment's (F, C) frames
-with its own plan step, and returns one report per row in input order. Rows
-whose steps share (action, pre, post) and whose frames share a shape form a
-group, stacked to (g, F, C) and scored in one vectorized pass with every
-reduction taken along a contiguous per-row axis. A row's numbers therefore
-do not depend on the other rows, and its report is built under its own step,
-so two rows of one group that differ only in their instruction (a first try
-and a retry) get the tags and revised instruction each would get alone.
-Every report is bitwise equal to the one-row call, which is what `evaluate`
-is; a GRPO group, G segments of one step, is the one-group case.
+Row contract: `score_group` is the one scoring core. It scores G rows of
+one plan step, frames of shape (G, F, C), in one vectorized pass, with
+every reduction taken along a contiguous per-row axis, and returns each
+dimension score and the scalar as a (G,) column. A row's numbers therefore
+do not depend on the other rows. A GRPO group, G segments of one step,
+reads the columns and builds no report. `evaluate_rows` scores G rows, each
+a segment's (F, C) frames with its own plan step, and returns one report
+per row in input order: rows whose steps share (action, pre, post) and
+whose frames share a shape form a group, stacked and scored by the core,
+and each row's report is built from its row of the columns under its own
+step, so two rows of one group that differ only in their instruction (a
+first try and a retry) get the tags and revised instruction each would get
+alone. Every report is bitwise equal to the one-row call, which is what
+`evaluate` is.
 """
 
 from __future__ import annotations
@@ -127,7 +131,10 @@ def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS
 
 
 def _weighted_mean(scores: dict[str, float], weights: CriticWeights) -> float:
-    """`aggregate` without its checks, for scores built in [0, 1] by the critic."""
+    """`aggregate` without its checks, for scores built in [0, 1] by the critic.
+
+    Works alike on one row's floats and on (G,) columns.
+    """
     w = weights.as_dict()
     total = sum(w.values())
     return sum(w[d] * scores[d] for d in DIMENSIONS) / total
@@ -275,14 +282,41 @@ def evaluate_rows(
     return reports
 
 
-def _score_group(
+@dataclass(frozen=True)
+class GroupScores:
+    """The critic's numbers for G rows of one plan step, one (G,) column each.
+
+    `scores` maps each dimension to its column and `scalar` is their
+    weighted mean: all a GRPO reward reads. The other fields are what a
+    report's tags and reasons quote: the (G, n) literal hits, with their
+    literals, and the numbers behind each score.
+    """
+
+    scores: dict[str, np.ndarray]
+    scalar: np.ndarray
+    applicable: bool
+    post_lits: tuple[Literal, ...]
+    post_hits: np.ndarray
+    pre_lits: tuple[Literal, ...]
+    pre_hits: np.ndarray
+    pre_fracs: np.ndarray
+    monos: np.ndarray
+    mean_dists: np.ndarray
+    msds: np.ndarray
+    worst_excesses: np.ndarray
+
+
+def score_group(
     spec: DomainSpec,
     frames: np.ndarray,
-    steps: list[PlanStep],
-    weights: CriticWeights,
-    tau: float,
-) -> list[CriticReport]:
-    """Score G rows, frames of shape (G, F, C), whose steps share (action, pre, post)."""
+    step: PlanStep,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
+) -> GroupScores:
+    """Score G rows, frames of shape (G, F, C), against one plan step, as columns.
+
+    The one scoring core: `evaluate_rows` builds its reports from these
+    columns, and a GRPO group reads them as they are.
+    """
     if frames.ndim != 3:
         raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
     if frames.shape[2] != spec.n_channels:
@@ -291,7 +325,6 @@ def _score_group(
         )
     if frames.shape[1] < 2:
         raise ValueError("segments need at least 2 frames to score")
-    step = steps[0]
     op = spec.find_operator(step.actions[0])
 
     post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
@@ -300,55 +333,64 @@ def _score_group(
     pre_fracs = _hit_fraction(pre_hits)
     monos = _progress_monotone_fraction(frames, step.post, spec)
     mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
-    adherences = (pre_fracs + goal_scores + mono_scores) / 3.0
     interactions, applicable, mean_dists = _interaction(spec, frames, op)
     msds = _second_difference_msd(frames)
     realisms, worst_excesses = _realism(frames)
+    scores = {
+        "action_adherence": (pre_fracs + goal_scores + mono_scores) / 3.0,
+        "object_interaction": interactions,
+        "goal_achievement": goal_scores,
+        "temporal_coherence": 1.0 - np.minimum(np.maximum(msds / COHERENCE_SCALE, 0.0), 1.0),
+        "physical_realism": realisms,
+    }
+    return GroupScores(scores, _weighted_mean(scores, weights), applicable, post_lits,
+                       post_hits, pre_lits, pre_hits, pre_fracs, monos, mean_dists, msds,
+                       worst_excesses)
 
-    rows = zip(steps, post_hits.tolist(), pre_hits.tolist(), adherences.tolist(),
-               goal_scores.tolist(), pre_fracs.tolist(), monos.tolist(), interactions.tolist(),
-               mean_dists.tolist(), msds.tolist(), realisms.tolist(), worst_excesses.tolist())
+
+def _score_group(
+    spec: DomainSpec,
+    frames: np.ndarray,
+    steps: list[PlanStep],
+    weights: CriticWeights,
+    tau: float,
+) -> list[CriticReport]:
+    """One report per row of frames (G, F, C), whose steps share (action, pre, post)."""
+    scored = score_group(spec, frames, steps[0], weights)
+    op = spec.find_operator(steps[0].actions[0])
+    scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
+    numbers = (scored.scalar, scored.post_hits, scored.pre_hits, scored.pre_fracs, scored.monos,
+               scored.mean_dists, scored.msds, scored.worst_excesses)
+    rows = zip(steps, scores, *(column.tolist() for column in numbers))
     return [
-        _report(row_step, op, weights, tau, applicable,
-                post_hits=dict(zip(post_lits, post_hit)), pre_hits=dict(zip(pre_lits, pre_hit)),
-                adherence=adherence, goal_score=goal_score, pre_frac=pre_frac, mono=mono,
-                interaction=interaction, mean_dist=mean_dist, msd=msd, realism=realism,
-                worst_excess=worst_excess)
-        for (row_step, post_hit, pre_hit, adherence, goal_score, pre_frac, mono, interaction,
-             mean_dist, msd, realism, worst_excess) in rows
+        _report(row_step, op, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
+                post_hits=dict(zip(scored.post_lits, post_hit)),
+                pre_hits=dict(zip(scored.pre_lits, pre_hit)), pre_frac=pre_frac, mono=mono,
+                mean_dist=mean_dist, msd=msd, worst_excess=worst_excess)
+        for (row_step, row_scores, scalar, post_hit, pre_hit, pre_frac, mono, mean_dist, msd,
+             worst_excess) in rows
     ]
 
 
 def _report(
     step: PlanStep,
     op: Operator,
-    weights: CriticWeights,
     tau: float,
     applicable: bool,
+    scores: dict[str, float],
+    scalar: float,
     *,
     post_hits: dict[Literal, bool],
     pre_hits: dict[Literal, bool],
-    adherence: float,
-    goal_score: float,
     pre_frac: float,
     mono: float,
-    interaction: float,
     mean_dist: float,
     msd: float,
-    realism: float,
     worst_excess: float,
 ) -> CriticReport:
-    """Assemble one row's report from its numbers."""
-    coherence = coherence_score(msd)
-    scores = {
-        "action_adherence": adherence,
-        "object_interaction": interaction,
-        "goal_achievement": goal_score,
-        "temporal_coherence": coherence,
-        "physical_realism": realism,
-    }
-    scalar = _weighted_mean(scores, weights)
-
+    """Assemble one row's report from its scores and the numbers behind them."""
+    interaction = scores["object_interaction"]
+    goal_score = scores["goal_achievement"]
     reasons = _Reasons(lambda: _reason_text(
         op, applicable, post_hits, pre_frac=pre_frac, goal_score=goal_score, mono=mono,
         interaction=interaction, mean_dist=mean_dist, msd=msd, worst_excess=worst_excess,
@@ -364,9 +406,9 @@ def _report(
                 tags.append(f"post-condition-unmet:{lit}")
         if applicable and interaction < 0.5:
             tags.append("interaction-missed")
-        if coherence < 0.5:
+        if scores["temporal_coherence"] < 0.5:
             tags.append("incoherent-motion")
-        if realism < 0.5:
+        if scores["physical_realism"] < 0.5:
             tags.append("physics-violation")
         if not tags:
             worst_dim = min(DIMENSIONS, key=lambda d: (scores[d], d))

@@ -3,14 +3,13 @@ from .rollout import (
     GroupMember,
     RolloutGroup,
     compute_advantages,
-    member_reward,
+    group_rewards,
     rollout_group,
 )
 from .train import CSV_HEADER, TrainingLog, TrainingRecord, train
 from .update import (
     ObjectiveTerms,
     grpo_update,
-    kl_term,
     objective_terms,
     surrogate_rows,
 )
@@ -27,8 +26,7 @@ __all__ = [
     "compute_advantages",
     "curriculum_schedule",
     "grpo_update",
-    "kl_term",
-    "member_reward",
+    "group_rewards",
     "objective_terms",
     "rollout_group",
     "surrogate_rows",

@@ -3,15 +3,15 @@
 Every member of a group denoises from the same initial latent; members differ
 only through the Wiener increments of their reverse-SDE paths. Sharing the
 initial noise keeps the group comparable so that reward differences reflect
-the stochastic paths rather than the starting point. The group is sampled in
-one `sample_group` call: member i is row i, with its own row of noise, and
-its trace is row i of the sampler's (G, K) record array. The critic then
-scores the group in one `evaluate_rows` call, whose rows all share the step,
-so the G segments go through one vectorized pass.
+the stochastic paths rather than the starting point.
 
-A group is its members plus their group-normalized advantages, nothing more:
-each member's trace carries its own condition (`trace.cond`) and its start
-(the first transition's `z`).
+A group is one set of arrays from the sampler to the update: member i is row
+i of each. The group is sampled in one `sample_group` call, which returns
+the (G, F, C) frames and the (G, K) transitions the objective reads. The
+critic's core scores the frames in one `score_group` call, and the group
+keeps its five score columns and its (G,) rewards and advantages. No report
+is built and nothing is copied per member; `members` and `best_member` hand
+out views of a member's row.
 """
 
 from __future__ import annotations
@@ -20,47 +20,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..critic import DEFAULT_WEIGHTS, CriticReport, CriticWeights, evaluate_rows
+from ..critic import DEFAULT_WEIGHTS, CriticWeights, GroupScores, score_group
 from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
 from ..numerics import NetParams, RandomSource
 from ..planner import PlanStep
-from ..worldmodel import DenoiseTrace, SamplerConfig, embed_condition, sample_group
+from ..worldmodel import SamplerConfig, Transitions, embed_condition, sample_group
 from .config import GrpoConfig
 
 __all__ = [
     "GroupMember",
     "RolloutGroup",
     "compute_advantages",
-    "member_reward",
+    "group_rewards",
     "rollout_group",
 ]
 
 
 @dataclass(frozen=True)
-class GroupMember:
-    segment: Segment
-    trace: DenoiseTrace
-    report: CriticReport
-    reward: float
-
-
-@dataclass(frozen=True)
 class RolloutGroup:
-    """One shared-noise group: the members and their advantages, in member order."""
+    """One shared-noise group as arrays, member i at row i of each.
 
-    members: tuple[GroupMember, ...]
+    `frames` is (G, F, C), `trace` the (G, K) transitions, `scores` the
+    critic's (G,) column per dimension, and `rewards` and `advantages` (G,).
+    """
+
+    frames: np.ndarray
+    trace: Transitions
+    scores: dict[str, np.ndarray]
+    rewards: np.ndarray
     advantages: np.ndarray
 
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([m.reward for m in self.members], dtype=np.float64)
+    def members(self) -> tuple[GroupMember, ...]:
+        return tuple(GroupMember(self, i) for i in range(self.rewards.size))
 
     def best_member(self) -> GroupMember:
         """Member with the highest reward (first on ties)."""
-        index = int(np.argmax(self.rewards))
-        return self.members[index]
+        return self.members[int(np.argmax(self.rewards))]
+
+
+@dataclass(frozen=True)
+class GroupMember:
+    """Member `index` of a group: views of its row, made when read."""
+
+    group: RolloutGroup
+    index: int
+
+    @property
+    def segment(self) -> Segment:
+        return Segment(self.group.frames[self.index])
+
+    @property
+    def trace(self) -> Transitions:
+        return self.group.trace.row(self.index)
 
 
 def compute_advantages(rewards, delta: float = 1e-8) -> np.ndarray:
@@ -74,11 +88,11 @@ def compute_advantages(rewards, delta: float = 1e-8) -> np.ndarray:
     return (rewards - rewards.mean()) / (std + delta)
 
 
-def member_reward(report: CriticReport, config: GrpoConfig) -> float:
-    """Scalar reward for one rollout: the critic scalar, or one named dimension."""
+def group_rewards(scored: GroupScores, config: GrpoConfig) -> np.ndarray:
+    """The (G,) rewards: the critic scalar, or one named dimension's column."""
     if config.reward_dimension is None:
-        return float(report.scalar)
-    return float(report.scores[config.reward_dimension])
+        return scored.scalar
+    return scored.scores[config.reward_dimension]
 
 
 def rollout_group(
@@ -97,9 +111,9 @@ def rollout_group(
     and are sampled together, one (G, width) network evaluation per denoise
     step; member i's (K, L) noise is row i of one (G, K, L) draw from `rng`
     after `z_init`, so every group gets fresh noise. The programmatic critic
-    scores the G segments in one `evaluate_rows` call, `member_reward`
-    turns each member's report into its reward, and the rewards are
-    normalized with `grpo_config.delta`.
+    scores the G segments in one `score_group` call, `group_rewards` picks
+    the reward column, and the rewards are normalized with
+    `grpo_config.delta`.
     """
     if sampler_config.eta_scale <= 0.0:
         raise LoopwmError(
@@ -110,13 +124,8 @@ def rollout_group(
     z_init = np.asarray(rng.normal(shape=sampler_config.latent_width), dtype=np.float64)
     noise = np.asarray(rng.normal(shape=(grpo_config.group_size, sampler_config.k_steps,
                                          sampler_config.latent_width)))
-    samples = sample_group(theta_old, cond, z_init, sampler_config, noise)
-    reports = evaluate_rows(spec, [segment.frames for segment, _ in samples],
-                            [step] * len(samples), weights)
-    members = tuple(
-        GroupMember(segment=segment, trace=trace, report=report,
-                    reward=member_reward(report, grpo_config))
-        for (segment, trace), report in zip(samples, reports)
-    )
-    rewards = [m.reward for m in members]
-    return RolloutGroup(members, compute_advantages(rewards, grpo_config.delta))
+    frames, trace = sample_group(theta_old, cond, z_init, sampler_config, noise)
+    scored = score_group(spec, frames, step, weights)
+    rewards = group_rewards(scored, grpo_config)
+    return RolloutGroup(frames, trace, scored.scores, rewards,
+                        compute_advantages(rewards, grpo_config.delta))

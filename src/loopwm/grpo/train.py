@@ -56,7 +56,10 @@ class TrainingRecord:
 
 @dataclass
 class TrainingLog:
-    """One record per completed iteration plus free-form resampling events."""
+    """One record per completed iteration plus free-form events.
+
+    Events name resampled goals, skipped updates and groups whose rewards all tie.
+    """
 
     records: list[TrainingRecord] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
@@ -167,11 +170,15 @@ def train(
             else:
                 kls.append(terms.kl)
                 clips.append(terms.clip_fraction)
-            rewards.extend(float(m.reward) for m in group.members)
-            adherence.extend(float(m.report.scores["action_adherence"]) for m in group.members)
-            coherence.extend(float(m.report.scores["temporal_coherence"]) for m in group.members)
-            best = group.best_member()
-            memory.advance(step, best.segment)
+            if np.all(group.rewards == group.rewards[0]):
+                log.events.append(
+                    f"iteration {iteration}: all {group.rewards.size} rewards tie at step "
+                    f"{step.sid}; update is KL-only"
+                )
+            rewards.extend(group.rewards.tolist())
+            adherence.extend(group.scores["action_adherence"].tolist())
+            coherence.extend(group.scores["temporal_coherence"].tolist())
+            memory.advance(step, group.best_member().segment)
         log.records.append(
             TrainingRecord(
                 iteration=iteration,

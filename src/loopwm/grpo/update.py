@@ -5,11 +5,12 @@ K Gaussian likelihood ratios under- or overflows long before it is useful,
 while per-step ratios stay near 1 and give the clip a clean interpretation.
 The surrogate is averaged over steps and members; the KL term is the
 closed-form Gaussian divergence against the frozen reference, averaged the
-same way. The objective reads the group's trace records as they are: the
-members' (K,) rows, concatenated, are its G*K rows, and each row is scored
-under the condition its own trace recorded. A group is its members plus
-their advantages, and `grpo_update` reports the `ObjectiveTerms` it stepped
-along.
+same way. The objective reads the group's arrays as the sampler wrote them:
+its G*K rows are the (G, K) transitions reshaped, member-major and
+step-minor, and its net input is the sampler's own (G, K, W) input block
+reshaped to (G*K, W), so each row is scored under the condition and time it
+was sampled at, and nothing is copied or rebuilt. `grpo_update` reports the
+`ObjectiveTerms` it stepped along.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from ..numerics import (
     opt_step,
 )
 from ..numerics.stats import LOG_2PI
-from ..worldmodel import mean_affine_coeffs, net_input, transition_mean
+from ..worldmodel import mean_affine_coeffs
 from .config import GrpoConfig
 from .rollout import RolloutGroup
 
 __all__ = [
     "ObjectiveTerms",
     "grpo_update",
-    "kl_term",
     "objective_terms",
     "surrogate_rows",
 ]
@@ -61,26 +61,6 @@ def surrogate_rows(
         (advantages < 0.0) & (ratios < 1.0 - epsilon)
     )
     return values, binding
-
-
-def kl_term(theta: NetParams, reference: NetParams, trace, delta: float) -> float:
-    """Mean over denoise steps of the Gaussian KL between theta and reference.
-
-    Both transition kernels share the recorded std, so each step reduces to
-    ||mu_theta - mu_ref||^2 / (2 std^2). Nonnegative, zero exactly when the
-    two nets produce identical means along the trace.
-    """
-    steps = trace.steps
-    if len(steps) == 0:
-        raise LoopwmError("kl_term needs a non-empty trace")
-    if np.any(steps["std"] <= 0.0):
-        raise LoopwmError("kl_term needs stochastic trace steps (std > 0)")
-    total = 0.0
-    for ts in steps:
-        diff = (transition_mean(theta, ts, trace.cond, delta=delta)
-                - transition_mean(reference, ts, trace.cond, delta=delta))
-        total += float(diff @ diff) / (2.0 * ts["std"] * ts["std"])
-    return float(total / len(steps))
 
 
 @dataclass(frozen=True)
@@ -111,7 +91,7 @@ def objective_terms(
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
-    Each row is scored under the condition its member's trace recorded, and
+    Each row is scored under the condition and time it was sampled at, and
     `delta` is the sigma floor the sampler used, so each recomputed
     transition mean matches the one the trace was drawn from.
 
@@ -119,24 +99,21 @@ def objective_terms(
     from every average. Gradients flow only through rows where the clip does
     not bind; clipped rows still count toward the surrogate value.
     """
-    advantages = np.asarray(group.advantages, dtype=np.float64)
-    members = group.members
-    k_steps = len(members[0].trace.steps)
-    if any(len(m.trace.steps) != k_steps for m in members):
-        raise LoopwmError("all group traces must share the same number of denoise steps")
-
-    # rows run member-major, step-minor
-    rows = np.concatenate([m.trace.steps for m in members])
-    t, dt, std, z, z_next = rows["t"], rows["dt"], rows["std"], rows["z"], rows["z_next"]
-    if np.any(std <= 0.0):
+    trace = group.trace
+    n_members, k_steps, width = trace.steps.shape
+    latent = trace.z_next.shape[2]
+    if np.any(trace.std <= 0.0):
         raise LoopwmError("grpo update needs stochastic traces (std > 0)")
-    adv = np.repeat(advantages, k_steps)
-    cond = np.repeat(np.stack([m.trace.cond for m in members]), k_steps, axis=0)
-    latent = z.shape[1]
 
-    x = net_input(z, t, cond)
+    # rows run member-major, step-minor; every reshape here is a view
+    x = trace.steps.reshape(n_members * k_steps, width)
+    z, t = x[:, :latent], x[:, latent]
+    z_next = trace.z_next.reshape(n_members * k_steps, latent)
+    std = np.tile(trace.std, n_members)
+    adv = np.repeat(np.asarray(group.advantages, dtype=np.float64), k_steps)
+
     # transition mean is affine in the velocity: mean = base + coeff * u
-    scale, coeff = mean_affine_coeffs(t, dt, std, delta=delta)
+    scale, coeff = mean_affine_coeffs(t, 1.0 / k_steps, std, delta=delta)
     base = z * scale[:, None]
     coeff = coeff[:, None]
     std = std[:, None]
@@ -153,26 +130,24 @@ def objective_terms(
     )
     # overflow to inf is fine here: the member gets dropped just below
     with np.errstate(over="ignore"):
-        ratios = np.exp(logp_theta - rows["logp"])
+        ratios = np.exp(logp_theta - trace.logp.reshape(-1))
 
-    member_rows = ratios.reshape(len(members), k_steps)
-    finite = np.isfinite(member_rows).all(axis=1)
-    kept = tuple(i for i in range(len(members)) if finite[i])
-    dropped = len(members) - len(kept)
-    for i in range(len(members)):
-        if not finite[i]:
+    finite = np.isfinite(ratios.reshape(n_members, k_steps)).all(axis=1)
+    kept = tuple(i for i in range(n_members) if finite[i])
+    dropped = n_members - len(kept)
+    if dropped:
+        for i in np.flatnonzero(~finite):
             _log.warning("dropping rollout member %d: non-finite importance ratio", i)
-    if not kept:
-        return ObjectiveTerms(
-            value=0.0, surrogate=0.0, kl=0.0, grads=np.empty(0), clip_fraction=0.0,
-            ratios=np.empty(0), kept=(), dropped=dropped,
-        )
-
-    keep_rows = np.repeat(finite, k_steps)
-    acts = [a[keep_rows] for a in acts]
-    coeff, std, adv = coeff[keep_rows], std[keep_rows], adv[keep_rows]
-    mean_theta, mean_ref, resid = mean_theta[keep_rows], mean_ref[keep_rows], resid[keep_rows]
-    ratios = ratios[keep_rows]
+        if not kept:
+            return ObjectiveTerms(
+                value=0.0, surrogate=0.0, kl=0.0, grads=np.empty(0), clip_fraction=0.0,
+                ratios=np.empty(0), kept=(), dropped=dropped,
+            )
+        keep_rows = np.repeat(finite, k_steps)
+        acts = [a[keep_rows] for a in acts]
+        coeff, std, adv = coeff[keep_rows], std[keep_rows], adv[keep_rows]
+        mean_theta, mean_ref, resid = mean_theta[keep_rows], mean_ref[keep_rows], resid[keep_rows]
+        ratios = ratios[keep_rows]
     n_rows = ratios.size
 
     values, binding = surrogate_rows(ratios, adv, config.epsilon)

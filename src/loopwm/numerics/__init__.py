@@ -11,7 +11,7 @@ from .net import (
 )
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
-from .stats import finite_diff_grad, gaussian_logpdf, gaussian_logpdf_rows
+from .stats import finite_diff_grad
 from .tensor import Tensor, require_finite
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "Tensor",
     "clone_params",
     "finite_diff_grad",
-    "gaussian_logpdf",
-    "gaussian_logpdf_rows",
     "load_checkpoint",
     "net_activations",
     "net_backward_batch",

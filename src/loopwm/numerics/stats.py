@@ -1,4 +1,4 @@
-"""Gaussian log-densities and the central-difference gradient oracle."""
+"""log(2*pi) for Gaussian densities, and the central-difference gradient oracle."""
 
 from __future__ import annotations
 
@@ -11,24 +11,6 @@ from .net import NetParams, clone_params
 from .tensor import Tensor
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def gaussian_logpdf(x: Tensor, mean: Tensor, std: float) -> float:
-    """Sum of elementwise normal log-densities with a shared scalar std."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if x.shape != mean.shape:
-        raise ValueError(f"x shape {x.shape} does not match mean shape {mean.shape}")
-    return float(gaussian_logpdf_rows(x.reshape(1, -1), mean.reshape(1, -1), std)[0])
-
-
-def gaussian_logpdf_rows(x: Tensor, mean: Tensor, std: float) -> Tensor:
-    """`gaussian_logpdf` of each row of the (n, L) arrays x and mean, shape (n,)."""
-    if not std > 0.0:
-        raise ValueError(f"std must be positive, got {std}")
-    z = (x - mean) / std
-    n = x.shape[1]
-    return -0.5 * LOG_2PI * n - n * math.log(std) - 0.5 * np.sum(z * z, axis=1)
 
 
 def finite_diff_grad(

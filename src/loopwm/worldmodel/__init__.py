@@ -16,25 +16,22 @@ from .policy import (
     save_policy,
 )
 from .sampler import (
-    DenoiseTrace,
     SamplerConfig,
+    Transitions,
     mean_affine_coeffs,
     net_input,
     sample_group,
     sample_rows,
     score_term,
-    trace_dtype,
-    transition_logprob,
-    transition_mean,
 )
 from .training import build_demos, flow_matching_loss, sft_train, velocity_net_sizes
 
 __all__ = [
-    "DenoiseTrace",
     "MANIFEST_FORMAT",
     "MAX_NORM_SID",
     "PolicyBundle",
     "SamplerConfig",
+    "Transitions",
     "WorldModelPolicy",
     "build_demos",
     "channel_mask",
@@ -50,8 +47,5 @@ __all__ = [
     "save_policy",
     "score_term",
     "sft_train",
-    "trace_dtype",
-    "transition_logprob",
-    "transition_mean",
     "velocity_net_sizes",
 ]

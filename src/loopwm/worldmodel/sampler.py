@@ -15,12 +15,14 @@ Every stochastic transition is Gaussian with mean z - drift*dt and
 std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
 
-A trace is a record array of dtype `trace_dtype(L)`, one record per
-transition with fields `t`, `dt`, `std` and `logp` (float64) and `z` and
-`z_next` ((L,) float64). `sample_group` writes one (G, K) array of them,
-column k at denoise step k, and row i's `DenoiseTrace.steps` is the (K,)
-view of row i. Deterministic transitions (eta_scale = 0) record std = 0 and
-logp = 0: they carry no density, and transition_logprob refuses them.
+A group's trace is a `Transitions` of arrays, the layout the GRPO objective
+reads: `steps` (G, K, W) holds the net input [z | t | cond] of every row at
+every denoise step, `z_next` (G, K, L) each step's next state, `std` (K,)
+each step's std and `logp` (G, K) each transition's log-density. The
+sampler writes each step's z into its block of `steps` and forwards that
+(G, W) block as it is, so the objective's (G*K, W) input is a reshape of
+what the sampler fed the net. Deterministic transitions (eta_scale = 0)
+record std = 0 and logp = 0: they carry no density.
 
 Sampling works on rows: `sample_group` denoises G paths, each under the
 shared condition or its own, with one (G, width) network evaluation per step.
@@ -34,21 +36,15 @@ at eta_scale = 0 it is the deterministic Euler integration of dz = u dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
-from ..numerics import (
-    NetParams,
-    gaussian_logpdf,
-    gaussian_logpdf_rows,
-    net_forward_batch,
-    net_forward_unchecked,
-    require_finite,
-)
+from ..numerics import NetParams, net_forward_unchecked, require_finite
+from ..numerics.stats import LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -80,19 +76,23 @@ class SamplerConfig:
         return [1.0 - k / self.k_steps for k in range(self.k_steps)]
 
 
-@cache
-def trace_dtype(latent: int) -> np.dtype:
-    """Record layout of one denoising transition at latent width `latent`."""
-    return np.dtype([("t", "f8"), ("dt", "f8"), ("std", "f8"), ("logp", "f8"),
-                     ("z", "f8", (latent,)), ("z_next", "f8", (latent,))])
+@dataclass(frozen=True)
+class Transitions:
+    """Denoising transitions as arrays: (G, K) of them for a group, (K,) for one row.
 
+    `steps` holds each transition's net input [z | t | cond], `z_next` its
+    next state, `std` each denoise step's std (one per step, shared by the
+    rows) and `logp` each transition's log-density under the sampling net.
+    """
 
-@dataclass
-class DenoiseTrace:
-    """Full record of one SDE rollout: the condition and its (K,) transitions."""
-
-    cond: np.ndarray
     steps: np.ndarray
+    z_next: np.ndarray
+    std: np.ndarray
+    logp: np.ndarray
+
+    def row(self, i: int) -> "Transitions":
+        """Row i's (K,) transitions, as views."""
+        return Transitions(self.steps[i], self.z_next[i], self.std, self.logp[i])
 
 
 def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
@@ -129,9 +129,13 @@ def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
     return Segment(frames=frames)
 
 
-def _validated(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
-               noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Check the row contract once; return (cond, z_init at one row per path, noise)."""
+def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
+            noise: np.ndarray | None, blocks: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Check the row contract once; return (net inputs, noise).
+
+    The net inputs have shape (G, blocks, W): every block holds its denoise
+    step's t and the row's condition, and the first block holds z_init.
+    """
     cond = np.asarray(cond, dtype=np.float64)
     z = np.array(z_init, dtype=np.float64, ndmin=2)
     latent = config.latent_width
@@ -164,62 +168,72 @@ def _validated(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: S
             f"z_init has {z.shape[0]} rows and cond {cond.shape}; each must be shared "
             f"or give one per row of the {rows}"
         )
-    if z.shape[0] != rows:
-        z = np.tile(z, (rows, 1))
-    return cond, z, noise
+    x = np.empty((rows, blocks, theta.sizes[0]))
+    x[:, 0, :latent] = z
+    x[:, :, latent] = config.time_grid()[:blocks]
+    x[:, :, latent + 1:] = cond[:, None] if cond.ndim == 2 else cond
+    return x, noise
 
 
-def _denoise(theta: NetParams, cond: np.ndarray, z: np.ndarray, config: SamplerConfig,
-             noise: np.ndarray | None,
-             steps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate validated rows from t=1 to t=0: (final states, rows gone non-finite).
+def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.ndarray | None,
+             record: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate rows from t=1 to t=0: (final states, rows gone non-finite).
 
-    Writes each transition into `steps`, a (G, K) trace array, when given.
+    Without `record`, x is (G, 1, W) and each step rewrites its z and t. With
+    `record` = (z_next, mean, std), of shapes (G, K, L), (G, K, L) and (K,),
+    x is (G, K, W): step k forwards block k, computes its next state (and,
+    when stochastic, its transition mean) straight into the record at k,
+    writes its std, and copies its next state into block k + 1.
     """
     latent = config.latent_width
     stochastic = config.eta_scale > 0.0
-    # the cond columns are written once; each step rewrites z and t in place
-    x = net_input(z, 1.0, cond)
     dt = 1.0 / config.k_steps
-    diverged = np.zeros(z.shape[0], dtype=bool)
+    diverged = np.zeros(x.shape[0], dtype=bool)
+    block = x[:, 0]
+    z_out = mean_out = None
     for k, t in enumerate(config.time_grid()):
-        x[:, :latent] = z
-        x[:, latent] = t
-        u = net_forward_unchecked(theta, x)
+        if record is None:
+            block[:, latent] = t
+        else:
+            z_out, mean_out = record[0][:, k], record[1][:, k]
+        z = block[:, :latent]
+        u = net_forward_unchecked(theta, block)
         if not stochastic:
-            # the plain Euler step; std and logp stay 0
-            z_next = z - u * dt
+            # the plain Euler step, a transition with no spread
+            z_next = np.subtract(z, u * dt, out=z_out)
+            std = 0.0
         else:
             x_pred = z - t * u
-            eta = config.eta_scale * np.sqrt(t)
+            eta = config.eta_scale * math.sqrt(t)
             drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
-            mean = z - drift * dt
-            std = float(eta * np.sqrt(dt))
-            z_next = mean + std * noise[:, k]
-        if steps is not None:
-            column = steps[:, k]
-            column["t"] = t
-            column["z"] = z
-            column["z_next"] = z_next
-            if stochastic:
-                column["std"] = std
-                column["logp"] = gaussian_logpdf_rows(z_next, mean, std)
-        z = z_next
-        finite = np.isfinite(z).all(axis=1)
-        if not finite.all():
+            mean = np.subtract(z, drift * dt, out=mean_out)
+            std = eta * math.sqrt(dt)
+            z_next = np.add(mean, std * noise[:, k], out=z_out)
+        if record is not None:
+            record[2][k] = std
+        if not np.isfinite(z_next).all():
+            finite = np.isfinite(z_next).all(axis=1)
             diverged |= ~finite
             if diverged.all():
                 break
             # a diverged row restarts from zeros so it stops spreading
             # non-finite values; it is reported and never returned
-            z[~finite] = 0.0
-    return z, diverged
+            z_next[~finite] = 0.0
+        if k + 1 < config.k_steps:
+            if record is not None:
+                block = x[:, k + 1]
+            block[:, :latent] = z_next
+    return z_next, diverged
 
 
 def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
                  config: SamplerConfig,
-                 noise: np.ndarray | None) -> list[tuple[Segment, DenoiseTrace]]:
+                 noise: np.ndarray | None) -> tuple[np.ndarray, Transitions]:
     """Euler-Maruyama integration of the score-corrected reverse SDE, one path per row.
+
+    Returns (frames, trace): the rows' segments as one (G, F, C) array, a
+    view of the last step's `trace.z_next`, and their (G, K) transitions.
 
     Row contract: `cond` is one condition of shape (C,) shared by the G
     rows, or one per row, (G, C). `z_init` is one initial latent of shape
@@ -240,19 +254,26 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     end, or as soon as every row has diverged. With
     eta_scale = 0 the noise is not used and may be None: the diffusion and
     score terms vanish and every row follows the plain Euler path
-    z <- z - u*dt. Each row's segment holds its own copy of the frames.
+    z <- z - u*dt.
     """
-    cond, z, noise = _validated(theta, cond, z_init, config, noise)
-    rows = z.shape[0]
-    steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(config.latent_width))
-    steps["dt"] = 1.0 / config.k_steps
-    z, diverged = _denoise(theta, cond, z, config, noise, steps)
+    k_steps, latent = config.k_steps, config.latent_width
+    x, noise = _inputs(theta, cond, z_init, config, noise, k_steps)
+    rows = x.shape[0]
+    z_next, mean = np.empty((rows, k_steps, latent)), np.empty((rows, k_steps, latent))
+    std = np.zeros(k_steps)
+    _, diverged = _denoise(theta, x, config, noise, (z_next, mean, std))
     if diverged.any():
         raise DivergenceError(f"sampler state went non-finite in {int(diverged.sum())} "
                               f"of {rows} rows")
-    return [(_to_segment(z[i], config),
-             DenoiseTrace(cond=cond if cond.ndim == 1 else cond[i], steps=steps[i]))
-            for i in range(rows)]
+    logp = np.zeros((rows, k_steps))
+    if config.eta_scale > 0.0:
+        # the Gaussian log-density of every transition at once: per step the
+        # normalizing constant, less half the row's squared standardized residual
+        resid = (z_next - mean) / std[:, None]
+        const = np.array([-0.5 * LOG_2PI * latent - latent * math.log(s) for s in std])
+        logp = const - 0.5 * np.sum(resid * resid, axis=2)
+    frames = z_next[:, -1].reshape(rows, config.n_frames, config.frame_width)
+    return frames, Transitions(x, z_next, std, logp)
 
 
 def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
@@ -263,35 +284,9 @@ def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     recorded, and a row whose state goes non-finite comes back as None while
     the other rows are returned as usual.
     """
-    cond, z, noise = _validated(theta, cond, z_init, config, noise)
-    z, diverged = _denoise(theta, cond, z, config, noise)
+    x, noise = _inputs(theta, cond, z_init, config, noise, 1)
+    z, diverged = _denoise(theta, x, config, noise)
     return [None if diverged[i] else _to_segment(z[i], config) for i in range(z.shape[0])]
-
-
-def transition_mean(theta: NetParams, step: np.void, cond: np.ndarray, *,
-                    delta: float) -> np.ndarray:
-    """Recompute a trace record's transition mean under fresh parameters.
-
-    The std never depends on theta, so callers reuse step["std"].
-    """
-    t, dt, std, z = step["t"], step["dt"], step["std"], step["z"]
-    u = net_forward_batch(theta, net_input(z, t, cond))[0]
-    x_pred = z - t * u
-    eta_sq = (std * std) / dt
-    drift = u - 0.5 * eta_sq * score_term(z, x_pred, t, delta=delta)
-    return z - drift * dt
-
-
-def transition_logprob(theta: NetParams, step: np.void, cond: np.ndarray, *,
-                       delta: float) -> float:
-    """Log-density of the recorded next state under theta's transition mean."""
-    if step["std"] <= 0.0:
-        raise LoopwmError(
-            "transition has degenerate std; stochastic sampling (eta_scale > 0) "
-            "is required for likelihood ratios"
-        )
-    mean = transition_mean(theta, step, cond, delta=delta)
-    return gaussian_logpdf(step["z_next"], mean, step["std"])
 
 
 def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,11 @@ The package serves segments only in lockstep rounds (`run_suite` calls one
 - `run_episode` drives one `episode` by itself, serving each request and
   critique as it comes;
 - `SequentialPolicy` serves a `WorldModelPolicy`'s requests one at a time:
-  the same block draw per request, then one one-row `sample_group` call per
+  the same block draw per request, then one `sample_one` call per
   candidate taken;
-- `sample_sde` and `sample_ode` are the one-row sampler calls, drawing the
-  path's noise from one stream, or none;
+- `sample_one` is the one-row `sample_group` call, and `sample_sde` and
+  `sample_ode` are that call drawing the path's noise from one stream, or
+  none;
 - `GeneratePolicy` turns a `generate(step, memory, rng)` method into a
   policy, one call per candidate taken, and `FrozenPolicy` is one.
 """
@@ -44,17 +45,23 @@ def run_episode(spec, goal, policy, config=None, rng=None, planner=None, critic=
         return done.value
 
 
+def sample_one(theta, cond, z_init, config, noise):
+    """The one-row `sample_group` call: (segment, the row's (K,) transitions)."""
+    frames, trace = sample_group(theta, cond, z_init, config, noise)
+    return Segment(frames[0]), trace.row(0)
+
+
 def sample_sde(theta, cond, z_init, config, rng):
     """One stochastic path: its (1, K, L) noise drawn from `rng`, none at eta_scale 0."""
     noise = None
     if config.eta_scale > 0.0:
         noise = rng.normal(shape=(1, config.k_steps, config.latent_width))
-    return sample_group(theta, cond, z_init, config, noise)[0]
+    return sample_one(theta, cond, z_init, config, noise)
 
 
 def sample_ode(theta, cond, z_init, config):
     """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
-    segment, _ = sample_group(theta, cond, z_init, replace(config, eta_scale=0.0), None)[0]
+    segment, _ = sample_one(theta, cond, z_init, replace(config, eta_scale=0.0), None)
     return segment
 
 
@@ -90,8 +97,8 @@ class SequentialPolicy:
         def draw(step):
             row = next(rows)
             if config.eta_scale > 0.0:
-                return sample_group(theta, cond, row[0], config, row[None, 1:])[0][0]
-            return sample_group(theta, cond, row, config, None)[0][0]
+                return sample_one(theta, cond, row[0], config, row[None, 1:])[0]
+            return sample_one(theta, cond, row, config, None)[0]
 
         return draw
 

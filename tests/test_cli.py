@@ -424,7 +424,11 @@ def _rows(args, kwargs, result):
 
 
 def _objective_reads(args, kwargs, result):
-    return sum(len(m.trace.steps) for m in args[2].members), result.dropped
+    rows = sum(len(m.trace.steps) for m in args[2].members)
+    # group_size x k_steps of the grpo stage below: a layout that miscounts
+    # the objective's rows fails here
+    assert rows == 2 * 6
+    return rows, result.dropped
 
 
 def _update_reads(args, kwargs, result):

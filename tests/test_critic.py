@@ -14,8 +14,10 @@ from loopwm.critic import (
     evaluate,
     evaluate_rows,
     revise_instruction,
+    score_group,
 )
 from loopwm.critic.scoring import (
+    COHERENCE_SCALE,
     CONTACT_RADIUS,
     DIMENSIONS,
     MAX_FRAME_DELTA,
@@ -416,3 +418,63 @@ def test_outside_critic_reports_have_the_builtin_shape(kitchen):
     assert outside.scores == builtin.scores
     assert outside.scalar == builtin.scalar
     assert outside.details == {}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    n_frames=st.sampled_from([2, 3, 8]),
+    scale=st.sampled_from([0.01, 0.1, 1.0]),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reports_are_rows_of_the_scoring_core(rows, n_frames, scale, weighted, seed):
+    # the array core scores a whole group into columns; every report the
+    # loop gets carries its row of those columns, bit for bit
+    kitchen, steps = pinned_suite_steps()
+    rng = np.random.default_rng(seed)
+    weights = (CriticWeights(*rng.uniform(0.0, 1.0, size=len(DIMENSIONS))) if weighted
+               else CriticWeights())
+    for step in steps[::3]:
+        start = rng.uniform(0.0, 1.0, size=(1, 1, kitchen.n_channels))
+        frames = start + np.cumsum(
+            rng.normal(0.0, scale, size=(rows, n_frames, kitchen.n_channels)), axis=1)
+        frames[:, :, :kitchen.n_predicates] = rng.choice(
+            [0.0, 1.0], size=(rows, n_frames, kitchen.n_predicates))
+        scored = score_group(kitchen, frames, step, weights)
+        reports = evaluate_rows(kitchen, frames, [step] * rows, weights)
+        for i, report in enumerate(reports):
+            assert {d: bits(v) for d, v in report.scores.items()} == \
+                {d: bits(scored.scores[d][i]) for d in DIMENSIONS}
+            assert bits(report.scalar) == bits(scored.scalar[i])
+
+
+def frames_with_msd(spec, msd, exact=True):
+    """Three frames whose mean squared second difference is `msd`, to the bit if `exact`."""
+    frames = np.zeros((3, spec.n_channels))
+    s = float(np.sqrt(msd * spec.n_channels))
+    for _ in range(64):
+        frames[2, -1] = s
+        got = score_group(spec, frames[None], open_jar_step(spec)).msds[0]
+        if got == msd or not exact:
+            return frames
+        s = np.nextafter(s, np.inf if got < msd else -np.inf)
+    raise AssertionError(f"no three frames give msd {msd}")
+
+
+def test_core_coherence_equals_coherence_score(kitchen):
+    # at msd 0, below, at and above COHERENCE_SCALE, the core's column is
+    # coherence_score of the row's msd
+    frames = np.stack([frames_with_msd(kitchen, 0.0),
+                       frames_with_msd(kitchen, 0.5 * COHERENCE_SCALE, exact=False),
+                       frames_with_msd(kitchen, COHERENCE_SCALE),
+                       frames_with_msd(kitchen, 2.0 * COHERENCE_SCALE, exact=False),
+                       frames_with_msd(kitchen, 1.0, exact=False)])
+    scored = score_group(kitchen, frames, open_jar_step(kitchen))
+    msds = scored.msds.tolist()
+    assert msds[0] == 0.0 and msds[2] == COHERENCE_SCALE
+    assert msds[1] < COHERENCE_SCALE < msds[3] < msds[4]
+    column = scored.scores["temporal_coherence"].tolist()
+    assert column == [coherence_score(m) for m in msds]
+    assert column[0] == 1.0 and 0.0 < column[1] < 1.0
+    assert column[2] == column[3] == column[4] == 0.0

@@ -1,23 +1,24 @@
 """Group-rollout training: advantages, clipped updates, KL terms, curriculum."""
 
+import importlib
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopwm.critic import CriticReport, evaluate
+from loopwm.critic import DIMENSIONS, evaluate, score_group
 from loopwm.errors import LoopwmError
 from loopwm.grpo import (
-    GroupMember,
     GrpoConfig,
     RolloutGroup,
     TrainingLog,
     compute_advantages,
     curriculum_schedule,
+    group_rewards,
     grpo_update,
-    kl_term,
-    member_reward,
     objective_terms,
     rollout_group,
     surrogate_rows,
@@ -25,31 +26,38 @@ from loopwm.grpo import (
 )
 from loopwm.loop import SearchPlanner
 from loopwm.memory import WorldMemory
-from loopwm.microworld import parse_literal, reference_segment
+from loopwm.microworld import Segment, parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
     clone_params,
     finite_diff_grad,
-    gaussian_logpdf,
     net_activations,
     net_backward_batch,
     net_init,
 )
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
-    DenoiseTrace,
     PolicyBundle,
     SamplerConfig,
+    Transitions,
     build_demos,
     embed_condition,
     mean_affine_coeffs,
     net_input,
     sample_group,
     sft_train,
+    velocity_net_sizes,
+)
+from per_row import (
+    DenoiseTrace,
+    as_record_group,
+    as_records,
+    gaussian_logpdf,
+    kl_term,
+    objective_terms_records,
     trace_dtype,
     transition_logprob,
     transition_mean,
-    velocity_net_sizes,
 )
 from sequential import sample_sde
 
@@ -72,15 +80,27 @@ def first_step(spec, *texts):
 
 
 def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
-    """Roll a group directly through the sampler, skipping the critic."""
+    """Roll a group directly through the sampler, skipping the critic.
+
+    Member i's noise is drawn from `rng.split(i)`.
+    """
     rng = RandomSource(seed)
     z_init = np.asarray(rng.normal(shape=sampler.latent_width), dtype=np.float64)
-    members = []
-    for i, reward in enumerate(rewards):
-        segment, trace = sample_sde(theta_old, cond, z_init, sampler, rng.split(i))
-        members.append(GroupMember(segment=segment, trace=trace, report=None,
-                                   reward=float(reward)))
-    return RolloutGroup(tuple(members), compute_advantages(rewards, delta))
+    noise = np.stack([rng.split(i).normal(shape=(sampler.k_steps, sampler.latent_width))
+                      for i in range(len(rewards))])
+    frames, trace = sample_group(theta_old, cond, z_init, sampler, noise)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    return RolloutGroup(frames, trace, {}, rewards, compute_advantages(rewards, delta))
+
+
+def rows_of(*picks):
+    """A group of the given (group, member) rows, in order, with the first group's advantages."""
+    traces = [group.trace.row(i) for group, i in picks]
+    trace = Transitions(np.stack([t.steps for t in traces]), np.stack([t.z_next for t in traces]),
+                        traces[0].std, np.stack([t.logp for t in traces]))
+    first = picks[0][0]
+    return RolloutGroup(np.stack([group.frames[i] for group, i in picks]), trace, {},
+                        first.rewards[:len(picks)], first.advantages[:len(picks)])
 
 
 def flat_rel_err(got, want):
@@ -198,13 +218,14 @@ def test_rollout_group_shares_initial_noise(kitchen):
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
     assert len(group.members) == 4
-    z_init = group.members[0].trace.steps[0]["z"]
-    assert z_init.shape == (sampler.latent_width,)
+    latent = sampler.latent_width
+    z_init = group.members[0].trace.steps[0, :latent]
+    assert z_init.shape == (latent,)
     frames = []
-    for member in group.members:
-        assert np.array_equal(member.trace.steps[0]["z"], z_init)
-        assert 0.0 <= member.reward <= 1.0
-        assert member.report.scores
+    for i, member in enumerate(group.members):
+        assert np.array_equal(member.trace.steps[0, :latent], z_init)
+        assert 0.0 <= group.rewards[i] <= 1.0
+        assert sorted(group.scores) == sorted(DIMENSIONS)
         frames.append(member.segment.frames)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -249,10 +270,10 @@ def test_group_sampler_shared_stream_collapses_group(kitchen):
     z_init = np.asarray(RandomSource(1).normal(shape=sampler.latent_width))
     noise = np.stack([RandomSource(1).split(0).normal(
         shape=(sampler.k_steps, sampler.latent_width)) for _ in range(2)])
-    (first, first_trace), (second, second_trace) = sample_group(
-        theta, cond, z_init, sampler, noise)
-    assert np.array_equal(first.frames, second.frames)
-    assert np.array_equal(first_trace.steps["logp"], second_trace.steps["logp"])
+    frames, trace = sample_group(theta, cond, z_init, sampler, noise)
+    assert np.array_equal(frames[0], frames[1])
+    assert np.array_equal(trace.logp[0], trace.logp[1])
+    first, second = Segment(frames[0]), Segment(frames[1])
     assert evaluate(kitchen, first, step).scalar == evaluate(kitchen, second, step).scalar
 
 
@@ -270,11 +291,10 @@ def test_member_reward_sources(kitchen):
     segment = reference_segment(kitchen, kitchen.initial_state(), step.actions[0],
                                 n_frames=8)
     report = evaluate(kitchen, segment, step)
-    assert member_reward(report, GrpoConfig()) == pytest.approx(report.scalar)
+    scored = score_group(kitchen, segment.frames[None], step)
+    assert group_rewards(scored, GrpoConfig()).tolist() == [report.scalar]
     dim_config = GrpoConfig(reward_dimension="action_adherence")
-    assert member_reward(report, dim_config) == pytest.approx(
-        report.scores["action_adherence"]
-    )
+    assert group_rewards(scored, dim_config).tolist() == [report.scores["action_adherence"]]
 
 
 @pytest.mark.parametrize("dimension", [None, "temporal_coherence"])
@@ -285,11 +305,11 @@ def test_rollout_group_reports_equal_per_member_evaluate(kitchen, dimension):
     config = GrpoConfig(group_size=5, reward_dimension=dimension)
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(2))
-    for member in group.members:
+    for i, member in enumerate(group.members):
         want = evaluate(kitchen, member.segment, step)
-        for f in fields(CriticReport):
-            assert getattr(member.report, f.name) == getattr(want, f.name), f.name
-        assert member.reward == (want.scalar if dimension is None else want.scores[dimension])
+        assert {d: group.scores[d][i] for d in DIMENSIONS} == want.scores
+        assert group.rewards[i] == (want.scalar if dimension is None
+                                    else want.scores[dimension])
 
 
 # surrogate and clipping
@@ -321,7 +341,7 @@ def test_ratios_equal_one_at_sync(kitchen):
     config = GrpoConfig(group_size=3)
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(2))
-    for member in group.members:
+    for member in as_record_group(group).members:
         for ts in member.trace.steps:
             rho = math.exp(transition_logprob(theta, ts, member.trace.cond,
                                               delta=sampler.delta) - ts["logp"])
@@ -360,8 +380,10 @@ def test_degenerate_group_gradient_is_pure_kl():
     assert terms.surrogate == 0.0
     assert terms.kl > 0.0
 
+    records = as_record_group(group)
+
     def scaled_neg_kl(params):
-        values = [kl_term(params, reference, m.trace, sampler.delta) for m in group.members]
+        values = [kl_term(params, reference, m.trace, sampler.delta) for m in records.members]
         return -config.beta * float(np.mean(values))
 
     fd = finite_diff_grad(scaled_neg_kl, theta)
@@ -381,10 +403,11 @@ def test_surrogate_gradient_matches_finite_differences():
     # the check only covers the smooth regime: no row may be clipped
     assert terms.clip_fraction == 0.0
     eps = config.epsilon
+    records = as_record_group(group)
 
     def surrogate(params):
         values = []
-        for i, member in enumerate(group.members):
+        for i, member in enumerate(records.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
                 rho = math.exp(transition_logprob(params, ts, cond, delta=sampler.delta)
@@ -405,7 +428,8 @@ def row_loop_objective(theta, reference, group, config, delta):
     dropped.
     """
     rows = [(float(group.advantages[i]), member.trace.cond, ts)
-            for i, member in enumerate(group.members) for ts in member.trace.steps]
+            for i, member in enumerate(as_record_group(group).members)
+            for ts in member.trace.steps]
     values, kls, ratios, grads = [], [], [], None
     for adv, cond, ts in rows:
         t, dt, std, z, z_next = ts["t"], ts["dt"], ts["std"], ts["z"], ts["z_next"]
@@ -461,7 +485,7 @@ def test_objective_terms_scores_each_member_under_its_own_condition():
                            rewards=[0.1, 0.8], seed=4)
     far = synthetic_group(theta, np.array([-0.9, 0.5, 0.7]), sampler,
                           rewards=[0.4, 0.6], seed=5)
-    group = RolloutGroup((near.members[0], far.members[1]), near.advantages)
+    group = rows_of((near, 0), (far, 1))
     config = GrpoConfig(group_size=2, beta=0.05)
     terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.dropped == 0
@@ -470,9 +494,58 @@ def test_objective_terms_scores_each_member_under_its_own_condition():
     terms = objective_terms(theta, reference, group, config, sampler.delta)
     value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
     assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
-    kls = [kl_term(theta, reference, m.trace, sampler.delta) for m in group.members]
+    kls = [kl_term(theta, reference, m.trace, sampler.delta)
+           for m in as_record_group(group).members]
     assert terms.kl == pytest.approx(float(np.mean(kls)), rel=1e-9)
     assert flat_rel_err(terms.grads, grads) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    frame_width=st.integers(1, 6),
+    cond_width=st.integers(1, 12),
+    group_size=st.integers(2, 6),
+    k_steps=st.integers(1, 5),
+    drop=st.booleans(),
+    beta=st.sampled_from([0.0, 0.05]),
+    scale=st.sampled_from([0.01, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_terms_equal_the_record_objective(hidden, frame_width, cond_width, group_size,
+                                                    k_steps, drop, beta, scale, seed):
+    # the objective over the group's arrays is the record-array objective
+    # over the same rollout, bit for bit, whether or not a member is dropped
+    sampler = small_sampler(frame_width, k_steps=k_steps)
+    latent = sampler.latent_width
+    sizes = [latent + 1 + cond_width, *hidden, latent]
+    theta_old = net_init(sizes, RandomSource(seed))
+    theta = clone_params(theta_old)
+    theta.vector[:] += scale * np.asarray(RandomSource(seed, 1).normal(shape=theta.vector.size))
+    reference = net_init(sizes, RandomSource(seed, 2))
+    rng = RandomSource(seed, 3)
+    cond = np.asarray(rng.normal(shape=cond_width))
+    z_init = np.asarray(rng.normal(shape=latent))
+    noise = np.asarray(rng.normal(shape=(group_size, k_steps, latent)))
+    frames, trace = sample_group(theta_old, cond, z_init, sampler, noise)
+    rewards = np.asarray(rng.uniform(shape=group_size))
+    group = RolloutGroup(frames, trace, {}, rewards, compute_advantages(rewards))
+    if drop:
+        group = poison(group, int(rng.choice(group_size)))
+    config = GrpoConfig(group_size=group_size, beta=beta)
+    got = objective_terms(theta, reference, group, config, sampler.delta)
+    want = objective_terms_records(theta, reference, as_record_group(group), config,
+                                   sampler.delta)
+    assert got.dropped == want.dropped == int(drop)
+    assert got.kept == want.kept
+    for name in ("value", "surrogate", "kl", "clip_fraction"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert np.array_equal(got.ratios, want.ratios)
+    assert np.array_equal(got.grads, want.grads)
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
 
 
 def test_objective_terms_runs_each_net_forward_once(tanh_calls):
@@ -500,9 +573,11 @@ def test_single_member_gradient_is_vanilla_policy_gradient():
     config = GrpoConfig(group_size=2, beta=0.0)
     terms = objective_terms(theta, theta, group, config, sampler.delta)
 
+    records = as_record_group(group)
+
     def weighted_loglik(params):
         values = []
-        for i, member in enumerate(group.members):
+        for i, member in enumerate(records.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
                 values.append(adv * transition_logprob(params, ts, cond, delta=sampler.delta))
@@ -521,6 +596,7 @@ def test_kl_zero_at_reference_and_hand_offset():
     theta = net_init([4 + 1 + 3, 4], RandomSource(0))
     theta.vector[:] = 0.0
     _, trace = sample_sde(theta, cond, np.zeros(4), sampler, RandomSource(4))
+    trace = as_records(trace)
     step = trace.steps[0]
     assert step["t"] == 1.0 and step["std"] == pytest.approx(0.3)
     assert kl_term(theta, theta, trace, sampler.delta) == 0.0
@@ -565,12 +641,11 @@ def test_kl_rejects_deterministic_trace():
 # dropping and skipping
 
 
-def poison(member):
-    steps = member.trace.steps.copy()
-    steps["logp"] -= 1000.0
-    return GroupMember(segment=member.segment,
-                       trace=DenoiseTrace(cond=member.trace.cond, steps=steps),
-                       report=None, reward=member.reward)
+def poison(group, *members):
+    """The group with the recorded log-densities of `members` at -inf: infinite ratios."""
+    logp = group.trace.logp.copy()
+    logp[list(members)] = -np.inf
+    return replace(group, trace=replace(group.trace, logp=logp))
 
 
 def test_nonfinite_ratio_drops_member():
@@ -578,7 +653,7 @@ def test_nonfinite_ratio_drops_member():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group = replace(group, members=(poison(group.members[0]), group.members[1]))
+    group = poison(group, 0)
     config = GrpoConfig(group_size=2)
     terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.kept == (1,)
@@ -592,7 +667,7 @@ def test_all_members_dropped_skips_update():
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
-    group = replace(group, members=tuple(poison(m) for m in group.members))
+    group = poison(group, 0, 1)
     bundle = PolicyBundle.from_reference(theta)
     before = bundle.theta.vector.copy()
     updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2),
@@ -740,6 +815,44 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
           [goal_of("kettle.grasped")], sampler, config, RandomSource(8))
     assert seen and seen[0].ratios.size == 16
     np.testing.assert_allclose(seen[0].ratios, 1.0, rtol=0, atol=1e-9)
+
+
+def test_tied_groups_are_logged(kitchen, monkeypatch):
+    # a group whose rewards all tie has zero advantages, so its update is KL
+    # only; each such group leaves one event, and training_log keeps its rows
+    sampler = kitchen_sampler(kitchen, k_steps=2)
+    config = GrpoConfig(iterations=3, group_size=3, curriculum=((1, 1),))
+    goals = [goal_of("kettle.grasped")]
+    groups = []
+
+    def spy(*args, **kwargs):
+        groups.append(rollout_group(*args, **kwargs))
+        return groups[-1]
+
+    def run():
+        groups.clear()
+        bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("loopwm.grpo.train"), "rollout_group", spy)
+            _, log = train(bundle, kitchen, SearchPlanner(), goals, sampler, config,
+                           RandomSource(3))
+        return log, [bool(np.all(g.rewards == g.rewards[0])) for g in groups]
+
+    def tie_events(log):
+        return [e for e in log.events if "tie" in e]
+
+    plain, plain_ties = run()
+    assert tie_events(plain) == [
+        f"iteration {i + 1}: all 3 rewards tie at step 1; update is KL-only"
+        for i, tie in enumerate(plain_ties) if tie]
+    monkeypatch.setattr("loopwm.grpo.rollout.group_rewards",
+                        lambda scored, config: np.full(scored.scalar.size, 0.5))
+    tied, ties = run()
+    assert ties == [True] * 3
+    assert tie_events(tied) == [
+        f"iteration {i}: all 3 rewards tie at step 1; update is KL-only" for i in (1, 2, 3)]
+    assert [r.mean_reward for r in tied.records] == [0.5] * 3
+    assert [len(row) for row in tied.rows()] == [7] * 3
 
 
 def test_train_rejects_empty_goal_pool(kitchen):

@@ -39,8 +39,6 @@ def test_no_module_imports_threads_processes_or_networking():
 # Reference implementations that tests compare the package's fast paths
 # against; nothing in the package calls them.
 REFERENCE_ONLY = {
-    "transition_logprob",  # one transition's density; objective_terms batches it
-    "kl_term",  # one trace's KL; objective_terms batches it
     "finite_diff_grad",  # numeric gradient that checks every backward pass
     "decode_frame",  # frame -> state decode; the critic thresholds columns itself
     "channel_mask",  # one step's mask; DomainSpec builds every condition tail

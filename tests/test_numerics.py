@@ -11,7 +11,6 @@ from loopwm.numerics import (
     NetParams,
     RandomSource,
     finite_diff_grad,
-    gaussian_logpdf,
     load_checkpoint,
     net_activations,
     net_backward_batch,
@@ -27,6 +26,7 @@ from per_array import (
     layer_arrays,
     opt_step_per_array,
 )
+from per_row import gaussian_logpdf
 
 
 def rel_err(a, b):

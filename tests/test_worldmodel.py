@@ -20,7 +20,6 @@ from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
     finite_diff_grad,
-    gaussian_logpdf,
     net_activations,
     net_backward_batch,
     net_forward_batch,
@@ -44,11 +43,16 @@ from loopwm.worldmodel import (
     save_policy,
     score_term,
     sft_train,
-    transition_logprob,
-    transition_mean,
     velocity_net_sizes,
 )
 from per_array import layer_arrays
+from per_row import (
+    as_records,
+    gaussian_logpdf,
+    sample_group_records,
+    transition_logprob,
+    transition_mean,
+)
 from sequential import SequentialPolicy, sample_ode, sample_sde
 
 
@@ -190,7 +194,7 @@ def test_sde_zero_noise_matches_ode_bitwise():
         ode = sample_ode(theta, cond, z, config)
         sde, trace = sample_sde(theta, cond, z, config, RandomSource(999, trial))
         assert np.array_equal(ode.frames, sde.frames)
-        assert np.all(trace.steps["std"] == 0.0)
+        assert np.all(trace.std == 0.0)
 
 
 def test_sde_reproducible_and_trace_shape():
@@ -202,11 +206,10 @@ def test_sde_reproducible_and_trace_shape():
     seg_b, tr_b = sample_sde(theta, cond, z, config, RandomSource(7, 3))
     assert np.array_equal(seg_a.frames, seg_b.frames)
     assert len(tr_a.steps) == 6
-    for sa, sb in zip(tr_a.steps, tr_b.steps):
-        assert np.array_equal(sa["z_next"], sb["z_next"])
-        assert sa["logp"] == sb["logp"]
-        assert sa["std"] > 0.0
-        assert np.isfinite(sa["logp"])
+    assert np.array_equal(tr_a.z_next, tr_b.z_next)
+    assert np.array_equal(tr_a.logp, tr_b.logp)
+    assert np.all(tr_a.std > 0.0)
+    assert np.isfinite(tr_a.logp).all()
 
 
 def test_trace_records_consistent_transitions():
@@ -217,7 +220,7 @@ def test_trace_records_consistent_transitions():
     _, trace = sample_sde(theta, cond, z, config, RandomSource(21))
     noise = RandomSource(21).normal(shape=(1, config.k_steps, z.size))[0]
     dt = 1.0 / config.k_steps
-    for k, step in enumerate(trace.steps):
+    for k, step in enumerate(as_records(trace).steps):
         t, std = step["t"], step["std"]
         assert step["dt"] == dt
         # schedule std
@@ -244,13 +247,14 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     cond = np.array([0.4, -0.2, 0.6])
     noise = np.stack([RandomSource(17).split(i).normal(shape=(config.k_steps, z.size))
                       for i in range(5)])
-    rows = sample_group(theta, cond, z, config, noise)
-    assert len(rows) == 5
-    for i, (segment, trace) in enumerate(rows):
+    frames, group = sample_group(theta, cond, z, config, noise)
+    assert frames.shape == (5, 2, 3)
+    for i in range(5):
+        trace = group.row(i)
         want_seg, want = sample_sde(theta, cond, z, config, RandomSource(17).split(i))
-        np.testing.assert_allclose(segment.frames, want_seg.frames, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frames[i], want_seg.frames, rtol=0, atol=1e-12)
         assert len(trace.steps) == len(want.steps) == config.k_steps
-        for got, ref in zip(trace.steps, want.steps):
+        for got, ref in zip(as_records(trace).steps, as_records(want).steps):
             assert (got["t"], got["dt"]) == (ref["t"], ref["dt"])
             for name in ("z", "z_next"):
                 np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12)
@@ -260,10 +264,10 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
             assert got["std"] == pytest.approx(ref["std"], abs=1e-12)
             assert got["logp"] == pytest.approx(ref["logp"], abs=1e-12)
         if eta_scale == 0.0:
-            np.testing.assert_allclose(segment.frames, sample_ode(theta, cond, z, config).frames,
+            np.testing.assert_allclose(frames[i], sample_ode(theta, cond, z, config).frames,
                                        rtol=0, atol=1e-12)
     if eta_scale > 0.0:
-        assert not np.array_equal(rows[0][0].frames, rows[1][0].frames)
+        assert not np.array_equal(frames[0], frames[1])
 
 
 @pytest.mark.parametrize("eta_scale", [0.3, 0.0])
@@ -276,14 +280,14 @@ def test_sample_rows_are_sample_group_per_row_conditions(eta_scale):
     cond = rng.normal(shape=(3, 3))
     z_init = rng.normal(shape=(3, 4))
     noise = rng.normal(shape=(3, config.k_steps, 4)) if eta_scale else None
-    group = sample_group(theta, cond, z_init, config, noise)
+    frames, trace = sample_group(theta, cond, z_init, config, noise)
     rows = sample_rows(theta, cond, z_init, config, noise)
-    for i, ((segment, trace), row) in enumerate(zip(group, rows)):
-        assert np.array_equal(row.frames, segment.frames)
-        assert np.array_equal(trace.cond, cond[i])
+    for i, row in enumerate(rows):
+        assert np.array_equal(row.frames, frames[i])
+        assert np.array_equal(trace.steps[i, :, 5:], np.tile(cond[i], (config.k_steps, 1)))
         alone, _ = sample_group(theta, cond[i], z_init[i], config,
-                                None if noise is None else noise[i:i + 1])[0]
-        np.testing.assert_allclose(segment.frames, alone.frames, rtol=0, atol=1e-12)
+                                None if noise is None else noise[i:i + 1])
+        np.testing.assert_allclose(frames[i], alone[0], rtol=0, atol=1e-12)
     assert not np.allclose(rows[0].frames, rows[1].frames)
     with pytest.raises(LoopwmError):
         sample_rows(theta, cond[:2], z_init, config, noise)
@@ -313,29 +317,38 @@ def test_sample_rows_drop_only_the_rows_that_diverge():
        eta_scale=st.sampled_from([0.0, 0.3]), shared_init=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed):
-    # each row's (K,) records chain z -> z_next along the time grid, end at
-    # the segment, and are views of one (G, K) array
+    # each row's transitions chain z -> z_next along the time grid under its
+    # condition, end at the segment, and are views of the group's arrays,
+    # which equal the record-array sampler's bit for bit
     config = small_config(frame_width=2, k_steps=k_steps, eta_scale=eta_scale)
     theta = tiny_net(latent=4, cond_width=3, seed=seed)
     rng = RandomSource(seed)
     z_init = np.asarray(rng.normal(shape=4 if shared_init else (rows, 4)))
     cond = np.asarray(rng.normal(shape=3))
     noise = np.asarray(rng.normal(shape=(rows, k_steps, 4)))
-    samples = sample_group(theta, cond, z_init, config, noise)
-    assert len(samples) == rows
-    for i, (segment, trace) in enumerate(samples):
-        steps = trace.steps
-        assert len(trace.steps) == k_steps
-        assert steps.base is samples[0][1].steps.base and steps.base.shape == (rows, k_steps)
-        assert np.array_equal(steps["z"][0], z_init if shared_init else z_init[i])
-        assert np.array_equal(steps["z"][1:], steps["z_next"][:-1])
-        assert steps["t"].tolist() == config.time_grid()
-        assert np.all(steps["dt"] == 1.0 / k_steps)
-        assert np.array_equal(segment.frames, steps["z_next"][-1].reshape(2, 2))
+    frames, group = sample_group(theta, cond, z_init, config, noise)
+    assert frames.shape == (rows, 2, 2) and np.shares_memory(frames, group.z_next)
+    assert group.steps.shape == (rows, k_steps, 8) and group.std.shape == (k_steps,)
+    assert group.z_next.shape == (rows, k_steps, 4) and group.logp.shape == (rows, k_steps)
+    records = sample_group_records(theta, cond, z_init, config, noise)
+    for i, (segment, want) in enumerate(records):
+        trace = group.row(i)
+        assert np.shares_memory(trace.steps, group.steps)
+        z, t = trace.steps[:, :4], trace.steps[:, 4]
+        assert np.array_equal(z[0], z_init if shared_init else z_init[i])
+        assert np.array_equal(z[1:], trace.z_next[:-1])
+        assert t.tolist() == config.time_grid()
+        assert np.array_equal(trace.steps[:, 5:], np.tile(cond, (k_steps, 1)))
+        assert np.array_equal(frames[i], trace.z_next[-1].reshape(2, 2))
         if eta_scale == 0.0:
-            assert np.all(steps["std"] == 0.0) and np.all(steps["logp"] == 0.0)
+            assert np.all(trace.std == 0.0) and np.all(trace.logp == 0.0)
         else:
-            assert np.all(steps["std"] > 0.0) and np.all(np.isfinite(steps["logp"]))
+            assert np.all(trace.std > 0.0) and np.all(np.isfinite(trace.logp))
+        got = as_records(trace)
+        assert np.array_equal(got.cond, want.cond)
+        for name in want.steps.dtype.names:
+            assert np.array_equal(got.steps[name], want.steps[name]), name
+        assert np.array_equal(frames[i], segment.frames)
 
 
 def round_of_requests(spec, config, seed, n):
@@ -439,9 +452,9 @@ def test_first_transition_std_monte_carlo():
     samples = []
     for i in range(10_000):
         _, trace = sample_sde(theta, cond, z, config, RandomSource(13, i))
-        samples.append(trace.steps[0]["z_next"])
+        samples.append(trace.z_next[0])
     # every path starts at z and t = 1, so all share one transition mean
-    mean = transition_mean(theta, trace.steps[0], cond, delta=config.delta)
+    mean = transition_mean(theta, as_records(trace).steps[0], cond, delta=config.delta)
     samples = np.asarray(samples) - mean
     observed = float(np.std(np.asarray(samples)))
     expected = 0.3 * np.sqrt(1.0) * np.sqrt(1.0)  # eta_1 * sqrt(dt), K=1
@@ -469,6 +482,7 @@ def test_mean_recomputation_requires_delta():
     config = small_config(frame_width=2, k_steps=2)
     cond = np.ones(3)
     _, trace = sample_sde(theta, cond, np.ones(4), config, RandomSource(3))
+    trace = as_records(trace)
     calls = [
         lambda: score_term(np.ones(2), np.ones(2), 0.5),
         lambda: mean_affine_coeffs(0.5, 0.5, 0.1),
@@ -488,7 +502,7 @@ def test_transition_logprob_self_consistency():
     config = small_config(frame_width=2, k_steps=5)
     z = np.array([0.3, 0.1, -0.4, 0.9])
     cond = np.array([0.2, 0.8, 0.5])
-    _, trace = sample_sde(theta, cond, z, config, RandomSource(31))
+    trace = as_records(sample_sde(theta, cond, z, config, RandomSource(31))[1])
     total = 0.0
     for step in trace.steps:
         lp = transition_logprob(theta, step, cond, delta=config.delta)
@@ -502,7 +516,7 @@ def test_transition_logprob_mode_and_additivity():
     config = small_config(frame_width=2, k_steps=3)
     cond = np.ones(3) * 0.4
     _, trace = sample_sde(theta, cond, np.ones(4) * 0.1, config, RandomSource(41))
-    step = trace.steps[0]
+    step = as_records(trace).steps[0]
     z_next, std = step["z_next"], step["std"]
     mean = transition_mean(theta, step, cond, delta=config.delta)
     at_mode = gaussian_logpdf(mean, mean, std)
@@ -519,7 +533,7 @@ def test_transition_logprob_requires_noise():
     config = small_config(frame_width=2, k_steps=2, eta_scale=0.0)
     _, trace = sample_sde(theta, np.ones(3), np.ones(4), config, RandomSource(5))
     with pytest.raises(LoopwmError):
-        transition_logprob(theta, trace.steps[0], np.ones(3), delta=config.delta)
+        transition_logprob(theta, as_records(trace).steps[0], np.ones(3), delta=config.delta)
 
 
 def test_logprob_gradient_matches_finite_differences():
@@ -530,7 +544,7 @@ def test_logprob_gradient_matches_finite_differences():
     z = np.array([0.2, -0.1, 0.5])
     cond = np.array([0.7, 0.3])
     _, trace = sample_sde(theta, cond, z, config, RandomSource(61))
-    step = trace.steps[2]
+    step = as_records(trace).steps[2]
 
     t, std = step["t"], step["std"]
     mean = transition_mean(theta, step, cond, delta=config.delta)
