@@ -9,7 +9,10 @@ same way. The objective reads the group's arrays as the sampler wrote them:
 its G*K rows are the (G, K) transitions reshaped, member-major and
 step-minor, and its net input is the sampler's own (G, K, W) input block
 reshaped to (G*K, W), so each row is scored under the condition and time it
-was sampled at, and nothing is copied or rebuilt. `grpo_update` reports the
+was sampled at, and nothing is copied or rebuilt. Every member shares the
+sampler's time grid, so the terms that depend on the step alone (the mean's
+affine coefficients, the std and the density's normalizer) are computed once
+per step and broadcast over the members. `grpo_update` reports the
 `ObjectiveTerms` it stepped along.
 """
 
@@ -105,34 +108,32 @@ def objective_terms(
     if np.any(trace.std <= 0.0):
         raise LoopwmError("grpo update needs stochastic traces (std > 0)")
 
-    # rows run member-major, step-minor; every reshape here is a view
+    # the nets read the G*K rows member-major, step-minor; everything else
+    # is a (G, K, .) view, and what depends on the step alone is computed
+    # once per step and broadcast over the members
     x = trace.steps.reshape(n_members * k_steps, width)
-    z, t = x[:, :latent], x[:, latent]
-    z_next = trace.z_next.reshape(n_members * k_steps, latent)
-    std = np.tile(trace.std, n_members)
-    adv = np.repeat(np.asarray(group.advantages, dtype=np.float64), k_steps)
+    z = trace.steps[:, :, :latent]
+    t = trace.steps[0, :, latent]
+    adv = np.asarray(group.advantages, dtype=np.float64)[:, None]
 
     # transition mean is affine in the velocity: mean = base + coeff * u
-    scale, coeff = mean_affine_coeffs(t, 1.0 / k_steps, std, delta=delta)
+    scale, coeff = mean_affine_coeffs(t, 1.0 / k_steps, trace.std, delta=delta)
     base = z * scale[:, None]
     coeff = coeff[:, None]
-    std = std[:, None]
+    std = trace.std[:, None]
+    log_norm = -0.5 * LOG_2PI * latent - latent * np.log(trace.std)
 
     acts = net_activations(theta, x)
     u_ref = net_forward_batch(reference, x)
-    mean_theta = base + coeff * acts[-1]
-    mean_ref = base + coeff * u_ref
-    resid = z_next - mean_theta
-    logp_theta = (
-        -0.5 * LOG_2PI * latent
-        - latent * np.log(std[:, 0])
-        - 0.5 * np.sum((resid / std) ** 2, axis=1)
-    )
+    mean_theta = base + coeff * acts[-1].reshape(n_members, k_steps, latent)
+    mean_ref = base + coeff * u_ref.reshape(n_members, k_steps, latent)
+    resid = trace.z_next - mean_theta
+    logp_theta = log_norm - 0.5 * np.sum((resid / std) ** 2, axis=2)
     # overflow to inf is fine here: the member gets dropped just below
     with np.errstate(over="ignore"):
-        ratios = np.exp(logp_theta - trace.logp.reshape(-1))
+        ratios = np.exp(logp_theta - trace.logp)
 
-    finite = np.isfinite(ratios.reshape(n_members, k_steps)).all(axis=1)
+    finite = np.isfinite(ratios).all(axis=1)
     kept = tuple(i for i in range(n_members) if finite[i])
     dropped = n_members - len(kept)
     if dropped:
@@ -145,9 +146,8 @@ def objective_terms(
             )
         keep_rows = np.repeat(finite, k_steps)
         acts = [a[keep_rows] for a in acts]
-        coeff, std, adv = coeff[keep_rows], std[keep_rows], adv[keep_rows]
-        mean_theta, mean_ref, resid = mean_theta[keep_rows], mean_ref[keep_rows], resid[keep_rows]
-        ratios = ratios[keep_rows]
+        adv, ratios = adv[finite], ratios[finite]
+        mean_theta, mean_ref, resid = mean_theta[finite], mean_ref[finite], resid[finite]
     n_rows = ratios.size
 
     values, binding = surrogate_rows(ratios, adv, config.epsilon)
@@ -158,15 +158,14 @@ def objective_terms(
     kl = float(np.sum(mean_diff * mean_diff / (2.0 * std * std)) / n_rows)
     value = surrogate - config.beta * kl
 
-    flow = (~binding).astype(np.float64)[:, None]
-    weight = (flow * adv[:, None] * ratios[:, None] * resid - config.beta * mean_diff) / (
-        std * std
-    )
+    flow = (~binding).astype(np.float64)[:, :, None]
+    weight = (flow * adv[:, :, None] * ratios[:, :, None] * resid
+              - config.beta * mean_diff) / (std * std)
     out_grads = coeff * weight / n_rows
-    grads = net_backward_batch(theta, acts, out_grads)
+    grads = net_backward_batch(theta, acts, out_grads.reshape(n_rows, latent))
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,
-        clip_fraction=clip_fraction, ratios=ratios, kept=kept, dropped=dropped,
+        clip_fraction=clip_fraction, ratios=ratios.reshape(-1), kept=kept, dropped=dropped,
     )
 
 

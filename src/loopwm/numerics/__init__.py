@@ -3,6 +3,7 @@ from .net import (
     clone_params,
     load_checkpoint,
     net_activations,
+    net_activations_unchecked,
     net_backward_batch,
     net_forward_batch,
     net_forward_unchecked,
@@ -23,6 +24,7 @@ __all__ = [
     "finite_diff_grad",
     "load_checkpoint",
     "net_activations",
+    "net_activations_unchecked",
     "net_backward_batch",
     "net_forward_batch",
     "net_forward_unchecked",

@@ -141,7 +141,7 @@ def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     if x.ndim != 2 or x.shape[1] != params.sizes[0]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
     require_finite(x, "net input")
-    acts = _layer_outputs(params, x)
+    acts = net_activations_unchecked(params, x)
     require_finite(acts[-1], "net output")
     return acts
 
@@ -157,11 +157,16 @@ def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
     The caller guarantees that x is a float64 array of shape (n, sizes[0]).
     Non-finite values pass through.
     """
-    return _layer_outputs(params, x)[-1]
+    return net_activations_unchecked(params, x)[-1]
 
 
-def _layer_outputs(params: NetParams, x: Tensor) -> list[Tensor]:
-    """The one layer loop: post-activation outputs, linear on the last layer."""
+def net_activations_unchecked(params: NetParams, x: Tensor) -> list[Tensor]:
+    """`net_activations` without its checks: the one layer loop.
+
+    Post-activation outputs, linear on the last layer. The caller guarantees
+    that x is a float64 array of shape (n, sizes[0]); non-finite values pass
+    through.
+    """
     act, _ = _ACTIVATIONS[params.activation]
     acts = [x]
     last = params.n_layers() - 1

@@ -5,10 +5,18 @@ estimates it is given and returns nothing. The gradient, both moments and
 the step's scratch are vectors in the layout of `NetParams.vector`, so each
 step is a fixed sequence of in-place elementwise operations over the whole
 vector, with no per-array loop and no temporaries.
+
+The step uses the efficient order of Kingma & Ba (2015, arXiv:1412.6980,
+section 2): the bias corrections fold into two scalars, the step size
+alpha_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_hat = eps*sqrt(1-b2^t), so the
+vector work is one division and one square root. This is the textbook
+update in exact arithmetic; in floating point its bytes may differ from the
+textbook order's in the last ulp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +36,11 @@ class OptState:
     m: Tensor
     v: Tensor
     step: int = 0
-    # two work vectors that every step overwrites
-    scratch: tuple[Tensor, Tensor] = field(init=False, repr=False)
+    # a work vector that every step overwrites
+    scratch: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.scratch = np.empty_like(self.m)
 
 
 def opt_init(params: NetParams) -> OptState:
@@ -50,9 +58,12 @@ def opt_step(
 ) -> None:
     """One descent step along `grad`, in place; pass the negated gradient to ascend.
 
-    The float operations are the textbook update's, in its order:
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, and
-    p -= lr*m_hat / (sqrt(v_hat) + eps).
+    The moments follow the textbook update, m = b1*m + (1-b1)*g and
+    v = b2*v + (1-b2)*g*g, in its float order. The parameters take Kingma &
+    Ba's efficient order (section 2), p -= alpha_t * (m / (sqrt(v) + eps_hat))
+    with alpha_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_hat = eps*sqrt(1-b2^t):
+    the textbook p -= lr*m_hat / (sqrt(v_hat) + eps) in exact arithmetic,
+    which it may differ from in the last ulp.
     """
     p = params.vector
     shape = getattr(grad, "shape", None)
@@ -62,7 +73,9 @@ def opt_step(
         raise ValueError(f"optimizer state of shape {state.m.shape} belongs to another net")
     state.step += 1
     t = state.step
-    m, v, (a, b) = state.m, state.v, state.scratch
+    root = math.sqrt(1.0 - beta2**t)
+    alpha = lr * root / (1.0 - beta1**t)
+    m, v, a = state.m, state.v, state.scratch
     m *= beta1
     np.multiply(grad, 1.0 - beta1, out=a)
     m += a
@@ -70,10 +83,8 @@ def opt_step(
     np.multiply(grad, 1.0 - beta2, out=a)
     a *= grad
     v += a
-    np.divide(m, 1.0 - beta1**t, out=a)  # m_hat
-    a *= lr
-    np.divide(v, 1.0 - beta2**t, out=b)  # v_hat
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
+    np.sqrt(v, out=a)
+    a += eps * root
+    np.divide(m, a, out=a)
+    a *= alpha
     p -= a

@@ -16,9 +16,11 @@ from ..numerics import (
     NetParams,
     RandomSource,
     net_activations,
+    net_activations_unchecked,
     net_backward_batch,
     opt_init,
     opt_step,
+    require_finite,
 )
 from ..planner import PlanStep
 from .context import context_width, embed_condition
@@ -37,7 +39,8 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
     """Mean squared velocity error and its parameter gradient on one batch.
 
     The (t, eps) draws are explicit arguments so a finite-difference oracle
-    can re-evaluate the exact same loss surface.
+    can re-evaluate the exact same loss surface. Every argument is checked;
+    `sft_train` checks its dataset once and runs the same loss unchecked.
     """
     conds = np.asarray(conds, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -47,17 +50,26 @@ def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
         raise LoopwmError("batch arrays disagree on length")
     z_t = (1.0 - ts) * xs + ts * eps
     acts = net_activations(theta, net_input(z_t, ts[:, 0], conds))
-    resid = acts[-1] - (eps - xs)
+    loss, out_grad = _velocity_loss(acts[-1], eps - xs)
+    return loss, net_backward_batch(theta, acts, out_grad)
+
+
+def _velocity_loss(u: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of the net's velocities and its gradient w.r.t. them."""
+    resid = u - target
     n_terms = resid.size
-    loss = float(np.sum(resid * resid) / n_terms)
-    grads = net_backward_batch(theta, acts, 2.0 * resid / n_terms)
-    return loss, grads
+    return float(np.sum(resid * resid) / n_terms), 2.0 * resid / n_terms
 
 
 def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epochs: int,
               lr: float, rng: RandomSource, batch_size: int = 16,
               beta1: float = 0.9, beta2: float = 0.999) -> tuple[NetParams, list[float]]:
     """Minibatch Adam on the flow-matching objective, updating `theta` in place.
+
+    The inputs are validated once, at entry: every condition and segment must
+    be finite, and their widths must fit the net. The batches are then built
+    and run through the net without further checks; a non-finite batch loss,
+    which a diverging net produces, raises DivergenceError before its step.
 
     Returns (theta, per-epoch mean training loss), where theta is the object
     passed in.  Zero epochs leave the parameters untouched.
@@ -66,21 +78,36 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
         raise LoopwmError("sft_train requires a non-empty dataset")
     conds = np.stack([np.asarray(c, dtype=np.float64) for c, _ in dataset])
     xs = np.stack([seg.frames.reshape(-1) for _, seg in dataset])
-    latent = xs.shape[1]
+    require_finite(conds, "demo conditions")
+    require_finite(xs, "demo segments")
+    n, latent = xs.shape
+    width = latent + 1 + conds.shape[-1]
+    if conds.ndim != 2 or theta.sizes[0] != width or theta.sizes[-1] != latent:
+        raise LoopwmError(f"demos of latent width {latent} under conditions of shape "
+                          f"{conds.shape[1:]} do not fit a net of sizes {theta.sizes}")
+    # net input rows [z | t | cond]; the condition columns never change
+    inputs = np.empty((n, width))
+    inputs[:, latent + 1:] = conds
     state = opt_init(theta)
     history: list[float] = []
-    n = len(dataset)
     for _ in range(epochs):
         order = list(range(n))
         rng.shuffle(order)
+        order = np.array(order)
         epoch_losses = []
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             ts = 1.0 - rng.uniform(shape=len(idx))  # uniform on (0, 1]
             eps = rng.normal(shape=(len(idx), latent))
-            loss, grads = flow_matching_loss(theta, conds[idx], xs[idx], ts, eps)
+            x, t = xs[idx], ts[:, None]
+            rows = inputs[idx]
+            rows[:, :latent] = (1.0 - t) * x + t * eps
+            rows[:, latent] = ts
+            acts = net_activations_unchecked(theta, rows)
+            loss, out_grad = _velocity_loss(acts[-1], eps - x)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
+            grads = net_backward_batch(theta, acts, out_grad)
             opt_step(theta, grads, state, lr=lr, beta1=beta1, beta2=beta2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

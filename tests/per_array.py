@@ -9,13 +9,17 @@ a time, as the package did before the vector:
 - `forward_per_array` is the layer loop with fresh arrays per operation;
 - `backward_per_array` zero-fills one gradient array per parameter array and
   adds each layer's product into it;
-- `opt_step_per_array` runs Adam's update array by array, with temporaries.
+- `opt_step_per_array` runs Adam's update array by array, with temporaries,
+  in the efficient order the package uses: the bias corrections folded into
+  the step size lr*sqrt(1-b2^t)/(1-b1^t) and eps*sqrt(1-b2^t).
 
 Each does the same float operations in the same order as the package, so
 results must be equal bit for bit, not merely close.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,6 +71,5 @@ def opt_step_per_array(arrays, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1
         m_i += (1.0 - beta1) * g
         v_i *= beta2
         v_i += (1.0 - beta2) * g * g
-        m_hat = m_i / (1.0 - beta1**t)
-        v_hat = v_i / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        root = math.sqrt(1.0 - beta2**t)
+        p -= lr * root / (1.0 - beta1**t) * (m_i / (np.sqrt(v_i) + eps * root))

@@ -44,6 +44,7 @@ REFERENCE_ONLY = {
     "channel_mask",  # one step's mask; DomainSpec builds every condition tail
     "load_suite",  # suite reader; bench regenerates its pinned suite
     "aggregate",  # checked weighted mean; the critic's reports use it unchecked
+    "flow_matching_loss",  # checked batch loss; sft_train runs it unchecked
 }
 
 

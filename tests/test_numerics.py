@@ -148,7 +148,7 @@ def test_adam_zero_grads_leave_params_unchanged():
     np.testing.assert_array_equal(before, params.vector)
 
 
-def test_adam_in_place_steps_equal_the_textbook_update_bitwise():
+def test_adam_in_place_steps_equal_the_efficient_order_bitwise():
     rng = RandomSource(8)
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
@@ -159,14 +159,48 @@ def test_adam_in_place_steps_equal_the_textbook_update_bitwise():
     for t in range(1, 4):
         grads = [np.asarray(rng.normal(shape=a.shape)) for a in want]
         opt_step(params, np.concatenate([g.ravel() for g in grads]), state, lr=lr)
+        root = math.sqrt(1.0 - b2**t)
+        alpha, eps_hat = lr * root / (1.0 - b1**t), eps * root
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
-            m_hat, v_hat = m[i] / (1.0 - b1**t), v[i] / (1.0 - b2**t)
-            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            want[i] = want[i] - alpha * (m[i] / (np.sqrt(v[i]) + eps_hat))
         for got, ref in zip(layer_arrays(params), want):
             np.testing.assert_array_equal(got, ref)
     assert state.step == 3
+
+
+def test_adam_in_place_steps_track_the_textbook_update():
+    # the efficient order equals the textbook update in exact arithmetic and
+    # may differ in the last ulp, so the trajectories agree to 1e-12 of each
+    # parameter, or of the step size lr for a parameter near zero (a bias
+    # crosses zero here); after 2,000 steps the first bias correction is
+    # exactly 1.0 and the second 1 - 0.999^2000
+    rng = RandomSource(9)
+    params = net_init([3, 4, 2], rng)
+    state = opt_init(params)
+    p = params.vector.copy()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    grad = np.asarray(rng.normal(shape=p.size))
+    for t in range(1, 2001):
+        kind = t % 4
+        if kind == 0:
+            grad = np.asarray(rng.normal(shape=p.size))
+        elif kind == 1:
+            grad = np.zeros_like(grad)
+        elif kind == 2:
+            grad = -np.asarray(rng.normal(shape=p.size))
+        else:
+            grad = np.asarray(rng.normal(shape=p.size)) * 1e-6
+        opt_step(params, grad, state, lr=lr)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # the moments keep the textbook order exactly
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        np.testing.assert_allclose(params.vector, p, rtol=1e-12, atol=1e-12 * lr)
 
 
 def test_adam_rejects_bad_gradients_before_touching_anything():

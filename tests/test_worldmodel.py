@@ -19,11 +19,14 @@ from loopwm.memory import WorldMemory
 from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
+    clone_params,
     finite_diff_grad,
     net_activations,
     net_backward_batch,
     net_forward_batch,
     net_init,
+    opt_init,
+    opt_step,
 )
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
@@ -599,6 +602,90 @@ def test_sft_zero_epochs_is_identity(kitchen):
     assert history == []
     for w0, w1 in zip(before, trained.weights):
         np.testing.assert_array_equal(w0, w1)
+
+
+def _sft_along_flow_matching_loss(theta, demos, epochs, lr, rng, batch_size):
+    """sft_train's draws and steps, with every batch through the checked loss."""
+    conds = np.stack([c for c, _ in demos])
+    xs = np.stack([seg.frames.reshape(-1) for _, seg in demos])
+    state = opt_init(theta)
+    history = []
+    for _ in range(epochs):
+        order = list(range(len(demos)))
+        rng.shuffle(order)
+        losses = []
+        for lo in range(0, len(demos), batch_size):
+            idx = order[lo:lo + batch_size]
+            ts = 1.0 - rng.uniform(shape=len(idx))
+            eps = rng.normal(shape=(len(idx), xs.shape[1]))
+            loss, grads = flow_matching_loss(theta, conds[idx], xs[idx], ts, eps)
+            opt_step(theta, grads, state, lr=lr)
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+    return history
+
+
+def test_sft_batches_equal_the_checked_loss_bitwise(kitchen):
+    # sft_train validates its demos once and runs each batch unchecked; the
+    # checked flow_matching_loss must see the same losses and take the same steps
+    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    demos = build_demos(kitchen, 37, RandomSource(72), n_frames=4)
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
+    reference = clone_params(theta)
+    trained, history = sft_train(theta, demos, epochs=3, lr=3e-3, rng=RandomSource(2),
+                                 batch_size=8)
+    want = _sft_along_flow_matching_loss(reference, demos, 3, 3e-3, RandomSource(2), 8)
+    assert history == want
+    assert np.array_equal(trained.vector, reference.vector)
+
+
+def _poison_condition(demos):
+    cond = demos[5][0].copy()
+    cond[2] = np.nan
+    demos[5] = (cond, demos[5][1])
+
+
+def _poison_segment(demos):
+    # a segment checks its frames when it is built, not after
+    demos[0][1].frames[1, 0] = np.inf
+
+
+@pytest.mark.parametrize("poison", [_poison_condition, _poison_segment])
+def test_sft_rejects_nonfinite_demos_before_any_step(kitchen, poison):
+    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    demos = build_demos(kitchen, 8, RandomSource(71), n_frames=4)
+    poison(demos)
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
+    before = theta.vector.copy()
+    with pytest.raises(NumericError, match="demo"):
+        sft_train(theta, demos, epochs=2, lr=1e-3, rng=RandomSource(2))
+    assert np.array_equal(theta.vector, before)
+
+
+def test_sft_rejects_a_net_that_does_not_fit_the_demos(kitchen):
+    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    demos = build_demos(kitchen, 4, RandomSource(71), n_frames=4)
+    sizes = velocity_net_sizes(kitchen, config, hidden=8)
+    for misfit in ([sizes[0] + 1] + sizes[1:], sizes[:-1] + [sizes[-1] - 1]):
+        theta = net_init(misfit, RandomSource(1))
+        with pytest.raises(LoopwmError, match="do not fit"):
+            sft_train(theta, demos, epochs=0, lr=1e-3, rng=RandomSource(2))
+
+
+def test_sft_raises_divergence_error_on_a_nonfinite_loss(kitchen):
+    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    demos = build_demos(kitchen, 8, RandomSource(71), n_frames=4)
+    # a net whose output is NaN: the first batch's loss, before its step
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
+    theta.biases[-1][0] = np.nan
+    before = theta.vector.copy()
+    with pytest.raises(DivergenceError):
+        sft_train(theta, demos, epochs=1, lr=1e-3, rng=RandomSource(2))
+    assert np.array_equal(theta.vector, before, equal_nan=True)
+    # a step size that blows the parameters up within a few batches
+    theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        sft_train(theta, demos, epochs=4, lr=1e300, rng=RandomSource(2), batch_size=2)
 
 
 def test_sft_loss_halves_on_kitchen_demos(kitchen):
