@@ -20,7 +20,6 @@ from .suite import (
     SuiteTask,
     classify,
     generate_suite,
-    load_suite,
     save_suite,
     verify_suite,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "evaluate_policy",
     "generate_suite",
     "load_report",
-    "load_suite",
     "minimal_plan_length",
     "mode_config",
     "run_suite",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import SuiteError
-from ..microworld import DomainSpec, load_domain
+from ..microworld import DomainSpec
 from ..microworld.types import Literal, SymbolicState
 from ..numerics import RandomSource
 from ..planner import Goal
@@ -250,7 +250,7 @@ def save_suite(suite: PromptSuite, path: str | Path) -> Path:
     """Write the suite as schema-tagged JSON. Start states are not stored:
 
     every task starts from the domain's initial state, so the domain name
-    pins them down and load_suite rebuilds them.
+    pins them down.
     """
     path = Path(path)
     payload = {
@@ -270,35 +270,3 @@ def save_suite(suite: PromptSuite, path: str | Path) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def load_suite(path: str | Path, spec: DomainSpec | None = None) -> PromptSuite:
-    """Read a saved suite; loads the builtin domain unless a spec is passed."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SuiteError(f"cannot read suite file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != SUITE_FORMAT:
-        raise SuiteError(f"{path} is not a {SUITE_FORMAT} file")
-    domain = payload.get("domain", "")
-    if spec is None:
-        spec = load_domain(domain)
-    elif spec.name != domain:
-        raise SuiteError(f"suite was built for domain {domain!r}, got spec {spec.name!r}")
-    start = spec.initial_state()
-    tasks = []
-    for i, row in enumerate(payload.get("tasks", [])):
-        try:
-            literals = tuple(Literal(pred, bool(value)) for pred, value in row["literals"])
-            task = SuiteTask(
-                Goal(literals, row.get("text", "")),
-                start,
-                row["difficulty"],
-                int(row["min_steps"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SuiteError(f"{path}: malformed task {i}: {exc}") from exc
-        if task.difficulty not in DIFFICULTIES:
-            raise SuiteError(f"{path}: task {i} has unknown difficulty {task.difficulty!r}")
-        tasks.append(task)
-    return PromptSuite(spec, tuple(tasks))

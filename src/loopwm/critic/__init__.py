@@ -6,7 +6,6 @@ from .scoring import (
     CriticReport,
     CriticWeights,
     GroupScores,
-    aggregate,
     evaluate,
     evaluate_rows,
     revise_instruction,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "DIMENSIONS",
     "GroupScores",
-    "aggregate",
     "evaluate",
     "evaluate_rows",
     "revise_instruction",

@@ -119,19 +119,8 @@ class CriticReport:
     details: dict = field(default_factory=dict)
 
 
-def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS) -> float:
-    """Weighted mean of the five dimension scores."""
-    missing = [d for d in DIMENSIONS if d not in scores]
-    if missing:
-        raise ValueError(f"scores missing dimensions: {missing}")
-    for d in DIMENSIONS:
-        if not 0.0 <= scores[d] <= 1.0:
-            raise ValueError(f"{d} score {scores[d]} outside [0, 1]")
-    return _weighted_mean(scores, weights)
-
-
 def _weighted_mean(scores: dict[str, float], weights: CriticWeights) -> float:
-    """`aggregate` without its checks, for scores built in [0, 1] by the critic.
+    """Weighted mean of the five dimension scores, which the critic builds in [0, 1].
 
     Works alike on one row's floats and on (G,) columns.
     """
@@ -173,7 +162,7 @@ def _literal_hits(
     """(distinct literals, (G, n) hits) of the literals in one (G, C) frame per row.
 
     A predicate channel reads true at DECODE_THRESHOLD and above, ties
-    included, as `decode_frame` decodes it.
+    included.
     """
     distinct = tuple(dict.fromkeys(literals))
     cols = [spec.channel_index[lit.pred] for lit in distinct]

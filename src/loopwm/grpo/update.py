@@ -29,11 +29,11 @@ from ..numerics import (
     OptState,
     net_activations,
     net_backward_batch,
-    net_forward_batch,
     opt_init,
     opt_step,
+    require_finite,
 )
-from ..numerics.stats import LOG_2PI
+from ..numerics.tensor import LOG_2PI
 from ..worldmodel import mean_affine_coeffs
 from .config import GrpoConfig
 from .rollout import RolloutGroup
@@ -98,9 +98,11 @@ def objective_terms(
     `delta` is the sigma floor the sampler used, so each recomputed
     transition mean matches the one the trace was drawn from.
 
-    Members whose ratios go non-finite are dropped with a warning and excluded
-    from every average. Gradients flow only through rows where the clip does
-    not bind; clipped rows still count toward the surrogate value.
+    A non-finite output of theta's or the reference's net raises
+    NumericError. Members whose ratios go non-finite are dropped with a
+    warning and excluded from every average. Gradients flow only through
+    rows where the clip does not bind; clipped rows still count toward the
+    surrogate value.
     """
     trace = group.trace
     n_members, k_steps, width = trace.steps.shape
@@ -124,7 +126,9 @@ def objective_terms(
     log_norm = -0.5 * LOG_2PI * latent - latent * np.log(trace.std)
 
     acts = net_activations(theta, x)
-    u_ref = net_forward_batch(reference, x)
+    require_finite(acts[-1], "net output")
+    u_ref = net_activations(reference, x)[-1]
+    require_finite(u_ref, "net output")
     mean_theta = base + coeff * acts[-1].reshape(n_members, k_steps, latent)
     mean_ref = base + coeff * u_ref.reshape(n_members, k_steps, latent)
     resid = trace.z_next - mean_theta

@@ -1,5 +1,5 @@
 from .dynamics import apply_operator, contact_window_frames, reference_segment
-from .frames import decode_frame, encode_state, state_summary
+from .frames import encode_state, state_summary
 from .io import (
     BUILTIN_DOMAINS,
     canonical_dict,
@@ -32,7 +32,6 @@ __all__ = [
     "apply_operator",
     "canonical_dict",
     "contact_window_frames",
-    "decode_frame",
     "domain_from_dict",
     "domain_hash",
     "encode_state",

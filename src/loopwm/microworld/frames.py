@@ -1,4 +1,4 @@
-"""Symbolic state <-> frame vector codec."""
+"""Symbolic state -> frame vector encoding, and the predicate decode threshold."""
 
 from __future__ import annotations
 
@@ -17,20 +17,6 @@ def encode_state(spec: DomainSpec, state: SymbolicState) -> np.ndarray:
     for name, value in state.poses.items():
         frame[spec.channel_index[name]] = value
     return frame
-
-
-def decode_frame(spec: DomainSpec, frame: np.ndarray) -> SymbolicState:
-    """Threshold predicates at 0.5 (ties decode to true); clip poses into [0, 1]."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (spec.n_channels,):
-        raise ValueError(f"frame has shape {frame.shape}, expected ({spec.n_channels},)")
-    preds = {pred: bool(frame[i] >= DECODE_THRESHOLD) for i, (pred, _) in enumerate(spec.predicates)}
-    poses = {}
-    for obj in spec.movable_entities():
-        for axis in ("x", "y"):
-            ch = f"{obj}.{axis}"
-            poses[ch] = float(np.clip(frame[spec.channel_index[ch]], 0.0, 1.0))
-    return SymbolicState(preds, poses)
 
 
 def state_summary(spec: DomainSpec, state: SymbolicState) -> str:

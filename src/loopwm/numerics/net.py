@@ -2,13 +2,14 @@
 
 The architecture is deliberately plain: affine layers with a smooth
 activation on every hidden layer and a linear output layer. One layer loop
-serves every forward pass. `net_activations` returns its per-layer outputs,
-and `net_backward_batch` takes those activations and runs only the reverse
-sweep, so a training step runs the network forward once per gradient.
+is the one forward pass: `net_activations` returns its per-layer outputs, and
+callers that need only the output take the last one. `net_backward_batch`
+takes those activations and runs only the reverse sweep, so a training step
+runs the network forward once per gradient. Neither pass checks its inputs:
+each stage validates once, at entry, and only these kernels run inside.
 Gradients are computed by explicit backprop (no autograd framework) so they
-can be checked coordinate-by-coordinate against the central-difference oracle
-in `stats.finite_diff_grad`, which stays independent of this module's
-backward pass.
+can be checked coordinate-by-coordinate against a central-difference oracle
+that the tests keep independent of this module's backward pass.
 
 Every parameter of a net lives in one contiguous float64 vector,
 `NetParams.vector`, in checkpoint order: W0 row-major, b0, W1, b1, ...
@@ -40,7 +41,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .rng import RandomSource
-from .tensor import Tensor, require_finite
+from .tensor import Tensor
 
 MAGIC = b"LWNET001"
 
@@ -132,40 +133,13 @@ def clone_params(params: NetParams) -> NetParams:
 
 
 def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
-    """Validated forward pass returning every layer's output, `[x, h_1, ..., y]`.
+    """The forward pass, returning every layer's output, `[x, h_1, ..., y]`.
 
-    x has shape (n, sizes[0]) and y has shape (n, sizes[-1]). Pass the list
-    to `net_backward_batch` to differentiate this forward without rerunning it.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.sizes[0]:
-        raise ValueError(f"input has shape {x.shape}, expected (n, {params.sizes[0]})")
-    require_finite(x, "net input")
-    acts = net_activations_unchecked(params, x)
-    require_finite(acts[-1], "net output")
-    return acts
-
-
-def net_forward_batch(params: NetParams, x: Tensor) -> Tensor:
-    """Forward pass for a batch of row vectors, shape (n, sizes[0]) -> (n, sizes[-1])."""
-    return net_activations(params, x)[-1]
-
-
-def net_forward_unchecked(params: NetParams, x: Tensor) -> Tensor:
-    """`net_forward_batch` without its checks, for loops that validated once.
-
-    The caller guarantees that x is a float64 array of shape (n, sizes[0]).
-    Non-finite values pass through.
-    """
-    return net_activations_unchecked(params, x)[-1]
-
-
-def net_activations_unchecked(params: NetParams, x: Tensor) -> list[Tensor]:
-    """`net_activations` without its checks: the one layer loop.
-
-    Post-activation outputs, linear on the last layer. The caller guarantees
-    that x is a float64 array of shape (n, sizes[0]); non-finite values pass
-    through.
+    x is a float64 array of shape (n, sizes[0]) and y has shape
+    (n, sizes[-1]): post-activation outputs, linear on the last layer. Pass
+    the list to `net_backward_batch` to differentiate this forward without
+    rerunning it. Nothing is checked here: each stage validates its inputs
+    once, at entry, and non-finite values pass through.
     """
     act, _ = _ACTIVATIONS[params.activation]
     acts = [x]
@@ -184,15 +158,10 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
 
     The gradient is one vector in the layout of `params.vector`, summed over
     the batch. The sweep stops at the first layer's weights: no caller needs
-    the gradient with respect to the input.
+    the gradient with respect to the input. `out_grad` is a float64 array
+    of the output's shape and is not modified; like the forward, the sweep
+    checks nothing.
     """
-    if len(acts) != params.n_layers() + 1:
-        raise ValueError(f"expected {params.n_layers() + 1} activations, got {len(acts)}")
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    if out_grad.shape != acts[-1].shape:
-        raise ValueError(f"out_grad has shape {out_grad.shape}, expected {acts[-1].shape}")
-    require_finite(out_grad, "out_grad")
-
     _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
     grad = np.empty_like(params.vector)

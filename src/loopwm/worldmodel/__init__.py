@@ -6,7 +6,7 @@ log-densities for importance ratios, flow-matching supervised training,
 and checkpointing with a domain manifest sidecar.
 """
 
-from .context import MAX_NORM_SID, channel_mask, context_width, embed_condition
+from .context import MAX_NORM_SID, context_width, embed_condition
 from .policy import (
     MANIFEST_FORMAT,
     PolicyBundle,
@@ -19,12 +19,11 @@ from .sampler import (
     SamplerConfig,
     Transitions,
     mean_affine_coeffs,
-    net_input,
     sample_group,
     sample_rows,
     score_term,
 )
-from .training import build_demos, flow_matching_loss, sft_train, velocity_net_sizes
+from .training import build_demos, sft_train, velocity_net_sizes
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -34,13 +33,10 @@ __all__ = [
     "Transitions",
     "WorldModelPolicy",
     "build_demos",
-    "channel_mask",
     "context_width",
     "embed_condition",
-    "flow_matching_loss",
     "load_policy",
     "mean_affine_coeffs",
-    "net_input",
     "policy_manifest",
     "sample_group",
     "sample_rows",

@@ -30,12 +30,6 @@ def context_width(spec: DomainSpec) -> int:
     return 2 * len(spec.channels) + len(spec.operators) + 1
 
 
-def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
-    """1.0 on channels the step should change: post predicates and moving poses."""
-    n_ops = len(spec.operators)
-    return spec.condition_tails[spec.operator_id(step.actions[0]), 0, n_ops:-1].copy()
-
-
 def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
     """Deterministic conditioning vector for one plan step.
 

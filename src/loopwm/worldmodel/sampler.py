@@ -43,8 +43,8 @@ import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
-from ..numerics import NetParams, net_forward_unchecked, require_finite
-from ..numerics.stats import LOG_2PI
+from ..numerics import NetParams, net_activations, require_finite
+from ..numerics.tensor import LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -95,32 +95,13 @@ class Transitions:
         return Transitions(self.steps[i], self.z_next[i], self.std, self.logp[i])
 
 
-def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
-    """Network input rows [z | t | cond], shape (n, L + 1 + C).
-
-    `z` is one latent of shape (L,) or n of them, (n, L). `t` is one time for
-    every row or one per row, each in (0, 1]. `cond` is one condition (C,)
-    shared by every row, or one per row, (n, C).
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((t > 0.0) & (t <= 1.0)):
-        raise LoopwmError(f"t must lie in (0, 1], got {t}")
-    cond = np.asarray(cond, dtype=np.float64)
-    n, latent = z.shape
-    x = np.empty((n, latent + 1 + cond.shape[-1]))
-    x[:, :latent] = z
-    x[:, latent] = t
-    x[:, latent + 1:] = cond
-    return x
-
-
 def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> np.ndarray:
-    """Analytic conditional score -(z - (1-t)*x_pred) / max(t, delta)^2."""
-    if not 0.0 < t <= 1.0:
-        raise LoopwmError(f"t must lie in (0, 1], got {t}")
+    """Analytic conditional score -(z - (1-t)*x_pred) / max(t, delta)^2.
+
+    t is a point of `SamplerConfig.time_grid()`, which lies in (0, 1].
+    """
     sigma = max(t, delta)
-    return -(np.asarray(z) - (1.0 - t) * np.asarray(x_pred)) / (sigma * sigma)
+    return -(z - (1.0 - t) * x_pred) / (sigma * sigma)
 
 
 def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
@@ -198,7 +179,7 @@ def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.n
         else:
             z_out, mean_out = record[0][:, k], record[1][:, k]
         z = block[:, :latent]
-        u = net_forward_unchecked(theta, block)
+        u = net_activations(theta, block)[-1]
         if not stochastic:
             # the plain Euler step, a transition with no spread
             z_next = np.subtract(z, u * dt, out=z_out)

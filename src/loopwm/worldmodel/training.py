@@ -16,7 +16,6 @@ from ..numerics import (
     NetParams,
     RandomSource,
     net_activations,
-    net_activations_unchecked,
     net_backward_batch,
     opt_init,
     opt_step,
@@ -24,7 +23,7 @@ from ..numerics import (
 )
 from ..planner import PlanStep
 from .context import context_width, embed_condition
-from .sampler import SamplerConfig, net_input
+from .sampler import SamplerConfig
 
 
 def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64,
@@ -34,42 +33,16 @@ def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64
     return [width_in] + [hidden] * depth + [config.latent_width]
 
 
-def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
-                       ts: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared velocity error and its parameter gradient on one batch.
-
-    The (t, eps) draws are explicit arguments so a finite-difference oracle
-    can re-evaluate the exact same loss surface. Every argument is checked;
-    `sft_train` checks its dataset once and runs the same loss unchecked.
-    """
-    conds = np.asarray(conds, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64).reshape(-1, 1)
-    eps = np.asarray(eps, dtype=np.float64)
-    if not (conds.shape[0] == xs.shape[0] == ts.shape[0] == eps.shape[0]):
-        raise LoopwmError("batch arrays disagree on length")
-    z_t = (1.0 - ts) * xs + ts * eps
-    acts = net_activations(theta, net_input(z_t, ts[:, 0], conds))
-    loss, out_grad = _velocity_loss(acts[-1], eps - xs)
-    return loss, net_backward_batch(theta, acts, out_grad)
-
-
-def _velocity_loss(u: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error of the net's velocities and its gradient w.r.t. them."""
-    resid = u - target
-    n_terms = resid.size
-    return float(np.sum(resid * resid) / n_terms), 2.0 * resid / n_terms
-
-
 def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epochs: int,
               lr: float, rng: RandomSource, batch_size: int = 16,
               beta1: float = 0.9, beta2: float = 0.999) -> tuple[NetParams, list[float]]:
     """Minibatch Adam on the flow-matching objective, updating `theta` in place.
 
     The inputs are validated once, at entry: every condition and segment must
-    be finite, and their widths must fit the net. The batches are then built
-    and run through the net without further checks; a non-finite batch loss,
-    which a diverging net produces, raises DivergenceError before its step.
+    be finite, and their widths must fit the net. Each batch then runs one
+    unchecked forward and one unchecked backward; a non-finite batch loss,
+    which a diverging net produces, raises DivergenceError before its
+    backward and its step.
 
     Returns (theta, per-epoch mean training loss), where theta is the object
     passed in.  Zero epochs leave the parameters untouched.
@@ -103,11 +76,13 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             rows = inputs[idx]
             rows[:, :latent] = (1.0 - t) * x + t * eps
             rows[:, latent] = ts
-            acts = net_activations_unchecked(theta, rows)
-            loss, out_grad = _velocity_loss(acts[-1], eps - x)
+            acts = net_activations(theta, rows)
+            # mean squared velocity error and its gradient w.r.t. the output
+            resid = acts[-1] - (eps - x)
+            loss = float(np.sum(resid * resid) / resid.size)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
-            grads = net_backward_batch(theta, acts, out_grad)
+            grads = net_backward_batch(theta, acts, 2.0 * resid / resid.size)
             opt_step(theta, grads, state, lr=lr, beta1=beta1, beta2=beta2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

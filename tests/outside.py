@@ -6,10 +6,11 @@ as plain data, so its adapter rebuilds them into the package's value types;
 these adapters do that over the builtin search and critic.
 """
 
-from loopwm.critic import CriticReport, aggregate, evaluate
+from loopwm.critic import CriticReport, evaluate
 from loopwm.critic.scoring import DIMENSIONS
 from loopwm.microworld.types import ActionBinding
 from loopwm.planner import PlanSequence, PlanStep, parse_goal_literal, plan, replan
+from oracles import aggregate
 
 
 def step_to_plain(step):

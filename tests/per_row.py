@@ -36,14 +36,10 @@ import numpy as np
 from loopwm.errors import DivergenceError, LoopwmError
 from loopwm.grpo import ObjectiveTerms, surrogate_rows
 from loopwm.microworld import Segment
-from loopwm.numerics import (
-    net_activations,
-    net_backward_batch,
-    net_forward_batch,
-    net_forward_unchecked,
-)
-from loopwm.numerics.stats import LOG_2PI
-from loopwm.worldmodel import mean_affine_coeffs, net_input, score_term
+from loopwm.numerics import net_activations, net_backward_batch
+from loopwm.numerics.tensor import LOG_2PI
+from loopwm.worldmodel import mean_affine_coeffs, score_term
+from oracles import net_input
 
 
 def gaussian_logpdf(x, mean, std: float) -> float:
@@ -85,7 +81,7 @@ def transition_mean(theta, step, cond, *, delta: float):
     The std never depends on theta, so callers reuse step["std"].
     """
     t, dt, std, z = step["t"], step["dt"], step["std"], step["z"]
-    u = net_forward_batch(theta, net_input(z, t, cond))[0]
+    u = net_activations(theta, net_input(z, t, cond))[-1][0]
     x_pred = z - t * u
     eta_sq = (std * std) / dt
     drift = u - 0.5 * eta_sq * score_term(z, x_pred, t, delta=delta)
@@ -146,7 +142,7 @@ def sample_group_records(theta, cond, z_init, config, noise):
     for k, t in enumerate(config.time_grid()):
         x[:, :latent] = z
         x[:, latent] = t
-        u = net_forward_unchecked(theta, x)
+        u = net_activations(theta, x)[-1]
         if not stochastic:
             z_next = z - u * dt
         else:
@@ -228,7 +224,7 @@ def objective_terms_records(theta, reference, group, config, delta) -> Objective
     std = std[:, None]
 
     acts = net_activations(theta, x)
-    u_ref = net_forward_batch(reference, x)
+    u_ref = net_activations(reference, x)[-1]
     mean_theta = base + coeff * acts[-1]
     mean_ref = base + coeff * u_ref
     resid = z_next - mean_theta

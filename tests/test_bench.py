@@ -20,7 +20,6 @@ from loopwm.bench import (
     emit_curves,
     evaluate_policy,
     generate_suite,
-    load_suite,
     minimal_plan_length,
     mode_config,
     save_suite,
@@ -36,6 +35,7 @@ from loopwm.microworld import Literal, Segment, load_domain
 from loopwm.numerics import RandomSource, net_init
 from loopwm.planner import plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
+from oracles import load_suite
 from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy
 
 

@@ -15,13 +15,14 @@ import pytest
 import yaml
 
 import loopwm
-from loopwm.bench import load_report, load_suite, mode_config
+from loopwm.bench import load_report, mode_config
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
 from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
+from oracles import load_suite
 
 # small-but-consistent knobs shared by the sft/grpo/bench plumbing tests;
 # checkpoint manifests pin the frame count, so every consumer repeats it, and
@@ -440,8 +441,8 @@ def _update_reads(args, kwargs, result):
 # and dropped members, and whether an update was skipped.
 WRAPPED = {
     "loopwm.worldmodel.training": {"net_backward_batch": _rows, "opt_step": None},
-    "loopwm.grpo.update": {"net_forward_batch": _rows, "net_backward_batch": _rows,
-                           "opt_step": None, "objective_terms": _objective_reads},
+    "loopwm.grpo.update": {"net_backward_batch": _rows, "opt_step": None,
+                           "objective_terms": _objective_reads},
     "loopwm.grpo.train": {"rollout_group": None, "grpo_update": _update_reads},
 }
 

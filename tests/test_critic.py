@@ -10,7 +10,6 @@ from loopwm.bench import generate_suite
 from loopwm.critic import (
     CriticReport,
     CriticWeights,
-    aggregate,
     evaluate,
     evaluate_rows,
     revise_instruction,
@@ -28,13 +27,13 @@ from loopwm.microworld import (
     Segment,
     apply_operator,
     contact_window_frames,
-    decode_frame,
     load_domain,
     reference_segment,
 )
 from loopwm.numerics import RandomSource
 from loopwm.planner import Goal, plan
 from loopwm.microworld import parse_literal
+from oracles import aggregate, decode_frame
 from outside import plain_data_critic
 
 

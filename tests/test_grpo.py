@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopwm.critic import DIMENSIONS, evaluate, score_group
-from loopwm.errors import LoopwmError
+from loopwm.errors import LoopwmError, NumericError
 from loopwm.grpo import (
     GrpoConfig,
     RolloutGroup,
@@ -30,7 +30,6 @@ from loopwm.microworld import Segment, parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
     clone_params,
-    finite_diff_grad,
     net_activations,
     net_backward_batch,
     net_init,
@@ -43,11 +42,11 @@ from loopwm.worldmodel import (
     build_demos,
     embed_condition,
     mean_affine_coeffs,
-    net_input,
     sample_group,
     sft_train,
     velocity_net_sizes,
 )
+from oracles import finite_diff_grad, net_input
 from per_row import (
     DenoiseTrace,
     as_record_group,
@@ -675,6 +674,22 @@ def test_all_members_dropped_skips_update():
     assert stats.skipped
     assert stats.dropped == 2
     assert np.array_equal(updated.vector, before)
+
+
+def test_objective_terms_rejects_a_nonfinite_net_output():
+    # the objective checks each net's output once per group; its forwards
+    # and its backward run unchecked
+    sampler = small_sampler(frame_width=2, k_steps=2)
+    cond = np.array([0.1, 0.9, -0.4])
+    theta = tiny_net(4, 3, seed=0)
+    group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
+    for poisoned, bad in (("theta", np.nan), ("reference", np.inf)):
+        nets = {"theta": clone_params(theta), "reference": clone_params(theta)}
+        nets[poisoned].biases[-1][0] = bad
+        with pytest.raises(NumericError, match="net output") as info:
+            objective_terms(nets["theta"], nets["reference"], group, GrpoConfig(group_size=2),
+                            sampler.delta)
+        assert isinstance(info.value, LoopwmError) and isinstance(info.value, ValueError)
 
 
 def test_update_moves_parameters_and_reports_stats():

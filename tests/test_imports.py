@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import loopwm
+from loopwm import numerics
 
 # The package runs on one thread in one process and talks to no network:
 # no concurrency that does not pay for itself. A change that brings one back
@@ -36,16 +37,11 @@ def test_no_module_imports_threads_processes_or_networking():
     assert offenders == []
 
 
-# Reference implementations that tests compare the package's fast paths
-# against; nothing in the package calls them.
-REFERENCE_ONLY = {
-    "finite_diff_grad",  # numeric gradient that checks every backward pass
-    "decode_frame",  # frame -> state decode; the critic thresholds columns itself
-    "channel_mask",  # one step's mask; DomainSpec builds every condition tail
-    "load_suite",  # suite reader; bench regenerates its pinned suite
-    "aggregate",  # checked weighted mean; the critic's reports use it unchecked
-    "flow_matching_loss",  # checked batch loss; sft_train runs it unchecked
-}
+def _package_trees() -> dict[Path, ast.Module]:
+    """Every module of the package, parsed, by its path from the package's parent."""
+    package = Path(loopwm.__file__).parent
+    return {path.relative_to(package.parent): ast.parse(path.read_text(), str(path))
+            for path in sorted(package.rglob("*.py"))}
 
 
 def _definitions(tree: ast.Module):
@@ -72,15 +68,31 @@ def _named(node: ast.AST):
 def test_every_definition_is_named_elsewhere_in_the_package():
     # one implementation per concept, and no code that the program cannot
     # reach: a definition whose name appears nowhere else in the package
-    # (its own body aside) is dead or serves only the tests
-    package = Path(loopwm.__file__).parent
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
+    # (its own body aside) is dead or serves only the tests, which keep
+    # their own references in tests/oracles.py
+    trees = _package_trees()
     uses = Counter(name for tree in trees.values() for name in _named(tree))
     unused = sorted(
-        f"{path.relative_to(package.parent)}:{node.lineno} {node.name}"
+        f"{path}:{node.lineno} {node.name}"
         for path, tree in trees.items()
         for node in _definitions(tree)
-        if node.name not in REFERENCE_ONLY
-        and uses[node.name] == Counter(_named(node))[node.name]
+        if uses[node.name] == Counter(_named(node))[node.name]
     )
     assert unused == []
+
+
+def test_one_forward_and_one_backward_checked_at_each_stage_entry():
+    # each stage validates its inputs once, at entry, and runs the net's two
+    # unchecked passes inside, so no computation needs a checked and an
+    # unchecked version
+    unchecked = sorted(
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.endswith("_unchecked")
+    )
+    assert unchecked == []
+    passes = [name for name in numerics.__all__
+              if any(word in name for word in ("forward", "activations", "backward"))]
+    assert passes == ["net_activations", "net_backward_batch"]

@@ -13,7 +13,6 @@ from loopwm.microworld import (
     SymbolicState,
     apply_operator,
     contact_window_frames,
-    decode_frame,
     domain_from_dict,
     domain_hash,
     encode_state,
@@ -22,6 +21,7 @@ from loopwm.microworld import (
     state_summary,
 )
 from loopwm.numerics import RandomSource
+from oracles import decode_frame
 
 OPEN_JAR = ActionBinding("open", ("jar",), "hand")
 POUR_TEA = ActionBinding("pour", ("jar", "cup"), "hand")

@@ -20,10 +20,8 @@ from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
     clone_params,
-    finite_diff_grad,
     net_activations,
     net_backward_batch,
-    net_forward_batch,
     net_init,
     opt_init,
     opt_step,
@@ -34,13 +32,10 @@ from loopwm.worldmodel import (
     SamplerConfig,
     WorldModelPolicy,
     build_demos,
-    channel_mask,
     context_width,
     embed_condition,
-    flow_matching_loss,
     load_policy,
     mean_affine_coeffs,
-    net_input,
     sample_group,
     sample_rows,
     save_policy,
@@ -48,6 +43,7 @@ from loopwm.worldmodel import (
     sft_train,
     velocity_net_sizes,
 )
+from oracles import channel_mask, finite_diff_grad, flow_matching_loss, net_input
 from per_array import layer_arrays
 from per_row import (
     as_records,
@@ -130,7 +126,7 @@ def test_velocity_zero_net_is_zero():
         w[:] = 0.0
     for b in theta.biases:
         b[:] = 0.0
-    u = net_forward_batch(theta, net_input(np.ones(4), 0.5, np.ones(3)))
+    u = net_activations(theta, net_input(np.ones(4), 0.5, np.ones(3)))[-1]
     np.testing.assert_array_equal(u, np.zeros((1, 4)))
 
 
@@ -165,6 +161,19 @@ def test_velocity_rejects_bad_time_and_shape():
                      np.ones((2, config.k_steps, 4)))
 
 
+def test_samplers_reject_nonfinite_cond_and_z_init():
+    # sample_group and sample_rows check their inputs once, at entry; the
+    # net runs unchecked inside the denoising loop
+    theta = tiny_net(latent=4, cond_width=3)
+    config = small_config(frame_width=2)
+    noise = RandomSource(1).normal(shape=(2, config.k_steps, 4))
+    for cond, z_init, what in ((np.array([0.0, np.nan, 1.0]), np.ones(4), "cond"),
+                               (np.ones(3), np.array([0.0, np.inf, 0.0, 0.0]), "z_init")):
+        for sampler in (sample_group, sample_rows):
+            with pytest.raises(NumericError, match=what):
+                sampler(theta, cond, z_init, config, noise)
+
+
 def test_ode_zero_velocity_returns_input():
     theta = tiny_net(latent=4, cond_width=3)
     for w in theta.weights:
@@ -183,7 +192,7 @@ def test_ode_single_step_unroll():
     z = np.linspace(-1.0, 1.0, 4)
     cond = np.array([0.3, 0.6, 0.9])
     seg = sample_ode(theta, cond, z, config)
-    expected = z - net_forward_batch(theta, net_input(z, 1.0, cond))[0] * 1.0
+    expected = z - net_activations(theta, net_input(z, 1.0, cond))[-1][0] * 1.0
     np.testing.assert_array_equal(seg.frames.reshape(-1), expected)
 
 
@@ -234,7 +243,7 @@ def test_trace_records_consistent_transitions():
         mean = transition_mean(theta, step, cond, delta=config.delta)
         np.testing.assert_allclose(step["z_next"], mean + std * noise[k], atol=1e-12)
         # x_pred identity feeds the score: mean = z - (u - 0.5*eta^2*score)*dt
-        u = net_forward_batch(theta, net_input(step["z"], t, cond))[0]
+        u = net_activations(theta, net_input(step["z"], t, cond))[-1][0]
         x_pred = step["z"] - t * u
         drift = u - 0.5 * eta * eta * score_term(step["z"], x_pred, t, delta=config.delta)
         np.testing.assert_allclose(mean, step["z"] - drift * dt, atol=1e-12)
