@@ -18,14 +18,14 @@ a task's draws do not depend on the others. The episodes run in lockstep,
 in rounds. A round is one call of the policy's `fulfil`, to which every
 episode waiting for segments hands its request, so a batching policy
 samples the whole round in one batch. Then come critique passes: in each,
-every episode waiting for a score hands its segment to one `critique` call,
-so a critic with `rows` scores the pass in one call; the passes repeat
-while an episode takes another candidate of its draw, and the next round
-starts once every episode waits for segments again. A row's last bits may
-depend on which rows share its sampler batch (see `sample_group`), so a
-task's frames equal those of its rows sampled one at a time up to rounding,
-not bitwise; its reports are those of the one-row critic on those frames
-(see `evaluate_rows`).
+every episode waiting for a score hands its segment to one `evaluate_rows`
+call at the loop's tau, which scores the pass; the passes repeat while an
+episode takes another candidate of its draw, and the next round starts
+once every episode waits for segments again. A row's last bits may depend
+on which rows share its sampler batch (see `sample_group`), so a task's
+frames equal those of its rows sampled one at a time up to rounding, not
+bitwise; its reports are those the critic gives each row alone on those
+frames (see `evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -36,18 +36,10 @@ import json
 
 import numpy as np
 
+from ..critic import DEFAULT_WEIGHTS, CriticWeights, evaluate_rows
 from ..critic.scoring import coherence_score
 from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
-from ..loop import (
-    Critique,
-    EpisodeLog,
-    LoopConfig,
-    Policy,
-    critique,
-    default_critic,
-    episode,
-    resume,
-)
+from ..loop import Critique, EpisodeLog, LoopConfig, Policy, episode
 from ..microworld import Segment
 from ..numerics import RandomSource
 from .suite import DIFFICULTIES, PromptSuite
@@ -184,7 +176,7 @@ def _episode_samples(log: EpisodeLog) -> _EpisodeSamples:
     for attempt in log.attempts:
         scores = attempt.report.scores
         smooth.append(scores["temporal_coherence"])
-        if attempt.report.details.get("contact_applicable", True):
+        if attempt.report.contact_applicable:
             inter.append(scores["object_interaction"])
         fidel.append(scores["physical_realism"])
         if attempt.accepted:
@@ -224,33 +216,32 @@ def run_suite(
     policy: Policy,
     suite: PromptSuite,
     config: LoopConfig | None = None,
-    critic=None,
     rng: RandomSource | None = None,
-    planner=None,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
 ) -> list[EpisodeLog | None]:
     """Run one episode per task in lockstep; None marks an episode that failed.
 
     Every episode starts at once, task i on `rng.split(i)`. Each round
     hands the requests of all episodes still running to one
-    `policy.fulfil` call and resumes each episode with its draw. Then, as long as any episode
-    waits for a score, a pass hands every pending critique to one
-    `critique` call and resumes each episode with its report (or throws the
-    exception raised for it). Rounds go on until every episode has ended.
-    An unsolvable task, or an episode whose numbers go non-finite (a
-    diverged sampler, NaN frames), fails alone and the rest run on.
-    `critic` defaults to the builtin critic at the loop's tau.
+    `policy.fulfil` call and resumes each episode with its draw. Then, as
+    long as any episode waits for a score, a pass scores every pending
+    critique in one `evaluate_rows` call under `weights` at the loop's tau
+    and resumes each episode with its report. Rounds go on until every
+    episode has ended. An unsolvable task, or an episode whose numbers go
+    non-finite (a diverged sampler, NaN frames), fails alone and the rest
+    run on.
     """
     config = config or LoopConfig()
-    critic = critic or default_critic(config)
     rng = rng or RandomSource(0)
-    running = [episode(suite.spec, task.goal, config, rng.split(i), planner)
+    spec = suite.spec
+    running = [episode(spec, task.goal, config, rng.split(i))
                for i, task in enumerate(suite.tasks)]
     logs: list[EpisodeLog | None] = [None] * len(running)
     pending = {}
 
     def advance(i: int, answer) -> None:
         try:
-            pending[i] = resume(running[i], answer)
+            pending[i] = running[i].send(answer)
         except StopIteration as done:
             logs[i] = done.value
         except (NoPlanError, DivergenceError, NumericError):
@@ -261,7 +252,9 @@ def run_suite(
     while pending:
         waiting = [i for i, wanted in pending.items() if isinstance(wanted, Critique)]
         if waiting:
-            answers = critique(critic, suite.spec, [pending.pop(i) for i in waiting])
+            items = [pending.pop(i) for i in waiting]
+            answers = evaluate_rows(spec, [item.segment.frames for item in items],
+                                    [item.step for item in items], weights, config.tau)
         else:
             waiting = list(pending)
             answers = policy.fulfil([pending.pop(i) for i in waiting])
@@ -274,20 +267,19 @@ def evaluate_policy(
     policy: Policy,
     suite: PromptSuite,
     config: LoopConfig | None = None,
-    critic=None,
     rng: RandomSource | None = None,
-    planner=None,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
 ) -> MetricReport:
     """Run one episode per task (`run_suite`) and aggregate the metric set.
 
-    Unsolvable tasks and episodes whose numbers go non-finite do not raise:
-    they contribute zero completeness and a failed episode, per the
-    convention that evaluation never aborts. `planner` defaults to the
-    builtin search.
+    Every segment is scored under `weights` at the loop's tau. Unsolvable
+    tasks and episodes whose numbers go non-finite do not raise: they
+    contribute zero completeness and a failed episode, per the convention
+    that evaluation never aborts.
     """
     if not suite.tasks:
         raise SuiteError("cannot evaluate an empty suite")
-    logs = run_suite(policy, suite, config, critic, rng, planner)
+    logs = run_suite(policy, suite, config, rng, weights)
     per_task = [_EpisodeSamples(0.0, False, [], [], []) if log is None
                 else _episode_samples(log) for log in logs]
 

@@ -35,7 +35,7 @@ from ..bench import (
 )
 from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError
 from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, train
-from ..loop import OraclePolicy, SearchPlanner, default_critic
+from ..loop import OraclePolicy
 from ..microworld import DomainSpec, load_domain
 from ..numerics import NetParams, RandomSource, clone_params, net_init
 from ..planner import Goal, parse_goal_literal, plan
@@ -315,7 +315,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         # resumed runs restart optimizer moments; iteration numbering and the
         # curriculum position carry over through start_iteration
         rng = RandomSource(config.seed).split(100 + start)
-        theta, tlog = train(bundle, spec, SearchPlanner(), goals, sampler, grpo_cfg, rng,
+        theta, tlog = train(bundle, spec, goals, sampler, grpo_cfg, rng,
                             start_iteration=start, weights=config.critic_weights())
         merged = TrainingLog(records=prev_records + tlog.records, events=tlog.events)
         save_policy(run_dir / "checkpoints" / "model.ckpt", theta, spec, sampler)
@@ -400,10 +400,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with _run_logging(run_dir):
         _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d",
                   spec.name, mode, suite_seed, len(suite))
-        report = evaluate_policy(
-            policy, suite, config=loop_config, critic=default_critic(loop_config, weights),
-            rng=RandomSource(config.seed).split(7),
-        )
+        report = evaluate_policy(policy, suite, config=loop_config,
+                                 rng=RandomSource(config.seed).split(7),
+                                 weights=weights)
         save_suite(suite, run_dir / "reports" / "suite.json")
         report.write_json(run_dir / "reports" / "report.json")
     for line in _report_lines(mode, report):

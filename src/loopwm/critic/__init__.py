@@ -6,7 +6,6 @@ from .scoring import (
     CriticReport,
     CriticWeights,
     GroupScores,
-    evaluate,
     evaluate_rows,
     revise_instruction,
     score_group,
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "DIMENSIONS",
     "GroupScores",
-    "evaluate",
     "evaluate_rows",
     "revise_instruction",
     "score_group",

@@ -25,20 +25,20 @@ whose frames share a shape form a group, stacked and scored by the core,
 and each row's report is built from its row of the columns under its own
 step, so two rows of one group that differ only in their instruction (a
 first try and a retry) get the tags and revised instruction each would get
-alone. Every report is bitwise equal to the one-row call, which is what
-`evaluate` is.
+alone. Every report is bitwise equal to the one that `evaluate_rows` gives
+the row by itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
 from ..microworld.frames import DECODE_THRESHOLD
-from ..microworld.types import MAX_INSTRUCTION_WORDS, DomainSpec, Literal, Operator, Segment
+from ..microworld.types import MAX_INSTRUCTION_WORDS, DomainSpec, Literal, Operator, parse_literal
 from ..planner.types import PlanStep
 
 DIMENSIONS = (
@@ -116,7 +116,8 @@ class CriticReport:
     tags: tuple[str, ...]
     revised_instruction: str
     scalar: float
-    details: dict = field(default_factory=dict)
+    # False when the step has no motion profile, so the contact check scored nothing
+    contact_applicable: bool
 
 
 def _weighted_mean(scores: dict[str, float], weights: CriticWeights) -> float:
@@ -146,9 +147,12 @@ def tag_dimension(tag: str) -> str:
     return "action_adherence"
 
 
-def coherence_score(msd: float) -> float:
-    """Map a mean squared frame difference to [0, 1]: 1 at zero, 0 from COHERENCE_SCALE up."""
-    return 1.0 - min(max(msd / COHERENCE_SCALE, 0.0), 1.0)
+def coherence_score(msd: float | np.ndarray) -> float | np.ndarray:
+    """Map mean squared frame differences to [0, 1]: 1 at zero, 0 from COHERENCE_SCALE up.
+
+    Elementwise: a float gives a float, a (G,) column a column.
+    """
+    return 1.0 - np.minimum(np.maximum(msd / COHERENCE_SCALE, 0.0), 1.0)
 
 
 def _row_mean(values: np.ndarray) -> np.ndarray:
@@ -232,17 +236,6 @@ def _realism(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     worst = per_frame_excess.max(axis=1)
     severity = np.clip(1.0 - worst / MAX_FRAME_DELTA, 0.0, 1.0)
     return compliant * severity, worst
-
-
-def evaluate(
-    spec: DomainSpec,
-    segment: Segment,
-    step: PlanStep,
-    weights: CriticWeights = DEFAULT_WEIGHTS,
-    tau: float = DEFAULT_TAU,
-) -> CriticReport:
-    """Score one generated segment against its plan step."""
-    return evaluate_rows(spec, [segment.frames], [step], weights, tau)[0]
 
 
 def evaluate_rows(
@@ -329,7 +322,7 @@ def score_group(
         "action_adherence": (pre_fracs + goal_scores + mono_scores) / 3.0,
         "object_interaction": interactions,
         "goal_achievement": goal_scores,
-        "temporal_coherence": 1.0 - np.minimum(np.maximum(msds / COHERENCE_SCALE, 0.0), 1.0),
+        "temporal_coherence": coherence_score(msds),
         "physical_realism": realisms,
     }
     return GroupScores(scores, _weighted_mean(scores, weights), applicable, post_lits,
@@ -404,8 +397,7 @@ def _report(
             tags.append(f"low-score:{worst_dim}")
         tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
 
-    details = {"contact_applicable": applicable}
-    report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, details)
+    report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, applicable)
     report.revised_instruction = revise_instruction(step, report)
     return report
 
@@ -449,13 +441,9 @@ def _reason_text(
 def _clause_for(tag: str, step: PlanStep) -> str:
     if tag.startswith("post-condition-unmet:"):
         lit = tag.split(":", 1)[1]
-        from ..microworld.types import parse_literal
-
         return f"Ensure post-condition '{parse_literal(lit).render()}' is reached before the segment ends"
     if tag.startswith("pre-condition-violated:"):
         lit = tag.split(":", 1)[1]
-        from ..microworld.types import parse_literal
-
         return f"Confirm pre-condition '{parse_literal(lit).render()}' holds at the start"
     if tag == "interaction-missed":
         target = step.actions[0].objects[-1]

@@ -19,7 +19,7 @@ from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec
 from ..numerics import NetParams, RandomSource, opt_init
-from ..planner import Goal, PlanSequence
+from ..planner import Goal, PlanSequence, plan
 from ..report import write_csv
 from ..worldmodel import SamplerConfig
 from .config import GrpoConfig, curriculum_schedule
@@ -84,7 +84,6 @@ class TrainingLog:
 
 def _sample_goal(
     spec: DomainSpec,
-    planner,
     goals: list[Goal],
     level: int,
     rng: RandomSource,
@@ -94,7 +93,7 @@ def _sample_goal(
 ) -> tuple[Goal, PlanSequence]:
     """Draw pool goals until one plans within `level` steps.
 
-    `plans` memoizes the planner's answer per pool index (None for no plan),
+    `plans` memoizes the search's answer per pool index (None for no plan),
     so each goal is planned once per `train` call. Every draw consumes one
     random number, and every draw of an unplannable goal logs an event.
     """
@@ -103,15 +102,15 @@ def _sample_goal(
         goal = goals[index]
         if index not in plans:
             try:
-                plans[index] = planner.plan(spec, goal, spec.initial_state())
+                plans[index] = plan(spec, goal, spec.initial_state())
             except NoPlanError:
                 plans[index] = None
-        plan = plans[index]
-        if plan is None:
+        sequence = plans[index]
+        if sequence is None:
             log.events.append(f"iteration {iteration}: no plan for '{goal.text}', resampled")
             continue
-        if 1 <= len(plan.steps) <= level:
-            return goal, plan
+        if 1 <= len(sequence.steps) <= level:
+            return goal, sequence
     raise LoopwmError(
         f"no goal in the pool yields a plan of length 1..{level} "
         f"after {_MAX_GOAL_TRIES} draws (iteration {iteration})"
@@ -121,7 +120,6 @@ def _sample_goal(
 def train(
     bundle,
     spec: DomainSpec,
-    planner,
     goals: list[Goal],
     sampler_config: SamplerConfig,
     grpo_config: GrpoConfig,
@@ -132,9 +130,9 @@ def train(
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
-    `planner` exposes plan(spec, goal, state) and answers the same goal from
-    the same state the same way, so each pool goal is planned at most once;
-    every group is scored by the programmatic critic under `weights`, and the
+    Each pool goal is planned at most once, by this module's `plan` (the
+    search answers the same goal from the same state the same way); every
+    group is scored by the programmatic critic under `weights`, and the
     objective recomputes each transition mean with the sampler's `delta`.
     Zero iterations returns the parameters untouched.
 
@@ -153,11 +151,11 @@ def train(
     plans: dict[int, PlanSequence | None] = {}
     for iteration in range(start_iteration, grpo_config.iterations + 1):
         level = curriculum_schedule(grpo_config, iteration)
-        goal, plan = _sample_goal(spec, planner, goals, level, rng, log, iteration, plans)
+        goal, sequence = _sample_goal(spec, goals, level, rng, log, iteration, plans)
         bundle.sync_old()
         memory = WorldMemory.fresh(spec)
         rewards, adherence, coherence, kls, clips = [], [], [], [], []
-        for step in plan.steps:
+        for step in sequence.steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
                                   sampler_config, grpo_config, rng, weights)
             _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state,

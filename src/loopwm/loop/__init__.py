@@ -11,12 +11,8 @@ from .engine import (
     LoopConfig,
     ReplanEvent,
     Request,
-    SearchPlanner,
-    critique,
-    default_critic,
     episode,
     inner_refine,
-    resume,
 )
 from .policies import OraclePolicy, Policy
 
@@ -32,11 +28,7 @@ __all__ = [
     "STATUS_BUDGET",
     "STATUS_PLAN_FAILURE",
     "STATUS_SUCCESS",
-    "SearchPlanner",
     "WorldMemory",
-    "critique",
-    "default_critic",
     "episode",
     "inner_refine",
-    "resume",
 ]

@@ -6,51 +6,32 @@ fresh noise, up to k_retries). Inner exhaustion triggers the outer loop:
 replan from the simulated state, at most max_outer_replans times per
 episode. Accepted history is never revisited.
 
-An episode is one generator, `episode`, that calls neither the policy nor
-the critic. Where it needs segments it yields a `Request` for n candidates
-of one (step, memory) from its own stream: n = 1 for a step's first try, and
-n = the retry budget for `inner_refine`. It is resumed with a draw, which it
-calls once per candidate it takes, with the step that candidate is for (a
-retry's step carries the revised instruction). Where it needs a score it
-yields a `Critique(segment, step)` and is resumed with the report.
+An episode is one generator, `episode`, that plans with the breadth-first
+search (`plan`, `replan`) and calls neither the policy nor the critic. Where
+it needs segments it yields a `Request` for n candidates of one (step,
+memory) from its own stream: n = 1 for a step's first try, and n = the
+retry budget for `inner_refine`. It is resumed with a draw, which it calls
+once per candidate it takes, with the step that candidate is for (a retry's
+step carries the revised instruction). Where it needs a score it yields a
+`Critique(segment, step)` and is resumed with the critic's report.
 
 A policy's `fulfil(requests)` turns a list of requests into their draws
-(see `Policy`). `critique(critic, spec, items)` turns a list of critiques
-into their reports: through the critic's own `rows` when it has one (the
-builtin `default_critic` does), else through one call per item, where an
-item's exception is handed back in place of its report and thrown into its
-own episode. `bench.metrics.run_suite` drives the episodes of a suite in
+(see `Policy`). `bench.metrics.run_suite` drives the episodes of a suite in
 lockstep, one `fulfil` call per round for every pending request, then one
-`critique` call per pass for every pending critique.
+`evaluate_rows` call per pass for every pending critique.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
-from ..critic import (
-    DEFAULT_WEIGHTS,
-    CriticReport,
-    CriticWeights,
-    evaluate,
-    evaluate_rows,
-    tag_dimension,
-)
+from ..critic import CriticReport, tag_dimension
 from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
-from ..microworld import DomainSpec, Segment, state_summary
+from ..microworld import DomainSpec, Segment
 from ..numerics import RandomSource
-from ..planner import (
-    RETRY_SAME_TAG,
-    FailureContext,
-    Goal,
-    PlanSequence,
-    PlanStep,
-    plan,
-    replan,
-)
+from ..planner import RETRY_SAME_TAG, FailureContext, Goal, PlanStep, plan, replan
 
 STATUS_SUCCESS = "success"
 STATUS_PLAN_FAILURE = "plan-failure"
@@ -98,61 +79,20 @@ class ReplanEvent:
 
 @dataclass
 class EpisodeLog:
-    """What one episode did. `wall_seconds` runs from planning to the end, and
-    under a lockstep run it spans every round the episode was in flight,
-    including the time spent on the other episodes of those rounds."""
+    """What one episode did."""
 
     goal: Goal
     status: str = "in-progress"
     attempts: list[AttemptRecord] = field(default_factory=list)
     replans: list[ReplanEvent] = field(default_factory=list)
     segments_generated: int = 0
-    wall_seconds: float = 0.0
     # length of the plan in force at episode end (replans update it)
     plan_length: int = 0
     accepted_steps: int = 0
-    final_state_text: str = ""
 
     @property
     def succeeded(self) -> bool:
         return self.status == STATUS_SUCCESS
-
-
-class SearchPlanner:
-    """Default planner adapter over the breadth-first search module."""
-
-    def plan(self, spec: DomainSpec, goal: Goal, state) -> PlanSequence:
-        return plan(spec, goal, state)
-
-    def replan(self, spec: DomainSpec, goal: Goal, failure: FailureContext) -> PlanSequence:
-        return replan(spec, goal, failure)
-
-
-@dataclass(frozen=True)
-class BuiltinCritic:
-    """The programmatic critic at one tau and one set of dimension weights.
-
-    Called as ``critic(spec, segment, step)`` it scores one segment, as any
-    critic does; ``rows(spec, frames, steps)`` scores many, each under its
-    own step, with the same reports (`evaluate_rows`).
-    """
-
-    weights: CriticWeights
-    tau: float
-
-    def __call__(self, spec: DomainSpec, segment: Segment, step: PlanStep) -> CriticReport:
-        return evaluate(spec, segment, step, weights=self.weights, tau=self.tau)
-
-    def rows(self, spec: DomainSpec, frames: list, steps: list[PlanStep]) -> list[CriticReport]:
-        return evaluate_rows(spec, frames, steps, weights=self.weights, tau=self.tau)
-
-
-def default_critic(config: LoopConfig, weights: CriticWeights = DEFAULT_WEIGHTS) -> BuiltinCritic:
-    """The builtin critic at the loop's tau and the given dimension weights.
-
-    Its `rows` lets `critique` score a whole pass of critiques in one call.
-    """
-    return BuiltinCritic(weights, config.tau)
 
 
 @dataclass(frozen=True)
@@ -176,31 +116,6 @@ class Critique:
 # called once per candidate taken, with the step that candidate is for
 Draw = Callable[[PlanStep], Segment]
 Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
-
-
-def critique(critic, spec: DomainSpec, items: list[Critique]) -> list[CriticReport | Exception]:
-    """One report per item: the critic's own `rows`, else one call per item.
-
-    Without `rows`, an exception raised for one item is returned in its
-    place, for its own episode to receive, and the other items are scored.
-    """
-    rows = getattr(critic, "rows", None)
-    if rows is not None:
-        return rows(spec, [item.segment.frames for item in items], [item.step for item in items])
-    answers: list[CriticReport | Exception] = []
-    for item in items:
-        try:
-            answers.append(critic(spec, item.segment, item.step))
-        except Exception as exc:
-            answers.append(exc)
-    return answers
-
-
-def resume(running: Episode, answer):
-    """Resume an episode with its draw or report, or throw an exception into it."""
-    if isinstance(answer, Exception):
-        return running.throw(answer)
-    return running.send(answer)
 
 
 def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
@@ -263,21 +178,20 @@ def _failure_context(goal: Goal, step: PlanStep, best: CriticReport,
 
 
 def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
-            rng: RandomSource | None = None, planner=None) -> Episode:
+            rng: RandomSource | None = None) -> Episode:
     """One closed-loop episode, run to success, plan failure, or budget end.
 
     Yields a `Request` wherever it needs segments and expects the request's
     draw back, and a `Critique` wherever it needs a score and expects the
-    report back; returns the `EpisodeLog`. An unsolvable goal raises
+    report back; returns the `EpisodeLog`. It plans with this module's `plan`
+    and `replan`, looked up when called. An unsolvable goal raises
     NoPlanError up front; a failed replan mid-episode is recorded as a replan
     event and ends the episode as a plan failure.
     """
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
-    planner = planner or SearchPlanner()
 
-    t0 = time.monotonic()
-    sequence = planner.plan(spec, goal, spec.initial_state())
+    sequence = plan(spec, goal, spec.initial_state())
     memory = WorldMemory.fresh(spec)
     log = EpisodeLog(goal=goal, plan_length=len(sequence.steps))
 
@@ -328,7 +242,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         failure = _failure_context(goal, step, best, tuple(steps[i + 1:]), memory, config)
         replans_used += 1
         try:
-            new_sequence = planner.replan(spec, goal, failure)
+            new_sequence = replan(spec, goal, failure)
         except NoPlanError:
             log.replans.append(ReplanEvent(step.sid, failure.tags, "no-plan", 0))
             status = STATUS_PLAN_FAILURE
@@ -340,6 +254,4 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         log.plan_length = len(steps)
 
     log.status = status
-    log.wall_seconds = time.monotonic() - t0
-    log.final_state_text = state_summary(spec, memory.state)
     return log

@@ -1,5 +1,5 @@
 from .dynamics import apply_operator, contact_window_frames, reference_segment
-from .frames import encode_state, state_summary
+from .frames import encode_state
 from .io import (
     BUILTIN_DOMAINS,
     canonical_dict,
@@ -38,5 +38,4 @@ __all__ = [
     "load_domain",
     "parse_literal",
     "reference_segment",
-    "state_summary",
 ]

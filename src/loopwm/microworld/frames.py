@@ -18,15 +18,3 @@ def encode_state(spec: DomainSpec, state: SymbolicState) -> np.ndarray:
         frame[spec.channel_index[name]] = value
     return frame
 
-
-def state_summary(spec: DomainSpec, state: SymbolicState) -> str:
-    """Deterministic one-line text rendering."""
-    parts = []
-    for pred, _ in spec.predicates:
-        parts.append(pred if state.predicates[pred] else f"not {pred}")
-    pose_bits = []
-    for obj in spec.movable_entities():
-        x = state.poses[f"{obj}.x"]
-        y = state.poses[f"{obj}.y"]
-        pose_bits.append(f"{obj} at ({x:.3f}, {y:.3f})")
-    return "; ".join([", ".join(parts)] + pose_bits)

@@ -22,7 +22,6 @@ from ..errors import DomainError
 from .types import (
     DEFAULT_CONTACT,
     DomainSpec,
-    Literal,
     MotionProfile,
     ObjectSpec,
     Operator,

@@ -13,6 +13,9 @@ oracle for a fast path or a reader or view that only the tests need:
   predicate channels as the critic does;
 - `channel_mask` is one step's block of the condition tails that
   `DomainSpec` compiles;
+- `evaluate` scores one segment against its plan step: the one-row
+  `evaluate_rows` call, which the critic's row contract and GRPO's group
+  scores are checked against;
 - `aggregate` is the critic's weighted mean with its inputs checked;
 - `load_suite` reads a suite that `save_suite` wrote.
 """
@@ -27,9 +30,16 @@ import numpy as np
 
 from loopwm.bench import DIFFICULTIES, PromptSuite, SuiteTask
 from loopwm.bench.suite import SUITE_FORMAT
-from loopwm.critic import DEFAULT_WEIGHTS, DIMENSIONS, CriticWeights
+from loopwm.critic import (
+    DEFAULT_TAU,
+    DEFAULT_WEIGHTS,
+    DIMENSIONS,
+    CriticReport,
+    CriticWeights,
+    evaluate_rows,
+)
 from loopwm.errors import LoopwmError, SuiteError
-from loopwm.microworld import DomainSpec, Literal, SymbolicState, load_domain
+from loopwm.microworld import DomainSpec, Literal, Segment, SymbolicState, load_domain
 from loopwm.microworld.frames import DECODE_THRESHOLD
 from loopwm.numerics import (
     NetParams,
@@ -133,6 +143,17 @@ def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
     """1.0 on channels the step should change: post predicates and moving poses."""
     n_ops = len(spec.operators)
     return spec.condition_tails[spec.operator_id(step.actions[0]), 0, n_ops:-1].copy()
+
+
+def evaluate(
+    spec: DomainSpec,
+    segment: Segment,
+    step: PlanStep,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
+    tau: float = DEFAULT_TAU,
+) -> CriticReport:
+    """Score one generated segment against its plan step."""
+    return evaluate_rows(spec, [segment.frames], [step], weights, tau)[0]
 
 
 def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS) -> float:

@@ -4,8 +4,10 @@ The package serves segments only in lockstep rounds (`run_suite` calls one
 `fulfil` per round) and samples rows only in batches (`sample_group`,
 `sample_rows`). These are the one-at-a-time versions of the same contracts:
 
-- `run_episode` drives one `episode` by itself, serving each request and
-  critique as it comes;
+- `run_episode` drives one `episode` by itself, serving each request as it
+  comes and scoring each critique in a one-row call of its `rows` scorer
+  (`evaluate_rows` unless a test passes another), as `run_suite` scores a
+  pass;
 - `SequentialPolicy` serves a `WorldModelPolicy`'s requests one at a time:
   the same block draw per request, then one `sample_one` call per
   candidate taken;
@@ -22,25 +24,30 @@ from dataclasses import replace
 
 import numpy as np
 
+from loopwm.critic import DEFAULT_WEIGHTS, evaluate_rows
 from loopwm.errors import LoopwmError
-from loopwm.loop import Critique, LoopConfig, critique, default_critic, episode, resume
+from loopwm.loop import Critique, LoopConfig, episode
 from loopwm.microworld import Segment, encode_state
 from loopwm.worldmodel import embed_condition, sample_group
 
 
-def run_episode(spec, goal, policy, config=None, rng=None, planner=None, critic=None):
-    """Drive one `episode` by itself; `critic` defaults to the builtin one at the loop's tau."""
+def run_episode(spec, goal, policy, config=None, rng=None, rows=evaluate_rows):
+    """Drive one `episode` by itself.
+
+    `rows` scores each critique as `rows(spec, frames, steps, weights, tau)`,
+    at the default weights and the loop's tau.
+    """
     config = config or LoopConfig()
-    critic = critic or default_critic(config)
-    running = episode(spec, goal, config, rng, planner)
+    running = episode(spec, goal, config, rng)
     try:
         wanted = next(running)
         while True:
             if isinstance(wanted, Critique):
-                (answer,) = critique(critic, spec, [wanted])
+                (answer,) = rows(spec, [wanted.segment.frames], [wanted.step],
+                                 DEFAULT_WEIGHTS, config.tau)
             else:
                 (answer,) = policy.fulfil([wanted])
-            wanted = resume(running, answer)
+            wanted = running.send(answer)
     except StopIteration as done:
         return done.value
 

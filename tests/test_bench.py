@@ -27,7 +27,7 @@ from loopwm.bench import (
 )
 from loopwm.bench.metrics import MetricReport, MetricRow, load_report
 from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
-from loopwm.critic import CriticReport
+from loopwm.critic import DIMENSIONS, CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
 from loopwm.loop import LoopConfig, OraclePolicy, Request
@@ -287,31 +287,20 @@ def test_scale_rows_cover_only_present_difficulties(kitchen):
     assert report.overall.n_tasks == 2
 
 
-def test_interaction_not_applicable_reports_none(kitchen):
-    # a critic that marks the contact check inapplicable on every segment
-    # must surface as an N/A (None) interaction column, not a fake score
+def test_interaction_not_applicable_reports_none(kitchen, monkeypatch):
+    # a critique pass that marks the contact check inapplicable on every
+    # segment must surface as an N/A (None) interaction column, not a fake score
     suite = generate_suite(kitchen, seed=7, counts=(1, 0, 0))
 
-    def critic(spec, segment, step):
-        scores = {
-            "action_adherence": 1.0,
-            "object_interaction": 1.0,
-            "goal_achievement": 1.0,
-            "temporal_coherence": 1.0,
-            "physical_realism": 1.0,
-        }
-        return CriticReport(
-            scores=scores,
-            reasons={k: "" for k in scores},
-            tags=(),
-            revised_instruction=step.instruction,
-            scalar=1.0,
-            details={"contact_applicable": False},
-        )
+    def rows(spec, frames, steps, weights, tau):
+        scores = {d: 1.0 for d in DIMENSIONS}
+        return [CriticReport(scores=scores, reasons={d: "" for d in scores}, tags=(),
+                             revised_instruction=step.instruction, scalar=1.0,
+                             contact_applicable=False)
+                for step in steps]
 
-    report = evaluate_policy(
-        OraclePolicy(kitchen), suite, critic=critic, rng=RandomSource(0)
-    )
+    monkeypatch.setattr("loopwm.bench.metrics.evaluate_rows", rows)
+    report = evaluate_policy(OraclePolicy(kitchen), suite, rng=RandomSource(0))
     assert report.overall.object_interaction is None
     assert report.overall.action_completeness == 1.0
     table = compare([("x", report)])

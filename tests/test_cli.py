@@ -623,6 +623,23 @@ def test_bench_critic_weights_reach_the_builtin_critic(tmp_path, capsys):
     assert report("default") != report("realism")
 
 
+def test_bench_tau_reaches_the_critique_pass(tmp_path, capsys):
+    # the oracle's segments clear the default tau on every step and none
+    # clears 0.95, so completeness reads 1 at the one and 0 at the other;
+    # test_loop's pass-count test shows that each critique pass gets the
+    # loop's tau
+    flags = ["bench", "--oracle", "--counts", "3,3,1", "--n-frames", "8", "--seed", "1"]
+    assert main(flags + ["--out", str(tmp_path / "default")]) == 0
+    assert main(flags + ["--tau", "0.95", "--out", str(tmp_path / "strict")]) == 0
+    capsys.readouterr()
+    completeness = lambda name: load_report(
+        tmp_path / name / "reports" / "report.json").overall.action_completeness
+    assert completeness("default") == 1.0
+    assert completeness("strict") == 0.0
+    resolved = yaml.safe_load((tmp_path / "strict" / "config.yaml").read_text())
+    assert resolved["loop"]["tau"] == 0.95
+
+
 def test_mode_presets_override_configured_budgets():
     loop = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4}).loop_config()
     assert mode_config("open-loop", loop).k_retries == 0

@@ -10,7 +10,6 @@ from loopwm.bench import generate_suite
 from loopwm.critic import (
     CriticReport,
     CriticWeights,
-    evaluate,
     evaluate_rows,
     revise_instruction,
     score_group,
@@ -33,8 +32,7 @@ from loopwm.microworld import (
 from loopwm.numerics import RandomSource
 from loopwm.planner import Goal, plan
 from loopwm.microworld import parse_literal
-from oracles import aggregate, decode_frame
-from outside import plain_data_critic
+from oracles import aggregate, decode_frame, evaluate
 
 
 def first_step(kitchen, *goal_lits):
@@ -134,7 +132,7 @@ def test_revise_instruction_empty_tags_is_identity(kitchen):
     report = CriticReport({d: 1.0 for d in
                            ("action_adherence", "object_interaction", "goal_achievement",
                             "temporal_coherence", "physical_realism")},
-                          {}, (), step.instruction, 1.0)
+                          {}, (), step.instruction, 1.0, True)
     assert revise_instruction(step, report) == step.instruction
 
 
@@ -149,7 +147,7 @@ def test_revise_instruction_orders_by_severity(kitchen):
     }
     # tags arrive severity-ordered from evaluate: realism (0.1) before goal (0.5)
     tags = ("physics-violation", "post-condition-unmet:jar.lid_removed")
-    report = CriticReport(scores, {}, tags, step.instruction, 0.55)
+    report = CriticReport(scores, {}, tags, step.instruction, 0.55, True)
     text = revise_instruction(step, report)
     physics_pos = text.find("Keep every per-frame motion")
     post_pos = text.find("Ensure post-condition 'lid removed'")
@@ -162,7 +160,7 @@ def test_revise_instruction_idempotent(kitchen):
     scores = {d: 0.5 for d in
               ("action_adherence", "object_interaction", "goal_achievement",
                "temporal_coherence", "physical_realism")}
-    report = CriticReport(scores, {}, tags, step.instruction, 0.5)
+    report = CriticReport(scores, {}, tags, step.instruction, 0.5, True)
     once = revise_instruction(step, report)
     twice = revise_instruction(step.with_instruction(once), report)
     assert once == twice
@@ -192,7 +190,7 @@ def test_interaction_not_applicable_scores_one():
                     spec.operators[0].pre, spec.operators[0].post)
     report = evaluate(spec, seg, step)
     assert report.scores["object_interaction"] == 1.0
-    assert report.details["contact_applicable"] is False
+    assert report.contact_applicable is False
     assert report.reasons["object_interaction"] == "no motion profile; contact check not applicable"
 
 
@@ -402,21 +400,18 @@ def test_scalar_below_tau_without_a_fault_tags_the_weakest_dimension(kitchen):
     assert strict.revised_instruction != step.instruction
 
 
-def test_outside_critic_reports_have_the_builtin_shape(kitchen):
-    # what a critic adapter must hand back: the builtin report's shape, whose
-    # scalar is the checked weighted mean of its scores
+def test_reports_have_one_score_and_reason_per_dimension(kitchen):
+    # a report's scalar is the checked weighted mean of its scores, and the
+    # contact check applies to a step with a motion profile
     step = open_jar_step(kitchen)
     segment = reference_segment(
         kitchen, kitchen.initial_state(), step.actions[0], rng=RandomSource(1)
     )
-    builtin = evaluate(kitchen, segment, step)
-    assert set(builtin.scores) == set(builtin.reasons) == set(DIMENSIONS)
-    assert builtin.scalar == aggregate(builtin.scores)
-    assert set(builtin.details) == {"contact_applicable"}
-    outside = plain_data_critic(0.7)(kitchen, segment, step)
-    assert outside.scores == builtin.scores
-    assert outside.scalar == builtin.scalar
-    assert outside.details == {}
+    report = evaluate(kitchen, segment, step)
+    assert set(report.scores) == set(report.reasons) == set(DIMENSIONS)
+    assert report.scalar == aggregate(report.scores)
+    assert report.contact_applicable is True
+
 
 
 @settings(max_examples=15, deadline=None)

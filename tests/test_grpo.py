@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwm.critic import DIMENSIONS, evaluate, score_group
+from loopwm.critic import DIMENSIONS, score_group
 from loopwm.errors import LoopwmError, NumericError
 from loopwm.grpo import (
     GrpoConfig,
@@ -24,7 +24,6 @@ from loopwm.grpo import (
     surrogate_rows,
     train,
 )
-from loopwm.loop import SearchPlanner
 from loopwm.memory import WorldMemory
 from loopwm.microworld import Segment, parse_literal, reference_segment
 from loopwm.numerics import (
@@ -46,7 +45,7 @@ from loopwm.worldmodel import (
     sft_train,
     velocity_net_sizes,
 )
-from oracles import finite_diff_grad, net_input
+from oracles import evaluate, finite_diff_grad, net_input
 from per_row import (
     DenoiseTrace,
     as_record_group,
@@ -720,8 +719,8 @@ def test_train_zero_iterations_is_identity(kitchen):
     bundle = PolicyBundle.from_reference(theta)
     before = bundle.theta.vector.copy()
     config = GrpoConfig(iterations=0, group_size=2)
-    final, log = train(bundle, kitchen, SearchPlanner(),
-                       [goal_of("kettle.grasped")], sampler, config, RandomSource(0))
+    final, log = train(bundle, kitchen, [goal_of("kettle.grasped")], sampler, config,
+                       RandomSource(0))
     assert final is bundle.theta
     assert log.records == []
     assert np.array_equal(final.vector, before)
@@ -732,8 +731,8 @@ def test_train_two_iterations_logs_and_emits(kitchen, tmp_path):
     theta = kitchen_net(kitchen, sampler, hidden=6)
     bundle = PolicyBundle.from_reference(theta)
     config = GrpoConfig(iterations=2, group_size=2, curriculum=((1, 1),))
-    final, log = train(bundle, kitchen, SearchPlanner(),
-                       [goal_of("kettle.grasped")], sampler, config, RandomSource(3))
+    final, log = train(bundle, kitchen, [goal_of("kettle.grasped")], sampler, config,
+                       RandomSource(3))
     assert [r.iteration for r in log.records] == [1, 2]
     assert all(r.curriculum_level == 1 for r in log.records)
     assert all(0.0 <= r.mean_reward <= 1.0 for r in log.records)
@@ -754,21 +753,10 @@ def test_train_resamples_unplannable_goals(kitchen):
     bundle = PolicyBundle.from_reference(theta)
     config = GrpoConfig(iterations=1, group_size=2, curriculum=((1, 1),))
     impossible = goal_of("not jar.closed", "not jar.lid_removed")
-    _, log = train(bundle, kitchen, SearchPlanner(),
-                   [impossible, goal_of("kettle.grasped")], sampler, config,
+    _, log = train(bundle, kitchen, [impossible, goal_of("kettle.grasped")], sampler, config,
                    RandomSource(1))
     assert len(log.records) == 1
     assert any("resampled" in event for event in log.events)
-
-
-class CountingPlanner(SearchPlanner):
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def plan(self, spec, goal, state):
-        self.calls.append(goal.text)
-        return super().plan(spec, goal, state)
 
 
 class RecordingSource(RandomSource):
@@ -784,16 +772,24 @@ class RecordingSource(RandomSource):
         return value
 
 
-def test_train_plans_each_pool_goal_once(kitchen):
+def test_train_plans_each_pool_goal_once(kitchen, monkeypatch):
     sampler = kitchen_sampler(kitchen, k_steps=2)
     config = GrpoConfig(iterations=5, group_size=2, curriculum=((1, 1),))
     # no plan, one step, and a plan longer than the curriculum allows
     goals = [goal_of("not jar.closed", "not jar.lid_removed"), goal_of("kettle.grasped"),
              goal_of("cup.full")]
-    planner, rng = CountingPlanner(), RecordingSource(4)
+    planned = []
+
+    def counting_plan(spec, goal, state):
+        planned.append(goal.text)
+        return plan(spec, goal, state)
+
+    rng = RecordingSource(4)
     bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
-    _, log = train(bundle, kitchen, planner, goals, sampler, config, rng)
-    assert sorted(planner.calls) == sorted({goal.text for goal in goals})
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("loopwm.grpo.train"), "plan", counting_plan)
+        _, log = train(bundle, kitchen, goals, sampler, config, rng)
+    assert sorted(planned) == sorted({goal.text for goal in goals})
     # the unplannable goal was drawn more than once, and each draw still logs
     assert rng.choices.count(0) >= 2 and 2 in rng.choices
     expected, iteration = [], 1
@@ -805,7 +801,7 @@ def test_train_plans_each_pool_goal_once(kitchen):
     assert [e for e in log.events if "resampled" in e] == expected
     # counting and recording change nothing
     plain = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
-    _, plain_log = train(plain, kitchen, SearchPlanner(), goals, sampler, config,
+    _, plain_log = train(plain, kitchen, goals, sampler, config,
                          RandomSource(4))
     assert plain_log.records == log.records
     assert plain_log.events == log.events
@@ -826,8 +822,8 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
     theta = net_init(velocity_net_sizes(kitchen, sampler, hidden=16, depth=2),
                      RandomSource(5))
     config = GrpoConfig(iterations=1, group_size=4, curriculum=((1, 1),))
-    train(PolicyBundle.from_reference(theta), kitchen, SearchPlanner(),
-          [goal_of("kettle.grasped")], sampler, config, RandomSource(8))
+    train(PolicyBundle.from_reference(theta), kitchen, [goal_of("kettle.grasped")], sampler,
+          config, RandomSource(8))
     assert seen and seen[0].ratios.size == 16
     np.testing.assert_allclose(seen[0].ratios, 1.0, rtol=0, atol=1e-9)
 
@@ -849,7 +845,7 @@ def test_tied_groups_are_logged(kitchen, monkeypatch):
         bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
         with monkeypatch.context() as patch:
             patch.setattr(importlib.import_module("loopwm.grpo.train"), "rollout_group", spy)
-            _, log = train(bundle, kitchen, SearchPlanner(), goals, sampler, config,
+            _, log = train(bundle, kitchen, goals, sampler, config,
                            RandomSource(3))
         return log, [bool(np.all(g.rewards == g.rewards[0])) for g in groups]
 
@@ -874,7 +870,7 @@ def test_train_rejects_empty_goal_pool(kitchen):
     sampler = kitchen_sampler(kitchen)
     bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler))
     with pytest.raises(LoopwmError):
-        train(bundle, kitchen, SearchPlanner(), [], sampler,
+        train(bundle, kitchen, [], sampler,
               GrpoConfig(iterations=1, group_size=2), RandomSource(0))
 
 

@@ -81,6 +81,31 @@ def test_every_definition_is_named_elsewhere_in_the_package():
     assert unused == []
 
 
+def _bound_imports(tree: ast.Module):
+    """(line, name) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or (isinstance(node, ast.ImportFrom)
+                                         and node.module == "__future__"):
+                    continue
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_read():
+    # a name a module imports and never reads is a leftover of deleted code;
+    # package `__init__` modules import names to re-export them, so they are
+    # not checked
+    unread = []
+    for path, tree in _package_trees().items():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread.extend(f"{path}:{line} {name}" for line, name in _bound_imports(tree)
+                      if name not in read)
+    assert sorted(unread) == []
+
+
 def test_one_forward_and_one_backward_checked_at_each_stage_entry():
     # each stage validates its inputs once, at entry, and runs the net's two
     # unchecked passes inside, so no computation needs a checked and an

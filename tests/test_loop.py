@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import loopwm.bench.metrics as metrics_module
+import loopwm.loop.engine as engine_module
 import loopwm.worldmodel.policy as policy_module
 from loopwm.bench import evaluate_policy, generate_suite, run_suite
+from loopwm.critic import CriticWeights, evaluate_rows
 from loopwm.errors import DivergenceError, NoPlanError, NumericError
 from loopwm.loop import (
     STATUS_BUDGET,
@@ -15,16 +18,12 @@ from loopwm.loop import (
     STATUS_SUCCESS,
     LoopConfig,
     OraclePolicy,
-    SearchPlanner,
     WorldMemory,
-    default_critic,
 )
 from loopwm.microworld import Literal, apply_operator, parse_literal, reference_segment
 from loopwm.numerics import RandomSource, net_init
-from loopwm.planner import RETRY_SAME_TAG, Goal, plan
-from loopwm.critic import evaluate
+from loopwm.planner import RETRY_SAME_TAG, Goal, plan, replan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
-from outside import PlainDataPlanner, plain_data_critic
 from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy, run_episode
 
 
@@ -137,7 +136,7 @@ def test_retry_then_accept_counts_two_generations(kitchen):
     assert log.attempts[1].instruction != log.attempts[0].instruction
 
 
-def test_recovery_after_replan(kitchen):
+def test_recovery_after_replan(kitchen, monkeypatch):
     class StubbornThenFine(GeneratePolicy):
         """Rejects every segment until the first replan, then accepts oracle output."""
 
@@ -152,72 +151,41 @@ def test_recovery_after_replan(kitchen):
 
     policy = StubbornThenFine(kitchen)
 
-    class UnlockingPlanner:
-        def __init__(self):
-            self.inner = SearchPlanner()
+    def unlocking_replan(spec, goal, failure):
+        policy.unlocked = True
+        return replan(spec, goal, failure)
 
-        def plan(self, spec, goal, state):
-            return self.inner.plan(spec, goal, state)
-
-        def replan(self, spec, goal, failure):
-            policy.unlocked = True
-            return self.inner.replan(spec, goal, failure)
-
-    log = run_episode(kitchen, goal_of("jar.lid_removed"), policy,
-                      rng=RandomSource(8), planner=UnlockingPlanner())
+    monkeypatch.setattr(engine_module, "replan", unlocking_replan)
+    log = run_episode(kitchen, goal_of("jar.lid_removed"), policy, rng=RandomSource(8))
     assert log.status == STATUS_SUCCESS
     assert len(log.replans) == 1
     assert log.replans[0].outcome == "replanned"
     assert log.accepted_steps == 1
 
 
-def test_outside_planner_replan_resumes_at_failed_sid(kitchen):
+def test_replan_resumes_at_failed_sid(kitchen, monkeypatch):
     # a policy that never moves exhausts the inner retries, so the loop asks
-    # the planner to replan; the recovery plan resumes at the failed sid
-    planner = PlainDataPlanner()
+    # the search to replan; the recovery plan resumes at the failed sid
+    failures = []
+
+    def recording_replan(spec, goal, failure):
+        failures.append(failure)
+        return replan(spec, goal, failure)
+
+    monkeypatch.setattr(engine_module, "replan", recording_replan)
     config = LoopConfig(max_outer_replans=1)
     goal = Goal((Literal("cup.stirred", True),))
     log = run_episode(kitchen, goal, FrozenPolicy(kitchen), config=config,
-                      rng=RandomSource(4), planner=planner)
-    assert len(planner.failures) == 1
-    failure = planner.failures[0]
+                      rng=RandomSource(4))
+    assert len(failures) == 1
+    failure = failures[0]
     assert failure.failed_step.sid == 1
     assert failure.goal == goal
     assert failure.feedback_text.startswith("step 1 ")
     assert failure.state == kitchen.initial_state()
     assert [event.at_sid for event in log.replans] == [1]
-    recovery = planner.replan(kitchen, goal, failure)
+    recovery = replan(kitchen, goal, failure)
     assert recovery.steps[0].sid == failure.failed_step.sid
-
-
-def test_outside_planner_and_critic_match_the_builtin_ones(kitchen):
-    # plans and reports rebuilt from plain data drive the same episode and
-    # the same report as the builtin search and critic
-    goal = Goal((Literal("jar.lid_removed", True),))
-    config = LoopConfig()
-    builtin_log = run_episode(
-        kitchen, goal, OraclePolicy(kitchen), config=config,
-        rng=RandomSource(5), planner=SearchPlanner(),
-    )
-    outside_log = run_episode(
-        kitchen, goal, OraclePolicy(kitchen), config=config,
-        rng=RandomSource(5), planner=PlainDataPlanner(),
-        critic=plain_data_critic(config.tau),
-    )
-    assert builtin_log.succeeded and outside_log.succeeded
-    assert outside_log.plan_length == builtin_log.plan_length == 1
-    assert [a.report.scalar for a in outside_log.attempts] == \
-        [a.report.scalar for a in builtin_log.attempts]
-    assert np.array_equal(outside_log.attempts[0].segment.frames,
-                          builtin_log.attempts[0].segment.frames)
-
-    suite = generate_suite(kitchen, seed=11, counts=(3, 2, 1))
-    builtin_report = evaluate_policy(OraclePolicy(kitchen), suite, config=config,
-                                     rng=RandomSource(3))
-    outside_report = evaluate_policy(OraclePolicy(kitchen), suite, config=config,
-                                     rng=RandomSource(3), planner=PlainDataPlanner(),
-                                     critic=plain_data_critic(config.tau))
-    assert outside_report.to_dict() == builtin_report.to_dict()
 
 
 def test_unsolvable_goal_raises(kitchen):
@@ -297,15 +265,18 @@ def test_batched_retries_match_sequential_generate(kitchen):
     assert early > 0 and exhausted > 0
 
 
-def first_retry_critic():
-    """Rejects each step's first try and accepts its first retry."""
+def first_retry_rows():
+    """A row scorer that rejects each step's first try and accepts its first retry."""
     tries = Counter()
 
-    def critic(spec, segment, step):
-        tries[step.sid] += 1
-        return replace(evaluate(spec, segment, step), scalar=float(tries[step.sid] == 2))
+    def rows(spec, frames, steps, weights, tau):
+        reports = []
+        for step, report in zip(steps, evaluate_rows(spec, frames, steps, weights, tau)):
+            tries[step.sid] += 1
+            reports.append(replace(report, scalar=float(tries[step.sid] == 2)))
+        return reports
 
-    return critic
+    return rows
 
 
 def test_divergence_in_an_untaken_batch_row_keeps_the_episode(kitchen, monkeypatch):
@@ -328,7 +299,7 @@ def test_divergence_in_an_untaken_batch_row_keeps_the_episode(kitchen, monkeypat
                 try:
                     outcomes.append(run_episode(kitchen, goal_of("cup.full"), p,
                                                 rng=RandomSource(seed),
-                                                critic=first_retry_critic()))
+                                                rows=first_retry_rows()))
                 except DivergenceError:
                     outcomes.append(None)
         batched, sequential = outcomes
@@ -344,13 +315,13 @@ def test_divergence_in_an_untaken_batch_row_keeps_the_episode(kitchen, monkeypat
     assert kept > 0
 
 
-def run_alone(spec, suite, policy, config, rng, critic=None):
+def run_alone(spec, suite, policy, config, rng, rows=evaluate_rows):
     """Each task's episode by itself, one row at a time; None where it failed."""
     logs = []
     for i, task in enumerate(suite.tasks):
         try:
             logs.append(run_episode(spec, task.goal, SequentialPolicy(policy), config,
-                                    rng=rng.split(i), critic=critic))
+                                    rng=rng.split(i), rows=rows))
         except (NoPlanError, DivergenceError, NumericError):
             logs.append(None)
     return logs
@@ -374,65 +345,41 @@ def test_lockstep_suite_matches_each_episode_alone(kitchen, eta_scale):
             == evaluate_policy(SequentialPolicy(policy), suite, config, rng=rng))
 
 
-def poisoning_critic(instruction):
-    """Accepts every segment for `instruction` and then puts NaN in its last frame,
-    so the next step of that episode has a non-finite condition."""
-    def critic(spec, segment, step):
-        report = evaluate(spec, segment, step)
-        if step.instruction != instruction:
-            return report
-        segment.frames[-1, 0] = np.nan
-        return replace(report, scalar=1.0)
+def poisoning_rows(instruction):
+    """A row scorer that accepts every segment for `instruction` and then puts
+    NaN in its last frame, so the next step of that episode has a non-finite
+    condition."""
+    def rows(spec, frames, steps, weights, tau):
+        reports = evaluate_rows(spec, frames, steps, weights, tau)
+        for i, step in enumerate(steps):
+            if step.instruction == instruction:
+                frames[i][-1, 0] = np.nan
+                reports[i] = replace(reports[i], scalar=1.0)
+        return reports
 
-    return critic
-
-
-def raising_critic(instruction):
-    """Scores one segment at a time, and raises NumericError for `instruction`."""
-    def critic(spec, segment, step):
-        if step.instruction == instruction:
-            raise NumericError(f"no score for {instruction!r}")
-        return evaluate(spec, segment, step)
-
-    return critic
+    return rows
 
 
-@pytest.mark.parametrize("source", ["net", "condition", "critic"])
-def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, source):
+@pytest.mark.parametrize("source", ["net", "condition"])
+def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, monkeypatch, source):
     suite = generate_suite(kitchen, seed=7)
     config = LoopConfig(tau=0.4)
     first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0]
     if source == "net":
-        policy, critic = diverging_policy(kitchen), None
-    elif source == "condition":
-        policy, critic = learned_policy(kitchen), poisoning_critic(first.instruction)
+        policy, rows = diverging_policy(kitchen), evaluate_rows
     else:
-        policy, critic = learned_policy(kitchen), raising_critic(first.instruction)
+        policy, rows = learned_policy(kitchen), poisoning_rows(first.instruction)
     rng = RandomSource(4)
     with np.errstate(over="ignore", invalid="ignore"):
-        lockstep = run_suite(policy, suite, config, critic=critic, rng=rng)
-        alone = run_alone(kitchen, suite, policy, config, rng, critic=critic)
+        alone = run_alone(kitchen, suite, policy, config, rng, rows=rows)
+        monkeypatch.setattr(metrics_module, "evaluate_rows", rows)
+        lockstep = run_suite(policy, suite, config, rng=rng)
     failed = [log is None for log in lockstep]
     assert failed == [log is None for log in alone]
     assert 0 < sum(failed) < len(failed)
     for log, reference in zip(lockstep, alone):
         if log is not None:
             assert_same_episode(log, reference)
-
-
-class RowsSpy:
-    """The builtin critic, recording how many rows each `rows` call scores."""
-
-    def __init__(self, config):
-        self.critic = default_critic(config)
-        self.calls = []
-
-    def __call__(self, spec, segment, step):
-        raise AssertionError("a critic with rows is never called per item")
-
-    def rows(self, spec, frames, steps):
-        self.calls.append(len(steps))
-        return self.critic.rows(spec, frames, steps)
 
 
 def candidates_taken(log):
@@ -447,14 +394,24 @@ def candidates_taken(log):
     return taken
 
 
-def test_lockstep_suite_scores_each_pass_in_one_critic_call(kitchen):
+def test_lockstep_suite_scores_each_pass_in_one_critic_call(kitchen, monkeypatch):
     suite = generate_suite(kitchen, seed=7)
     config = LoopConfig(tau=0.4)
+    weights = CriticWeights(0.3, 0.2, 0.2, 0.2, 0.1)
     policy = learned_policy(kitchen)
-    spy = RowsSpy(config)
-    lockstep = run_suite(policy, suite, config, critic=spy, rng=RandomSource(3))
-    for log, reference in zip(lockstep, run_suite(policy, suite, config, rng=RandomSource(3))):
-        assert_same_episode(log, reference)
+    reference = run_suite(policy, suite, config, rng=RandomSource(3), weights=weights)
+    calls = []
+
+    def spy(spec, frames, steps, weights, tau):
+        calls.append((len(steps), weights, tau))
+        return evaluate_rows(spec, frames, steps, weights, tau)
+
+    monkeypatch.setattr(metrics_module, "evaluate_rows", spy)
+    lockstep = run_suite(policy, suite, config, rng=RandomSource(3), weights=weights)
+    for log, want in zip(lockstep, reference):
+        assert_same_episode(log, want)
+    # every pass scores under the weights given and at the loop's tau
+    assert {(w, tau) for _, w, tau in calls} == {(weights, config.tau)}
     # every running episode has one draw per round; pass j of round r scores
     # the j-th candidate of each episode that takes that many from its draw
     taken = [candidates_taken(log) for log in lockstep]
@@ -462,6 +419,7 @@ def test_lockstep_suite_scores_each_pass_in_one_critic_call(kitchen):
     for r in range(max(len(t) for t in taken)):
         in_round = [t[r] for t in taken if len(t) > r]
         passes.extend(sum(n >= j for n in in_round) for j in range(1, max(in_round) + 1))
-    assert spy.calls == passes
-    assert sum(spy.calls) == sum(len(log.attempts) for log in lockstep)
-    assert len(spy.calls) < sum(spy.calls) / 10
+    rows = [n for n, _, _ in calls]
+    assert rows == passes
+    assert sum(rows) == sum(len(log.attempts) for log in lockstep)
+    assert len(rows) < sum(rows) / 10

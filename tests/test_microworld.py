@@ -18,7 +18,6 @@ from loopwm.microworld import (
     encode_state,
     load_domain,
     reference_segment,
-    state_summary,
 )
 from loopwm.numerics import RandomSource
 from oracles import decode_frame
@@ -266,9 +265,3 @@ def test_reference_segment_requires_preconditions(kitchen):
     state = kitchen.initial_state()
     with pytest.raises(PreconditionError):
         reference_segment(kitchen, state, POUR_TEA)
-
-
-def test_state_summary_is_deterministic(kitchen):
-    s = state_summary(kitchen, kitchen.initial_state())
-    assert s == state_summary(kitchen, kitchen.initial_state())
-    assert "jar.closed" in s and "hand at (0.490, 0.520)" in s

@@ -15,7 +15,6 @@ from loopwm.planner import (
     replan,
     validate_plan,
 )
-from outside import step_from_plain, step_to_plain
 
 
 def goal_of(*texts):
@@ -220,7 +219,7 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
     assert checked >= 80
 
 
-# ------------------------------------------------- plans from goal text and plain data
+# ------------------------------------------------- plans from goal text
 
 
 def jar_goal():
@@ -228,9 +227,7 @@ def jar_goal():
 
 
 def test_goal_text_plans_the_jar_example(kitchen):
-    # the path `loopwm plan "lid removed"` takes: goal text, then the search;
-    # the step rebuilt from plain data, as an outside planner's adapter
-    # would rebuild it, is the same step
+    # the path `loopwm plan "lid removed"` takes: goal text, then the search
     goal = Goal((parse_goal_literal(kitchen, "lid removed"),))
     assert goal == jar_goal()
     sequence = plan(kitchen, goal, kitchen.initial_state())
@@ -242,7 +239,6 @@ def test_goal_text_plans_the_jar_example(kitchen):
     assert step.actions[0].verb == "open"
     assert step.actions[0].objects == ("jar",)
     assert step.actions[0].tool == "hand"
-    assert step_from_plain(kitchen, step_to_plain(step)) == step
 
 
 def test_plan_value_types_reject_malformed_steps(kitchen):
