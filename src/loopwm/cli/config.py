@@ -7,16 +7,17 @@ reproduced from its artifacts alone.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
 
 from ..critic import CriticWeights
 from ..errors import LoopwmError
-from ..grpo import GrpoConfig
+from ..grpo import DEFAULT_CURRICULUM, GrpoConfig
 from ..loop import LoopConfig
 from ..microworld import DomainSpec
+from ..microworld.dynamics import MAX_JITTER
 from ..worldmodel import SamplerConfig
 
 
@@ -26,22 +27,15 @@ class UsageError(Exception):
 
 # Every resolvable knob with its default. File and flag values may only
 # override keys that exist here; anything else is a typo worth rejecting.
+# The sections with a typed config take its defaults. The frame width comes
+# from the domain, so it is no knob, and the curriculum is lists, which
+# yaml.safe_dump writes.
 DEFAULTS: dict = {
     "domain": "kitchen",
     "seed": 0,
     "out": None,
-    "loop": {
-        "tau": 0.7,
-        "k_retries": 3,
-        "max_outer_replans": 2,
-        "max_total_segments": 64,
-    },
-    "sampler": {
-        "k_steps": 10,
-        "eta_scale": 0.3,
-        "delta": 1e-3,
-        "n_frames": 16,
-    },
+    "loop": asdict(LoopConfig()),
+    "sampler": {k: v for k, v in asdict(SamplerConfig()).items() if k != "frame_width"},
     "net": {
         "hidden": 64,
         "depth": 3,
@@ -53,18 +47,9 @@ DEFAULTS: dict = {
         "batch_size": 32,
         "jitter": 0.005,
     },
-    "grpo": {
-        "group_size": 8,
-        "epsilon": 0.2,
-        "beta": 0.01,
-        "delta": 1e-8,
-        "lr": 3e-4,
-        "iterations": 300,
-        "curriculum": [[1, 1], [101, 3], [201, 5]],
-        "reward_dimension": None,
-    },
+    "grpo": {**asdict(GrpoConfig()), "curriculum": [list(e) for e in DEFAULT_CURRICULUM]},
     "critic": {
-        "weights": [0.4, 0.15, 0.2, 0.15, 0.1],
+        "weights": list(CriticWeights().as_dict().values()),
     },
     "bench": {
         "counts": [20, 20, 10],
@@ -111,6 +96,21 @@ class RunConfig:
         if len(weights) != 5:
             raise UsageError(f"critic.weights needs 5 entries, got {len(weights)}")
         return CriticWeights(*[float(w) for w in weights])
+
+    def check_sft(self) -> None:
+        """Reject the `sft` and `net` values that no typed config checks."""
+        sft, net = self.sft, self.net
+        for ok, rule in (
+            (sft["demos"] >= 1, "sft.demos must be >= 1"),
+            (sft["epochs"] >= 0, "sft.epochs must be >= 0"),
+            (sft["lr"] > 0, "sft.lr must be > 0"),
+            (sft["batch_size"] >= 1, "sft.batch_size must be >= 1"),
+            (0 <= sft["jitter"] <= MAX_JITTER, f"sft.jitter must lie in [0, {MAX_JITTER}]"),
+            (net["hidden"] >= 1, "net.hidden must be >= 1"),
+            (net["depth"] >= 0, "net.depth must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(rule)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -164,6 +164,7 @@ def resolve_config(config_path: str | Path | None = None,
         config.loop_config()
         config.grpo_config()
         config.critic_weights()
+        config.check_sft()
     except (LoopwmError, ValueError, TypeError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
     return config

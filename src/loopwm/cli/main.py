@@ -290,8 +290,10 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         state_file = resume_dir / "state.json"
         if not state_file.exists():
             raise UsageError(f"nothing to resume: {state_file} not found")
-        state = json.loads(state_file.read_text())
-        start = int(state["iterations_done"]) + 1
+        try:
+            start = int(json.loads(state_file.read_text())["iterations_done"]) + 1
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed resume state {state_file}: {exc!r}") from exc
         reference = _load_ckpt(resume_dir / "checkpoints" / "reference.ckpt", spec, sampler)
         theta = _load_ckpt(resume_dir / "checkpoints" / "model.ckpt", spec, sampler)
         bundle = PolicyBundle(theta=theta, theta_old=clone_params(theta), reference=reference)
@@ -390,6 +392,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         suite = generate_suite(spec, int(suite_seed), counts=tuple(config.bench["counts"]))
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
+    if len(suite) == 0:
+        raise UsageError(f"bench.counts {config.bench['counts']} give an empty suite")
 
     try:
         loop_config = mode_config(mode, config.loop_config())

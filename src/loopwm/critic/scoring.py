@@ -4,7 +4,8 @@ Every dimension is a deterministic formula over (domain, segment, step); no
 learned component is involved here. Dimension scores live in [0, 1] and the
 scalar is their weighted mean. Feedback tags are emitted exactly when the
 scalar falls below the acceptance threshold, ordered most-severe first
-(ascending dimension score).
+(ascending dimension score). The tags are all the feedback a report gives:
+they pick the revised instruction, and the loop hands them to the replanner.
 
 physical_realism note: the score is the fraction of frames that respect the
 per-frame delta bound (0.25) and the value box [-0.05, 1.05], multiplied by
@@ -16,22 +17,23 @@ feedback loop needs to catch physically broken rollouts.
 Row contract: `score_group` is the one scoring core. It scores G rows of
 one plan step, frames of shape (G, F, C), in one vectorized pass, with
 every reduction taken along a contiguous per-row axis, and returns each
-dimension score and the scalar as a (G,) column. A row's numbers therefore
-do not depend on the other rows. A GRPO group, G segments of one step,
-reads the columns and builds no report. `evaluate_rows` scores G rows, each
-a segment's (F, C) frames with its own plan step, and returns one report
-per row in input order: rows whose steps share (action, pre, post) and
-whose frames share a shape form a group, stacked and scored by the core,
-and each row's report is built from its row of the columns under its own
-step, so two rows of one group that differ only in their instruction (a
-first try and a retry) get the tags and revised instruction each would get
-alone. Every report is bitwise equal to the one that `evaluate_rows` gives
-the row by itself.
+dimension score and the scalar as a (G,) column, with the (G, n) hits of
+the step's pre and post literals. A row's numbers therefore do not depend
+on the other rows. A GRPO group, G segments of one step, reads the columns
+and builds no report. `evaluate_rows` scores G rows, each a segment's
+(F, C) frames with its own plan step, and returns one report per row in
+input order: rows whose steps share (action, pre, post) and whose frames
+share a shape form a group, stacked and scored by the core, and each row's
+report is built from its row of the scores, the scalar and the literal hits
+under its own step, so two rows of one group that differ only in their
+instruction (a first try and a retry) get the tags and revised instruction
+each would get alone. Every report is bitwise equal to the one that
+`evaluate_rows` gives the row by itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,39 +82,17 @@ class CriticWeights:
 DEFAULT_WEIGHTS = CriticWeights()
 
 
-class _Reasons(Mapping):
-    """A report's reason per dimension, formatted when first read.
+@dataclass(frozen=True)
+class CriticReport:
+    """One row's verdict, built once from the row's scores and literal hits.
 
-    Only a replan reads reasons, so most reports never format theirs.
+    The tags, most severe first, are the whole failure record: they pick the
+    revised instruction and the replan's `retry-same` decision. They are
+    empty when the scalar clears tau, and then the revised instruction is
+    the step's own.
     """
 
-    def __init__(self, build):
-        self._build = build
-        self._text: dict[str, str] | None = None
-
-    def _reasons(self) -> dict[str, str]:
-        if self._text is None:
-            self._text = self._build()
-            self._build = None
-        return self._text
-
-    def __getitem__(self, dimension: str) -> str:
-        return self._reasons()[dimension]
-
-    def __iter__(self):
-        return iter(self._reasons())
-
-    def __len__(self) -> int:
-        return len(self._reasons())
-
-    def __repr__(self) -> str:
-        return repr(self._reasons())
-
-
-@dataclass
-class CriticReport:
     scores: dict[str, float]
-    reasons: Mapping[str, str]
     tags: tuple[str, ...]
     revised_instruction: str
     scalar: float
@@ -183,12 +163,11 @@ def _hit_fraction(hits: np.ndarray) -> np.ndarray:
 
 def _interaction(
     spec: DomainSpec, frames: np.ndarray, op: Operator
-) -> tuple[np.ndarray, bool, np.ndarray]:
-    """(scores, applicable, mean window distances) for the contact check."""
-    rows = frames.shape[0]
+) -> tuple[np.ndarray, bool]:
+    """(scores, applicable) for the contact check."""
     actor = spec.acting_entity(op)
     if actor is None:
-        return np.ones(rows), False, np.zeros(rows)
+        return np.ones(frames.shape[0]), False
     w0, w1 = contact_window_frames(op.motion.contact, frames.shape[1])
     window = frames[:, w0 : w1 + 1]
     ax = spec.channel_index[f"{actor}.x"]
@@ -200,7 +179,7 @@ def _interaction(
     else:
         tx, ty = spec.objects[target].position
     dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
-    return _row_mean(dist <= CONTACT_RADIUS), True, _row_mean(dist)
+    return _row_mean(dist <= CONTACT_RADIUS), True
 
 
 def _progress_monotone_fraction(
@@ -222,8 +201,8 @@ def _second_difference_msd(frames: np.ndarray) -> np.ndarray:
     return _row_mean((second * second).reshape(rows, -1))
 
 
-def _realism(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (score, worst_excess). See the module docstring for the severity factor."""
+def _realism(frames: np.ndarray) -> np.ndarray:
+    """Per-row score. See the module docstring for the severity factor."""
     lo, hi = VALUE_BOX
     range_excess = np.maximum(frames - hi, lo - frames).max(axis=2)
     range_excess = np.maximum(range_excess, 0.0)
@@ -235,7 +214,7 @@ def _realism(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     compliant = _row_mean(per_frame_excess <= 0.0)
     worst = per_frame_excess.max(axis=1)
     severity = np.clip(1.0 - worst / MAX_FRAME_DELTA, 0.0, 1.0)
-    return compliant * severity, worst
+    return compliant * severity
 
 
 def evaluate_rows(
@@ -270,8 +249,8 @@ class GroupScores:
 
     `scores` maps each dimension to its column and `scalar` is their
     weighted mean: all a GRPO reward reads. The other fields are what a
-    report's tags and reasons quote: the (G, n) literal hits, with their
-    literals, and the numbers behind each score.
+    report's tags name: whether the contact check applied, and the (G, n)
+    literal hits with their literals.
     """
 
     scores: dict[str, np.ndarray]
@@ -281,11 +260,6 @@ class GroupScores:
     post_hits: np.ndarray
     pre_lits: tuple[Literal, ...]
     pre_hits: np.ndarray
-    pre_fracs: np.ndarray
-    monos: np.ndarray
-    mean_dists: np.ndarray
-    msds: np.ndarray
-    worst_excesses: np.ndarray
 
 
 def score_group(
@@ -312,22 +286,18 @@ def score_group(
     post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
     pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], step.pre)
     goal_scores = _hit_fraction(post_hits)
-    pre_fracs = _hit_fraction(pre_hits)
     monos = _progress_monotone_fraction(frames, step.post, spec)
     mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
-    interactions, applicable, mean_dists = _interaction(spec, frames, op)
-    msds = _second_difference_msd(frames)
-    realisms, worst_excesses = _realism(frames)
+    interactions, applicable = _interaction(spec, frames, op)
     scores = {
-        "action_adherence": (pre_fracs + goal_scores + mono_scores) / 3.0,
+        "action_adherence": (_hit_fraction(pre_hits) + goal_scores + mono_scores) / 3.0,
         "object_interaction": interactions,
         "goal_achievement": goal_scores,
-        "temporal_coherence": coherence_score(msds),
-        "physical_realism": realisms,
+        "temporal_coherence": coherence_score(_second_difference_msd(frames)),
+        "physical_realism": _realism(frames),
     }
     return GroupScores(scores, _weighted_mean(scores, weights), applicable, post_lits,
-                       post_hits, pre_lits, pre_hits, pre_fracs, monos, mean_dists, msds,
-                       worst_excesses)
+                       post_hits, pre_lits, pre_hits)
 
 
 def _score_group(
@@ -339,45 +309,26 @@ def _score_group(
 ) -> list[CriticReport]:
     """One report per row of frames (G, F, C), whose steps share (action, pre, post)."""
     scored = score_group(spec, frames, steps[0], weights)
-    op = spec.find_operator(steps[0].actions[0])
     scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
-    numbers = (scored.scalar, scored.post_hits, scored.pre_hits, scored.pre_fracs, scored.monos,
-               scored.mean_dists, scored.msds, scored.worst_excesses)
-    rows = zip(steps, scores, *(column.tolist() for column in numbers))
+    rows = zip(steps, scores, scored.scalar.tolist(), scored.post_hits.tolist(),
+               scored.pre_hits.tolist())
     return [
-        _report(row_step, op, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
-                post_hits=dict(zip(scored.post_lits, post_hit)),
-                pre_hits=dict(zip(scored.pre_lits, pre_hit)), pre_frac=pre_frac, mono=mono,
-                mean_dist=mean_dist, msd=msd, worst_excess=worst_excess)
-        for (row_step, row_scores, scalar, post_hit, pre_hit, pre_frac, mono, mean_dist, msd,
-             worst_excess) in rows
+        _report(row_step, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
+                dict(zip(scored.post_lits, post_hit)), dict(zip(scored.pre_lits, pre_hit)))
+        for row_step, row_scores, scalar, post_hit, pre_hit in rows
     ]
 
 
 def _report(
     step: PlanStep,
-    op: Operator,
     tau: float,
     applicable: bool,
     scores: dict[str, float],
     scalar: float,
-    *,
     post_hits: dict[Literal, bool],
     pre_hits: dict[Literal, bool],
-    pre_frac: float,
-    mono: float,
-    mean_dist: float,
-    msd: float,
-    worst_excess: float,
 ) -> CriticReport:
-    """Assemble one row's report from its scores and the numbers behind them."""
-    interaction = scores["object_interaction"]
-    goal_score = scores["goal_achievement"]
-    reasons = _Reasons(lambda: _reason_text(
-        op, applicable, post_hits, pre_frac=pre_frac, goal_score=goal_score, mono=mono,
-        interaction=interaction, mean_dist=mean_dist, msd=msd, worst_excess=worst_excess,
-    ))
-
+    """Assemble one row's report from its scores, scalar and literal hits."""
     tags: list[str] = []
     if scalar < tau:
         for lit, ok in pre_hits.items():
@@ -386,7 +337,7 @@ def _report(
         for lit, ok in post_hits.items():
             if not ok:
                 tags.append(f"post-condition-unmet:{lit}")
-        if applicable and interaction < 0.5:
+        if applicable and scores["object_interaction"] < 0.5:
             tags.append("interaction-missed")
         if scores["temporal_coherence"] < 0.5:
             tags.append("incoherent-motion")
@@ -396,46 +347,8 @@ def _report(
             worst_dim = min(DIMENSIONS, key=lambda d: (scores[d], d))
             tags.append(f"low-score:{worst_dim}")
         tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
-
-    report = CriticReport(scores, reasons, tuple(tags), step.instruction, scalar, applicable)
-    report.revised_instruction = revise_instruction(step, report)
-    return report
-
-
-def _reason_text(
-    op: Operator,
-    applicable: bool,
-    post_hits: dict[Literal, bool],
-    *,
-    pre_frac: float,
-    goal_score: float,
-    mono: float,
-    interaction: float,
-    mean_dist: float,
-    msd: float,
-    worst_excess: float,
-) -> dict[str, str]:
-    """One row's reason per dimension, from the numbers its scores came from."""
-    return {
-        "action_adherence": (
-            f"preconditions {pre_frac:.2f} at start, postconditions {goal_score:.2f} at end, "
-            f"progress non-increasing over {mono:.2f} of frames"
-        ),
-        "object_interaction": (
-            f"pose within {CONTACT_RADIUS} of {op.motion.target} for {interaction:.2f} "
-            f"of the contact window (mean distance {mean_dist:.3f})"
-            if applicable
-            else "no motion profile; contact check not applicable"
-        ),
-        "goal_achievement": (
-            f"{sum(post_hits.values())}/{len(post_hits)} post literals hold in the final frame"
-        ),
-        "temporal_coherence": f"mean squared second difference {msd:.5f}",
-        "physical_realism": (
-            f"worst per-frame excess {worst_excess:.3f} beyond delta {MAX_FRAME_DELTA} "
-            f"or box {VALUE_BOX}"
-        ),
-    }
+    ordered = tuple(tags)
+    return CriticReport(scores, ordered, revise_instruction(step, ordered), scalar, applicable)
 
 
 def _clause_for(tag: str, step: PlanStep) -> str:
@@ -457,17 +370,17 @@ def _clause_for(tag: str, step: PlanStep) -> str:
     return "Execute the step more carefully"
 
 
-def revise_instruction(step: PlanStep, report: CriticReport) -> str:
-    """Deterministic template revision; identity when the report carries no tags.
+def revise_instruction(step: PlanStep, tags: Sequence[str]) -> str:
+    """Deterministic template revision; identity when there are no tags.
 
-    Clauses are appended most-severe first (report tags are already ordered);
-    at most two are used and clauses are dropped from the back if the word
-    budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces) would be
-    exceeded. Re-running with an identical report returns the same text.
+    Clauses are appended most-severe first (a report's tags are already
+    ordered); at most two are used and clauses are dropped from the back if
+    the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces)
+    would be exceeded. Re-running with identical tags returns the same text.
     """
-    if not report.tags:
+    if not tags:
         return step.instruction
-    clauses = [_clause_for(t, step) for t in report.tags[:2]]
+    clauses = [_clause_for(t, step) for t in tags[:2]]
     while clauses:
         suffix = " ".join(c + "." for c in clauses)
         if suffix in step.instruction:

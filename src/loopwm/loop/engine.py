@@ -13,7 +13,11 @@ memory) from its own stream: n = 1 for a step's first try, and n = the
 retry budget for `inner_refine`. It is resumed with a draw, which it calls
 once per candidate it takes, with the step that candidate is for (a retry's
 step carries the revised instruction). Where it needs a score it yields a
-`Critique(segment, step)` and is resumed with the critic's report.
+`Critique(segment, step)` and is resumed with the critic's report. When a
+step's retries run out, the best report's tags are the failure record: the
+replanner gets them, and `retry-same` when the step is still symbolically
+valid. The episode log keeps each attempt and each replan; its segment
+count is the number of attempts.
 
 A policy's `fulfil(requests)` turns a list of requests into their draws
 (see `Policy`). `bench.metrics.run_suite` drives the episodes of a suite in
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
-from ..critic import CriticReport, tag_dimension
+from ..critic import CriticReport
 from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
@@ -36,10 +40,6 @@ from ..planner import RETRY_SAME_TAG, FailureContext, Goal, PlanStep, plan, repl
 STATUS_SUCCESS = "success"
 STATUS_PLAN_FAILURE = "plan-failure"
 STATUS_BUDGET = "budget-exhausted"
-
-# a failing attempt must clear this fraction of tau before its report is
-# considered informative enough to seed replanning feedback
-SOFT_FLOOR_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,12 @@ class EpisodeLog:
     status: str = "in-progress"
     attempts: list[AttemptRecord] = field(default_factory=list)
     replans: list[ReplanEvent] = field(default_factory=list)
-    segments_generated: int = 0
     # length of the plan in force at episode end (replans update it)
     plan_length: int = 0
-    accepted_steps: int = 0
+
+    @property
+    def segments_generated(self) -> int:
+        return len(self.attempts)
 
     @property
     def succeeded(self) -> bool:
@@ -155,26 +157,14 @@ def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
 
 
 def _failure_context(goal: Goal, step: PlanStep, best: CriticReport,
-                     remaining: tuple[PlanStep, ...], memory: WorldMemory,
-                     config: LoopConfig) -> FailureContext:
+                     remaining: tuple[PlanStep, ...], memory: WorldMemory) -> FailureContext:
     tags = list(best.tags)
     if memory.state.satisfies(step.pre) and RETRY_SAME_TAG not in tags:
         # the step is still symbolically valid, so the failure was generative;
         # allow the planner to hand the same plan back for a fresh-noise pass
         tags.append(RETRY_SAME_TAG)
-    if best.scalar >= SOFT_FLOOR_FRACTION * config.tau:
-        parts = [f"step {step.sid} peaked at {best.scalar:.2f} below tau={config.tau}"]
-        for tag in best.tags[:2]:
-            reason = best.reasons.get(tag_dimension(tag))
-            if reason:
-                parts.append(reason)
-        feedback = "; ".join(parts)
-    else:
-        feedback = (f"step {step.sid} never came close (best {best.scalar:.2f}); "
-                    "the attempt may be infeasible from the current state")
     return FailureContext(goal=goal, failed_step=step, tags=tuple(tags),
-                          feedback_text=feedback, remaining=remaining,
-                          state=memory.state.copy())
+                          remaining=remaining, state=memory.state.copy())
 
 
 def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
@@ -210,14 +200,12 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
             break
         draw = yield Request(step, memory, rng, 1)
         segment = draw(step)
-        log.segments_generated += 1
         report = yield Critique(segment, step)
         accepted = report.scalar >= config.tau
         log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
                                           segment))
         if accepted:
             memory.advance(step, segment)
-            log.accepted_steps += 1
             i += 1
             continue
 
@@ -225,11 +213,9 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
                      config.max_total_segments - log.segments_generated)
         refined, best, records = yield from inner_refine(step, report, memory, config, rng,
                                                          budget)
-        log.segments_generated += len(records)
         log.attempts.extend(records)
         if refined is not None:
             memory.advance(step, refined)
-            log.accepted_steps += 1
             i += 1
             continue
         if budget < config.k_retries:
@@ -239,7 +225,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
         if replans_used >= config.max_outer_replans:
             status = STATUS_PLAN_FAILURE
             break
-        failure = _failure_context(goal, step, best, tuple(steps[i + 1:]), memory, config)
+        failure = _failure_context(goal, step, best, tuple(steps[i + 1:]), memory)
         replans_used += 1
         try:
             new_sequence = replan(spec, goal, failure)

@@ -122,6 +122,5 @@ class FailureContext:
     goal: Goal
     failed_step: PlanStep
     tags: tuple[str, ...]
-    feedback_text: str
     remaining: tuple[PlanStep, ...]
     state: SymbolicState

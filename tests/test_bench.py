@@ -25,7 +25,7 @@ from loopwm.bench import (
     save_suite,
     verify_suite,
 )
-from loopwm.bench.metrics import MetricReport, MetricRow, load_report
+from loopwm.bench.metrics import load_report
 from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
 from loopwm.critic import DIMENSIONS, CriticReport
 from loopwm.errors import LoopwmError, SuiteError
@@ -294,9 +294,8 @@ def test_interaction_not_applicable_reports_none(kitchen, monkeypatch):
 
     def rows(spec, frames, steps, weights, tau):
         scores = {d: 1.0 for d in DIMENSIONS}
-        return [CriticReport(scores=scores, reasons={d: "" for d in scores}, tags=(),
-                             revised_instruction=step.instruction, scalar=1.0,
-                             contact_applicable=False)
+        return [CriticReport(scores=scores, tags=(), revised_instruction=step.instruction,
+                             scalar=1.0, contact_applicable=False)
                 for step in steps]
 
     monkeypatch.setattr("loopwm.bench.metrics.evaluate_rows", rows)

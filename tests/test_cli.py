@@ -234,6 +234,29 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    (["sft", "--batch-size", "0"], None, "sft.batch_size"),
+    (["sft", "--hidden", "0"], None, "net.hidden"),
+    (["sft", "--depth", "-1"], None, "net.depth"),
+    (["sft", "--demos", "0"], None, "sft.demos"),
+    (["sft", "--lr", "-1"], None, "sft.lr"),
+    (["sft", "--epochs", "-1"], None, "sft.epochs"),
+    (["sft"], "sft: {jitter: 0.03}\n", "sft.jitter"),
+    (["bench", "--oracle", "--counts", "0,0,0"], None, "empty suite"),
+], ids=["batch_size", "hidden", "depth", "demos", "lr", "epochs", "jitter", "empty_suite"])
+def test_bad_sft_values_and_an_empty_suite_exit_2_before_the_run(argv, config, named,
+                                                                   tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)] + SAMPLER) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- suite
 
 def test_suite_command_writes_loadable_suite(tmp_path, capsys):
@@ -490,6 +513,19 @@ def test_grpo_resume_without_state_exits_2(tmp_path, capsys):
     (empty / "config.yaml").write_text(yaml.safe_dump(DEFAULTS))
     assert main(["grpo", "--resume", str(empty), "--out", str(tmp_path / "r")]) == 2
     assert "nothing to resume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", ["{not json", '{"seed": 0}'])
+def test_grpo_resume_with_malformed_state_exits_2_naming_it(state, tmp_path, capsys):
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config.yaml").write_text(yaml.safe_dump(DEFAULTS))
+    (old / "state.json").write_text(state)
+    out = tmp_path / "r"
+    assert main(["grpo", "--resume", str(old), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(old / "state.json") in err
+    assert not out.exists()
 
 
 def _assert_old_config_exits_2(tree, key, sft_small, tmp_path, capsys):

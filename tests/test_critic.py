@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from functools import cache
 
 import numpy as np
@@ -20,6 +20,7 @@ from loopwm.critic.scoring import (
     DIMENSIONS,
     MAX_FRAME_DELTA,
     VALUE_BOX,
+    _second_difference_msd,
     coherence_score,
 )
 from loopwm.microworld import (
@@ -129,26 +130,14 @@ def test_scalar_equals_weighted_mean_on_reports(kitchen):
 
 def test_revise_instruction_empty_tags_is_identity(kitchen):
     step = open_jar_step(kitchen)
-    report = CriticReport({d: 1.0 for d in
-                           ("action_adherence", "object_interaction", "goal_achievement",
-                            "temporal_coherence", "physical_realism")},
-                          {}, (), step.instruction, 1.0, True)
-    assert revise_instruction(step, report) == step.instruction
+    assert revise_instruction(step, ()) == step.instruction
 
 
 def test_revise_instruction_orders_by_severity(kitchen):
     step = open_jar_step(kitchen)
-    scores = {
-        "action_adherence": 0.9,
-        "object_interaction": 0.9,
-        "goal_achievement": 0.5,
-        "temporal_coherence": 0.9,
-        "physical_realism": 0.1,
-    }
     # tags arrive severity-ordered from evaluate: realism (0.1) before goal (0.5)
     tags = ("physics-violation", "post-condition-unmet:jar.lid_removed")
-    report = CriticReport(scores, {}, tags, step.instruction, 0.55, True)
-    text = revise_instruction(step, report)
+    text = revise_instruction(step, tags)
     physics_pos = text.find("Keep every per-frame motion")
     post_pos = text.find("Ensure post-condition 'lid removed'")
     assert 0 < physics_pos < post_pos
@@ -157,12 +146,8 @@ def test_revise_instruction_orders_by_severity(kitchen):
 def test_revise_instruction_idempotent(kitchen):
     step = open_jar_step(kitchen)
     tags = ("post-condition-unmet:jar.lid_removed",)
-    scores = {d: 0.5 for d in
-              ("action_adherence", "object_interaction", "goal_achievement",
-               "temporal_coherence", "physical_realism")}
-    report = CriticReport(scores, {}, tags, step.instruction, 0.5, True)
-    once = revise_instruction(step, report)
-    twice = revise_instruction(step.with_instruction(once), report)
+    once = revise_instruction(step, tags)
+    twice = revise_instruction(step.with_instruction(once), tags)
     assert once == twice
     assert len(once.split()) <= 36
 
@@ -191,7 +176,6 @@ def test_interaction_not_applicable_scores_one():
     report = evaluate(spec, seg, step)
     assert report.scores["object_interaction"] == 1.0
     assert report.contact_applicable is False
-    assert report.reasons["object_interaction"] == "no motion profile; contact check not applicable"
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,17 +384,20 @@ def test_scalar_below_tau_without_a_fault_tags_the_weakest_dimension(kitchen):
     assert strict.revised_instruction != step.instruction
 
 
-def test_reports_have_one_score_and_reason_per_dimension(kitchen):
-    # a report's scalar is the checked weighted mean of its scores, and the
-    # contact check applies to a step with a motion profile
+def test_reports_have_one_score_per_dimension(kitchen):
+    # a report's scalar is the checked weighted mean of its scores, the
+    # contact check applies to a step with a motion profile, and a report is
+    # a record that nothing changes after the critic builds it
     step = open_jar_step(kitchen)
     segment = reference_segment(
         kitchen, kitchen.initial_state(), step.actions[0], rng=RandomSource(1)
     )
     report = evaluate(kitchen, segment, step)
-    assert set(report.scores) == set(report.reasons) == set(DIMENSIONS)
+    assert set(report.scores) == set(DIMENSIONS)
     assert report.scalar == aggregate(report.scores)
     assert report.contact_applicable is True
+    with pytest.raises(FrozenInstanceError):
+        report.tags = ("physics-violation",)
 
 
 
@@ -449,7 +436,7 @@ def frames_with_msd(spec, msd, exact=True):
     s = float(np.sqrt(msd * spec.n_channels))
     for _ in range(64):
         frames[2, -1] = s
-        got = score_group(spec, frames[None], open_jar_step(spec)).msds[0]
+        got = _second_difference_msd(frames[None])[0]
         if got == msd or not exact:
             return frames
         s = np.nextafter(s, np.inf if got < msd else -np.inf)
@@ -465,7 +452,7 @@ def test_core_coherence_equals_coherence_score(kitchen):
                        frames_with_msd(kitchen, 2.0 * COHERENCE_SCALE, exact=False),
                        frames_with_msd(kitchen, 1.0, exact=False)])
     scored = score_group(kitchen, frames, open_jar_step(kitchen))
-    msds = scored.msds.tolist()
+    msds = _second_difference_msd(frames).tolist()
     assert msds[0] == 0.0 and msds[2] == COHERENCE_SCALE
     assert msds[1] < COHERENCE_SCALE < msds[3] < msds[4]
     column = scored.scores["temporal_coherence"].tolist()

@@ -14,7 +14,6 @@ from loopwm.errors import LoopwmError, NumericError
 from loopwm.grpo import (
     GrpoConfig,
     RolloutGroup,
-    TrainingLog,
     compute_advantages,
     curriculum_schedule,
     group_rewards,

@@ -92,12 +92,19 @@ def _bound_imports(tree: ast.Module):
                 yield node.lineno, alias.asname or alias.name.split(".")[0]
 
 
+def _test_trees() -> dict[Path, ast.Module]:
+    """Every module of the tests, parsed, by its path from the repository root."""
+    tests = Path(__file__).parent
+    return {path.relative_to(tests.parent): ast.parse(path.read_text(), str(path))
+            for path in sorted(tests.glob("*.py"))}
+
+
 def test_every_import_is_read():
-    # a name a module imports and never reads is a leftover of deleted code;
-    # package `__init__` modules import names to re-export them, so they are
-    # not checked
+    # a name a module of the package or of the tests imports and never reads
+    # is a leftover of deleted code; package `__init__` modules import names
+    # to re-export them, so they are not checked
     unread = []
-    for path, tree in _package_trees().items():
+    for path, tree in {**_package_trees(), **_test_trees()}.items():
         if path.name == "__init__.py":
             continue
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

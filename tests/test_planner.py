@@ -118,8 +118,7 @@ def test_replan_avoids_failed_first_action(kitchen):
     for step in seq.steps[:-1]:
         state = apply_operator(kitchen, state, step.actions[0])
     failed = seq.steps[-1]  # pour(kettle, cup)
-    failure = FailureContext(goal, failed, ("post-condition-unmet:cup.full",),
-                             "water never reached the cup", (), state)
+    failure = FailureContext(goal, failed, ("post-condition-unmet:cup.full",), (), state)
     recovery = replan(kitchen, goal, failure)
     assert recovery.steps[0].sid == failed.sid
     assert recovery.steps[0].actions[0] != failed.actions[0]
@@ -135,7 +134,7 @@ def test_replan_retry_same_returns_remaining_draft(kitchen):
     for step in seq.steps[:-1]:
         state = apply_operator(kitchen, state, step.actions[0])
     failed = seq.steps[-1]
-    failure = FailureContext(goal, failed, ("retry-same",), "looked like noise", (), state)
+    failure = FailureContext(goal, failed, ("retry-same",), (), state)
     recovery = replan(kitchen, goal, failure)
     assert recovery.steps == (failed,)
 
@@ -150,7 +149,6 @@ def test_replan_skips_step_whose_precondition_is_already_met(kitchen):
     failure = FailureContext(
         goal, failed,
         ("pre-condition-violated:jar.closed",),
-        "jar closed but lid already removed",
         original.steps[1:], state,
     )
     recovery = replan(kitchen, goal, failure)
@@ -167,8 +165,8 @@ def test_replan_renumbers_from_failed_sid(kitchen):
     for step in seq.steps[:2]:
         state = apply_operator(kitchen, state, step.actions[0])
     failed = seq.steps[2]
-    failure = FailureContext(goal, failed, ("low-score:action_adherence",), "",
-                             seq.steps[3:], state)
+    failure = FailureContext(goal, failed, ("low-score:action_adherence",), seq.steps[3:],
+                             state)
     recovery = replan(kitchen, goal, failure)
     assert [s.sid for s in recovery.steps][0] == 3
     sids = [s.sid for s in recovery.steps]
