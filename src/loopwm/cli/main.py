@@ -24,6 +24,7 @@ from pathlib import Path
 
 from ..bench import (
     MODES,
+    PromptSuite,
     compare,
     emit_curves,
     evaluate_policy,
@@ -159,11 +160,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- suite
 
+def _generate(spec: DomainSpec, seed: int, counts) -> PromptSuite:
+    """The suite of `counts` at `seed`; a usage error if it cannot be built or is empty."""
+    try:
+        suite = generate_suite(spec, seed, counts=tuple(counts))
+    except SuiteError as exc:
+        raise UsageError(str(exc)) from exc
+    if len(suite) == 0:
+        raise UsageError(f"bench.counts {counts} give an empty suite")
+    return suite
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
     config = _resolve(args)
     spec = _load_spec(config.domain)
+    suite = _generate(spec, config.seed, config.bench["counts"])
     try:
-        suite = generate_suite(spec, config.seed, counts=tuple(config.bench["counts"]))
         verify_suite(suite)
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
@@ -388,12 +400,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     suite_seed = config.bench["suite_seed"]
     if suite_seed is None:
         suite_seed = config.seed
-    try:
-        suite = generate_suite(spec, int(suite_seed), counts=tuple(config.bench["counts"]))
-    except SuiteError as exc:
-        raise UsageError(str(exc)) from exc
-    if len(suite) == 0:
-        raise UsageError(f"bench.counts {config.bench['counts']} give an empty suite")
+    suite = _generate(spec, int(suite_seed), config.bench["counts"])
 
     try:
         loop_config = mode_config(mode, config.loop_config())

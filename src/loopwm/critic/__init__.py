@@ -7,9 +7,7 @@ from .scoring import (
     CriticWeights,
     GroupScores,
     evaluate_rows,
-    revise_instruction,
     score_group,
-    tag_dimension,
 )
 
 __all__ = [
@@ -21,7 +19,5 @@ __all__ = [
     "DIMENSIONS",
     "GroupScores",
     "evaluate_rows",
-    "revise_instruction",
     "score_group",
-    "tag_dimension",
 ]

@@ -14,18 +14,20 @@ barely reacts to a single hard teleport in a long segment; the severity
 factor makes one large violation collapse the score, which is what the
 feedback loop needs to catch physically broken rollouts.
 
-Row contract: `score_group` is the one scoring core. It scores G rows of
-one plan step, frames of shape (G, F, C), in one vectorized pass, with
-every reduction taken along a contiguous per-row axis, and returns each
-dimension score and the scalar as a (G,) column, with the (G, n) hits of
-the step's pre and post literals. A row's numbers therefore do not depend
-on the other rows. A GRPO group, G segments of one step, reads the columns
-and builds no report. `evaluate_rows` scores G rows, each a segment's
-(F, C) frames with its own plan step, and returns one report per row in
-input order: rows whose steps share (action, pre, post) and whose frames
-share a shape form a group, stacked and scored by the core, and each row's
-report is built from its row of the scores, the scalar and the literal hits
-under its own step, so two rows of one group that differ only in their
+Row contract: every dimension reduces along a contiguous per-row axis, so a
+row's numbers do not depend on the rows it is scored with. `DomainSpec`
+compiles one critic table per operator (`DomainSpec.critic_table`); a step
+whose literals differ from its operator's is scored from a table built for
+it. `score_group` scores G rows of one plan step, frames of shape (G, F, C),
+and returns each dimension score and the scalar as a (G,) column: a GRPO
+group reads them and builds no report. `evaluate_rows` scores G rows, each
+a segment's (F, C) frames with its own plan step, and returns one report
+per row in input order. It stacks the rows of one frame shape once and
+scores temporal coherence and physical realism over the whole stack, then
+the three step-dependent dimensions once per step kind (action, pre, post)
+from its table. Each report takes its tags from the table's feedback and
+its revised instruction from those under its own step's instruction,
+reused within the call, so two rows of one kind that differ only in their
 instruction (a first try and a retry) get the tags and revised instruction
 each would get alone. Every report is bitwise equal to the one that
 `evaluate_rows` gives the row by itself.
@@ -40,7 +42,7 @@ import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
 from ..microworld.frames import DECODE_THRESHOLD
-from ..microworld.types import MAX_INSTRUCTION_WORDS, DomainSpec, Literal, Operator, parse_literal
+from ..microworld.types import MAX_INSTRUCTION_WORDS, CriticTable, DomainSpec
 from ..planner.types import PlanStep
 
 DIMENSIONS = (
@@ -110,23 +112,6 @@ def _weighted_mean(scores: dict[str, float], weights: CriticWeights) -> float:
     return sum(w[d] * scores[d] for d in DIMENSIONS) / total
 
 
-def tag_dimension(tag: str) -> str:
-    """The dimension a feedback tag is charged against."""
-    if tag.startswith("post-condition-unmet:"):
-        return "goal_achievement"
-    if tag.startswith("pre-condition-violated:"):
-        return "action_adherence"
-    if tag == "interaction-missed":
-        return "object_interaction"
-    if tag == "incoherent-motion":
-        return "temporal_coherence"
-    if tag == "physics-violation":
-        return "physical_realism"
-    if tag.startswith("low-score:"):
-        return tag.split(":", 1)[1]
-    return "action_adherence"
-
-
 def coherence_score(msd: float | np.ndarray) -> float | np.ndarray:
     """Map mean squared frame differences to [0, 1]: 1 at zero, 0 from COHERENCE_SCALE up.
 
@@ -140,20 +125,6 @@ def _row_mean(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=-1) / values.shape[-1]
 
 
-def _literal_hits(
-    spec: DomainSpec, frame: np.ndarray, literals: tuple[Literal, ...]
-) -> tuple[tuple[Literal, ...], np.ndarray]:
-    """(distinct literals, (G, n) hits) of the literals in one (G, C) frame per row.
-
-    A predicate channel reads true at DECODE_THRESHOLD and above, ties
-    included.
-    """
-    distinct = tuple(dict.fromkeys(literals))
-    cols = [spec.channel_index[lit.pred] for lit in distinct]
-    values = np.array([lit.value for lit in distinct], dtype=bool)
-    return distinct, (frame[:, cols] >= DECODE_THRESHOLD) == values
-
-
 def _hit_fraction(hits: np.ndarray) -> np.ndarray:
     """Per-row share of hits; 1 for every row when there are no literals."""
     if hits.shape[1] == 0:
@@ -161,35 +132,16 @@ def _hit_fraction(hits: np.ndarray) -> np.ndarray:
     return _row_mean(hits)
 
 
-def _interaction(
-    spec: DomainSpec, frames: np.ndarray, op: Operator
-) -> tuple[np.ndarray, bool]:
-    """(scores, applicable) for the contact check."""
-    actor = spec.acting_entity(op)
-    if actor is None:
-        return np.ones(frames.shape[0]), False
-    w0, w1 = contact_window_frames(op.motion.contact, frames.shape[1])
+def _contact_fraction(contact: tuple | None, frames: np.ndarray) -> np.ndarray:
+    """Per-row share of contact-window frames with the acting entity near the target."""
+    if contact is None:
+        return np.ones(frames.shape[0])
+    (ax, ay), target, moves, fractions, _ = contact
+    w0, w1 = contact_window_frames(fractions, frames.shape[1])
     window = frames[:, w0 : w1 + 1]
-    ax = spec.channel_index[f"{actor}.x"]
-    ay = spec.channel_index[f"{actor}.y"]
-    target = op.motion.target
-    if spec.objects[target].movable:
-        tx = window[:, :, spec.channel_index[f"{target}.x"]]
-        ty = window[:, :, spec.channel_index[f"{target}.y"]]
-    else:
-        tx, ty = spec.objects[target].position
+    tx, ty = (window[:, :, target[0]], window[:, :, target[1]]) if moves else target
     dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
-    return _row_mean(dist <= CONTACT_RADIUS), True
-
-
-def _progress_monotone_fraction(
-    frames: np.ndarray, post: tuple[Literal, ...], spec: DomainSpec
-) -> np.ndarray:
-    """Per-row fraction of consecutive frames whose distance-to-post is non-increasing."""
-    cols = [spec.channel_index[lit.pred] for lit in post]
-    targets = np.array([1.0 if lit.value else 0.0 for lit in post])
-    dist = np.abs(frames[:, :, cols] - targets).sum(axis=2)
-    return _row_mean(np.diff(dist, axis=1) <= _MONO_EPS)
+    return _row_mean(dist <= CONTACT_RADIUS)
 
 
 def _second_difference_msd(frames: np.ndarray) -> np.ndarray:
@@ -217,6 +169,53 @@ def _realism(frames: np.ndarray) -> np.ndarray:
     return compliant * severity
 
 
+def _checked(spec: DomainSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
+    """Check (G, F, C) frames against the domain; return their step-independent columns."""
+    if frames.ndim != 3:
+        raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
+    if frames.shape[2] != spec.n_channels:
+        raise ValueError(
+            f"segment has {frames.shape[2]} channels, domain {spec.name!r} has {spec.n_channels}"
+        )
+    if frames.shape[1] < 2:
+        raise ValueError("segments need at least 2 frames to score")
+    return {"temporal_coherence": coherence_score(_second_difference_msd(frames)),
+            "physical_realism": _realism(frames)}
+
+
+def _table_for(spec: DomainSpec, step: PlanStep) -> CriticTable:
+    """The table of the step's operator, or one built for a step with literals of its own."""
+    i = spec.operator_id(step.actions[0])
+    op = spec.operators[i]
+    if step.pre == op.pre and step.post == op.post:
+        return spec.critic_tables[i]
+    return spec.critic_table(op, step.pre, step.post)
+
+
+def _step_scores(table: CriticTable, frames: np.ndarray):
+    """(step-dependent columns, pre hits, post hits) of (G, F, C) frames of one step kind.
+
+    A predicate channel reads true at DECODE_THRESHOLD and above, ties
+    included.
+    """
+    pre_cols, pre_values, _ = table.pre
+    post_cols, post_values, _ = table.post
+    pre_hits = (frames[:, 0, pre_cols] >= DECODE_THRESHOLD) == pre_values
+    post_hits = (frames[:, -1, post_cols] >= DECODE_THRESHOLD) == post_values
+    cols, targets = table.progress
+    # the fraction of consecutive frames whose distance to the post literals does not grow
+    dist = np.abs(frames[:, :, cols] - targets).sum(axis=2)
+    monos = _row_mean(np.diff(dist, axis=1) <= _MONO_EPS)
+    mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
+    goal_scores = _hit_fraction(post_hits)
+    scores = {
+        "action_adherence": (_hit_fraction(pre_hits) + goal_scores + mono_scores) / 3.0,
+        "object_interaction": _contact_fraction(table.contact, frames),
+        "goal_achievement": goal_scores,
+    }
+    return scores, pre_hits, post_hits
+
+
 def evaluate_rows(
     spec: DomainSpec,
     frames: Sequence[np.ndarray],
@@ -226,20 +225,36 @@ def evaluate_rows(
 ) -> list[CriticReport]:
     """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
 
-    Rows are scored in groups, each report under its own step (see the row
-    contract in the module docstring).
+    Rows are stacked per frame shape and scored per step kind, each report
+    under its own step (see the row contract in the module docstring).
     """
     if len(frames) != len(steps):
         raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
-    groups: dict[tuple, list[int]] = {}
-    for i, (row, step) in enumerate(zip(frames, steps)):
-        groups.setdefault((step.actions[0], step.pre, step.post, np.shape(row)), []).append(i)
+    shapes: dict[tuple, list[int]] = {}
+    for i, row in enumerate(frames):
+        shapes.setdefault(np.shape(row), []).append(i)
     reports: list[CriticReport | None] = [None] * len(steps)
-    for rows in groups.values():
-        block = np.asarray([frames[i] for i in rows], dtype=np.float64)
-        group = _score_group(spec, block, [steps[i] for i in rows], weights, tau)
-        for i, report in zip(rows, group):
-            reports[i] = report
+    revised: dict[tuple, str] = {}
+    for rows in shapes.values():
+        stack = np.asarray([frames[i] for i in rows], dtype=np.float64)
+        columns = {d: np.empty(len(rows)) for d in DIMENSIONS}
+        columns.update(_checked(spec, stack))
+        kinds: dict[tuple, list[int]] = {}
+        for j, i in enumerate(rows):
+            kinds.setdefault((steps[i].actions[0], steps[i].pre, steps[i].post), []).append(j)
+        hits: list[tuple] = [()] * len(rows)
+        for picks in kinds.values():
+            table = _table_for(spec, steps[rows[picks[0]]])
+            scores, pre_hits, post_hits = _step_scores(table, stack[picks])
+            for d, column in scores.items():
+                columns[d][picks] = column
+            for j, pre_hit, post_hit in zip(picks, pre_hits.tolist(), post_hits.tolist()):
+                hits[j] = (table, pre_hit, post_hit)
+        scalars = _weighted_mean(columns, weights).tolist()
+        for i, row_scores, scalar, (table, pre_hit, post_hit) in zip(
+                rows, zip(*(columns[d].tolist() for d in DIMENSIONS)), scalars, hits):
+            reports[i] = _report(steps[i].instruction, table, tau, revised, row_scores, scalar,
+                                 pre_hit, post_hit)
     return reports
 
 
@@ -248,18 +263,11 @@ class GroupScores:
     """The critic's numbers for G rows of one plan step, one (G,) column each.
 
     `scores` maps each dimension to its column and `scalar` is their
-    weighted mean: all a GRPO reward reads. The other fields are what a
-    report's tags name: whether the contact check applied, and the (G, n)
-    literal hits with their literals.
+    weighted mean: all a GRPO reward reads.
     """
 
     scores: dict[str, np.ndarray]
     scalar: np.ndarray
-    applicable: bool
-    post_lits: tuple[Literal, ...]
-    post_hits: np.ndarray
-    pre_lits: tuple[Literal, ...]
-    pre_hits: np.ndarray
 
 
 def score_group(
@@ -270,124 +278,72 @@ def score_group(
 ) -> GroupScores:
     """Score G rows, frames of shape (G, F, C), against one plan step, as columns.
 
-    The one scoring core: `evaluate_rows` builds its reports from these
-    columns, and a GRPO group reads them as they are.
+    The columns are the ones `evaluate_rows` builds its reports from.
     """
-    if frames.ndim != 3:
-        raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
-    if frames.shape[2] != spec.n_channels:
-        raise ValueError(
-            f"segment has {frames.shape[2]} channels, domain {spec.name!r} has {spec.n_channels}"
-        )
-    if frames.shape[1] < 2:
-        raise ValueError("segments need at least 2 frames to score")
-    op = spec.find_operator(step.actions[0])
-
-    post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
-    pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], step.pre)
-    goal_scores = _hit_fraction(post_hits)
-    monos = _progress_monotone_fraction(frames, step.post, spec)
-    mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
-    interactions, applicable = _interaction(spec, frames, op)
-    scores = {
-        "action_adherence": (_hit_fraction(pre_hits) + goal_scores + mono_scores) / 3.0,
-        "object_interaction": interactions,
-        "goal_achievement": goal_scores,
-        "temporal_coherence": coherence_score(_second_difference_msd(frames)),
-        "physical_realism": _realism(frames),
-    }
-    return GroupScores(scores, _weighted_mean(scores, weights), applicable, post_lits,
-                       post_hits, pre_lits, pre_hits)
-
-
-def _score_group(
-    spec: DomainSpec,
-    frames: np.ndarray,
-    steps: list[PlanStep],
-    weights: CriticWeights,
-    tau: float,
-) -> list[CriticReport]:
-    """One report per row of frames (G, F, C), whose steps share (action, pre, post)."""
-    scored = score_group(spec, frames, steps[0], weights)
-    scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
-    rows = zip(steps, scores, scored.scalar.tolist(), scored.post_hits.tolist(),
-               scored.pre_hits.tolist())
-    return [
-        _report(row_step, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
-                dict(zip(scored.post_lits, post_hit)), dict(zip(scored.pre_lits, pre_hit)))
-        for row_step, row_scores, scalar, post_hit, pre_hit in rows
-    ]
+    scores = _checked(spec, frames)
+    scores.update(_step_scores(_table_for(spec, step), frames)[0])
+    return GroupScores(scores, _weighted_mean(scores, weights))
 
 
 def _report(
-    step: PlanStep,
+    instruction: str,
+    table: CriticTable,
     tau: float,
-    applicable: bool,
-    scores: dict[str, float],
+    revised: dict[tuple, str],
+    row_scores: tuple[float, ...],
     scalar: float,
-    post_hits: dict[Literal, bool],
-    pre_hits: dict[Literal, bool],
+    pre_hits: list[bool],
+    post_hits: list[bool],
 ) -> CriticReport:
-    """Assemble one row's report from its scores, scalar and literal hits."""
-    tags: list[str] = []
-    if scalar < tau:
-        for lit, ok in pre_hits.items():
-            if not ok:
-                tags.append(f"pre-condition-violated:{lit}")
-        for lit, ok in post_hits.items():
-            if not ok:
-                tags.append(f"post-condition-unmet:{lit}")
-        if applicable and scores["object_interaction"] < 0.5:
-            tags.append("interaction-missed")
-        if scores["temporal_coherence"] < 0.5:
-            tags.append("incoherent-motion")
-        if scores["physical_realism"] < 0.5:
-            tags.append("physics-violation")
-        if not tags:
-            worst_dim = min(DIMENSIONS, key=lambda d: (scores[d], d))
-            tags.append(f"low-score:{worst_dim}")
-        tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
-    ordered = tuple(tags)
-    return CriticReport(scores, ordered, revise_instruction(step, ordered), scalar, applicable)
+    """Assemble one row's report from its scores (in DIMENSIONS order), scalar and literal hits.
 
-
-def _clause_for(tag: str, step: PlanStep) -> str:
-    if tag.startswith("post-condition-unmet:"):
-        lit = tag.split(":", 1)[1]
-        return f"Ensure post-condition '{parse_literal(lit).render()}' is reached before the segment ends"
-    if tag.startswith("pre-condition-violated:"):
-        lit = tag.split(":", 1)[1]
-        return f"Confirm pre-condition '{parse_literal(lit).render()}' holds at the start"
-    if tag == "interaction-missed":
-        target = step.actions[0].objects[-1]
-        return f"Maintain contact with the {target} during the whole action window"
-    if tag == "incoherent-motion":
-        return "Move smoothly without sudden jumps between frames"
-    if tag == "physics-violation":
-        return "Keep every per-frame motion small and inside the workspace"
-    if tag.startswith("low-score:"):
-        return f"Improve {tag.split(':', 1)[1].replace('_', ' ')}"
-    return "Execute the step more carefully"
-
-
-def revise_instruction(step: PlanStep, tags: Sequence[str]) -> str:
-    """Deterministic template revision; identity when there are no tags.
-
-    Clauses are appended most-severe first (a report's tags are already
-    ordered); at most two are used and clauses are dropped from the back if
-    the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces)
-    would be exceeded. Re-running with identical tags returns the same text.
+    A fault is (its dimension's score, tag, revision clause); the faults
+    sort most severe first. `revised` holds the call's revised instructions.
     """
-    if not tags:
-        return step.instruction
-    clauses = [_clause_for(t, step) for t in tags[:2]]
+    adherence, interaction, goal, coherence, realism = row_scores
+    scores = dict(zip(DIMENSIONS, row_scores))
+    tags = clauses = ()
+    if scalar < tau:
+        faults = [(adherence, *feedback) for feedback, ok in zip(table.pre[2], pre_hits) if not ok]
+        faults += [(goal, *feedback) for feedback, ok in zip(table.post[2], post_hits) if not ok]
+        if table.contact is not None and interaction < 0.5:
+            faults.append((interaction, "interaction-missed", table.contact[4]))
+        if coherence < 0.5:
+            faults.append((coherence, "incoherent-motion",
+                           "Move smoothly without sudden jumps between frames"))
+        if realism < 0.5:
+            faults.append((realism, "physics-violation",
+                           "Keep every per-frame motion small and inside the workspace"))
+        if not faults:
+            worst = min(DIMENSIONS, key=lambda d: (scores[d], d))
+            faults.append((scores[worst], f"low-score:{worst}",
+                           f"Improve {worst.replace('_', ' ')}"))
+        # a tag names its clause, so this is the order of (score, tag)
+        faults.sort()
+        _, tags, clauses = zip(*faults)
+    key = (instruction, clauses[:2])
+    if key not in revised:
+        revised[key] = _revise(*key)
+    return CriticReport(scores, tags, revised[key], scalar, table.contact is not None)
+
+
+def _revise(instruction: str, clauses: tuple[str, ...]) -> str:
+    """Deterministic template revision; identity without clauses.
+
+    The clauses come most severe first, at most two; they are dropped from
+    the back if the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep`
+    enforces) would be exceeded. Revising a revised instruction with the
+    same clauses returns it unchanged.
+    """
+    if not clauses:
+        return instruction
+    clauses = list(clauses)
     while clauses:
         suffix = " ".join(c + "." for c in clauses)
-        if suffix in step.instruction:
-            return step.instruction
-        text = f"{step.instruction} {suffix}"
+        if suffix in instruction:
+            return instruction
+        text = f"{instruction} {suffix}"
         if len(text.split()) <= MAX_INSTRUCTION_WORDS:
             return text
         clauses.pop()
-    words = step.instruction.split()[:MAX_INSTRUCTION_WORDS]
-    return " ".join(words)
+    return " ".join(instruction.split()[:MAX_INSTRUCTION_WORDS])

@@ -125,15 +125,34 @@ class OperatorMasks(NamedTuple):
     post_false: int
 
 
+class CriticTable(NamedTuple):
+    """What the critic reads to score one step kind: its literals and contact geometry.
+
+    `pre` and `post` are (columns, values, feedback) of the distinct
+    literals, the feedback one (tag, revision clause) per literal;
+    `progress` is (columns, 0/1 targets) of every post literal. `contact`
+    is None without a motion profile, else (the acting entity's (x, y)
+    columns, the target's (x, y) columns if it moves or else its position,
+    whether it moves, the contact fractions, the revision clause of a missed
+    contact); the critic derives the contact window per frame count.
+    """
+
+    pre: tuple[np.ndarray, np.ndarray, tuple[tuple[str, str], ...]]
+    post: tuple[np.ndarray, np.ndarray, tuple[tuple[str, str], ...]]
+    progress: tuple[np.ndarray, np.ndarray]
+    contact: tuple | None
+
+
 @dataclass
 class DomainSpec:
     """A validated domain and the tables compiled from it.
 
     Construction checks the symbol references (see `_check_semantics`) and
-    then builds, once, every table that planning, suite generation and
-    conditioning read: predicate bits, per-operator masks in declaration and
-    in search order, the (verb, objects) operator index, the encoded initial
-    frame, and each operator's condition tails. The tables are derived from
+    then builds, once, every table that planning, suite generation,
+    conditioning and the critic read: predicate bits, per-operator masks in
+    declaration and in search order, the (verb, objects) operator index, the
+    encoded initial frame, each operator's condition tails and its critic
+    table (`critic_table` of its own literals). The tables are derived from
     the declared fields, so a spec is never mutated after load.
     """
 
@@ -150,6 +169,7 @@ class DomainSpec:
     search_order: tuple[OperatorMasks, ...] = _table()
     initial_frame: np.ndarray = _table()
     condition_tails: np.ndarray = _table()
+    critic_tables: tuple[CriticTable, ...] = _table()
 
     def __post_init__(self) -> None:
         names = [p for p, _ in self.predicates]
@@ -176,6 +196,36 @@ class DomainSpec:
             np.array([1.0 if v else 0.0 for _, v in self.predicates] + poses, dtype=np.float64)
         )
         self.condition_tails = _read_only(self._condition_tails())
+        self.critic_tables = tuple(self.critic_table(op, op.pre, op.post)
+                                   for op in self.operators)
+
+    def critic_table(self, op: Operator, pre, post) -> CriticTable:
+        """The critic's table of a step of `op` that requires `pre` and `post`."""
+
+        def literals(lits, tag: str, clause: str):
+            distinct = tuple(dict.fromkeys(lits))
+            return (np.array([self.channel_index[lit.pred] for lit in distinct], dtype=np.intp),
+                    np.array([lit.value for lit in distinct], dtype=bool),
+                    tuple((tag + str(lit), clause.format(lit.render())) for lit in distinct))
+
+        def columns(name: str) -> tuple[int, int]:
+            return self.channel_index[f"{name}.x"], self.channel_index[f"{name}.y"]
+
+        contact = None
+        if op.motion is not None:
+            target = self.objects[op.motion.target]
+            contact = (columns(self.acting_entity(op)),
+                       columns(op.motion.target) if target.movable else target.position,
+                       target.movable, op.motion.contact,
+                       f"Maintain contact with the {op.objects[-1]} during the whole action window")
+        return CriticTable(
+            literals(pre, "pre-condition-violated:",
+                     "Confirm pre-condition '{}' holds at the start"),
+            literals(post, "post-condition-unmet:",
+                     "Ensure post-condition '{}' is reached before the segment ends"),
+            (np.array([self.channel_index[lit.pred] for lit in post], dtype=np.intp),
+             np.array([1.0 if lit.value else 0.0 for lit in post])),
+            contact)
 
     def _condition_tails(self) -> np.ndarray:
         """The condition blocks after the frame, shape (n_ops, MAX_NORM_SID, n_ops + d + 1).

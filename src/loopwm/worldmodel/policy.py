@@ -123,28 +123,31 @@ class WorldModelPolicy:
         `block[j, 0]` and its noise `block[j, 1:]`. At eta_scale 0 the block
         is (n, L), the z_inits alone. Each row is sampled under its own
         request's condition, and a request's draw hands out its candidates
-        in turn. A request whose condition cannot be built draws nothing and
-        fails at its first candidate; a row that diverges fails at its own
-        candidate; neither touches the other requests.
+        in turn. The round's conditions are stacked once and repeated to
+        one row per candidate, and the segments are views of one array of
+        the round's final frames (`sample_rows`). A request whose condition
+        cannot be built draws nothing and fails at its first candidate; a
+        row that diverges fails at its own candidate; neither touches the
+        other requests.
         """
         latent, k_steps = self.config.latent_width, self.config.k_steps
         stochastic = self.config.eta_scale > 0.0
         conds, blocks, served = [], [], []
         for request in requests:
             try:
-                cond = embed_condition(self.spec, request.step, request.memory)
+                conds.append(embed_condition(self.spec, request.step, request.memory))
             except LoopwmError as exc:
                 served.append((exc, 0))
                 continue
             shape = (request.n, 1 + k_steps, latent) if stochastic else (request.n, latent)
             blocks.append(request.rng.normal(shape=shape))
-            conds.append(np.broadcast_to(cond, (request.n, cond.size)))
             served.append((None, request.n))
         segments = []
         if blocks:
             block = np.concatenate(blocks)
             z_init, noise = (block[:, 0], block[:, 1:]) if stochastic else (block, None)
-            segments = sample_rows(self.theta, np.concatenate(conds), z_init, self.config, noise)
+            rows = np.repeat(np.stack(conds), [len(b) for b in blocks], axis=0)
+            segments = sample_rows(self.theta, rows, z_init, self.config, noise)
         draws, first = [], 0
         for failure, n in served:
             draws.append(_draw(iter(segments[first:first + n]), failure))

@@ -104,12 +104,6 @@ def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> 
     return -(z - (1.0 - t) * x_pred) / (sigma * sigma)
 
 
-def _to_segment(z: np.ndarray, config: SamplerConfig) -> Segment:
-    # a copy, so a kept segment does not pin the whole batch's final state
-    frames = np.array(z, dtype=np.float64).reshape(config.n_frames, config.frame_width)
-    return Segment(frames=frames)
-
-
 def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
             noise: np.ndarray | None, blocks: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Check the row contract once; return (net inputs, noise).
@@ -263,11 +257,14 @@ def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
 
     Same row contract and the same frames bit for bit, but no transition is
     recorded, and a row whose state goes non-finite comes back as None while
-    the other rows are returned as usual.
+    the other rows are returned as usual. The rows' final states are one
+    new (G, L) array that nothing else holds; read as (G, F, C) frames, each
+    segment is a view of its row, so the round's frames are stored once.
     """
     x, noise = _inputs(theta, cond, z_init, config, noise, 1)
     z, diverged = _denoise(theta, x, config, noise)
-    return [None if diverged[i] else _to_segment(z[i], config) for i in range(z.shape[0])]
+    frames = z.reshape(-1, config.n_frames, config.frame_width)
+    return [None if diverged[i] else Segment(frames[i]) for i in range(frames.shape[0])]
 
 
 def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndarray]:

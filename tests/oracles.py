@@ -16,6 +16,12 @@ oracle for a fast path or a reader or view that only the tests need:
 - `evaluate` scores one segment against its plan step: the one-row
   `evaluate_rows` call, which the critic's row contract and GRPO's group
   scores are checked against;
+- `reference_rows` and `reference_score_group` are the critic as it was
+  before `DomainSpec` compiled its tables: per group, they look up the
+  operator, its acting entity, its literals' channels and the tag and
+  clause texts anew; the package's reports and columns are checked equal
+  to theirs, bit for bit. `revise_instruction` and `tag_dimension` are
+  their tag readers;
 - `aggregate` is the critic's weighted mean with its inputs checked;
 - `load_suite` reads a suite that `save_suite` wrote.
 """
@@ -23,6 +29,8 @@ oracle for a fast path or a reader or view that only the tests need:
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -38,9 +46,28 @@ from loopwm.critic import (
     CriticWeights,
     evaluate_rows,
 )
+from loopwm.critic.scoring import (
+    _MONO_EPS,
+    CONTACT_RADIUS,
+    MONOTONE_FRACTION,
+    _hit_fraction,
+    _realism,
+    _row_mean,
+    _second_difference_msd,
+    _weighted_mean,
+    coherence_score,
+)
 from loopwm.errors import LoopwmError, SuiteError
-from loopwm.microworld import DomainSpec, Literal, Segment, SymbolicState, load_domain
+from loopwm.microworld import (
+    DomainSpec,
+    Literal,
+    Segment,
+    SymbolicState,
+    contact_window_frames,
+    load_domain,
+)
 from loopwm.microworld.frames import DECODE_THRESHOLD
+from loopwm.microworld.types import MAX_INSTRUCTION_WORDS, Operator, parse_literal
 from loopwm.numerics import (
     NetParams,
     Tensor,
@@ -154,6 +181,242 @@ def evaluate(
 ) -> CriticReport:
     """Score one generated segment against its plan step."""
     return evaluate_rows(spec, [segment.frames], [step], weights, tau)[0]
+
+
+def tag_dimension(tag: str) -> str:
+    """The dimension a feedback tag is charged against."""
+    if tag.startswith("post-condition-unmet:"):
+        return "goal_achievement"
+    if tag.startswith("pre-condition-violated:"):
+        return "action_adherence"
+    if tag == "interaction-missed":
+        return "object_interaction"
+    if tag == "incoherent-motion":
+        return "temporal_coherence"
+    if tag == "physics-violation":
+        return "physical_realism"
+    if tag.startswith("low-score:"):
+        return tag.split(":", 1)[1]
+    return "action_adherence"
+
+def _literal_hits(
+    spec: DomainSpec, frame: np.ndarray, literals: tuple[Literal, ...]
+) -> tuple[tuple[Literal, ...], np.ndarray]:
+    """(distinct literals, (G, n) hits) of the literals in one (G, C) frame per row.
+
+    A predicate channel reads true at DECODE_THRESHOLD and above, ties
+    included.
+    """
+    distinct = tuple(dict.fromkeys(literals))
+    cols = [spec.channel_index[lit.pred] for lit in distinct]
+    values = np.array([lit.value for lit in distinct], dtype=bool)
+    return distinct, (frame[:, cols] >= DECODE_THRESHOLD) == values
+
+def _interaction(
+    spec: DomainSpec, frames: np.ndarray, op: Operator
+) -> tuple[np.ndarray, bool]:
+    """(scores, applicable) for the contact check."""
+    actor = spec.acting_entity(op)
+    if actor is None:
+        return np.ones(frames.shape[0]), False
+    w0, w1 = contact_window_frames(op.motion.contact, frames.shape[1])
+    window = frames[:, w0 : w1 + 1]
+    ax = spec.channel_index[f"{actor}.x"]
+    ay = spec.channel_index[f"{actor}.y"]
+    target = op.motion.target
+    if spec.objects[target].movable:
+        tx = window[:, :, spec.channel_index[f"{target}.x"]]
+        ty = window[:, :, spec.channel_index[f"{target}.y"]]
+    else:
+        tx, ty = spec.objects[target].position
+    dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
+    return _row_mean(dist <= CONTACT_RADIUS), True
+
+
+def _progress_monotone_fraction(
+    frames: np.ndarray, post: tuple[Literal, ...], spec: DomainSpec
+) -> np.ndarray:
+    """Per-row fraction of consecutive frames whose distance-to-post is non-increasing."""
+    cols = [spec.channel_index[lit.pred] for lit in post]
+    targets = np.array([1.0 if lit.value else 0.0 for lit in post])
+    dist = np.abs(frames[:, :, cols] - targets).sum(axis=2)
+    return _row_mean(np.diff(dist, axis=1) <= _MONO_EPS)
+
+def reference_rows(
+    spec: DomainSpec,
+    frames: Sequence[np.ndarray],
+    steps: Sequence[PlanStep],
+    weights: CriticWeights = DEFAULT_WEIGHTS,
+    tau: float = DEFAULT_TAU,
+) -> list[CriticReport]:
+    """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
+
+    Rows whose steps share (action, pre, post) and whose frames share a
+    shape form a group, stacked and scored by `reference_score_group`; each
+    report is built under its own step.
+    """
+    if len(frames) != len(steps):
+        raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
+    groups: dict[tuple, list[int]] = {}
+    for i, (row, step) in enumerate(zip(frames, steps)):
+        groups.setdefault((step.actions[0], step.pre, step.post, np.shape(row)), []).append(i)
+    reports: list[CriticReport | None] = [None] * len(steps)
+    for rows in groups.values():
+        block = np.asarray([frames[i] for i in rows], dtype=np.float64)
+        group = _score_group(spec, block, [steps[i] for i in rows], weights, tau)
+        for i, report in zip(rows, group):
+            reports[i] = report
+    return reports
+
+
+@dataclass(frozen=True)
+class ReferenceScores:
+    """The critic's numbers for G rows of one plan step, one (G,) column each.
+
+    `scores` maps each dimension to its column and `scalar` is their
+    weighted mean: all a GRPO reward reads. The other fields are what a
+    report's tags name: whether the contact check applied, and the (G, n)
+    literal hits with their literals.
+    """
+
+    scores: dict[str, np.ndarray]
+    scalar: np.ndarray
+    applicable: bool
+    post_lits: tuple[Literal, ...]
+    post_hits: np.ndarray
+    pre_lits: tuple[Literal, ...]
+    pre_hits: np.ndarray
+
+
+def reference_score_group(
+    spec: DomainSpec,
+    frames: np.ndarray,
+    step: PlanStep,
+    weights: CriticWeights = DEFAULT_WEIGHTS,
+) -> ReferenceScores:
+    """Score G rows, frames of shape (G, F, C), against one plan step, as columns.
+
+    Every call looks up the operator, its acting entity and the channels of
+    its literals anew; `reference_rows` builds its reports from the columns.
+    """
+    if frames.ndim != 3:
+        raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
+    if frames.shape[2] != spec.n_channels:
+        raise ValueError(
+            f"segment has {frames.shape[2]} channels, domain {spec.name!r} has {spec.n_channels}"
+        )
+    if frames.shape[1] < 2:
+        raise ValueError("segments need at least 2 frames to score")
+    op = spec.find_operator(step.actions[0])
+
+    post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
+    pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], step.pre)
+    goal_scores = _hit_fraction(post_hits)
+    monos = _progress_monotone_fraction(frames, step.post, spec)
+    mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
+    interactions, applicable = _interaction(spec, frames, op)
+    scores = {
+        "action_adherence": (_hit_fraction(pre_hits) + goal_scores + mono_scores) / 3.0,
+        "object_interaction": interactions,
+        "goal_achievement": goal_scores,
+        "temporal_coherence": coherence_score(_second_difference_msd(frames)),
+        "physical_realism": _realism(frames),
+    }
+    return ReferenceScores(scores, _weighted_mean(scores, weights), applicable, post_lits,
+                       post_hits, pre_lits, pre_hits)
+
+
+def _score_group(
+    spec: DomainSpec,
+    frames: np.ndarray,
+    steps: list[PlanStep],
+    weights: CriticWeights,
+    tau: float,
+) -> list[CriticReport]:
+    """One report per row of frames (G, F, C), whose steps share (action, pre, post)."""
+    scored = reference_score_group(spec, frames, steps[0], weights)
+    scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
+    rows = zip(steps, scores, scored.scalar.tolist(), scored.post_hits.tolist(),
+               scored.pre_hits.tolist())
+    return [
+        _report(row_step, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
+                dict(zip(scored.post_lits, post_hit)), dict(zip(scored.pre_lits, pre_hit)))
+        for row_step, row_scores, scalar, post_hit, pre_hit in rows
+    ]
+
+
+def _report(
+    step: PlanStep,
+    tau: float,
+    applicable: bool,
+    scores: dict[str, float],
+    scalar: float,
+    post_hits: dict[Literal, bool],
+    pre_hits: dict[Literal, bool],
+) -> CriticReport:
+    """Assemble one row's report from its scores, scalar and literal hits."""
+    tags: list[str] = []
+    if scalar < tau:
+        for lit, ok in pre_hits.items():
+            if not ok:
+                tags.append(f"pre-condition-violated:{lit}")
+        for lit, ok in post_hits.items():
+            if not ok:
+                tags.append(f"post-condition-unmet:{lit}")
+        if applicable and scores["object_interaction"] < 0.5:
+            tags.append("interaction-missed")
+        if scores["temporal_coherence"] < 0.5:
+            tags.append("incoherent-motion")
+        if scores["physical_realism"] < 0.5:
+            tags.append("physics-violation")
+        if not tags:
+            worst_dim = min(DIMENSIONS, key=lambda d: (scores[d], d))
+            tags.append(f"low-score:{worst_dim}")
+        tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
+    ordered = tuple(tags)
+    return CriticReport(scores, ordered, revise_instruction(step, ordered), scalar, applicable)
+
+
+def _clause_for(tag: str, step: PlanStep) -> str:
+    if tag.startswith("post-condition-unmet:"):
+        lit = tag.split(":", 1)[1]
+        return f"Ensure post-condition '{parse_literal(lit).render()}' is reached before the segment ends"
+    if tag.startswith("pre-condition-violated:"):
+        lit = tag.split(":", 1)[1]
+        return f"Confirm pre-condition '{parse_literal(lit).render()}' holds at the start"
+    if tag == "interaction-missed":
+        target = step.actions[0].objects[-1]
+        return f"Maintain contact with the {target} during the whole action window"
+    if tag == "incoherent-motion":
+        return "Move smoothly without sudden jumps between frames"
+    if tag == "physics-violation":
+        return "Keep every per-frame motion small and inside the workspace"
+    if tag.startswith("low-score:"):
+        return f"Improve {tag.split(':', 1)[1].replace('_', ' ')}"
+    return "Execute the step more carefully"
+
+
+def revise_instruction(step: PlanStep, tags: Sequence[str]) -> str:
+    """Deterministic template revision; identity when there are no tags.
+
+    Clauses are appended most-severe first (a report's tags are already
+    ordered); at most two are used and clauses are dropped from the back if
+    the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces)
+    would be exceeded. Re-running with identical tags returns the same text.
+    """
+    if not tags:
+        return step.instruction
+    clauses = [_clause_for(t, step) for t in tags[:2]]
+    while clauses:
+        suffix = " ".join(c + "." for c in clauses)
+        if suffix in step.instruction:
+            return step.instruction
+        text = f"{step.instruction} {suffix}"
+        if len(text.split()) <= MAX_INSTRUCTION_WORDS:
+            return text
+        clauses.pop()
+    words = step.instruction.split()[:MAX_INSTRUCTION_WORDS]
+    return " ".join(words)
 
 
 def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS) -> float:

@@ -312,6 +312,16 @@ operators:
     assert "hard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["kitchen", "workshop"])
+def test_suite_of_zero_counts_exits_2_and_writes_nothing(domain, tmp_path, capsys):
+    # bench refuses these counts; suite refuses them too, before it writes
+    out = tmp_path / "s.json"
+    assert main(["suite", "--domain", domain, "--counts", "0,0,0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "empty suite" in err
+    assert not out.exists()
+
+
 def test_bad_counts_exit_2(tmp_path, capsys):
     assert main(["suite", "--counts", "1,2", "--out", str(tmp_path / "s.json")]) == 2
     assert main(["suite", "--counts", "a,b,c", "--out", str(tmp_path / "s.json")]) == 2

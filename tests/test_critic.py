@@ -11,9 +11,9 @@ from loopwm.critic import (
     CriticReport,
     CriticWeights,
     evaluate_rows,
-    revise_instruction,
     score_group,
 )
+from loopwm.critic import scoring
 from loopwm.critic.scoring import (
     COHERENCE_SCALE,
     CONTACT_RADIUS,
@@ -24,16 +24,26 @@ from loopwm.critic.scoring import (
     coherence_score,
 )
 from loopwm.microworld import (
+    Literal,
     Segment,
     apply_operator,
+    canonical_dict,
     contact_window_frames,
+    domain_from_dict,
     load_domain,
     reference_segment,
 )
 from loopwm.numerics import RandomSource
-from loopwm.planner import Goal, plan
+from loopwm.planner import Goal, PlanStep, plan
 from loopwm.microworld import parse_literal
-from oracles import aggregate, decode_frame, evaluate
+from oracles import (
+    aggregate,
+    decode_frame,
+    evaluate,
+    reference_rows,
+    reference_score_group,
+    revise_instruction,
+)
 
 
 def first_step(kitchen, *goal_lits):
@@ -459,3 +469,130 @@ def test_core_coherence_equals_coherence_score(kitchen):
     assert column == [coherence_score(m) for m in msds]
     assert column[0] == 1.0 and 0.0 < column[1] < 1.0
     assert column[2] == column[3] == column[4] == 0.0
+
+
+# ------------------------------------------------------ tables, pinned bits
+
+
+@cache
+def domain_steps(name):
+    """(spec, (step, state) pairs): the steps of the plans of a small suite, each
+    with the state it starts from."""
+    spec = load_domain(name)
+    pairs = []
+    for task in generate_suite(spec, 0, counts=(6, 6, 3)).tasks:
+        state = task.state
+        for step in plan(spec, task.goal, state).steps:
+            pairs.append((step, state))
+            state = apply_operator(spec, state, step.actions[0])
+    return spec, tuple(pairs)
+
+
+def critique_row(spec, state, step, n_frames, kind, rng):
+    """One segment in [-0.1, 1.1] with some entries snapped to 0 or 1: a jittered
+    demonstration of the step, a random walk, or noise."""
+    if kind == "reference":
+        row = reference_segment(spec, state, step.actions[0], n_frames,
+                                RandomSource(int(rng.integers(1 << 31))), 0.02).frames.copy()
+    elif kind == "walk":
+        start = rng.uniform(0.0, 1.0, size=(1, spec.n_channels))
+        row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, spec.n_channels)), axis=0)
+    else:
+        row = rng.uniform(-0.1, 1.1, size=(n_frames, spec.n_channels))
+    row = np.clip(row, -0.1, 1.1)
+    snap = rng.random(row.shape) < (0.05 if kind == "reference" else 0.3)
+    row[snap] = rng.choice([0.0, 1.0], size=int(snap.sum()))
+    return row
+
+
+def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
+    """The pass's reports, and the columns of each (step kind, frame count)
+    group, equal the reference scorer's bit for bit; returns the reports."""
+    reports = evaluate_rows(spec, frames, steps, tau=tau)
+    wants = reference_rows(spec, frames, steps, tau=tau)
+    assert len(reports) == len(wants) == len(steps)
+    for got, want in zip(reports, wants):
+        assert_reports_equal(got, want)
+        assert bits(got.scalar) == bits(want.scalar)
+        assert {d: bits(v) for d, v in got.scores.items()} == \
+            {d: bits(v) for d, v in want.scores.items()}
+    groups = {}
+    for row, step in zip(frames, steps):
+        groups.setdefault((step.actions[0], step.pre, step.post, row.shape), []).append(row)
+    for (action, pre, post, _), rows in groups.items():
+        step = PlanStep(1, "score the group", (action,), pre, post)
+        got = score_group(spec, np.stack(rows), step)
+        want = reference_score_group(spec, np.stack(rows), step)
+        for d in DIMENSIONS:
+            assert np.array_equal(got.scores[d], want.scores[d]), d
+        assert np.array_equal(got.scalar, want.scalar)
+    return reports
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), domain=st.sampled_from(["kitchen", "workshop"]),
+       tau=st.sampled_from([0.3, 0.7, 0.95]), seed=st.integers(0, 2**32 - 1))
+def test_critique_passes_equal_the_reference_scorer(data, domain, tau, seed):
+    # a pass mixes operators, frame counts, first tries and retries (the
+    # step under the instruction a rejection of its row revised), clean and
+    # broken rows; the tables give the reference's reports and columns
+    spec, pool = domain_steps(domain)
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8, 16]),
+                  st.sampled_from(["reference", "walk", "noise"]), st.booleans()),
+        min_size=1, max_size=16))
+    rng = np.random.default_rng(seed)
+    frames, steps = [], []
+    for (step, state), n_frames, kind, retry in picks:
+        row = critique_row(spec, state, step, n_frames, kind, rng)
+        if retry:
+            rejected = reference_rows(spec, [row], [step], tau=1.5)[0]
+            step = step.with_instruction(rejected.revised_instruction)
+        frames.append(row)
+        steps.append(step)
+    assert_pass_equals_reference(spec, frames, steps, tau)
+
+
+def relaid_kitchen() -> dict:
+    """Kitchen's operators over another channel layout: predicates and objects reversed."""
+    raw = canonical_dict(load_domain("kitchen"))
+    raw["name"] = "kitchen-relaid"
+    raw["predicates"] = dict(reversed(raw["predicates"].items()))
+    raw["objects"] = dict(reversed(raw["objects"].items()))
+    for op in raw["operators"]:
+        for key in ("tool", "motion"):
+            if op[key] is None:
+                del op[key]
+    return raw
+
+
+def test_tables_never_leak_across_specs_or_frame_counts():
+    # two domains in one process share every (verb, objects) operator but
+    # not its channels; scored in turn at F = 8, 16, 8, each gives the
+    # reports of a freshly loaded spec. A step with literals of its own is
+    # scored from a table built for it and leaves the spec's tables as they are
+    kitchen, pairs = domain_steps("kitchen")
+    relaid = domain_from_dict(relaid_kitchen())
+    assert relaid.channels != kitchen.channels
+    assert relaid.operator_ids == kitchen.operator_ids
+    step, state = pairs[0]
+    own = PlanStep(step.sid, step.instruction, step.actions, step.pre[1:],
+                   (*reversed(step.post), Literal(kitchen.predicates[-1][0], False)))
+    steps = [s for s, _ in pairs[:12]] + [own, step.with_instruction("open it now")]
+    tables = {spec.name: spec.critic_tables for spec in (kitchen, relaid)}
+    globals_before = set(vars(scoring))
+    rng = np.random.default_rng(5)
+    for n_frames in (8, 16, 8):
+        frames = [critique_row(kitchen, state, step, n_frames, kind, rng)
+                  for kind in ("reference", "walk", "noise") for _ in range(len(steps) // 3 + 1)]
+        frames = frames[:len(steps)]
+        by_spec = {}
+        for spec, fresh in ((kitchen, load_domain("kitchen")),
+                            (relaid, domain_from_dict(relaid_kitchen()))):
+            by_spec[spec.name] = assert_pass_equals_reference(spec, frames, steps)
+            assert by_spec[spec.name] == evaluate_rows(fresh, frames, steps)
+        assert by_spec[kitchen.name] != by_spec[relaid.name]
+    for spec in (kitchen, relaid):
+        assert spec.critic_tables is tables[spec.name]
+        assert len(spec.critic_tables) == len(spec.operators)
+    assert set(vars(scoring)) == globals_before
