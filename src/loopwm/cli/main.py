@@ -35,7 +35,7 @@ from ..bench import (
     verify_suite,
 )
 from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError
-from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, train
+from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, rollout_k_steps, train
 from ..loop import OraclePolicy
 from ..microworld import DomainSpec, load_domain
 from ..numerics import NetParams, RandomSource, clone_params, net_init
@@ -296,6 +296,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
     grpo_cfg = config.grpo_config()
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
+    rollout_k = rollout_k_steps(sampler.k_steps)
 
     prev_records: list[TrainingRecord] = []
     if resume_dir is not None:
@@ -303,9 +304,18 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         if not state_file.exists():
             raise UsageError(f"nothing to resume: {state_file} not found")
         try:
-            start = int(json.loads(state_file.read_text())["iterations_done"]) + 1
+            state = json.loads(state_file.read_text())
+            start = int(state["iterations_done"]) + 1
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed resume state {state_file}: {exc!r}") from exc
+        # state files written before rollouts halved K carry no rollout_k;
+        # their iterations rolled out at the run's full sampler.k_steps
+        if start > 1 and state.get("rollout_k") != rollout_k:
+            done = (f"at {state['rollout_k']} denoising steps" if "rollout_k" in state
+                    else "at the full --k-steps (the state predates rollout_k)")
+            print(f"warning: iterations 1..{start - 1} of {resume_dir} rolled out {done}; "
+                  f"iterations from {start} roll out at {rollout_k} "
+                  f"(half of --k-steps, rounded up)", file=sys.stderr)
         reference = _load_ckpt(resume_dir / "checkpoints" / "reference.ckpt", spec, sampler)
         theta = _load_ckpt(resume_dir / "checkpoints" / "model.ckpt", spec, sampler)
         bundle = PolicyBundle(theta=theta, theta_old=clone_params(theta), reference=reference)
@@ -322,9 +332,9 @@ def cmd_grpo(args: argparse.Namespace) -> int:
     run_dir = _prepare_run_dir(config, args.out)
     with _run_logging(run_dir):
         _log.info(
-            "grpo: domain=%s seed=%d iterations=%d..%d group=%d goals=%d",
+            "grpo: domain=%s seed=%d iterations=%d..%d group=%d goals=%d rollout_k=%d",
             spec.name, config.seed, start, grpo_cfg.iterations,
-            grpo_cfg.group_size, len(goals),
+            grpo_cfg.group_size, len(goals), rollout_k,
         )
         # resumed runs restart optimizer moments; iteration numbering and the
         # curriculum position carry over through start_iteration
@@ -339,7 +349,8 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             emit_curves(merged, run_dir / "reports" / "curves")
         done = merged.records[-1].iteration if merged.records else start - 1
         (run_dir / "state.json").write_text(
-            json.dumps({"iterations_done": done, "seed": config.seed}, indent=2) + "\n"
+            json.dumps({"iterations_done": done, "seed": config.seed, "rollout_k": rollout_k},
+                       indent=2) + "\n"
         )
         for event in tlog.events:
             _log.info("%s", event)
@@ -484,7 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_sft)
 
-    p = sub.add_parser("grpo", parents=[base, sampler], help="group-relative policy optimization")
+    p = sub.add_parser(
+        "grpo", parents=[base, sampler], help="group-relative policy optimization",
+        description="Group-relative policy optimization from a supervised checkpoint. "
+                    "Rollouts denoise at the train-time K, half of --k-steps rounded up "
+                    "(pass twice the K to roll out at it); the saved checkpoints are "
+                    "evaluated by bench at its own --k-steps.")
     p.add_argument("--checkpoint", help="supervised checkpoint to start from")
     p.add_argument("--resume", help="previous grpo run directory to continue")
     p.add_argument("--iterations", type=int, dest="grpo.iterations")

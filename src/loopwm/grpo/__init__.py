@@ -6,7 +6,7 @@ from .rollout import (
     group_rewards,
     rollout_group,
 )
-from .train import CSV_HEADER, TrainingLog, TrainingRecord, train
+from .train import CSV_HEADER, TrainingLog, TrainingRecord, rollout_k_steps, train
 from .update import (
     ObjectiveTerms,
     grpo_update,
@@ -29,6 +29,7 @@ __all__ = [
     "group_rewards",
     "objective_terms",
     "rollout_group",
+    "rollout_k_steps",
     "surrogate_rows",
     "train",
 ]

@@ -5,11 +5,17 @@ sampling policy is resynced to the live parameters at the top of every
 iteration, and memory always advances with the highest-reward member of each
 group, with no acceptance threshold at training time (the inference loop is
 where the threshold lives).
+
+Rollouts denoise at the train-time K, `rollout_k_steps` of the sampler's K
+(half of it, rounded up), as in Flow-GRPO (arXiv:2505.05470): every group
+and its objective cost scale with that K, while evaluation (`bench`,
+`WorldModelPolicy`) keeps sampling at the sampler's own K. The net is
+trained on continuous t, so one checkpoint serves any K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +32,7 @@ from .config import GrpoConfig, curriculum_schedule
 from .rollout import rollout_group
 from .update import grpo_update
 
-__all__ = ["TrainingLog", "TrainingRecord", "train"]
-
-# bounded goal resampling per iteration; a pool that cannot produce a plan
-# within the curriculum level is a configuration problem, not a retry loop
-_MAX_GOAL_TRIES = 64
+__all__ = ["TrainingLog", "TrainingRecord", "rollout_k_steps", "train"]
 
 CSV_HEADER = (
     "iteration",
@@ -82,39 +84,48 @@ class TrainingLog:
         return write_csv(path, CSV_HEADER, self.rows())
 
 
+def rollout_k_steps(k_steps: int) -> int:
+    """Denoising steps of a GRPO rollout under a sampler of `k_steps`: half, rounded up."""
+    return (k_steps + 1) // 2
+
+
+def _plan_or_none(spec: DomainSpec, goal: Goal) -> PlanSequence | None:
+    try:
+        return plan(spec, goal, spec.initial_state())
+    except NoPlanError:
+        return None
+
+
 def _sample_goal(
-    spec: DomainSpec,
     goals: list[Goal],
+    plans: list[PlanSequence | None],
+    shortest: int | None,
     level: int,
     rng: RandomSource,
     log: TrainingLog,
     iteration: int,
-    plans: dict[int, PlanSequence | None],
 ) -> tuple[Goal, PlanSequence]:
     """Draw pool goals until one plans within `level` steps.
 
-    `plans` memoizes the search's answer per pool index (None for no plan),
-    so each goal is planned once per `train` call. Every draw consumes one
-    random number, and every draw of an unplannable goal logs an event.
+    `plans` holds the search's answer per pool index (None for no plan) and
+    `shortest` the length of the pool's shortest nonempty plan (None when
+    it has none). Every draw consumes one random number, and every draw of
+    an unplannable goal logs an event. A level below `shortest` is an
+    error; at any other level the pool is drawn from until a goal fits,
+    however few fit.
     """
-    for _ in range(_MAX_GOAL_TRIES):
+    if shortest is None or level < shortest:
+        raise LoopwmError(
+            f"no goal in the pool yields a plan of length 1..{level} (iteration {iteration})"
+        )
+    while True:
         index = rng.choice(len(goals))
-        goal = goals[index]
-        if index not in plans:
-            try:
-                plans[index] = plan(spec, goal, spec.initial_state())
-            except NoPlanError:
-                plans[index] = None
         sequence = plans[index]
         if sequence is None:
-            log.events.append(f"iteration {iteration}: no plan for '{goal.text}', resampled")
-            continue
-        if 1 <= len(sequence.steps) <= level:
-            return goal, sequence
-    raise LoopwmError(
-        f"no goal in the pool yields a plan of length 1..{level} "
-        f"after {_MAX_GOAL_TRIES} draws (iteration {iteration})"
-    )
+            log.events.append(
+                f"iteration {iteration}: no plan for '{goals[index].text}', resampled")
+        elif 1 <= len(sequence.steps) <= level:
+            return goals[index], sequence
 
 
 def train(
@@ -130,11 +141,13 @@ def train(
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
-    Each pool goal is planned at most once, by this module's `plan` (the
+    Each pool goal is planned once, up front, by this module's `plan` (the
     search answers the same goal from the same state the same way); every
     group is scored by the programmatic critic under `weights`, and the
     objective recomputes each transition mean with the sampler's `delta`.
-    Zero iterations returns the parameters untouched.
+    Groups are rolled out with `sampler_config` at the train-time K,
+    `rollout_k_steps(sampler_config.k_steps)`; nothing else of the sampler
+    changes. Zero iterations returns the parameters untouched.
 
     `start_iteration` resumes numbering mid-schedule: records and the
     curriculum both use the global iteration count, and iterations before
@@ -147,19 +160,21 @@ def train(
         return bundle.theta, log
     if not goals:
         raise LoopwmError("goal pool is empty")
+    rollout_config = replace(sampler_config, k_steps=rollout_k_steps(sampler_config.k_steps))
     opt_state = opt_init(bundle.theta)
-    plans: dict[int, PlanSequence | None] = {}
+    plans = [_plan_or_none(spec, goal) for goal in goals]
+    shortest = min((len(p.steps) for p in plans if p is not None and p.steps), default=None)
     for iteration in range(start_iteration, grpo_config.iterations + 1):
         level = curriculum_schedule(grpo_config, iteration)
-        goal, sequence = _sample_goal(spec, goals, level, rng, log, iteration, plans)
+        goal, sequence = _sample_goal(goals, plans, shortest, level, rng, log, iteration)
         bundle.sync_old()
         memory = WorldMemory.fresh(spec)
         rewards, adherence, coherence, kls, clips = [], [], [], [], []
         for step in sequence.steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
-                                  sampler_config, grpo_config, rng, weights)
+                                  rollout_config, grpo_config, rng, weights)
             _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state,
-                                              delta=sampler_config.delta)
+                                              delta=rollout_config.delta)
             if terms.skipped:
                 log.events.append(
                     f"iteration {iteration}: update skipped at step {step.sid} "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -459,8 +460,8 @@ def _rows(args, kwargs, result):
 
 def _objective_reads(args, kwargs, result):
     rows = sum(len(m.trace.steps) for m in args[2].members)
-    # group_size x k_steps of the grpo stage below: a layout that miscounts
-    # the objective's rows fails here
+    # group_size x rollout K (half the grpo stage's --k-steps 12 below): a
+    # layout that miscounts the objective's rows fails here
     assert rows == 2 * 6
     return rows, result.dropped
 
@@ -489,7 +490,7 @@ def test_sft_and_grpo_write_the_same_bytes_under_pass_through_wrappers(tmp_path,
                      "--out", str(out / "sft")] + SMALL) == 0
         assert main(["grpo", "--checkpoint", str(out / "sft" / "checkpoints" / "model.ckpt"),
                      "--iterations", "3", "--group-size", "2", "--seed", "7",
-                     "--out", str(out / "grpo")] + SAMPLER) == 0
+                     "--out", str(out / "grpo")] + SAMPLER + ["--k-steps", "12"]) == 0
         return {name: (out / name).read_bytes() for name in (
             "sft/reports/loss.csv", "sft/checkpoints/model.ckpt",
             "grpo/reports/training_log.csv", "grpo/checkpoints/model.ckpt")}
@@ -609,6 +610,82 @@ def test_grpo_unknown_reward_dimension_exits_2_before_the_run(sft_small, tmp_pat
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "'style'" in err
     assert not out.exists()
+
+
+def _rollout_k_logged(run_dir: Path) -> list[str]:
+    return [word for line in (run_dir / "logs" / "events.log").read_text().splitlines()
+            if " grpo: " in line for word in line.split() if word.startswith("rollout_k=")]
+
+
+def test_grpo_records_its_rollout_k_and_warns_when_a_resume_changes_it(
+        sft_small, tmp_path, capsys):
+    ckpt = str(sft_small / "checkpoints" / "model.ckpt")
+    first = tmp_path / "first"
+    assert main(["grpo", "--checkpoint", ckpt, "--iterations", "1", "--group-size", "2",
+                 "--out", str(first)] + SAMPLER) == 0
+    # --k-steps 6: rollouts denoise 3 steps
+    assert json.loads((first / "state.json").read_text())["rollout_k"] == 3
+    assert _rollout_k_logged(first) == ["rollout_k=3"]
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert main(["grpo", "--resume", str(first), "--iterations", "2",
+                 "--out", str(resumed)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert _rollout_k_logged(resumed) == ["rollout_k=3"]
+    # a different K, or a state written before rollouts halved K, is resumed
+    # with a warning on stderr
+    assert main(["grpo", "--resume", str(first), "--iterations", "2", "--k-steps", "12",
+                 "--out", str(tmp_path / "longer")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: iterations 1..1 of")
+    assert "rolled out at 3 denoising steps" in err and "iterations from 2 roll out at 6" in err
+    (first / "state.json").write_text(json.dumps({"iterations_done": 1, "seed": 0}))
+    assert main(["grpo", "--resume", str(first), "--iterations", "2",
+                 "--out", str(tmp_path / "older")]) == 0
+    err = capsys.readouterr().err
+    assert "rolled out at the full --k-steps" in err and "roll out at 3" in err
+    assert json.loads((tmp_path / "older" / "state.json").read_text())["rollout_k"] == 3
+
+
+# sha256 of the artifacts of `_tiny_pipeline` with 6-step rollouts, recorded
+# when grpo rolled out at its full --k-steps (numpy 2.4, OpenBLAS): 6-step
+# rollouts, sft and bench must keep these bytes
+PARENT_DIGESTS = {
+    "sft/reports/loss.csv": "bec1f1a65bdab446b890651c99f15c555f1ba930873e72978f2c05d986fc8ceb",
+    "sft/checkpoints/model.ckpt":
+        "592ad7a2bee89480a40516f17f3bbf9c8899be08b1c48c860e7b906badbacc90",
+    "grpo/reports/training_log.csv":
+        "2a06f146e78589ed4435573cc02999e5bed3ee4b67f4a1837762cd48b6351ce9",
+    "grpo/checkpoints/model.ckpt":
+        "399f00d271df7d5c21d05244275af598f6688091e771abfb352ada3f1d7bf0bb",
+    "bench/reports/report.json":
+        "46ff8e364f489fd0a9768b6022f9275ca2f1092881a5d8b7a8d7f68c58a6712b",
+}
+
+
+def _tiny_pipeline(out: Path, grpo_flags: list[str]) -> dict[str, str]:
+    ckpt = str(out / "sft" / "checkpoints" / "model.ckpt")
+    assert main(["sft", "--demos", "24", "--epochs", "3", "--seed", "5",
+                 "--out", str(out / "sft")] + SMALL) == 0
+    assert main(["grpo", "--checkpoint", ckpt, "--iterations", "3", "--group-size", "2",
+                 "--seed", "7", "--out", str(out / "grpo")] + SAMPLER + grpo_flags) == 0
+    assert main(["bench", "--checkpoint", ckpt, "--counts", "2,1,1", "--seed", "3",
+                 "--out", str(out / "bench")] + SAMPLER) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PARENT_DIGESTS}
+
+
+def test_full_k_rollouts_sft_and_bench_keep_their_bytes(tmp_path):
+    # --k-steps 12 rolls out at 6 steps, as --k-steps 6 did before
+    full = _tiny_pipeline(tmp_path / "full", ["--k-steps", "12"])
+    assert full == PARENT_DIGESTS
+    # the default rolls out at 3 steps: sft and bench are untouched, the
+    # grpo run differs
+    half = _tiny_pipeline(tmp_path / "half", [])
+    grpo = {"grpo/reports/training_log.csv", "grpo/checkpoints/model.ckpt"}
+    assert {k: v for k, v in half.items() if k not in grpo} == \
+        {k: v for k, v in full.items() if k not in grpo}
+    assert all(half[k] != full[k] for k in grpo)
 
 
 # ---------------------------------------------------------------- bench

@@ -20,6 +20,7 @@ from loopwm.grpo import (
     grpo_update,
     objective_terms,
     rollout_group,
+    rollout_k_steps,
     surrogate_rows,
     train,
 )
@@ -126,6 +127,10 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(LoopwmError):
             GrpoConfig(**bad)
+
+
+def test_rollout_k_is_half_the_sampler_k_rounded_up():
+    assert [rollout_k_steps(k) for k in (1, 2, 5, 9, 10, 20)] == [1, 1, 3, 5, 5, 10]
 
 
 def test_config_rejects_bad_curricula():
@@ -806,6 +811,21 @@ def test_train_plans_each_pool_goal_once(kitchen, monkeypatch):
     assert plain_log.events == log.events
 
 
+def test_train_draws_until_a_goal_fits_however_few_do(kitchen):
+    # at seed 1 the one fitting goal of 100 first comes up on draw 82, past
+    # any fixed bound on the draws; a pool where no goal fits is an error
+    sampler = kitchen_sampler(kitchen, k_steps=2)
+    config = GrpoConfig(iterations=1, group_size=2, curriculum=((1, 1),))
+    bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
+    rng = RecordingSource(1)
+    _, log = train(bundle, kitchen, [goal_of("cup.full")] * 99 + [goal_of("kettle.grasped")],
+                   sampler, config, rng)
+    assert len(log.records) == 1
+    assert len(rng.choices) == 82 and rng.choices[-1] == 99 and 99 not in rng.choices[:-1]
+    with pytest.raises(LoopwmError, match=r"plan of length 1\.\.1 \(iteration 1\)"):
+        train(bundle, kitchen, [goal_of("cup.full")], sampler, config, RandomSource(0))
+
+
 def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
     # theta equals theta_old at an iteration's first update, so every ratio
     # is 1 exactly when the objective recomputes the sampler's own means
@@ -817,7 +837,8 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
         return terms
 
     monkeypatch.setattr("loopwm.grpo.update.objective_terms", spy)
-    sampler = replace(kitchen_sampler(kitchen, k_steps=4, n_frames=4), delta=0.5)
+    # rollouts at half the sampler's K, so each member has 4 transitions
+    sampler = replace(kitchen_sampler(kitchen, k_steps=8, n_frames=4), delta=0.5)
     theta = net_init(velocity_net_sizes(kitchen, sampler, hidden=16, depth=2),
                      RandomSource(5))
     config = GrpoConfig(iterations=1, group_size=4, curriculum=((1, 1),))
@@ -825,6 +846,45 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
           config, RandomSource(8))
     assert seen and seen[0].ratios.size == 16
     np.testing.assert_allclose(seen[0].ratios, 1.0, rtol=0, atol=1e-9)
+
+
+def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
+    # a group denoises ceil(K/2) steps of the sampler's K, and the
+    # objective's forwards and backward read G*ceil(K/2) rows
+    goals = [goal_of("kettle.grasped")]
+    config = GrpoConfig(iterations=2, group_size=3, curriculum=((1, 1),))
+
+    def run(sampler):
+        groups, backward_rows = [], []
+
+        def rollout_spy(*args, **kwargs):
+            groups.append(rollout_group(*args, **kwargs))
+            return groups[-1]
+
+        def backward_spy(params, acts, out_grad):
+            backward_rows.append(out_grad.shape[0])
+            return net_backward_batch(params, acts, out_grad)
+
+        bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("loopwm.grpo.train"), "rollout_group",
+                          rollout_spy)
+            patch.setattr("loopwm.grpo.update.net_backward_batch", backward_spy)
+            train(bundle, kitchen, goals, sampler, config, RandomSource(6))
+        return groups, backward_rows
+
+    for k_steps, rollout_k in ((5, 3), (10, 5), (4, 2)):
+        sampler = kitchen_sampler(kitchen, k_steps=k_steps, n_frames=3)
+        groups, backward_rows = run(sampler)
+        assert len(groups) == 2
+        for group in groups:
+            assert group.trace.steps.shape[:2] == (3, rollout_k)
+            assert group.trace.z_next.shape == (3, rollout_k, sampler.latent_width)
+            assert group.frames.shape == (3, sampler.n_frames, sampler.frame_width)
+            # the rollout's time grid is t = 1 - k/K'
+            np.testing.assert_allclose(group.trace.steps[0, :, sampler.latent_width],
+                                       1.0 - np.arange(rollout_k) / rollout_k)
+        assert backward_rows == [3 * rollout_k] * 2
 
 
 def test_tied_groups_are_logged(kitchen, monkeypatch):

@@ -6,10 +6,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwm.errors import DomainError, PreconditionError
+from loopwm.errors import DomainError, NumericError, PreconditionError
 from loopwm.microworld import (
     BUILTIN_DOMAINS,
     ActionBinding,
+    Segment,
     SymbolicState,
     apply_operator,
     contact_window_frames,
@@ -204,6 +205,17 @@ def test_moving_target_position_read_before_motion(kitchen):
     out = apply_operator(kitchen, state, POUR_WATER)
     assert (out.poses["kettle.x"], out.poses["kettle.y"]) == kitchen.objects["cup"].position
     assert (out.poses["hand.x"], out.poses["hand.y"]) == kitchen.objects["cup"].position
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_segment_rejects_nonfinite_frames(bad):
+    frames = np.zeros((3, 2))
+    frames[1, 0] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        Segment(frames)
+    with pytest.raises(NumericError, match="non-finite"):
+        Segment(frames.tolist())
+    assert np.array_equal(Segment([[0, 1], [2, 3]]).frames, [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_contact_window_frames_default():
