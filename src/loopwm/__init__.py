@@ -3,10 +3,10 @@
 Subpackages:
     numerics    float64 MLP, Adam, Gaussian log-densities, splittable RNG
     microworld  symbolic domains, frame encoding, demonstration segments
-    planner     breadth-first symbolic planning and replanning
+    planner     breadth-first symbolic planning
     critic      programmatic segment scoring
     worldmodel  conditional flow model, ODE/SDE samplers, flow-matching SFT
-    loop        episode engine with inner retries and outer replanning
+    loop        episode engine: inner retries, then outer passes over the same step
     grpo        group-relative policy optimization over denoise trajectories
     bench       task suites, evaluation metrics, comparisons, curves
 """

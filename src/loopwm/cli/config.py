@@ -127,6 +127,19 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(tree: dict, defaults: dict, path: str = "") -> None:
+    """Reject a non-integer value for every key whose default is an integer."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            _check_integers(tree[key], default, path + key + ".")
+        elif _is_int(default) and not _is_int(tree[key]):
+            raise UsageError(f"config key {path + key!r} must be an integer, got {tree[key]!r}")
+
+
 def _set_path(tree: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     node = tree
@@ -159,6 +172,7 @@ def resolve_config(config_path: str | Path | None = None,
     for dotted, value in (overrides or {}).items():
         if value is not None:
             _set_path(tree, dotted, value)
+    _check_integers(tree, DEFAULTS)
     config = RunConfig(**tree)
     try:
         config.loop_config()

@@ -5,7 +5,8 @@ learned component is involved here. Dimension scores live in [0, 1] and the
 scalar is their weighted mean. Feedback tags are emitted exactly when the
 scalar falls below the acceptance threshold, ordered most-severe first
 (ascending dimension score). The tags are all the feedback a report gives:
-they pick the revised instruction, and the loop hands them to the replanner.
+they pick the revised instruction, and the loop records the best report's
+tags for each outer pass, which starts the same step again.
 
 physical_realism note: the score is the fraction of frames that respect the
 per-frame delta bound (0.25) and the value box [-0.05, 1.05], multiplied by
@@ -89,7 +90,8 @@ class CriticReport:
     """One row's verdict, built once from the row's scores and literal hits.
 
     The tags, most severe first, are the whole failure record: they pick the
-    revised instruction and the replan's `retry-same` decision. They are
+    revised instruction, and the best report's tags are recorded when the
+    loop starts a step again after its retries run out. They are
     empty when the scalar clears tau, and then the revised instruction is
     the step's own.
     """

@@ -2,7 +2,6 @@
 
 from ..memory import WorldMemory
 from .engine import (
-    STATUS_BUDGET,
     STATUS_PLAN_FAILURE,
     STATUS_SUCCESS,
     AttemptRecord,
@@ -25,7 +24,6 @@ __all__ = [
     "Policy",
     "ReplanEvent",
     "Request",
-    "STATUS_BUDGET",
     "STATUS_PLAN_FAILURE",
     "STATUS_SUCCESS",
     "WorldMemory",

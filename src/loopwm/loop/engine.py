@@ -1,23 +1,24 @@
-"""Closed-loop episode driver: plan, generate, critique, refine, replan.
+"""Closed-loop episode driver: plan, generate, critique, retry.
 
 Control flow per step: generate a segment, score it, accept into memory at
 scalar >= tau. A rejection triggers the inner loop (revised instruction and
-fresh noise, up to k_retries). Inner exhaustion triggers the outer loop:
-replan from the simulated state, at most max_outer_replans times per
-episode. Accepted history is never revisited.
+fresh noise, up to k_retries). When the retries run out, the outer loop
+starts the same step again: a fresh first try plus k_retries more, at most
+max_outer_replans times per episode, each time recording the best report's
+tags. The plan is fixed at the start: memory advances by applying each
+accepted step's operator, so a failed step's preconditions still hold and
+the plan from the initial state stays the plan. An episode therefore makes
+at most (plan length + max_outer_replans) * (1 + k_retries) attempts.
 
-An episode is one generator, `episode`, that plans with the breadth-first
-search (`plan`, `replan`) and calls neither the policy nor the critic. Where
-it needs segments it yields a `Request` for n candidates of one (step,
-memory) from its own stream: n = 1 for a step's first try, and n = the
-retry budget for `inner_refine`. It is resumed with a draw, which it calls
+An episode is one generator, `episode`, that plans once with the
+breadth-first search (`plan`) and calls neither the policy nor the critic.
+Where it needs segments it yields a `Request` for n candidates of one
+(step, memory) from its own stream: n = 1 for a step's first try, and
+n = k_retries for `inner_refine`. It is resumed with a draw, which it calls
 once per candidate it takes, with the step that candidate is for (a retry's
 step carries the revised instruction). Where it needs a score it yields a
-`Critique(segment, step)` and is resumed with the critic's report. When a
-step's retries run out, the best report's tags are the failure record: the
-replanner gets them, and `retry-same` when the step is still symbolically
-valid. The episode log keeps each attempt and each replan; its segment
-count is the number of attempts.
+`Critique(segment, step)` and is resumed with the critic's report. The
+episode log keeps each attempt and each outer pass.
 
 A policy's `fulfil(requests)` turns a list of requests into their draws
 (see `Policy`). `bench.metrics.run_suite` drives the episodes of a suite in
@@ -31,15 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator
 
 from ..critic import CriticReport
-from ..errors import LoopwmError, NoPlanError
+from ..errors import LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment
 from ..numerics import RandomSource
-from ..planner import RETRY_SAME_TAG, FailureContext, Goal, PlanStep, plan, replan
+from ..planner import Goal, PlanStep, plan
 
 STATUS_SUCCESS = "success"
 STATUS_PLAN_FAILURE = "plan-failure"
-STATUS_BUDGET = "budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,12 @@ class LoopConfig:
     tau: float = 0.7
     k_retries: int = 3
     max_outer_replans: int = 2
-    max_total_segments: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise LoopwmError(f"tau must lie in (0, 1), got {self.tau}")
         if self.k_retries < 0 or self.max_outer_replans < 0:
             raise LoopwmError("retry and replan budgets must be >= 0")
-        if self.max_total_segments < 1:
-            raise LoopwmError("max_total_segments must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,10 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class ReplanEvent:
+    """One outer pass: the step started again and its best report's tags."""
+
     at_sid: int
     tags: tuple[str, ...]
-    outcome: str  # "replanned" | "no-plan"
-    new_length: int
 
 
 @dataclass
@@ -85,12 +82,7 @@ class EpisodeLog:
     status: str = "in-progress"
     attempts: list[AttemptRecord] = field(default_factory=list)
     replans: list[ReplanEvent] = field(default_factory=list)
-    # length of the plan in force at episode end (replans update it)
     plan_length: int = 0
-
-    @property
-    def segments_generated(self) -> int:
-        return len(self.attempts)
 
     @property
     def succeeded(self) -> bool:
@@ -121,26 +113,24 @@ Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
 
 
 def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
-                 config: LoopConfig, rng: RandomSource,
-                 budget: int) -> Generator[Request | Critique, Draw | CriticReport,
-                                           tuple[Segment | None, CriticReport,
-                                                 list[AttemptRecord]]]:
+                 config: LoopConfig, rng: RandomSource
+                 ) -> Generator[Request | Critique, Draw | CriticReport,
+                                tuple[Segment | None, CriticReport, list[AttemptRecord]]]:
     """Retry a rejected step with revised instructions and fresh noise.
 
     Returns (accepted segment or None, best report seen, attempt records).
-    ``budget`` already accounts for both k_retries and the episode's segment
-    budget; zero means fail immediately without generating. Otherwise it
-    yields one request for ``budget`` candidates and takes them in turn,
+    With k_retries = 0 it fails at once without generating. Otherwise it
+    yields one request for k_retries candidates and takes them in turn,
     each for the step with the instruction the last report revised, and
     yields a `Critique` for each candidate it takes.
     """
     best = report
     records: list[AttemptRecord] = []
-    if budget < 1:
+    if config.k_retries < 1:
         return None, best, records
     current = report
-    draw = yield Request(step, memory, rng, budget)
-    for attempt in range(1, budget + 1):
+    draw = yield Request(step, memory, rng, config.k_retries)
+    for attempt in range(1, config.k_retries + 1):
         retry_step = step
         if current.revised_instruction != step.instruction:
             retry_step = step.with_instruction(current.revised_instruction)
@@ -156,88 +146,46 @@ def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
     return None, best, records
 
 
-def _failure_context(goal: Goal, step: PlanStep, best: CriticReport,
-                     remaining: tuple[PlanStep, ...], memory: WorldMemory) -> FailureContext:
-    tags = list(best.tags)
-    if memory.state.satisfies(step.pre) and RETRY_SAME_TAG not in tags:
-        # the step is still symbolically valid, so the failure was generative;
-        # allow the planner to hand the same plan back for a fresh-noise pass
-        tags.append(RETRY_SAME_TAG)
-    return FailureContext(goal=goal, failed_step=step, tags=tuple(tags),
-                          remaining=remaining, state=memory.state.copy())
-
-
 def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
             rng: RandomSource | None = None) -> Episode:
-    """One closed-loop episode, run to success, plan failure, or budget end.
+    """One closed-loop episode, run to success or plan failure.
 
     Yields a `Request` wherever it needs segments and expects the request's
     draw back, and a `Critique` wherever it needs a score and expects the
-    report back; returns the `EpisodeLog`. It plans with this module's `plan`
-    and `replan`, looked up when called. An unsolvable goal raises
-    NoPlanError up front; a failed replan mid-episode is recorded as a replan
-    event and ends the episode as a plan failure.
+    report back; returns the `EpisodeLog`. It plans once with this module's
+    `plan`, looked up when called; an unsolvable goal raises NoPlanError up
+    front. A step whose retries run out is started again while outer passes
+    remain, and otherwise ends the episode as a plan failure.
     """
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
 
-    sequence = plan(spec, goal, spec.initial_state())
+    steps = plan(spec, goal, spec.initial_state()).steps
     memory = WorldMemory.fresh(spec)
-    log = EpisodeLog(goal=goal, plan_length=len(sequence.steps))
+    log = EpisodeLog(goal=goal, plan_length=len(steps))
 
-    steps = list(sequence.steps)
     i = 0
-    replans_used = 0
-    status = None
-    while status is None:
-        if i >= len(steps):
-            status = STATUS_SUCCESS if memory.state.satisfies(goal.literals) \
-                else STATUS_PLAN_FAILURE
-            break
+    while i < len(steps):
         step = steps[i]
-        if log.segments_generated >= config.max_total_segments:
-            status = STATUS_BUDGET
-            break
         draw = yield Request(step, memory, rng, 1)
         segment = draw(step)
         report = yield Critique(segment, step)
         accepted = report.scalar >= config.tau
         log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
                                           segment))
-        if accepted:
-            memory.advance(step, segment)
-            i += 1
-            continue
+        if not accepted:
+            segment, best, records = yield from inner_refine(step, report, memory, config,
+                                                             rng)
+            log.attempts.extend(records)
+            if segment is None:
+                if len(log.replans) >= config.max_outer_replans:
+                    log.status = STATUS_PLAN_FAILURE
+                    return log
+                log.replans.append(ReplanEvent(step.sid, best.tags))
+                continue
+        memory.advance(step, segment)
+        i += 1
 
-        budget = min(config.k_retries,
-                     config.max_total_segments - log.segments_generated)
-        refined, best, records = yield from inner_refine(step, report, memory, config, rng,
-                                                         budget)
-        log.attempts.extend(records)
-        if refined is not None:
-            memory.advance(step, refined)
-            i += 1
-            continue
-        if budget < config.k_retries:
-            status = STATUS_BUDGET
-            break
-
-        if replans_used >= config.max_outer_replans:
-            status = STATUS_PLAN_FAILURE
-            break
-        failure = _failure_context(goal, step, best, tuple(steps[i + 1:]), memory)
-        replans_used += 1
-        try:
-            new_sequence = replan(spec, goal, failure)
-        except NoPlanError:
-            log.replans.append(ReplanEvent(step.sid, failure.tags, "no-plan", 0))
-            status = STATUS_PLAN_FAILURE
-            break
-        log.replans.append(ReplanEvent(step.sid, failure.tags, "replanned",
-                                       len(new_sequence.steps)))
-        steps = steps[:i] + list(new_sequence.steps)
-        # keep plan_length honest: it reports the plan in force at episode end
-        log.plan_length = len(steps)
-
-    log.status = status
+    # memory applies the plan's operators, so it now satisfies the goal
+    log.status = STATUS_SUCCESS
     return log

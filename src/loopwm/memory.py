@@ -24,16 +24,12 @@ class WorldMemory:
 
     spec: DomainSpec
     state: SymbolicState
-    # final frame of the most recent accepted segment
+    # final frame of the most recent accepted segment; None until one is accepted
     frame: np.ndarray | None = None
 
     @classmethod
-    def fresh(cls, spec: DomainSpec, state: SymbolicState | None = None) -> "WorldMemory":
-        return cls(spec=spec, state=state.copy() if state is not None else spec.initial_state())
-
-    def last_frame(self) -> np.ndarray | None:
-        """Final frame of the most recent accepted segment, or None when empty."""
-        return self.frame
+    def fresh(cls, spec: DomainSpec) -> "WorldMemory":
+        return cls(spec=spec, state=spec.initial_state())
 
     def advance(self, step: PlanStep, segment: Segment) -> None:
         """Accept `segment` for `step`: apply the step's operator to the state."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from ..microworld.types import ActionBinding, DomainSpec, Literal, SymbolicState
+from ..microworld.types import ActionBinding, DomainSpec, Literal
 from ..microworld.types import MAX_INSTRUCTION_WORDS
 
 
@@ -105,22 +105,3 @@ class PlanSequence:
 
     def __iter__(self):
         return iter(self.steps)
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    first_violation: tuple[int, Literal] | None
-    goal_satisfied: bool | None
-    final_state: SymbolicState
-
-
-@dataclass
-class FailureContext:
-    """Everything the replanner gets to see after inner retries are exhausted."""
-
-    goal: Goal
-    failed_step: PlanStep
-    tags: tuple[str, ...]
-    remaining: tuple[PlanStep, ...]
-    state: SymbolicState

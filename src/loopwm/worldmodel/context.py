@@ -33,10 +33,10 @@ def context_width(spec: DomainSpec) -> int:
 def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
     """Deterministic conditioning vector for one plan step.
 
-    ``memory`` must expose ``last_frame() -> ndarray | None``; the encoded
-    initial state stands in when no segment has been accepted yet.
+    ``memory`` must expose ``frame: ndarray | None``, as `WorldMemory` does;
+    the encoded initial state stands in while it is None.
     """
-    frame = memory.last_frame() if memory is not None else None
+    frame = memory.frame
     if frame is None:
         frame = spec.initial_frame
     frame = np.asarray(frame, dtype=np.float64)

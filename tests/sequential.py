@@ -129,7 +129,7 @@ class FrozenPolicy(GeneratePolicy):
         self.n_frames = n_frames
 
     def generate(self, step, memory, rng):
-        frame = memory.last_frame()
+        frame = memory.frame
         if frame is None:
             frame = encode_state(self.spec, memory.state)
         return Segment(frames=np.tile(frame, (self.n_frames, 1)))

@@ -235,6 +235,28 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grpo.iterations", 2.5),
+    ("grpo.group_size", 3.5),
+    ("sampler.k_steps", 2.5),
+    ("sampler.n_frames", 4.5),
+    ("loop.k_retries", 2.5),
+    ("loop.k_retries", True),
+])
+def test_integer_config_keys_reject_other_values(key, value, tmp_path, capsys):
+    with pytest.raises(UsageError, match=f"config key '{key}' must be an integer"):
+        resolve_config(None, {key: value})
+    section, name = key.split(".")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {name: value}}))
+    assert main(["plan", "lid removed", "--config", str(cfg)]) == 2
+    assert f"config key '{key}' must be an integer" in capsys.readouterr().err
+
+
+def test_float_config_keys_accept_integers():
+    assert resolve_config(None, {"sft.lr": 1, "loop.tau": 0.5}).sft["lr"] == 1
+
+
 @pytest.mark.parametrize("argv, config, named", [
     (["sft", "--batch-size", "0"], None, "sft.batch_size"),
     (["sft", "--hidden", "0"], None, "net.hidden"),

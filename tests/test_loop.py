@@ -1,28 +1,31 @@
-"""Episode engine: acceptance gating, inner retries, outer replans, budgets."""
+"""Episode engine: acceptance gating, inner retries, outer passes, budgets."""
 
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopwm.bench.metrics as metrics_module
-import loopwm.loop.engine as engine_module
 import loopwm.worldmodel.policy as policy_module
 from loopwm.bench import evaluate_policy, generate_suite, run_suite
 from loopwm.critic import CriticWeights, evaluate_rows
 from loopwm.errors import DivergenceError, NoPlanError, NumericError
 from loopwm.loop import (
-    STATUS_BUDGET,
     STATUS_PLAN_FAILURE,
     STATUS_SUCCESS,
     LoopConfig,
     OraclePolicy,
+    ReplanEvent,
     WorldMemory,
 )
-from loopwm.microworld import Literal, apply_operator, parse_literal, reference_segment
+from loopwm.microworld import Literal, apply_operator, load_domain, parse_literal
+from loopwm.microworld import reference_segment
 from loopwm.numerics import RandomSource, net_init
-from loopwm.planner import RETRY_SAME_TAG, Goal, plan, replan
+from loopwm.planner import Goal, plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy, run_episode
 
@@ -53,7 +56,6 @@ def test_trivially_satisfied_goal(kitchen):
     log = run_episode(kitchen, goal_of("jar.closed"), OraclePolicy(kitchen),
                       rng=RandomSource(1))
     assert log.status == STATUS_SUCCESS
-    assert log.segments_generated == 0
     assert log.plan_length == 0
     assert log.attempts == []
 
@@ -63,7 +65,7 @@ def test_oracle_policy_full_chain(kitchen):
                       rng=RandomSource(2))
     assert log.status == STATUS_SUCCESS
     assert log.plan_length == 6
-    assert log.segments_generated == 6
+    assert len(log.attempts) == 6
     assert all(a.accepted and a.attempt == 0 for a in log.attempts)
     assert log.replans == []
 
@@ -84,10 +86,9 @@ def test_frozen_policy_exhausts_retries_and_replans(kitchen):
     # 1 + k_retries generations per plan version, 1 + max_outer_replans versions
     assert len(log.attempts) == (1 + config.k_retries) * (1 + config.max_outer_replans)
     assert not any(a.accepted for a in log.attempts)
-    assert len(log.replans) == config.max_outer_replans
-    for event in log.replans:
-        assert event.outcome == "replanned"
-        assert RETRY_SAME_TAG in event.tags  # step stays symbolically valid
+    # each outer pass starts the failed step again and records its best tags
+    assert [event.at_sid for event in log.replans] == [1] * config.max_outer_replans
+    assert all(event.tags for event in log.replans)
     # inner retries must carry a revised instruction once tags are present
     originals = [a for a in log.attempts if a.attempt == 0]
     retries = [a for a in log.attempts if a.attempt > 0]
@@ -101,14 +102,6 @@ def test_zero_retry_config_generates_once_per_version(kitchen):
     assert log.status == STATUS_PLAN_FAILURE
     assert len(log.attempts) == 1
     assert log.replans == []
-
-
-def test_segment_budget_exhaustion(kitchen):
-    config = LoopConfig(max_total_segments=2)
-    log = run_episode(kitchen, goal_of("jar.lid_removed"), FrozenPolicy(kitchen),
-                      config=config, rng=RandomSource(6))
-    assert log.status == STATUS_BUDGET
-    assert log.segments_generated == 2
 
 
 def test_retry_then_accept_counts_two_generations(kitchen):
@@ -128,62 +121,92 @@ def test_retry_then_accept_counts_two_generations(kitchen):
     log = run_episode(kitchen, goal_of("jar.lid_removed"), FlakyOracle(kitchen),
                       rng=RandomSource(7))
     assert log.status == STATUS_SUCCESS
-    assert log.segments_generated == 2
+    assert len(log.attempts) == 2
     assert [a.attempt for a in log.attempts] == [0, 1]
     assert not log.attempts[0].accepted and log.attempts[1].accepted
     assert log.attempts[1].instruction != log.attempts[0].instruction
 
 
-def test_recovery_after_replan(kitchen, monkeypatch):
-    class StubbornThenFine(GeneratePolicy):
-        """Rejects every segment until the first replan, then accepts oracle output."""
+class CountingPolicy(GeneratePolicy):
+    """Frozen for the first `frozen` candidates taken, then the oracle; records
+    the sid of every candidate it is asked for."""
 
-        def __init__(self, spec):
-            self.spec = spec
-            self.unlocked = False
+    def __init__(self, spec, frozen):
+        self.frozen, self.oracle = FrozenPolicy(spec), OraclePolicy(spec)
+        self.budget = frozen
+        self.sids = []
 
-        def generate(self, step, memory, rng):
-            if not self.unlocked:
-                return FrozenPolicy(self.spec).generate(step, memory, rng)
-            return OraclePolicy(self.spec).generate(step, memory, rng)
+    def generate(self, step, memory, rng):
+        self.sids.append(step.sid)
+        policy = self.frozen if len(self.sids) <= self.budget else self.oracle
+        return policy.generate(step, memory, rng)
 
-    policy = StubbornThenFine(kitchen)
 
-    def unlocking_replan(spec, goal, failure):
-        policy.unlocked = True
-        return replan(spec, goal, failure)
-
-    monkeypatch.setattr(engine_module, "replan", unlocking_replan)
-    log = run_episode(kitchen, goal_of("jar.lid_removed"), policy, rng=RandomSource(8))
+def test_recovery_after_replan(kitchen):
+    # one full pass of rejections (a first try and k retries), then oracle output
+    config = LoopConfig()
+    policy = CountingPolicy(kitchen, frozen=1 + config.k_retries)
+    log = run_episode(kitchen, goal_of("jar.lid_removed"), policy, config,
+                      rng=RandomSource(8))
     assert log.status == STATUS_SUCCESS
     assert len(log.replans) == 1
-    assert log.replans[0].outcome == "replanned"
     assert [a.accepted for a in log.attempts].count(True) == 1
+    assert [a.attempt for a in log.attempts] == [0, 1, 2, 3, 0]
 
 
-def test_replan_resumes_at_failed_sid(kitchen, monkeypatch):
-    # a policy that never moves exhausts the inner retries, so the loop asks
-    # the search to replan; the recovery plan resumes at the failed sid
-    failures = []
-
-    def recording_replan(spec, goal, failure):
-        failures.append(failure)
-        return replan(spec, goal, failure)
-
-    monkeypatch.setattr(engine_module, "replan", recording_replan)
+def test_replan_resumes_at_failed_sid(kitchen):
+    # a policy that never moves exhausts the inner retries, so the loop starts
+    # the failed step again: the same sid, from a fresh first try
     config = LoopConfig(max_outer_replans=1)
     goal = Goal((Literal("cup.stirred", True),))
-    log = run_episode(kitchen, goal, FrozenPolicy(kitchen), config=config,
-                      rng=RandomSource(4))
-    assert len(failures) == 1
-    failure = failures[0]
-    assert failure.failed_step.sid == 1
-    assert failure.goal == goal
-    assert RETRY_SAME_TAG in failure.tags
-    assert failure.state == kitchen.initial_state()
-    assert [event.at_sid for event in log.replans] == [1]
-    recovery = replan(kitchen, goal, failure)
-    assert recovery.steps[0].sid == failure.failed_step.sid
+    policy = CountingPolicy(kitchen, frozen=100)
+    log = run_episode(kitchen, goal, policy, config, rng=RandomSource(4))
+    assert log.status == STATUS_PLAN_FAILURE
+    assert policy.sids == [1] * 2 * (1 + config.k_retries)
+    assert [a.attempt for a in log.attempts] == [0, 1, 2, 3] * 2
+    first_pass = log.attempts[:1 + config.k_retries]
+    best = max(first_pass, key=lambda a: a.report.scalar).report
+    assert log.replans == [ReplanEvent(1, best.tags)]
+    assert log.plan_length == len(plan(kitchen, goal, kitchen.initial_state()))
+
+
+class MixedPolicy(GeneratePolicy):
+    """The oracle for about 30% of the candidates taken, frozen for the rest."""
+
+    def __init__(self, spec, seed):
+        self.frozen, self.oracle = FrozenPolicy(spec), OraclePolicy(spec)
+        self.coin = np.random.default_rng(seed)
+
+    def generate(self, step, memory, rng):
+        policy = self.oracle if self.coin.random() < 0.3 else self.frozen
+        return policy.generate(step, memory, rng)
+
+
+SPECS = {name: load_domain(name) for name in ("kitchen", "workshop")}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_outer_passes_keep_the_plan_and_bound_the_attempts(name, data):
+    spec = SPECS[name]
+    config = LoopConfig(k_retries=data.draw(st.integers(0, 3)),
+                        max_outer_replans=data.draw(st.integers(0, 3)))
+    seed = data.draw(st.integers(0, 2**16))
+    goal = random_solvable_goal(spec, RandomSource(seed, 1))
+    log = run_episode(spec, goal, MixedPolicy(spec, seed), config, rng=RandomSource(seed))
+    steps = plan(spec, goal, spec.initial_state()).steps
+    assert log.plan_length == len(steps)
+    # the attempts visit the initial plan's steps in order, never skipping one
+    visited = [sid for sid, _ in groupby(a.sid for a in log.attempts)]
+    assert visited == [step.sid for step in steps][:len(visited)]
+    for attempt in log.attempts:
+        if attempt.attempt == 0:
+            assert attempt.instruction == steps[attempt.sid - 1].instruction
+    assert len(log.replans) <= config.max_outer_replans
+    assert (len(log.attempts)
+            <= (len(steps) + config.max_outer_replans) * (1 + config.k_retries))
+    assert log.succeeded == (sum(a.accepted for a in log.attempts) == len(steps))
 
 
 def test_unsolvable_goal_raises(kitchen):
@@ -203,7 +226,7 @@ def test_memory_advance_chain_replay(kitchen):
         seg = reference_segment(kitchen, memory.state, step.actions[0], rng=rng)
         memory.advance(step, seg)
         state = apply_operator(kitchen, state, step.actions[0])
-        assert np.array_equal(memory.last_frame(), seg.final_frame)
+        assert np.array_equal(memory.frame, seg.final_frame)
     assert memory.state.predicates == state.predicates
     assert memory.state.poses == state.poses
 

@@ -6,14 +6,11 @@ from loopwm.microworld import ActionBinding, Literal, apply_operator, parse_lite
 from loopwm.microworld.types import MAX_INSTRUCTION_WORDS
 from loopwm.numerics import RandomSource
 from loopwm.planner import (
-    FailureContext,
     Goal,
     PlanSequence,
     PlanStep,
     parse_goal_literal,
     plan,
-    replan,
-    validate_plan,
 )
 
 
@@ -88,91 +85,6 @@ def test_goal_literal_forms(kitchen):
         parse_goal_literal(kitchen, "")
 
 
-def renumbered(step, sid):
-    from loopwm.planner import PlanStep
-
-    return PlanStep(sid, step.instruction, step.actions, step.pre, step.post)
-
-
-def test_validate_plan_detects_violation(kitchen):
-    goal = goal_of("cup.full")
-    seq = plan(kitchen, goal, kitchen.initial_state())
-    report = validate_plan(kitchen, seq, kitchen.initial_state())
-    assert report.ok and report.goal_satisfied
-    # pour the tea before opening the jar: validation must flag step 2
-    steps = list(seq.steps)
-    reordered = PlanSequence(
-        (steps[0], renumbered(steps[2], 2), renumbered(steps[1], 3), steps[3]),
-        goal,
-    )
-    report = validate_plan(kitchen, reordered, kitchen.initial_state())
-    assert not report.ok
-    assert report.first_violation[0] == 2
-    assert str(report.first_violation[1]) == "jar.lid_removed"
-
-
-def test_replan_avoids_failed_first_action(kitchen):
-    goal = goal_of("cup.full")
-    state = kitchen.initial_state()
-    seq = plan(kitchen, goal, state)
-    for step in seq.steps[:-1]:
-        state = apply_operator(kitchen, state, step.actions[0])
-    failed = seq.steps[-1]  # pour(kettle, cup)
-    failure = FailureContext(goal, failed, ("post-condition-unmet:cup.full",), (), state)
-    recovery = replan(kitchen, goal, failure)
-    assert recovery.steps[0].sid == failed.sid
-    assert recovery.steps[0].actions[0] != failed.actions[0]
-    # the forbidden action may appear later; plan still reaches the goal
-    report = validate_plan(kitchen, recovery, state)
-    assert report.ok and report.goal_satisfied
-
-
-def test_replan_retry_same_returns_remaining_draft(kitchen):
-    goal = goal_of("cup.full")
-    state = kitchen.initial_state()
-    seq = plan(kitchen, goal, state)
-    for step in seq.steps[:-1]:
-        state = apply_operator(kitchen, state, step.actions[0])
-    failed = seq.steps[-1]
-    failure = FailureContext(goal, failed, ("retry-same",), (), state)
-    recovery = replan(kitchen, goal, failure)
-    assert recovery.steps == (failed,)
-
-
-def test_replan_skips_step_whose_precondition_is_already_met(kitchen):
-    # lid already removed: recovery for cup.has_tea must not try to open the jar
-    goal = goal_of("cup.has_tea")
-    state = kitchen.initial_state()
-    state = apply_operator(kitchen, state, ActionBinding("open", ("jar",), "hand"))
-    original = plan(kitchen, goal, kitchen.initial_state())
-    failed = original.steps[0]  # open(jar), no longer applicable
-    failure = FailureContext(
-        goal, failed,
-        ("pre-condition-violated:jar.closed",),
-        original.steps[1:], state,
-    )
-    recovery = replan(kitchen, goal, failure)
-    verbs = [b.verb for b in bindings(recovery)]
-    assert "open" not in verbs
-    assert recovery.steps[0].sid == failed.sid
-    assert validate_plan(kitchen, recovery, state).goal_satisfied
-
-
-def test_replan_renumbers_from_failed_sid(kitchen):
-    goal = goal_of("cup.stirred")
-    state = kitchen.initial_state()
-    seq = plan(kitchen, goal, state)
-    for step in seq.steps[:2]:
-        state = apply_operator(kitchen, state, step.actions[0])
-    failed = seq.steps[2]
-    failure = FailureContext(goal, failed, ("low-score:action_adherence",), seq.steps[3:],
-                             state)
-    recovery = replan(kitchen, goal, failure)
-    assert [s.sid for s in recovery.steps][0] == 3
-    sids = [s.sid for s in recovery.steps]
-    assert sids == list(range(3, 3 + len(sids)))
-
-
 def _reachable_states(spec, limit=5000):
     from collections import deque
 
@@ -209,8 +121,12 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
         picks = sorted(rng.generator().permutation(len(true_lits))[:k])
         goal = Goal(tuple(true_lits[i] for i in picks))
         seq = plan(spec, goal, initial)
-        report = validate_plan(spec, seq, initial)
-        assert report.ok and report.goal_satisfied
+        state = initial
+        for step in seq.steps:
+            op = spec.find_operator(step.actions[0])
+            assert state.satisfies(op.pre)
+            state = apply_operator(spec, state, op.binding)
+        assert state.satisfies(goal.literals)
         oracle_len = minimal_plan_length(spec, initial, goal.literals)
         assert oracle_len == len(seq)
         checked += 1

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from loopwm.errors import NoPlanError
 from loopwm.memory import WorldMemory
 from loopwm.microworld import (
-    ActionBinding,
     Literal,
     SymbolicState,
     encode_state,
@@ -41,7 +40,7 @@ def _successor(state, op):
     return SymbolicState(predicates, state.poses)
 
 
-def reference_search(spec, goal, state, node_budget, forbidden_first=None):
+def reference_search(spec, goal, state, node_budget):
     if state.satisfies(goal.literals):
         return ()
     ordered = sorted(spec.operators, key=lambda op: (op.verb, op.objects))
@@ -56,8 +55,6 @@ def reference_search(spec, goal, state, node_budget, forbidden_first=None):
                 f"no plan within node budget {node_budget} for goal {goal.text!r}"
             )
         for op in ordered:
-            if not path and forbidden_first is not None and op.binding == forbidden_first:
-                continue
             if not current.satisfies(op.pre):
                 continue
             nxt = _successor(current, op)
@@ -105,12 +102,6 @@ def goals(draw, spec):
     return Goal(tuple(literals))
 
 
-def _forbidden_choices(spec):
-    bindings = [op.binding for op in spec.operators]
-    toolless = [ActionBinding(b.verb, b.objects) for b in bindings]
-    return [None] + bindings + toolless
-
-
 @pytest.mark.parametrize("name", sorted(SPECS))
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -118,15 +109,14 @@ def test_bitmask_search_matches_dict_state_reference(name, data):
     spec = SPECS[name]
     state = data.draw(walked_states(spec))
     goal = data.draw(goals(spec))
-    forbidden = data.draw(st.sampled_from(_forbidden_choices(spec)))
     budget = data.draw(st.one_of(st.integers(1, 40), st.just(DEFAULT_NODE_BUDGET)))
-    args = (spec, goal, state, budget, forbidden)
+    args = (spec, goal, state, budget)
     assert _outcome(_search, *args) == _outcome(reference_search, *args)
 
 
 def _uncached_condition(spec, step, memory):
     """Frame, one-hot, channel mask and capped sid, each assembled from the declared fields."""
-    frame = memory.last_frame()
+    frame = memory.frame
     if frame is None:
         frame = encode_state(spec, spec.initial_state())
     binding = step.actions[0]
@@ -153,7 +143,7 @@ def test_embed_condition_matches_uncached_assembly(name):
     first = next(op for op in spec.operators if advanced.state.satisfies(op.pre))
     first_step = PlanStep(1, first.instruction, (first.binding,), first.pre, first.post)
     advanced.advance(first_step, reference_segment(spec, advanced.state, first.binding))
-    assert advanced.last_frame() is not None
+    assert advanced.frame is not None
     for memory in (fresh, advanced):
         for op in spec.operators:
             for sid in range(1, 21):

@@ -426,7 +426,7 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
     policy = WorldModelPolicy(theta, kitchen, config)
     requests = round_of_requests(kitchen, config, seed=0, n=2)
     # a context frame poisoned after the segment passed its finiteness check
-    requests[2].memory.last_frame()[0] = np.nan
+    requests[2].memory.frame[0] = np.nan
     with pytest.raises(NumericError):
         embed_condition(kitchen, requests[2].step, requests[2].memory)
     reference = SequentialPolicy(policy).fulfil(twins(requests))
