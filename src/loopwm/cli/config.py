@@ -88,7 +88,7 @@ class RunConfig:
 
     def grpo_config(self) -> GrpoConfig:
         raw = dict(self.grpo)
-        raw["curriculum"] = tuple((int(a), int(b)) for a, b in raw["curriculum"])
+        raw["curriculum"] = tuple((a, b) for a, b in raw["curriculum"])
         return GrpoConfig(**raw)
 
     def critic_weights(self) -> CriticWeights:
@@ -131,13 +131,39 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# keys whose default None stands for "derive it"; any other value is an integer
+_OPTIONAL_INTEGERS = ("bench.suite_seed",)
+_INTEGER_SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
+
+
+def _integer_depth(default) -> int | None:
+    """0 for an integer default, 1 for a list of them, 2 for a list of such lists; else None."""
+    if isinstance(default, list) and default:
+        inner = _integer_depth(default[0])
+        return None if inner is None else inner + 1
+    return 0 if _is_int(default) else None
+
+
+def _fits(value, depth: int) -> bool:
+    if depth == 0:
+        return _is_int(value)
+    return isinstance(value, list) and all(_fits(v, depth - 1) for v in value)
+
+
 def _check_integers(tree: dict, defaults: dict, path: str = "") -> None:
-    """Reject a non-integer value for every key whose default is an integer."""
+    """Reject a value not shaped like its key's integer default, lists included."""
     for key, default in defaults.items():
+        name, value = path + key, tree[key]
         if isinstance(default, dict):
-            _check_integers(tree[key], default, path + key + ".")
-        elif _is_int(default) and not _is_int(tree[key]):
-            raise UsageError(f"config key {path + key!r} must be an integer, got {tree[key]!r}")
+            _check_integers(value, default, name + ".")
+            continue
+        optional = name in _OPTIONAL_INTEGERS
+        if optional and value is None:
+            continue
+        depth = 0 if optional else _integer_depth(default)
+        if depth is not None and not _fits(value, depth):
+            raise UsageError(f"config key {name!r} must be {_INTEGER_SHAPES[depth]}, "
+                             f"got {value!r}")
 
 
 def _set_path(tree: dict, dotted: str, value) -> None:

@@ -91,6 +91,7 @@ def objective_terms(
     group: RolloutGroup,
     config: GrpoConfig,
     delta: float,
+    out: np.ndarray | None = None,
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
@@ -102,7 +103,8 @@ def objective_terms(
     NumericError. Members whose ratios go non-finite are dropped with a
     warning and excluded from every average. Gradients flow only through
     rows where the clip does not bind; clipped rows still count toward the
-    surrogate value.
+    surrogate value. The gradient is written into `out` when it is given,
+    as by `net_backward_batch`, and allocated otherwise.
     """
     trace = group.trace
     n_members, k_steps, width = trace.steps.shape
@@ -166,7 +168,7 @@ def objective_terms(
     weight = (flow * adv[:, :, None] * ratios[:, :, None] * resid
               - config.beta * mean_diff) / (std * std)
     out_grads = coeff * weight / n_rows
-    grads = net_backward_batch(theta, acts, out_grads.reshape(n_rows, latent))
+    grads = net_backward_batch(theta, acts, out_grads.reshape(n_rows, latent), out=out)
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,
         clip_fraction=clip_fraction, ratios=ratios.reshape(-1), kept=kept, dropped=dropped,
@@ -184,16 +186,19 @@ def grpo_update(
     """One ascent step on the group objective; updates bundle.theta in place.
 
     Returns (theta, opt_state, terms), where terms are the objective's terms
-    at the parameters before the step. When every member is dropped the
-    update is skipped (`terms.skipped`) and parameters pass through unchanged.
+    at the parameters before the step. `terms.grads` is the optimizer's own
+    gradient vector, `opt_state.grad`, so the next update overwrites it. When
+    every member is dropped the update is skipped (`terms.skipped`) and
+    parameters pass through unchanged.
     """
     if opt_state is None:
         opt_state = opt_init(bundle.theta)
-    terms = objective_terms(bundle.theta, bundle.reference, group, config, delta)
+    terms = objective_terms(bundle.theta, bundle.reference, group, config, delta,
+                            out=opt_state.grad)
     if terms.skipped:
         _log.warning("skipping update: all %d members dropped", terms.dropped)
     else:
-        # opt_step descends, so feed the negated ascent gradient; a sign
-        # flip is exact, so this is the same step as ascending along grads
-        opt_step(bundle.theta, -terms.grads, opt_state, lr=config.lr)
+        # opt_step descends, so ascend with the step size negated: a sign
+        # flip is exact, so this is the step along -grads at lr, bit for bit
+        opt_step(bundle.theta, terms.grads, opt_state, lr=-config.lr)
     return bundle.theta, opt_state, terms

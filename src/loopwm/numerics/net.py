@@ -153,18 +153,21 @@ def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     return acts
 
 
-def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tensor) -> Tensor:
+def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tensor,
+                       out: Tensor | None = None) -> Tensor:
     """Reverse-mode parameter gradient through a forward already run by `net_activations`.
 
     The gradient is one vector in the layout of `params.vector`, summed over
-    the batch. The sweep stops at the first layer's weights: no caller needs
+    the batch. It is written into `out` when that is given, a float64 vector
+    of the parameters' shape, and returned; otherwise a new vector is
+    allocated. The sweep stops at the first layer's weights: no caller needs
     the gradient with respect to the input. `out_grad` is a float64 array
     of the output's shape and is not modified; like the forward, the sweep
     checks nothing.
     """
     _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
-    grad = np.empty_like(params.vector)
+    grad = np.empty_like(params.vector) if out is None else out
     grad_w, grad_b = _layer_views(params.sizes, grad)
     g = out_grad  # gradient w.r.t. the current layer's pre-activation (output layer is linear)
     for i in range(last, -1, -1):

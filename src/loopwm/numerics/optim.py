@@ -4,7 +4,12 @@
 estimates it is given and returns nothing. The gradient, both moments and
 the step's scratch are vectors in the layout of `NetParams.vector`, so each
 step is a fixed sequence of in-place elementwise operations over the whole
-vector, with no per-array loop and no temporaries.
+vector, with no per-array loop and no temporaries. The state also owns the
+gradient vector, `OptState.grad`, which training loops backprop into
+(`net_backward_batch(..., out=state.grad)`), so no step allocates a
+parameter-sized vector. To ascend, negate `lr`, not the gradient: a sign
+flip commutes with every operation of the step, so the parameters get the
+bytes of a descent along the negated gradient, and only m's sign differs.
 
 The step uses the efficient order of Kingma & Ba (2015, arXiv:1412.6980,
 section 2): the bias corrections fold into two scalars, the step size
@@ -36,11 +41,13 @@ class OptState:
     m: Tensor
     v: Tensor
     step: int = 0
-    # a work vector that every step overwrites
+    # work vectors: the gradient callers backprop into, and the step's own
     scratch: Tensor = field(init=False, repr=False)
+    grad: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = np.empty_like(self.m)
+        self.grad = np.empty_like(self.m)
 
 
 def opt_init(params: NetParams) -> OptState:
@@ -56,7 +63,7 @@ def opt_step(
     beta2: float = DEFAULT_BETA2,
     eps: float = DEFAULT_EPS,
 ) -> None:
-    """One descent step along `grad`, in place; pass the negated gradient to ascend.
+    """One descent step along `grad`, in place; pass a negative `lr` to ascend.
 
     The moments follow the textbook update, m = b1*m + (1-b1)*g and
     v = b2*v + (1-b2)*g*g, in its float order. The parameters take Kingma &

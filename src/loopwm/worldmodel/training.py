@@ -82,8 +82,8 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             loss = float(np.sum(resid * resid) / resid.size)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
-            grads = net_backward_batch(theta, acts, 2.0 * resid / resid.size)
-            opt_step(theta, grads, state, lr=lr, beta1=beta1, beta2=beta2)
+            net_backward_batch(theta, acts, 2.0 * resid / resid.size, out=state.grad)
+            opt_step(theta, state.grad, state, lr=lr, beta1=beta1, beta2=beta2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return theta, history

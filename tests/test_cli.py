@@ -253,8 +253,38 @@ def test_integer_config_keys_reject_other_values(key, value, tmp_path, capsys):
     assert f"config key '{key}' must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, shape", [
+    ("bench.counts", [2.5, 1, 1], "a list of integers"),
+    ("bench.counts", 3, "a list of integers"),
+    ("grpo.curriculum", [[1, 1.5], [100.7, 3]], "a list of lists of integers"),
+    ("grpo.curriculum", [[1, 1], [101, True]], "a list of lists of integers"),
+    ("bench.suite_seed", 2.5, "an integer"),
+])
+def test_list_and_optional_integer_config_keys_reject_other_values(key, value, shape,
+                                                                   tmp_path, capsys):
+    # the integers inside list-valued keys, and suite_seed when it is set,
+    # are checked like scalar integer keys: no truncation, no traceback
+    with pytest.raises(UsageError, match=f"config key '{key}' must be {shape}, got"):
+        resolve_config(None, {key: value})
+    section, name = key.split(".")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {name: value}}))
+    out = tmp_path / "run"
+    assert main(["bench", "--oracle", "--config", str(cfg), "--out", str(out)] + SAMPLER) == 2
+    assert f"config key '{key}' must be {shape}, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_float_config_keys_accept_integers():
     assert resolve_config(None, {"sft.lr": 1, "loop.tau": 0.5}).sft["lr"] == 1
+
+
+def test_list_and_optional_integer_config_keys_accept_integers():
+    config = resolve_config(None, {"bench.counts": [1, 0, 2], "bench.suite_seed": 4,
+                                   "grpo.curriculum": [[1, 2], [50, 4]]})
+    assert config.bench["counts"] == [1, 0, 2] and config.bench["suite_seed"] == 4
+    assert config.grpo_config().curriculum == ((1, 2), (50, 4))
+    assert resolve_config(None, {"bench.suite_seed": None}).bench["suite_seed"] is None
 
 
 @pytest.mark.parametrize("argv, config, named", [

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from loopwm.numerics import (
     net_activations,
     net_backward_batch,
     net_init,
+    opt_init,
+    opt_step,
 )
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
@@ -714,6 +717,77 @@ def test_update_moves_parameters_and_reports_stats():
     assert moved > 0.0
 
 
+def test_update_ascends_along_the_optimizer_gradient_like_a_negated_descent():
+    # grpo_update backprops into opt_state.grad and steps it at -lr; over
+    # consecutive groups, so the moments carry over, theta keeps the bytes of
+    # a loop that descends at lr along a freshly allocated, negated gradient
+    sampler = small_sampler(frame_width=2)
+    cond = np.array([0.5, 0.1, 0.2])
+    theta_old = net_init([8, 6, 6, 4], RandomSource(3))
+    bundle = PolicyBundle.from_reference(theta_old)
+    twin, twin_state = clone_params(theta_old), opt_init(theta_old)
+    config = GrpoConfig(group_size=3)
+    opt_state = None
+    for seed in range(4):
+        # groups sampled under the first parameters, so later ratios move off 1
+        group = synthetic_group(theta_old, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=seed)
+        want = objective_terms(twin, bundle.reference, group, config, sampler.delta)
+        buf = np.full_like(twin.vector, np.nan)
+        into = objective_terms(twin, bundle.reference, group, config, sampler.delta, out=buf)
+        assert into.grads is buf and buf.tobytes() == want.grads.tobytes()
+        opt_step(twin, -want.grads, twin_state, lr=config.lr)
+        _, opt_state, terms = grpo_update(bundle, group, config, opt_state,
+                                          delta=sampler.delta)
+        assert terms.grads is opt_state.grad
+        assert bundle.theta.vector.tobytes() == twin.vector.tobytes()
+    assert opt_state.step == twin_state.step == 4
+
+
+def test_grpo_groups_and_sft_epochs_allocate_no_parameter_sized_vector(kitchen, monkeypatch):
+    # once the optimizer state exists, backprop writes into its gradient
+    # vector, so neither a GRPO group nor an SFT epoch allocates anything of
+    # the parameters' size; the nets' 512-wide layers dwarf their batches
+    sampler = small_sampler(frame_width=2, k_steps=2)
+    theta = net_init([8, 512, 512, 4], RandomSource(0))
+    group = synthetic_group(theta, np.array([0.5, 0.1, 0.2]), sampler, rewards=[0.2, 0.7])
+    bundle = PolicyBundle.from_reference(theta)
+    config = GrpoConfig(group_size=2)
+    _, opt_state, _ = grpo_update(bundle, group, config, delta=sampler.delta)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grpo_update(bundle, group, config, opt_state, delta=sampler.delta)
+        grpo_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grpo_peak < theta.vector.nbytes // 2
+
+    demo_sampler = kitchen_sampler(kitchen)
+    net = net_init(velocity_net_sizes(kitchen, demo_sampler, hidden=512, depth=2),
+                   RandomSource(1))
+    demos = build_demos(kitchen, 8, RandomSource(2), n_frames=demo_sampler.n_frames)
+    training = importlib.import_module("loopwm.worldmodel.training")
+    marks = []  # (traced now, peak since the last mark) at each epoch's first forward
+
+    def forward_spy(params, x):
+        if len(marks) < 3 and forward_spy.calls % 2 == 0:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        forward_spy.calls += 1
+        return net_activations(params, x)
+
+    forward_spy.calls = 0
+    monkeypatch.setattr(training, "net_activations", forward_spy)
+    tracemalloc.start()
+    try:
+        sft_train(net, demos, epochs=3, lr=1e-3, rng=RandomSource(3), batch_size=4)
+    finally:
+        tracemalloc.stop()
+    assert forward_spy.calls == 6 and len(marks) == 3
+    # the second epoch runs from the second mark to the third
+    assert marks[2][1] - marks[1][0] < net.vector.nbytes // 2
+
+
 # training walk
 
 
@@ -861,9 +935,9 @@ def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
             groups.append(rollout_group(*args, **kwargs))
             return groups[-1]
 
-        def backward_spy(params, acts, out_grad):
+        def backward_spy(params, acts, out_grad, out=None):
             backward_rows.append(out_grad.shape[0])
-            return net_backward_batch(params, acts, out_grad)
+            return net_backward_batch(params, acts, out_grad, out=out)
 
         bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
         with monkeypatch.context() as patch:

@@ -10,6 +10,7 @@ from loopwm.errors import CheckpointError
 from loopwm.numerics import (
     NetParams,
     RandomSource,
+    clone_params,
     load_checkpoint,
     net_activations,
     net_backward_batch,
@@ -226,6 +227,24 @@ def test_opt_step_equals_the_per_array_reference_bitwise(params, seed, kinds, lr
         for got, want in ((params.vector, arrays), (state.m, m), (state.v, v)):
             assert np.array_equal(got, np.concatenate([a.ravel() for a in want]))
     assert state.step == len(kinds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_nets(), seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.floats(-12.0, 6.0), min_size=1, max_size=6),
+       lr=st.sampled_from([1e-3, 0.05, 1.0]))
+def test_a_negated_lr_steps_like_a_negated_gradient_bitwise(params, seed, exponents, lr):
+    # GRPO ascends with lr negated instead of negating its gradient: a sign
+    # flip commutes with every operation of the step, so only m's sign differs
+    rng = RandomSource(seed)
+    ascent, descent = clone_params(params), clone_params(params)
+    up, down = opt_init(params), opt_init(params)
+    for exponent in exponents:
+        grad = np.asarray(rng.normal(shape=params.vector.size)) * 10.0 ** exponent
+        opt_step(ascent, grad, up, lr=-lr)
+        opt_step(descent, -grad, down, lr=lr)
+        assert ascent.vector.tobytes() == descent.vector.tobytes()
+        assert up.m.tobytes() == (-down.m).tobytes() and up.v.tobytes() == down.v.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
