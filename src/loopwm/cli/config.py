@@ -202,6 +202,8 @@ def resolve_config(config_path: str | Path | None = None,
     config = RunConfig(**tree)
     try:
         config.loop_config()
+        # the frame width comes with the domain; every other sampler value is checked here
+        SamplerConfig(**config.sampler)
         config.grpo_config()
         config.critic_weights()
         config.check_sft()

@@ -35,7 +35,14 @@ from ..bench import (
     verify_suite,
 )
 from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError
-from ..grpo import CSV_HEADER, TrainingLog, TrainingRecord, rollout_k_steps, train
+from ..grpo import (
+    CSV_HEADER,
+    ROLLOUT_K_RULE,
+    TrainingLog,
+    TrainingRecord,
+    rollout_k_steps,
+    train,
+)
 from ..loop import OraclePolicy
 from ..microworld import DomainSpec, load_domain
 from ..numerics import NetParams, RandomSource, clone_params, net_init
@@ -308,14 +315,14 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             start = int(state["iterations_done"]) + 1
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed resume state {state_file}: {exc!r}") from exc
-        # state files written before rollouts halved K carry no rollout_k;
-        # their iterations rolled out at the run's full sampler.k_steps
+        # state files written before rollouts ran at a train-time K carry no
+        # rollout_k; their iterations rolled out at the run's full sampler.k_steps
         if start > 1 and state.get("rollout_k") != rollout_k:
             done = (f"at {state['rollout_k']} denoising steps" if "rollout_k" in state
                     else "at the full --k-steps (the state predates rollout_k)")
             print(f"warning: iterations 1..{start - 1} of {resume_dir} rolled out {done}; "
                   f"iterations from {start} roll out at {rollout_k} "
-                  f"(half of --k-steps, rounded up)", file=sys.stderr)
+                  f"({ROLLOUT_K_RULE})", file=sys.stderr)
         reference = _load_ckpt(resume_dir / "checkpoints" / "reference.ckpt", spec, sampler)
         theta = _load_ckpt(resume_dir / "checkpoints" / "model.ckpt", spec, sampler)
         bundle = PolicyBundle(theta=theta, theta_old=clone_params(theta), reference=reference)
@@ -498,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "grpo", parents=[base, sampler], help="group-relative policy optimization",
         description="Group-relative policy optimization from a supervised checkpoint. "
-                    "Rollouts denoise at the train-time K, half of --k-steps rounded up "
-                    "(pass twice the K to roll out at it); the saved checkpoints are "
-                    "evaluated by bench at its own --k-steps.")
+                    f"Rollouts denoise at the train-time K, {ROLLOUT_K_RULE}; the saved "
+                    "checkpoints are evaluated by bench at its own --k-steps.")
     p.add_argument("--checkpoint", help="supervised checkpoint to start from")
     p.add_argument("--resume", help="previous grpo run directory to continue")
     p.add_argument("--iterations", type=int, dest="grpo.iterations")

@@ -6,7 +6,14 @@ from .rollout import (
     group_rewards,
     rollout_group,
 )
-from .train import CSV_HEADER, TrainingLog, TrainingRecord, rollout_k_steps, train
+from .train import (
+    CSV_HEADER,
+    ROLLOUT_K_RULE,
+    TrainingLog,
+    TrainingRecord,
+    rollout_k_steps,
+    train,
+)
 from .update import (
     ObjectiveTerms,
     grpo_update,
@@ -20,6 +27,7 @@ __all__ = [
     "GroupMember",
     "GrpoConfig",
     "ObjectiveTerms",
+    "ROLLOUT_K_RULE",
     "RolloutGroup",
     "TrainingLog",
     "TrainingRecord",

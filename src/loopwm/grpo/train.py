@@ -7,10 +7,11 @@ group, with no acceptance threshold at training time (the inference loop is
 where the threshold lives).
 
 Rollouts denoise at the train-time K, `rollout_k_steps` of the sampler's K
-(half of it, rounded up), as in Flow-GRPO (arXiv:2505.05470): every group
-and its objective cost scale with that K, while evaluation (`bench`,
-`WorldModelPolicy`) keeps sampling at the sampler's own K. The net is
-trained on continuous t, so one checkpoint serves any K.
+(`ROLLOUT_K_RULE`), after Flow-GRPO (arXiv:2505.05470), which trains at 10
+of its 40 inference steps: every group and its objective cost scale with
+that K, while evaluation (`bench`, `WorldModelPolicy`) keeps sampling at the
+sampler's own K. The net is trained on continuous t, so one checkpoint
+serves any K.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ from .config import GrpoConfig, curriculum_schedule
 from .rollout import rollout_group
 from .update import grpo_update
 
-__all__ = ["TrainingLog", "TrainingRecord", "rollout_k_steps", "train"]
+__all__ = ["ROLLOUT_K_RULE", "TrainingLog", "TrainingRecord", "rollout_k_steps", "train"]
 
+# mean_reward is the critic reward of the iteration's training rollouts, which
+# denoise at the train-time K: it is no bench figure, and coarser rollouts
+# score lower (about 2% from 5 to 3 steps at --k-steps 10)
 CSV_HEADER = (
     "iteration",
     "mean_reward",
@@ -47,6 +51,13 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class TrainingRecord:
+    """One iteration's means over its groups' members.
+
+    `mean_reward` is the critic reward of the training rollouts, sampled at
+    the train-time K (`rollout_k_steps`), not at the sampler's K that bench
+    samples at; it is not a bench figure.
+    """
+
     iteration: int
     mean_reward: float
     adherence_mean: float
@@ -84,9 +95,16 @@ class TrainingLog:
         return write_csv(path, CSV_HEADER, self.rows())
 
 
+# The one statement of `rollout_k_steps`' rule; the grpo help and the resume
+# warning print it. Three steps is the measured floor: two Euler-Maruyama
+# steps (dt = 0.5) lose the bench quality that three keep.
+ROLLOUT_K_RULE = ("a quarter of --k-steps rounded up, at least 3 steps and at most "
+                  "--k-steps, so --k-steps 4R rolls out at R steps for R >= 3")
+
+
 def rollout_k_steps(k_steps: int) -> int:
-    """Denoising steps of a GRPO rollout under a sampler of `k_steps`: half, rounded up."""
-    return (k_steps + 1) // 2
+    """Denoising steps of a GRPO rollout under a sampler of `k_steps` (`ROLLOUT_K_RULE`)."""
+    return min(k_steps, max(3, (k_steps + 3) // 4))
 
 
 def _plan_or_none(spec: DomainSpec, goal: Goal) -> PlanSequence | None:

@@ -20,6 +20,7 @@ from loopwm.bench import load_report, mode_config
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
 from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
+from loopwm.grpo import ROLLOUT_K_RULE
 from loopwm.microworld import load_domain
 from loopwm.numerics import RandomSource, load_checkpoint, net_init
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
@@ -217,6 +218,14 @@ def test_sampler_flags_are_shared_by_sft_grpo_and_bench():
         assert {"--n-frames", "--k-steps", "--eta-scale"} <= flags[command]
 
 
+def test_grpo_help_states_the_rollout_k_rule():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    description = commands.choices["grpo"].description
+    assert ROLLOUT_K_RULE in description
+    assert "--k-steps 4R rolls out at R steps for R >= 3" in description
+
+
 def test_grpo_net_flags_exit_2(sft_small, tmp_path, capsys):
     # the net comes from the checkpoint, so grpo has no flag to size it
     ckpt = str(sft_small / "checkpoints" / "model.ckpt")
@@ -272,6 +281,21 @@ def test_list_and_optional_integer_config_keys_reject_other_values(key, value, s
     out = tmp_path / "run"
     assert main(["bench", "--oracle", "--config", str(cfg), "--out", str(out)] + SAMPLER) == 2
     assert f"config key '{key}' must be {shape}, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["eta_scale: abc", "delta: [1]"])
+def test_non_numeric_sampler_values_exit_2_before_the_run(value, tmp_path, capsys):
+    # the sampler section is checked while the config resolves, though the
+    # frame width it needs comes later with the domain
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"sampler: {{{value}}}\n")
+    out = tmp_path / "run"
+    assert main(["sft", "--demos", "2", "--epochs", "0", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid configuration" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -542,7 +566,7 @@ def test_sft_and_grpo_write_the_same_bytes_under_pass_through_wrappers(tmp_path,
                      "--out", str(out / "sft")] + SMALL) == 0
         assert main(["grpo", "--checkpoint", str(out / "sft" / "checkpoints" / "model.ckpt"),
                      "--iterations", "3", "--group-size", "2", "--seed", "7",
-                     "--out", str(out / "grpo")] + SAMPLER + ["--k-steps", "12"]) == 0
+                     "--out", str(out / "grpo")] + SAMPLER + ["--k-steps", "24"]) == 0
         return {name: (out / name).read_bytes() for name in (
             "sft/reports/loss.csv", "sft/checkpoints/model.ckpt",
             "grpo/reports/training_log.csv", "grpo/checkpoints/model.ckpt")}
@@ -684,13 +708,26 @@ def test_grpo_records_its_rollout_k_and_warns_when_a_resume_changes_it(
                  "--out", str(resumed)]) == 0
     assert "warning" not in capsys.readouterr().err
     assert _rollout_k_logged(resumed) == ["rollout_k=3"]
-    # a different K, or a state written before rollouts halved K, is resumed
-    # with a warning on stderr
+    # --k-steps 12 rolls out at 3 steps too, so it resumes without a warning
     assert main(["grpo", "--resume", str(first), "--iterations", "2", "--k-steps", "12",
+                 "--out", str(tmp_path / "same")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    # a different rollout K, or a state written before rollouts ran at a
+    # train-time K, is resumed with a warning on stderr that states the rule
+    assert main(["grpo", "--resume", str(first), "--iterations", "2", "--k-steps", "24",
                  "--out", str(tmp_path / "longer")]) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: iterations 1..1 of")
     assert "rolled out at 3 denoising steps" in err and "iterations from 2 roll out at 6" in err
+    assert ROLLOUT_K_RULE in err
+    # a state rolled out at half of --k-steps 10 resumes at a quarter of it
+    (first / "state.json").write_text(
+        json.dumps({"iterations_done": 1, "seed": 0, "rollout_k": 5}))
+    assert main(["grpo", "--resume", str(first), "--iterations", "2", "--k-steps", "10",
+                 "--out", str(tmp_path / "quarter")]) == 0
+    err = capsys.readouterr().err
+    assert "rolled out at 5 denoising steps" in err and "iterations from 2 roll out at 3" in err
+    assert json.loads((tmp_path / "quarter" / "state.json").read_text())["rollout_k"] == 3
     (first / "state.json").write_text(json.dumps({"iterations_done": 1, "seed": 0}))
     assert main(["grpo", "--resume", str(first), "--iterations", "2",
                  "--out", str(tmp_path / "older")]) == 0
@@ -728,16 +765,16 @@ def _tiny_pipeline(out: Path, grpo_flags: list[str]) -> dict[str, str]:
 
 
 def test_full_k_rollouts_sft_and_bench_keep_their_bytes(tmp_path):
-    # --k-steps 12 rolls out at 6 steps, as --k-steps 6 did before
-    full = _tiny_pipeline(tmp_path / "full", ["--k-steps", "12"])
+    # --k-steps 24 rolls out at 6 steps, as --k-steps 6 did before
+    full = _tiny_pipeline(tmp_path / "full", ["--k-steps", "24"])
     assert full == PARENT_DIGESTS
-    # the default rolls out at 3 steps: sft and bench are untouched, the
-    # grpo run differs
-    half = _tiny_pipeline(tmp_path / "half", [])
+    # SAMPLER's --k-steps 6 rolls out at 3 steps: sft and bench are
+    # untouched, the grpo run differs
+    coarse = _tiny_pipeline(tmp_path / "coarse", [])
     grpo = {"grpo/reports/training_log.csv", "grpo/checkpoints/model.ckpt"}
-    assert {k: v for k, v in half.items() if k not in grpo} == \
+    assert {k: v for k, v in coarse.items() if k not in grpo} == \
         {k: v for k, v in full.items() if k not in grpo}
-    assert all(half[k] != full[k] for k in grpo)
+    assert all(coarse[k] != full[k] for k in grpo)
 
 
 # ---------------------------------------------------------------- bench

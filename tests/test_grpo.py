@@ -132,8 +132,18 @@ def test_config_defaults_and_validation():
             GrpoConfig(**bad)
 
 
-def test_rollout_k_is_half_the_sampler_k_rounded_up():
-    assert [rollout_k_steps(k) for k in (1, 2, 5, 9, 10, 20)] == [1, 1, 3, 5, 5, 10]
+def test_rollout_k_is_a_quarter_of_the_sampler_k_within_3_and_k():
+    ks = (1, 2, 3, 4, 5, 9, 10, 12, 13, 16, 20, 40)
+    assert [rollout_k_steps(k) for k in ks] == [1, 2, 3, 3, 3, 3, 3, 3, 4, 4, 5, 10]
+
+
+@given(st.integers(1, 10_000))
+def test_rollout_k_lies_within_3_and_k_and_never_falls_as_k_grows(k_steps):
+    rollout_k = rollout_k_steps(k_steps)
+    assert min(k_steps, 3) <= rollout_k <= k_steps
+    assert rollout_k <= rollout_k_steps(k_steps + 1)
+    if k_steps >= 3:
+        assert rollout_k_steps(4 * k_steps) == k_steps
 
 
 def test_config_rejects_bad_curricula():
@@ -911,8 +921,8 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
         return terms
 
     monkeypatch.setattr("loopwm.grpo.update.objective_terms", spy)
-    # rollouts at half the sampler's K, so each member has 4 transitions
-    sampler = replace(kitchen_sampler(kitchen, k_steps=8, n_frames=4), delta=0.5)
+    # rollouts at a quarter of the sampler's K, so each member has 4 transitions
+    sampler = replace(kitchen_sampler(kitchen, k_steps=16, n_frames=4), delta=0.5)
     theta = net_init(velocity_net_sizes(kitchen, sampler, hidden=16, depth=2),
                      RandomSource(5))
     config = GrpoConfig(iterations=1, group_size=4, curriculum=((1, 1),))
@@ -923,8 +933,8 @@ def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
 
 
 def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
-    # a group denoises ceil(K/2) steps of the sampler's K, and the
-    # objective's forwards and backward read G*ceil(K/2) rows
+    # a group denoises min(K, max(3, ceil(K/4))) steps of the sampler's K,
+    # and the objective's forwards and backward read G times as many rows
     goals = [goal_of("kettle.grasped")]
     config = GrpoConfig(iterations=2, group_size=3, curriculum=((1, 1),))
 
@@ -947,7 +957,7 @@ def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
             train(bundle, kitchen, goals, sampler, config, RandomSource(6))
         return groups, backward_rows
 
-    for k_steps, rollout_k in ((5, 3), (10, 5), (4, 2)):
+    for k_steps, rollout_k in ((2, 2), (10, 3), (13, 4)):
         sampler = kitchen_sampler(kitchen, k_steps=k_steps, n_frames=3)
         groups, backward_rows = run(sampler)
         assert len(groups) == 2
