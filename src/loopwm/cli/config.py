@@ -199,6 +199,9 @@ def resolve_config(config_path: str | Path | None = None,
         if value is not None:
             _set_path(tree, dotted, value)
     _check_integers(tree, DEFAULTS)
+    if not isinstance(tree["domain"], str):
+        raise UsageError(f"invalid configuration: domain must be a builtin name or a path, "
+                         f"got {tree['domain']!r}")
     config = RunConfig(**tree)
     try:
         config.loop_config()

@@ -58,7 +58,7 @@ from ..worldmodel import (
     sft_train,
     velocity_net_sizes,
 )
-from .config import RunConfig, UsageError, resolve_config, write_config
+from .config import RunConfig, UsageError, _is_int, resolve_config, write_config
 
 _log = logging.getLogger(__name__)
 
@@ -303,6 +303,9 @@ def cmd_grpo(args: argparse.Namespace) -> int:
     grpo_cfg = config.grpo_config()
     spec = _load_spec(config.domain)
     sampler = _sampler(config, spec)
+    if sampler.eta_scale <= 0.0:
+        raise UsageError(f"group rollouts need eta_scale > 0, got {sampler.eta_scale}: "
+                         "a deterministic sampler gives every member the same segment")
     rollout_k = rollout_k_steps(sampler.k_steps)
 
     prev_records: list[TrainingRecord] = []
@@ -312,9 +315,13 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             raise UsageError(f"nothing to resume: {state_file} not found")
         try:
             state = json.loads(state_file.read_text())
-            start = int(state["iterations_done"]) + 1
+            iterations_done = state["iterations_done"]
         except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed resume state {state_file}: {exc!r}") from exc
+        if not _is_int(iterations_done) or iterations_done < 0:
+            raise UsageError(f"malformed resume state {state_file}: iterations_done must be "
+                             f"an integer >= 0, got {iterations_done!r}")
+        start = iterations_done + 1
         # state files written before rollouts ran at a train-time K carry no
         # rollout_k; their iterations rolled out at the run's full sampler.k_steps
         if start > 1 and state.get("rollout_k") != rollout_k:

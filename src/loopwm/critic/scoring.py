@@ -5,8 +5,8 @@ learned component is involved here. Dimension scores live in [0, 1] and the
 scalar is their weighted mean. Feedback tags are emitted exactly when the
 scalar falls below the acceptance threshold, ordered most-severe first
 (ascending dimension score). The tags are all the feedback a report gives:
-they pick the revised instruction, and the loop records the best report's
-tags for each outer pass, which starts the same step again.
+the loop records the best report's tags for each outer pass, which starts
+the same step again. No dimension reads the step's instruction text.
 
 physical_realism note: the score is the fraction of frames that respect the
 per-frame delta bound (0.25) and the value box [-0.05, 1.05], multiplied by
@@ -26,12 +26,10 @@ a segment's (F, C) frames with its own plan step, and returns one report
 per row in input order. It stacks the rows of one frame shape once and
 scores temporal coherence and physical realism over the whole stack, then
 the three step-dependent dimensions once per step kind (action, pre, post)
-from its table. Each report takes its tags from the table's feedback and
-its revised instruction from those under its own step's instruction,
-reused within the call, so two rows of one kind that differ only in their
-instruction (a first try and a retry) get the tags and revised instruction
-each would get alone. Every report is bitwise equal to the one that
-`evaluate_rows` gives the row by itself.
+from its table. Each report takes its tags from the table's feedback, so
+two rows that differ only in their step's instruction get equal reports.
+Every report is bitwise equal to the one that `evaluate_rows` gives the row
+by itself.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
 from ..microworld.frames import DECODE_THRESHOLD
-from ..microworld.types import MAX_INSTRUCTION_WORDS, CriticTable, DomainSpec
+from ..microworld.types import CriticTable, DomainSpec
 from ..planner.types import PlanStep
 
 DIMENSIONS = (
@@ -89,16 +87,13 @@ DEFAULT_WEIGHTS = CriticWeights()
 class CriticReport:
     """One row's verdict, built once from the row's scores and literal hits.
 
-    The tags, most severe first, are the whole failure record: they pick the
-    revised instruction, and the best report's tags are recorded when the
-    loop starts a step again after its retries run out. They are
-    empty when the scalar clears tau, and then the revised instruction is
-    the step's own.
+    The tags, most severe first, are the whole failure record: the best
+    report's tags are recorded when the loop starts a step again after its
+    retries run out. They are empty when the scalar clears tau.
     """
 
     scores: dict[str, float]
     tags: tuple[str, ...]
-    revised_instruction: str
     scalar: float
     # False when the step has no motion profile, so the contact check scored nothing
     contact_applicable: bool
@@ -138,7 +133,7 @@ def _contact_fraction(contact: tuple | None, frames: np.ndarray) -> np.ndarray:
     """Per-row share of contact-window frames with the acting entity near the target."""
     if contact is None:
         return np.ones(frames.shape[0])
-    (ax, ay), target, moves, fractions, _ = contact
+    (ax, ay), target, moves, fractions = contact
     w0, w1 = contact_window_frames(fractions, frames.shape[1])
     window = frames[:, w0 : w1 + 1]
     tx, ty = (window[:, :, target[0]], window[:, :, target[1]]) if moves else target
@@ -228,7 +223,8 @@ def evaluate_rows(
     """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
 
     Rows are stacked per frame shape and scored per step kind, each report
-    under its own step (see the row contract in the module docstring).
+    under its own step's action and literals, never its instruction (see the
+    row contract in the module docstring).
     """
     if len(frames) != len(steps):
         raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
@@ -236,7 +232,6 @@ def evaluate_rows(
     for i, row in enumerate(frames):
         shapes.setdefault(np.shape(row), []).append(i)
     reports: list[CriticReport | None] = [None] * len(steps)
-    revised: dict[tuple, str] = {}
     for rows in shapes.values():
         stack = np.asarray([frames[i] for i in rows], dtype=np.float64)
         columns = {d: np.empty(len(rows)) for d in DIMENSIONS}
@@ -255,8 +250,7 @@ def evaluate_rows(
         scalars = _weighted_mean(columns, weights).tolist()
         for i, row_scores, scalar, (table, pre_hit, post_hit) in zip(
                 rows, zip(*(columns[d].tolist() for d in DIMENSIONS)), scalars, hits):
-            reports[i] = _report(steps[i].instruction, table, tau, revised, row_scores, scalar,
-                                 pre_hit, post_hit)
+            reports[i] = _report(table, tau, row_scores, scalar, pre_hit, post_hit)
     return reports
 
 
@@ -288,10 +282,8 @@ def score_group(
 
 
 def _report(
-    instruction: str,
     table: CriticTable,
     tau: float,
-    revised: dict[tuple, str],
     row_scores: tuple[float, ...],
     scalar: float,
     pre_hits: list[bool],
@@ -299,53 +291,24 @@ def _report(
 ) -> CriticReport:
     """Assemble one row's report from its scores (in DIMENSIONS order), scalar and literal hits.
 
-    A fault is (its dimension's score, tag, revision clause); the faults
-    sort most severe first. `revised` holds the call's revised instructions.
+    A fault is (its dimension's score, tag); the faults sort most severe
+    first.
     """
     adherence, interaction, goal, coherence, realism = row_scores
     scores = dict(zip(DIMENSIONS, row_scores))
-    tags = clauses = ()
+    tags = ()
     if scalar < tau:
-        faults = [(adherence, *feedback) for feedback, ok in zip(table.pre[2], pre_hits) if not ok]
-        faults += [(goal, *feedback) for feedback, ok in zip(table.post[2], post_hits) if not ok]
+        faults = [(adherence, tag) for tag, ok in zip(table.pre[2], pre_hits) if not ok]
+        faults += [(goal, tag) for tag, ok in zip(table.post[2], post_hits) if not ok]
         if table.contact is not None and interaction < 0.5:
-            faults.append((interaction, "interaction-missed", table.contact[4]))
+            faults.append((interaction, "interaction-missed"))
         if coherence < 0.5:
-            faults.append((coherence, "incoherent-motion",
-                           "Move smoothly without sudden jumps between frames"))
+            faults.append((coherence, "incoherent-motion"))
         if realism < 0.5:
-            faults.append((realism, "physics-violation",
-                           "Keep every per-frame motion small and inside the workspace"))
+            faults.append((realism, "physics-violation"))
         if not faults:
             worst = min(DIMENSIONS, key=lambda d: (scores[d], d))
-            faults.append((scores[worst], f"low-score:{worst}",
-                           f"Improve {worst.replace('_', ' ')}"))
-        # a tag names its clause, so this is the order of (score, tag)
+            faults.append((scores[worst], f"low-score:{worst}"))
         faults.sort()
-        _, tags, clauses = zip(*faults)
-    key = (instruction, clauses[:2])
-    if key not in revised:
-        revised[key] = _revise(*key)
-    return CriticReport(scores, tags, revised[key], scalar, table.contact is not None)
-
-
-def _revise(instruction: str, clauses: tuple[str, ...]) -> str:
-    """Deterministic template revision; identity without clauses.
-
-    The clauses come most severe first, at most two; they are dropped from
-    the back if the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep`
-    enforces) would be exceeded. Revising a revised instruction with the
-    same clauses returns it unchanged.
-    """
-    if not clauses:
-        return instruction
-    clauses = list(clauses)
-    while clauses:
-        suffix = " ".join(c + "." for c in clauses)
-        if suffix in instruction:
-            return instruction
-        text = f"{instruction} {suffix}"
-        if len(text.split()) <= MAX_INSTRUCTION_WORDS:
-            return text
-        clauses.pop()
-    return " ".join(instruction.split()[:MAX_INSTRUCTION_WORDS])
+        tags = tuple(tag for _, tag in faults)
+    return CriticReport(scores, tags, scalar, table.contact is not None)

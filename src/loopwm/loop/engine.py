@@ -1,7 +1,7 @@
 """Closed-loop episode driver: plan, generate, critique, retry.
 
 Control flow per step: generate a segment, score it, accept into memory at
-scalar >= tau. A rejection triggers the inner loop (revised instruction and
+scalar >= tau. A rejection triggers the inner loop (the same step with
 fresh noise, up to k_retries). When the retries run out, the outer loop
 starts the same step again: a fresh first try plus k_retries more, at most
 max_outer_replans times per episode, each time recording the best report's
@@ -15,10 +15,10 @@ breadth-first search (`plan`) and calls neither the policy nor the critic.
 Where it needs segments it yields a `Request` for n candidates of one
 (step, memory) from its own stream: n = 1 for a step's first try, and
 n = k_retries for `inner_refine`. It is resumed with a draw, which it calls
-once per candidate it takes, with the step that candidate is for (a retry's
-step carries the revised instruction). Where it needs a score it yields a
+once per candidate it takes. Where it needs a score it yields a
 `Critique(segment, step)` and is resumed with the critic's report. The
-episode log keeps each attempt and each outer pass.
+episode log keeps each attempt and each outer pass; the critic's tags are
+its whole failure record.
 
 A policy's `fulfil(requests)` turns a list of requests into their draws
 (see `Policy`). `bench.metrics.run_suite` drives the episodes of a suite in
@@ -59,7 +59,6 @@ class LoopConfig:
 class AttemptRecord:
     sid: int
     attempt: int  # 0 = first generation, 1..k = inner retries
-    instruction: str
     report: CriticReport
     accepted: bool
     # the scored segment; kept for metrics, left out of the episode log
@@ -107,8 +106,8 @@ class Critique:
     step: PlanStep
 
 
-# called once per candidate taken, with the step that candidate is for
-Draw = Callable[[PlanStep], Segment]
+# called once per candidate taken
+Draw = Callable[[], Segment]
 Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
 
 
@@ -116,29 +115,23 @@ def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
                  config: LoopConfig, rng: RandomSource
                  ) -> Generator[Request | Critique, Draw | CriticReport,
                                 tuple[Segment | None, CriticReport, list[AttemptRecord]]]:
-    """Retry a rejected step with revised instructions and fresh noise.
+    """Retry a rejected step with fresh noise.
 
     Returns (accepted segment or None, best report seen, attempt records).
     With k_retries = 0 it fails at once without generating. Otherwise it
-    yields one request for k_retries candidates and takes them in turn,
-    each for the step with the instruction the last report revised, and
+    yields one request for k_retries candidates, takes them in turn and
     yields a `Critique` for each candidate it takes.
     """
     best = report
     records: list[AttemptRecord] = []
     if config.k_retries < 1:
         return None, best, records
-    current = report
     draw = yield Request(step, memory, rng, config.k_retries)
     for attempt in range(1, config.k_retries + 1):
-        retry_step = step
-        if current.revised_instruction != step.instruction:
-            retry_step = step.with_instruction(current.revised_instruction)
-        segment = draw(retry_step)
-        current = yield Critique(segment, retry_step)
+        segment = draw()
+        current = yield Critique(segment, step)
         accepted = current.scalar >= config.tau
-        records.append(AttemptRecord(step.sid, attempt, retry_step.instruction,
-                                     current, accepted, segment))
+        records.append(AttemptRecord(step.sid, attempt, current, accepted, segment))
         if current.scalar > best.scalar:
             best = current
         if accepted:
@@ -168,11 +161,10 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
     while i < len(steps):
         step = steps[i]
         draw = yield Request(step, memory, rng, 1)
-        segment = draw(step)
+        segment = draw()
         report = yield Critique(segment, step)
         accepted = report.scalar >= config.tau
-        log.attempts.append(AttemptRecord(step.sid, 0, step.instruction, report, accepted,
-                                          segment))
+        log.attempts.append(AttemptRecord(step.sid, 0, report, accepted, segment))
         if not accepted:
             segment, best, records = yield from inner_refine(step, report, memory, config,
                                                              rng)

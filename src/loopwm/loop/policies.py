@@ -20,14 +20,13 @@ class Policy(Protocol):
 
     ``fulfil(requests)`` serves a list of `Request`s (n candidates for
     (step, memory) from one episode's stream each) at once and returns one
-    draw per request: a callable that the episode calls once per candidate
-    it takes, with the step that candidate is for. A failure that belongs
-    to one request, such as a non-finite condition or a diverged row, is
-    raised by that request's draw, at the candidate it concerns, and by no
-    other.
+    draw per request: a callable, taking no arguments, that the episode
+    calls once per candidate it takes. A failure that belongs to one
+    request, such as a non-finite condition or a diverged row, is raised by
+    that request's draw, at the candidate it concerns, and by no other.
     """
 
-    def fulfil(self, requests: list) -> list[Callable[[PlanStep], Segment]]:
+    def fulfil(self, requests: list) -> list[Callable[[], Segment]]:
         ...
 
 
@@ -43,6 +42,6 @@ class OraclePolicy:
         return reference_segment(self.spec, memory.state, step.actions[0],
                                  n_frames=self.n_frames, rng=rng, jitter=self.jitter)
 
-    def fulfil(self, requests: list) -> list[Callable[[PlanStep], Segment]]:
-        """One `generate` call per candidate taken, when it is taken."""
-        return [lambda step, r=r: self.generate(step, r.memory, r.rng) for r in requests]
+    def fulfil(self, requests: list) -> list[Callable[[], Segment]]:
+        """One `generate` call for the request's step per candidate taken, when it is taken."""
+        return [lambda r=r: self.generate(r.step, r.memory, r.rng) for r in requests]

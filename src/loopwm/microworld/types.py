@@ -128,17 +128,16 @@ class OperatorMasks(NamedTuple):
 class CriticTable(NamedTuple):
     """What the critic reads to score one step kind: its literals and contact geometry.
 
-    `pre` and `post` are (columns, values, feedback) of the distinct
-    literals, the feedback one (tag, revision clause) per literal;
-    `progress` is (columns, 0/1 targets) of every post literal. `contact`
-    is None without a motion profile, else (the acting entity's (x, y)
-    columns, the target's (x, y) columns if it moves or else its position,
-    whether it moves, the contact fractions, the revision clause of a missed
-    contact); the critic derives the contact window per frame count.
+    `pre` and `post` are (columns, values, tags) of the distinct literals,
+    one feedback tag per literal; `progress` is (columns, 0/1 targets) of
+    every post literal. `contact` is None without a motion profile, else
+    (the acting entity's (x, y) columns, the target's (x, y) columns if it
+    moves or else its position, whether it moves, the contact fractions);
+    the critic derives the contact window per frame count.
     """
 
-    pre: tuple[np.ndarray, np.ndarray, tuple[tuple[str, str], ...]]
-    post: tuple[np.ndarray, np.ndarray, tuple[tuple[str, str], ...]]
+    pre: tuple[np.ndarray, np.ndarray, tuple[str, ...]]
+    post: tuple[np.ndarray, np.ndarray, tuple[str, ...]]
     progress: tuple[np.ndarray, np.ndarray]
     contact: tuple | None
 
@@ -202,11 +201,11 @@ class DomainSpec:
     def critic_table(self, op: Operator, pre, post) -> CriticTable:
         """The critic's table of a step of `op` that requires `pre` and `post`."""
 
-        def literals(lits, tag: str, clause: str):
+        def literals(lits, tag: str):
             distinct = tuple(dict.fromkeys(lits))
             return (np.array([self.channel_index[lit.pred] for lit in distinct], dtype=np.intp),
                     np.array([lit.value for lit in distinct], dtype=bool),
-                    tuple((tag + str(lit), clause.format(lit.render())) for lit in distinct))
+                    tuple(tag + str(lit) for lit in distinct))
 
         def columns(name: str) -> tuple[int, int]:
             return self.channel_index[f"{name}.x"], self.channel_index[f"{name}.y"]
@@ -216,13 +215,10 @@ class DomainSpec:
             target = self.objects[op.motion.target]
             contact = (columns(self.acting_entity(op)),
                        columns(op.motion.target) if target.movable else target.position,
-                       target.movable, op.motion.contact,
-                       f"Maintain contact with the {op.objects[-1]} during the whole action window")
+                       target.movable, op.motion.contact)
         return CriticTable(
-            literals(pre, "pre-condition-violated:",
-                     "Confirm pre-condition '{}' holds at the start"),
-            literals(post, "post-condition-unmet:",
-                     "Ensure post-condition '{}' is reached before the segment ends"),
+            literals(pre, "pre-condition-violated:"),
+            literals(post, "post-condition-unmet:"),
             (np.array([self.channel_index[lit.pred] for lit in post], dtype=np.intp),
              np.array([1.0 if lit.value else 0.0 for lit in post])),
             contact)

@@ -86,9 +86,6 @@ class PlanStep:
                 f"instruction must be 1..{MAX_INSTRUCTION_WORDS} words, got {words}"
             )
 
-    def with_instruction(self, text: str) -> "PlanStep":
-        return PlanStep(self.sid, text, self.actions, self.pre, self.post)
-
 
 @dataclass(frozen=True)
 class PlanSequence:

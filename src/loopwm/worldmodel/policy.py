@@ -122,12 +122,13 @@ class WorldModelPolicy:
         block, `rng.normal(shape=(n, 1 + K, L))`: row j's z_init is
         `block[j, 0]` and its noise `block[j, 1:]`. At eta_scale 0 the block
         is (n, L), the z_inits alone. Each row is sampled under its own
-        request's condition, and a request's draw hands out its candidates
-        in turn. The round's conditions are stacked once and repeated to
-        one row per candidate, and the segments are views of one array of
-        the round's final frames (`sample_rows`). A request whose condition
-        cannot be built draws nothing and fails at its first candidate; a
-        row that diverges fails at its own candidate; neither touches the
+        request's condition, and a request's draw, called with no
+        arguments, hands out its candidates in turn. The round's conditions
+        are stacked once and repeated to one row per candidate, and the
+        segments are views of one array of the round's final frames
+        (`sample_rows`). A request whose condition cannot be built draws
+        nothing and fails at its first candidate; a row that diverges fails
+        at its own candidate, naming its request's step; neither touches the
         other requests.
         """
         latent, k_steps = self.config.latent_width, self.config.k_steps
@@ -149,21 +150,21 @@ class WorldModelPolicy:
             rows = np.repeat(np.stack(conds), [len(b) for b in blocks], axis=0)
             segments = sample_rows(self.theta, rows, z_init, self.config, noise)
         draws, first = [], 0
-        for failure, n in served:
-            draws.append(_draw(iter(segments[first:first + n]), failure))
+        for request, (failure, n) in zip(requests, served):
+            draws.append(_draw(iter(segments[first:first + n]), failure, request.step.sid))
             first += n
         return draws
 
 
-def _draw(segments, failure: LoopwmError | None):
+def _draw(segments, failure: LoopwmError | None, sid: int):
     """Hand out one request's segments in turn."""
 
-    def draw(step) -> Segment:
+    def draw() -> Segment:
         if failure is not None:
             raise failure
         segment = next(segments)
         if segment is None:
-            raise DivergenceError(f"sampler state of step {step.sid} went non-finite")
+            raise DivergenceError(f"sampler state of step {sid} went non-finite")
         return segment
 
     return draw

@@ -18,10 +18,9 @@ oracle for a fast path or a reader or view that only the tests need:
   scores are checked against;
 - `reference_rows` and `reference_score_group` are the critic as it was
   before `DomainSpec` compiled its tables: per group, they look up the
-  operator, its acting entity, its literals' channels and the tag and
-  clause texts anew; the package's reports and columns are checked equal
-  to theirs, bit for bit. `revise_instruction` and `tag_dimension` are
-  their tag readers;
+  operator, its acting entity, its literals' channels and the tags anew;
+  the package's reports and columns are checked equal to theirs, bit for
+  bit. `tag_dimension` is their tag reader;
 - `aggregate` is the critic's weighted mean with its inputs checked;
 - `load_suite` reads a suite that `save_suite` wrote.
 """
@@ -67,7 +66,7 @@ from loopwm.microworld import (
     load_domain,
 )
 from loopwm.microworld.frames import DECODE_THRESHOLD
-from loopwm.microworld.types import MAX_INSTRUCTION_WORDS, Operator, parse_literal
+from loopwm.microworld.types import Operator
 from loopwm.numerics import (
     NetParams,
     Tensor,
@@ -263,7 +262,7 @@ def reference_rows(
     reports: list[CriticReport | None] = [None] * len(steps)
     for rows in groups.values():
         block = np.asarray([frames[i] for i in rows], dtype=np.float64)
-        group = _score_group(spec, block, [steps[i] for i in rows], weights, tau)
+        group = _score_group(spec, block, steps[rows[0]], weights, tau)
         for i, report in zip(rows, group):
             reports[i] = report
     return reports
@@ -329,24 +328,23 @@ def reference_score_group(
 def _score_group(
     spec: DomainSpec,
     frames: np.ndarray,
-    steps: list[PlanStep],
+    step: PlanStep,
     weights: CriticWeights,
     tau: float,
 ) -> list[CriticReport]:
-    """One report per row of frames (G, F, C), whose steps share (action, pre, post)."""
-    scored = reference_score_group(spec, frames, steps[0], weights)
+    """One report per row of frames (G, F, C) of one (action, pre, post)."""
+    scored = reference_score_group(spec, frames, step, weights)
     scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
-    rows = zip(steps, scores, scored.scalar.tolist(), scored.post_hits.tolist(),
+    rows = zip(scores, scored.scalar.tolist(), scored.post_hits.tolist(),
                scored.pre_hits.tolist())
     return [
-        _report(row_step, tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
+        _report(tau, scored.applicable, dict(zip(DIMENSIONS, row_scores)), scalar,
                 dict(zip(scored.post_lits, post_hit)), dict(zip(scored.pre_lits, pre_hit)))
-        for row_step, row_scores, scalar, post_hit, pre_hit in rows
+        for row_scores, scalar, post_hit, pre_hit in rows
     ]
 
 
 def _report(
-    step: PlanStep,
     tau: float,
     applicable: bool,
     scores: dict[str, float],
@@ -373,50 +371,7 @@ def _report(
             worst_dim = min(DIMENSIONS, key=lambda d: (scores[d], d))
             tags.append(f"low-score:{worst_dim}")
         tags.sort(key=lambda t: (scores[tag_dimension(t)], t))
-    ordered = tuple(tags)
-    return CriticReport(scores, ordered, revise_instruction(step, ordered), scalar, applicable)
-
-
-def _clause_for(tag: str, step: PlanStep) -> str:
-    if tag.startswith("post-condition-unmet:"):
-        lit = tag.split(":", 1)[1]
-        return f"Ensure post-condition '{parse_literal(lit).render()}' is reached before the segment ends"
-    if tag.startswith("pre-condition-violated:"):
-        lit = tag.split(":", 1)[1]
-        return f"Confirm pre-condition '{parse_literal(lit).render()}' holds at the start"
-    if tag == "interaction-missed":
-        target = step.actions[0].objects[-1]
-        return f"Maintain contact with the {target} during the whole action window"
-    if tag == "incoherent-motion":
-        return "Move smoothly without sudden jumps between frames"
-    if tag == "physics-violation":
-        return "Keep every per-frame motion small and inside the workspace"
-    if tag.startswith("low-score:"):
-        return f"Improve {tag.split(':', 1)[1].replace('_', ' ')}"
-    return "Execute the step more carefully"
-
-
-def revise_instruction(step: PlanStep, tags: Sequence[str]) -> str:
-    """Deterministic template revision; identity when there are no tags.
-
-    Clauses are appended most-severe first (a report's tags are already
-    ordered); at most two are used and clauses are dropped from the back if
-    the word budget (`MAX_INSTRUCTION_WORDS`, which `PlanStep` enforces)
-    would be exceeded. Re-running with identical tags returns the same text.
-    """
-    if not tags:
-        return step.instruction
-    clauses = [_clause_for(t, step) for t in tags[:2]]
-    while clauses:
-        suffix = " ".join(c + "." for c in clauses)
-        if suffix in step.instruction:
-            return step.instruction
-        text = f"{step.instruction} {suffix}"
-        if len(text.split()) <= MAX_INSTRUCTION_WORDS:
-            return text
-        clauses.pop()
-    words = step.instruction.split()[:MAX_INSTRUCTION_WORDS]
-    return " ".join(words)
+    return CriticReport(scores, tuple(tags), scalar, applicable)
 
 
 def aggregate(scores: dict[str, float], weights: CriticWeights = DEFAULT_WEIGHTS) -> float:

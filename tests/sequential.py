@@ -15,7 +15,8 @@ The package serves segments only in lockstep rounds (`run_suite` calls one
   `sample_ode` are that call drawing the path's noise from one stream, or
   none;
 - `GeneratePolicy` turns a `generate(step, memory, rng)` method into a
-  policy, one call per candidate taken, and `FrozenPolicy` is one.
+  policy, one call for the request's step per candidate taken, and
+  `FrozenPolicy` is one.
 """
 
 from __future__ import annotations
@@ -95,13 +96,13 @@ class SequentialPolicy:
         except LoopwmError as exc:
             failure = exc
 
-            def refuse(step):
+            def refuse():
                 raise failure
 
             return refuse
         rows = iter(block_draw(config, request.rng, request.n))
 
-        def draw(step):
+        def draw():
             row = next(rows)
             if config.eta_scale > 0.0:
                 return sample_one(theta, cond, row[0], config, row[None, 1:])[0]
@@ -114,7 +115,7 @@ class GeneratePolicy:
     """A policy from its `generate(step, memory, rng)`: one call per candidate taken."""
 
     def fulfil(self, requests):
-        return [lambda step, r=r: self.generate(step, r.memory, r.rng) for r in requests]
+        return [lambda r=r: self.generate(r.step, r.memory, r.rng) for r in requests]
 
 
 class FrozenPolicy(GeneratePolicy):

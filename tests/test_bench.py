@@ -250,7 +250,7 @@ def nan_net(spec):
     theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(2))
     theta.biases[-1][0] = np.nan
     policy = SequentialPolicy(WorldModelPolicy(theta, spec, config))
-    return lambda step, memory, rng: policy.serve(Request(step, memory, rng, 1))(step)
+    return lambda step, memory, rng: policy.serve(Request(step, memory, rng, 1))()
 
 
 @pytest.mark.parametrize("source", ["frames", "net"])
@@ -294,8 +294,7 @@ def test_interaction_not_applicable_reports_none(kitchen, monkeypatch):
 
     def rows(spec, frames, steps, weights, tau):
         scores = {d: 1.0 for d in DIMENSIONS}
-        return [CriticReport(scores=scores, tags=(), revised_instruction=step.instruction,
-                             scalar=1.0, contact_applicable=False)
+        return [CriticReport(scores=scores, tags=(), scalar=1.0, contact_applicable=False)
                 for step in steps]
 
     monkeypatch.setattr("loopwm.bench.metrics.evaluate_rows", rows)

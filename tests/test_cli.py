@@ -239,9 +239,17 @@ def test_grpo_net_flags_exit_2(sft_small, tmp_path, capsys):
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("grpo: {group_size: 1}\n")
-    assert main(["plan", "lid removed", "--config", str(cfg)]) == 2
-    assert "invalid configuration" in capsys.readouterr().err
+    out = tmp_path / "run"
+    # a non-string domain is an invalid value, not a TypeError traceback
+    for text in ("grpo: {group_size: 1}\n", "domain: 5\n", "domain: [kitchen]\n"):
+        cfg.write_text(text)
+        assert main(["plan", "lid removed", "--config", str(cfg)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert main(["sft", "--demos", "2", "--epochs", "0", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid configuration" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -602,7 +610,10 @@ def test_grpo_resume_without_state_exits_2(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("state", ["{not json", '{"seed": 0}'])
+# iterations_done is a count: no string, float, bool or negative number passes
+@pytest.mark.parametrize("state", ["{not json", '{"seed": 0}', '{"iterations_done": -5}',
+                                   '{"iterations_done": "3"}', '{"iterations_done": 2.7}',
+                                   '{"iterations_done": true}'])
 def test_grpo_resume_with_malformed_state_exits_2_naming_it(state, tmp_path, capsys):
     old = tmp_path / "old"
     old.mkdir()
@@ -685,6 +696,18 @@ def test_grpo_unknown_reward_dimension_exits_2_before_the_run(sft_small, tmp_pat
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "'style'" in err
+    assert not out.exists()
+
+
+def test_grpo_deterministic_sampler_exits_2_before_the_run(sft_small, tmp_path, capsys):
+    # a group sampled without noise has identical members, so nothing to rank
+    out = tmp_path / "run"
+    rc = main(["grpo", "--eta-scale", "0", "--iterations", "1",
+               "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
+               "--out", str(out)] + SAMPLER)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eta_scale > 0" in err
     assert not out.exists()
 
 

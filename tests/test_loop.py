@@ -89,10 +89,6 @@ def test_frozen_policy_exhausts_retries_and_replans(kitchen):
     # each outer pass starts the failed step again and records its best tags
     assert [event.at_sid for event in log.replans] == [1] * config.max_outer_replans
     assert all(event.tags for event in log.replans)
-    # inner retries must carry a revised instruction once tags are present
-    originals = [a for a in log.attempts if a.attempt == 0]
-    retries = [a for a in log.attempts if a.attempt > 0]
-    assert retries and all(r.instruction != originals[0].instruction for r in retries)
 
 
 def test_zero_retry_config_generates_once_per_version(kitchen):
@@ -124,7 +120,6 @@ def test_retry_then_accept_counts_two_generations(kitchen):
     assert len(log.attempts) == 2
     assert [a.attempt for a in log.attempts] == [0, 1]
     assert not log.attempts[0].accepted and log.attempts[1].accepted
-    assert log.attempts[1].instruction != log.attempts[0].instruction
 
 
 class CountingPolicy(GeneratePolicy):
@@ -200,9 +195,6 @@ def test_outer_passes_keep_the_plan_and_bound_the_attempts(name, data):
     # the attempts visit the initial plan's steps in order, never skipping one
     visited = [sid for sid, _ in groupby(a.sid for a in log.attempts)]
     assert visited == [step.sid for step in steps][:len(visited)]
-    for attempt in log.attempts:
-        if attempt.attempt == 0:
-            assert attempt.instruction == steps[attempt.sid - 1].instruction
     assert len(log.replans) <= config.max_outer_replans
     assert (len(log.attempts)
             <= (len(steps) + config.max_outer_replans) * (1 + config.k_retries))
@@ -255,7 +247,7 @@ def diverging_policy(spec):
 
 def assert_same_episode(log, reference):
     summary = [
-        ([(a.sid, a.attempt, a.instruction, a.accepted, a.report.scalar) for a in run.attempts],
+        ([(a.sid, a.attempt, a.accepted, a.report.scalar) for a in run.attempts],
          run.replans, run.status)
         for run in (log, reference)
     ]

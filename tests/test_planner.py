@@ -166,7 +166,7 @@ def test_plan_value_types_reject_malformed_steps(kitchen):
     with pytest.raises(ValueError, match="instruction"):
         PlanStep(1, wordy, step.actions, step.pre, step.post)
     with pytest.raises(ValueError, match="instruction"):
-        step.with_instruction("   ")
+        PlanStep(1, "   ", step.actions, step.pre, step.post)
     with pytest.raises(ValueError, match="increasing"):
         PlanSequence((step, step), jar_goal())
     with pytest.raises(ValueError, match="literal"):

@@ -401,8 +401,8 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
         for request, draw, want_draw in zip(requests, policy.fulfil(requests),
                                             SequentialPolicy(policy).fulfil(reference)):
             for _ in range(request.n):
-                segment = draw(request.step)
-                want = want_draw(request.step)
+                segment = draw()
+                want = want_draw()
                 np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
                 segments.append(segment)
         assert len(segments) == 2 * n + 1
@@ -415,7 +415,7 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
             after.normal(shape=block)
             draws = policy.fulfil(requests)
             for _ in range(taken):
-                draws[0](requests[0].step)
+                draws[0]()
             assert requests[0].rng.normal() == after.normal()
 
 
@@ -432,11 +432,10 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
     reference = SequentialPolicy(policy).fulfil(twins(requests))
     draws = policy.fulfil(requests)
     with pytest.raises(NumericError):
-        draws[2](requests[2].step)
+        draws[2]()
     for request, draw, want_draw in list(zip(requests, draws, reference))[:2]:
         for _ in range(request.n):
-            np.testing.assert_allclose(draw(request.step).frames,
-                                       want_draw(request.step).frames, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(draw().frames, want_draw().frames, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
