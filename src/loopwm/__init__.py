@@ -1,7 +1,7 @@
 """loopwm: a desk-scale closed-loop plan/generate/critique harness.
 
 Subpackages:
-    numerics    float64 MLP, Adam, Gaussian log-densities, splittable RNG
+    numerics    float32 MLP and Adam, the working dtype, splittable RNG
     microworld  symbolic domains, frame encoding, demonstration segments
     planner     breadth-first symbolic planning
     critic      programmatic segment scoring

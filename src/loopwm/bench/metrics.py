@@ -23,9 +23,9 @@ call at the loop's tau, which scores the pass; the passes repeat while an
 episode takes another candidate of its draw, and the next round starts
 once every episode waits for segments again. A row's last bits may depend
 on which rows share its sampler batch (see `sample_group`), so a task's
-frames equal those of its rows sampled one at a time up to rounding, not
-bitwise; its reports are those the critic gives each row alone on those
-frames (see `evaluate_rows`).
+frames equal those of its rows sampled one at a time up to float32
+rounding, not bitwise; its reports are those the critic gives each row
+alone on those frames (see `evaluate_rows`), scored in float64.
 """
 
 from __future__ import annotations
@@ -161,9 +161,10 @@ def _boundary_score(prev: Segment, nxt: Segment) -> float:
 
     The next segment should pick up where the last one stopped; the mean
     squared frame delta across the junction is judged against the same
-    scale the critic uses for intra-segment curvature.
+    scale the critic uses for intra-segment curvature, in float64 like the
+    critic's scores.
     """
-    delta = nxt.frames[0] - prev.frames[-1]
+    delta = np.subtract(nxt.frames[0], prev.frames[-1], dtype=np.float64)
     return coherence_score(float(np.mean(delta * delta)))
 
 

@@ -15,6 +15,9 @@ barely reacts to a single hard teleport in a long segment; the severity
 factor makes one large violation collapse the score, which is what the
 feedback loop needs to catch physically broken rollouts.
 
+Scores are float64: both entry points cast the frames, which the sampler
+makes in float32, to float64 before any sum or threshold.
+
 Row contract: every dimension reduces along a contiguous per-row axis, so a
 row's numbers do not depend on the rows it is scored with. `DomainSpec`
 compiles one critic table per operator (`DomainSpec.critic_table`); a step
@@ -274,8 +277,10 @@ def score_group(
 ) -> GroupScores:
     """Score G rows, frames of shape (G, F, C), against one plan step, as columns.
 
-    The columns are the ones `evaluate_rows` builds its reports from.
+    The columns are the ones `evaluate_rows` builds its reports from, and
+    the frames are cast to float64 first, as `evaluate_rows` stacks them.
     """
+    frames = np.asarray(frames, dtype=np.float64)
     scores = _checked(spec, frames)
     scores.update(_step_scores(_table_for(spec, step), frames)[0])
     return GroupScores(scores, _weighted_mean(scores, weights))

@@ -70,7 +70,7 @@ class GroupMember:
 
     @property
     def segment(self) -> Segment:
-        return Segment(self.group.frames[self.index])
+        return Segment(self.group.frames[self.index], checked=True)
 
     @property
     def trace(self) -> Transitions:

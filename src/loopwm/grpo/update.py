@@ -12,8 +12,11 @@ reshaped to (G*K, W), so each row is scored under the condition and time it
 was sampled at, and nothing is copied or rebuilt. Every member shares the
 sampler's time grid, so the terms that depend on the step alone (the mean's
 affine coefficients, the std and the density's normalizer) are computed once
-per step and broadcast over the members. `grpo_update` reports the
-`ObjectiveTerms` it stepped along.
+per step and broadcast over the members. The nets run in float32 (`DTYPE`);
+the transition means, log-densities, ratios, KL and output gradient are
+float64, computed with the sampler's own `mean_terms` and `transition_logp`,
+and the output gradient is cast to `DTYPE` for the backward alone.
+`grpo_update` reports the `ObjectiveTerms` it stepped along.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from ..errors import LoopwmError
 from ..numerics import (
+    DTYPE,
     NetParams,
     OptState,
     net_activations,
@@ -33,8 +37,7 @@ from ..numerics import (
     opt_step,
     require_finite,
 )
-from ..numerics.tensor import LOG_2PI
-from ..worldmodel import mean_affine_coeffs
+from ..worldmodel import mean_terms, transition_logp
 from .config import GrpoConfig
 from .rollout import RolloutGroup
 
@@ -121,11 +124,8 @@ def objective_terms(
     adv = np.asarray(group.advantages, dtype=np.float64)[:, None]
 
     # transition mean is affine in the velocity: mean = base + coeff * u
-    scale, coeff = mean_affine_coeffs(t, 1.0 / k_steps, trace.std, delta=delta)
-    base = z * scale[:, None]
-    coeff = coeff[:, None]
+    base, coeff = mean_terms(z, t, trace.std, delta=delta)
     std = trace.std[:, None]
-    log_norm = -0.5 * LOG_2PI * latent - latent * np.log(trace.std)
 
     acts = net_activations(theta, x)
     require_finite(acts[-1], "net output")
@@ -134,7 +134,7 @@ def objective_terms(
     mean_theta = base + coeff * acts[-1].reshape(n_members, k_steps, latent)
     mean_ref = base + coeff * u_ref.reshape(n_members, k_steps, latent)
     resid = trace.z_next - mean_theta
-    logp_theta = log_norm - 0.5 * np.sum((resid / std) ** 2, axis=2)
+    logp_theta = transition_logp(resid, trace.std)
     # overflow to inf is fine here: the member gets dropped just below
     with np.errstate(over="ignore"):
         ratios = np.exp(logp_theta - trace.logp)
@@ -147,7 +147,8 @@ def objective_terms(
             _log.warning("dropping rollout member %d: non-finite importance ratio", i)
         if not kept:
             return ObjectiveTerms(
-                value=0.0, surrogate=0.0, kl=0.0, grads=np.empty(0), clip_fraction=0.0,
+                value=0.0, surrogate=0.0, kl=0.0, grads=np.empty(0, dtype=DTYPE),
+                clip_fraction=0.0,
                 ratios=np.empty(0), kept=(), dropped=dropped,
             )
         keep_rows = np.repeat(finite, k_steps)
@@ -167,8 +168,8 @@ def objective_terms(
     flow = (~binding).astype(np.float64)[:, :, None]
     weight = (flow * adv[:, :, None] * ratios[:, :, None] * resid
               - config.beta * mean_diff) / (std * std)
-    out_grads = coeff * weight / n_rows
-    grads = net_backward_batch(theta, acts, out_grads.reshape(n_rows, latent), out=out)
+    out_grads = (coeff * weight / n_rows).reshape(n_rows, latent).astype(DTYPE)
+    grads = net_backward_batch(theta, acts, out_grads, out=out)
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,
         clip_fraction=clip_fraction, ratios=ratios.reshape(-1), kept=kept, dropped=dropped,

@@ -1,15 +1,17 @@
 """Core value types for the symbolic microworld.
 
 A domain is a fixed cast of objects with boolean predicates and, for movable
-entities, planar pose channels in [0, 1]. Frames are float64 vectors laid out
-as all predicate channels (declaration order) followed by x/y pose channels
-per movable entity (declaration order). Operators rewrite predicate literals
-and drag their moving entities toward a target object.
+entities, planar pose channels in [0, 1]. Frames are vectors laid out as all
+predicate channels (declaration order) followed by x/y pose channels per
+movable entity (declaration order): float64 where the domain writes them
+(the initial frame, reference segments), float32 where the velocity net
+samples them. Operators rewrite predicate literals and drag their moving
+entities toward a target object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -352,15 +354,28 @@ def _check_semantics(spec: DomainSpec) -> None:
 
 @dataclass
 class Segment:
-    """A dense rollout of n_frames frame vectors, shape (F, d)."""
+    """A dense rollout of n_frames frame vectors, shape (F, d).
+
+    A float array is kept as it is, float32 or float64, so a segment can be
+    a view of a larger block; anything else becomes float64. The frames must
+    be 2-D and finite. A caller that has already checked them, as the
+    sampler checks every row it returns, passes `checked=True` and the
+    array is taken as it is, unchecked.
+    """
 
     frames: np.ndarray
+    checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise ValueError(f"segment frames must be 2-D, got shape {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
+    def __post_init__(self, checked: bool) -> None:
+        if checked:
+            return
+        frames = np.asarray(self.frames)
+        if frames.dtype.kind != "f":
+            frames = frames.astype(np.float64)
+        self.frames = frames
+        if frames.ndim != 2:
+            raise ValueError(f"segment frames must be 2-D, got shape {frames.shape}")
+        if not np.all(np.isfinite(frames)):
             raise NumericError("segment contains non-finite values")
 
     @property

@@ -9,9 +9,10 @@ from .net import (
 )
 from .optim import OptState, opt_init, opt_step
 from .rng import RandomSource
-from .tensor import Tensor, require_finite
+from .tensor import DTYPE, Tensor, require_finite
 
 __all__ = [
+    "DTYPE",
     "NetParams",
     "OptState",
     "RandomSource",

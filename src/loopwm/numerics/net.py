@@ -11,22 +11,27 @@ Gradients are computed by explicit backprop (no autograd framework) so they
 can be checked coordinate-by-coordinate against a central-difference oracle
 that the tests keep independent of this module's backward pass.
 
-Every parameter of a net lives in one contiguous float64 vector,
-`NetParams.vector`, in checkpoint order: W0 row-major, b0, W1, b1, ...
-`weights[i]` and `biases[i]` are views into it. A gradient is one vector of
-the same layout, so the optimizer updates a net with whole-vector operations,
-and the in-memory vector is the checkpoint payload.
+Every parameter of a net lives in one contiguous vector of `DTYPE`
+(float32), `NetParams.vector`, in checkpoint order: W0 row-major, b0, W1,
+b1, ... `weights[i]` and `biases[i]` are views into it. A gradient is one
+vector of the same layout and dtype, so the optimizer updates a net with
+whole-vector operations, and the in-memory vector is the checkpoint payload.
+Both passes run in the dtype of their inputs: the callers hand them `DTYPE`
+arrays, since one float64 operand would make numpy compute the whole layer
+in float64.
 
 Checkpoint layout (all integers and floats little-endian):
 
-    bytes 0..7   magic b"LWNET001"
+    bytes 0..7   magic b"LWNET002"
     u8           length of the activation name, then that many ascii bytes
     u32          S, the number of layer sizes
     S * u32      layer sizes, input width first
     payload      the parameter vector: per layer the weight matrix
-                 (out*in float64, row-major), then the bias (out float64)
+                 (out*in float32, row-major), then the bias (out float32)
 
-The loader rejects wrong magic, unknown activations, truncated files, and
+The loader also reads the float64 layout, magic b"LWNET001" with 8-byte
+payload entries, and casts its vector to float32, so older checkpoints keep
+loading. It rejects wrong magic, unknown activations, truncated files, and
 trailing bytes.
 """
 
@@ -41,9 +46,11 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .rng import RandomSource
-from .tensor import Tensor
+from .tensor import DTYPE, Tensor
 
-MAGIC = b"LWNET001"
+MAGIC = b"LWNET002"
+# magic -> payload entry type; LWNET001 is the float64 layout, cast on load
+_PAYLOADS = {MAGIC: np.dtype("<f4"), b"LWNET001": np.dtype("<f8")}
 
 
 def _tanh_grad(a: Tensor) -> Tensor:
@@ -103,9 +110,9 @@ class NetParams:
         if len(self.sizes) < 2:
             raise ValueError(f"a net needs at least 2 layer sizes, got {self.sizes}")
         vector = self.vector
-        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+        if not (isinstance(vector, np.ndarray) and vector.dtype == DTYPE
                 and vector.ndim == 1 and vector.flags.c_contiguous):
-            raise ValueError("parameters must be one contiguous float64 vector")
+            raise ValueError(f"parameters must be one contiguous {np.dtype(DTYPE)} vector")
         if vector.size != _n_params(self.sizes):
             raise ValueError(f"parameter vector has {vector.size} entries, layer sizes "
                              f"{self.sizes} need {_n_params(self.sizes)}")
@@ -118,9 +125,12 @@ class NetParams:
 
 
 def net_init(sizes: Sequence[int], rng: RandomSource, activation: str = "tanh") -> NetParams:
-    """Glorot-scaled normal weights, zero biases."""
+    """Glorot-scaled normal weights, zero biases.
+
+    The weights are float64 draws, scaled and then cast to `DTYPE`.
+    """
     sizes = tuple(int(s) for s in sizes)
-    params = NetParams(sizes, np.zeros(_n_params(sizes)), activation)
+    params = NetParams(sizes, np.zeros(_n_params(sizes), dtype=DTYPE), activation)
     gen = rng.generator()
     for w, fan_in, fan_out in zip(params.weights, sizes[:-1], sizes[1:]):
         scale = np.sqrt(2.0 / (fan_in + fan_out))
@@ -135,7 +145,7 @@ def clone_params(params: NetParams) -> NetParams:
 def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     """The forward pass, returning every layer's output, `[x, h_1, ..., y]`.
 
-    x is a float64 array of shape (n, sizes[0]) and y has shape
+    x is a `DTYPE` array of shape (n, sizes[0]) and y has shape
     (n, sizes[-1]): post-activation outputs, linear on the last layer. Pass
     the list to `net_backward_batch` to differentiate this forward without
     rerunning it. Nothing is checked here: each stage validates its inputs
@@ -158,10 +168,10 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
     """Reverse-mode parameter gradient through a forward already run by `net_activations`.
 
     The gradient is one vector in the layout of `params.vector`, summed over
-    the batch. It is written into `out` when that is given, a float64 vector
+    the batch. It is written into `out` when that is given, a `DTYPE` vector
     of the parameters' shape, and returned; otherwise a new vector is
     allocated. The sweep stops at the first layer's weights: no caller needs
-    the gradient with respect to the input. `out_grad` is a float64 array
+    the gradient with respect to the input. `out_grad` is a `DTYPE` array
     of the output's shape and is not modified; like the forward, the sweep
     checks nothing.
     """
@@ -189,7 +199,7 @@ def save_checkpoint(path: str | Path, params: NetParams) -> None:
         MAGIC, struct.pack("<B", len(name)), name,
         struct.pack("<I", len(params.sizes)),
         struct.pack(f"<{len(params.sizes)}I", *params.sizes),
-        np.ascontiguousarray(params.vector, dtype="<f8").tobytes(),
+        np.ascontiguousarray(params.vector, dtype=_PAYLOADS[MAGIC]).tobytes(),
     ]))
 
 
@@ -205,7 +215,8 @@ def load_checkpoint(path: str | Path) -> NetParams:
         off += n
         return out
 
-    if take(len(MAGIC)) != MAGIC:
+    payload = _PAYLOADS.get(take(len(MAGIC)))
+    if payload is None:
         raise CheckpointError(f"{path}: bad magic, not a network checkpoint")
     (name_len,) = struct.unpack("<B", take(1))
     activation = take(name_len).decode("ascii")
@@ -215,7 +226,8 @@ def load_checkpoint(path: str | Path) -> NetParams:
     if n_sizes < 2 or n_sizes > 64:
         raise CheckpointError(f"{path}: implausible layer count {n_sizes}")
     sizes = tuple(int(s) for s in struct.unpack(f"<{n_sizes}I", take(4 * n_sizes)))
-    vector = np.frombuffer(take(8 * _n_params(sizes)), dtype="<f8").astype(np.float64)
+    n_bytes = payload.itemsize * _n_params(sizes)
+    vector = np.frombuffer(take(n_bytes), dtype=payload).astype(DTYPE)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return NetParams(sizes, vector, activation)

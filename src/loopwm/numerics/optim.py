@@ -2,7 +2,9 @@
 
 `opt_step` works in place: it updates the parameter vector and the moment
 estimates it is given and returns nothing. The gradient, both moments and
-the step's scratch are vectors in the layout of `NetParams.vector`, so each
+the step's scratch are `DTYPE` (float32) vectors in the layout of
+`NetParams.vector`. Every operation writes in place, so the vectors keep
+their dtype whatever the type of the step's scalars (alpha_t, eps_hat). Each
 step is a fixed sequence of in-place elementwise operations over the whole
 vector, with no per-array loop and no temporaries. The state also owns the
 gradient vector, `OptState.grad`, which training loops backprop into

@@ -19,9 +19,11 @@ from .sampler import (
     SamplerConfig,
     Transitions,
     mean_affine_coeffs,
+    mean_terms,
     sample_group,
     sample_rows,
     score_term,
+    transition_logp,
 )
 from .training import build_demos, sft_train, velocity_net_sizes
 
@@ -37,11 +39,13 @@ __all__ = [
     "embed_condition",
     "load_policy",
     "mean_affine_coeffs",
+    "mean_terms",
     "policy_manifest",
     "sample_group",
     "sample_rows",
     "save_policy",
     "score_term",
     "sft_train",
+    "transition_logp",
     "velocity_net_sizes",
 ]

@@ -15,13 +15,21 @@ Every stochastic transition is Gaussian with mean z - drift*dt and
 std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
 
+Every state, net input and noise array is `DTYPE` (float32): `_inputs`
+casts the caller's condition, initial latents and float64 noise draws once,
+and the step updates stay in that dtype. Only the densities are float64.
+
 A group's trace is a `Transitions` of arrays, the layout the GRPO objective
 reads: `steps` (G, K, W) holds the net input [z | t | cond] of every row at
 every denoise step, `z_next` (G, K, L) each step's next state, `std` (K,)
 each step's std and `logp` (G, K) each transition's log-density. The
 sampler writes each step's z into its block of `steps` and forwards that
 (G, W) block as it is, so the objective's (G*K, W) input is a reshape of
-what the sampler fed the net. Deterministic transitions (eta_scale = 0)
+what the sampler fed the net. It keeps each step's net output and, after
+the last step, computes every transition's mean and log-density in float64
+with `mean_terms` and `transition_logp`, the functions the objective
+recomputes them with, so at equal parameters the two agree up to the
+rounding of the float32 forward. Deterministic transitions (eta_scale = 0)
 record std = 0 and logp = 0: they carry no density.
 
 Sampling works on rows: `sample_group` denoises G paths, each under the
@@ -43,7 +51,7 @@ import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
 from ..microworld import Segment
-from ..numerics import NetParams, net_activations, require_finite
+from ..numerics import DTYPE, NetParams, net_activations, require_finite
 from ..numerics.tensor import LOG_2PI
 
 
@@ -83,6 +91,7 @@ class Transitions:
     `steps` holds each transition's net input [z | t | cond], `z_next` its
     next state, `std` each denoise step's std (one per step, shared by the
     rows) and `logp` each transition's log-density under the sampling net.
+    `steps` and `z_next` are `DTYPE`; `std` and `logp` are float64.
     """
 
     steps: np.ndarray
@@ -106,13 +115,13 @@ def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> 
 
 def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: SamplerConfig,
             noise: np.ndarray | None, blocks: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Check the row contract once; return (net inputs, noise).
+    """Check the row contract once; return (net inputs, noise), both `DTYPE`.
 
     The net inputs have shape (G, blocks, W): every block holds its denoise
     step's t and the row's condition, and the first block holds z_init.
     """
-    cond = np.asarray(cond, dtype=np.float64)
-    z = np.array(z_init, dtype=np.float64, ndmin=2)
+    cond = np.asarray(cond, dtype=DTYPE)
+    z = np.array(z_init, dtype=DTYPE, ndmin=2)
     latent = config.latent_width
     if z.ndim != 2 or z.shape[1] != latent:
         raise LoopwmError(
@@ -130,7 +139,7 @@ def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: Samp
             raise LoopwmError("sampling needs noise when eta_scale > 0")
         rows = max(z.shape[0], cond.shape[0] if cond.ndim == 2 else 1)
     else:
-        noise = np.asarray(noise, dtype=np.float64)
+        noise = np.asarray(noise, dtype=DTYPE)
         rows = noise.shape[0] if noise.ndim == 3 else 0
         if noise.shape != (rows, config.k_steps, latent):
             raise LoopwmError(
@@ -143,7 +152,7 @@ def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: Samp
             f"z_init has {z.shape[0]} rows and cond {cond.shape}; each must be shared "
             f"or give one per row of the {rows}"
         )
-    x = np.empty((rows, blocks, theta.sizes[0]))
+    x = np.empty((rows, blocks, theta.sizes[0]), dtype=DTYPE)
     x[:, 0, :latent] = z
     x[:, :, latent] = config.time_grid()[:blocks]
     x[:, :, latent + 1:] = cond[:, None] if cond.ndim == 2 else cond
@@ -156,22 +165,23 @@ def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.n
     """Integrate rows from t=1 to t=0: (final states, rows gone non-finite).
 
     Without `record`, x is (G, 1, W) and each step rewrites its z and t. With
-    `record` = (z_next, mean, std), of shapes (G, K, L), (G, K, L) and (K,),
-    x is (G, K, W): step k forwards block k, computes its next state (and,
-    when stochastic, its transition mean) straight into the record at k,
-    writes its std, and copies its next state into block k + 1.
+    `record` = (z_next, u, std), of shapes (G, K, L), (G, K, L) and (K,),
+    x is (G, K, W): step k forwards block k, computes its next state
+    straight into the record at k, keeps its net output and its std, and
+    copies its next state into block k + 1. Both ways run the same
+    operations, so they give the same states bit for bit.
     """
     latent = config.latent_width
     stochastic = config.eta_scale > 0.0
     dt = 1.0 / config.k_steps
     diverged = np.zeros(x.shape[0], dtype=bool)
     block = x[:, 0]
-    z_out = mean_out = None
+    z_out = None
     for k, t in enumerate(config.time_grid()):
         if record is None:
             block[:, latent] = t
         else:
-            z_out, mean_out = record[0][:, k], record[1][:, k]
+            z_out = record[0][:, k]
         z = block[:, :latent]
         u = net_activations(theta, block)[-1]
         if not stochastic:
@@ -182,10 +192,12 @@ def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.n
             x_pred = z - t * u
             eta = config.eta_scale * math.sqrt(t)
             drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
-            mean = np.subtract(z, drift * dt, out=mean_out)
             std = eta * math.sqrt(dt)
-            z_next = np.add(mean, std * noise[:, k], out=z_out)
+            # the transition mean, then the noise added to it in place
+            z_next = np.subtract(z, drift * dt, out=z_out)
+            z_next += std * noise[:, k]
         if record is not None:
+            record[1][:, k] = u
             record[2][k] = std
         if not np.isfinite(z_next).all():
             finite = np.isfinite(z_next).all(axis=1)
@@ -215,11 +227,15 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     (L,) shared by every row, or one per row, (G, L). `noise` holds every
     row's Wiener increments, shape (G, K, L): row i takes `noise[i, k]` at
     denoise step k. Row i equals the one-row call on its own condition,
-    z_init and `noise[i:i + 1]`, up to rounding: BLAS may sum a G-row matrix
-    product in another order than a one-row product, so a row's last bits
-    may depend on which other rows share its call. Each step makes one
-    (G, width) network evaluation. Rows never mix, so each row's state is
-    checked on its own.
+    z_init and `noise[i:i + 1]`, up to float32 rounding: BLAS may sum a
+    G-row matrix product in another order than a one-row product, so a
+    row's last bits may depend on which other rows share its call. Each
+    step makes one (G, width) network evaluation. Rows never mix, so each
+    row's state is checked on its own. The condition, z_init and noise are
+    cast to `DTYPE`, and so are the frames and the trace's states;
+    `trace.std` and `trace.logp` are float64, the log-densities computed
+    from the kept net outputs through `mean_terms` and `transition_logp`,
+    as the GRPO objective computes them.
 
     `theta`, the widths, `cond`, `z_init` and the noise shape are validated
     once, here; inside the loop only each row's state is checked. A row
@@ -234,19 +250,16 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     k_steps, latent = config.k_steps, config.latent_width
     x, noise = _inputs(theta, cond, z_init, config, noise, k_steps)
     rows = x.shape[0]
-    z_next, mean = np.empty((rows, k_steps, latent)), np.empty((rows, k_steps, latent))
+    z_next, u = (np.empty((rows, k_steps, latent), dtype=DTYPE) for _ in range(2))
     std = np.zeros(k_steps)
-    _, diverged = _denoise(theta, x, config, noise, (z_next, mean, std))
+    _, diverged = _denoise(theta, x, config, noise, (z_next, u, std))
     if diverged.any():
         raise DivergenceError(f"sampler state went non-finite in {int(diverged.sum())} "
                               f"of {rows} rows")
     logp = np.zeros((rows, k_steps))
     if config.eta_scale > 0.0:
-        # the Gaussian log-density of every transition at once: per step the
-        # normalizing constant, less half the row's squared standardized residual
-        resid = (z_next - mean) / std[:, None]
-        const = np.array([-0.5 * LOG_2PI * latent - latent * math.log(s) for s in std])
-        logp = const - 0.5 * np.sum(resid * resid, axis=2)
+        base, coeff = mean_terms(x[:, :, :latent], x[0, :, latent], std, delta=config.delta)
+        logp = transition_logp(z_next - (base + coeff * u), std)
     frames = z_next[:, -1].reshape(rows, config.n_frames, config.frame_width)
     return frames, Transitions(x, z_next, std, logp)
 
@@ -258,13 +271,16 @@ def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     Same row contract and the same frames bit for bit, but no transition is
     recorded, and a row whose state goes non-finite comes back as None while
     the other rows are returned as usual. The rows' final states are one
-    new (G, L) array that nothing else holds; read as (G, F, C) frames, each
-    segment is a view of its row, so the round's frames are stored once.
+    new (G, L) `DTYPE` array that nothing else holds; read as (G, F, C)
+    frames, each segment is a view of its row, so the round's frames are
+    stored once. `_denoise` has checked every row's finiteness, so the
+    segments are built without a second check.
     """
     x, noise = _inputs(theta, cond, z_init, config, noise, 1)
     z, diverged = _denoise(theta, x, config, noise)
     frames = z.reshape(-1, config.n_frames, config.frame_width)
-    return [None if diverged[i] else Segment(frames[i]) for i in range(frames.shape[0])]
+    return [None if diverged[i] else Segment(frames[i], checked=True)
+            for i in range(frames.shape[0])]
 
 
 def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -284,3 +300,25 @@ def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndar
     c = -dt * (1.0 + eta_sq * t * (1.0 - t) / (2.0 * sigma * sigma))
     return a, c
 
+
+
+def mean_terms(z: np.ndarray, t: np.ndarray, std: np.ndarray, *,
+               delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(base, coeff): the float64 transition means of (G, K) transitions are base + coeff*u.
+
+    `z` (G, K, L) holds each transition's state, `t` (K,) and `std` (K,) each
+    denoise step's time and std, and u is the (G, K, L) net output. base is
+    a*z and coeff (K, 1) is c, from `mean_affine_coeffs` at dt = 1/K. The
+    sampler records its log-densities through this function and the GRPO
+    objective recomputes them through it, so both round alike.
+    """
+    scale, coeff = mean_affine_coeffs(t, 1.0 / t.shape[0], std, delta=delta)
+    return z * scale[:, None], coeff[:, None]
+
+
+def transition_logp(resid: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(G, K) float64 Gaussian log-densities of transitions whose next states miss
+    their means by `resid` (G, K, L), with one std per denoise step (K,)."""
+    latent = resid.shape[2]
+    log_norm = -0.5 * LOG_2PI * latent - latent * np.log(std)
+    return log_norm - 0.5 * np.sum((resid / std[:, None]) ** 2, axis=2)

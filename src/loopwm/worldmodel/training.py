@@ -13,6 +13,7 @@ from ..errors import DivergenceError, LoopwmError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec, Segment, reference_segment
 from ..numerics import (
+    DTYPE,
     NetParams,
     RandomSource,
     net_activations,
@@ -42,15 +43,18 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
     be finite, and their widths must fit the net. Each batch then runs one
     unchecked forward and one unchecked backward; a non-finite batch loss,
     which a diverging net produces, raises DivergenceError before its
-    backward and its step.
+    backward and its step. The demos are cast to `DTYPE` once, here, and
+    each batch's (t, eps) draws are float64 draws cast to it, so the
+    forward, the backward and the step run in `DTYPE`; only the batch loss
+    is summed in float64.
 
     Returns (theta, per-epoch mean training loss), where theta is the object
     passed in.  Zero epochs leave the parameters untouched.
     """
     if not dataset:
         raise LoopwmError("sft_train requires a non-empty dataset")
-    conds = np.stack([np.asarray(c, dtype=np.float64) for c, _ in dataset])
-    xs = np.stack([seg.frames.reshape(-1) for _, seg in dataset])
+    conds = np.stack([c for c, _ in dataset], dtype=DTYPE)
+    xs = np.stack([seg.frames.reshape(-1) for _, seg in dataset], dtype=DTYPE)
     require_finite(conds, "demo conditions")
     require_finite(xs, "demo segments")
     n, latent = xs.shape
@@ -59,7 +63,7 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
         raise LoopwmError(f"demos of latent width {latent} under conditions of shape "
                           f"{conds.shape[1:]} do not fit a net of sizes {theta.sizes}")
     # net input rows [z | t | cond]; the condition columns never change
-    inputs = np.empty((n, width))
+    inputs = np.empty((n, width), dtype=DTYPE)
     inputs[:, latent + 1:] = conds
     state = opt_init(theta)
     history: list[float] = []
@@ -70,8 +74,9 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
         epoch_losses = []
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
-            ts = 1.0 - rng.uniform(shape=len(idx))  # uniform on (0, 1]
-            eps = rng.normal(shape=(len(idx), latent))
+            # float64 draws cast once, so the batch is DTYPE throughout
+            ts = (1.0 - rng.uniform(shape=len(idx))).astype(DTYPE)  # uniform on (0, 1]
+            eps = rng.normal(shape=(len(idx), latent)).astype(DTYPE)
             x, t = xs[idx], ts[:, None]
             rows = inputs[idx]
             rows[:, :latent] = (1.0 - t) * x + t * eps
@@ -79,7 +84,7 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             acts = net_activations(theta, rows)
             # mean squared velocity error and its gradient w.r.t. the output
             resid = acts[-1] - (eps - x)
-            loss = float(np.sum(resid * resid) / resid.size)
+            loss = float(np.sum(resid * resid, dtype=np.float64) / resid.size)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
             net_backward_batch(theta, acts, 2.0 * resid / resid.size, out=state.grad)

@@ -4,11 +4,13 @@ Nothing in the package calls any of them. Each is either an independent
 oracle for a fast path or a reader or view that only the tests need:
 
 - `finite_diff_grad` is the central-difference gradient that every
-  hand-written backward pass is checked against;
-- `net_input` builds net input rows [z | t | cond], and
+  hand-written backward pass is checked against, always in float64;
+- `net_input` builds net input rows [z | t | cond] in a given dtype, and
   `flow_matching_loss` is one SFT batch's loss and gradient through it, with
-  every argument checked; `sft_train` validates its demos once and runs the
-  same float operations on its own input rows;
+  every argument checked, in the dtype of the net's parameters: on a
+  `NetParams` it runs the same float32 operations as `sft_train`, which
+  validates its demos once and runs them on its own input rows, and on a
+  float64 `PlainNet` it is the float64 oracle;
 - `decode_frame` reads a frame back into a symbolic state, thresholding
   predicate channels as the critic does;
 - `channel_mask` is one step's block of the condition tails that
@@ -68,28 +70,27 @@ from loopwm.microworld import (
 from loopwm.microworld.frames import DECODE_THRESHOLD
 from loopwm.microworld.types import Operator
 from loopwm.numerics import (
-    NetParams,
     Tensor,
-    clone_params,
     net_activations,
     net_backward_batch,
     require_finite,
 )
 from loopwm.planner import Goal, PlanStep
+from per_array import PlainNet
 
 
-def finite_diff_grad(
-    fn: Callable[[NetParams], float], params: NetParams, h: float = 1e-5
-) -> Tensor:
+def finite_diff_grad(fn: Callable[[PlainNet], float], params, h: float = 1e-5) -> Tensor:
     """Central differences of a scalar objective over every parameter coordinate.
 
     Independent oracle for `net_backward_batch`-derived gradients; keep it free of
-    any analytic-gradient code. Returns one vector in the layout of
-    `params.vector`. O(2 * n_params) objective evaluations, so use small nets.
+    any analytic-gradient code. `fn` is called with a float64 `PlainNet` copy
+    of `params` whose coordinates move one at a time, so the objective runs
+    in float64. Returns one float64 vector in the layout of `params.vector`.
+    O(2 * n_params) objective evaluations, so use small nets.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
-    work = clone_params(params)
+    work = PlainNet.float64(params)
     flat = work.vector
     grad = np.empty_like(flat)
     for i in range(flat.size):
@@ -103,50 +104,53 @@ def finite_diff_grad(
     return grad
 
 
-def net_input(z: np.ndarray, t, cond: np.ndarray) -> np.ndarray:
-    """Network input rows [z | t | cond], shape (n, L + 1 + C).
+def net_input(z: np.ndarray, t, cond: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Network input rows [z | t | cond], shape (n, L + 1 + C), of `dtype`.
 
     `z` is one latent of shape (L,) or n of them, (n, L). `t` is one time for
     every row or one per row, each in (0, 1]. `cond` is one condition (C,)
     shared by every row, or one per row, (n, C).
     """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    t = np.asarray(t, dtype=np.float64)
+    z = np.atleast_2d(np.asarray(z, dtype=dtype))
+    t = np.asarray(t, dtype=dtype)
     if not np.all((t > 0.0) & (t <= 1.0)):
         raise LoopwmError(f"t must lie in (0, 1], got {t}")
-    cond = np.asarray(cond, dtype=np.float64)
+    cond = np.asarray(cond, dtype=dtype)
     n, latent = z.shape
-    x = np.empty((n, latent + 1 + cond.shape[-1]))
+    x = np.empty((n, latent + 1 + cond.shape[-1]), dtype=dtype)
     x[:, :latent] = z
     x[:, latent] = t
     x[:, latent + 1:] = cond
     return x
 
 
-def flow_matching_loss(theta: NetParams, conds: np.ndarray, xs: np.ndarray,
+def flow_matching_loss(theta, conds: np.ndarray, xs: np.ndarray,
                        ts: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared velocity error and its parameter gradient on one batch.
 
     The (t, eps) draws are explicit arguments so a finite-difference oracle
-    can re-evaluate the exact same loss surface. Every argument is checked:
-    the batch arrays must agree on length, the net input must fit the net
-    and be finite, and so must the net's output.
+    can re-evaluate the exact same loss surface. Every array is cast to the
+    dtype of `theta.vector` and the loss is summed in float64, as
+    `sft_train` does. Every argument is checked: the batch arrays must agree
+    on length, the net input must fit the net and be finite, and so must the
+    net's output.
     """
-    conds = np.asarray(conds, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64).reshape(-1, 1)
-    eps = np.asarray(eps, dtype=np.float64)
+    dtype = theta.vector.dtype
+    conds = np.asarray(conds, dtype=dtype)
+    xs = np.asarray(xs, dtype=dtype)
+    ts = np.asarray(ts, dtype=dtype).reshape(-1, 1)
+    eps = np.asarray(eps, dtype=dtype)
     if not (conds.shape[0] == xs.shape[0] == ts.shape[0] == eps.shape[0]):
         raise LoopwmError("batch arrays disagree on length")
     z_t = (1.0 - ts) * xs + ts * eps
-    x = net_input(z_t, ts[:, 0], conds)
+    x = net_input(z_t, ts[:, 0], conds, dtype)
     if x.shape[1] != theta.sizes[0]:
         raise ValueError(f"input has shape {x.shape}, expected (n, {theta.sizes[0]})")
     require_finite(x, "net input")
     acts = net_activations(theta, x)
     require_finite(acts[-1], "net output")
     resid = acts[-1] - (eps - xs)
-    return (float(np.sum(resid * resid) / resid.size),
+    return (float(np.sum(resid * resid, dtype=np.float64) / resid.size),
             net_backward_batch(theta, acts, 2.0 * resid / resid.size))
 
 

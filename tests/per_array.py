@@ -1,9 +1,12 @@
-"""Per-array references for the flat parameter vector.
+"""Per-array references for the flat parameter vector, over plain arrays.
 
-The package keeps every parameter of a net in one vector and updates it with
-whole-vector operations (`opt_step`) and one gradient vector
+The package keeps every parameter of a net in one float32 vector and updates
+it with whole-vector operations (`opt_step`) and one gradient vector
 (`net_backward_batch`). These are the versions that work one (W, b) array at
-a time, as the package did before the vector:
+a time, as the package did before the vector, on a `PlainNet`: the layer
+sizes, one parameter vector of any dtype and the activation. A `NetParams`
+reads the same way, so each reference runs on the package's own float32
+parameters, or in float64 on `PlainNet.float64(params)` as an oracle:
 
 - `layer_arrays` lists a vector as its arrays [W0, b0, W1, b1, ...];
 - `forward_per_array` is the layer loop with fresh arrays per operation;
@@ -13,33 +16,57 @@ a time, as the package did before the vector:
   in the efficient order the package uses: the bias corrections folded into
   the step size lr*sqrt(1-b2^t)/(1-b1^t) and eps*sqrt(1-b2^t).
 
-Each does the same float operations in the same order as the package, so
-results must be equal bit for bit, not merely close.
+Each does the same float operations in the same order as the package, so in
+the package's dtype results must be equal bit for bit, not merely close.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-
-from loopwm.numerics import NetParams
 
 _FORWARD = {"tanh": np.tanh, "softplus": lambda x: np.logaddexp(0.0, x)}
 _DERIVATIVE = {"tanh": lambda a: 1.0 - a * a, "softplus": lambda a: 1.0 - np.exp(-a)}
 
 
-def layer_arrays(params: NetParams, vector=None) -> list[np.ndarray]:
-    """[W0, b0, W1, b1, ...] as views of `vector` (default `params.vector`)."""
-    if vector is not None:
-        params = NetParams(params.sizes, vector, params.activation)
-    out = []
-    for w, b in zip(params.weights, params.biases):
-        out.extend((w, b))
+def layer_arrays(sizes, vector) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] as views of `vector`, laid out as a checkpoint."""
+    out, off = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = off + fan_out * fan_in
+        out.extend((vector[off:end].reshape(fan_out, fan_in), vector[end:end + fan_out]))
+        off = end + fan_out
     return out
 
 
-def forward_per_array(params: NetParams, x: np.ndarray) -> list[np.ndarray]:
+@dataclass(frozen=True)
+class PlainNet:
+    """A net as plain arrays: layer sizes, a parameter vector of any dtype, the activation."""
+
+    sizes: tuple[int, ...]
+    vector: np.ndarray
+    activation: str = "tanh"
+
+    @classmethod
+    def float64(cls, params) -> "PlainNet":
+        """A float64 copy of a net's parameters, for an oracle."""
+        return cls(tuple(params.sizes), params.vector.astype(np.float64), params.activation)
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return layer_arrays(self.sizes, self.vector)[0::2]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return layer_arrays(self.sizes, self.vector)[1::2]
+
+    def n_layers(self) -> int:
+        return len(self.sizes) - 1
+
+
+def forward_per_array(params, x: np.ndarray) -> list[np.ndarray]:
     act = _FORWARD[params.activation]
     acts = [x]
     last = params.n_layers() - 1
@@ -49,10 +76,11 @@ def forward_per_array(params: NetParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def backward_per_array(params: NetParams, acts, out_grad) -> list[np.ndarray]:
+def backward_per_array(params, acts, out_grad) -> np.ndarray:
+    """The parameter gradient as one vector in the layout of `params.vector`."""
     dact = _DERIVATIVE[params.activation]
     last = params.n_layers() - 1
-    grads = [np.zeros_like(a) for a in layer_arrays(params)]
+    grads = [np.zeros_like(a) for a in layer_arrays(params.sizes, params.vector)]
     g = out_grad
     for i in range(last, -1, -1):
         if i < last:
@@ -61,7 +89,7 @@ def backward_per_array(params: NetParams, acts, out_grad) -> list[np.ndarray]:
         grads[2 * i + 1] += g.sum(axis=0)
         if i > 0:
             g = g @ params.weights[i]
-    return grads
+    return np.concatenate([a.ravel() for a in grads])
 
 
 def opt_step_per_array(arrays, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

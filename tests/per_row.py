@@ -12,11 +12,16 @@ against:
   per transition with fields `t`, `dt`, `std`, `logp`, `z` and `z_next`,
   and the condition kept beside the records;
 - `transition_mean`, `transition_logprob` and `kl_term` recompute one
-  record's transition mean, its log-density, and one trace's KL;
+  record's transition mean, its log-density, and one trace's KL, in
+  float64;
 - `sample_group_records` is the sampler that wrote those records column by
-  column, one `gaussian_logpdf_rows` call per denoise step;
+  column: each step's state update in float32, as the package runs it, and
+  its density in float64, one `gaussian_logpdf_rows` call per denoise step
+  around the mean's affine form a*z + c*u (`mean_affine_coeffs`), which the
+  package's `mean_terms` evaluates for every step at once;
 - `objective_terms_records` is the objective that concatenated the members'
-  records, rebuilt the net input and repeated each member's condition;
+  records, rebuilt the net input (in `DTYPE`) and repeated each member's
+  condition;
 - `as_records` and `as_record_group` copy a package trace, or a package
   group, into that record form.
 
@@ -36,7 +41,7 @@ import numpy as np
 from loopwm.errors import DivergenceError, LoopwmError
 from loopwm.grpo import ObjectiveTerms, surrogate_rows
 from loopwm.microworld import Segment
-from loopwm.numerics import net_activations, net_backward_batch
+from loopwm.numerics import DTYPE, net_activations, net_backward_batch
 from loopwm.numerics.tensor import LOG_2PI
 from loopwm.worldmodel import mean_affine_coeffs, score_term
 from oracles import net_input
@@ -121,13 +126,14 @@ def kl_term(theta, reference, trace: DenoiseTrace, delta: float) -> float:
 def sample_group_records(theta, cond, z_init, config, noise):
     """The record-array sampler: [(segment, DenoiseTrace)] per row.
 
-    Takes inputs that pass the package's row contract; writes denoise step
-    k's column of one (G, K) record array field by field, and raises at the
-    first non-finite state.
+    Takes inputs that pass the package's row contract and casts them to
+    `DTYPE`; writes denoise step k's column of one (G, K) record array field
+    by field, and raises at the first non-finite state.
     """
-    cond = np.asarray(cond, dtype=np.float64)
-    z = np.array(z_init, dtype=np.float64, ndmin=2)
+    cond = np.asarray(cond, dtype=DTYPE)
+    z = np.array(z_init, dtype=DTYPE, ndmin=2)
     if noise is not None:
+        noise = np.asarray(noise, dtype=DTYPE)
         rows = noise.shape[0]
     else:
         rows = max(z.shape[0], cond.shape[0] if cond.ndim == 2 else 1)
@@ -137,7 +143,7 @@ def sample_group_records(theta, cond, z_init, config, noise):
     steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(latent))
     steps["dt"] = 1.0 / config.k_steps
     stochastic = config.eta_scale > 0.0
-    x = net_input(z, 1.0, cond)
+    x = net_input(z, 1.0, cond, DTYPE)
     dt = 1.0 / config.k_steps
     for k, t in enumerate(config.time_grid()):
         x[:, :latent] = z
@@ -147,18 +153,18 @@ def sample_group_records(theta, cond, z_init, config, noise):
             z_next = z - u * dt
         else:
             x_pred = z - t * u
-            eta = config.eta_scale * np.sqrt(t)
+            eta = config.eta_scale * math.sqrt(t)
             drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
-            mean = z - drift * dt
-            std = float(eta * np.sqrt(dt))
-            z_next = mean + std * noise[:, k]
+            std = eta * math.sqrt(dt)
+            z_next = (z - drift * dt) + std * noise[:, k]
         column = steps[:, k]
-        column["t"] = t
+        column["t"] = x[0, latent]
         column["z"] = z
         column["z_next"] = z_next
         if stochastic:
             column["std"] = std
-            column["logp"] = gaussian_logpdf_rows(z_next, mean, std)
+            scale, coeff = mean_affine_coeffs(x[0, latent], dt, std, delta=config.delta)
+            column["logp"] = gaussian_logpdf_rows(z_next, z * scale + coeff * u, std)
         z = z_next
         if not np.isfinite(z).all():
             raise DivergenceError("sampler state went non-finite")
@@ -217,7 +223,7 @@ def objective_terms_records(theta, reference, group, config, delta) -> Objective
     cond = np.repeat(np.stack([m.trace.cond for m in members]), k_steps, axis=0)
     latent = z.shape[1]
 
-    x = net_input(z, t, cond)
+    x = net_input(z, t, cond, DTYPE)
     scale, coeff = mean_affine_coeffs(t, dt, std, delta=delta)
     base = z * scale[:, None]
     coeff = coeff[:, None]
@@ -265,7 +271,7 @@ def objective_terms_records(theta, reference, group, config, delta) -> Objective
     weight = (flow * adv[:, None] * ratios[:, None] * resid - config.beta * mean_diff) / (
         std * std
     )
-    out_grads = coeff * weight / n_rows
+    out_grads = (coeff * weight / n_rows).astype(DTYPE)
     grads = net_backward_batch(theta, acts, out_grads)
     return ObjectiveTerms(
         value=value, surrogate=surrogate, kl=kl, grads=grads,

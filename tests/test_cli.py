@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -22,7 +23,7 @@ from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
 from loopwm.grpo import ROLLOUT_K_RULE
 from loopwm.microworld import load_domain
-from loopwm.numerics import RandomSource, load_checkpoint, net_init
+from loopwm.numerics import DTYPE, RandomSource, load_checkpoint, net_init
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
 from oracles import load_suite
 
@@ -761,15 +762,17 @@ def test_grpo_records_its_rollout_k_and_warns_when_a_resume_changes_it(
 
 # sha256 of the artifacts of `_tiny_pipeline` with 6-step rollouts, recorded
 # when grpo rolled out at its full --k-steps (numpy 2.4, OpenBLAS): 6-step
-# rollouts, sft and bench must keep these bytes
+# rollouts, sft and bench must keep these bytes. The two checkpoints were
+# re-recorded when the net moved to float32 (LWNET002); the reports kept
+# their bytes
 PARENT_DIGESTS = {
     "sft/reports/loss.csv": "bec1f1a65bdab446b890651c99f15c555f1ba930873e72978f2c05d986fc8ceb",
     "sft/checkpoints/model.ckpt":
-        "592ad7a2bee89480a40516f17f3bbf9c8899be08b1c48c860e7b906badbacc90",
+        "9c274c745f158cc763bce5c3a745b059f5ef8d0576762b1ca0f274044050e1d7",
     "grpo/reports/training_log.csv":
         "2a06f146e78589ed4435573cc02999e5bed3ee4b67f4a1837762cd48b6351ce9",
     "grpo/checkpoints/model.ckpt":
-        "399f00d271df7d5c21d05244275af598f6688091e771abfb352ada3f1d7bf0bb",
+        "7f77766787a55e4bd8a975abb87b9c194b919b9f802cba307c37a9571b4d7589",
     "bench/reports/report.json":
         "46ff8e364f489fd0a9768b6022f9275ca2f1092881a5d8b7a8d7f68c58a6712b",
 }
@@ -798,6 +801,58 @@ def test_full_k_rollouts_sft_and_bench_keep_their_bytes(tmp_path):
     assert {k: v for k, v in coarse.items() if k not in grpo} == \
         {k: v for k, v in full.items() if k not in grpo}
     assert all(coarse[k] != full[k] for k in grpo)
+
+
+def test_pipeline_runs_in_float32_and_sums_in_float64(tmp_path, monkeypatch):
+    # under NEP 50 one stray float64 scalar silently widens a whole array,
+    # which costs speed and fails no other test; so every stage's arrays are
+    # checked here: float32 for the net and the sampler, float64 for the
+    # densities, the GRPO ratios and objective, and what the critic scores.
+    # The SFT loss is summed in float64: the bitwise SFT test sums it so
+    seen = {"forward": [], "backward": [], "groups": [], "critic": [], "segments": []}
+
+    def spy(module, name, record):
+        module = importlib.import_module(module)
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in ("loopwm.worldmodel.training", "loopwm.worldmodel.sampler",
+                   "loopwm.grpo.update"):
+        spy(module, "net_activations",
+            lambda args, acts: seen["forward"].append({a.dtype for a in acts}))
+    for module in ("loopwm.worldmodel.training", "loopwm.grpo.update"):
+        spy(module, "net_backward_batch",
+            lambda args, grad: seen["backward"].append(
+                {a.dtype for a in args[1]} | {args[2].dtype, grad.dtype}))
+    spy("loopwm.grpo.train", "grpo_update",
+        lambda args, result: seen["groups"].append((args[0].theta, args[1], result[2])))
+    spy("loopwm.critic.scoring", "_checked",
+        lambda args, result: seen["critic"].append(args[1].dtype))
+    spy("loopwm.worldmodel.policy", "sample_rows",
+        lambda args, rows: seen["segments"].extend(r.frames.dtype for r in rows if r))
+    _tiny_pipeline(tmp_path, [])
+
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert DTYPE == np.float32
+    for run in ("sft", "grpo"):
+        assert load_checkpoint(tmp_path / run / "checkpoints" / "model.ckpt").vector.dtype == f32
+    for stage in ("forward", "backward"):
+        assert seen[stage] and all(d == {f32} for d in seen[stage])
+    assert seen["groups"]
+    for theta, group, terms in seen["groups"]:
+        assert theta.vector.dtype == f32
+        assert group.frames.dtype == group.trace.steps.dtype == group.trace.z_next.dtype == f32
+        assert group.trace.logp.dtype == group.trace.std.dtype == f64
+        assert terms.ratios.dtype == f64 and terms.grads.dtype == f32
+        assert all(type(v) is float for v in (terms.value, terms.surrogate, terms.kl))
+    assert seen["segments"] and set(seen["segments"]) == {f32}
+    assert seen["critic"] and set(seen["critic"]) == {f64}
 
 
 # ---------------------------------------------------------------- bench

@@ -49,6 +49,7 @@ from loopwm.worldmodel import (
     velocity_net_sizes,
 )
 from oracles import evaluate, finite_diff_grad, net_input
+from per_array import PlainNet
 from per_row import (
     DenoiseTrace,
     as_record_group,
@@ -102,6 +103,20 @@ def rows_of(*picks):
     first = picks[0][0]
     return RolloutGroup(np.stack([group.frames[i] for group, i in picks]), trace, {},
                         first.rewards[:len(picks)], first.advantages[:len(picks)])
+
+
+# max |ratio - 1| at theta_old == theta. The sampler records each density in
+# float64 from its float32 net outputs, through the objective's own
+# `mean_terms` and `transition_logp`, so the ratios differ from 1 only
+# where the objective's (G*K)-row float32 forward rounds differently from
+# the sampler's G-row ones: 5.1e-5 at the benchmark's sizes (net 128x3,
+# F=8, rollout K=3, G=8) over 187 groups, 0 at the sizes tested here
+# (1e-12 when the net ran in float64)
+SYNC_RATIO_BOUND = 1e-4
+# the row loop below runs in float64; objective_terms runs its nets in
+# float32 (rel 1e-9 and flat_rel_err 1e-9 in float64; worst seen over 20
+# seeds: value 8.2e-5 relative to a near-zero value, ratios 9.3e-6, grads 5.1e-7)
+ROW_LOOP_RTOL = 1e-4
 
 
 def flat_rel_err(got, want):
@@ -358,14 +373,16 @@ def test_ratios_equal_one_at_sync(kitchen):
                           sampler, config, RandomSource(2))
     for member in as_record_group(group).members:
         for ts in member.trace.steps:
+            # the float64 oracle against the float32 net's recorded density
             rho = math.exp(transition_logprob(theta, ts, member.trace.cond,
                                               delta=sampler.delta) - ts["logp"])
-            assert abs(rho - 1.0) <= 1e-12
+            assert abs(rho - 1.0) <= SYNC_RATIO_BOUND
     bundle = PolicyBundle.from_reference(theta)
     _, _, terms = grpo_update(bundle, group, config, delta=sampler.delta)
     assert terms.clip_fraction == 0.0
     assert terms.dropped == 0
-    assert abs(terms.ratios.mean() - 1.0) <= 1e-12
+    assert terms.ratios.dtype == np.float64
+    assert np.abs(terms.ratios - 1.0).max() <= SYNC_RATIO_BOUND
 
 
 def test_fixed_point_leaves_parameters_untouched():
@@ -431,7 +448,8 @@ def test_surrogate_gradient_matches_finite_differences():
                 values.append(min(rho * adv, clipped * adv))
         return float(np.mean(values))
 
-    assert abs(surrogate(theta) - terms.surrogate) < 1e-9
+    # the float64 oracle against the float32 nets (1e-9 in float64)
+    assert abs(surrogate(theta) - terms.surrogate) < 1e-6
     fd = finite_diff_grad(surrogate, theta)
     assert flat_rel_err(terms.grads, fd) < 1e-3
 
@@ -440,8 +458,9 @@ def row_loop_objective(theta, reference, group, config, delta):
     """One row at a time through transition_mean: (value, ratios, grads).
 
     Reference for the stacked rows of objective_terms; assumes no member is
-    dropped.
+    dropped. It runs in float64, on the float32 parameters' values.
     """
+    theta, reference = PlainNet.float64(theta), PlainNet.float64(reference)
     rows = [(float(group.advantages[i]), member.trace.cond, ts)
             for i, member in enumerate(as_record_group(group).members)
             for ts in member.trace.steps]
@@ -483,9 +502,9 @@ def test_objective_terms_match_row_loop(beta, scale):
     terms = objective_terms(theta, reference, group, config, sampler.delta)
     assert terms.dropped == 0
     value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
-    assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
-    np.testing.assert_allclose(terms.ratios, ratios, rtol=1e-9, atol=0)
-    assert flat_rel_err(terms.grads, grads) < 1e-9
+    assert terms.value == pytest.approx(value, rel=ROW_LOOP_RTOL, abs=1e-6)
+    np.testing.assert_allclose(terms.ratios, ratios, rtol=ROW_LOOP_RTOL, atol=0)
+    assert flat_rel_err(terms.grads, grads) < ROW_LOOP_RTOL
     if scale > 0.1:
         assert terms.clip_fraction > 0.0
 
@@ -504,15 +523,15 @@ def test_objective_terms_scores_each_member_under_its_own_condition():
     config = GrpoConfig(group_size=2, beta=0.05)
     terms = objective_terms(theta, theta, group, config, sampler.delta)
     assert terms.dropped == 0
-    np.testing.assert_allclose(terms.ratios, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(terms.ratios, 1.0, rtol=0, atol=SYNC_RATIO_BOUND)
     reference = tiny_net(4, 3, hidden=5, seed=32)
     terms = objective_terms(theta, reference, group, config, sampler.delta)
     value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
-    assert terms.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+    assert terms.value == pytest.approx(value, rel=ROW_LOOP_RTOL, abs=1e-6)
     kls = [kl_term(theta, reference, m.trace, sampler.delta)
            for m in as_record_group(group).members]
-    assert terms.kl == pytest.approx(float(np.mean(kls)), rel=1e-9)
-    assert flat_rel_err(terms.grads, grads) < 1e-9
+    assert terms.kl == pytest.approx(float(np.mean(kls)), rel=ROW_LOOP_RTOL)
+    assert flat_rel_err(terms.grads, grads) < ROW_LOOP_RTOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -615,11 +634,14 @@ def test_kl_zero_at_reference_and_hand_offset():
     step = trace.steps[0]
     assert step["t"] == 1.0 and step["std"] == pytest.approx(0.3)
     assert kl_term(theta, theta, trace, sampler.delta) == 0.0
-    # at t=1 the mean is z - dt*u, so a velocity offset of std in one
-    # coordinate shifts the mean by exactly std: KL contribution 0.5
+    # at t=1 the mean is z - dt*u, so a velocity offset of s in one
+    # coordinate shifts the mean by exactly s: KL contribution 0.5*(s/std)^2,
+    # 0.5 up to the float32 rounding of s = std
     reference = clone_params(theta)
     reference.biases[-1][0] = step["std"]
-    assert kl_term(theta, reference, trace, sampler.delta) == pytest.approx(0.5, abs=1e-12)
+    offset = float(reference.biases[-1][0])
+    assert kl_term(theta, reference, trace, sampler.delta) == pytest.approx(
+        0.5 * (offset / step["std"]) ** 2, abs=1e-12)
 
 
 def one_step_trace(cond, t, dt, std, z, z_next):

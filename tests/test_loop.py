@@ -24,7 +24,7 @@ from loopwm.loop import (
 )
 from loopwm.microworld import Literal, apply_operator, load_domain, parse_literal
 from loopwm.microworld import reference_segment
-from loopwm.numerics import RandomSource, net_init
+from loopwm.numerics import DTYPE, RandomSource, net_init
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy, run_episode
@@ -225,6 +225,11 @@ def test_memory_advance_chain_replay(kitchen):
 
 # ------------------------------------------------- batched and lockstep sampling
 
+# how far a row's float32 frames may move when it shares its sampler batch
+# with other rows: BLAS may sum a batch in another order (1e-12 when the
+# sampler ran in float64)
+ROW_ATOL = 1e-5
+
 
 def learned_policy(spec, seed=0, eta_scale=0.3):
     config = SamplerConfig(k_steps=3, eta_scale=eta_scale, n_frames=4,
@@ -240,7 +245,7 @@ def diverging_policy(spec):
     # latent coordinate passes 1.8, so whether a row diverges rests on its noise
     weights = policy.theta.weights[0]
     weights[0, :] = 0.0
-    weights[0, 0] = np.finfo(np.float64).max / 1.8
+    weights[0, 0] = np.finfo(DTYPE).max / 1.8
     weights[0, policy.config.latent_width] = -np.inf
     return policy
 
@@ -253,7 +258,8 @@ def assert_same_episode(log, reference):
     ]
     assert summary[0] == summary[1]
     for got, want in zip(log.attempts, reference.attempts):
-        np.testing.assert_allclose(got.segment.frames, want.segment.frames, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.segment.frames, want.segment.frames, rtol=0,
+                                   atol=ROW_ATOL)
 
 
 def test_batched_retries_match_sequential_generate(kitchen):

@@ -216,6 +216,14 @@ def test_segment_rejects_nonfinite_frames(bad):
     with pytest.raises(NumericError, match="non-finite"):
         Segment(frames.tolist())
     assert np.array_equal(Segment([[0, 1], [2, 3]]).frames, [[0.0, 1.0], [2.0, 3.0]])
+    # a float32 block is checked too, and a segment stays a view of it
+    block = np.zeros((2, 3, 2), dtype=np.float32)
+    assert Segment(block[0]).frames.base is block
+    assert Segment(block[0]).frames.dtype == np.float32
+    block[1, 1, 0] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        Segment(block[1])
+    assert Segment([[0, 1], [2, 3]]).frames.dtype == np.float64
 
 
 def test_contact_window_frames_default():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loopwm.errors import CheckpointError
 from loopwm.numerics import (
+    DTYPE,
     NetParams,
     RandomSource,
     clone_params,
@@ -21,6 +22,7 @@ from loopwm.numerics import (
 )
 from oracles import finite_diff_grad
 from per_array import (
+    PlainNet,
     backward_per_array,
     forward_per_array,
     layer_arrays,
@@ -33,9 +35,20 @@ def rel_err(a, b):
     return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
 
+# how far the float32 Adam trajectory of test_adam_in_place_steps_track_the_textbook_update
+# may drift from the textbook order's, relative to each parameter (plus lr):
+# 5.2e-6 is the worst seen over its 2,000 steps
+TEXTBOOK_TOLERANCE = 2e-5
+# how far a float32 pass may land from its float64 oracle, relative to
+# 1 + the oracle's magnitude: 32 float32 ulps of 1, against a worst of 3.4e-7
+# over 3,000 random nets of the `small_nets` kind
+FLOAT32_BOUND = 32 * float(np.finfo(np.float32).eps)
+
+
 def test_identity_single_layer_returns_input():
-    params = NetParams((4, 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]), "tanh")
-    x = np.array([0.3, -1.2, 0.0, 2.5])
+    params = NetParams((4, 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]).astype(DTYPE),
+                       "tanh")
+    x = np.array([0.3, -1.2, 0.0, 2.5], dtype=DTYPE)
     np.testing.assert_array_equal(net_activations(params, x[None, :])[-1][0], x)
 
 
@@ -45,23 +58,25 @@ def test_net_params_are_views_of_one_vector_and_reject_a_misfit():
     params.weights[1][1, 3] = 7.0
     params.biases[0][2] = -3.0
     assert params.vector[16 + 7] == 7.0 and params.vector[12 + 2] == -3.0
-    for vector in (np.zeros(25), np.zeros(27), np.zeros(26, dtype=np.float32),
-                   np.zeros((26, 1)), np.zeros(52)[::2]):
+    assert params.vector.dtype == DTYPE
+    for vector in (np.zeros(25, DTYPE), np.zeros(27, DTYPE), np.zeros(26, dtype=np.float64),
+                   np.zeros((26, 1), DTYPE), np.zeros(52, DTYPE)[::2]):
         with pytest.raises(ValueError):
             NetParams((3, 4, 2), vector)
     with pytest.raises(ValueError, match="activation"):
-        NetParams((3, 4, 2), np.zeros(26), "relu")
+        NetParams((3, 4, 2), np.zeros(26, DTYPE), "relu")
     with pytest.raises(ValueError):
-        NetParams((3,), np.zeros(0))
+        NetParams((3,), np.zeros(0, DTYPE))
 
 
 def test_activations_hold_every_layer_output():
     # the backward sweep reads the list as [x, h_1, ..., y], the input itself
     # first; the per-array test compares the values pairwise
     params = net_init([3, 4, 2], RandomSource(1))
-    x = RandomSource(2).normal(shape=(2, 3))
+    x = RandomSource(2).normal(shape=(2, 3)).astype(DTYPE)
     acts = net_activations(params, x)
     assert [a.shape for a in acts] == [(2, 3), (2, 4), (2, 2)]
+    assert [a.dtype for a in acts] == [DTYPE] * 3
     assert acts[0] is x
 
 
@@ -82,21 +97,26 @@ def test_forward_batch_matches_single():
     ([4, 6, 2], "softplus"),
 ])
 def test_backward_matches_finite_differences(sizes, activation):
+    # both passes run in the dtype of their inputs; the check runs them in
+    # float64, where central differences resolve the gradient, and
+    # test_float32_passes_stay_near_the_float64_oracle bounds the float32 run
     rng = RandomSource(42, hash(tuple(sizes)) & 0xFFFF)
-    params = net_init(sizes, rng, activation=activation)
+    params = PlainNet.float64(net_init(sizes, rng, activation=activation))
     x = rng.normal(sizes[0])
     og = rng.normal(sizes[-1])
 
     grads = net_backward_batch(params, net_activations(params, x[None, :]), og[None, :])
     fd = finite_diff_grad(lambda p: float(og @ net_activations(p, x[None, :])[-1][0]), params)
-    for a, b in zip(layer_arrays(params, grads), layer_arrays(params, fd)):
+    assert grads.dtype == np.float64
+    for a, b in zip(layer_arrays(sizes, grads), layer_arrays(sizes, fd)):
         worst = max(rel_err(u, v) for u, v in zip(a.reshape(-1), b.reshape(-1)))
         assert worst < 1e-6
 
 
 def test_backward_batch_sums_per_sample_grads():
+    # in float64, so the sums agree to 1e-12
     rng = RandomSource(13)
-    params = net_init([3, 5, 2], rng)
+    params = PlainNet.float64(net_init([3, 5, 2], rng))
     xs = rng.normal((4, 3))
     ogs = rng.normal((4, 2))
     batch_grads = net_backward_batch(params, net_activations(params, xs), ogs)
@@ -108,9 +128,9 @@ def test_backward_batch_sums_per_sample_grads():
 
 def test_adam_single_step_matches_hand_value():
     # scalar p=0, grad=1, lr=0.1: bias-corrected first step moves by ~lr
-    params = NetParams((1, 1), np.array([0.0, 0.0]), "tanh")
+    params = NetParams((1, 1), np.array([0.0, 0.0], dtype=DTYPE), "tanh")
     state = opt_init(params)
-    opt_step(params, np.array([1.0, 0.0]), state, lr=0.1)
+    opt_step(params, np.array([1.0, 0.0], dtype=DTYPE), state, lr=0.1)
     assert abs(params.weights[0][0, 0] + 0.1) < 1e-7
     assert state.step == 1
 
@@ -125,15 +145,16 @@ def test_adam_zero_grads_leave_params_unchanged():
 
 
 def test_adam_in_place_steps_equal_the_efficient_order_bitwise():
+    # the reference runs in float32, the package's dtype, so it is bitwise
     rng = RandomSource(8)
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
-    want = [a.copy() for a in layer_arrays(params)]
+    want = [a.copy() for a in layer_arrays(params.sizes, params.vector)]
     m = [np.zeros_like(a) for a in want]
     v = [np.zeros_like(a) for a in want]
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     for t in range(1, 4):
-        grads = [np.asarray(rng.normal(shape=a.shape)) for a in want]
+        grads = [rng.normal(shape=a.shape).astype(DTYPE) for a in want]
         opt_step(params, np.concatenate([g.ravel() for g in grads]), state, lr=lr)
         root = math.sqrt(1.0 - b2**t)
         alpha, eps_hat = lr * root / (1.0 - b1**t), eps * root
@@ -141,17 +162,19 @@ def test_adam_in_place_steps_equal_the_efficient_order_bitwise():
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g * g
             want[i] = want[i] - alpha * (m[i] / (np.sqrt(v[i]) + eps_hat))
-        for got, ref in zip(layer_arrays(params), want):
+        for got, ref in zip(layer_arrays(params.sizes, params.vector), want):
+            assert ref.dtype == DTYPE
             np.testing.assert_array_equal(got, ref)
     assert state.step == 3
 
 
 def test_adam_in_place_steps_track_the_textbook_update():
     # the efficient order equals the textbook update in exact arithmetic and
-    # may differ in the last ulp, so the trajectories agree to 1e-12 of each
-    # parameter, or of the step size lr for a parameter near zero (a bias
-    # crosses zero here); after 2,000 steps the first bias correction is
-    # exactly 1.0 and the second 1 - 0.999^2000
+    # may differ in the last ulp. Both run in float32, so the moments agree
+    # bitwise and the trajectories to TEXTBOOK_TOLERANCE of each parameter,
+    # or of the step size lr for a parameter near zero (a bias crosses zero
+    # here); after 2,000 steps the first bias correction is exactly 1.0 and
+    # the second 1 - 0.999^2000
     rng = RandomSource(9)
     params = net_init([3, 4, 2], rng)
     state = opt_init(params)
@@ -169,6 +192,7 @@ def test_adam_in_place_steps_track_the_textbook_update():
             grad = -np.asarray(rng.normal(shape=p.size))
         else:
             grad = np.asarray(rng.normal(shape=p.size)) * 1e-6
+        grad = grad.astype(DTYPE)
         opt_step(params, grad, state, lr=lr)
         m = b1 * m + (1.0 - b1) * grad
         v = b2 * v + (1.0 - b2) * grad * grad
@@ -176,7 +200,8 @@ def test_adam_in_place_steps_track_the_textbook_update():
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         # the moments keep the textbook order exactly
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-        np.testing.assert_allclose(params.vector, p, rtol=1e-12, atol=1e-12 * lr)
+        np.testing.assert_allclose(params.vector, p, rtol=TEXTBOOK_TOLERANCE,
+                                   atol=TEXTBOOK_TOLERANCE * lr)
 
 
 def test_adam_rejects_bad_gradients_before_touching_anything():
@@ -185,7 +210,7 @@ def test_adam_rejects_bad_gradients_before_touching_anything():
     before = params.vector.copy()
     n = before.size
     for grads in (np.ones(n + 1), np.ones(n - 1), np.ones((n, 1)),
-                  [np.ones_like(a) for a in layer_arrays(params)]):
+                  [np.ones_like(a) for a in layer_arrays(params.sizes, params.vector)]):
         with pytest.raises(ValueError, match="gradient shape"):
             opt_step(params, grads, state, lr=0.1)
     other = opt_init(net_init([3, 5, 2], RandomSource(2)))
@@ -209,21 +234,22 @@ def small_nets(draw):
        kinds=st.lists(st.sampled_from(["normal", "zero", "negated"]), min_size=1, max_size=6),
        lr=st.sampled_from([1e-3, 0.05, 1.0]))
 def test_opt_step_equals_the_per_array_reference_bitwise(params, seed, kinds, lr):
+    # the reference runs on float32 copies, the package's dtype
     rng = RandomSource(seed)
-    arrays = [a.copy() for a in layer_arrays(params)]
+    arrays = [a.copy() for a in layer_arrays(params.sizes, params.vector)]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     state = opt_init(params)
-    grad = np.asarray(rng.normal(shape=params.vector.size))
+    grad = rng.normal(shape=params.vector.size).astype(DTYPE)
     for t, kind in enumerate(kinds, start=1):
         if kind == "zero":
             grad = np.zeros_like(grad)
         elif kind == "negated":
             grad = -grad
         else:
-            grad = np.asarray(rng.normal(shape=grad.size)) * 10.0 ** rng.integers(-6, 3)
+            grad = (rng.normal(shape=grad.size) * 10.0 ** rng.integers(-6, 3)).astype(DTYPE)
         opt_step(params, grad, state, lr=lr)
-        opt_step_per_array(arrays, layer_arrays(params, grad.copy()), m, v, t, lr)
+        opt_step_per_array(arrays, layer_arrays(params.sizes, grad.copy()), m, v, t, lr)
         for got, want in ((params.vector, arrays), (state.m, m), (state.v, v)):
             assert np.array_equal(got, np.concatenate([a.ravel() for a in want]))
     assert state.step == len(kinds)
@@ -250,18 +276,39 @@ def test_a_negated_lr_steps_like_a_negated_gradient_bitwise(params, seed, expone
 @settings(max_examples=40, deadline=None)
 @given(params=small_nets(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
 def test_forward_and_backward_equal_the_per_array_reference_bitwise(params, seed, rows):
+    # the reference runs on the package's float32 parameters and inputs
     rng = RandomSource(seed)
-    x = np.asarray(rng.normal(shape=(rows, params.sizes[0])))
-    out_grad = np.asarray(rng.normal(shape=(rows, params.sizes[-1])))
+    x = rng.normal(shape=(rows, params.sizes[0])).astype(DTYPE)
+    out_grad = rng.normal(shape=(rows, params.sizes[-1])).astype(DTYPE)
     acts = net_activations(params, x)
     reference = forward_per_array(params, x)
-    assert all(np.array_equal(a, b) for a, b in zip(acts, reference))
+    assert all(a.dtype == DTYPE and np.array_equal(a, b) for a, b in zip(acts, reference))
     kept = out_grad.copy()
     grad = net_backward_batch(params, acts, out_grad)
     want = backward_per_array(params, reference, kept)
-    assert np.array_equal(grad, np.concatenate([a.ravel() for a in want]))
+    assert grad.dtype == want.dtype == DTYPE
+    assert np.array_equal(grad, want)
     assert np.array_equal(out_grad, kept)
     assert all(np.array_equal(a, b) for a, b in zip(acts, reference))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_nets(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+def test_float32_passes_stay_near_the_float64_oracle(params, seed, rows):
+    # the package's float32 forward and backward against the per-array
+    # reference run in float64 on the same (float32-valued) parameters and
+    # inputs, so the gap is float32 rounding alone
+    rng = RandomSource(seed)
+    x = rng.normal(shape=(rows, params.sizes[0])).astype(DTYPE)
+    out_grad = rng.normal(shape=(rows, params.sizes[-1])).astype(DTYPE)
+    acts = net_activations(params, x)
+    grad = net_backward_batch(params, acts, out_grad)
+    oracle = PlainNet.float64(params)
+    acts64 = forward_per_array(oracle, x.astype(np.float64))
+    grad64 = backward_per_array(oracle, acts64, out_grad.astype(np.float64))
+    assert acts[-1].dtype == grad.dtype == DTYPE
+    assert np.all(np.abs(acts[-1] - acts64[-1]) <= FLOAT32_BOUND * (1.0 + np.abs(acts64[-1])))
+    assert np.all(np.abs(grad - grad64) <= FLOAT32_BOUND * (1.0 + np.max(np.abs(grad64))))
 
 
 def test_gaussian_logpdf_standard_normal_at_zero():
@@ -290,7 +337,7 @@ def test_gaussian_logpdf_rejects_bad_std():
 
 
 def test_finite_diff_on_quadratic():
-    params = NetParams((2, 2), np.array([1.0, 0.5, -0.25, 2.0, 0.0, 0.0]), "tanh")
+    params = PlainNet((2, 2), np.array([1.0, 0.5, -0.25, 2.0, 0.0, 0.0]), "tanh")
 
     def quad(p):
         return float(p.vector @ p.vector)
@@ -367,16 +414,37 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         load_checkpoint(trailing)
 
 
-# sha256 of `save_checkpoint(net_init((9, 7, 5, 3), RandomSource(0)))`, computed
-# before the parameters moved into one vector; no BLAS call is involved, so it
-# holds on any machine
-PINNED_CHECKPOINT_SHA256 = "fad97d6e961073bac88f32a9dc5ef8f3413e1698935089b0ffe9a9816443b11d"
+# sha256 of `save_checkpoint(net_init((9, 7, 5, 3), RandomSource(0)))` in the
+# float32 layout (LWNET002); no BLAS call is involved, so it holds on any machine
+PINNED_CHECKPOINT_SHA256 = "c616513bee9cc9ce56d83422b34d4338c07e4f907147f1b6ccbb4a9f3162c52b"
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net_init((9, 7, 5, 3), RandomSource(0)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+
+
+def test_checkpoint_loads_the_float64_layout_as_its_float32_cast(tmp_path):
+    # LWNET001 holds the same header and a float64 payload
+    sizes = (3, 4, 2)
+    payload = RandomSource(4).normal(shape=26)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"LWNET001" + bytes([8]) + b"softplus" + np.array([3], "<u4").tobytes()
+                    + np.array(sizes, "<u4").tobytes() + payload.astype("<f8").tobytes())
+    loaded = load_checkpoint(old)
+    assert (loaded.sizes, loaded.activation) == (sizes, "softplus")
+    assert loaded.vector.dtype == DTYPE and loaded.vector.flags.writeable
+    assert np.array_equal(loaded.vector, payload.astype(DTYPE))
+    # saved again, it takes the float32 layout
+    new = tmp_path / "new.ckpt"
+    save_checkpoint(new, loaded)
+    blob = new.read_bytes()
+    assert blob[:8] == b"LWNET002" and len(blob) == len(old.read_bytes()) - 4 * 26
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(old.read_bytes()[:-4])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(truncated)
 
 
 def test_checkpoint_load_then_save_returns_the_same_bytes(tmp_path):

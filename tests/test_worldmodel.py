@@ -18,6 +18,7 @@ from loopwm.loop import Request
 from loopwm.memory import WorldMemory
 from loopwm.microworld import encode_state, parse_literal, reference_segment
 from loopwm.numerics import (
+    DTYPE,
     RandomSource,
     clone_params,
     net_activations,
@@ -44,7 +45,7 @@ from loopwm.worldmodel import (
     velocity_net_sizes,
 )
 from oracles import channel_mask, finite_diff_grad, flow_matching_loss, net_input
-from per_array import layer_arrays
+from per_array import PlainNet, layer_arrays
 from per_row import (
     as_records,
     gaussian_logpdf,
@@ -53,6 +54,16 @@ from per_row import (
     transition_mean,
 )
 from sequential import SequentialPolicy, sample_ode, sample_sde
+
+
+# how far two float32 samplings of one row may differ when the row shares its
+# (G, width) matrix products with other rows in one and not in the other:
+# BLAS may sum in another order, and the last bits of a float32 state move
+# with it (1e-12 when the sampler ran in float64)
+ROW_ATOL = 1e-5
+# the same for a transition's float64 log-density, which the float32 states
+# and net outputs feed (1e-12 in float64; about 1e-7 seen)
+LOGP_ATOL = 1e-5
 
 
 def small_config(frame_width, n_frames=2, k_steps=4, eta_scale=0.3):
@@ -183,7 +194,8 @@ def test_ode_zero_velocity_returns_input():
     config = small_config(frame_width=2)
     z = np.array([0.1, 0.2, 0.3, 0.4])
     seg = sample_ode(theta, np.ones(3), z, config)
-    np.testing.assert_array_equal(seg.frames.reshape(-1), z)
+    assert seg.frames.dtype == DTYPE
+    np.testing.assert_array_equal(seg.frames.reshape(-1), z.astype(DTYPE))
 
 
 def test_ode_single_step_unroll():
@@ -192,7 +204,9 @@ def test_ode_single_step_unroll():
     z = np.linspace(-1.0, 1.0, 4)
     cond = np.array([0.3, 0.6, 0.9])
     seg = sample_ode(theta, cond, z, config)
-    expected = z - net_activations(theta, net_input(z, 1.0, cond))[-1][0] * 1.0
+    # the sampler casts its inputs to DTYPE once and steps in it
+    z = z.astype(DTYPE)
+    expected = z - net_activations(theta, net_input(z, 1.0, cond, DTYPE))[-1][0] * 1.0
     np.testing.assert_array_equal(seg.frames.reshape(-1), expected)
 
 
@@ -233,16 +247,20 @@ def test_trace_records_consistent_transitions():
     noise = RandomSource(21).normal(shape=(1, config.k_steps, z.size))[0]
     dt = 1.0 / config.k_steps
     for k, step in enumerate(as_records(trace).steps):
-        t, std = step["t"], step["std"]
+        # the net reads t in float32; the schedule takes the grid's own t
+        t, std = config.time_grid()[k], step["std"]
+        assert step["t"] == DTYPE(t)
         assert step["dt"] == dt
         # schedule std
         eta = config.eta_scale * np.sqrt(t)
         assert std == pytest.approx(eta * np.sqrt(dt), abs=1e-15)
-        # the recomputed mean under the same params regenerates the recorded
-        # next state with the stream's noise
+        # the float64 mean under the same params regenerates the recorded
+        # float32 next state with the stream's noise, up to float32 rounding
+        # (1e-12 when the sampler ran in float64)
         mean = transition_mean(theta, step, cond, delta=config.delta)
-        np.testing.assert_allclose(step["z_next"], mean + std * noise[k], atol=1e-12)
+        np.testing.assert_allclose(step["z_next"], mean + std * noise[k], atol=1e-6)
         # x_pred identity feeds the score: mean = z - (u - 0.5*eta^2*score)*dt
+        t = step["t"]
         u = net_activations(theta, net_input(step["z"], t, cond))[-1][0]
         x_pred = step["z"] - t * u
         drift = u - 0.5 * eta * eta * score_term(step["z"], x_pred, t, delta=config.delta)
@@ -264,20 +282,20 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     for i in range(5):
         trace = group.row(i)
         want_seg, want = sample_sde(theta, cond, z, config, RandomSource(17).split(i))
-        np.testing.assert_allclose(frames[i], want_seg.frames, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frames[i], want_seg.frames, rtol=0, atol=ROW_ATOL)
         assert len(trace.steps) == len(want.steps) == config.k_steps
         for got, ref in zip(as_records(trace).steps, as_records(want).steps):
             assert (got["t"], got["dt"]) == (ref["t"], ref["dt"])
             for name in ("z", "z_next"):
-                np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=ROW_ATOL)
             np.testing.assert_allclose(transition_mean(theta, got, cond, delta=config.delta),
                                        transition_mean(theta, ref, cond, delta=config.delta),
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=ROW_ATOL)
             assert got["std"] == pytest.approx(ref["std"], abs=1e-12)
-            assert got["logp"] == pytest.approx(ref["logp"], abs=1e-12)
+            assert got["logp"] == pytest.approx(ref["logp"], abs=LOGP_ATOL)
         if eta_scale == 0.0:
             np.testing.assert_allclose(frames[i], sample_ode(theta, cond, z, config).frames,
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=ROW_ATOL)
     if eta_scale > 0.0:
         assert not np.array_equal(frames[0], frames[1])
 
@@ -294,12 +312,17 @@ def test_sample_rows_are_sample_group_per_row_conditions(eta_scale):
     noise = rng.normal(shape=(3, config.k_steps, 4)) if eta_scale else None
     frames, trace = sample_group(theta, cond, z_init, config, noise)
     rows = sample_rows(theta, cond, z_init, config, noise)
+    # the segments are views of one float32 block of the round's frames
+    block = rows[0].frames.base
+    assert block is not None and all(row.frames.base is block for row in rows)
     for i, row in enumerate(rows):
+        assert row.frames.dtype == DTYPE
         assert np.array_equal(row.frames, frames[i])
-        assert np.array_equal(trace.steps[i, :, 5:], np.tile(cond[i], (config.k_steps, 1)))
+        assert np.array_equal(trace.steps[i, :, 5:],
+                              np.tile(cond[i].astype(DTYPE), (config.k_steps, 1)))
         alone, _ = sample_group(theta, cond[i], z_init[i], config,
                                 None if noise is None else noise[i:i + 1])
-        np.testing.assert_allclose(frames[i], alone[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(frames[i], alone[0], rtol=0, atol=ROW_ATOL)
     assert not np.allclose(rows[0].frames, rows[1].frames)
     with pytest.raises(LoopwmError):
         sample_rows(theta, cond[:2], z_init, config, noise)
@@ -321,7 +344,7 @@ def test_sample_rows_drop_only_the_rows_that_diverge():
             sample_group(theta, cond, np.ones(4), config, None)
     np.testing.assert_allclose(rows[2].frames,
                                sample_ode(theta, cond[2], np.ones(4), config).frames,
-                               rtol=0, atol=1e-12)
+                               rtol=0, atol=ROW_ATOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,9 +358,10 @@ def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed)
     config = small_config(frame_width=2, k_steps=k_steps, eta_scale=eta_scale)
     theta = tiny_net(latent=4, cond_width=3, seed=seed)
     rng = RandomSource(seed)
-    z_init = np.asarray(rng.normal(shape=4 if shared_init else (rows, 4)))
-    cond = np.asarray(rng.normal(shape=3))
-    noise = np.asarray(rng.normal(shape=(rows, k_steps, 4)))
+    # float64 draws cast to DTYPE, as the sampler casts them
+    z_init = rng.normal(shape=4 if shared_init else (rows, 4)).astype(DTYPE)
+    cond = rng.normal(shape=3).astype(DTYPE)
+    noise = rng.normal(shape=(rows, k_steps, 4))
     frames, group = sample_group(theta, cond, z_init, config, noise)
     assert frames.shape == (rows, 2, 2) and np.shares_memory(frames, group.z_next)
     assert group.steps.shape == (rows, k_steps, 8) and group.std.shape == (k_steps,)
@@ -349,7 +373,7 @@ def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed)
         z, t = trace.steps[:, :4], trace.steps[:, 4]
         assert np.array_equal(z[0], z_init if shared_init else z_init[i])
         assert np.array_equal(z[1:], trace.z_next[:-1])
-        assert t.tolist() == config.time_grid()
+        assert np.array_equal(t, np.array(config.time_grid(), dtype=DTYPE))
         assert np.array_equal(trace.steps[:, 5:], np.tile(cond, (k_steps, 1)))
         assert np.array_equal(frames[i], trace.z_next[-1].reshape(2, 2))
         if eta_scale == 0.0:
@@ -403,7 +427,7 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
             for _ in range(request.n):
                 segment = draw()
                 want = want_draw()
-                np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=ROW_ATOL)
                 segments.append(segment)
         assert len(segments) == 2 * n + 1
         assert not np.array_equal(segments[0].frames, segments[1].frames)
@@ -435,7 +459,7 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
         draws[2]()
     for request, draw, want_draw in list(zip(requests, draws, reference))[:2]:
         for _ in range(request.n):
-            np.testing.assert_allclose(draw().frames, want_draw().frames, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(draw().frames, want_draw().frames, rtol=0, atol=ROW_ATOL)
 
 
 @pytest.mark.parametrize("bad", [
@@ -514,12 +538,14 @@ def test_transition_logprob_self_consistency():
     z = np.array([0.3, 0.1, -0.4, 0.9])
     cond = np.array([0.2, 0.8, 0.5])
     trace = as_records(sample_sde(theta, cond, z, config, RandomSource(31))[1])
+    # the float64 oracle against the sampler's float64 densities of float32
+    # net outputs (1e-12 and 1e-10 when the net ran in float64)
     total = 0.0
     for step in trace.steps:
         lp = transition_logprob(theta, step, cond, delta=config.delta)
-        assert lp == pytest.approx(step["logp"], abs=1e-12)
+        assert lp == pytest.approx(step["logp"], abs=LOGP_ATOL)
         total += lp
-    assert total == pytest.approx(trace.steps["logp"].sum(), abs=1e-10)
+    assert total == pytest.approx(trace.steps["logp"].sum(), abs=10 * LOGP_ATOL)
 
 
 def test_transition_logprob_mode_and_additivity():
@@ -557,16 +583,20 @@ def test_logprob_gradient_matches_finite_differences():
     _, trace = sample_sde(theta, cond, z, config, RandomSource(61))
     step = as_records(trace).steps[2]
 
+    # in float64, on the float32 parameters' values, where central
+    # differences resolve the gradient
+    net = PlainNet.float64(theta)
     t, std = step["t"], step["std"]
-    mean = transition_mean(theta, step, cond, delta=config.delta)
+    mean = transition_mean(net, step, cond, delta=config.delta)
     _, coeff = mean_affine_coeffs(t, step["dt"], std, delta=config.delta)
     out_grad = coeff * (step["z_next"] - mean) / (std * std)
-    acts = net_activations(theta, net_input(step["z"], t, cond))
-    analytic = net_backward_batch(theta, acts, out_grad[None, :])
+    acts = net_activations(net, net_input(step["z"], t, cond))
+    analytic = net_backward_batch(net, acts, out_grad[None, :])
 
     numeric = finite_diff_grad(
         lambda p: transition_logprob(p, step, cond, delta=config.delta), theta)
-    for a, n in zip(layer_arrays(theta, analytic), layer_arrays(theta, numeric)):
+    sizes = theta.sizes
+    for a, n in zip(layer_arrays(sizes, analytic), layer_arrays(sizes, numeric)):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
 
@@ -581,10 +611,12 @@ def test_flow_matching_gradient_matches_finite_differences():
     xs = np.asarray(rng.normal(shape=(6, 2)))
     ts = np.asarray(1.0 - rng.uniform(shape=6))
     eps = np.asarray(rng.normal(shape=(6, 2)))
-    _, analytic = flow_matching_loss(theta, conds, xs, ts, eps)
+    # the loss in float64, on the float32 parameters' values
+    _, analytic = flow_matching_loss(PlainNet.float64(theta), conds, xs, ts, eps)
     numeric = finite_diff_grad(
         lambda p: flow_matching_loss(p, conds, xs, ts, eps)[0], theta)
-    for a, n in zip(layer_arrays(theta, analytic), layer_arrays(theta, numeric)):
+    sizes = theta.sizes
+    for a, n in zip(layer_arrays(sizes, analytic), layer_arrays(sizes, numeric)):
         denom = max(np.max(np.abs(n)), 1e-8)
         assert np.max(np.abs(a - n)) / denom < 1e-4
 
