@@ -1,22 +1,29 @@
 """Layered run configuration: defaults, then a YAML file, then flags.
 
-The resolved result is written into every run directory so a run can be
-reproduced from its artifacts alone.
+Each section is a frozen dataclass and `RunConfig()` is the defaults. `parse`
+builds one from a YAML tree in one walk over its annotations: int (never
+bool), float (int or float, never bool, finite), str, `X | None`, `tuple[X,
+...]` from a list, and nested sections. It rejects unknown keys, leaves
+missing ones to the field defaults, converts no strings, and names the dotted
+key of a value of another type; each `__post_init__` checks ranges. The
+resolved config is written into every run directory to reproduce the run.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import asdict, dataclass, fields
+import math
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
-from ..critic import CriticWeights
+from ..bench import DEFAULT_COUNTS, DIFFICULTIES, MODES
+from ..critic import DIMENSIONS, CriticWeights
 from ..errors import LoopwmError
-from ..grpo import DEFAULT_CURRICULUM, GrpoConfig
+from ..grpo import GrpoConfig
 from ..loop import LoopConfig
-from ..microworld import DomainSpec
 from ..microworld.dynamics import MAX_JITTER
 from ..worldmodel import SamplerConfig
 
@@ -25,153 +32,165 @@ class UsageError(Exception):
     """Bad invocation or bad input artifact; maps to exit code 2."""
 
 
-# Every resolvable knob with its default. File and flag values may only
-# override keys that exist here; anything else is a typo worth rejecting.
-# The sections with a typed config take its defaults. The frame width comes
-# from the domain, so it is no knob, and the curriculum is lists, which
-# yaml.safe_dump writes.
-DEFAULTS: dict = {
-    "domain": "kitchen",
-    "seed": 0,
-    "out": None,
-    "loop": asdict(LoopConfig()),
-    "sampler": {k: v for k, v in asdict(SamplerConfig()).items() if k != "frame_width"},
-    "net": {
-        "hidden": 64,
-        "depth": 3,
-    },
-    "sft": {
-        "demos": 200,
-        "epochs": 50,
-        "lr": 3e-3,
-        "batch_size": 32,
-        "jitter": 0.005,
-    },
-    "grpo": {**asdict(GrpoConfig()), "curriculum": [list(e) for e in DEFAULT_CURRICULUM]},
-    "critic": {
-        "weights": list(CriticWeights().as_dict().values()),
-    },
-    "bench": {
-        "counts": [20, 20, 10],
-        "mode": "full",
-        "suite_seed": None,
-    },
-}
+def _require(ok: bool, rule: str) -> None:
+    if not ok:
+        raise ValueError(rule)
+
+
+@dataclass(frozen=True)
+class NetConfig:
+    """The velocity net's width and hidden-layer count."""
+
+    hidden: int = 64
+    depth: int = 3
+
+    def __post_init__(self) -> None:
+        _require(self.hidden >= 1, "net.hidden must be >= 1")
+        _require(self.depth >= 0, "net.depth must be >= 0")
+
+
+@dataclass(frozen=True)
+class SftConfig:
+    """Supervised pretraining on demonstration walks."""
+
+    demos: int = 200
+    epochs: int = 50
+    lr: float = 3e-3
+    batch_size: int = 32
+    jitter: float = 0.005
+
+    def __post_init__(self) -> None:
+        _require(self.demos >= 1, "sft.demos must be >= 1")
+        _require(self.epochs >= 0, "sft.epochs must be >= 0")
+        _require(self.lr > 0, "sft.lr must be > 0")
+        _require(self.batch_size >= 1, "sft.batch_size must be >= 1")
+        _require(0 <= self.jitter <= MAX_JITTER, f"sft.jitter must lie in [0, {MAX_JITTER}]")
+
+
+@dataclass(frozen=True)
+class CriticConfig:
+    """The critic's dimension weights, in `DIMENSIONS` order."""
+
+    weights: tuple[float, ...] = tuple(CriticWeights().as_dict().values())
+
+    def __post_init__(self) -> None:
+        _require(len(self.weights) == len(DIMENSIONS),
+                 f"critic.weights needs {len(DIMENSIONS)} entries, got {len(self.weights)}")
+        self.as_weights()
+
+    def as_weights(self) -> CriticWeights:
+        return CriticWeights(*self.weights)
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """Suite tasks per difficulty, feedback mode, and a suite seed (None: the run's)."""
+
+    counts: tuple[int, ...] = DEFAULT_COUNTS
+    mode: str = "full"
+    suite_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        _require(len(self.counts) == len(DIFFICULTIES), f"bench.counts needs an entry for "
+                 f"each of {DIFFICULTIES}, got {list(self.counts)}")
+        _require(self.mode in MODES, f"bench.mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved knobs for one command invocation."""
 
-    domain: str
-    seed: int
-    out: str | None
-    loop: dict
-    sampler: dict
-    net: dict
-    sft: dict
-    grpo: dict
-    critic: dict
-    bench: dict
-
-    def to_dict(self) -> dict:
-        return {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self)}
-
-    # Typed views. Construction validates, so errors surface here with the
-    # library's own messages rather than deep inside a run.
-
-    def loop_config(self) -> LoopConfig:
-        return LoopConfig(**self.loop)
-
-    def sampler_config(self, spec: DomainSpec) -> SamplerConfig:
-        return SamplerConfig(frame_width=spec.n_channels, **self.sampler)
-
-    def grpo_config(self) -> GrpoConfig:
-        raw = dict(self.grpo)
-        raw["curriculum"] = tuple((a, b) for a, b in raw["curriculum"])
-        return GrpoConfig(**raw)
-
-    def critic_weights(self) -> CriticWeights:
-        weights = self.critic["weights"]
-        if len(weights) != 5:
-            raise UsageError(f"critic.weights needs 5 entries, got {len(weights)}")
-        return CriticWeights(*[float(w) for w in weights])
-
-    def check_sft(self) -> None:
-        """Reject the `sft` and `net` values that no typed config checks."""
-        sft, net = self.sft, self.net
-        for ok, rule in (
-            (sft["demos"] >= 1, "sft.demos must be >= 1"),
-            (sft["epochs"] >= 0, "sft.epochs must be >= 0"),
-            (sft["lr"] > 0, "sft.lr must be > 0"),
-            (sft["batch_size"] >= 1, "sft.batch_size must be >= 1"),
-            (0 <= sft["jitter"] <= MAX_JITTER, f"sft.jitter must lie in [0, {MAX_JITTER}]"),
-            (net["hidden"] >= 1, "net.hidden must be >= 1"),
-            (net["depth"] >= 0, "net.depth must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(rule)
+    domain: str = "kitchen"
+    seed: int = 0
+    out: str | None = None
+    loop: LoopConfig = field(default_factory=LoopConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    net: NetConfig = field(default_factory=NetConfig)
+    sft: SftConfig = field(default_factory=SftConfig)
+    grpo: GrpoConfig = field(default_factory=GrpoConfig)
+    critic: CriticConfig = field(default_factory=CriticConfig)
+    bench: BenchConfig = field(default_factory=BenchConfig)
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            raise UsageError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise UsageError(f"config key {path + key!r} must be a mapping")
-            out[key] = _merge(base[key], value, path + key + ".")
-        else:
-            out[key] = value
-    return out
+# The frame width comes from the domain, so no file or flag sets it.
+_FROM_DOMAIN = {"sampler.frame_width"}
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings")}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _settable(cls, prefix: str) -> dict:
+    """The fields of dataclass `cls` under `prefix` ("", "sft.") that a file may set."""
+    return {f.name: f for f in fields(cls) if prefix + f.name not in _FROM_DOMAIN}
 
 
-# keys whose default None stands for "derive it"; any other value is an integer
-_OPTIONAL_INTEGERS = ("bench.suite_seed",)
-_INTEGER_SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
+def _shape(tp, plural: bool = False) -> str:
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return ("lists of " if plural else "a list of ") + _shape(args[0], plural=True)
+    if typing.get_origin(tp) is types.UnionType:
+        # None stands for "derive it", so the words name the other member
+        return _shape(next(a for a in args if a is not types.NoneType), plural)
+    return _NOUNS[tp][plural]
 
 
-def _integer_depth(default) -> int | None:
-    """0 for an integer default, 1 for a list of them, 2 for a list of such lists; else None."""
-    if isinstance(default, list) and default:
-        inner = _integer_depth(default[0])
-        return None if inner is None else inner + 1
-    return 0 if _is_int(default) else None
+def _convert(tp, value):
+    """`value` as annotation `tp` holds it; a TypeError if it is of another type."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise TypeError
+        return tuple(_convert(a, v) for a, v in zip(args, value))
+    if typing.get_origin(tp) is types.UnionType:
+        if value is None and types.NoneType in args:
+            return None
+        return _convert(next(a for a in args if a is not types.NoneType), value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+        raise TypeError
+    if tp is float and not math.isfinite(value):
+        raise TypeError
+    return float(value) if tp is float else value
 
 
-def _fits(value, depth: int) -> bool:
-    if depth == 0:
-        return _is_int(value)
-    return isinstance(value, list) and all(_fits(v, depth - 1) for v in value)
+def parse(cls, tree, prefix: str = ""):
+    """Dataclass `cls` from the mapping `tree`; a ValueError names a bad key's dotted path.
 
-
-def _check_integers(tree: dict, defaults: dict, path: str = "") -> None:
-    """Reject a value not shaped like its key's integer default, lists included."""
-    for key, default in defaults.items():
-        name, value = path + key, tree[key]
-        if isinstance(default, dict):
-            _check_integers(value, default, name + ".")
+    The constructors' range checks raise as the sections are built.
+    """
+    if not isinstance(tree, dict):
+        raise ValueError(f"config key {prefix[:-1]!r} must be a mapping, got {tree!r}"
+                         if prefix else f"expected a mapping, got {tree!r}")
+    hints, settable, values = typing.get_type_hints(cls), _settable(cls, prefix), {}
+    for name, value in tree.items():
+        dotted = f"{prefix}{name}"
+        if name not in settable:
+            raise ValueError(f"unknown config key {dotted!r}")
+        if is_dataclass(hints[name]):
+            values[name] = parse(hints[name], value, dotted + ".")
             continue
-        optional = name in _OPTIONAL_INTEGERS
-        if optional and value is None:
-            continue
-        depth = 0 if optional else _integer_depth(default)
-        if depth is not None and not _fits(value, depth):
-            raise UsageError(f"config key {name!r} must be {_INTEGER_SHAPES[depth]}, "
-                             f"got {value!r}")
+        try:
+            values[name] = _convert(hints[name], value)
+        except (TypeError, OverflowError):  # an int too large for a float overflows
+            raise ValueError(f"config key {dotted!r} must be {_shape(hints[name])}, "
+                             f"got {value!r}") from None
+    for name, f in settable.items():
+        if name not in tree and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config key {prefix + name!r} is missing")
+    return cls(**values)
 
 
-def _set_path(tree: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = tree
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
+def _plain(value, prefix: str = ""):
+    """The YAML-safe tree of a parsed value: sections as mappings, tuples as lists."""
+    if is_dataclass(value):
+        return {name: _plain(getattr(value, name), f"{prefix}{name}.")
+                for name in _settable(type(value), prefix)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+# Every resolvable knob with its default. File and flag values may only set
+# keys that exist here; anything else is a typo worth rejecting.
+DEFAULTS: dict = _plain(RunConfig())
 
 
 def resolve_config(config_path: str | Path | None = None,
@@ -181,7 +200,7 @@ def resolve_config(config_path: str | Path | None = None,
     `overrides` maps dotted key paths ("sft.epochs") to values; None values
     mean the flag was not given and are skipped.
     """
-    tree = copy.deepcopy(DEFAULTS)
+    tree: dict = {}
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
@@ -190,34 +209,24 @@ def resolve_config(config_path: str | Path | None = None,
             loaded = yaml.safe_load(path.read_text())
         except yaml.YAMLError as exc:
             raise UsageError(f"cannot parse config file {path}: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        if not isinstance(loaded, (dict, type(None))):
             raise UsageError(f"config file {path} must hold a mapping")
-        tree = _merge(tree, loaded)
+        tree = loaded or {}
     for dotted, value in (overrides or {}).items():
-        if value is not None:
-            _set_path(tree, dotted, value)
-    _check_integers(tree, DEFAULTS)
-    if not isinstance(tree["domain"], str):
-        raise UsageError(f"invalid configuration: domain must be a builtin name or a path, "
-                         f"got {tree['domain']!r}")
-    config = RunConfig(**tree)
+        *section, name = dotted.split(".")  # a flag sets a top-level key or one in a section
+        node = tree.setdefault(section[0], {}) if section else tree
+        # a section that is no mapping stays for the walk to report
+        if value is not None and isinstance(node, dict):
+            node[name] = value
     try:
-        config.loop_config()
-        # the frame width comes with the domain; every other sampler value is checked here
-        SamplerConfig(**config.sampler)
-        config.grpo_config()
-        config.critic_weights()
-        config.check_sft()
-    except (LoopwmError, ValueError, TypeError) as exc:
+        return parse(RunConfig, tree)
+    except (LoopwmError, ValueError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
-    return config
 
 
 def write_config(config: RunConfig, path: str | Path) -> Path:
     """Serialize the resolved config; the copy makes runs reproducible."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(yaml.safe_dump(config.to_dict(), sort_keys=True))
+    path.write_text(yaml.safe_dump(_plain(config), sort_keys=True))
     return path

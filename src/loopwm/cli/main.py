@@ -7,7 +7,9 @@ checkpoints, and reports for that run.
 Flags name the config keys they set as their argparse `dest` (`--lr` on
 `sft` is `sft.lr`; `--seed` and `--domain` are top-level keys), so `_resolve`
 is the one map from flags to settings. The other flags (`--config`, `--out`,
-`--checkpoint`, ...) are plumbing and set no key.
+`--checkpoint`, ...) are plumbing and set no key. The merged tree, and a grpo
+resume's `state.json`, go through the one walk of `config.parse`, so the
+commands read typed, checked sections.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import logging
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from ..bench import (
@@ -58,7 +60,7 @@ from ..worldmodel import (
     sft_train,
     velocity_net_sizes,
 )
-from .config import RunConfig, UsageError, _is_int, resolve_config, write_config
+from .config import NetConfig, RunConfig, UsageError, parse, resolve_config, write_config
 
 _log = logging.getLogger(__name__)
 
@@ -79,13 +81,6 @@ def _load_spec(domain: str) -> DomainSpec:
         raise UsageError(f"cannot load domain {domain!r}: {exc}") from exc
 
 
-def _sampler(config: RunConfig, spec: DomainSpec) -> SamplerConfig:
-    try:
-        return config.sampler_config(spec)
-    except LoopwmError as exc:
-        raise UsageError(f"invalid sampler configuration: {exc}") from exc
-
-
 def _load_ckpt(path: str | Path, spec: DomainSpec, sampler: SamplerConfig):
     path = Path(path)
     if not path.exists():
@@ -98,7 +93,7 @@ def _load_ckpt(path: str | Path, spec: DomainSpec, sampler: SamplerConfig):
 
 def _with_net_of(config: RunConfig, theta: NetParams) -> RunConfig:
     """`config` with its `net` section read from a loaded checkpoint's layer sizes."""
-    return replace(config, net={"hidden": theta.sizes[1], "depth": len(theta.sizes) - 2})
+    return replace(config, net=NetConfig(hidden=theta.sizes[1], depth=len(theta.sizes) - 2))
 
 
 def _parse_goal(spec: DomainSpec, text: str) -> Goal:
@@ -114,12 +109,9 @@ def _parse_goal(spec: DomainSpec, text: str) -> Goal:
 
 def _parse_counts(text: str) -> list[int]:
     try:
-        parts = [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"counts must be integers: {text!r}") from exc
-    if len(parts) != 3:
-        raise UsageError(f"counts must be 'simple,medium,hard', got {text!r}")
-    return parts
 
 
 def _prepare_run_dir(config: RunConfig, out: str) -> Path:
@@ -170,18 +162,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def _generate(spec: DomainSpec, seed: int, counts) -> PromptSuite:
     """The suite of `counts` at `seed`; a usage error if it cannot be built or is empty."""
     try:
-        suite = generate_suite(spec, seed, counts=tuple(counts))
+        suite = generate_suite(spec, seed, counts=counts)
     except SuiteError as exc:
         raise UsageError(str(exc)) from exc
     if len(suite) == 0:
-        raise UsageError(f"bench.counts {counts} give an empty suite")
+        raise UsageError(f"bench.counts {list(counts)} give an empty suite")
     return suite
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
     config = _resolve(args)
     spec = _load_spec(config.domain)
-    suite = _generate(spec, config.seed, config.bench["counts"])
+    suite = _generate(spec, config.seed, config.bench.counts)
     try:
         verify_suite(suite)
     except SuiteError as exc:
@@ -201,23 +193,22 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_sft(args: argparse.Namespace) -> int:
     config = _resolve(args)
     spec = _load_spec(config.domain)
-    sampler = _sampler(config, spec)
+    sampler = replace(config.sampler, frame_width=spec.n_channels)
     run_dir = _prepare_run_dir(config, args.out)
     with _run_logging(run_dir):
         rng = RandomSource(config.seed)
+        sft, net = config.sft, config.net
         _log.info(
             "sft: domain=%s seed=%d demos=%d epochs=%d lr=%g batch=%d net=%dx%d",
-            spec.name, config.seed, config.sft["demos"], config.sft["epochs"],
-            config.sft["lr"], config.sft["batch_size"],
-            config.net["hidden"], config.net["depth"],
+            spec.name, config.seed, sft.demos, sft.epochs, sft.lr, sft.batch_size,
+            net.hidden, net.depth,
         )
-        demos = build_demos(spec, config.sft["demos"], rng.split(1),
-                            n_frames=sampler.n_frames, jitter=config.sft["jitter"])
-        sizes = velocity_net_sizes(spec, sampler, hidden=config.net["hidden"],
-                                   depth=config.net["depth"])
+        demos = build_demos(spec, sft.demos, rng.split(1),
+                            n_frames=sampler.n_frames, jitter=sft.jitter)
+        sizes = velocity_net_sizes(spec, sampler, hidden=net.hidden, depth=net.depth)
         theta = net_init(sizes, rng.split(2))
-        theta, history = sft_train(theta, demos, config.sft["epochs"], config.sft["lr"],
-                                   rng.split(3), batch_size=config.sft["batch_size"])
+        theta, history = sft_train(theta, demos, sft.epochs, sft.lr,
+                                   rng.split(3), batch_size=sft.batch_size)
         ckpt = run_dir / "checkpoints" / "model.ckpt"
         save_policy(ckpt, theta, spec, sampler)
         write_csv(run_dir / "reports" / "loss.csv", ("epoch", "loss"),
@@ -283,12 +274,25 @@ def _goal_pool(spec: DomainSpec, config: RunConfig) -> list[Goal]:
             for lit in op.post:
                 add(Goal((lit,)))
     try:
-        suite = generate_suite(spec, config.seed, counts=tuple(config.bench["counts"]))
+        suite = generate_suite(spec, config.seed, counts=config.bench.counts)
     except SuiteError as exc:
         raise UsageError(f"cannot build a goal pool: {exc}") from exc
     for task in suite.tasks:
         add(task.goal)
     return goals
+
+
+@dataclass(frozen=True)
+class ResumeState:
+    """A grpo run's `state.json`; one with no `rollout_k` predates train-time rollout K."""
+
+    iterations_done: int
+    seed: int
+    rollout_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.iterations_done < 0:
+            raise ValueError(f"iterations_done must be >= 0, got {self.iterations_done}")
 
 
 def cmd_grpo(args: argparse.Namespace) -> int:
@@ -300,9 +304,8 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             raise UsageError(f"resume directory has no config.yaml: {resume_dir}")
         config_path = str(candidate)
     config = _resolve(args, config_path)
-    grpo_cfg = config.grpo_config()
     spec = _load_spec(config.domain)
-    sampler = _sampler(config, spec)
+    sampler = replace(config.sampler, frame_width=spec.n_channels)
     if sampler.eta_scale <= 0.0:
         raise UsageError(f"group rollouts need eta_scale > 0, got {sampler.eta_scale}: "
                          "a deterministic sampler gives every member the same segment")
@@ -314,18 +317,12 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         if not state_file.exists():
             raise UsageError(f"nothing to resume: {state_file} not found")
         try:
-            state = json.loads(state_file.read_text())
-            iterations_done = state["iterations_done"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed resume state {state_file}: {exc!r}") from exc
-        if not _is_int(iterations_done) or iterations_done < 0:
-            raise UsageError(f"malformed resume state {state_file}: iterations_done must be "
-                             f"an integer >= 0, got {iterations_done!r}")
-        start = iterations_done + 1
-        # state files written before rollouts ran at a train-time K carry no
-        # rollout_k; their iterations rolled out at the run's full sampler.k_steps
-        if start > 1 and state.get("rollout_k") != rollout_k:
-            done = (f"at {state['rollout_k']} denoising steps" if "rollout_k" in state
+            state = parse(ResumeState, json.loads(state_file.read_text()))
+        except ValueError as exc:
+            raise UsageError(f"malformed resume state {state_file}: {exc}") from exc
+        start = state.iterations_done + 1
+        if start > 1 and state.rollout_k != rollout_k:
+            done = (f"at {state.rollout_k} denoising steps" if state.rollout_k is not None
                     else "at the full --k-steps (the state predates rollout_k)")
             print(f"warning: iterations 1..{start - 1} of {resume_dir} rolled out {done}; "
                   f"iterations from {start} roll out at {rollout_k} "
@@ -347,14 +344,14 @@ def cmd_grpo(args: argparse.Namespace) -> int:
     with _run_logging(run_dir):
         _log.info(
             "grpo: domain=%s seed=%d iterations=%d..%d group=%d goals=%d rollout_k=%d",
-            spec.name, config.seed, start, grpo_cfg.iterations,
-            grpo_cfg.group_size, len(goals), rollout_k,
+            spec.name, config.seed, start, config.grpo.iterations,
+            config.grpo.group_size, len(goals), rollout_k,
         )
         # resumed runs restart optimizer moments; iteration numbering and the
         # curriculum position carry over through start_iteration
         rng = RandomSource(config.seed).split(100 + start)
-        theta, tlog = train(bundle, spec, goals, sampler, grpo_cfg, rng,
-                            start_iteration=start, weights=config.critic_weights())
+        theta, tlog = train(bundle, spec, goals, sampler, config.grpo, rng,
+                            start_iteration=start, weights=config.critic.as_weights())
         merged = TrainingLog(records=prev_records + tlog.records, events=tlog.events)
         save_policy(run_dir / "checkpoints" / "model.ckpt", theta, spec, sampler)
         save_policy(run_dir / "checkpoints" / "reference.ckpt", bundle.reference, spec, sampler)
@@ -363,8 +360,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             emit_curves(merged, run_dir / "reports" / "curves")
         done = merged.records[-1].iteration if merged.records else start - 1
         (run_dir / "state.json").write_text(
-            json.dumps({"iterations_done": done, "seed": config.seed, "rollout_k": rollout_k},
-                       indent=2) + "\n"
+            json.dumps(asdict(ResumeState(done, config.seed, rollout_k)), indent=2) + "\n"
         )
         for event in tlog.events:
             _log.info("%s", event)
@@ -408,9 +404,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     an `--oracle` run has no net and records the resolved `net` section.
     """
     config = _resolve(args)
-    mode = config.bench["mode"]
+    mode = config.bench.mode
     spec = _load_spec(config.domain)
-    sampler = _sampler(config, spec)
+    sampler = replace(config.sampler, frame_width=spec.n_channels)
     if args.oracle and args.checkpoint:
         raise UsageError("pass either --checkpoint or --oracle, not both")
     if args.oracle:
@@ -422,23 +418,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         raise UsageError("bench needs --checkpoint or --oracle")
 
-    suite_seed = config.bench["suite_seed"]
-    if suite_seed is None:
-        suite_seed = config.seed
-    suite = _generate(spec, int(suite_seed), config.bench["counts"])
-
-    try:
-        loop_config = mode_config(mode, config.loop_config())
-    except SuiteError as exc:
-        raise UsageError(str(exc)) from exc
-    weights = config.critic_weights()
+    suite_seed = config.seed if config.bench.suite_seed is None else config.bench.suite_seed
+    suite = _generate(spec, suite_seed, config.bench.counts)
+    loop_config = mode_config(mode, config.loop)
     run_dir = _prepare_run_dir(config, args.out)
     with _run_logging(run_dir):
         _log.info("bench: domain=%s mode=%s suite_seed=%s tasks=%d",
                   spec.name, mode, suite_seed, len(suite))
         report = evaluate_policy(policy, suite, config=loop_config,
                                  rng=RandomSource(config.seed).split(7),
-                                 weights=weights)
+                                 weights=config.critic.as_weights())
         save_suite(suite, run_dir / "reports" / "suite.json")
         report.write_json(run_dir / "reports" / "report.json")
     for line in _report_lines(mode, report):

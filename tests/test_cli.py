@@ -3,18 +3,26 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopwm
 from loopwm.bench import load_report, mode_config
@@ -293,31 +301,144 @@ def test_list_and_optional_integer_config_keys_reject_other_values(key, value, s
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["eta_scale: abc", "delta: [1]"])
-def test_non_numeric_sampler_values_exit_2_before_the_run(value, tmp_path, capsys):
-    # the sampler section is checked while the config resolves, though the
-    # frame width it needs comes later with the domain
+@pytest.mark.parametrize("section, value", [
+    pytest.param("sampler", "eta_scale: abc", id="eta_scale: abc"),
+    pytest.param("sampler", "delta: [1]", id="delta: [1]"),
+    ("sft", "lr: true"),
+    ("grpo", "lr: true"),
+    ("sampler", "eta_scale: true"),
+    ("critic", "weights: [true, 0, 0, 0, 0]"),
+    # a string under YAML 1.1, and the walk converts no strings to numbers
+    ("sft", "lr: 1e-3"),
+])
+def test_non_numeric_sampler_values_exit_2_before_the_run(section, value, tmp_path, capsys):
+    # every section is checked while the config resolves, the sampler's too,
+    # though the frame width it needs comes later with the domain
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(f"sampler: {{{value}}}\n")
+    cfg.write_text(f"{section}: {{{value}}}\n")
     out = tmp_path / "run"
     assert main(["sft", "--demos", "2", "--epochs", "0", "--config", str(cfg),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "invalid configuration" in err
     assert "Traceback" not in err
+    # a list-valued key names its shape as the pinned integer lists do
+    shape = "a list of numbers" if value.startswith("weights") else "a number"
+    assert f"config key '{section}.{value.split(':')[0]}' must be {shape}, got" in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epochs, text, key", [
+    ("1", "sft: {lr: .inf}", "sft.lr"),
+    ("2", "sft: {lr: .inf}", "sft.lr"),
+    ("1", "grpo: {beta: .inf}", "grpo.beta"),
+    ("1", "sampler: {delta: .inf}", "sampler.delta"),
+    ("1", "critic: {weights: [.inf, 0, 0, 0, 0]}", "critic.weights"),
+])
+def test_non_finite_config_values_exit_2_before_the_run(epochs, text, key, tmp_path, capsys):
+    # an infinite learning rate would train a checkpoint of NaN parameters
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["sft", "--demos", "4", "--epochs", epochs, "--config", str(cfg),
+                 "--out", str(out)] + SMALL) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config key '{key}' must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("bench: {mode: 5}", "bench.mode"),
+    ("bench: {mode: open}", "bench.mode"),
+    ("bench: {counts: [1, 1]}", "bench.counts"),
+])
+def test_a_bad_bench_section_exits_2_on_sft_too(text, key, tmp_path, capsys):
+    # the whole config is checked whichever command reads it, as a bad grpo
+    # section already was
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["sft", "--demos", "2", "--epochs", "0", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def _settable_fields(cls=RunConfig, prefix=""):
+    """(dotted key, annotation) of every leaf field of the run config a file may set."""
+    settable = set(_config_keys(DEFAULTS))
+    for name, tp in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(tp):
+            yield from _settable_fields(tp, prefix + name + ".")
+        elif prefix + name in settable:
+            yield prefix + name, tp
+
+
+# a value of each YAML kind; an annotation accepts some of these kinds
+KINDS = {
+    "integer": st.integers(-10**6, 10**6),
+    "fraction": st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    "non-finite": st.sampled_from([math.inf, -math.inf, math.nan]),
+    "bool": st.booleans(),
+    "string": st.text(max_size=6),
+    "null": st.none(),
+    "mapping": st.dictionaries(st.text(max_size=4), st.integers(), min_size=1, max_size=2),
+}
+ACCEPTED = {int: {"integer"}, float: {"integer", "fraction"}, str: {"string"},
+            type(None): {"null"}}
+
+
+def _wrong_value(tp):
+    """Values whose type differs from annotation `tp`, lists of such elements for a tuple."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return st.one_of(*KINDS.values(), st.lists(_wrong_value(args[0]), min_size=1, max_size=3))
+    accepted = set().union(*(ACCEPTED[a] for a in args)) if args else ACCEPTED[tp]
+    kinds = [s for kind, s in KINDS.items() if kind not in accepted]
+    return st.one_of(*kinds, st.lists(st.integers(), max_size=3))
+
+
+FIELDS = sorted(_settable_fields())
+
+
+def test_every_default_key_is_a_section_field_but_the_frame_width(tmp_path, capsys):
+    # so the test below covers every key; the frame width comes from the domain
+    assert sorted(key for key, _ in FIELDS) == sorted(_config_keys(DEFAULTS))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("sampler: {frame_width: 3}\n")
+    assert main(["plan", "lid removed", "--config", str(cfg)]) == 2
+    assert "unknown config key 'sampler.frame_width'" in capsys.readouterr().err
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field[0]), _wrong_value(field[1]))))
+def test_a_value_of_another_type_exits_2_naming_its_key(case):
+    key, value = case
+    *section, name = key.split(".")
+    tree = {section[0]: {name: value}} if section else {name: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.yaml", Path(tmp) / "run"
+        cfg.write_text(yaml.safe_dump(tree))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["sft", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert err.getvalue().startswith("error:") and repr(key) in err.getvalue()
+        assert not out.exists()
+
+
 def test_float_config_keys_accept_integers():
-    assert resolve_config(None, {"sft.lr": 1, "loop.tau": 0.5}).sft["lr"] == 1
+    assert resolve_config(None, {"sft.lr": 1, "loop.tau": 0.5}).sft.lr == 1
 
 
 def test_list_and_optional_integer_config_keys_accept_integers():
     config = resolve_config(None, {"bench.counts": [1, 0, 2], "bench.suite_seed": 4,
                                    "grpo.curriculum": [[1, 2], [50, 4]]})
-    assert config.bench["counts"] == [1, 0, 2] and config.bench["suite_seed"] == 4
-    assert config.grpo_config().curriculum == ((1, 2), (50, 4))
-    assert resolve_config(None, {"bench.suite_seed": None}).bench["suite_seed"] is None
+    assert config.bench.counts == (1, 0, 2) and config.bench.suite_seed == 4
+    assert config.grpo.curriculum == ((1, 2), (50, 4))
+    assert resolve_config(None, {"bench.suite_seed": None}).bench.suite_seed is None
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -931,7 +1052,7 @@ def test_bench_tau_reaches_the_critique_pass(tmp_path, capsys):
 
 
 def test_mode_presets_override_configured_budgets():
-    loop = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4}).loop_config()
+    loop = resolve_config(None, {"loop.k_retries": 5, "loop.max_outer_replans": 4}).loop
     assert mode_config("open-loop", loop).k_retries == 0
     assert mode_config("open-loop", loop).max_outer_replans == 0
     assert mode_config("inner-only", loop).k_retries == 5
