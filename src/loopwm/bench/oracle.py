@@ -31,10 +31,10 @@ def minimal_plan_length(
     for depth in range(1, max_len + 1):
         nxt: list[SymbolicState] = []
         for current in frontier:
-            for op in spec.operators:
+            for i, op in enumerate(spec.operators):
                 if not current.satisfies(op.pre):
                     continue
-                successor = apply_operator(spec, current, op.binding)
+                successor = apply_operator(spec, current, i)
                 if successor.satisfies(literals):
                     return depth
                 nxt.append(successor)

@@ -1,11 +1,12 @@
 """Difficulty-stratified task suites, verified against the exhaustive oracle.
 
-Difficulty is the minimal plan length from the task's start state: simple
-tasks solve in 1-3 steps, medium in 3-5, hard in more than 5 (capped at the
-oracle's search depth). The generator samples goals from random forward
-walks, so every emitted task is reachable by construction. A candidate's
-minimal plan length comes from one breadth-first pass over the predicate
-states reachable from the start (operators read and write predicates only).
+Every task starts at the domain's initial state, and its difficulty is the
+minimal plan length from there: simple tasks solve in 1-3 steps, medium in
+3-5, hard in more than 5 (capped at the oracle's search depth). The
+generator samples goals from random forward walks, so every emitted task is
+reachable by construction. A candidate's minimal plan length comes from one
+breadth-first pass over the predicate states reachable from the initial
+state (operators read and write predicates only).
 The pass runs over predicate bitmasks with the operator masks `DomainSpec`
 compiles, goals are tested against the same masks, and the walks follow the
 pass's successor lists; `verify_suite` re-checks every band with the
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from ..errors import SuiteError
 from ..microworld import DomainSpec
-from ..microworld.types import Literal, SymbolicState
+from ..microworld.types import Literal
 from ..numerics import RandomSource
 from ..planner import Goal
 from .oracle import DEFAULT_MAX_LEN, minimal_plan_length
@@ -58,10 +59,9 @@ _Reachable = list[tuple[int, int, list[int]]]
 
 @dataclass(frozen=True)
 class SuiteTask:
-    """One benchmark task: a goal, where to start, and how deep it sits."""
+    """One benchmark task: a goal and how deep it sits below the initial state."""
 
     goal: Goal
-    state: SymbolicState
     difficulty: str
     min_steps: int
 
@@ -119,8 +119,9 @@ def classify(min_steps: int | None) -> str | None:
 
 def verify_suite(suite: PromptSuite) -> None:
     """Re-check every task's band with the exhaustive oracle."""
+    start = suite.spec.initial_state()
     for i, task in enumerate(suite.tasks):
-        m = minimal_plan_length(suite.spec, task.state, task.goal.literals)
+        m = minimal_plan_length(suite.spec, start, task.goal.literals)
         lo, hi = BANDS[task.difficulty]
         if m is None or not lo <= m <= hi:
             raise SuiteError(
@@ -133,16 +134,17 @@ def verify_suite(suite: PromptSuite) -> None:
             )
 
 
-def _reachable_states(spec: DomainSpec, start: SymbolicState) -> _Reachable:
-    """Every predicate state within DEFAULT_MAX_LEN steps of `start`: (key, distance, successors).
+def _reachable_states(spec: DomainSpec) -> _Reachable:
+    """Every predicate state within DEFAULT_MAX_LEN steps of the initial state.
 
-    A key is the state's predicate bitmask (`DomainSpec.state_key`).
-    Breadth-first, so the distances never decrease along the list. A state's
-    successors are the list indices its applicable operators lead to, in
-    operator order, repeats included; states at the depth cap are not
-    expanded and keep an empty list.
+    Each is (key, distance, successors), the initial state first. A key is
+    the state's predicate bitmask (`DomainSpec.state_key`). Breadth-first,
+    so the distances never decrease along the list. A state's successors
+    are the list indices its applicable operators lead to, in operator
+    order, repeats included; states at the depth cap are not expanded and
+    keep an empty list.
     """
-    start_key = spec.state_key(start)
+    start_key = spec.state_key(spec.initial_state())
     index = {start_key: 0}
     reachable = [(start_key, 0, [])]
     frontier = [0]
@@ -175,16 +177,13 @@ def _plan_length(
 
 
 def _sample_literals(
-    spec: DomainSpec, start: SymbolicState, rng: RandomSource,
-    reachable: _Reachable | None = None,
+    spec: DomainSpec, reachable: _Reachable, rng: RandomSource
 ) -> tuple[Literal, ...]:
-    """Walk forward from `start`, then pose some of the walked state as a goal.
+    """Walk forward from the initial state, then pose some of the walked state as a goal.
 
-    The walk follows the successor lists of `reachable`, searched from `start`;
-    it never needs those of a state at the depth cap.
+    The walk follows the successor lists of `reachable`, the domain's
+    `_reachable_states`; it never needs those of a state at the depth cap.
     """
-    if reachable is None:
-        reachable = _reachable_states(spec, start)
     current = 0
     walk = 1 + rng.choice(DEFAULT_MAX_LEN)
     for _ in range(walk):
@@ -218,20 +217,19 @@ def generate_suite(
         raise SuiteError(f"counts must be >= 0, got {counts}")
     need = dict(zip(DIFFICULTIES, counts))
     rng = RandomSource(seed)
-    start = spec.initial_state()
-    reachable = _reachable_states(spec, start)
+    reachable = _reachable_states(spec)
     found: dict[str, list[SuiteTask]] = {d: [] for d in DIFFICULTIES}
     seen: set[tuple[str, ...]] = set()
     budget = _ATTEMPTS_PER_TASK * max(sum(counts), 1)
     for _ in range(budget):
         if all(len(found[d]) >= need[d] for d in DIFFICULTIES):
             break
-        literals = _sample_literals(spec, start, rng, reachable)
+        literals = _sample_literals(spec, reachable, rng)
         steps = _plan_length(spec, reachable, literals)
         level = classify(steps)
         if level is None or len(found[level]) >= need[level]:
             continue
-        task = SuiteTask(Goal(literals), start, level, steps)
+        task = SuiteTask(Goal(literals), level, steps)
         if task.key() in seen:
             continue
         seen.add(task.key())
@@ -247,11 +245,7 @@ def generate_suite(
 
 
 def save_suite(suite: PromptSuite, path: str | Path) -> Path:
-    """Write the suite as schema-tagged JSON. Start states are not stored:
-
-    every task starts from the domain's initial state, so the domain name
-    pins them down.
-    """
+    """Write the suite as schema-tagged JSON: the domain name and each task."""
     path = Path(path)
     payload = {
         "format": SUITE_FORMAT,

@@ -147,13 +147,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     spec = _load_spec(config.domain)
     goal = _parse_goal(spec, args.goal)
     try:
-        sequence = plan(spec, goal, spec.initial_state())
+        steps = plan(spec, goal, spec.initial_state())
     except NoPlanError as exc:
         raise UsageError(f"no plan: {exc}") from exc
-    noun = "step" if len(sequence.steps) == 1 else "steps"
-    print(f"plan for '{goal.text}' in {spec.name} ({len(sequence.steps)} {noun}):")
-    for step in sequence.steps:
-        print(f"  {step.sid}. {step.instruction}")
+    noun = "step" if len(steps) == 1 else "steps"
+    print(f"plan for '{goal.text}' in {spec.name} ({len(steps)} {noun}):")
+    for step in steps:
+        print(f"  {step.sid}. {spec.operators[step.op].instruction}")
     return 0
 
 

@@ -6,7 +6,8 @@ scalar is their weighted mean. Feedback tags are emitted exactly when the
 scalar falls below the acceptance threshold, ordered most-severe first
 (ascending dimension score). The tags are all the feedback a report gives:
 the loop records the best report's tags for each outer pass, which starts
-the same step again. No dimension reads the step's instruction text.
+the same step again. A step is scored by its operator alone, from the
+operator's critic table.
 
 physical_realism note: the score is the fraction of frames that respect the
 per-frame delta bound (0.25) and the value box [-0.05, 1.05], multiplied by
@@ -20,19 +21,17 @@ makes in float32, to float64 before any sum or threshold.
 
 Row contract: every dimension reduces along a contiguous per-row axis, so a
 row's numbers do not depend on the rows it is scored with. `DomainSpec`
-compiles one critic table per operator (`DomainSpec.critic_table`); a step
-whose literals differ from its operator's is scored from a table built for
-it. `score_group` scores G rows of one plan step, frames of shape (G, F, C),
+compiles one critic table per operator, `spec.critic_tables[step.op]`.
+`score_group` scores G rows of one plan step, frames of shape (G, F, C),
 and returns each dimension score and the scalar as a (G,) column: a GRPO
 group reads them and builds no report. `evaluate_rows` scores G rows, each
 a segment's (F, C) frames with its own plan step, and returns one report
 per row in input order. It stacks the rows of one frame shape once and
 scores temporal coherence and physical realism over the whole stack, then
-the three step-dependent dimensions once per step kind (action, pre, post)
-from its table. Each report takes its tags from the table's feedback, so
-two rows that differ only in their step's instruction get equal reports.
-Every report is bitwise equal to the one that `evaluate_rows` gives the row
-by itself.
+the three step-dependent dimensions once per operator from its table. Each
+report takes its tags from the table's feedback, so two rows of one
+operator at different sids get equal reports. Every report is bitwise
+equal to the one that `evaluate_rows` gives the row by itself.
 """
 
 from __future__ import annotations
@@ -183,17 +182,8 @@ def _checked(spec: DomainSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
             "physical_realism": _realism(frames)}
 
 
-def _table_for(spec: DomainSpec, step: PlanStep) -> CriticTable:
-    """The table of the step's operator, or one built for a step with literals of its own."""
-    i = spec.operator_id(step.actions[0])
-    op = spec.operators[i]
-    if step.pre == op.pre and step.post == op.post:
-        return spec.critic_tables[i]
-    return spec.critic_table(op, step.pre, step.post)
-
-
 def _step_scores(table: CriticTable, frames: np.ndarray):
-    """(step-dependent columns, pre hits, post hits) of (G, F, C) frames of one step kind.
+    """(step-dependent columns, pre hits, post hits) of (G, F, C) frames of one operator.
 
     A predicate channel reads true at DECODE_THRESHOLD and above, ties
     included.
@@ -225,9 +215,9 @@ def evaluate_rows(
 ) -> list[CriticReport]:
     """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
 
-    Rows are stacked per frame shape and scored per step kind, each report
-    under its own step's action and literals, never its instruction (see the
-    row contract in the module docstring).
+    Rows are stacked per frame shape and scored per operator, each report
+    under its own step's operator table (see the row contract in the module
+    docstring).
     """
     if len(frames) != len(steps):
         raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
@@ -239,12 +229,12 @@ def evaluate_rows(
         stack = np.asarray([frames[i] for i in rows], dtype=np.float64)
         columns = {d: np.empty(len(rows)) for d in DIMENSIONS}
         columns.update(_checked(spec, stack))
-        kinds: dict[tuple, list[int]] = {}
+        ops: dict[int, list[int]] = {}
         for j, i in enumerate(rows):
-            kinds.setdefault((steps[i].actions[0], steps[i].pre, steps[i].post), []).append(j)
+            ops.setdefault(steps[i].op, []).append(j)
         hits: list[tuple] = [()] * len(rows)
-        for picks in kinds.values():
-            table = _table_for(spec, steps[rows[picks[0]]])
+        for op, picks in ops.items():
+            table = spec.critic_tables[op]
             scores, pre_hits, post_hits = _step_scores(table, stack[picks])
             for d, column in scores.items():
                 columns[d][picks] = column
@@ -282,7 +272,7 @@ def score_group(
     """
     frames = np.asarray(frames, dtype=np.float64)
     scores = _checked(spec, frames)
-    scores.update(_step_scores(_table_for(spec, step), frames)[0])
+    scores.update(_step_scores(spec.critic_tables[step.op], frames)[0])
     return GroupScores(scores, _weighted_mean(scores, weights))
 
 

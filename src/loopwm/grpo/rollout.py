@@ -10,8 +10,9 @@ i of each. The group is sampled in one `sample_group` call, which returns
 the (G, F, C) frames and the (G, K) transitions the objective reads. The
 critic's core scores the frames in one `score_group` call, and the group
 keeps its five score columns and its (G,) rewards and advantages. No report
-is built and nothing is copied per member; `members` and `best_member` hand
-out views of a member's row.
+is built and nothing is copied per member; `members` hands out views of a
+member's row, and `best_segment` the best member's frames, the one row the
+training loop carries on.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class RolloutGroup:
     def members(self) -> tuple[GroupMember, ...]:
         return tuple(GroupMember(self, i) for i in range(self.rewards.size))
 
-    def best_member(self) -> GroupMember:
-        """Member with the highest reward (first on ties)."""
-        return self.members[int(np.argmax(self.rewards))]
+    def best_segment(self) -> Segment:
+        """The segment of the member with the highest reward (first on ties), a view."""
+        return self.members[int(np.argmax(self.rewards))].segment
 
 
 @dataclass(frozen=True)

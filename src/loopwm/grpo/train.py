@@ -26,7 +26,7 @@ from ..errors import LoopwmError, NoPlanError
 from ..memory import WorldMemory
 from ..microworld import DomainSpec
 from ..numerics import NetParams, RandomSource, opt_init
-from ..planner import Goal, PlanSequence, plan
+from ..planner import Goal, PlanStep, plan
 from ..report import write_csv
 from ..worldmodel import SamplerConfig
 from .config import GrpoConfig, curriculum_schedule
@@ -107,7 +107,7 @@ def rollout_k_steps(k_steps: int) -> int:
     return min(k_steps, max(3, (k_steps + 3) // 4))
 
 
-def _plan_or_none(spec: DomainSpec, goal: Goal) -> PlanSequence | None:
+def _plan_or_none(spec: DomainSpec, goal: Goal) -> tuple[PlanStep, ...] | None:
     try:
         return plan(spec, goal, spec.initial_state())
     except NoPlanError:
@@ -116,13 +116,13 @@ def _plan_or_none(spec: DomainSpec, goal: Goal) -> PlanSequence | None:
 
 def _sample_goal(
     goals: list[Goal],
-    plans: list[PlanSequence | None],
+    plans: list[tuple[PlanStep, ...] | None],
     shortest: int | None,
     level: int,
     rng: RandomSource,
     log: TrainingLog,
     iteration: int,
-) -> tuple[Goal, PlanSequence]:
+) -> tuple[Goal, tuple[PlanStep, ...]]:
     """Draw pool goals until one plans within `level` steps.
 
     `plans` holds the search's answer per pool index (None for no plan) and
@@ -138,12 +138,12 @@ def _sample_goal(
         )
     while True:
         index = rng.choice(len(goals))
-        sequence = plans[index]
-        if sequence is None:
+        steps = plans[index]
+        if steps is None:
             log.events.append(
                 f"iteration {iteration}: no plan for '{goals[index].text}', resampled")
-        elif 1 <= len(sequence.steps) <= level:
-            return goals[index], sequence
+        elif 1 <= len(steps) <= level:
+            return goals[index], steps
 
 
 def train(
@@ -181,14 +181,14 @@ def train(
     rollout_config = replace(sampler_config, k_steps=rollout_k_steps(sampler_config.k_steps))
     opt_state = opt_init(bundle.theta)
     plans = [_plan_or_none(spec, goal) for goal in goals]
-    shortest = min((len(p.steps) for p in plans if p is not None and p.steps), default=None)
+    shortest = min((len(p) for p in plans if p), default=None)
     for iteration in range(start_iteration, grpo_config.iterations + 1):
         level = curriculum_schedule(grpo_config, iteration)
-        goal, sequence = _sample_goal(goals, plans, shortest, level, rng, log, iteration)
+        goal, steps = _sample_goal(goals, plans, shortest, level, rng, log, iteration)
         bundle.sync_old()
         memory = WorldMemory.fresh(spec)
         rewards, adherence, coherence, kls, clips = [], [], [], [], []
-        for step in sequence.steps:
+        for step in steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
                                   rollout_config, grpo_config, rng, weights)
             _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state,
@@ -209,7 +209,7 @@ def train(
             rewards.extend(group.rewards.tolist())
             adherence.extend(group.scores["action_adherence"].tolist())
             coherence.extend(group.scores["temporal_coherence"].tolist())
-            memory.advance(step, group.best_member().segment)
+            memory.advance(step, group.best_segment())
         log.records.append(
             TrainingRecord(
                 iteration=iteration,

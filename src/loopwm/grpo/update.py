@@ -94,7 +94,7 @@ def objective_terms(
     group: RolloutGroup,
     config: GrpoConfig,
     delta: float,
-    out: np.ndarray | None = None,
+    out: NetParams | None = None,
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
@@ -188,9 +188,9 @@ def grpo_update(
 
     Returns (theta, opt_state, terms), where terms are the objective's terms
     at the parameters before the step. `terms.grads` is the optimizer's own
-    gradient vector, `opt_state.grad`, so the next update overwrites it. When
-    every member is dropped the update is skipped (`terms.skipped`) and
-    parameters pass through unchanged.
+    gradient vector, `opt_state.grad.vector`, so the next update overwrites
+    it. When every member is dropped the update is skipped (`terms.skipped`)
+    and parameters pass through unchanged.
     """
     if opt_state is None:
         opt_state = opt_init(bundle.theta)

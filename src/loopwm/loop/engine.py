@@ -153,7 +153,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
 
-    steps = plan(spec, goal, spec.initial_state()).steps
+    steps = plan(spec, goal, spec.initial_state())
     memory = WorldMemory.fresh(spec)
     log = EpisodeLog(goal=goal, plan_length=len(steps))
 

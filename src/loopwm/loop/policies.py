@@ -39,7 +39,7 @@ class OraclePolicy:
         self.jitter = jitter
 
     def generate(self, step: PlanStep, memory: WorldMemory, rng: RandomSource) -> Segment:
-        return reference_segment(self.spec, memory.state, step.actions[0],
+        return reference_segment(self.spec, memory.state, step.op,
                                  n_frames=self.n_frames, rng=rng, jitter=self.jitter)
 
     def fulfil(self, requests: list) -> list[Callable[[], Segment]]:

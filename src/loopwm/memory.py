@@ -33,5 +33,5 @@ class WorldMemory:
 
     def advance(self, step: PlanStep, segment: Segment) -> None:
         """Accept `segment` for `step`: apply the step's operator to the state."""
-        self.state = apply_operator(self.spec, self.state, step.actions[0])
+        self.state = apply_operator(self.spec, self.state, step.op)
         self.frame = segment.final_frame

@@ -8,7 +8,6 @@ from .io import (
     load_domain,
 )
 from .types import (
-    ActionBinding,
     DomainSpec,
     Literal,
     MotionProfile,
@@ -20,7 +19,6 @@ from .types import (
 )
 
 __all__ = [
-    "ActionBinding",
     "BUILTIN_DOMAINS",
     "DomainSpec",
     "Literal",

@@ -9,31 +9,31 @@ import numpy as np
 from ..errors import PreconditionError
 from ..numerics.rng import RandomSource
 from .frames import encode_state
-from .types import DEFAULT_CONTACT, ActionBinding, DomainSpec, Segment, SymbolicState
+from .types import DEFAULT_CONTACT, DomainSpec, Segment, SymbolicState
 
 MAX_JITTER = 0.02
 
 
-def apply_operator(spec: DomainSpec, state: SymbolicState, binding: ActionBinding) -> SymbolicState:
-    """Symbolic transition: rewrite post literals, drag moving entities to the target.
+def apply_operator(spec: DomainSpec, state: SymbolicState, op: int) -> SymbolicState:
+    """Apply `spec.operators[op]`: rewrite post literals, drag moving entities to the target.
 
     Raises PreconditionError naming every violated literal. Untouched
     predicates and poses carry over unchanged. The target position is read
     before any entity moves.
     """
-    op = spec.find_operator(binding)
-    failed = [lit for lit in op.pre if not lit.holds_in(state.predicates)]
+    operator = spec.operators[op]
+    failed = [lit for lit in operator.pre if not lit.holds_in(state.predicates)]
     if failed:
         raise PreconditionError(
-            f"{binding} not applicable: unmet " + ", ".join(str(lit) for lit in failed)
+            f"{operator} not applicable: unmet " + ", ".join(str(lit) for lit in failed)
         )
     preds = dict(state.predicates)
-    for lit in op.post:
+    for lit in operator.post:
         preds[lit.pred] = lit.value
     poses = dict(state.poses)
-    if op.motion is not None:
-        tx, ty = spec.entity_position(state, op.motion.target)
-        for ent in op.motion.moves:
+    if operator.motion is not None:
+        tx, ty = spec.entity_position(state, operator.motion.target)
+        for ent in operator.motion.moves:
             poses[f"{ent}.x"] = tx
             poses[f"{ent}.y"] = ty
     return SymbolicState(preds, poses)
@@ -52,12 +52,12 @@ def contact_window_frames(contact: tuple[float, float], n_frames: int) -> tuple[
 def reference_segment(
     spec: DomainSpec,
     state: SymbolicState,
-    binding: ActionBinding,
+    op: int,
     n_frames: int = 16,
     rng: RandomSource | None = None,
     jitter: float = 0.0,
 ) -> Segment:
-    """Idealized demonstration of one operator application.
+    """Idealized demonstration of one application of `spec.operators[op]`.
 
     Frame 0 encodes `state` exactly and frame F-1 encodes the successor
     state exactly. Pose channels interpolate linearly across the whole
@@ -73,14 +73,14 @@ def reference_segment(
     if jitter > 0 and rng is None:
         raise ValueError("jitter requires a RandomSource")
 
-    op = spec.find_operator(binding)
-    result = apply_operator(spec, state, binding)
+    result = apply_operator(spec, state, op)
     start = encode_state(spec, state)
     end = encode_state(spec, result)
 
     frames = np.empty((n_frames, spec.n_channels))
     ts = np.arange(n_frames) / (n_frames - 1)
-    contact = op.motion.contact if op.motion is not None else DEFAULT_CONTACT
+    motion = spec.operators[op].motion
+    contact = motion.contact if motion is not None else DEFAULT_CONTACT
     w0, w1 = contact_window_frames(contact, n_frames)
 
     n_pred = spec.n_predicates

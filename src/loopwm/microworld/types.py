@@ -52,19 +52,6 @@ def parse_literal(text: str) -> Literal:
 
 
 @dataclass(frozen=True)
-class ActionBinding:
-    """A grounded action reference: verb plus the object tuple it acts on."""
-
-    verb: str
-    objects: tuple[str, ...]
-    tool: str | None = None
-
-    def __str__(self) -> str:
-        tool = f" [{self.tool}]" if self.tool else ""
-        return f"{self.verb}({', '.join(self.objects)}){tool}"
-
-
-@dataclass(frozen=True)
 class MotionProfile:
     """Which entities move, where they end up, and when contact happens."""
 
@@ -83,9 +70,9 @@ class Operator:
     motion: MotionProfile | None
     instruction: str
 
-    @property
-    def binding(self) -> ActionBinding:
-        return ActionBinding(self.verb, self.objects, self.tool)
+    def __str__(self) -> str:
+        tool = f" [{self.tool}]" if self.tool else ""
+        return f"{self.verb}({', '.join(self.objects)}){tool}"
 
 
 @dataclass(frozen=True)
@@ -151,10 +138,11 @@ class DomainSpec:
     Construction checks the symbol references (see `_check_semantics`) and
     then builds, once, every table that planning, suite generation,
     conditioning and the critic read: predicate bits, per-operator masks in
-    declaration and in search order, the (verb, objects) operator index, the
-    encoded initial frame, each operator's condition tails and its critic
-    table (`critic_table` of its own literals). The tables are derived from
-    the declared fields, so a spec is never mutated after load.
+    declaration and in search order, the encoded initial frame, and each
+    operator's condition tails and critic table. Every per-operator table is
+    indexed by the operator's position in `operators`, the index a plan
+    step carries. The tables are derived from the declared fields, so a
+    spec is never mutated after load.
     """
 
     name: str
@@ -165,7 +153,6 @@ class DomainSpec:
     channels: list[str] = field(init=False)
     channel_index: dict[str, int] = field(init=False)
     pred_bits: dict[str, int] = _table()
-    operator_ids: dict[tuple[str, tuple[str, ...]], int] = _table()
     operator_masks: tuple[OperatorMasks, ...] = _table()
     search_order: tuple[OperatorMasks, ...] = _table()
     initial_frame: np.ndarray = _table()
@@ -182,7 +169,6 @@ class DomainSpec:
         _check_semantics(self)
 
         self.pred_bits = {p: 1 << i for i, (p, _) in enumerate(self.predicates)}
-        self.operator_ids = {(op.verb, op.objects): i for i, op in enumerate(self.operators)}
         self.operator_masks = tuple(
             OperatorMasks(i, *self.literal_masks(op.pre), *self.literal_masks(op.post))
             for i, op in enumerate(self.operators)
@@ -197,11 +183,10 @@ class DomainSpec:
             np.array([1.0 if v else 0.0 for _, v in self.predicates] + poses, dtype=np.float64)
         )
         self.condition_tails = _read_only(self._condition_tails())
-        self.critic_tables = tuple(self.critic_table(op, op.pre, op.post)
-                                   for op in self.operators)
+        self.critic_tables = tuple(self._critic_table(op) for op in self.operators)
 
-    def critic_table(self, op: Operator, pre, post) -> CriticTable:
-        """The critic's table of a step of `op` that requires `pre` and `post`."""
+    def _critic_table(self, op: Operator) -> CriticTable:
+        """The critic's table of a step of `op`."""
 
         def literals(lits, tag: str):
             distinct = tuple(dict.fromkeys(lits))
@@ -219,10 +204,10 @@ class DomainSpec:
                        columns(op.motion.target) if target.movable else target.position,
                        target.movable, op.motion.contact)
         return CriticTable(
-            literals(pre, "pre-condition-violated:"),
-            literals(post, "post-condition-unmet:"),
-            (np.array([self.channel_index[lit.pred] for lit in post], dtype=np.intp),
-             np.array([1.0 if lit.value else 0.0 for lit in post])),
+            literals(op.pre, "pre-condition-violated:"),
+            literals(op.post, "post-condition-unmet:"),
+            (np.array([self.channel_index[lit.pred] for lit in op.post], dtype=np.intp),
+             np.array([1.0 if lit.value else 0.0 for lit in op.post])),
             contact)
 
     def _condition_tails(self) -> np.ndarray:
@@ -276,16 +261,6 @@ class DomainSpec:
             poses[f"{obj}.y"] = y
         return SymbolicState(preds, poses)
 
-    def operator_id(self, binding: ActionBinding) -> int:
-        """Index of the binding's operator; a binding that names a tool must match it."""
-        i = self.operator_ids.get((binding.verb, tuple(binding.objects)))
-        if i is None or binding.tool not in (None, self.operators[i].tool):
-            raise DomainError(f"domain {self.name!r} has no operator {binding}")
-        return i
-
-    def find_operator(self, binding: ActionBinding) -> Operator:
-        return self.operators[self.operator_id(binding)]
-
     def entity_position(self, state: SymbolicState, name: str) -> tuple[float, float]:
         """Current position: pose channels for movables, fixed layout otherwise."""
         if name not in self.objects:
@@ -313,7 +288,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _check_semantics(spec: DomainSpec) -> None:
-    """Symbol references, contact ordering, instruction length and duplicate bindings."""
+    """Symbol references, contact ordering, instruction length and duplicate operators."""
     pred_names = {p for p, _ in spec.predicates}
     if spec.actor not in spec.objects:
         raise DomainError(f"actor {spec.actor!r} is not a declared object")
@@ -321,7 +296,7 @@ def _check_semantics(spec: DomainSpec) -> None:
         raise DomainError(f"actor {spec.actor!r} must be movable")
     seen: set[tuple] = set()
     for op in spec.operators:
-        where = f"operator {op.binding}"
+        where = f"operator {op}"
         key = (op.verb, op.objects)
         if key in seen:
             raise DomainError(f"duplicate operator for verb/objects {key}")

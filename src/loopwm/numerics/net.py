@@ -16,6 +16,9 @@ Every parameter of a net lives in one contiguous vector of `DTYPE`
 b1, ... `weights[i]` and `biases[i]` are views into it. A gradient is one
 vector of the same layout and dtype, so the optimizer updates a net with
 whole-vector operations, and the in-memory vector is the checkpoint payload.
+`net_backward_batch` writes a gradient through the layer views of a
+`NetParams` over its vector, which a training loop makes once
+(`OptState.grad`), not per call.
 Both passes run in the dtype of their inputs: the callers hand them `DTYPE`
 arrays, since one float64 operand would make numpy compute the whole layer
 in float64.
@@ -38,7 +41,7 @@ trailing bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -77,17 +80,6 @@ def _n_params(sizes: Sequence[int]) -> int:
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
-def _layer_views(sizes: Sequence[int], vector: Tensor) -> tuple[tuple, tuple]:
-    """(weights, biases): views of a vector in checkpoint order."""
-    weights, biases, off = [], [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        end = off + fan_out * fan_in
-        weights.append(vector[off:end].reshape(fan_out, fan_in))
-        biases.append(vector[end:end + fan_out])
-        off = end + fan_out
-    return tuple(weights), tuple(biases)
-
-
 @dataclass(frozen=True, eq=False)
 class NetParams:
     """Ordered affine layers over one parameter vector.
@@ -116,9 +108,14 @@ class NetParams:
         if vector.size != _n_params(self.sizes):
             raise ValueError(f"parameter vector has {vector.size} entries, layer sizes "
                              f"{self.sizes} need {_n_params(self.sizes)}")
-        weights, biases = _layer_views(self.sizes, vector)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        weights, biases, off = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            end = off + fan_out * fan_in
+            weights.append(vector[off:end].reshape(fan_out, fan_in))
+            biases.append(vector[end:end + fan_out])
+            off = end + fan_out
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
     def n_layers(self) -> int:
         return len(self.weights)
@@ -164,21 +161,23 @@ def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
 
 
 def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tensor,
-                       out: Tensor | None = None) -> Tensor:
+                       out: NetParams | None = None) -> Tensor:
     """Reverse-mode parameter gradient through a forward already run by `net_activations`.
 
     The gradient is one vector in the layout of `params.vector`, summed over
-    the batch. It is written into `out` when that is given, a `DTYPE` vector
-    of the parameters' shape, and returned; otherwise a new vector is
-    allocated. The sweep stops at the first layer's weights: no caller needs
-    the gradient with respect to the input. `out_grad` is a `DTYPE` array
-    of the output's shape and is not modified; like the forward, the sweep
+    the batch. It is written through the layer views of `out` when that is
+    given, a `NetParams` of the parameters' sizes, and its vector is
+    returned; otherwise it goes into a copy of `params` over a new vector.
+    The sweep stops at the first layer's weights: no caller needs the
+    gradient with respect to the input. `out_grad` is a `DTYPE` array of
+    the output's shape and is not modified; like the forward, the sweep
     checks nothing.
     """
     _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
-    grad = np.empty_like(params.vector) if out is None else out
-    grad_w, grad_b = _layer_views(params.sizes, grad)
+    if out is None:
+        out = replace(params, vector=np.empty_like(params.vector))
+    grad_w, grad_b = out.weights, out.biases
     g = out_grad  # gradient w.r.t. the current layer's pre-activation (output layer is linear)
     for i in range(last, -1, -1):
         if i < last:
@@ -189,7 +188,7 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
         np.sum(g, axis=0, out=grad_b[i])
         if i > 0:
             g = g @ params.weights[i]
-    return grad
+    return out.vector
 
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:

@@ -7,11 +7,12 @@ the step's scratch are `DTYPE` (float32) vectors in the layout of
 their dtype whatever the type of the step's scalars (alpha_t, eps_hat). Each
 step is a fixed sequence of in-place elementwise operations over the whole
 vector, with no per-array loop and no temporaries. The state also owns the
-gradient vector, `OptState.grad`, which training loops backprop into
-(`net_backward_batch(..., out=state.grad)`), so no step allocates a
-parameter-sized vector. To ascend, negate `lr`, not the gradient: a sign
-flip commutes with every operation of the step, so the parameters get the
-bytes of a descent along the negated gradient, and only m's sign differs.
+gradient, `OptState.grad`, a `NetParams` over its own vector that training
+loops backprop into (`net_backward_batch(..., out=state.grad)`), so no step
+allocates a parameter-sized vector or rebuilds the gradient's layer views.
+To ascend, negate `lr`, not the gradient: a sign flip commutes with every
+operation of the step, so the parameters get the bytes of a descent along
+the negated gradient, and only m's sign differs.
 
 The step uses the efficient order of Kingma & Ba (2015, arXiv:1412.6980,
 section 2): the bias corrections fold into two scalars, the step size
@@ -38,22 +39,25 @@ DEFAULT_EPS = 1e-8
 
 @dataclass
 class OptState:
-    """First/second moment estimates, one vector each, plus a step counter."""
+    """First/second moment estimates, one vector each, plus a step counter.
+
+    `grad` is the gradient callers backprop into, laid out as the net's
+    parameters; `scratch` is the step's own work vector.
+    """
 
     m: Tensor
     v: Tensor
+    grad: NetParams = field(repr=False)
     step: int = 0
-    # work vectors: the gradient callers backprop into, and the step's own
     scratch: Tensor = field(init=False, repr=False)
-    grad: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = np.empty_like(self.m)
-        self.grad = np.empty_like(self.m)
 
 
 def opt_init(params: NetParams) -> OptState:
-    return OptState(np.zeros_like(params.vector), np.zeros_like(params.vector))
+    return OptState(np.zeros_like(params.vector), np.zeros_like(params.vector),
+                    NetParams(params.sizes, np.empty_like(params.vector), params.activation))
 
 
 def opt_step(

@@ -1,7 +1,6 @@
 from .search import DEFAULT_NODE_BUDGET, plan
 from .types import (
     Goal,
-    PlanSequence,
     PlanStep,
     describe_literals,
     parse_goal_literal,
@@ -10,7 +9,6 @@ from .types import (
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "Goal",
-    "PlanSequence",
     "PlanStep",
     "describe_literals",
     "parse_goal_literal",

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import DomainError, NoPlanError
-from ..microworld.types import DomainSpec, Operator, SymbolicState
-from .types import Goal, PlanSequence, PlanStep
+from ..microworld.types import DomainSpec, SymbolicState
+from .types import Goal, PlanStep
 
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -32,7 +32,7 @@ def _search(
     goal: Goal,
     state: SymbolicState,
     node_budget: int,
-) -> tuple[Operator, ...]:
+) -> tuple[int, ...]:
     goal_true, goal_false = spec.literal_masks(goal.literals)
     start = spec.state_key(state)
     if start & goal_true == goal_true and not start & goal_false:
@@ -55,7 +55,7 @@ def _search(
                 continue
             new_path = path + (index,)
             if nxt & goal_true == goal_true and not nxt & goal_false:
-                return tuple(spec.operators[i] for i in new_path)
+                return new_path
             visited.add(nxt)
             queue.append((nxt, new_path))
     raise NoPlanError(f"goal {goal.text!r} is unreachable from the given state")
@@ -66,10 +66,8 @@ def plan(
     goal: Goal,
     state: SymbolicState,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> PlanSequence:
-    """Minimal plan for `goal` from `state`; empty if already satisfied."""
+) -> tuple[PlanStep, ...]:
+    """Minimal plan for `goal` from `state`, sids from 1; empty if already satisfied."""
     _check_goal(spec, goal)
-    path = _search(spec, goal, state, node_budget)
-    steps = tuple(PlanStep(sid, op.instruction, (op.binding,), op.pre, op.post)
-                  for sid, op in enumerate(path, 1))
-    return PlanSequence(steps, goal)
+    return tuple(PlanStep(sid, op)
+                 for sid, op in enumerate(_search(spec, goal, state, node_budget), 1))

@@ -1,12 +1,17 @@
-"""Plan-side value types."""
+"""Plan-side value types: a goal, and a plan step as a (sid, operator index) pair.
+
+A step is always exactly one domain operator, as a STRIPS plan is a sequence
+of operator instances: everything else of the step (its instruction, action,
+literals, motion, condition tail and critic table) is read from the domain
+at `step.op`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from ..microworld.types import ActionBinding, DomainSpec, Literal
-from ..microworld.types import MAX_INSTRUCTION_WORDS
+from ..microworld.types import DomainSpec, Literal
 
 
 @dataclass(frozen=True)
@@ -67,38 +72,7 @@ def parse_goal_literal(spec: DomainSpec, text: str) -> Literal:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One atomic step: an instruction, its action, and pre/post literals."""
+    """One atomic step: its 1-based position `sid` and `op`, an index into `spec.operators`."""
 
     sid: int
-    instruction: str
-    actions: tuple[ActionBinding, ...]
-    pre: tuple[Literal, ...]
-    post: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        if self.sid < 1:
-            raise ValueError(f"sid must be >= 1, got {self.sid}")
-        if not self.actions:
-            raise ValueError("a step needs at least one action")
-        words = len(self.instruction.split())
-        if words == 0 or words > MAX_INSTRUCTION_WORDS:
-            raise ValueError(
-                f"instruction must be 1..{MAX_INSTRUCTION_WORDS} words, got {words}"
-            )
-
-
-@dataclass(frozen=True)
-class PlanSequence:
-    steps: tuple[PlanStep, ...]
-    goal: Goal
-
-    def __post_init__(self) -> None:
-        sids = [s.sid for s in self.steps]
-        if any(b <= a for a, b in zip(sids, sids[1:])):
-            raise ValueError(f"sids must be strictly increasing, got {sids}")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
+    op: int

@@ -44,7 +44,7 @@ def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
         raise DomainError(
             f"context frame has width {frame.shape}, expected ({len(spec.channels)},)"
         )
-    tail = spec.condition_tails[spec.operator_id(step.actions[0]), min(step.sid, MAX_NORM_SID) - 1]
+    tail = spec.condition_tails[step.op, min(step.sid, MAX_NORM_SID) - 1]
     cond = np.concatenate([frame, tail])
     if not np.isfinite(cond).all():
         raise NumericError("non-finite values in condition vector")

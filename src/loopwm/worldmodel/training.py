@@ -88,7 +88,7 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
             net_backward_batch(theta, acts, 2.0 * resid / resid.size, out=state.grad)
-            opt_step(theta, state.grad, state, lr=lr, beta1=beta1, beta2=beta2)
+            opt_step(theta, state.grad.vector, state, lr=lr, beta1=beta1, beta2=beta2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return theta, history
@@ -108,13 +108,12 @@ def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int
         memory = WorldMemory.fresh(spec)
         walk_len = int(rng.integers(1, max_walk + 1))
         for sid in range(1, walk_len + 1):
-            applicable = [op for op in spec.operators if memory.state.satisfies(op.pre)]
+            applicable = [i for i, op in enumerate(spec.operators)
+                          if memory.state.satisfies(op.pre)]
             if not applicable:
                 break
-            op = applicable[int(rng.integers(0, len(applicable)))]
-            step = PlanStep(sid=sid, instruction=op.instruction,
-                            actions=(op.binding,), pre=op.pre, post=op.post)
-            segment = reference_segment(spec, memory.state, op.binding,
+            step = PlanStep(sid, applicable[int(rng.integers(0, len(applicable)))])
+            segment = reference_segment(spec, memory.state, step.op,
                                         n_frames=n_frames, rng=rng, jitter=jitter)
             cond = embed_condition(spec, step, memory)
             demos.append((cond, segment))

@@ -26,3 +26,8 @@ def tanh_calls(monkeypatch):
 
     monkeypatch.setitem(net._ACTIVATIONS, "tanh", (counted, dact))
     return calls
+
+
+def op_index(spec, verb, *objects):
+    """Index in `spec.operators` of the operator `verb(objects)`, the `op` of a plan step."""
+    return next(i for i, op in enumerate(spec.operators) if (op.verb, op.objects) == (verb, objects))

@@ -19,8 +19,9 @@ oracle for a fast path or a reader or view that only the tests need:
   `evaluate_rows` call, which the critic's row contract and GRPO's group
   scores are checked against;
 - `reference_rows` and `reference_score_group` are the critic as it was
-  before `DomainSpec` compiled its tables: per group, they look up the
-  operator, its acting entity, its literals' channels and the tags anew;
+  before `DomainSpec` compiled its tables: per group of rows of one
+  operator (`step.op`), they read the operator, its acting entity, its
+  literals' channels and the tags anew;
   the package's reports and columns are checked equal to theirs, bit for
   bit. `tag_dimension` is their tag reader;
 - `aggregate` is the critic's weighted mean with its inputs checked;
@@ -172,7 +173,7 @@ def decode_frame(spec: DomainSpec, frame: np.ndarray) -> SymbolicState:
 def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
     """1.0 on channels the step should change: post predicates and moving poses."""
     n_ops = len(spec.operators)
-    return spec.condition_tails[spec.operator_id(step.actions[0]), 0, n_ops:-1].copy()
+    return spec.condition_tails[step.op, 0, n_ops:-1].copy()
 
 
 def evaluate(
@@ -254,15 +255,15 @@ def reference_rows(
 ) -> list[CriticReport]:
     """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
 
-    Rows whose steps share (action, pre, post) and whose frames share a
-    shape form a group, stacked and scored by `reference_score_group`; each
-    report is built under its own step.
+    Rows whose steps share an operator and whose frames share a shape form
+    a group, stacked and scored by `reference_score_group`; each report is
+    built under its own step.
     """
     if len(frames) != len(steps):
         raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
     groups: dict[tuple, list[int]] = {}
     for i, (row, step) in enumerate(zip(frames, steps)):
-        groups.setdefault((step.actions[0], step.pre, step.post, np.shape(row)), []).append(i)
+        groups.setdefault((step.op, np.shape(row)), []).append(i)
     reports: list[CriticReport | None] = [None] * len(steps)
     for rows in groups.values():
         block = np.asarray([frames[i] for i in rows], dtype=np.float64)
@@ -299,8 +300,8 @@ def reference_score_group(
 ) -> ReferenceScores:
     """Score G rows, frames of shape (G, F, C), against one plan step, as columns.
 
-    Every call looks up the operator, its acting entity and the channels of
-    its literals anew; `reference_rows` builds its reports from the columns.
+    Every call reads the step's operator, its acting entity and the channels
+    of its literals anew; `reference_rows` builds its reports from the columns.
     """
     if frames.ndim != 3:
         raise ValueError(f"each row must be 2-D (frames, channels), got shape {frames.shape[1:]}")
@@ -310,12 +311,12 @@ def reference_score_group(
         )
     if frames.shape[1] < 2:
         raise ValueError("segments need at least 2 frames to score")
-    op = spec.find_operator(step.actions[0])
+    op = spec.operators[step.op]
 
-    post_lits, post_hits = _literal_hits(spec, frames[:, -1], step.post)
-    pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], step.pre)
+    post_lits, post_hits = _literal_hits(spec, frames[:, -1], op.post)
+    pre_lits, pre_hits = _literal_hits(spec, frames[:, 0], op.pre)
     goal_scores = _hit_fraction(post_hits)
-    monos = _progress_monotone_fraction(frames, step.post, spec)
+    monos = _progress_monotone_fraction(frames, op.post, spec)
     mono_scores = np.where(monos >= MONOTONE_FRACTION, 1.0, monos / MONOTONE_FRACTION)
     interactions, applicable = _interaction(spec, frames, op)
     scores = {
@@ -336,7 +337,7 @@ def _score_group(
     weights: CriticWeights,
     tau: float,
 ) -> list[CriticReport]:
-    """One report per row of frames (G, F, C) of one (action, pre, post)."""
+    """One report per row of frames (G, F, C) of one operator."""
     scored = reference_score_group(spec, frames, step, weights)
     scores = zip(*(scored.scores[d].tolist() for d in DIMENSIONS))
     rows = zip(scores, scored.scalar.tolist(), scored.post_hits.tolist(),
@@ -405,14 +406,12 @@ def load_suite(path: str | Path, spec: DomainSpec | None = None) -> PromptSuite:
         spec = load_domain(domain)
     elif spec.name != domain:
         raise SuiteError(f"suite was built for domain {domain!r}, got spec {spec.name!r}")
-    start = spec.initial_state()
     tasks = []
     for i, row in enumerate(payload.get("tasks", [])):
         try:
             literals = tuple(Literal(pred, bool(value)) for pred, value in row["literals"])
             task = SuiteTask(
                 Goal(literals, row.get("text", "")),
-                start,
                 row["difficulty"],
                 int(row["min_steps"]),
             )

@@ -56,7 +56,7 @@ def test_generate_suite_counts_and_bands(kitchen):
     assert suite.counts() == {"simple": 10, "medium": 10, "hard": 5}
     for task in suite.tasks:
         lo, hi = BANDS[task.difficulty]
-        m = minimal_plan_length(kitchen, task.state, task.goal.literals)
+        m = minimal_plan_length(kitchen, kitchen.initial_state(), task.goal.literals)
         assert m == task.min_steps
         assert lo <= m <= hi
 
@@ -66,8 +66,7 @@ def test_band_lengths_match_planner_shortest_path(kitchen):
     # independent second oracle for every task's recorded depth
     suite = generate_suite(kitchen, seed=11, counts=(4, 3, 2))
     for task in suite.tasks:
-        sequence = plan(kitchen, task.goal, task.state)
-        assert len(sequence.steps) == task.min_steps
+        assert len(plan(kitchen, task.goal, kitchen.initial_state())) == task.min_steps
 
 
 def test_generate_suite_deterministic(kitchen):
@@ -83,10 +82,10 @@ def test_generate_suite_deterministic(kitchen):
 def test_reachable_state_lengths_match_the_oracle(name):
     spec = load_domain(name)
     start = spec.initial_state()
-    reachable = _reachable_states(spec, start)
+    reachable = _reachable_states(spec)
     rng = RandomSource(0)
     for _ in range(300):
-        literals = _sample_literals(spec, start, rng)
+        literals = _sample_literals(spec, reachable, rng)
         assert _plan_length(spec, reachable, literals) == minimal_plan_length(spec, start, literals)
     # goals off the sampled walks too, unreachable ones included
     for _ in range(100):
@@ -197,7 +196,7 @@ def test_verify_catches_mislabeled_tasks(kitchen):
 
     suite = small_suite(kitchen)
     easy = next(t for t in suite.tasks if t.difficulty == "simple")
-    forged = SuiteTask(easy.goal, easy.state, "hard", easy.min_steps)
+    forged = SuiteTask(easy.goal, "hard", easy.min_steps)
     with pytest.raises(SuiteError, match="hard"):
         verify_suite(PromptSuite(kitchen, (forged,)))
 
@@ -228,15 +227,15 @@ def test_frozen_policy_completes_nothing(kitchen):
 
 
 class NanOnOneStep(GeneratePolicy):
-    """Oracle segments, except that one instruction gets NaN from `bad`."""
+    """Oracle segments, except that the steps of one operator get NaN from `bad`."""
 
-    def __init__(self, spec, instruction, bad):
+    def __init__(self, spec, op, bad):
         self.oracle = OraclePolicy(spec)
-        self.instruction = instruction
+        self.op = op
         self.bad = bad
 
     def generate(self, step, memory, rng):
-        if step.instruction == self.instruction:
+        if step.op == self.op:
             return self.bad(step, memory, rng)
         return self.oracle.generate(step, memory, rng)
 
@@ -258,9 +257,9 @@ def test_numeric_failure_fails_only_its_episodes(kitchen, source):
     # NaN frames raise NumericError, a NaN net DivergenceError; either way
     # the episode fails and the rest of the 50-task report stands
     suite = generate_suite(kitchen, seed=7)
-    instruction = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0].instruction
+    op = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state())[0].op
     bad = nan_frames if source == "frames" else nan_net(kitchen)
-    report = evaluate_policy(NanOnOneStep(kitchen, instruction, bad), suite,
+    report = evaluate_policy(NanOnOneStep(kitchen, op, bad), suite,
                              rng=RandomSource(3))
     assert report.overall.n_tasks == 50
     assert 0.0 < report.overall.action_completeness < 1.0

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields
 from functools import cache
 
 import numpy as np
@@ -24,7 +24,6 @@ from loopwm.critic.scoring import (
     coherence_score,
 )
 from loopwm.microworld import (
-    Literal,
     Segment,
     apply_operator,
     canonical_dict,
@@ -46,9 +45,8 @@ from oracles import (
 
 
 def first_step(kitchen, *goal_lits):
-    seq = plan(kitchen, Goal(tuple(parse_literal(t) for t in goal_lits)),
-               kitchen.initial_state())
-    return seq.steps[0]
+    return plan(kitchen, Goal(tuple(parse_literal(t) for t in goal_lits)),
+                kitchen.initial_state())[0]
 
 
 def open_jar_step(kitchen):
@@ -57,7 +55,7 @@ def open_jar_step(kitchen):
 
 def test_reference_segment_scores_high(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
     report = evaluate(kitchen, seg, step)
     assert report.scores["action_adherence"] >= 0.9
     assert report.scores["goal_achievement"] == 1.0
@@ -75,18 +73,18 @@ def test_chained_references_score_high_everywhere(domain_name, goal_lits):
     spec = load_domain(domain_name)
     seq = plan(spec, Goal(tuple(parse_literal(t) for t in goal_lits)), spec.initial_state())
     state = spec.initial_state()
-    for step in seq.steps:
-        seg = reference_segment(spec, state, step.actions[0], 16)
+    for step in seq:
+        seg = reference_segment(spec, state, step.op, 16)
         report = evaluate(spec, seg, step)
-        assert report.scalar >= 0.8, (step.instruction, report.scores)
+        assert report.scalar >= 0.8, (str(spec.operators[step.op]), report.scores)
         assert report.scores["action_adherence"] >= 0.9
         assert min(report.scores.values()) >= 0.875
-        state = apply_operator(spec, state, step.actions[0])
+        state = apply_operator(spec, state, step.op)
 
 
 def test_frozen_segment_fails_with_post_condition_tags(kitchen):
     step = open_jar_step(kitchen)
-    first = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16).frames[0]
+    first = reference_segment(kitchen, kitchen.initial_state(), step.op, 16).frames[0]
     frozen = Segment(np.tile(first, (16, 1)))
     report = evaluate(kitchen, frozen, step)
     assert report.scores["goal_achievement"] == 0.0
@@ -98,7 +96,7 @@ def test_frozen_segment_fails_with_post_condition_tags(kitchen):
 
 def test_teleporting_pose_tanks_realism(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
     frames = seg.frames.copy()
     hx = kitchen.channel_index["hand.x"]
     hy = kitchen.channel_index["hand.y"]
@@ -128,17 +126,13 @@ def test_aggregate_is_weighted_mean():
 
 def test_scalar_equals_weighted_mean_on_reports(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
     weights = CriticWeights(0.2, 0.2, 0.2, 0.2, 0.2)
     report = evaluate(kitchen, seg, step, weights=weights)
     assert report.scalar == pytest.approx(aggregate(report.scores, weights))
 
 
 def test_interaction_not_applicable_scores_one():
-    from loopwm.microworld import domain_from_dict
-    from loopwm.planner import PlanStep
-    from loopwm.microworld.types import ActionBinding
-
     raw = {
         "name": "static",
         "actor": "hand",
@@ -152,10 +146,8 @@ def test_interaction_not_applicable_scores_one():
     }
     spec = domain_from_dict(raw)
     state = spec.initial_state()
-    seg = reference_segment(spec, state, ActionBinding("toggle", ("lamp",)), 16)
-    step = PlanStep(1, "toggle the lamp", (ActionBinding("toggle", ("lamp",)),),
-                    spec.operators[0].pre, spec.operators[0].post)
-    report = evaluate(spec, seg, step)
+    seg = reference_segment(spec, state, 0, 16)
+    report = evaluate(spec, seg, PlanStep(1, 0))
     assert report.scores["object_interaction"] == 1.0
     assert report.contact_applicable is False
 
@@ -187,21 +179,21 @@ def pinned_suite_steps():
     kitchen = load_domain("kitchen")
     suite = generate_suite(kitchen, 0, counts=(20, 20, 10))
     steps = [step for task in suite.tasks
-             for step in plan(kitchen, task.goal, task.state).steps]
+             for step in plan(kitchen, task.goal, kitchen.initial_state())]
     return kitchen, steps
 
 
 def reference_scores(spec, frames, step):
     """The five scores of one (F, C) segment from decoded frames, segment by segment."""
-    op = spec.find_operator(step.actions[0])
+    op = spec.operators[step.op]
     first = decode_frame(spec, frames[0]).predicates
     final = decode_frame(spec, frames[-1]).predicates
-    post = {lit: lit.holds_in(final) for lit in step.post}
-    pre = {lit: lit.holds_in(first) for lit in step.pre}
+    post = {lit: lit.holds_in(final) for lit in op.post}
+    pre = {lit: lit.holds_in(first) for lit in op.pre}
     goal = float(np.mean(list(post.values()))) if post else 1.0
     pre_frac = float(np.mean(list(pre.values()))) if pre else 1.0
-    cols = [spec.channel_index[lit.pred] for lit in step.post]
-    targets = np.array([1.0 if lit.value else 0.0 for lit in step.post])
+    cols = [spec.channel_index[lit.pred] for lit in op.post]
+    targets = np.array([1.0 if lit.value else 0.0 for lit in op.post])
     mono = float(np.mean(np.diff(np.abs(frames[:, cols] - targets).sum(axis=1)) <= 1e-9))
     adherence = (pre_frac + goal + (1.0 if mono >= 0.8 else mono / 0.8)) / 3.0
 
@@ -289,38 +281,40 @@ def bits(x: float) -> str:
 
 
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_rows_carry_their_own_steps(data, seed):
-    # rows of mixed steps and frame counts, some sharing a step, some under
-    # a step that differs from another row's only in its instruction; every
-    # report is the one-row call's, in order, and no score reads the text
-    kitchen, pinned = pinned_suite_steps()
-    pool = data.draw(st.lists(st.sampled_from(pinned), min_size=1, max_size=4))
+@given(data=st.data(), domain=st.sampled_from(["kitchen", "workshop"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_carry_their_own_steps(data, domain, seed):
+    # rows of mixed operators and frame counts, some sharing a step, some
+    # under a step of the same operator at another sid; every report is the
+    # one-row call's, in order, and no score reads the sid
+    spec, every = every_operator(domain)
+    pool = data.draw(st.lists(st.sampled_from([step for step, _ in every]),
+                              min_size=1, max_size=4))
     picks = data.draw(st.lists(
         st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8]), st.booleans()),
         min_size=1, max_size=12))
     rng = np.random.default_rng(seed)
     frames, steps = [], []
-    for step, n_frames, reworded in picks:
-        start = rng.uniform(0.0, 1.0, size=(1, kitchen.n_channels))
-        row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, kitchen.n_channels)),
+    for step, n_frames, resequenced in picks:
+        start = rng.uniform(0.0, 1.0, size=(1, spec.n_channels))
+        row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, spec.n_channels)),
                                 axis=0)
-        row[:, :kitchen.n_predicates] = rng.choice([0.0, 1.0],
-                                                   size=(n_frames, kitchen.n_predicates))
-        if reworded:
+        row[:, :spec.n_predicates] = rng.choice([0.0, 1.0],
+                                                size=(n_frames, spec.n_predicates))
+        if resequenced:
             original = step
-            step = replace(step, instruction="do this step in other words")
-            assert_reports_equal(evaluate(kitchen, Segment(row), step),
-                                 evaluate(kitchen, Segment(row), original))
-            got, want = (score_group(kitchen, row[None], s) for s in (step, original))
+            step = PlanStep(step.sid + 7, step.op)
+            assert_reports_equal(evaluate(spec, Segment(row), step),
+                                 evaluate(spec, Segment(row), original))
+            got, want = (score_group(spec, row[None], s) for s in (step, original))
             assert bits(got.scalar[0]) == bits(want.scalar[0])
             assert all(np.array_equal(got.scores[d], want.scores[d]) for d in DIMENSIONS)
         frames.append(row)
         steps.append(step)
-    reports = evaluate_rows(kitchen, frames, steps)
+    reports = evaluate_rows(spec, frames, steps)
     assert len(reports) == len(steps)
     for row, step, report in zip(frames, steps, reports):
-        want = evaluate(kitchen, Segment(row), step)
+        want = evaluate(spec, Segment(row), step)
         assert_reports_equal(report, want)
         assert bits(report.scalar) == bits(want.scalar)
         assert {d: bits(v) for d, v in report.scores.items()} == \
@@ -343,7 +337,7 @@ def test_realism_clamps_at_zero_and_tags_physics_violation(kitchen):
     # the realism severity factor is clamped at 0: a frame far outside the
     # value box zeroes the dimension instead of driving it negative
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
     frames = seg.frames.copy()
     frames[8, kitchen.channel_index["hand.x"]] = VALUE_BOX[1] + 4 * MAX_FRAME_DELTA
     report = evaluate(kitchen, Segment(frames), step, tau=0.95)
@@ -360,7 +354,7 @@ def test_scalar_below_tau_without_a_fault_tags_the_weakest_dimension(kitchen):
     # a segment with no specific fault still gets a tag when its scalar is
     # below tau: the weakest dimension, as a low-score tag
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.actions[0], 16)
+    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
     passing = evaluate(kitchen, seg, step)
     assert passing.tags == ()
     strict = evaluate(kitchen, seg, step, tau=1.5)
@@ -375,7 +369,7 @@ def test_reports_have_one_score_per_dimension(kitchen):
     # a record that nothing changes after the critic builds it
     step = open_jar_step(kitchen)
     segment = reference_segment(
-        kitchen, kitchen.initial_state(), step.actions[0], rng=RandomSource(1)
+        kitchen, kitchen.initial_state(), step.op, rng=RandomSource(1)
     )
     report = evaluate(kitchen, segment, step)
     assert set(report.scores) == set(DIMENSIONS)
@@ -450,24 +444,30 @@ def test_core_coherence_equals_coherence_score(kitchen):
 
 
 @cache
-def domain_steps(name):
-    """(spec, (step, state) pairs): the steps of the plans of a small suite, each
-    with the state it starts from."""
+def every_operator(name):
+    """(spec, (step, state) pairs): a step of each of the domain's operators, in
+    declaration order at sids 1, 2, ..., with the first state of a breadth-first
+    walk from the initial state where the operator applies."""
     spec = load_domain(name)
-    pairs = []
-    for task in generate_suite(spec, 0, counts=(6, 6, 3)).tasks:
-        state = task.state
-        for step in plan(spec, task.goal, state).steps:
-            pairs.append((step, state))
-            state = apply_operator(spec, state, step.actions[0])
-    return spec, tuple(pairs)
+    found, seen, queue = {}, set(), [spec.initial_state()]
+    for state in queue:
+        key = frozenset(p for p, v in state.predicates.items() if v)
+        if key in seen:
+            continue
+        seen.add(key)
+        for op, operator in enumerate(spec.operators):
+            if state.satisfies(operator.pre):
+                found.setdefault(op, state)
+                queue.append(apply_operator(spec, state, op))
+    assert len(found) == len(spec.operators)
+    return spec, tuple((PlanStep(op + 1, op), found[op]) for op in range(len(spec.operators)))
 
 
 def critique_row(spec, state, step, n_frames, kind, rng):
     """One segment in [-0.1, 1.1] with some entries snapped to 0 or 1: a jittered
     demonstration of the step, a random walk, or noise."""
     if kind == "reference":
-        row = reference_segment(spec, state, step.actions[0], n_frames,
+        row = reference_segment(spec, state, step.op, n_frames,
                                 RandomSource(int(rng.integers(1 << 31))), 0.02).frames.copy()
     elif kind == "walk":
         start = rng.uniform(0.0, 1.0, size=(1, spec.n_channels))
@@ -481,7 +481,7 @@ def critique_row(spec, state, step, n_frames, kind, rng):
 
 
 def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
-    """The pass's reports, and the columns of each (step kind, frame count)
+    """The pass's reports, and the columns of each (operator, frame count)
     group, equal the reference scorer's bit for bit; returns the reports."""
     reports = evaluate_rows(spec, frames, steps, tau=tau)
     wants = reference_rows(spec, frames, steps, tau=tau)
@@ -493,9 +493,9 @@ def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
             {d: bits(v) for d, v in want.scores.items()}
     groups = {}
     for row, step in zip(frames, steps):
-        groups.setdefault((step.actions[0], step.pre, step.post, row.shape), []).append(row)
-    for (action, pre, post, _), rows in groups.items():
-        step = PlanStep(1, "score the group", (action,), pre, post)
+        groups.setdefault((step.op, row.shape), []).append(row)
+    for (op, _), rows in groups.items():
+        step = PlanStep(1, op)
         got = score_group(spec, np.stack(rows), step)
         want = reference_score_group(spec, np.stack(rows), step)
         for d in DIMENSIONS:
@@ -508,20 +508,17 @@ def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
 @given(data=st.data(), domain=st.sampled_from(["kitchen", "workshop"]),
        tau=st.sampled_from([0.3, 0.7, 0.95]), seed=st.integers(0, 2**32 - 1))
 def test_critique_passes_equal_the_reference_scorer(data, domain, tau, seed):
-    # a pass mixes operators, frame counts, steps under their own and under
-    # another instruction, clean and broken rows; the tables give the
-    # reference's reports and columns
-    spec, pool = domain_steps(domain)
+    # a pass mixes every operator of the domain, frame counts, clean and
+    # broken rows; the tables give the reference's reports and columns
+    spec, pool = every_operator(domain)
     picks = data.draw(st.lists(
         st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8, 16]),
-                  st.sampled_from(["reference", "walk", "noise"]), st.booleans()),
+                  st.sampled_from(["reference", "walk", "noise"])),
         min_size=1, max_size=16))
     rng = np.random.default_rng(seed)
     frames, steps = [], []
-    for (step, state), n_frames, kind, reworded in picks:
+    for (step, state), n_frames, kind in picks:
         row = critique_row(spec, state, step, n_frames, kind, rng)
-        if reworded:
-            step = replace(step, instruction="do this step in other words")
         frames.append(row)
         steps.append(step)
     assert_pass_equals_reference(spec, frames, steps, tau)
@@ -541,18 +538,15 @@ def relaid_kitchen() -> dict:
 
 
 def test_tables_never_leak_across_specs_or_frame_counts():
-    # two domains in one process share every (verb, objects) operator but
-    # not its channels; scored in turn at F = 8, 16, 8, each gives the
-    # reports of a freshly loaded spec. A step with literals of its own is
-    # scored from a table built for it and leaves the spec's tables as they are
-    kitchen, pairs = domain_steps("kitchen")
+    # two domains in one process share every operator, at the same index,
+    # but not its channels; scored in turn at F = 8, 16, 8, each gives the
+    # reports of a freshly loaded spec and leaves the spec's tables as they are
+    kitchen, pairs = every_operator("kitchen")
     relaid = domain_from_dict(relaid_kitchen())
     assert relaid.channels != kitchen.channels
-    assert relaid.operator_ids == kitchen.operator_ids
+    assert list(map(str, relaid.operators)) == list(map(str, kitchen.operators))
     step, state = pairs[0]
-    own = PlanStep(step.sid, step.instruction, step.actions, step.pre[1:],
-                   (*reversed(step.post), Literal(kitchen.predicates[-1][0], False)))
-    steps = [s for s, _ in pairs[:12]] + [own, replace(step, instruction="open it now")]
+    steps = [s for s, _ in pairs]
     tables = {spec.name: spec.critic_tables for spec in (kitchen, relaid)}
     globals_before = set(vars(scoring))
     rng = np.random.default_rng(5)

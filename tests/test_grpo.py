@@ -78,7 +78,7 @@ def goal_of(*texts):
 
 
 def first_step(spec, *texts):
-    return plan(spec, goal_of(*texts), spec.initial_state()).steps[0]
+    return plan(spec, goal_of(*texts), spec.initial_state())[0]
 
 
 def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
@@ -247,19 +247,17 @@ def test_rollout_group_shares_initial_noise(kitchen):
     config = GrpoConfig(group_size=4)
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
-    assert len(group.members) == 4
+    assert group.frames.shape[0] == group.rewards.size == 4
     latent = sampler.latent_width
-    z_init = group.members[0].trace.steps[0, :latent]
+    z_init = group.trace.steps[0, 0, :latent]
     assert z_init.shape == (latent,)
-    frames = []
-    for i, member in enumerate(group.members):
-        assert np.array_equal(member.trace.steps[0, :latent], z_init)
+    for i in range(4):
+        assert np.array_equal(group.trace.steps[i, 0, :latent], z_init)
         assert 0.0 <= group.rewards[i] <= 1.0
         assert sorted(group.scores) == sorted(DIMENSIONS)
-        frames.append(member.segment.frames)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert not np.array_equal(frames[i], frames[j])
+            assert not np.array_equal(group.frames[i], group.frames[j])
     again = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
     assert np.array_equal(group.rewards, again.rewards)
@@ -318,13 +316,25 @@ def test_rollout_requires_stochastic_sampler(kitchen):
 
 def test_member_reward_sources(kitchen):
     step = first_step(kitchen, "kettle.grasped")
-    segment = reference_segment(kitchen, kitchen.initial_state(), step.actions[0],
+    segment = reference_segment(kitchen, kitchen.initial_state(), step.op,
                                 n_frames=8)
     report = evaluate(kitchen, segment, step)
     scored = score_group(kitchen, segment.frames[None], step)
     assert group_rewards(scored, GrpoConfig()).tolist() == [report.scalar]
     dim_config = GrpoConfig(reward_dimension="action_adherence")
     assert group_rewards(scored, dim_config).tolist() == [report.scores["action_adherence"]]
+
+
+def test_best_segment_is_the_first_top_reward_row_as_a_view():
+    # the row the training loop carries on: highest reward, first on ties
+    sampler = small_sampler(frame_width=2)
+    theta = tiny_net(latent=4, cond_width=3)
+    group = synthetic_group(theta, np.array([0.5, 0.1, 0.2]), sampler,
+                            rewards=[0.1, 0.9, 0.4, 0.9])
+    assert len({row.tobytes() for row in group.frames}) == 4
+    best = group.best_segment()
+    assert best.frames.tobytes() == group.frames[1].tobytes()
+    assert np.shares_memory(best.frames, group.frames)
 
 
 @pytest.mark.parametrize("dimension", [None, "temporal_coherence"])
@@ -335,8 +345,8 @@ def test_rollout_group_reports_equal_per_member_evaluate(kitchen, dimension):
     config = GrpoConfig(group_size=5, reward_dimension=dimension)
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(2))
-    for i, member in enumerate(group.members):
-        want = evaluate(kitchen, member.segment, step)
+    for i, frames in enumerate(group.frames):
+        want = evaluate(kitchen, Segment(frames), step)
         assert {d: group.scores[d][i] for d in DIMENSIONS} == want.scores
         assert group.rewards[i] == (want.scalar if dimension is None
                                     else want.scores[dimension])
@@ -764,13 +774,13 @@ def test_update_ascends_along_the_optimizer_gradient_like_a_negated_descent():
         # groups sampled under the first parameters, so later ratios move off 1
         group = synthetic_group(theta_old, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=seed)
         want = objective_terms(twin, bundle.reference, group, config, sampler.delta)
-        buf = np.full_like(twin.vector, np.nan)
+        buf = replace(twin, vector=np.full_like(twin.vector, np.nan))
         into = objective_terms(twin, bundle.reference, group, config, sampler.delta, out=buf)
-        assert into.grads is buf and buf.tobytes() == want.grads.tobytes()
+        assert into.grads is buf.vector and buf.vector.tobytes() == want.grads.tobytes()
         opt_step(twin, -want.grads, twin_state, lr=config.lr)
         _, opt_state, terms = grpo_update(bundle, group, config, opt_state,
                                           delta=sampler.delta)
-        assert terms.grads is opt_state.grad
+        assert terms.grads is opt_state.grad.vector
         assert bundle.theta.vector.tobytes() == twin.vector.tobytes()
     assert opt_state.step == twin_state.step == 4
 
@@ -1051,10 +1061,10 @@ def test_group_rewards_vary_for_imperfect_policy(kitchen):
     theta, history = sft_train(theta, demos, epochs=400, lr=3e-3,
                                rng=RandomSource(22), batch_size=32)
     assert history[-1] < 0.3  # imperfect, but trained well past the noise floor
-    steps = plan(kitchen, goal_of("cup.full"), kitchen.initial_state()).steps
+    steps = plan(kitchen, goal_of("cup.full"), kitchen.initial_state())
     memory = WorldMemory.fresh(kitchen)
     for step in steps[:-1]:
-        segment = reference_segment(kitchen, memory.state, step.actions[0],
+        segment = reference_segment(kitchen, memory.state, step.op,
                                     n_frames=n_frames)
         memory.advance(step, segment)
     pour = steps[-1]

@@ -38,11 +38,10 @@ def random_solvable_goal(spec, rng, max_walk=5):
     """Random walk from the initial state; goal literals sampled from the end state."""
     state = spec.initial_state()
     for _ in range(int(rng.integers(1, max_walk + 1))):
-        applicable = [op for op in spec.operators if state.satisfies(op.pre)]
+        applicable = [i for i, op in enumerate(spec.operators) if state.satisfies(op.pre)]
         if not applicable:
             break
-        op = applicable[int(rng.integers(0, len(applicable)))]
-        state = apply_operator(spec, state, op.binding)
+        state = apply_operator(spec, state, applicable[int(rng.integers(0, len(applicable)))])
     preds = sorted(state.predicates)
     k = int(rng.integers(1, 4))
     picks = [preds[int(rng.integers(0, len(preds)))] for _ in range(k)]
@@ -190,7 +189,7 @@ def test_outer_passes_keep_the_plan_and_bound_the_attempts(name, data):
     seed = data.draw(st.integers(0, 2**16))
     goal = random_solvable_goal(spec, RandomSource(seed, 1))
     log = run_episode(spec, goal, MixedPolicy(spec, seed), config, rng=RandomSource(seed))
-    steps = plan(spec, goal, spec.initial_state()).steps
+    steps = plan(spec, goal, spec.initial_state())
     assert log.plan_length == len(steps)
     # the attempts visit the initial plan's steps in order, never skipping one
     visited = [sid for sid, _ in groupby(a.sid for a in log.attempts)]
@@ -214,10 +213,10 @@ def test_memory_advance_chain_replay(kitchen):
     seq = plan(kitchen, goal, kitchen.initial_state())
     rng = RandomSource(10)
     state = kitchen.initial_state()
-    for step in seq.steps:
-        seg = reference_segment(kitchen, memory.state, step.actions[0], rng=rng)
+    for step in seq:
+        seg = reference_segment(kitchen, memory.state, step.op, rng=rng)
         memory.advance(step, seg)
-        state = apply_operator(kitchen, state, step.actions[0])
+        state = apply_operator(kitchen, state, step.op)
         assert np.array_equal(memory.frame, seg.final_frame)
     assert memory.state.predicates == state.predicates
     assert memory.state.poses == state.poses
@@ -364,14 +363,14 @@ def test_lockstep_suite_matches_each_episode_alone(kitchen, eta_scale):
             == evaluate_policy(SequentialPolicy(policy), suite, config, rng=rng))
 
 
-def poisoning_rows(instruction):
-    """A row scorer that accepts every segment for `instruction` and then puts
-    NaN in its last frame, so the next step of that episode has a non-finite
-    condition."""
+def poisoning_rows(op):
+    """A row scorer that accepts every segment for a step of operator `op` and
+    then puts NaN in its last frame, so the next step of that episode has a
+    non-finite condition."""
     def rows(spec, frames, steps, weights, tau):
         reports = evaluate_rows(spec, frames, steps, weights, tau)
         for i, step in enumerate(steps):
-            if step.instruction == instruction:
+            if step.op == op:
                 frames[i][-1, 0] = np.nan
                 reports[i] = replace(reports[i], scalar=1.0)
         return reports
@@ -383,11 +382,11 @@ def poisoning_rows(instruction):
 def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, monkeypatch, source):
     suite = generate_suite(kitchen, seed=7)
     config = LoopConfig(tau=0.4)
-    first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state()).steps[0]
+    first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state())[0]
     if source == "net":
         policy, rows = diverging_policy(kitchen), evaluate_rows
     else:
-        policy, rows = learned_policy(kitchen), poisoning_rows(first.instruction)
+        policy, rows = learned_policy(kitchen), poisoning_rows(first.op)
     rng = RandomSource(4)
     with np.errstate(over="ignore", invalid="ignore"):
         alone = run_alone(kitchen, suite, policy, config, rng, rows=rows)

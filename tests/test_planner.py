@@ -2,51 +2,43 @@ import pytest
 
 from loopwm.bench.oracle import minimal_plan_length
 from loopwm.errors import DomainError, NoPlanError
-from loopwm.microworld import ActionBinding, Literal, apply_operator, parse_literal
-from loopwm.microworld.types import MAX_INSTRUCTION_WORDS
+from conftest import op_index
+from loopwm.microworld import Literal, apply_operator, parse_literal
 from loopwm.numerics import RandomSource
-from loopwm.planner import (
-    Goal,
-    PlanSequence,
-    PlanStep,
-    parse_goal_literal,
-    plan,
-)
+from loopwm.planner import Goal, PlanStep, parse_goal_literal, plan
 
 
 def goal_of(*texts):
     return Goal(tuple(parse_literal(t) for t in texts))
 
 
-def bindings(sequence):
-    return [step.actions[0] for step in sequence.steps]
-
-
 def test_single_step_plan(kitchen):
     seq = plan(kitchen, goal_of("jar.lid_removed"), kitchen.initial_state())
-    assert bindings(seq) == [ActionBinding("open", ("jar",), "hand")]
-    assert seq.steps[0].sid == 1
-    assert seq.steps[0].instruction == "open the jar and set the lid aside"
-    assert parse_literal("jar.closed") in seq.steps[0].pre
-    assert parse_literal("not jar.closed") in seq.steps[0].post
+    assert seq == (PlanStep(1, op_index(kitchen, "open", "jar")),)
+    op = kitchen.operators[seq[0].op]
+    assert str(op) == "open(jar) [hand]"
+    assert op.instruction == "open the jar and set the lid aside"
+    assert parse_literal("jar.closed") in op.pre
+    assert parse_literal("not jar.closed") in op.post
 
 
 def test_minimal_plan_is_lexicographically_smallest(kitchen):
     # four ops are required; among valid orders the (verb, objects)-smallest wins
     seq = plan(kitchen, goal_of("cup.full"), kitchen.initial_state())
-    assert [str(b) for b in bindings(seq)] == [
+    assert [str(kitchen.operators[s.op]) for s in seq] == [
         "grasp(kettle) [hand]",
         "open(jar) [hand]",
         "pour(jar, cup) [hand]",
         "pour(kettle, cup) [kettle]",
     ]
-    assert [s.sid for s in seq.steps] == [1, 2, 3, 4]
+    assert [s.sid for s in seq] == [1, 2, 3, 4]
 
 
 def test_six_step_plan(kitchen):
-    seq = plan(kitchen, goal_of("cup.stirred"), kitchen.initial_state())
+    goal = goal_of("cup.stirred")
+    seq = plan(kitchen, goal, kitchen.initial_state())
     assert len(seq) == 6
-    assert minimal_plan_length(kitchen, kitchen.initial_state(), seq.goal.literals) == 6
+    assert minimal_plan_length(kitchen, kitchen.initial_state(), goal.literals) == 6
 
 
 def test_goal_already_satisfied_gives_empty_plan(kitchen):
@@ -96,9 +88,9 @@ def _reachable_states(spec, limit=5000):
     queue = deque([start])
     while queue and len(seen) < limit:
         cur = queue.popleft()
-        for op in spec.operators:
+        for i, op in enumerate(spec.operators):
             if cur.satisfies(op.pre):
-                nxt = apply_operator(spec, cur, op.binding)
+                nxt = apply_operator(spec, cur, i)
                 if key(nxt) not in seen:
                     seen[key(nxt)] = nxt
                     queue.append(nxt)
@@ -122,10 +114,9 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
         goal = Goal(tuple(true_lits[i] for i in picks))
         seq = plan(spec, goal, initial)
         state = initial
-        for step in seq.steps:
-            op = spec.find_operator(step.actions[0])
-            assert state.satisfies(op.pre)
-            state = apply_operator(spec, state, op.binding)
+        for step in seq:
+            assert state.satisfies(spec.operators[step.op].pre)
+            state = apply_operator(spec, state, step.op)
         assert state.satisfies(goal.literals)
         oracle_len = minimal_plan_length(spec, initial, goal.literals)
         assert oracle_len == len(seq)
@@ -144,30 +135,15 @@ def test_goal_text_plans_the_jar_example(kitchen):
     # the path `loopwm plan "lid removed"` takes: goal text, then the search
     goal = Goal((parse_goal_literal(kitchen, "lid removed"),))
     assert goal == jar_goal()
-    sequence = plan(kitchen, goal, kitchen.initial_state())
-    step = sequence.steps[0]
-    assert len(sequence.steps) == 1
+    (step,) = plan(kitchen, goal, kitchen.initial_state())
+    op = kitchen.operators[step.op]
     assert step.sid == 1
-    assert step.pre == (Literal("jar.closed", True),)
-    assert Literal("jar.lid_removed", True) in step.post
-    assert step.actions[0].verb == "open"
-    assert step.actions[0].objects == ("jar",)
-    assert step.actions[0].tool == "hand"
+    assert op.pre == (Literal("jar.closed", True),)
+    assert Literal("jar.lid_removed", True) in op.post
+    assert (op.verb, op.objects, op.tool) == ("open", ("jar",), "hand")
 
 
-def test_plan_value_types_reject_malformed_steps(kitchen):
-    # the checks every plan handed to the loop passes, whoever wrote it
-    step = plan(kitchen, jar_goal(), kitchen.initial_state()).steps[0]
-    with pytest.raises(ValueError, match="sid"):
-        PlanStep(0, step.instruction, step.actions, step.pre, step.post)
-    with pytest.raises(ValueError, match="action"):
-        PlanStep(1, step.instruction, (), step.pre, step.post)
-    wordy = " ".join(["very"] * MAX_INSTRUCTION_WORDS + ["long"])
-    with pytest.raises(ValueError, match="instruction"):
-        PlanStep(1, wordy, step.actions, step.pre, step.post)
-    with pytest.raises(ValueError, match="instruction"):
-        PlanStep(1, "   ", step.actions, step.pre, step.post)
-    with pytest.raises(ValueError, match="increasing"):
-        PlanSequence((step, step), jar_goal())
+def test_plan_value_types_reject_malformed_steps():
+    # a plan step is (sid, operator index) and checks nothing; a goal needs a literal
     with pytest.raises(ValueError, match="literal"):
         Goal(())

@@ -4,7 +4,7 @@ against the uncached assembly.
 `reference_search` is the planner's breadth-first search written over
 `SymbolicState` predicate dicts, reading each operator's literals directly and
 none of the tables `DomainSpec` compiles. Both searches must return the same
-operators or raise the same NoPlanError.
+operator indices or raise the same NoPlanError.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ def _successor(state, op):
 def reference_search(spec, goal, state, node_budget):
     if state.satisfies(goal.literals):
         return ()
-    ordered = sorted(spec.operators, key=lambda op: (op.verb, op.objects))
+    ordered = sorted(enumerate(spec.operators), key=lambda pair: (pair[1].verb, pair[1].objects))
     queue = deque([(state, ())])
     visited = {_true_predicates(state)}
     expanded = 0
@@ -54,14 +54,14 @@ def reference_search(spec, goal, state, node_budget):
             raise NoPlanError(
                 f"no plan within node budget {node_budget} for goal {goal.text!r}"
             )
-        for op in ordered:
+        for index, op in ordered:
             if not current.satisfies(op.pre):
                 continue
             nxt = _successor(current, op)
             key = _true_predicates(nxt)
             if key in visited:
                 continue
-            new_path = path + (op,)
+            new_path = path + (index,)
             if nxt.satisfies(goal.literals):
                 return new_path
             visited.add(key)
@@ -119,12 +119,9 @@ def _uncached_condition(spec, step, memory):
     frame = memory.frame
     if frame is None:
         frame = encode_state(spec, spec.initial_state())
-    binding = step.actions[0]
-    index = next(i for i, op in enumerate(spec.operators)
-                 if (op.verb, op.objects) == (binding.verb, binding.objects))
-    op = spec.operators[index]
+    op = spec.operators[step.op]
     one_hot = np.zeros(len(spec.operators))
-    one_hot[index] = 1.0
+    one_hot[step.op] = 1.0
     mask = np.zeros(len(spec.channels))
     for lit in op.post:
         mask[spec.channels.index(lit.pred)] = 1.0
@@ -140,13 +137,12 @@ def test_embed_condition_matches_uncached_assembly(name):
     spec = SPECS[name]
     fresh = WorldMemory.fresh(spec)
     advanced = WorldMemory.fresh(spec)
-    first = next(op for op in spec.operators if advanced.state.satisfies(op.pre))
-    first_step = PlanStep(1, first.instruction, (first.binding,), first.pre, first.post)
-    advanced.advance(first_step, reference_segment(spec, advanced.state, first.binding))
+    first = next(i for i, op in enumerate(spec.operators) if advanced.state.satisfies(op.pre))
+    advanced.advance(PlanStep(1, first), reference_segment(spec, advanced.state, first))
     assert advanced.frame is not None
     for memory in (fresh, advanced):
-        for op in spec.operators:
+        for op in range(len(spec.operators)):
             for sid in range(1, 21):
-                step = PlanStep(sid, op.instruction, (op.binding,), op.pre, op.post)
+                step = PlanStep(sid, op)
                 cond = embed_condition(spec, step, memory)
                 assert cond.tobytes() == _uncached_condition(spec, step, memory).tobytes()
