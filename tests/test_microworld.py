@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -93,6 +94,130 @@ def test_schema_violation_is_named():
     bad["operators"][0]["pre"] = ["Box.Open"]  # uppercase: fails the literal pattern
     with pytest.raises(DomainError, match="schema violation"):
         domain_from_dict(bad)
+
+
+def _edit(*keys, value=None, drop=False):
+    """An edit of `minimal_domain_dict()` that sets (or drops) the value at `keys`."""
+    def apply(raw):
+        *parents, last = keys
+        node = raw
+        for key in parents:
+            node = node[key]
+        if drop:
+            del node[last]
+        else:
+            node[last] = value
+        return raw
+    return apply
+
+
+def _rename_object(raw):
+    raw["objects"]["Box"] = raw["objects"].pop("box")
+    return raw
+
+
+OP, MOTION = ("operators", 0), ("operators", 0, "motion")
+
+# (edit of the minimal domain, the path the error names, text it must quote);
+# one case per rule of the domain format that a file can break
+BAD_DOCUMENTS = {
+    # a required key missing, at each level
+    "missing-name": (_edit("name", drop=True), "", "'name'"),
+    "missing-actor": (_edit("actor", drop=True), "", "'actor'"),
+    "missing-objects": (_edit("objects", drop=True), "", "'objects'"),
+    "missing-predicates": (_edit("predicates", drop=True), "", "'predicates'"),
+    "missing-operators": (_edit("operators", drop=True), "", "'operators'"),
+    "missing-position": (_edit("objects", "box", "position", drop=True), "objects/box",
+                         "'position'"),
+    "missing-verb": (_edit(*OP, "verb", drop=True), "operators/0", "'verb'"),
+    "missing-operator-objects": (_edit(*OP, "objects", drop=True), "operators/0", "'objects'"),
+    "missing-pre": (_edit(*OP, "pre", drop=True), "operators/0", "'pre'"),
+    "missing-post": (_edit(*OP, "post", drop=True), "operators/0", "'post'"),
+    "missing-moves": (_edit(*MOTION, "moves", drop=True), "operators/0/motion", "'moves'"),
+    "missing-target": (_edit(*MOTION, "target", drop=True), "operators/0/motion", "'target'"),
+    # an unknown key, at each level
+    "unknown-top": (_edit("colour", value="red"), "", "'colour'"),
+    "unknown-object": (_edit("objects", "box", "colour", value="red"), "objects/box", "'colour'"),
+    "unknown-operator": (_edit(*OP, "cost", value=1), "operators/0", "'cost'"),
+    "unknown-motion": (_edit(*MOTION, "speed", value=1), "operators/0/motion", "'speed'"),
+    # a value of the wrong type
+    "not-a-mapping": (lambda raw: [raw], "", ""),
+    "name-number": (_edit("name", value=3), "name", ""),
+    "objects-list": (_edit("objects", value=[]), "objects", ""),
+    "object-not-mapping": (_edit("objects", "box", value=[0.6, 0.5]), "objects/box", ""),
+    "movable-string": (_edit("objects", "box", "movable", value="yes"), "objects/box/movable", ""),
+    "predicate-string": (_edit("predicates", "box.open", value="no"), "predicates", ""),
+    "operators-mapping": (_edit("operators", value={}), "operators", ""),
+    "operator-string": (_edit("operators", 0, value="open box"), "operators", ""),
+    "verb-number": (_edit(*OP, "verb", value=5), "operators/0/verb", ""),
+    "operator-objects-string": (_edit(*OP, "objects", value="box"), "operators/0/objects", ""),
+    "pre-string": (_edit(*OP, "pre", value="not box.open"), "operators/0/pre", ""),
+    "null-tool": (_edit(*OP, "tool", value=None), "operators/0/tool", ""),
+    "null-instruction": (_edit(*OP, "instruction", value=None), "operators/0/instruction", ""),
+    "null-motion": (_edit(*OP, "motion", value=None), "operators/0/motion", ""),
+    "motion-list": (_edit(*OP, "motion", value=["hand"]), "operators/0/motion", ""),
+    "target-list": (_edit(*MOTION, "target", value=["box"]), "operators/0/motion/target", ""),
+    # a bad domain, entity, predicate or literal name
+    "domain-name": (_edit("name", value="Mini"), "name", "'Mini'"),
+    "actor-name": (_edit("actor", value="Hand"), "actor", "'Hand'"),
+    "entity-name": (_rename_object, "objects", "'Box'"),
+    "predicate-name": (_edit("predicates", value={"box_open": False}), "predicates",
+                       "'box_open'"),
+    "verb-name": (_edit(*OP, "verb", value="Open"), "operators/0/verb", "'Open'"),
+    "operator-object-name": (_edit(*OP, "objects", value=["Box"]), "operators/0/objects",
+                             "'Box'"),
+    "tool-name": (_edit(*OP, "tool", value="the hand"), "operators/0/tool", "'the hand'"),
+    "pre-literal": (_edit(*OP, "pre", value=["never box.open"]), "operators/0/pre",
+                    "'never box.open'"),
+    "post-literal": (_edit(*OP, "post", value=["box.Open"]), "operators/0/post", "'box.Open'"),
+    "moves-name": (_edit(*MOTION, "moves", value=["Hand"]), "operators/0/motion/moves",
+                   "'Hand'"),
+    "target-name": (_edit(*MOTION, "target", value="Box"), "operators/0/motion/target", "'Box'"),
+    # a position or contact that is not a pair in [0, 1], and a bool where a number goes
+    "position-one": (_edit("objects", "box", "position", value=[0.6]), "objects/box/position",
+                     ""),
+    "position-three": (_edit("objects", "box", "position", value=[0.6, 0.5, 0.5]),
+                       "objects/box/position", ""),
+    "position-above": (_edit("objects", "box", "position", value=[0.6, 1.5]),
+                       "objects/box/position", ""),
+    "position-below": (_edit("objects", "box", "position", value=[-0.1, 0.5]),
+                       "objects/box/position", ""),
+    "position-bool": (_edit("objects", "box", "position", value=[True, 0.5]),
+                      "objects/box/position", ""),
+    "position-string": (_edit("objects", "box", "position", value="0.6, 0.5"),
+                        "objects/box/position", ""),
+    "contact-one": (_edit(*MOTION, "contact", value=[0.2]), "operators/0/motion/contact", ""),
+    "contact-above": (_edit(*MOTION, "contact", value=[0.2, 1.2]),
+                      "operators/0/motion/contact", ""),
+    "contact-bool": (_edit(*MOTION, "contact", value=[0.25, True]),
+                     "operators/0/motion/contact", ""),
+    # an empty mapping, list or string where the format needs an entry
+    "empty-objects": (_edit("objects", value={}), "objects", ""),
+    "empty-predicates": (_edit("predicates", value={}), "predicates", ""),
+    "empty-operators": (_edit("operators", value=[]), "operators", ""),
+    "empty-operator-objects": (_edit(*OP, "objects", value=[]), "operators/0/objects", ""),
+    "empty-post": (_edit(*OP, "post", value=[]), "operators/0/post", ""),
+    "empty-moves": (_edit(*MOTION, "moves", value=[]), "operators/0/motion/moves", ""),
+    "empty-instruction": (_edit(*OP, "instruction", value=""), "operators/0/instruction", ""),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS, ids=list(BAD_DOCUMENTS))
+def test_a_document_that_breaks_the_format_names_its_path(case):
+    edit, path, quoted = BAD_DOCUMENTS[case]
+    with pytest.raises(DomainError) as info:
+        domain_from_dict(edit(minimal_domain_dict()), "bad.yaml")
+    message = str(info.value)
+    named = re.match(r"bad\.yaml: schema violation at '([^']*)': ", message)
+    assert named, message
+    # the named path is the broken value's, or one inside it (an item of a list)
+    assert named[1] == path or (path and named[1].startswith(path + "/")), message
+    assert quoted in message
+
+
+def test_the_minimal_domain_and_a_hyphenated_name_load():
+    assert domain_from_dict(minimal_domain_dict()).name == "mini"
+    assert domain_from_dict(minimal_domain_dict(name="mini-2")).name == "mini-2"
 
 
 def test_unknown_predicate_in_literal_is_rejected():
