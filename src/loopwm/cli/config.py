@@ -1,20 +1,16 @@
 """Layered run configuration: defaults, then a YAML file, then flags.
 
 Each section is a frozen dataclass and `RunConfig()` is the defaults. `parse`
-builds one from a YAML tree in one walk over its annotations: int (never
-bool), float (int or float, never bool, finite), str, `X | None`, `tuple[X,
-...]` from a list, and nested sections. It rejects unknown keys, leaves
-missing ones to the field defaults, converts no strings, and names the dotted
-key of a value of another type; each `__post_init__` checks ranges. The
-resolved config is written into every run directory to reproduce the run.
+builds one from a YAML tree with the walk of `loopwm.parse`, the one domain
+files go through too: it rejects unknown keys, leaves missing ones to the
+field defaults, converts no strings, and names the dotted key of a value of
+another type; each `__post_init__` checks ranges. The resolved config is
+written into every run directory to reproduce the run.
 """
 
 from __future__ import annotations
 
-import math
-import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -25,6 +21,7 @@ from ..errors import LoopwmError
 from ..grpo import GrpoConfig
 from ..loop import LoopConfig
 from ..microworld.dynamics import MAX_JITTER
+from ..parse import build, dump_yaml, load_yaml
 from ..worldmodel import SamplerConfig
 
 
@@ -113,78 +110,26 @@ class RunConfig:
 
 
 # The frame width comes from the domain, so no file or flag sets it.
-_FROM_DOMAIN = {"sampler.frame_width"}
-_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-          str: ("a string", "strings")}
+_FROM_DOMAIN = {("sampler", "frame_width")}
 
 
-def _settable(cls, prefix: str) -> dict:
-    """The fields of dataclass `cls` under `prefix` ("", "sft.") that a file may set."""
-    return {f.name: f for f in fields(cls) if prefix + f.name not in _FROM_DOMAIN}
+def _config_key(path: tuple) -> str:
+    return f"config key {'.'.join(map(str, path))!r}"
 
 
-def _shape(tp, plural: bool = False) -> str:
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        return ("lists of " if plural else "a list of ") + _shape(args[0], plural=True)
-    if typing.get_origin(tp) is types.UnionType:
-        # None stands for "derive it", so the words name the other member
-        return _shape(next(a for a in args if a is not types.NoneType), plural)
-    return _NOUNS[tp][plural]
-
-
-def _convert(tp, value):
-    """`value` as annotation `tp` holds it; a TypeError if it is of another type."""
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
-            args = args[:1] * len(value)
-        if not isinstance(value, (list, tuple)) or len(value) != len(args):
-            raise TypeError
-        return tuple(_convert(a, v) for a, v in zip(args, value))
-    if typing.get_origin(tp) is types.UnionType:
-        if value is None and types.NoneType in args:
-            return None
-        return _convert(next(a for a in args if a is not types.NoneType), value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
-        raise TypeError
-    if tp is float and not math.isfinite(value):
-        raise TypeError
-    return float(value) if tp is float else value
-
-
-def parse(cls, tree, prefix: str = ""):
+def parse(cls, tree):
     """Dataclass `cls` from the mapping `tree`; a ValueError names a bad key's dotted path.
 
     The constructors' range checks raise as the sections are built.
     """
-    if not isinstance(tree, dict):
-        raise ValueError(f"config key {prefix[:-1]!r} must be a mapping, got {tree!r}"
-                         if prefix else f"expected a mapping, got {tree!r}")
-    hints, settable, values = typing.get_type_hints(cls), _settable(cls, prefix), {}
-    for name, value in tree.items():
-        dotted = f"{prefix}{name}"
-        if name not in settable:
-            raise ValueError(f"unknown config key {dotted!r}")
-        if is_dataclass(hints[name]):
-            values[name] = parse(hints[name], value, dotted + ".")
-            continue
-        try:
-            values[name] = _convert(hints[name], value)
-        except (TypeError, OverflowError):  # an int too large for a float overflows
-            raise ValueError(f"config key {dotted!r} must be {_shape(hints[name])}, "
-                             f"got {value!r}") from None
-    for name, f in settable.items():
-        if name not in tree and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"config key {prefix + name!r} is missing")
-    return cls(**values)
+    return build(cls, tree, _config_key, skip=_FROM_DOMAIN)
 
 
-def _plain(value, prefix: str = ""):
+def _plain(value, path: tuple = ()):
     """The YAML-safe tree of a parsed value: sections as mappings, tuples as lists."""
     if is_dataclass(value):
-        return {name: _plain(getattr(value, name), f"{prefix}{name}.")
-                for name in _settable(type(value), prefix)}
+        return {f.name: _plain(getattr(value, f.name), path + (f.name,))
+                for f in fields(value) if path + (f.name,) not in _FROM_DOMAIN}
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
@@ -206,7 +151,7 @@ def resolve_config(config_path: str | Path | None = None,
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text())
+            loaded = load_yaml(path.read_text())
         except yaml.YAMLError as exc:
             raise UsageError(f"cannot parse config file {path}: {exc}") from exc
         if not isinstance(loaded, (dict, type(None))):
@@ -228,5 +173,5 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
     """Serialize the resolved config; the copy makes runs reproducible."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(yaml.safe_dump(_plain(config), sort_keys=True))
+    path.write_text(dump_yaml(_plain(config)))
     return path

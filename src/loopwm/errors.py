@@ -38,3 +38,15 @@ class NumericError(LoopwmError, ValueError):
 
 class SuiteError(LoopwmError):
     """Raised when a benchmark suite cannot be generated or reconciled."""
+
+
+class ParseError(LoopwmError, ValueError):
+    """Raised when a YAML tree does not fit the record it should build.
+
+    `path` holds the keys from the root of the tree to the value at fault.
+    Also a ValueError, which is what the config's callers catch.
+    """
+
+    def __init__(self, path: tuple, message: str) -> None:
+        super().__init__(message)
+        self.path = path

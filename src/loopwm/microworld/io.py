@@ -1,51 +1,87 @@
 """Domain file loading, validation, and hashing.
 
-Domain files are YAML documents checked in two passes: structurally against
-`data/domain.schema.json`, then semantically by `DomainSpec` itself (symbol
-references, contact ordering, instruction length, duplicate bindings). Two
-domains ship with the package and can be addressed by bare name: "kitchen"
-and "workshop".
+Domain files are YAML documents checked in two passes. The walk of
+`loopwm.parse` builds a `DomainFile` from the tree, checking every key,
+type, name pattern, [0, 1] range and non-empty list as it goes; then
+`DomainSpec` checks the semantics (symbol references, contact ordering,
+instruction length, duplicate bindings). Two domains ship with the package
+and can be addressed by bare name: "kitchen" and "workshop".
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
+import re
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import yaml
 
-from ..errors import DomainError
+from ..errors import DomainError, ParseError
+from ..parse import build, load_yaml, require
 from .types import (
-    DEFAULT_CONTACT,
+    LITERAL,
+    PREDICATE,
     DomainSpec,
     MotionProfile,
     ObjectSpec,
     Operator,
     parse_literal,
+    require_names,
 )
 
 BUILTIN_DOMAINS = ("kitchen", "workshop")
 
-# libyaml's loader parses the same documents to the same dicts, several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+DOMAIN_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
 
 
-def _schema() -> dict:
-    text = resources.files("loopwm.microworld.data").joinpath("domain.schema.json").read_text()
-    return json.loads(text)
+@dataclass(frozen=True)
+class OperatorEntry:
+    """One entry of a domain file's `operators`, as the file writes it.
+
+    A key left out means none; the file may not write it as null.
+    """
+
+    verb: str
+    objects: tuple[str, ...]
+    pre: tuple[str, ...]
+    post: tuple[str, ...]
+    tool: str = None
+    instruction: str = None
+    motion: MotionProfile = None
+
+    def __post_init__(self) -> None:
+        require_names("verb", (self.verb,))
+        require(self.objects, "objects", "must name at least one object")
+        require_names("objects", self.objects)
+        if self.tool is not None:
+            require_names("tool", (self.tool,))
+        require_names("pre", self.pre, LITERAL)
+        require(self.post, "post", "must hold at least one literal")
+        require_names("post", self.post, LITERAL)
+        require(self.instruction != "", "instruction", "must not be empty")
 
 
-@functools.cache
-def _validator():
-    """The domain-schema validator, built and meta-schema-checked once per process."""
-    schema = _schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+@dataclass(frozen=True)
+class DomainFile:
+    """A domain file's document; `DomainSpec` then checks its symbol references."""
+
+    name: str
+    actor: str
+    objects: dict[str, ObjectSpec]
+    predicates: dict[str, bool]
+    operators: tuple[OperatorEntry, ...]
+
+    def __post_init__(self) -> None:
+        require_names("name", (self.name,), DOMAIN_NAME)
+        require_names("actor", (self.actor,))
+        require(self.objects, "objects", "must declare at least one object")
+        require_names("objects", self.objects)
+        require(self.predicates, "predicates", "must declare at least one predicate")
+        require_names("predicates", self.predicates, PREDICATE)
+        require(self.operators, "operators", "must declare at least one operator")
 
 
 def default_instruction(verb: str, objects: tuple[str, ...], tool: str | None, actor: str) -> str:
@@ -57,37 +93,31 @@ def default_instruction(verb: str, objects: tuple[str, ...], tool: str | None, a
     return text
 
 
-def _build_operator(raw: dict, actor: str) -> Operator:
-    verb = raw["verb"]
-    objects = tuple(raw["objects"])
-    tool = raw.get("tool")
-    pre = tuple(parse_literal(t) for t in raw.get("pre", []))
-    post = tuple(parse_literal(t) for t in raw["post"])
-    motion = None
-    if "motion" in raw:
-        m = raw["motion"]
-        contact = tuple(m.get("contact", DEFAULT_CONTACT))
-        motion = MotionProfile(tuple(m["moves"]), m["target"], contact)
-    instruction = raw.get("instruction") or default_instruction(verb, objects, tool, actor)
-    return Operator(verb, objects, tool, pre, post, motion, instruction)
+def _build_operator(entry: OperatorEntry, actor: str) -> Operator:
+    pre = tuple(parse_literal(t) for t in entry.pre)
+    post = tuple(parse_literal(t) for t in entry.post)
+    instruction = entry.instruction or default_instruction(entry.verb, entry.objects,
+                                                           entry.tool, actor)
+    return Operator(entry.verb, entry.objects, entry.tool, pre, post, entry.motion, instruction)
+
+
+def _file_key(path: tuple) -> str:
+    return f"key {path[-1]!r}"
 
 
 def domain_from_dict(raw: dict, source: str = "<dict>") -> DomainSpec:
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path)
-        raise DomainError(f"{source}: schema violation at '{path}': {error.message}") from error
-    objects = {
-        name: ObjectSpec(tuple(info["position"]), bool(info.get("movable", False)))
-        for name, info in raw["objects"].items()
-    }
+    try:
+        doc = build(DomainFile, raw, _file_key)
+    except ParseError as exc:
+        path = "/".join(map(str, exc.path))
+        raise DomainError(f"{source}: schema violation at '{path}': {exc}") from exc
     # DomainSpec checks the symbol references before it compiles its tables
     return DomainSpec(
-        name=raw["name"],
-        actor=raw["actor"],
-        objects=objects,
-        predicates=[(p, bool(v)) for p, v in raw["predicates"].items()],
-        operators=[_build_operator(o, raw["actor"]) for o in raw["operators"]],
+        name=doc.name,
+        actor=doc.actor,
+        objects=doc.objects,
+        predicates=list(doc.predicates.items()),
+        operators=[_build_operator(entry, doc.actor) for entry in doc.operators],
     )
 
 
@@ -104,11 +134,9 @@ def load_domain(path: str | Path) -> DomainSpec:
         text = p.read_text()
         source = str(path)
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        raw = load_yaml(text)
     except yaml.YAMLError as exc:
         raise DomainError(f"{source}: not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DomainError(f"{source}: expected a mapping at the top level")
     return domain_from_dict(raw, source)
 
 

@@ -11,17 +11,36 @@ entities toward a target object.
 
 from __future__ import annotations
 
+import re
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import DomainError, NumericError
+from ..parse import require
 
 DEFAULT_CONTACT = (0.25, 0.75)
 MAX_INSTRUCTION_WORDS = 36
 # sid cap of a condition's step index; plans longer than this share the top value
 MAX_NORM_SID = 16
+
+# the names a domain file may write: entities, verbs and actors; predicates
+# (entity.property); literals (a predicate, negated with "not ")
+NAME = re.compile(r"^[a-z][a-z0-9_]*$")
+PREDICATE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
+LITERAL = re.compile(r"^(not )?[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
+
+
+def require_names(field: str, names, pattern: re.Pattern = NAME) -> None:
+    """A record's check that each of `names` matches `pattern`."""
+    for name in names:
+        require(pattern.match(name), field, f"{name!r} does not match {pattern.pattern!r}")
+
+
+def require_unit_pair(field: str, pair) -> None:
+    """A record's check that both numbers of `pair` lie in [0, 1]."""
+    require(all(0 <= v <= 1 for v in pair), field, f"must lie in [0, 1], got {list(pair)}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +72,21 @@ def parse_literal(text: str) -> Literal:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Which entities move, where they end up, and when contact happens."""
+    """Which entities move, where they end up, and when contact happens.
+
+    The contact numbers keep the type the file gives them, which the domain
+    hash reads.
+    """
 
     moves: tuple[str, ...]
     target: str
-    contact: tuple[float, float] = DEFAULT_CONTACT
+    contact: tuple[int | float, int | float] = DEFAULT_CONTACT
+
+    def __post_init__(self) -> None:
+        require(self.moves, "moves", "must name at least one entity")
+        require_names("moves", self.moves)
+        require_names("target", (self.target,))
+        require_unit_pair("contact", self.contact)
 
 
 @dataclass(frozen=True)
@@ -77,8 +106,13 @@ class Operator:
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    position: tuple[float, float]
+    """An entity's fixed or initial position, numbers as the file gives them."""
+
+    position: tuple[int | float, int | float]
     movable: bool = False
+
+    def __post_init__(self) -> None:
+        require_unit_pair("position", self.position)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopwm
-from loopwm.bench import load_report, mode_config
-from loopwm.cli import DEFAULTS, UsageError, main, resolve_config
+from loopwm.bench import MODES, load_report, mode_config
+from loopwm.cli import DEFAULTS, UsageError, main, resolve_config, write_config
 from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
+from loopwm.critic import DIMENSIONS
 from loopwm.grpo import ROLLOUT_K_RULE
 from loopwm.microworld import load_domain
+from loopwm.microworld.dynamics import MAX_JITTER
 from loopwm.numerics import DTYPE, RandomSource, load_checkpoint, net_init
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
 from oracles import load_suite
@@ -193,6 +196,66 @@ def test_resolved_config_round_trips(tmp_path):
         "seed": 9, "sft.demos": 20, "sft.epochs": 0, "sampler.n_frames": 6,
         "sampler.k_steps": 6, "net.hidden": 24, "net.depth": 2,
     })
+
+
+def test_a_repeated_config_key_exits_2_naming_it_and_its_line(tmp_path, capsys):
+    # PyYAML would keep the last value and train 50 epochs without a word
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("seed: 3\nsft: {epochs: 5, epochs: 50}\n")
+    out = tmp_path / "run"
+    assert main(["sft", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "found repeated key 'epochs'" in err and "line 2" in err
+    assert not out.exists()
+
+
+def _curricula():
+    """Valid curricula: starts at 1, then strictly rising; levels from 1, never falling."""
+    steps = st.lists(st.tuples(st.integers(1, 10**4), st.integers(0, 3)), max_size=3)
+    return steps.map(lambda steps: [[start, level] for start, level in zip(
+        accumulate((gap for gap, _ in steps), initial=1),
+        accumulate((rise for _, rise in steps), initial=1))])
+
+
+_POSITIVE = st.floats(0, 1e300, exclude_min=True)
+_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+# a valid value of every key a config file may set, arbitrary strings included
+CONFIG_VALUES = {
+    "domain": st.text(), "seed": st.integers(), "out": st.none() | st.text(),
+    "loop.tau": _UNIT, "loop.k_retries": st.integers(0, 10**6),
+    "loop.max_outer_replans": st.integers(0, 10**6),
+    "sampler.k_steps": st.integers(1, 10**6), "sampler.eta_scale": st.floats(0, 1e300),
+    "sampler.delta": _POSITIVE, "sampler.n_frames": st.integers(2, 10**6),
+    "net.hidden": st.integers(1, 10**6), "net.depth": st.integers(0, 10**6),
+    "sft.demos": st.integers(1, 10**6), "sft.epochs": st.integers(0, 10**6),
+    "sft.lr": _POSITIVE, "sft.batch_size": st.integers(1, 10**6),
+    "sft.jitter": st.floats(0, MAX_JITTER),
+    "grpo.group_size": st.integers(2, 10**6), "grpo.epsilon": _UNIT,
+    "grpo.beta": st.floats(0, 1e300), "grpo.delta": _POSITIVE, "grpo.lr": _POSITIVE,
+    "grpo.iterations": st.integers(0, 10**6), "grpo.curriculum": _curricula(),
+    "grpo.reward_dimension": st.none() | st.sampled_from(DIMENSIONS),
+    "critic.weights": st.lists(st.floats(0, 1e300), min_size=5, max_size=5).filter(any),
+    "bench.counts": st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+    "bench.mode": st.sampled_from(MODES), "bench.suite_seed": st.none() | st.integers(),
+}
+
+
+def test_the_config_strategies_cover_every_key():
+    assert sorted(CONFIG_VALUES) == sorted(_config_keys(DEFAULTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.fixed_dictionaries(CONFIG_VALUES))
+def test_config_yaml_is_pyyaml_text_and_reads_back_to_the_config(values):
+    config = resolve_config(None, values)
+    tree = {}
+    for dotted, value in values.items():
+        *section, name = dotted.split(".")
+        (tree.setdefault(section[0], {}) if section else tree)[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(config, Path(tmp) / "config.yaml")
+        assert path.read_text() == yaml.safe_dump(tree, sort_keys=True)
+        assert resolve_config(path) == config
 
 
 def _flags_by_command():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -128,3 +131,18 @@ def test_one_forward_and_one_backward_checked_at_each_stage_entry():
     passes = [name for name in numerics.__all__
               if any(word in name for word in ("forward", "activations", "backward"))]
     assert passes == ["net_activations", "net_backward_batch"]
+
+
+def test_the_cli_imports_no_schema_library():
+    # domain files and run configs are checked by the one typed walk, so the
+    # command line loads no schema validator nor the packages it pulls in
+    schema_libraries = ["jsonschema", "attr", "attrs", "referencing", "rpds",
+                        "jsonschema_specifications"]
+    src = Path(loopwm.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys, loopwm.cli.main; "
+              f"print(sorted(set({schema_libraries!r}) & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

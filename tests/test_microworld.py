@@ -13,6 +13,7 @@ from loopwm.microworld import (
     Segment,
     SymbolicState,
     apply_operator,
+    canonical_dict,
     contact_window_frames,
     domain_from_dict,
     domain_hash,
@@ -218,6 +219,38 @@ def test_a_document_that_breaks_the_format_names_its_path(case):
 def test_the_minimal_domain_and_a_hyphenated_name_load():
     assert domain_from_dict(minimal_domain_dict()).name == "mini"
     assert domain_from_dict(minimal_domain_dict(name="mini-2")).name == "mini-2"
+
+
+def test_a_repeated_key_in_a_domain_file_is_a_domain_error(tmp_path):
+    # PyYAML would keep the last entry and load one jar where the file wrote two
+    path = tmp_path / "twice.yaml"
+    path.write_text("name: twice\nactor: hand\nobjects:\n  jar: {position: [0.4, 0.5]}\n"
+                    "  jar: {position: [0.6, 0.5]}\n")
+    with pytest.raises(DomainError, match=r"(?s)not valid YAML: .*found repeated key 'jar'"
+                                          r".*line 5"):
+        load_domain(path)
+
+
+def test_numbers_keep_the_type_the_file_gives_them():
+    # the hash reads the numbers as written: [1, 0] is not [1.0, 0.0]
+    raw = minimal_domain_dict()
+    raw["objects"]["box"]["position"] = [1, 0]
+    raw["operators"][0]["motion"]["contact"] = [0, 1]
+    spec = domain_from_dict(raw)
+    floats = domain_from_dict(minimal_domain_dict())
+    assert canonical_dict(spec)["objects"]["box"]["position"] == [1, 0]
+    assert [type(v) for v in spec.objects["box"].position] == [int, int]
+    assert [type(v) for v in spec.operators[0].motion.contact] == [int, int]
+    assert [type(v) for v in floats.objects["box"].position] == [float, float]
+    raw["objects"]["box"]["position"] = [1.0, 0.0]
+    assert domain_hash(spec) != domain_hash(domain_from_dict(raw))
+
+
+def test_builtin_domain_hashes_are_pinned():
+    assert {name: domain_hash(load_domain(name)) for name in BUILTIN_DOMAINS} == {
+        "kitchen": "285cb51902c3a25af008ef021fee59331a7d90a7acbf58add27878c243f74065",
+        "workshop": "2b92376710e1d266b46c8a6fae243ec258545f6c240c59f241865c46e64052ca",
+    }
 
 
 def test_unknown_predicate_in_literal_is_rejected():
