@@ -23,6 +23,7 @@ the value at fault, worded with the caller's `key(path)`.
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 import typing
@@ -57,6 +58,13 @@ def _shape(tp, plural: bool = False) -> str:
     return _NOUNS[tp][plural]
 
 
+@functools.cache
+def _fields(cls) -> dict:
+    """Each field of record `cls` by name, with its annotation resolved."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
+
+
 def build(cls, tree, key, skip=frozenset()):
     """Record `cls` from the mapping `tree`; a ParseError names a bad value by `key(path)`.
 
@@ -65,14 +73,14 @@ def build(cls, tree, key, skip=frozenset()):
     """
 
     def record(cls, tree: dict, path: tuple):
-        hints = typing.get_type_hints(cls)
-        settable = {f.name: f for f in fields(cls) if path + (f.name,) not in skip}
+        settable = {name: field for name, field in _fields(cls).items()
+                    if path + (name,) not in skip}
         values = {}
         for name, value in tree.items():
             if name not in settable:
                 raise ParseError(path, f"unknown {key(path + (name,))}")
-            values[name] = entry(hints[name], value, path + (name,))
-        for name, f in settable.items():
+            values[name] = entry(settable[name][1], value, path + (name,))
+        for name, (f, _) in settable.items():
             if name not in tree and f.default is MISSING and f.default_factory is MISSING:
                 raise ParseError(path, f"{key(path + (name,))} is missing")
         try:
