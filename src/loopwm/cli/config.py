@@ -21,7 +21,7 @@ from ..errors import LoopwmError
 from ..grpo import GrpoConfig
 from ..loop import LoopConfig
 from ..microworld.dynamics import MAX_JITTER
-from ..parse import build, dump_yaml, load_yaml
+from ..parse import build, load_yaml
 from ..worldmodel import SamplerConfig
 
 
@@ -173,5 +173,7 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
     """Serialize the resolved config; the copy makes runs reproducible."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_yaml(_plain(config)))
+    # PyYAML's own emitter: libyaml's folds a long double-quoted string with
+    # escapes (90 "é" in a row) at other places, so the bytes would change
+    path.write_text(yaml.safe_dump(_plain(config), sort_keys=True))
     return path

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,6 +21,7 @@ import yaml
 from ..errors import DomainError, ParseError
 from ..parse import build, load_yaml, require
 from .types import (
+    DOMAIN_NAME,
     LITERAL,
     PREDICATE,
     DomainSpec,
@@ -33,8 +33,6 @@ from .types import (
 )
 
 BUILTIN_DOMAINS = ("kitchen", "workshop")
-
-DOMAIN_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ MAX_INSTRUCTION_WORDS = 36
 # sid cap of a condition's step index; plans longer than this share the top value
 MAX_NORM_SID = 16
 
-# the names a domain file may write: entities, verbs and actors; predicates
-# (entity.property); literals (a predicate, negated with "not ")
+# the names a domain file may write: the domain's own; entities, verbs and
+# actors; predicates (entity.property); literals (a predicate, negated with "not ")
+DOMAIN_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
 NAME = re.compile(r"^[a-z][a-z0-9_]*$")
 PREDICATE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 LITERAL = re.compile(r"^(not )?[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")

@@ -1,4 +1,4 @@
-"""The one walk from a YAML tree to frozen dataclass records, and the YAML reader and writer.
+"""The one walk from a YAML tree to frozen dataclass records, and the YAML reader.
 
 `build` makes a record from a mapping in one walk over the annotations of
 its fields:
@@ -7,7 +7,7 @@ its fields:
   float); bool; str;
 - a union takes the value as its first member that fits: `X | None` admits
   null, and `int | float` keeps the number's type;
-- `tuple[X, ...]` from a list of any length, `tuple[X, Y]` from a pair;
+- `tuple[X, ...]` from a list of any length, `tuple[X, Y]` from a list of two;
 - `dict[str, X]` from a mapping with string keys, each entry named like a
   field;
 - a nested record from a mapping: as a field, an item of a tuple, an entry
@@ -137,6 +137,9 @@ def build(cls, tree, key, skip=frozenset()):
     return record(cls, tree, ())
 
 
+_MERGE = "tag:yaml.org,2002:merge"
+
+
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's safe loader (PyYAML's own without libyaml) that rejects a repeated key."""
 
@@ -163,19 +166,10 @@ def _unique_mapping(loader, node):
     data.update(loader.construct_mapping(node))
 
 
-_MERGE = "tag:yaml.org,2002:merge"
 _Loader.add_constructor("tag:yaml.org,2002:map", _unique_mapping)
+
 
 def load_yaml(text: str):
     """The tree of one YAML document; a yaml.YAMLError if it is malformed or repeats a key."""
     return yaml.load(text, Loader=_Loader)
 
-
-def dump_yaml(tree) -> str:
-    """`tree` as a YAML document with sorted keys.
-
-    PyYAML's own emitter, not libyaml's: the two fold a long double-quoted
-    string at different places when it holds escapes (90 "é" in a row), so
-    libyaml's would change the bytes of a run's config.yaml.
-    """
-    return yaml.safe_dump(tree, sort_keys=True)

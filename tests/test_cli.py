@@ -16,13 +16,15 @@ import subprocess
 import sys
 import tempfile
 import typing
+from functools import reduce
 from itertools import accumulate
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopwm
@@ -198,6 +200,21 @@ def test_resolved_config_round_trips(tmp_path):
     })
 
 
+def _flags_by_command():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sub._actions if a.option_strings]
+            for name, sub in commands.choices.items()}
+
+
+def _config_keys(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _config_keys(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
 def test_a_repeated_config_key_exits_2_naming_it_and_its_line(tmp_path, capsys):
     # PyYAML would keep the last value and train 50 epochs without a word
     cfg = tmp_path / "cfg.yaml"
@@ -244,6 +261,9 @@ def test_the_config_strategies_cover_every_key():
     assert sorted(CONFIG_VALUES) == sorted(_config_keys(DEFAULTS))
 
 
+# libyaml's emitter folds this domain's double-quoted string at another place
+@example(values={**{key: reduce(getitem, key.split("."), DEFAULTS)
+                    for key in _config_keys(DEFAULTS)}, "domain": "\u00e9" * 90})
 @settings(max_examples=150, deadline=None)
 @given(values=st.fixed_dictionaries(CONFIG_VALUES))
 def test_config_yaml_is_pyyaml_text_and_reads_back_to_the_config(values):
@@ -256,21 +276,6 @@ def test_config_yaml_is_pyyaml_text_and_reads_back_to_the_config(values):
         path = write_config(config, Path(tmp) / "config.yaml")
         assert path.read_text() == yaml.safe_dump(tree, sort_keys=True)
         assert resolve_config(path) == config
-
-
-def _flags_by_command():
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: [a for a in sub._actions if a.option_strings]
-            for name, sub in commands.choices.items()}
-
-
-def _config_keys(tree, prefix=""):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _config_keys(value, prefix + key + ".")
-        else:
-            yield prefix + key
 
 
 def test_every_flag_names_a_config_key():
