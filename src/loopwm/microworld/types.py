@@ -33,15 +33,15 @@ PREDICATE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 LITERAL = re.compile(r"^(not )?[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 
 
-def require_names(field: str, names, pattern: re.Pattern = NAME) -> None:
-    """A record's check that each of `names` matches `pattern`."""
+def require_names(attr: str, names, pattern: re.Pattern = NAME) -> None:
+    """A record's check that each of `names`, its field `attr`, matches `pattern`."""
     for name in names:
-        require(pattern.match(name), field, f"{name!r} does not match {pattern.pattern!r}")
+        require(pattern.match(name), attr, f"{name!r} does not match {pattern.pattern!r}")
 
 
-def require_unit_pair(field: str, pair) -> None:
-    """A record's check that both numbers of `pair` lie in [0, 1]."""
-    require(all(0 <= v <= 1 for v in pair), field, f"must lie in [0, 1], got {list(pair)}")
+def require_unit_pair(attr: str, pair) -> None:
+    """A record's check that both numbers of `pair`, its field `attr`, lie in [0, 1]."""
+    require(all(0 <= v <= 1 for v in pair), attr, f"must lie in [0, 1], got {list(pair)}")
 
 
 @dataclass(frozen=True)

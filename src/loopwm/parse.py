@@ -37,10 +37,10 @@ _NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
           bool: ("a boolean", "booleans"), str: ("a string", "strings")}
 
 
-def require(ok, field: str, rule: str) -> None:
-    """A record's own check: unless `ok`, a ParseError at the record's `field`."""
+def require(ok, attr: str, rule: str) -> None:
+    """A record's own check: unless `ok`, a ParseError at the record's field `attr`."""
     if not ok:
-        raise ParseError((field,), rule)
+        raise ParseError((attr,), rule)
 
 
 def _shape(tp, plural: bool = False) -> str:
