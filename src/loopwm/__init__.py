@@ -3,7 +3,7 @@
 Subpackages:
     numerics    float32 MLP and Adam, the working dtype, splittable RNG
     microworld  symbolic domains, frame encoding, demonstration segments
-    planner     breadth-first symbolic planning
+    planner     shortest plans read off each domain's reachable-state graph
     critic      programmatic segment scoring
     worldmodel  conditional flow model, ODE/SDE samplers, flow-matching SFT
     loop        episode engine: inner retries, then outer passes over the same step

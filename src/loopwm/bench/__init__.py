@@ -11,7 +11,7 @@ from .metrics import (
     mode_config,
     run_suite,
 )
-from .oracle import DEFAULT_MAX_LEN, minimal_plan_length
+from .oracle import minimal_plan_length
 from .suite import (
     BANDS,
     DEFAULT_COUNTS,
@@ -28,7 +28,6 @@ __all__ = [
     "BANDS",
     "ComparisonTable",
     "DEFAULT_COUNTS",
-    "DEFAULT_MAX_LEN",
     "DIFFICULTIES",
     "MODES",
     "MetricReport",

@@ -30,7 +30,7 @@ alone on those frames (see `evaluate_rows`), scored in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 import json
 
@@ -38,10 +38,11 @@ import numpy as np
 
 from ..critic import DEFAULT_WEIGHTS, CriticWeights, evaluate_rows
 from ..critic.scoring import coherence_score
-from ..errors import DivergenceError, NoPlanError, NumericError, SuiteError
+from ..errors import DivergenceError, NoPlanError, NumericError, ParseError, SuiteError
 from ..loop import Critique, EpisodeLog, LoopConfig, Policy, episode
 from ..microworld import Segment
 from ..numerics import RandomSource
+from ..parse import build
 from .suite import DIFFICULTIES, PromptSuite
 
 REPORT_FORMAT = "loopwm-report-v1"
@@ -99,7 +100,7 @@ class MetricReport:
     domain: str
     suite_digest: str
     overall: MetricRow
-    by_difficulty: dict[str, MetricRow] = field(default_factory=dict)
+    by_difficulty: dict[str, MetricRow]
 
     def to_dict(self) -> dict:
         return {
@@ -117,33 +118,22 @@ class MetricReport:
         return path
 
 
+def _report_key(path: tuple) -> str:
+    return f"report key {'.'.join(map(str, path))!r}"
+
+
 def load_report(path: str | Path) -> MetricReport:
+    """A `write_json` report; a SuiteError names the file and any key at fault."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SuiteError(f"cannot read report file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
+    if not isinstance(payload, dict) or payload.pop("format", None) != REPORT_FORMAT:
         raise SuiteError(f"{path} is not a {REPORT_FORMAT} file")
-
-    def row(d: dict) -> MetricRow:
-        return MetricRow(
-            n_tasks=int(d["n_tasks"]),
-            action_completeness=float(d["action_completeness"]),
-            success_rate=float(d["success_rate"]),
-            motion_smoothness=None if d["motion_smoothness"] is None else float(d["motion_smoothness"]),
-            object_interaction=None if d["object_interaction"] is None else float(d["object_interaction"]),
-            physical_fidelity=None if d["physical_fidelity"] is None else float(d["physical_fidelity"]),
-        )
-
     try:
-        return MetricReport(
-            domain=payload["domain"],
-            suite_digest=payload["suite_digest"],
-            overall=row(payload["overall"]),
-            by_difficulty={d: row(v) for d, v in payload["by_difficulty"].items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return build(MetricReport, payload, _report_key)
+    except ParseError as exc:
         raise SuiteError(f"{path}: malformed report: {exc}") from exc
 
 

@@ -2,24 +2,22 @@
 
 This is a blunt breadth-first enumeration over operator *sequences*: no
 visited-state pruning, no ordering tricks, nothing shared with
-`loopwm.planner.search`. Exponential in depth, which is fine at microworld
-scale and is exactly what makes it a trustworthy cross-check for the pruned
-search and for suite difficulty bands.
+`loopwm.planner.search` or the plan graph it reads. Exponential in depth,
+which is fine at microworld scale and is exactly what makes it a trustworthy
+cross-check for the planner and for suite difficulty bands.
 """
 
 from __future__ import annotations
 
 from ..microworld.dynamics import apply_operator
-from ..microworld.types import DomainSpec, Literal, SymbolicState
-
-DEFAULT_MAX_LEN = 8
+from ..microworld.types import MAX_PLAN_LEN, DomainSpec, Literal, SymbolicState
 
 
 def minimal_plan_length(
     spec: DomainSpec,
     state: SymbolicState,
     literals: tuple[Literal, ...],
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int = MAX_PLAN_LEN,
 ) -> int | None:
     """Length of the shortest operator sequence reaching `literals`, or None.
 

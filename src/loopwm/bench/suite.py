@@ -2,15 +2,12 @@
 
 Every task starts at the domain's initial state, and its difficulty is the
 minimal plan length from there: simple tasks solve in 1-3 steps, medium in
-3-5, hard in more than 5 (capped at the oracle's search depth). The
-generator samples goals from random forward walks, so every emitted task is
-reachable by construction. A candidate's minimal plan length comes from one
-breadth-first pass over the predicate states reachable from the initial
-state (operators read and write predicates only).
-The pass runs over predicate bitmasks with the operator masks `DomainSpec`
-compiles, goals are tested against the same masks, and the walks follow the
-pass's successor lists; `verify_suite` re-checks every band with the
-independent `minimal_plan_length`.
+3-5, hard in more than 5 (capped at MAX_PLAN_LEN). The generator samples
+goals from random forward walks along the successor lists of the domain's
+plan graph (`DomainSpec.plan_graph`, the states the planner reads), so
+every emitted task is reachable by construction. A candidate's minimal plan
+length is the depth of its `planner.nearest` node; `verify_suite` re-checks
+every band with the independent `minimal_plan_length`.
 """
 
 from __future__ import annotations
@@ -21,19 +18,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import SuiteError
-from ..microworld import DomainSpec
+from ..microworld import MAX_PLAN_LEN, DomainSpec
 from ..microworld.types import Literal
 from ..numerics import RandomSource
-from ..planner import Goal
-from .oracle import DEFAULT_MAX_LEN, minimal_plan_length
+from ..planner import Goal, nearest
+from .oracle import minimal_plan_length
 
 DIFFICULTIES = ("simple", "medium", "hard")
 
-# acceptance bands (inclusive); "hard" means beyond 5 up to the oracle cap
+# acceptance bands (inclusive); "hard" means beyond 5 up to the plan length cap
 BANDS = {
     "simple": (1, 3),
     "medium": (3, 5),
-    "hard": (6, DEFAULT_MAX_LEN),
+    "hard": (6, MAX_PLAN_LEN),
 }
 
 # generation targets are disjoint so a sampled goal lands in exactly one
@@ -41,7 +38,7 @@ BANDS = {
 _TARGETS = {
     "simple": (1, 3),
     "medium": (4, 5),
-    "hard": (6, DEFAULT_MAX_LEN),
+    "hard": (6, MAX_PLAN_LEN),
 }
 
 DEFAULT_COUNTS = (20, 20, 10)
@@ -52,9 +49,6 @@ SUITE_FORMAT = "loopwm-suite-v1"
 _ATTEMPTS_PER_TASK = 500
 
 _MAX_GOAL_LITERALS = 3
-
-# (predicate bitmask, distance from the start, successor indices) per reachable state
-_Reachable = list[tuple[int, int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -134,64 +128,20 @@ def verify_suite(suite: PromptSuite) -> None:
             )
 
 
-def _reachable_states(spec: DomainSpec) -> _Reachable:
-    """Every predicate state within DEFAULT_MAX_LEN steps of the initial state.
-
-    Each is (key, distance, successors), the initial state first. A key is
-    the state's predicate bitmask (`DomainSpec.state_key`). Breadth-first,
-    so the distances never decrease along the list. A state's successors
-    are the list indices its applicable operators lead to, in operator
-    order, repeats included; states at the depth cap are not expanded and
-    keep an empty list.
-    """
-    start_key = spec.state_key(spec.initial_state())
-    index = {start_key: 0}
-    reachable = [(start_key, 0, [])]
-    frontier = [0]
-    for depth in range(1, DEFAULT_MAX_LEN + 1):
-        nxt = []
-        for i in frontier:
-            key, _, successors = reachable[i]
-            for _, pre_true, pre_false, post_true, post_false in spec.operator_masks:
-                if key & pre_true != pre_true or key & pre_false:
-                    continue
-                successor = (key & ~post_false) | post_true
-                if successor not in index:
-                    index[successor] = len(reachable)
-                    reachable.append((successor, depth, []))
-                    nxt.append(index[successor])
-                successors.append(index[successor])
-        frontier = nxt
-    return reachable
-
-
-def _plan_length(
-    spec: DomainSpec, reachable: _Reachable, literals: tuple[Literal, ...]
-) -> int | None:
-    """Distance of the nearest reachable state where the literals hold, or None."""
-    true, false = spec.literal_masks(literals)
-    for key, depth, _ in reachable:
-        if key & true == true and not key & false:
-            return depth
-    return None
-
-
-def _sample_literals(
-    spec: DomainSpec, reachable: _Reachable, rng: RandomSource
-) -> tuple[Literal, ...]:
+def _sample_literals(spec: DomainSpec, rng: RandomSource) -> tuple[Literal, ...]:
     """Walk forward from the initial state, then pose some of the walked state as a goal.
 
-    The walk follows the successor lists of `reachable`, the domain's
-    `_reachable_states`; it never needs those of a state at the depth cap.
+    The walk follows the successor lists of `spec.plan_graph`; at most
+    MAX_PLAN_LEN steps long, it never needs those of a node at the cap.
     """
     current = 0
-    walk = 1 + rng.choice(DEFAULT_MAX_LEN)
+    walk = 1 + rng.choice(MAX_PLAN_LEN)
     for _ in range(walk):
-        successors = reachable[current][2]
+        successors = spec.plan_graph[current].successors
         if not successors:
             break
         current = successors[rng.choice(len(successors))]
-    key = reachable[current][0]
+    key = spec.plan_graph[current].key
     preds = sorted(spec.pred_bits)
     order = list(range(len(preds)))
     rng.shuffle(order)
@@ -217,15 +167,15 @@ def generate_suite(
         raise SuiteError(f"counts must be >= 0, got {counts}")
     need = dict(zip(DIFFICULTIES, counts))
     rng = RandomSource(seed)
-    reachable = _reachable_states(spec)
     found: dict[str, list[SuiteTask]] = {d: [] for d in DIFFICULTIES}
     seen: set[tuple[str, ...]] = set()
     budget = _ATTEMPTS_PER_TASK * max(sum(counts), 1)
     for _ in range(budget):
         if all(len(found[d]) >= need[d] for d in DIFFICULTIES):
             break
-        literals = _sample_literals(spec, reachable, rng)
-        steps = _plan_length(spec, reachable, literals)
+        literals = _sample_literals(spec, rng)
+        # the walked node satisfies its own literals, so a nearest node exists
+        steps = spec.plan_graph[nearest(spec, literals)].depth
         level = classify(steps)
         if level is None or len(found[level]) >= need[level]:
             continue

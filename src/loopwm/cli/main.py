@@ -147,7 +147,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     spec = _load_spec(config.domain)
     goal = _parse_goal(spec, args.goal)
     try:
-        steps = plan(spec, goal, spec.initial_state())
+        steps = plan(spec, goal)
     except NoPlanError as exc:
         raise UsageError(f"no plan: {exc}") from exc
     noun = "step" if len(steps) == 1 else "steps"

@@ -22,7 +22,7 @@ class PreconditionError(LoopwmError):
 
 
 class NoPlanError(LoopwmError):
-    """Raised when search exhausts the budget or the goal is unreachable."""
+    """Raised when a goal holds in no state within the plan length cap."""
 
 
 class DivergenceError(LoopwmError):

@@ -109,7 +109,7 @@ def rollout_k_steps(k_steps: int) -> int:
 
 def _plan_or_none(spec: DomainSpec, goal: Goal) -> tuple[PlanStep, ...] | None:
     try:
-        return plan(spec, goal, spec.initial_state())
+        return plan(spec, goal)
     except NoPlanError:
         return None
 
@@ -125,7 +125,7 @@ def _sample_goal(
 ) -> tuple[Goal, tuple[PlanStep, ...]]:
     """Draw pool goals until one plans within `level` steps.
 
-    `plans` holds the search's answer per pool index (None for no plan) and
+    `plans` holds the planner's answer per pool index (None for no plan) and
     `shortest` the length of the pool's shortest nonempty plan (None when
     it has none). Every draw consumes one random number, and every draw of
     an unplannable goal logs an event. A level below `shortest` is an
@@ -159,8 +159,8 @@ def train(
 ) -> tuple[NetParams, TrainingLog]:
     """Run the configured number of iterations and return (theta, log).
 
-    Each pool goal is planned once, up front, by this module's `plan` (the
-    search answers the same goal from the same state the same way); every
+    Each pool goal is planned once, up front, by this module's `plan` (it
+    reads the domain's fixed plan graph, so a goal's plan never changes); every
     group is scored by the programmatic critic under `weights`, and the
     objective recomputes each transition mean with the sampler's `delta`.
     Groups are rolled out with `sampler_config` at the train-time K,

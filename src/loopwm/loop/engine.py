@@ -10,8 +10,8 @@ accepted step's operator, so a failed step's preconditions still hold and
 the plan from the initial state stays the plan. An episode therefore makes
 at most (plan length + max_outer_replans) * (1 + k_retries) attempts.
 
-An episode is one generator, `episode`, that plans once with the
-breadth-first search (`plan`) and calls neither the policy nor the critic.
+An episode is one generator, `episode`, that plans once from the domain's
+plan graph (`plan`) and calls neither the policy nor the critic.
 Where it needs segments it yields a `Request` for n candidates of one
 (step, memory) from its own stream: n = 1 for a step's first try, and
 n = k_retries for `inner_refine`. It is resumed with a draw, which it calls
@@ -153,7 +153,7 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
     config = config or LoopConfig()
     rng = rng or RandomSource(0)
 
-    steps = plan(spec, goal, spec.initial_state())
+    steps = plan(spec, goal)
     memory = WorldMemory.fresh(spec)
     log = EpisodeLog(goal=goal, plan_length=len(steps))
 

@@ -8,6 +8,7 @@ from .io import (
     load_domain,
 )
 from .types import (
+    MAX_PLAN_LEN,
     DomainSpec,
     Literal,
     MotionProfile,
@@ -21,6 +22,7 @@ from .types import (
 __all__ = [
     "BUILTIN_DOMAINS",
     "DomainSpec",
+    "MAX_PLAN_LEN",
     "Literal",
     "MotionProfile",
     "ObjectSpec",

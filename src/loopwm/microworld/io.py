@@ -2,8 +2,8 @@
 
 Domain files are YAML documents checked in two passes. The walk of
 `loopwm.parse` builds a `DomainFile` from the tree, checking every key,
-type, name pattern, [0, 1] range and non-empty list as it goes; then
-`DomainSpec` checks the semantics (symbol references, contact ordering,
+type, name pattern, [0, 1] range, contact ordering and non-empty list as it
+goes; then `DomainSpec` checks the semantics (symbol references,
 instruction length, duplicate bindings). Two domains ship with the package
 and can be addressed by bare name: "kitchen" and "workshop".
 """

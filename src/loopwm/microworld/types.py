@@ -24,19 +24,22 @@ DEFAULT_CONTACT = (0.25, 0.75)
 MAX_INSTRUCTION_WORDS = 36
 # sid cap of a condition's step index; plans longer than this share the top value
 MAX_NORM_SID = 16
+# the deepest plan: the plan graph, the suite's hard band and the oracle stop here
+MAX_PLAN_LEN = 8
 
 # the names a domain file may write: the domain's own; entities, verbs and
 # actors; predicates (entity.property); literals (a predicate, negated with "not ")
-DOMAIN_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
-NAME = re.compile(r"^[a-z][a-z0-9_]*$")
-PREDICATE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
-LITERAL = re.compile(r"^(not )?[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
+DOMAIN_NAME = re.compile(r"[a-z][a-z0-9_-]*")
+NAME = re.compile(r"[a-z][a-z0-9_]*")
+PREDICATE = re.compile(r"[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*")
+LITERAL = re.compile(r"(not )?[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*")
 
 
 def require_names(attr: str, names, pattern: re.Pattern = NAME) -> None:
-    """A record's check that each of `names`, its field `attr`, matches `pattern`."""
+    """A record's check that each of `names`, its field `attr`, is all `pattern`."""
     for name in names:
-        require(pattern.match(name), attr, f"{name!r} does not match {pattern.pattern!r}")
+        require(pattern.fullmatch(name), attr,
+                f"{name!r} does not match {pattern.pattern!r}")
 
 
 def require_unit_pair(attr: str, pair) -> None:
@@ -88,6 +91,8 @@ class MotionProfile:
         require_names("moves", self.moves)
         require_names("target", (self.target,))
         require_unit_pair("contact", self.contact)
+        require(self.contact[0] < self.contact[1], "contact",
+                f"must open before it closes, got {list(self.contact)}")
 
 
 @dataclass(frozen=True)
@@ -135,18 +140,21 @@ def _table():
     return field(init=False, repr=False, compare=False)
 
 
-class OperatorMasks(NamedTuple):
-    """One operator's literals as predicate bitmasks (bit i is predicate i).
+class PlanNode(NamedTuple):
+    """One predicate state of `DomainSpec.plan_graph`.
 
-    It applies to a state key k when k & pre_true == pre_true and
-    k & pre_false == 0, and leads to (k & ~post_false) | post_true.
+    `key` has bit i set when predicate i holds, and `depth` is the state's
+    distance from the initial state. `parent` and `op` are the node and the
+    operator it was first reached by, -1 at the initial state. `successors`
+    are the nodes its applicable operators lead to, in declaration order,
+    repeats included; a node at depth MAX_PLAN_LEN keeps none.
     """
 
-    index: int
-    pre_true: int
-    pre_false: int
-    post_true: int
-    post_false: int
+    key: int
+    depth: int
+    parent: int
+    op: int
+    successors: tuple[int, ...]
 
 
 class CriticTable(NamedTuple):
@@ -172,12 +180,12 @@ class DomainSpec:
 
     Construction checks the symbol references (see `_check_semantics`) and
     then builds, once, every table that planning, suite generation,
-    conditioning and the critic read: predicate bits, per-operator masks in
-    declaration and in search order, the encoded initial frame, and each
-    operator's condition tails and critic table. Every per-operator table is
-    indexed by the operator's position in `operators`, the index a plan
-    step carries. The tables are derived from the declared fields, so a
-    spec is never mutated after load.
+    conditioning and the critic read: predicate bits, the plan graph of the
+    predicate states within MAX_PLAN_LEN steps of the initial state, the
+    encoded initial frame, and each operator's condition tails and critic
+    table. Every per-operator table is indexed by the operator's position in
+    `operators`, the index a plan step carries. The tables are derived from
+    the declared fields, so a spec is never mutated after load.
     """
 
     name: str
@@ -188,8 +196,7 @@ class DomainSpec:
     channels: list[str] = field(init=False)
     channel_index: dict[str, int] = field(init=False)
     pred_bits: dict[str, int] = _table()
-    operator_masks: tuple[OperatorMasks, ...] = _table()
-    search_order: tuple[OperatorMasks, ...] = _table()
+    plan_graph: tuple[PlanNode, ...] = _table()
     initial_frame: np.ndarray = _table()
     condition_tails: np.ndarray = _table()
     critic_tables: tuple[CriticTable, ...] = _table()
@@ -204,21 +211,54 @@ class DomainSpec:
         _check_semantics(self)
 
         self.pred_bits = {p: 1 << i for i, (p, _) in enumerate(self.predicates)}
-        self.operator_masks = tuple(
-            OperatorMasks(i, *self.literal_masks(op.pre), *self.literal_masks(op.post))
-            for i, op in enumerate(self.operators)
-        )
-        self.search_order = tuple(
-            self.operator_masks[i]
-            for i in sorted(range(len(self.operators)),
-                            key=lambda i: (self.operators[i].verb, self.operators[i].objects))
-        )
+        self.plan_graph = self._plan_graph()
         poses = [v for obj in self.movable_entities() for v in self.objects[obj].position]
         self.initial_frame = _read_only(
             np.array([1.0 if v else 0.0 for _, v in self.predicates] + poses, dtype=np.float64)
         )
         self.condition_tails = _read_only(self._condition_tails())
         self.critic_tables = tuple(self._critic_table(op) for op in self.operators)
+
+    def _plan_graph(self) -> tuple[PlanNode, ...]:
+        """Every predicate state within MAX_PLAN_LEN steps of the initial state.
+
+        Nodes are numbered in the order one breadth-first pass, expanding
+        operators in (verb, objects) order, first reaches them: depths never
+        decrease along the tuple, and the parent chain of the first node
+        where a goal holds is the lexicographically smallest shortest plan.
+        """
+        masks = [self.literal_masks(op.pre) + self.literal_masks(op.post)
+                 for op in self.operators]
+
+        def successor(key: int, i: int) -> int | None:
+            pre_true, pre_false, post_true, post_false = masks[i]
+            if key & pre_true != pre_true or key & pre_false:
+                return None
+            return (key & ~post_false) | post_true
+
+        order = sorted(range(len(masks)),
+                       key=lambda i: (self.operators[i].verb, self.operators[i].objects))
+        start, _ = self.literal_masks(Literal(p, v) for p, v in self.predicates)
+        nodes = [(start, 0, -1, -1)]
+        index = {start: 0}
+        n = 0
+        while n < len(nodes) and nodes[n][1] < MAX_PLAN_LEN:
+            key, depth = nodes[n][:2]
+            for i in order:
+                nxt = successor(key, i)
+                if nxt is not None and nxt not in index:
+                    index[nxt] = len(nodes)
+                    nodes.append((nxt, depth + 1, n, i))
+            n += 1
+
+        def successors(key: int, depth: int) -> tuple[int, ...]:
+            if depth == MAX_PLAN_LEN:
+                return ()
+            keys = (successor(key, i) for i in range(len(masks)))
+            return tuple(index[nxt] for nxt in keys if nxt is not None)
+
+        return tuple(PlanNode(key, depth, parent, op, successors(key, depth))
+                     for key, depth, parent, op in nodes)
 
     def _critic_table(self, op: Operator) -> CriticTable:
         """The critic's table of a step of `op`."""
@@ -261,10 +301,6 @@ class DomainSpec:
             tails[i, :, [i] + [n_ops + self.channel_index[ch] for ch in touched]] = 1.0
         tails[:, :, -1] = np.arange(1, MAX_NORM_SID + 1) / MAX_NORM_SID
         return tails
-
-    def state_key(self, state: SymbolicState) -> int:
-        """The state's predicates as a bitmask; poses never gate operators."""
-        return sum(bit for pred, bit in self.pred_bits.items() if state.predicates[pred])
 
     def literal_masks(self, literals) -> tuple[int, int]:
         """(must-be-true, must-be-false) bitmasks of the literals."""
@@ -323,7 +359,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _check_semantics(spec: DomainSpec) -> None:
-    """Symbol references, contact ordering, instruction length and duplicate operators."""
+    """Symbol references, instruction length and duplicate operators."""
     pred_names = {p for p, _ in spec.predicates}
     if spec.actor not in spec.objects:
         raise DomainError(f"actor {spec.actor!r} is not a declared object")
@@ -357,9 +393,6 @@ def _check_semantics(spec: DomainSpec) -> None:
                     raise DomainError(f"{where}: unknown moving entity {ent!r}")
                 if not spec.objects[ent].movable:
                     raise DomainError(f"{where}: moving entity {ent!r} is not movable")
-            lo, hi = op.motion.contact
-            if not (0.0 <= lo < hi <= 1.0):
-                raise DomainError(f"{where}: contact window must satisfy 0 <= lo < hi <= 1")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-from .search import DEFAULT_NODE_BUDGET, plan
+from .search import nearest, plan
 from .types import (
     Goal,
     PlanStep,
@@ -7,10 +7,10 @@ from .types import (
 )
 
 __all__ = [
-    "DEFAULT_NODE_BUDGET",
     "Goal",
     "PlanStep",
     "describe_literals",
+    "nearest",
     "parse_goal_literal",
     "plan",
 ]

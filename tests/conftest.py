@@ -31,3 +31,16 @@ def tanh_calls(monkeypatch):
 def op_index(spec, verb, *objects):
     """Index in `spec.operators` of the operator `verb(objects)`, the `op` of a plan step."""
     return next(i for i, op in enumerate(spec.operators) if (op.verb, op.objects) == (verb, objects))
+
+
+def chain_domain_dict(n: int) -> dict:
+    """A domain file whose step i sets chain.p<i> and needs chain.p<i-1>: chain.p<n> is n deep."""
+    return {
+        "name": "chain",
+        "actor": "hand",
+        "objects": {"hand": {"position": [0.5, 0.5], "movable": True},
+                    "chain": {"position": [0.6, 0.5]}},
+        "predicates": {f"chain.p{i}": i == 0 for i in range(n + 1)},
+        "operators": [{"verb": f"step{i}", "objects": ["chain"], "pre": [f"chain.p{i - 1}"],
+                       "post": [f"chain.p{i}"]} for i in range(1, n + 1)],
+    }

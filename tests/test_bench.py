@@ -1,9 +1,9 @@
 """Suite generation, evaluation metrics, comparisons, and curve emission.
 
-The generator's plan lengths, from one pass over the reachable predicate
-states, are cross-checked two independent ways: the exhaustive sequence
-enumerator behind `verify_suite`, and the breadth-first planner (shortest
-plan by construction). Oracle-policy and frozen-policy evaluations pin the
+The generator's plan lengths, node depths in the domain's plan graph, are
+cross-checked two ways: the exhaustive sequence enumerator behind
+`verify_suite`, which shares nothing with the graph, and the planner's plan
+lengths. Oracle-policy and frozen-policy evaluations pin the
 upper and lower ends of the metric scales.
 """
 
@@ -26,14 +26,14 @@ from loopwm.bench import (
     verify_suite,
 )
 from loopwm.bench.metrics import load_report
-from loopwm.bench.suite import _plan_length, _reachable_states, _sample_literals
+from loopwm.bench.suite import _sample_literals
 from loopwm.critic import DIMENSIONS, CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
 from loopwm.loop import LoopConfig, OraclePolicy, Request
 from loopwm.microworld import Literal, Segment, load_domain
 from loopwm.numerics import RandomSource, net_init
-from loopwm.planner import plan
+from loopwm.planner import nearest, plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 from oracles import load_suite
 from sequential import FrozenPolicy, GeneratePolicy, SequentialPolicy
@@ -62,11 +62,11 @@ def test_generate_suite_counts_and_bands(kitchen):
 
 
 def test_band_lengths_match_planner_shortest_path(kitchen):
-    # the planner searches breadth-first, so its plan length is an
-    # independent second oracle for every task's recorded depth
+    # the plan is the goal's parent chain in the graph, so its length is a
+    # second reading of every task's recorded depth
     suite = generate_suite(kitchen, seed=11, counts=(4, 3, 2))
     for task in suite.tasks:
-        assert len(plan(kitchen, task.goal, kitchen.initial_state())) == task.min_steps
+        assert len(plan(kitchen, task.goal)) == task.min_steps
 
 
 def test_generate_suite_deterministic(kitchen):
@@ -82,17 +82,21 @@ def test_generate_suite_deterministic(kitchen):
 def test_reachable_state_lengths_match_the_oracle(name):
     spec = load_domain(name)
     start = spec.initial_state()
-    reachable = _reachable_states(spec)
     rng = RandomSource(0)
+
+    def depth(literals):
+        node = nearest(spec, literals)
+        return None if node is None else spec.plan_graph[node].depth
+
     for _ in range(300):
-        literals = _sample_literals(spec, reachable, rng)
-        assert _plan_length(spec, reachable, literals) == minimal_plan_length(spec, start, literals)
+        literals = _sample_literals(spec, rng)
+        assert depth(literals) == minimal_plan_length(spec, start, literals)
     # goals off the sampled walks too, unreachable ones included
     for _ in range(100):
         picks = rng.integers(0, 2, shape=len(spec.predicates))
         chosen = [i for i in range(len(spec.predicates)) if rng.choice(3) == 0][:3]
         literals = tuple(Literal(spec.predicates[i][0], bool(picks[i])) for i in chosen)
-        assert _plan_length(spec, reachable, literals) == minimal_plan_length(spec, start, literals)
+        assert depth(literals) == minimal_plan_length(spec, start, literals)
 
 
 def test_pinned_kitchen_suite_digest(kitchen):
@@ -257,7 +261,7 @@ def test_numeric_failure_fails_only_its_episodes(kitchen, source):
     # NaN frames raise NumericError, a NaN net DivergenceError; either way
     # the episode fails and the rest of the 50-task report stands
     suite = generate_suite(kitchen, seed=7)
-    op = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state())[0].op
+    op = plan(kitchen, suite.tasks[0].goal)[0].op
     bad = nan_frames if source == "frames" else nan_net(kitchen)
     report = evaluate_policy(NanOnOneStep(kitchen, op, bad), suite,
                              rng=RandomSource(3))

@@ -28,16 +28,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopwm
-from loopwm.bench import MODES, load_report, mode_config
+from loopwm.bench import MODES, MetricReport, MetricRow, load_report, mode_config
 from loopwm.cli import DEFAULTS, UsageError, main, resolve_config, write_config
 from loopwm.cli.config import RunConfig
 from loopwm.cli.main import build_parser
 from loopwm.critic import DIMENSIONS
 from loopwm.grpo import ROLLOUT_K_RULE
-from loopwm.microworld import load_domain
+from loopwm.microworld import MAX_PLAN_LEN, load_domain
 from loopwm.microworld.dynamics import MAX_JITTER
 from loopwm.numerics import DTYPE, RandomSource, load_checkpoint, net_init
 from loopwm.worldmodel import SamplerConfig, velocity_net_sizes
+from conftest import chain_domain_dict
 from oracles import load_suite
 
 # small-but-consistent knobs shared by the sft/grpo/bench plumbing tests;
@@ -123,6 +124,16 @@ def test_plan_unreachable_goal_exits_2(capsys):
     rc = main(["plan", "jar.closed, jar.lid_removed"])
     assert rc == 2
     assert "no plan" in capsys.readouterr().err
+
+
+def test_plan_beyond_the_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "chain.yaml"
+    path.write_text(yaml.safe_dump(chain_domain_dict(MAX_PLAN_LEN + 1)))
+    assert main(["plan", f"chain.p{MAX_PLAN_LEN}", "--domain", str(path)]) == 0
+    assert f"({MAX_PLAN_LEN} steps)" in capsys.readouterr().out
+    assert main(["plan", f"chain.p{MAX_PLAN_LEN + 1}", "--domain", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "no plan" in err and f"within {MAX_PLAN_LEN} steps" in err
 
 
 def test_plan_unknown_literal_exits_2(capsys):
@@ -1184,6 +1195,52 @@ def test_compare_label_count_mismatch_exits_2(tmp_path, capsys):
                "--labels", "x,y"])
     assert rc == 2
     capsys.readouterr()
+
+
+def _report_tree() -> dict:
+    row = MetricRow(3, 0.5, 1 / 3, 4.0, None, 2.5)
+    return MetricReport("kitchen", "ab" * 32, row, {"simple": row}).to_dict()
+
+
+def _report_edit(*keys, value=None, drop=False):
+    """An edit of `_report_tree()` that sets (or drops) the value at `keys`."""
+    def apply(tree):
+        node = reduce(getitem, keys[:-1], tree)
+        if drop:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return tree
+    return apply
+
+
+MALFORMED_REPORTS = {
+    "by-difficulty-list": _report_edit("by_difficulty", value=[]),
+    "n-tasks-string": _report_edit("overall", "n_tasks", value="3"),
+    "n-tasks-float": _report_edit("overall", "n_tasks", value=3.0),
+    "completeness-bool": _report_edit("overall", "action_completeness", value=True),
+    "smoothness-string": _report_edit("by_difficulty", "simple", "motion_smoothness",
+                                      value="4.0"),
+    "overall-list": _report_edit("overall", value=[]),
+    "domain-number": _report_edit("domain", value=5),
+    "missing-by-difficulty": _report_edit("by_difficulty", drop=True),
+    "missing-success-rate": _report_edit("overall", "success_rate", drop=True),
+    "unknown-key": _report_edit("overall", "seeds", value=3),
+    "missing-format": _report_edit("format", drop=True),
+    "not-a-mapping": lambda tree: [tree],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REPORTS, ids=list(MALFORMED_REPORTS))
+def test_compare_malformed_report_exits_2(case, tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_report_tree()))
+    bad.write_text(json.dumps(MALFORMED_REPORTS[case](_report_tree())))
+    assert main(["compare", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err, err
 
 
 # ---------------------------------------------------------------- entry point

@@ -45,8 +45,7 @@ from oracles import (
 
 
 def first_step(kitchen, *goal_lits):
-    return plan(kitchen, Goal(tuple(parse_literal(t) for t in goal_lits)),
-                kitchen.initial_state())[0]
+    return plan(kitchen, Goal(tuple(parse_literal(t) for t in goal_lits)))[0]
 
 
 def open_jar_step(kitchen):
@@ -71,7 +70,7 @@ def test_reference_segment_scores_high(kitchen):
 ])
 def test_chained_references_score_high_everywhere(domain_name, goal_lits):
     spec = load_domain(domain_name)
-    seq = plan(spec, Goal(tuple(parse_literal(t) for t in goal_lits)), spec.initial_state())
+    seq = plan(spec, Goal(tuple(parse_literal(t) for t in goal_lits)))
     state = spec.initial_state()
     for step in seq:
         seg = reference_segment(spec, state, step.op, 16)
@@ -179,7 +178,7 @@ def pinned_suite_steps():
     kitchen = load_domain("kitchen")
     suite = generate_suite(kitchen, 0, counts=(20, 20, 10))
     steps = [step for task in suite.tasks
-             for step in plan(kitchen, task.goal, kitchen.initial_state())]
+             for step in plan(kitchen, task.goal)]
     return kitchen, steps
 
 

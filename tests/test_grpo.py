@@ -78,7 +78,7 @@ def goal_of(*texts):
 
 
 def first_step(spec, *texts):
-    return plan(spec, goal_of(*texts), spec.initial_state())[0]
+    return plan(spec, goal_of(*texts))[0]
 
 
 def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
@@ -900,9 +900,9 @@ def test_train_plans_each_pool_goal_once(kitchen, monkeypatch):
              goal_of("cup.full")]
     planned = []
 
-    def counting_plan(spec, goal, state):
+    def counting_plan(spec, goal):
         planned.append(goal.text)
-        return plan(spec, goal, state)
+        return plan(spec, goal)
 
     rng = RecordingSource(4)
     bundle = PolicyBundle.from_reference(kitchen_net(kitchen, sampler, hidden=6))
@@ -1061,7 +1061,7 @@ def test_group_rewards_vary_for_imperfect_policy(kitchen):
     theta, history = sft_train(theta, demos, epochs=400, lr=3e-3,
                                rng=RandomSource(22), batch_size=32)
     assert history[-1] < 0.3  # imperfect, but trained well past the noise floor
-    steps = plan(kitchen, goal_of("cup.full"), kitchen.initial_state())
+    steps = plan(kitchen, goal_of("cup.full"))
     memory = WorldMemory.fresh(kitchen)
     for step in steps[:-1]:
         segment = reference_segment(kitchen, memory.state, step.op,

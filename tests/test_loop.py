@@ -161,7 +161,7 @@ def test_replan_resumes_at_failed_sid(kitchen):
     first_pass = log.attempts[:1 + config.k_retries]
     best = max(first_pass, key=lambda a: a.report.scalar).report
     assert log.replans == [ReplanEvent(1, best.tags)]
-    assert log.plan_length == len(plan(kitchen, goal, kitchen.initial_state()))
+    assert log.plan_length == len(plan(kitchen, goal))
 
 
 class MixedPolicy(GeneratePolicy):
@@ -189,7 +189,7 @@ def test_outer_passes_keep_the_plan_and_bound_the_attempts(name, data):
     seed = data.draw(st.integers(0, 2**16))
     goal = random_solvable_goal(spec, RandomSource(seed, 1))
     log = run_episode(spec, goal, MixedPolicy(spec, seed), config, rng=RandomSource(seed))
-    steps = plan(spec, goal, spec.initial_state())
+    steps = plan(spec, goal)
     assert log.plan_length == len(steps)
     # the attempts visit the initial plan's steps in order, never skipping one
     visited = [sid for sid, _ in groupby(a.sid for a in log.attempts)]
@@ -210,7 +210,7 @@ def test_memory_advance_chain_replay(kitchen):
     memory = WorldMemory.fresh(kitchen)
     goal = goal_of("cup.full")
     from loopwm.planner import plan
-    seq = plan(kitchen, goal, kitchen.initial_state())
+    seq = plan(kitchen, goal)
     rng = RandomSource(10)
     state = kitchen.initial_state()
     for step in seq:
@@ -382,7 +382,7 @@ def poisoning_rows(op):
 def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, monkeypatch, source):
     suite = generate_suite(kitchen, seed=7)
     config = LoopConfig(tau=0.4)
-    first = plan(kitchen, suite.tasks[0].goal, kitchen.initial_state())[0]
+    first = plan(kitchen, suite.tasks[0].goal)[0]
     if source == "net":
         policy, rows = diverging_policy(kitchen), evaluate_rows
     else:

@@ -170,6 +170,10 @@ BAD_DOCUMENTS = {
     "tool-name": (_edit(*OP, "tool", value="the hand"), "operators/0/tool", "'the hand'"),
     "pre-literal": (_edit(*OP, "pre", value=["never box.open"]), "operators/0/pre",
                     "'never box.open'"),
+    # a name must match as a whole: "$" alone would let a trailing newline through
+    "verb-newline": (_edit(*OP, "verb", value="open\n"), "operators/0/verb", "'open\\n'"),
+    "pre-newline": (_edit(*OP, "pre", value=["not box.open\n"]), "operators/0/pre",
+                    "'not box.open\\n'"),
     "post-literal": (_edit(*OP, "post", value=["box.Open"]), "operators/0/post", "'box.Open'"),
     "moves-name": (_edit(*MOTION, "moves", value=["Hand"]), "operators/0/motion/moves",
                    "'Hand'"),
@@ -192,6 +196,10 @@ BAD_DOCUMENTS = {
                       "operators/0/motion/contact", ""),
     "contact-bool": (_edit(*MOTION, "contact", value=[0.25, True]),
                      "operators/0/motion/contact", ""),
+    "contact-reversed": (_edit(*MOTION, "contact", value=[0.8, 0.2]),
+                         "operators/0/motion/contact", "[0.8, 0.2]"),
+    "contact-empty": (_edit(*MOTION, "contact", value=[0.5, 0.5]),
+                      "operators/0/motion/contact", "[0.5, 0.5]"),
     # an empty mapping, list or string where the format needs an entry
     "empty-objects": (_edit("objects", value={}), "objects", ""),
     "empty-predicates": (_edit("predicates", value={}), "predicates", ""),

@@ -2,8 +2,14 @@ import pytest
 
 from loopwm.bench.oracle import minimal_plan_length
 from loopwm.errors import DomainError, NoPlanError
-from conftest import op_index
-from loopwm.microworld import Literal, apply_operator, parse_literal
+from conftest import chain_domain_dict, op_index
+from loopwm.microworld import (
+    MAX_PLAN_LEN,
+    Literal,
+    apply_operator,
+    domain_from_dict,
+    parse_literal,
+)
 from loopwm.numerics import RandomSource
 from loopwm.planner import Goal, PlanStep, parse_goal_literal, plan
 
@@ -13,7 +19,7 @@ def goal_of(*texts):
 
 
 def test_single_step_plan(kitchen):
-    seq = plan(kitchen, goal_of("jar.lid_removed"), kitchen.initial_state())
+    seq = plan(kitchen, goal_of("jar.lid_removed"))
     assert seq == (PlanStep(1, op_index(kitchen, "open", "jar")),)
     op = kitchen.operators[seq[0].op]
     assert str(op) == "open(jar) [hand]"
@@ -24,7 +30,7 @@ def test_single_step_plan(kitchen):
 
 def test_minimal_plan_is_lexicographically_smallest(kitchen):
     # four ops are required; among valid orders the (verb, objects)-smallest wins
-    seq = plan(kitchen, goal_of("cup.full"), kitchen.initial_state())
+    seq = plan(kitchen, goal_of("cup.full"))
     assert [str(kitchen.operators[s.op]) for s in seq] == [
         "grasp(kettle) [hand]",
         "open(jar) [hand]",
@@ -36,30 +42,41 @@ def test_minimal_plan_is_lexicographically_smallest(kitchen):
 
 def test_six_step_plan(kitchen):
     goal = goal_of("cup.stirred")
-    seq = plan(kitchen, goal, kitchen.initial_state())
+    seq = plan(kitchen, goal)
     assert len(seq) == 6
     assert minimal_plan_length(kitchen, kitchen.initial_state(), goal.literals) == 6
 
 
 def test_goal_already_satisfied_gives_empty_plan(kitchen):
-    seq = plan(kitchen, goal_of("jar.closed"), kitchen.initial_state())
+    seq = plan(kitchen, goal_of("jar.closed"))
     assert len(seq) == 0
 
 
 def test_unreachable_goal_raises(kitchen):
     with pytest.raises(NoPlanError, match="unreachable"):
-        plan(kitchen, goal_of("not jar.closed", "not jar.lid_removed"),
-             kitchen.initial_state())
+        plan(kitchen, goal_of("not jar.closed", "not jar.lid_removed"))
 
 
-def test_node_budget_exhaustion_raises(kitchen):
-    with pytest.raises(NoPlanError, match="budget"):
-        plan(kitchen, goal_of("cup.has_tea"), kitchen.initial_state(), node_budget=1)
+def test_plans_reach_the_cap_and_no_further():
+    # step i of the chain needs the literal step i - 1 sets, so chain.p<i> is i deep
+    spec = domain_from_dict(chain_domain_dict(MAX_PLAN_LEN + 1))
+    start = spec.initial_state()
+    deepest = goal_of(f"chain.p{MAX_PLAN_LEN}")
+    seq = plan(spec, deepest)
+    assert [spec.operators[s.op].verb for s in seq] == [
+        f"step{i}" for i in range(1, MAX_PLAN_LEN + 1)]
+    assert minimal_plan_length(spec, start, deepest.literals) == MAX_PLAN_LEN
+    beyond = goal_of(f"chain.p{MAX_PLAN_LEN + 1}")
+    with pytest.raises(NoPlanError, match=f"unreachable within {MAX_PLAN_LEN} steps"):
+        plan(spec, beyond)
+    assert minimal_plan_length(spec, start, beyond.literals) is None
+    assert minimal_plan_length(spec, start, beyond.literals, MAX_PLAN_LEN + 1) == MAX_PLAN_LEN + 1
+    assert max(node.depth for node in spec.plan_graph) == MAX_PLAN_LEN
 
 
 def test_unknown_goal_predicate_raises(kitchen):
     with pytest.raises(DomainError, match="cup.levitating"):
-        plan(kitchen, goal_of("cup.levitating"), kitchen.initial_state())
+        plan(kitchen, goal_of("cup.levitating"))
 
 
 def test_goal_literal_forms(kitchen):
@@ -112,7 +129,7 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
         k = 1 + rng.choice(min(3, len(true_lits)))
         picks = sorted(rng.generator().permutation(len(true_lits))[:k])
         goal = Goal(tuple(true_lits[i] for i in picks))
-        seq = plan(spec, goal, initial)
+        seq = plan(spec, goal)
         state = initial
         for step in seq:
             assert state.satisfies(spec.operators[step.op].pre)
@@ -135,7 +152,7 @@ def test_goal_text_plans_the_jar_example(kitchen):
     # the path `loopwm plan "lid removed"` takes: goal text, then the search
     goal = Goal((parse_goal_literal(kitchen, "lid removed"),))
     assert goal == jar_goal()
-    (step,) = plan(kitchen, goal, kitchen.initial_state())
+    (step,) = plan(kitchen, goal)
     op = kitchen.operators[step.op]
     assert step.sid == 1
     assert op.pre == (Literal("jar.closed", True),)

@@ -1,10 +1,10 @@
-"""The bitmask planner search against a dict-state reference, and the cached condition tails
+"""The planner's plan-graph lookup against a dict-state search, and the cached condition tails
 against the uncached assembly.
 
-`reference_search` is the planner's breadth-first search written over
-`SymbolicState` predicate dicts, reading each operator's literals directly and
-none of the tables `DomainSpec` compiles. Both searches must return the same
-operator indices or raise the same NoPlanError.
+`reference_search` is a breadth-first search from the initial state written
+over `SymbolicState` predicate dicts, reading each operator's literals
+directly and none of the tables `DomainSpec` compiles. `plan` must return its
+operator indices, or both must find no plan.
 """
 
 import numpy as np
@@ -13,17 +13,18 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopwm.bench.oracle import minimal_plan_length
 from loopwm.errors import NoPlanError
 from loopwm.memory import WorldMemory
 from loopwm.microworld import (
+    MAX_PLAN_LEN,
     Literal,
     SymbolicState,
     encode_state,
     load_domain,
     reference_segment,
 )
-from loopwm.planner import DEFAULT_NODE_BUDGET, Goal, PlanStep
-from loopwm.planner.search import _search
+from loopwm.planner import Goal, PlanStep, plan
 from loopwm.worldmodel import MAX_NORM_SID, embed_condition
 
 SPECS = {name: load_domain(name) for name in ("kitchen", "workshop")}
@@ -40,20 +41,15 @@ def _successor(state, op):
     return SymbolicState(predicates, state.poses)
 
 
-def reference_search(spec, goal, state, node_budget):
+def reference_search(spec, goal):
+    state = spec.initial_state()
     if state.satisfies(goal.literals):
         return ()
     ordered = sorted(enumerate(spec.operators), key=lambda pair: (pair[1].verb, pair[1].objects))
     queue = deque([(state, ())])
     visited = {_true_predicates(state)}
-    expanded = 0
     while queue:
         current, path = queue.popleft()
-        expanded += 1
-        if expanded > node_budget:
-            raise NoPlanError(
-                f"no plan within node budget {node_budget} for goal {goal.text!r}"
-            )
         for index, op in ordered:
             if not current.satisfies(op.pre):
                 continue
@@ -66,19 +62,19 @@ def reference_search(spec, goal, state, node_budget):
                 return new_path
             visited.add(key)
             queue.append((nxt, new_path))
-    raise NoPlanError(f"goal {goal.text!r} is unreachable from the given state")
+    raise NoPlanError(f"goal {goal.text!r} is unreachable")
 
 
-def _outcome(search, *args):
+def _outcome(search, spec, goal):
     try:
-        return search(*args)
-    except NoPlanError as exc:
-        return ("NoPlanError", str(exc))
+        return search(spec, goal)
+    except NoPlanError:
+        return None
 
 
 @st.composite
 def walked_states(draw, spec):
-    """A start state reached by a random walk of 0-8 applicable operators."""
+    """A state reached from the initial state by a random walk of 0-8 applicable operators."""
     state = spec.initial_state()
     for _ in range(draw(st.integers(0, 8))):
         applicable = [op for op in spec.operators if state.satisfies(op.pre)]
@@ -106,12 +102,16 @@ def goals(draw, spec):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_bitmask_search_matches_dict_state_reference(name, data):
+    # both builtin domains lie within the cap (7 and 6 steps deep), so the
+    # uncapped reference and the graph must agree on every goal
     spec = SPECS[name]
-    state = data.draw(walked_states(spec))
+    assert spec.plan_graph[-1].depth < MAX_PLAN_LEN
     goal = data.draw(goals(spec))
-    budget = data.draw(st.one_of(st.integers(1, 40), st.just(DEFAULT_NODE_BUDGET)))
-    args = (spec, goal, state, budget)
-    assert _outcome(_search, *args) == _outcome(reference_search, *args)
+    steps = _outcome(plan, spec, goal)
+    expected = _outcome(reference_search, spec, goal)
+    assert (None if steps is None else tuple(s.op for s in steps)) == expected
+    length = minimal_plan_length(spec, spec.initial_state(), goal.literals)
+    assert length == (None if steps is None else len(steps))
 
 
 def _uncached_condition(spec, step, memory):

@@ -73,7 +73,7 @@ def small_config(frame_width, n_frames=2, k_steps=4, eta_scale=0.3):
 
 def plan_steps(spec, *texts):
     goal = Goal(tuple(parse_literal(t) for t in texts))
-    return list(plan(spec, goal, spec.initial_state()))
+    return list(plan(spec, goal))
 
 
 def tiny_net(latent, cond_width, hidden=6, seed=0):
