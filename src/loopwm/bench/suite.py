@@ -113,9 +113,8 @@ def classify(min_steps: int | None) -> str | None:
 
 def verify_suite(suite: PromptSuite) -> None:
     """Re-check every task's band with the exhaustive oracle."""
-    start = suite.spec.initial_state()
     for i, task in enumerate(suite.tasks):
-        m = minimal_plan_length(suite.spec, start, task.goal.literals)
+        m = minimal_plan_length(suite.spec, suite.spec.initial_frame, task.goal.literals)
         lo, hi = BANDS[task.difficulty]
         if m is None or not lo <= m <= hi:
             raise SuiteError(

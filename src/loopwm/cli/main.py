@@ -268,9 +268,8 @@ def _goal_pool(spec: DomainSpec, config: RunConfig) -> list[Goal]:
             seen.add(goal.text)
             goals.append(goal)
 
-    state = spec.initial_state()
     for op in spec.operators:
-        if state.satisfies(op.pre):
+        if spec.holds(spec.initial_frame, op.pre):
             for lit in op.post:
                 add(Goal((lit,)))
     try:

@@ -7,7 +7,7 @@ scalar falls below the acceptance threshold, ordered most-severe first
 (ascending dimension score). The tags are all the feedback a report gives:
 the loop records the best report's tags for each outer pass, which starts
 the same step again. A step is scored by its operator alone, from the
-operator's critic table.
+operator's table.
 
 physical_realism note: the score is the fraction of frames that respect the
 per-frame delta bound (0.25) and the value box [-0.05, 1.05], multiplied by
@@ -21,7 +21,7 @@ makes in float32, to float64 before any sum or threshold.
 
 Row contract: every dimension reduces along a contiguous per-row axis, so a
 row's numbers do not depend on the rows it is scored with. `DomainSpec`
-compiles one critic table per operator, `spec.critic_tables[step.op]`.
+compiles one table per operator, `spec.operator_tables[step.op]`.
 `score_group` scores G rows of one plan step, frames of shape (G, F, C),
 and returns each dimension score and the scalar as a (G,) column: a GRPO
 group reads them and builds no report. `evaluate_rows` scores G rows, each
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..microworld.dynamics import contact_window_frames
-from ..microworld.frames import DECODE_THRESHOLD
-from ..microworld.types import CriticTable, DomainSpec
+from ..microworld.types import DECODE_THRESHOLD, DomainSpec, OperatorTable
 from ..planner.types import PlanStep
 
 DIMENSIONS = (
@@ -131,14 +130,14 @@ def _hit_fraction(hits: np.ndarray) -> np.ndarray:
     return _row_mean(hits)
 
 
-def _contact_fraction(contact: tuple | None, frames: np.ndarray) -> np.ndarray:
+def _contact_fraction(motion: tuple | None, frames: np.ndarray) -> np.ndarray:
     """Per-row share of contact-window frames with the acting entity near the target."""
-    if contact is None:
+    if motion is None:
         return np.ones(frames.shape[0])
-    (ax, ay), target, moves, fractions = contact
+    (ax, ay), _, target, target_moves, fractions = motion
     w0, w1 = contact_window_frames(fractions, frames.shape[1])
     window = frames[:, w0 : w1 + 1]
-    tx, ty = (window[:, :, target[0]], window[:, :, target[1]]) if moves else target
+    tx, ty = (window[:, :, target[0]], window[:, :, target[1]]) if target_moves else target
     dist = np.hypot(window[:, :, ax] - tx, window[:, :, ay] - ty)
     return _row_mean(dist <= CONTACT_RADIUS)
 
@@ -182,7 +181,7 @@ def _checked(spec: DomainSpec, frames: np.ndarray) -> dict[str, np.ndarray]:
             "physical_realism": _realism(frames)}
 
 
-def _step_scores(table: CriticTable, frames: np.ndarray):
+def _step_scores(table: OperatorTable, frames: np.ndarray):
     """(step-dependent columns, pre hits, post hits) of (G, F, C) frames of one operator.
 
     A predicate channel reads true at DECODE_THRESHOLD and above, ties
@@ -192,7 +191,7 @@ def _step_scores(table: CriticTable, frames: np.ndarray):
     post_cols, post_values, _ = table.post
     pre_hits = (frames[:, 0, pre_cols] >= DECODE_THRESHOLD) == pre_values
     post_hits = (frames[:, -1, post_cols] >= DECODE_THRESHOLD) == post_values
-    cols, targets = table.progress
+    cols, targets = table.writes
     # the fraction of consecutive frames whose distance to the post literals does not grow
     dist = np.abs(frames[:, :, cols] - targets).sum(axis=2)
     monos = _row_mean(np.diff(dist, axis=1) <= _MONO_EPS)
@@ -200,7 +199,7 @@ def _step_scores(table: CriticTable, frames: np.ndarray):
     goal_scores = _hit_fraction(post_hits)
     scores = {
         "action_adherence": (_hit_fraction(pre_hits) + goal_scores + mono_scores) / 3.0,
-        "object_interaction": _contact_fraction(table.contact, frames),
+        "object_interaction": _contact_fraction(table.motion, frames),
         "goal_achievement": goal_scores,
     }
     return scores, pre_hits, post_hits
@@ -234,7 +233,7 @@ def evaluate_rows(
             ops.setdefault(steps[i].op, []).append(j)
         hits: list[tuple] = [()] * len(rows)
         for op, picks in ops.items():
-            table = spec.critic_tables[op]
+            table = spec.operator_tables[op]
             scores, pre_hits, post_hits = _step_scores(table, stack[picks])
             for d, column in scores.items():
                 columns[d][picks] = column
@@ -272,12 +271,12 @@ def score_group(
     """
     frames = np.asarray(frames, dtype=np.float64)
     scores = _checked(spec, frames)
-    scores.update(_step_scores(spec.critic_tables[step.op], frames)[0])
+    scores.update(_step_scores(spec.operator_tables[step.op], frames)[0])
     return GroupScores(scores, _weighted_mean(scores, weights))
 
 
 def _report(
-    table: CriticTable,
+    table: OperatorTable,
     tau: float,
     row_scores: tuple[float, ...],
     scalar: float,
@@ -295,7 +294,7 @@ def _report(
     if scalar < tau:
         faults = [(adherence, tag) for tag, ok in zip(table.pre[2], pre_hits) if not ok]
         faults += [(goal, tag) for tag, ok in zip(table.post[2], post_hits) if not ok]
-        if table.contact is not None and interaction < 0.5:
+        if table.motion is not None and interaction < 0.5:
             faults.append((interaction, "interaction-missed"))
         if coherence < 0.5:
             faults.append((coherence, "incoherent-motion"))
@@ -306,4 +305,4 @@ def _report(
             faults.append((scores[worst], f"low-score:{worst}"))
         faults.sort()
         tags = tuple(tag for _, tag in faults)
-    return CriticReport(scores, tags, scalar, table.contact is not None)
+    return CriticReport(scores, tags, scalar, table.motion is not None)

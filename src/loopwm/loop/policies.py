@@ -31,7 +31,7 @@ class Policy(Protocol):
 
 
 class OraclePolicy:
-    """Emits idealized reference segments from the memory's simulated state."""
+    """Emits idealized reference segments from the memory's simulated state frame."""
 
     def __init__(self, spec: DomainSpec, n_frames: int = 16, jitter: float = 0.005):
         self.spec = spec

@@ -1,5 +1,4 @@
 from .dynamics import apply_operator, contact_window_frames, reference_segment
-from .frames import encode_state
 from .io import (
     BUILTIN_DOMAINS,
     canonical_dict,
@@ -15,7 +14,6 @@ from .types import (
     ObjectSpec,
     Operator,
     Segment,
-    SymbolicState,
     parse_literal,
 )
 
@@ -28,13 +26,11 @@ __all__ = [
     "ObjectSpec",
     "Operator",
     "Segment",
-    "SymbolicState",
     "apply_operator",
     "canonical_dict",
     "contact_window_frames",
     "domain_from_dict",
     "domain_hash",
-    "encode_state",
     "load_domain",
     "parse_literal",
     "reference_segment",

@@ -1,4 +1,9 @@
-"""Operator semantics and the demonstration-segment generator."""
+"""Operator semantics on world-state frames, and the demonstration-segment generator.
+
+Both read the operator's `OperatorTable`: applying an operator writes its
+post values and its moving entities' poses into a copy of the frame, and a
+reference segment runs from a state to its successor.
+"""
 
 from __future__ import annotations
 
@@ -8,35 +13,33 @@ import numpy as np
 
 from ..errors import PreconditionError
 from ..numerics.rng import RandomSource
-from .frames import encode_state
-from .types import DEFAULT_CONTACT, DomainSpec, Segment, SymbolicState
+from .types import DEFAULT_CONTACT, DomainSpec, Segment
 
 MAX_JITTER = 0.02
 
 
-def apply_operator(spec: DomainSpec, state: SymbolicState, op: int) -> SymbolicState:
-    """Apply `spec.operators[op]`: rewrite post literals, drag moving entities to the target.
+def apply_operator(spec: DomainSpec, state: np.ndarray, op: int) -> np.ndarray:
+    """The successor of the state frame `state` under `spec.operators[op]`, a new frame.
 
-    Raises PreconditionError naming every violated literal. Untouched
-    predicates and poses carry over unchanged. The target position is read
-    before any entity moves.
+    Post literals are written as 0.0/1.0 and every moving entity lands on
+    the target's position, read from `state` before any entity moves; all
+    other channels carry over. Raises PreconditionError naming every
+    violated literal.
     """
     operator = spec.operators[op]
-    failed = [lit for lit in operator.pre if not lit.holds_in(state.predicates)]
-    if failed:
+    if not spec.holds(state, operator.pre):
+        failed = [lit for lit in operator.pre if not spec.holds(state, (lit,))]
         raise PreconditionError(
             f"{operator} not applicable: unmet " + ", ".join(str(lit) for lit in failed)
         )
-    preds = dict(state.predicates)
-    for lit in operator.post:
-        preds[lit.pred] = lit.value
-    poses = dict(state.poses)
-    if operator.motion is not None:
-        tx, ty = spec.entity_position(state, operator.motion.target)
-        for ent in operator.motion.moves:
-            poses[f"{ent}.x"] = tx
-            poses[f"{ent}.y"] = ty
-    return SymbolicState(preds, poses)
+    table = spec.operator_tables[op]
+    result = state.copy()
+    cols, values = table.writes
+    result[cols] = values
+    if table.motion is not None:
+        _, moving, target, target_moves, _ = table.motion
+        result[moving] = state[target] if target_moves else target
+    return result
 
 
 def contact_window_frames(contact: tuple[float, float], n_frames: int) -> tuple[int, int]:
@@ -51,7 +54,7 @@ def contact_window_frames(contact: tuple[float, float], n_frames: int) -> tuple[
 
 def reference_segment(
     spec: DomainSpec,
-    state: SymbolicState,
+    state: np.ndarray,
     op: int,
     n_frames: int = 16,
     rng: RandomSource | None = None,
@@ -59,12 +62,12 @@ def reference_segment(
 ) -> Segment:
     """Idealized demonstration of one application of `spec.operators[op]`.
 
-    Frame 0 encodes `state` exactly and frame F-1 encodes the successor
-    state exactly. Pose channels interpolate linearly across the whole
-    segment (so the per-frame delta is span/(F-1), the smallest achievable
-    maximum). Predicate channels that flip do so along a linear ramp inside
-    the operator's contact window. Optional pose jitter (amplitude <= 0.02)
-    perturbs interior frames only.
+    Frame 0 is the state frame `state` and frame F-1 its successor, both
+    exactly. Pose channels and unchanged predicates interpolate linearly
+    across the whole segment (so the per-frame delta is span/(F-1), the
+    smallest achievable maximum). Predicate channels that flip do so along a
+    linear ramp inside the operator's contact window. Optional pose jitter
+    (amplitude <= 0.02) perturbs interior frames only.
     """
     if n_frames < 2:
         raise ValueError("a reference segment needs at least 2 frames")
@@ -73,28 +76,20 @@ def reference_segment(
     if jitter > 0 and rng is None:
         raise ValueError("jitter requires a RandomSource")
 
-    result = apply_operator(spec, state, op)
-    start = encode_state(spec, state)
-    end = encode_state(spec, result)
-
-    frames = np.empty((n_frames, spec.n_channels))
-    ts = np.arange(n_frames) / (n_frames - 1)
+    end = apply_operator(spec, state, op)
     motion = spec.operators[op].motion
     contact = motion.contact if motion is not None else DEFAULT_CONTACT
     w0, w1 = contact_window_frames(contact, n_frames)
-
+    index = np.arange(n_frames)
+    ts = index / (n_frames - 1)
+    if w1 == w0:
+        ramp = (index >= w0).astype(np.float64)
+    else:
+        ramp = np.clip((index - w0) / (w1 - w0), 0.0, 1.0)
     n_pred = spec.n_predicates
-    for ch in range(spec.n_channels):
-        a, b = start[ch], end[ch]
-        if ch >= n_pred or a == b:
-            # pose channels and unchanged predicates: full-segment linear path
-            frames[:, ch] = a + (b - a) * ts
-        else:
-            # flipped predicate: ramp inside the contact window
-            ramp = np.clip((np.arange(n_frames) - w0) / max(w1 - w0, 1), 0.0, 1.0)
-            if w1 == w0:
-                ramp = (np.arange(n_frames) >= w0).astype(np.float64)
-            frames[:, ch] = a + (b - a) * ramp
+    flipped = np.zeros(spec.n_channels, dtype=bool)
+    flipped[:n_pred] = state[:n_pred] != end[:n_pred]
+    frames = state + (end - state) * np.where(flipped, ramp[:, None], ts[:, None])
 
     if jitter > 0 and n_frames > 2:
         pose_cols = np.arange(n_pred, spec.n_channels)

@@ -4,9 +4,12 @@ A domain is a fixed cast of objects with boolean predicates and, for movable
 entities, planar pose channels in [0, 1]. Frames are vectors laid out as all
 predicate channels (declaration order) followed by x/y pose channels per
 movable entity (declaration order): float64 where the domain writes them
-(the initial frame, reference segments), float32 where the velocity net
-samples them. Operators rewrite predicate literals and drag their moving
-entities toward a target object.
+(world states, reference segments), float32 where the velocity net samples
+them. A world state is such a frame whose predicate channels are exactly 0.0
+or 1.0; `DomainSpec.initial_frame` is the initial state. A predicate channel
+reads true at DECODE_THRESHOLD and above, in states and generated frames
+alike. Operators rewrite predicate literals and drag their moving entities
+toward a target object.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ MAX_INSTRUCTION_WORDS = 36
 MAX_NORM_SID = 16
 # the deepest plan: the plan graph, the suite's hard band and the oracle stop here
 MAX_PLAN_LEN = 8
+# a predicate channel at or above this value reads true
+DECODE_THRESHOLD = 0.5
 
 # the names a domain file may write: the domain's own; entities, verbs and
 # actors; predicates (entity.property); literals (a predicate, negated with "not ")
@@ -57,13 +62,9 @@ class Literal:
     def __str__(self) -> str:
         return self.pred if self.value else f"not {self.pred}"
 
-    def holds_in(self, predicates: dict[str, bool]) -> bool:
-        return predicates[self.pred] == self.value
-
     def render(self) -> str:
         """Human phrasing for instruction text: 'jar.lid_removed' -> 'lid removed'."""
-        tail = self.pred.split(".", 1)[1] if "." in self.pred else self.pred
-        tail = tail.replace("_", " ")
+        tail = self.pred.split(".", 1)[-1].replace("_", " ")
         return tail if self.value else f"not {tail}"
 
 
@@ -121,20 +122,6 @@ class ObjectSpec:
         require_unit_pair("position", self.position)
 
 
-@dataclass
-class SymbolicState:
-    """Full symbolic state: every predicate's truth value plus movable poses."""
-
-    predicates: dict[str, bool]
-    poses: dict[str, float]
-
-    def copy(self) -> "SymbolicState":
-        return SymbolicState(dict(self.predicates), dict(self.poses))
-
-    def satisfies(self, literals) -> bool:
-        return all(lit.holds_in(self.predicates) for lit in literals)
-
-
 def _table():
     """A field compiled in `DomainSpec.__post_init__`: not an argument, compared or shown."""
     return field(init=False, repr=False, compare=False)
@@ -157,21 +144,25 @@ class PlanNode(NamedTuple):
     successors: tuple[int, ...]
 
 
-class CriticTable(NamedTuple):
-    """What the critic reads to score one step kind: its literals and contact geometry.
+class OperatorTable(NamedTuple):
+    """What the dynamics and the critic read of one operator, in frame columns.
 
     `pre` and `post` are (columns, values, tags) of the distinct literals,
-    one feedback tag per literal; `progress` is (columns, 0/1 targets) of
-    every post literal. `contact` is None without a motion profile, else
-    (the acting entity's (x, y) columns, the target's (x, y) columns if it
-    moves or else its position, whether it moves, the contact fractions);
-    the critic derives the contact window per frame count.
+    one feedback tag per literal. `writes` is (columns, 0/1 values) of every
+    post literal: what applying the operator writes, and what the critic's
+    progress check measures the distance to. `motion` is None without a
+    motion profile, else (the acting entity's (x, y) columns, the (k, 2)
+    pose columns of the k moving entities, the target's (x, y) columns if
+    it moves or else its position, whether it moves, the contact
+    fractions). Applying the operator writes the target's position into
+    every moving entity's columns; the critic derives the contact window
+    per frame count.
     """
 
     pre: tuple[np.ndarray, np.ndarray, tuple[str, ...]]
     post: tuple[np.ndarray, np.ndarray, tuple[str, ...]]
-    progress: tuple[np.ndarray, np.ndarray]
-    contact: tuple | None
+    writes: tuple[np.ndarray, np.ndarray]
+    motion: tuple | None
 
 
 @dataclass
@@ -180,12 +171,12 @@ class DomainSpec:
 
     Construction checks the symbol references (see `_check_semantics`) and
     then builds, once, every table that planning, suite generation,
-    conditioning and the critic read: predicate bits, the plan graph of the
-    predicate states within MAX_PLAN_LEN steps of the initial state, the
-    encoded initial frame, and each operator's condition tails and critic
-    table. Every per-operator table is indexed by the operator's position in
-    `operators`, the index a plan step carries. The tables are derived from
-    the declared fields, so a spec is never mutated after load.
+    conditioning, the dynamics and the critic read: predicate bits, the plan
+    graph of the predicate states within MAX_PLAN_LEN steps of the initial
+    state, the initial frame, and each operator's condition tails and
+    operator table. Every per-operator table is indexed by the operator's
+    position in `operators`, the index a plan step carries. The tables are
+    derived from the declared fields, so a spec is never mutated after load.
     """
 
     name: str
@@ -199,7 +190,7 @@ class DomainSpec:
     plan_graph: tuple[PlanNode, ...] = _table()
     initial_frame: np.ndarray = _table()
     condition_tails: np.ndarray = _table()
-    critic_tables: tuple[CriticTable, ...] = _table()
+    operator_tables: tuple[OperatorTable, ...] = _table()
 
     def __post_init__(self) -> None:
         names = [p for p, _ in self.predicates]
@@ -217,7 +208,7 @@ class DomainSpec:
             np.array([1.0 if v else 0.0 for _, v in self.predicates] + poses, dtype=np.float64)
         )
         self.condition_tails = _read_only(self._condition_tails())
-        self.critic_tables = tuple(self._critic_table(op) for op in self.operators)
+        self.operator_tables = tuple(self._operator_table(op) for op in self.operators)
 
     def _plan_graph(self) -> tuple[PlanNode, ...]:
         """Every predicate state within MAX_PLAN_LEN steps of the initial state.
@@ -260,8 +251,8 @@ class DomainSpec:
         return tuple(PlanNode(key, depth, parent, op, successors(key, depth))
                      for key, depth, parent, op in nodes)
 
-    def _critic_table(self, op: Operator) -> CriticTable:
-        """The critic's table of a step of `op`."""
+    def _operator_table(self, op: Operator) -> OperatorTable:
+        """The table of `op` that the dynamics and the critic read."""
 
         def literals(lits, tag: str):
             distinct = tuple(dict.fromkeys(lits))
@@ -269,21 +260,24 @@ class DomainSpec:
                     np.array([lit.value for lit in distinct], dtype=bool),
                     tuple(tag + str(lit) for lit in distinct))
 
-        def columns(name: str) -> tuple[int, int]:
-            return self.channel_index[f"{name}.x"], self.channel_index[f"{name}.y"]
+        def columns(name: str) -> np.ndarray:
+            return np.array([self.channel_index[f"{name}.x"], self.channel_index[f"{name}.y"]],
+                            dtype=np.intp)
 
-        contact = None
+        motion = None
         if op.motion is not None:
             target = self.objects[op.motion.target]
-            contact = (columns(self.acting_entity(op)),
-                       columns(op.motion.target) if target.movable else target.position,
-                       target.movable, op.motion.contact)
-        return CriticTable(
+            motion = (columns(self.acting_entity(op)),
+                      np.array([columns(name) for name in op.motion.moves], dtype=np.intp),
+                      columns(op.motion.target) if target.movable
+                      else np.array(target.position, dtype=np.float64),
+                      target.movable, op.motion.contact)
+        return OperatorTable(
             literals(op.pre, "pre-condition-violated:"),
             literals(op.post, "post-condition-unmet:"),
             (np.array([self.channel_index[lit.pred] for lit in op.post], dtype=np.intp),
              np.array([1.0 if lit.value else 0.0 for lit in op.post])),
-            contact)
+            motion)
 
     def _condition_tails(self) -> np.ndarray:
         """The condition blocks after the frame, shape (n_ops, MAX_NORM_SID, n_ops + d + 1).
@@ -301,6 +295,13 @@ class DomainSpec:
             tails[i, :, [i] + [n_ops + self.channel_index[ch] for ch in touched]] = 1.0
         tails[:, :, -1] = np.arange(1, MAX_NORM_SID + 1) / MAX_NORM_SID
         return tails
+
+    def holds(self, frame: np.ndarray, literals) -> bool:
+        """Whether every literal holds in `frame`, its channel read at DECODE_THRESHOLD."""
+        for lit in literals:
+            if (frame.item(self.channel_index[lit.pred]) >= DECODE_THRESHOLD) != lit.value:
+                return False
+        return True
 
     def literal_masks(self, literals) -> tuple[int, int]:
         """(must-be-true, must-be-false) bitmasks of the literals."""
@@ -322,23 +323,6 @@ class DomainSpec:
 
     def movable_entities(self) -> list[str]:
         return [o for o, info in self.objects.items() if info.movable]
-
-    def initial_state(self) -> SymbolicState:
-        preds = {p: v for p, v in self.predicates}
-        poses = {}
-        for obj in self.movable_entities():
-            x, y = self.objects[obj].position
-            poses[f"{obj}.x"] = x
-            poses[f"{obj}.y"] = y
-        return SymbolicState(preds, poses)
-
-    def entity_position(self, state: SymbolicState, name: str) -> tuple[float, float]:
-        """Current position: pose channels for movables, fixed layout otherwise."""
-        if name not in self.objects:
-            raise DomainError(f"unknown entity {name!r} in domain {self.name!r}")
-        if self.objects[name].movable:
-            return (state.poses[f"{name}.x"], state.poses[f"{name}.y"])
-        return self.objects[name].position
 
     def acting_entity(self, op: Operator) -> str | None:
         """The entity whose contact with the target the critic checks.

@@ -61,18 +61,10 @@ def _tanh_grad(a: Tensor) -> Tensor:
     return np.subtract(1.0, d, out=d)
 
 
-def _softplus_grad(a: Tensor) -> Tensor:
-    d = np.negative(a)
-    np.exp(d, out=d)
-    return np.subtract(1.0, d, out=d)
-
-
-# name -> (forward in place, derivative from the activation value)
-# softplus: a = log(1+e^x) so sigma(x) = 1 - e^(-a); smooth, so finite
-# differences stay a valid oracle (unlike relu's kink)
+# name -> (forward in place, derivative from the activation value); the
+# checkpoint header names the activation, and a file naming another is refused
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (lambda h: np.tanh(h, out=h), _tanh_grad),
-    "softplus": (lambda h: np.logaddexp(0.0, h, out=h), _softplus_grad),
 }
 
 

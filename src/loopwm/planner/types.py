@@ -37,8 +37,7 @@ def _phrase_tables(spec: DomainSpec) -> tuple[dict[str, str], dict[str, str]]:
     suffix: dict[str, str | None] = {}
     for pred, _ in spec.predicates:
         full[pred.replace(".", " ").replace("_", " ")] = pred
-        tail = pred.split(".", 1)[1] if "." in pred else pred
-        tail = tail.replace("_", " ")
+        tail = Literal(pred, True).render()
         # a suffix shared by two predicates is ambiguous and unusable
         suffix[tail] = None if tail in suffix else pred
     return full, {k: v for k, v in suffix.items() if v is not None}

@@ -2,8 +2,8 @@
 
 A condition concatenates four blocks:
 
-  1. the last accepted segment's final frame (or the encoded initial state
-     when memory is empty) — width d,
+  1. the memory's context frame: the last accepted segment's final frame,
+     or the initial frame before any is accepted — width d,
   2. a one-hot over the domain's operators (declaration order) — width n_ops,
   3. an object-slot channel mask marking which channels the step is expected
      to touch: the post-literal predicate channels plus the pose channels of
@@ -12,8 +12,8 @@ A condition concatenates four blocks:
 
 The width is therefore fixed per domain: 2*d + n_ops + 1. Blocks 2-4 depend
 only on (operator, capped sid), so `DomainSpec` builds them once as the
-condition tails, and the encoded initial state once as `initial_frame`;
-`embed_condition` concatenates the memory frame with the cached tail.
+condition tails; `embed_condition` concatenates the memory frame with the
+cached tail.
 """
 
 from __future__ import annotations
@@ -33,13 +33,9 @@ def context_width(spec: DomainSpec) -> int:
 def embed_condition(spec: DomainSpec, step: PlanStep, memory) -> np.ndarray:
     """Deterministic conditioning vector for one plan step.
 
-    ``memory`` must expose ``frame: ndarray | None``, as `WorldMemory` does;
-    the encoded initial state stands in while it is None.
+    ``memory`` must expose ``frame: ndarray``, as `WorldMemory` does.
     """
-    frame = memory.frame
-    if frame is None:
-        frame = spec.initial_frame
-    frame = np.asarray(frame, dtype=np.float64)
+    frame = np.asarray(memory.frame, dtype=np.float64)
     if frame.shape != (len(spec.channels),):
         raise DomainError(
             f"context frame has width {frame.shape}, expected ({len(spec.channels)},)"

@@ -109,7 +109,7 @@ def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int
         walk_len = int(rng.integers(1, max_walk + 1))
         for sid in range(1, walk_len + 1):
             applicable = [i for i, op in enumerate(spec.operators)
-                          if memory.state.satisfies(op.pre)]
+                          if spec.holds(memory.state, op.pre)]
             if not applicable:
                 break
             step = PlanStep(sid, applicable[int(rng.integers(0, len(applicable)))])

@@ -11,8 +11,8 @@ oracle for a fast path or a reader or view that only the tests need:
   `NetParams` it runs the same float32 operations as `sft_train`, which
   validates its demos once and runs them on its own input rows, and on a
   float64 `PlainNet` it is the float64 oracle;
-- `decode_frame` reads a frame back into a symbolic state, thresholding
-  predicate channels as the critic does;
+- `decode_frame` reads a frame back into plain dicts of predicate truth
+  values and poses, thresholding predicate channels as the critic does;
 - `channel_mask` is one step's block of the condition tails that
   `DomainSpec` compiles;
 - `evaluate` scores one segment against its plan step: the one-row
@@ -64,12 +64,10 @@ from loopwm.microworld import (
     DomainSpec,
     Literal,
     Segment,
-    SymbolicState,
     contact_window_frames,
     load_domain,
 )
-from loopwm.microworld.frames import DECODE_THRESHOLD
-from loopwm.microworld.types import Operator
+from loopwm.microworld.types import DECODE_THRESHOLD, Operator
 from loopwm.numerics import (
     Tensor,
     net_activations,
@@ -155,8 +153,9 @@ def flow_matching_loss(theta, conds: np.ndarray, xs: np.ndarray,
             net_backward_batch(theta, acts, 2.0 * resid / resid.size))
 
 
-def decode_frame(spec: DomainSpec, frame: np.ndarray) -> SymbolicState:
-    """Threshold predicates at 0.5 (ties decode to true); clip poses into [0, 1]."""
+def decode_frame(spec: DomainSpec, frame: np.ndarray) -> tuple[dict[str, bool], dict[str, float]]:
+    """(predicates, poses) by name: predicates thresholded at 0.5 (ties decode to true),
+    poses clipped into [0, 1]."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (spec.n_channels,):
         raise ValueError(f"frame has shape {frame.shape}, expected ({spec.n_channels},)")
@@ -167,7 +166,7 @@ def decode_frame(spec: DomainSpec, frame: np.ndarray) -> SymbolicState:
         for axis in ("x", "y"):
             ch = f"{obj}.{axis}"
             poses[ch] = float(np.clip(frame[spec.channel_index[ch]], 0.0, 1.0))
-    return SymbolicState(preds, poses)
+    return preds, poses
 
 
 def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FORWARD = {"tanh": np.tanh, "softplus": lambda x: np.logaddexp(0.0, x)}
-_DERIVATIVE = {"tanh": lambda a: 1.0 - a * a, "softplus": lambda a: 1.0 - np.exp(-a)}
+_FORWARD = {"tanh": np.tanh}
+_DERIVATIVE = {"tanh": lambda a: 1.0 - a * a}
 
 
 def layer_arrays(sizes, vector) -> list[np.ndarray]:

@@ -28,7 +28,7 @@ import numpy as np
 from loopwm.critic import DEFAULT_WEIGHTS, evaluate_rows
 from loopwm.errors import LoopwmError
 from loopwm.loop import Critique, LoopConfig, episode
-from loopwm.microworld import Segment, encode_state
+from loopwm.microworld import Segment
 from loopwm.worldmodel import embed_condition, sample_group
 
 
@@ -130,7 +130,4 @@ class FrozenPolicy(GeneratePolicy):
         self.n_frames = n_frames
 
     def generate(self, step, memory, rng):
-        frame = memory.frame
-        if frame is None:
-            frame = encode_state(self.spec, memory.state)
-        return Segment(frames=np.tile(frame, (self.n_frames, 1)))
+        return Segment(frames=np.tile(memory.frame, (self.n_frames, 1)))

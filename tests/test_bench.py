@@ -56,7 +56,7 @@ def test_generate_suite_counts_and_bands(kitchen):
     assert suite.counts() == {"simple": 10, "medium": 10, "hard": 5}
     for task in suite.tasks:
         lo, hi = BANDS[task.difficulty]
-        m = minimal_plan_length(kitchen, kitchen.initial_state(), task.goal.literals)
+        m = minimal_plan_length(kitchen, kitchen.initial_frame, task.goal.literals)
         assert m == task.min_steps
         assert lo <= m <= hi
 
@@ -81,7 +81,7 @@ def test_generate_suite_deterministic(kitchen):
 @pytest.mark.parametrize("name", ["kitchen", "workshop"])
 def test_reachable_state_lengths_match_the_oracle(name):
     spec = load_domain(name)
-    start = spec.initial_state()
+    start = spec.initial_frame
     rng = RandomSource(0)
 
     def depth(literals):

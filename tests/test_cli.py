@@ -1113,6 +1113,21 @@ def test_bench_critic_weights_reach_the_builtin_critic(tmp_path, capsys):
     assert report("default") != report("realism")
 
 
+ORACLE_REPORT_SHA256 = "c1c2809684e86fbc077058a7af922690e825d8ba5fe94177e50cfda6fe8ffff2"
+
+
+def test_oracle_bench_keeps_its_bytes(tmp_path, capsys):
+    # the oracle is the one bench policy whose segments start at the memory's
+    # simulated state, so this pins the dynamics and the reference generator
+    # on every step of a run of the pinned suite
+    out = tmp_path / "oracle"
+    assert main(["bench", "--oracle", "--counts", "3,3,1", "--n-frames", "8", "--seed", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "reports" / "report.json").read_bytes()).hexdigest()
+    assert digest == ORACLE_REPORT_SHA256
+
+
 def test_bench_tau_reaches_the_critique_pass(tmp_path, capsys):
     # the oracle's segments clear the default tau on every step and none
     # clears 0.95, so completeness reads 1 at the one and 0 at the other;

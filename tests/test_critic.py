@@ -54,7 +54,7 @@ def open_jar_step(kitchen):
 
 def test_reference_segment_scores_high(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
+    seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
     report = evaluate(kitchen, seg, step)
     assert report.scores["action_adherence"] >= 0.9
     assert report.scores["goal_achievement"] == 1.0
@@ -71,7 +71,7 @@ def test_reference_segment_scores_high(kitchen):
 def test_chained_references_score_high_everywhere(domain_name, goal_lits):
     spec = load_domain(domain_name)
     seq = plan(spec, Goal(tuple(parse_literal(t) for t in goal_lits)))
-    state = spec.initial_state()
+    state = spec.initial_frame
     for step in seq:
         seg = reference_segment(spec, state, step.op, 16)
         report = evaluate(spec, seg, step)
@@ -83,7 +83,7 @@ def test_chained_references_score_high_everywhere(domain_name, goal_lits):
 
 def test_frozen_segment_fails_with_post_condition_tags(kitchen):
     step = open_jar_step(kitchen)
-    first = reference_segment(kitchen, kitchen.initial_state(), step.op, 16).frames[0]
+    first = reference_segment(kitchen, kitchen.initial_frame, step.op, 16).frames[0]
     frozen = Segment(np.tile(first, (16, 1)))
     report = evaluate(kitchen, frozen, step)
     assert report.scores["goal_achievement"] == 0.0
@@ -95,7 +95,7 @@ def test_frozen_segment_fails_with_post_condition_tags(kitchen):
 
 def test_teleporting_pose_tanks_realism(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
+    seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
     frames = seg.frames.copy()
     hx = kitchen.channel_index["hand.x"]
     hy = kitchen.channel_index["hand.y"]
@@ -125,7 +125,7 @@ def test_aggregate_is_weighted_mean():
 
 def test_scalar_equals_weighted_mean_on_reports(kitchen):
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
+    seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
     weights = CriticWeights(0.2, 0.2, 0.2, 0.2, 0.2)
     report = evaluate(kitchen, seg, step, weights=weights)
     assert report.scalar == pytest.approx(aggregate(report.scores, weights))
@@ -144,8 +144,7 @@ def test_interaction_not_applicable_scores_one():
         }],
     }
     spec = domain_from_dict(raw)
-    state = spec.initial_state()
-    seg = reference_segment(spec, state, 0, 16)
+    seg = reference_segment(spec, spec.initial_frame, 0, 16)
     report = evaluate(spec, seg, PlanStep(1, 0))
     assert report.scores["object_interaction"] == 1.0
     assert report.contact_applicable is False
@@ -185,10 +184,10 @@ def pinned_suite_steps():
 def reference_scores(spec, frames, step):
     """The five scores of one (F, C) segment from decoded frames, segment by segment."""
     op = spec.operators[step.op]
-    first = decode_frame(spec, frames[0]).predicates
-    final = decode_frame(spec, frames[-1]).predicates
-    post = {lit: lit.holds_in(final) for lit in op.post}
-    pre = {lit: lit.holds_in(first) for lit in op.pre}
+    first, _ = decode_frame(spec, frames[0])
+    final, _ = decode_frame(spec, frames[-1])
+    post = {lit: final[lit.pred] == lit.value for lit in op.post}
+    pre = {lit: first[lit.pred] == lit.value for lit in op.pre}
     goal = float(np.mean(list(post.values()))) if post else 1.0
     pre_frac = float(np.mean(list(pre.values()))) if pre else 1.0
     cols = [spec.channel_index[lit.pred] for lit in op.post]
@@ -336,7 +335,7 @@ def test_realism_clamps_at_zero_and_tags_physics_violation(kitchen):
     # the realism severity factor is clamped at 0: a frame far outside the
     # value box zeroes the dimension instead of driving it negative
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
+    seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
     frames = seg.frames.copy()
     frames[8, kitchen.channel_index["hand.x"]] = VALUE_BOX[1] + 4 * MAX_FRAME_DELTA
     report = evaluate(kitchen, Segment(frames), step, tau=0.95)
@@ -353,7 +352,7 @@ def test_scalar_below_tau_without_a_fault_tags_the_weakest_dimension(kitchen):
     # a segment with no specific fault still gets a tag when its scalar is
     # below tau: the weakest dimension, as a low-score tag
     step = open_jar_step(kitchen)
-    seg = reference_segment(kitchen, kitchen.initial_state(), step.op, 16)
+    seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
     passing = evaluate(kitchen, seg, step)
     assert passing.tags == ()
     strict = evaluate(kitchen, seg, step, tau=1.5)
@@ -368,7 +367,7 @@ def test_reports_have_one_score_per_dimension(kitchen):
     # a record that nothing changes after the critic builds it
     step = open_jar_step(kitchen)
     segment = reference_segment(
-        kitchen, kitchen.initial_state(), step.op, rng=RandomSource(1)
+        kitchen, kitchen.initial_frame, step.op, rng=RandomSource(1)
     )
     report = evaluate(kitchen, segment, step)
     assert set(report.scores) == set(DIMENSIONS)
@@ -448,14 +447,14 @@ def every_operator(name):
     declaration order at sids 1, 2, ..., with the first state of a breadth-first
     walk from the initial state where the operator applies."""
     spec = load_domain(name)
-    found, seen, queue = {}, set(), [spec.initial_state()]
+    found, seen, queue = {}, set(), [spec.initial_frame]
     for state in queue:
-        key = frozenset(p for p, v in state.predicates.items() if v)
+        key = state[:spec.n_predicates].tobytes()
         if key in seen:
             continue
         seen.add(key)
         for op, operator in enumerate(spec.operators):
-            if state.satisfies(operator.pre):
+            if spec.holds(state, operator.pre):
                 found.setdefault(op, state)
                 queue.append(apply_operator(spec, state, op))
     assert len(found) == len(spec.operators)
@@ -546,7 +545,7 @@ def test_tables_never_leak_across_specs_or_frame_counts():
     assert list(map(str, relaid.operators)) == list(map(str, kitchen.operators))
     step, state = pairs[0]
     steps = [s for s, _ in pairs]
-    tables = {spec.name: spec.critic_tables for spec in (kitchen, relaid)}
+    tables = {spec.name: spec.operator_tables for spec in (kitchen, relaid)}
     globals_before = set(vars(scoring))
     rng = np.random.default_rng(5)
     for n_frames in (8, 16, 8):
@@ -560,6 +559,6 @@ def test_tables_never_leak_across_specs_or_frame_counts():
             assert by_spec[spec.name] == evaluate_rows(fresh, frames, steps)
         assert by_spec[kitchen.name] != by_spec[relaid.name]
     for spec in (kitchen, relaid):
-        assert spec.critic_tables is tables[spec.name]
-        assert len(spec.critic_tables) == len(spec.operators)
+        assert spec.operator_tables is tables[spec.name]
+        assert len(spec.operator_tables) == len(spec.operators)
     assert set(vars(scoring)) == globals_before

@@ -316,7 +316,7 @@ def test_rollout_requires_stochastic_sampler(kitchen):
 
 def test_member_reward_sources(kitchen):
     step = first_step(kitchen, "kettle.grasped")
-    segment = reference_segment(kitchen, kitchen.initial_state(), step.op,
+    segment = reference_segment(kitchen, kitchen.initial_frame, step.op,
                                 n_frames=8)
     report = evaluate(kitchen, segment, step)
     scored = score_group(kitchen, segment.frames[None], step)

@@ -36,17 +36,17 @@ def goal_of(*texts):
 
 def random_solvable_goal(spec, rng, max_walk=5):
     """Random walk from the initial state; goal literals sampled from the end state."""
-    state = spec.initial_state()
+    state = spec.initial_frame
     for _ in range(int(rng.integers(1, max_walk + 1))):
-        applicable = [i for i, op in enumerate(spec.operators) if state.satisfies(op.pre)]
+        applicable = [i for i, op in enumerate(spec.operators) if spec.holds(state, op.pre)]
         if not applicable:
             break
         state = apply_operator(spec, state, applicable[int(rng.integers(0, len(applicable)))])
-    preds = sorted(state.predicates)
+    preds = sorted(p for p, _ in spec.predicates)
     k = int(rng.integers(1, 4))
     picks = [preds[int(rng.integers(0, len(preds)))] for _ in range(k)]
     literals = tuple(sorted({
-        parse_literal(p if state.predicates[p] else f"not {p}") for p in picks
+        parse_literal(p if state[spec.channel_index[p]] else f"not {p}") for p in picks
     }, key=str))
     return Goal(literals)
 
@@ -212,14 +212,13 @@ def test_memory_advance_chain_replay(kitchen):
     from loopwm.planner import plan
     seq = plan(kitchen, goal)
     rng = RandomSource(10)
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     for step in seq:
         seg = reference_segment(kitchen, memory.state, step.op, rng=rng)
         memory.advance(step, seg)
         state = apply_operator(kitchen, state, step.op)
         assert np.array_equal(memory.frame, seg.final_frame)
-    assert memory.state.predicates == state.predicates
-    assert memory.state.poses == state.poses
+    assert memory.state.tobytes() == state.tobytes()
 
 
 # ------------------------------------------------- batched and lockstep sampling

@@ -11,14 +11,13 @@ from loopwm.errors import DomainError, NumericError, PreconditionError
 from loopwm.microworld import (
     BUILTIN_DOMAINS,
     Segment,
-    SymbolicState,
     apply_operator,
     canonical_dict,
     contact_window_frames,
     domain_from_dict,
     domain_hash,
-    encode_state,
     load_domain,
+    parse_literal,
     reference_segment,
 )
 from conftest import op_index
@@ -299,28 +298,31 @@ def test_domain_hash_is_stable_and_sensitive(kitchen):
 
 
 def test_encode_initial_state(kitchen):
-    frame = encode_state(kitchen, kitchen.initial_state())
+    frame = kitchen.initial_frame
+    assert frame.dtype == np.float64 and not frame.flags.writeable
     assert frame[kitchen.channel_index["jar.closed"]] == 1.0
     assert frame[kitchen.channel_index["cup.full"]] == 0.0
     assert frame[kitchen.channel_index["hand.x"]] == pytest.approx(0.49)
 
 
 def test_decode_threshold_ties_resolve_true(kitchen):
-    frame = encode_state(kitchen, kitchen.initial_state())
+    frame = kitchen.initial_frame.copy()
     frame[kitchen.channel_index["cup.full"]] = 0.5
-    state = decode_frame(kitchen, frame)
-    assert state.predicates["cup.full"] is True
+    predicates, _ = decode_frame(kitchen, frame)
+    assert predicates["cup.full"] is True
+    assert kitchen.holds(frame, [parse_literal("cup.full")])
     frame[kitchen.channel_index["cup.full"]] = 0.49999
-    assert decode_frame(kitchen, frame).predicates["cup.full"] is False
+    assert decode_frame(kitchen, frame)[0]["cup.full"] is False
+    assert kitchen.holds(frame, [parse_literal("not cup.full")])
 
 
 def test_decode_clips_poses(kitchen):
-    frame = encode_state(kitchen, kitchen.initial_state())
+    frame = kitchen.initial_frame.copy()
     frame[kitchen.channel_index["hand.x"]] = 1.7
     frame[kitchen.channel_index["hand.y"]] = -0.2
-    state = decode_frame(kitchen, frame)
-    assert state.poses["hand.x"] == 1.0
-    assert state.poses["hand.y"] == 0.0
+    _, poses = decode_frame(kitchen, frame)
+    assert poses["hand.x"] == 1.0
+    assert poses["hand.y"] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,30 +336,34 @@ def test_encode_decode_roundtrip(data):
             poses[f"{obj}.{axis}"] = data.draw(
                 st.floats(0.0, 1.0, allow_nan=False), label=f"{obj}.{axis}"
             )
-    state = SymbolicState(preds, poses)
-    back = decode_frame(kitchen, encode_state(kitchen, state))
-    assert back.predicates == state.predicates
-    for ch, v in state.poses.items():
-        assert back.poses[ch] == pytest.approx(v, abs=1e-12)
+    frame = np.empty(kitchen.n_channels)
+    for name, value in {**preds, **poses}.items():
+        frame[kitchen.channel_index[name]] = value
+    back_preds, back_poses = decode_frame(kitchen, frame)
+    assert back_preds == preds
+    assert back_poses == poses
+
+
+def channels(spec, frame, *names):
+    """The frame's values at the named channels."""
+    return tuple(frame[spec.channel_index[name]] for name in names)
 
 
 def test_apply_operator_open_jar(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     out = apply_operator(kitchen, state, OPEN_JAR)
-    assert out.predicates["jar.closed"] is False
-    assert out.predicates["jar.lid_removed"] is True
-    # untouched predicates preserved
-    assert out.predicates["cup.full"] is False
-    # hand dragged onto the jar; original state unchanged
-    assert (out.poses["hand.x"], out.poses["hand.y"]) == kitchen.objects["jar"].position
-    assert state.predicates["jar.closed"] is True
+    assert out.dtype == np.float64 and out.flags.writeable
+    # post literals written, untouched predicates preserved
+    assert channels(kitchen, out, "jar.closed", "jar.lid_removed", "cup.full") == (0.0, 1.0, 0.0)
+    # hand dragged onto the jar; the initial frame unchanged
+    assert channels(kitchen, out, "hand.x", "hand.y") == kitchen.objects["jar"].position
+    assert channels(kitchen, state, "jar.closed") == (1.0,)
 
 
 def test_apply_operator_precondition_error_names_literals(kitchen):
-    state = kitchen.initial_state()
-    state.predicates["cup.full"] = True
-    state.predicates["cup.has_tea"] = True
-    state.predicates["kettle.grasped"] = True
+    state = kitchen.initial_frame.copy()
+    for name in ("cup.full", "cup.has_tea", "kettle.grasped"):
+        state[kitchen.channel_index[name]] = 1.0
     with pytest.raises(PreconditionError,
                        match=r"^pour\(kettle, cup\) \[kettle\] not applicable: unmet not cup.full"):
         apply_operator(kitchen, state, POUR_WATER)
@@ -365,11 +371,12 @@ def test_apply_operator_precondition_error_names_literals(kitchen):
 
 def test_moving_target_position_read_before_motion(kitchen):
     # pour(kettle, cup): kettle and hand both land on the cup's fixed position
-    state = kitchen.initial_state()
-    state.predicates.update({"kettle.grasped": True, "cup.has_tea": True})
+    state = kitchen.initial_frame.copy()
+    for name in ("kettle.grasped", "cup.has_tea"):
+        state[kitchen.channel_index[name]] = 1.0
     out = apply_operator(kitchen, state, POUR_WATER)
-    assert (out.poses["kettle.x"], out.poses["kettle.y"]) == kitchen.objects["cup"].position
-    assert (out.poses["hand.x"], out.poses["hand.y"]) == kitchen.objects["cup"].position
+    assert channels(kitchen, out, "kettle.x", "kettle.y") == kitchen.objects["cup"].position
+    assert channels(kitchen, out, "hand.x", "hand.y") == kitchen.objects["cup"].position
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -397,16 +404,14 @@ def test_contact_window_frames_default():
 
 
 def test_reference_segment_two_frames_exact(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     seg = reference_segment(kitchen, state, OPEN_JAR, n_frames=2)
-    np.testing.assert_array_equal(seg.frames[0], encode_state(kitchen, state))
-    np.testing.assert_array_equal(
-        seg.frames[1], encode_state(kitchen, apply_operator(kitchen, state, OPEN_JAR))
-    )
+    np.testing.assert_array_equal(seg.frames[0], state)
+    np.testing.assert_array_equal(seg.frames[1], apply_operator(kitchen, state, OPEN_JAR))
 
 
 def test_reference_segment_pose_delta_bound(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     seg = reference_segment(kitchen, state, OPEN_JAR, n_frames=16)
     n_pred = kitchen.n_predicates
     for ch in range(n_pred, kitchen.n_channels):
@@ -416,11 +421,10 @@ def test_reference_segment_pose_delta_bound(kitchen):
 
 
 def test_reference_segment_endpoints_and_window_switch(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     seg = reference_segment(kitchen, state, OPEN_JAR, n_frames=16)
-    np.testing.assert_array_equal(seg.frames[0], encode_state(kitchen, state))
-    result = apply_operator(kitchen, state, OPEN_JAR)
-    np.testing.assert_array_equal(seg.frames[-1], encode_state(kitchen, result))
+    np.testing.assert_array_equal(seg.frames[0], state)
+    np.testing.assert_array_equal(seg.frames[-1], apply_operator(kitchen, state, OPEN_JAR))
     ch = kitchen.channel_index["jar.lid_removed"]
     # constant outside the contact window, monotone ramp inside
     assert np.all(seg.frames[:4, ch] == 0.0)
@@ -430,7 +434,7 @@ def test_reference_segment_endpoints_and_window_switch(kitchen):
 
 
 def test_reference_segment_jitter_rules(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     with pytest.raises(ValueError, match="jitter"):
         reference_segment(kitchen, state, OPEN_JAR, jitter=0.5)
     with pytest.raises(ValueError, match="RandomSource"):
@@ -447,6 +451,6 @@ def test_reference_segment_jitter_rules(kitchen):
 
 
 def test_reference_segment_requires_preconditions(kitchen):
-    state = kitchen.initial_state()
+    state = kitchen.initial_frame
     with pytest.raises(PreconditionError):
         reference_segment(kitchen, state, POUR_TEA)

@@ -1,13 +1,14 @@
 import pytest
 
 from loopwm.bench.oracle import minimal_plan_length
-from loopwm.errors import DomainError, NoPlanError
+from loopwm.errors import DomainError, NoPlanError, PreconditionError
 from conftest import chain_domain_dict, op_index
 from loopwm.microworld import (
     MAX_PLAN_LEN,
     Literal,
     apply_operator,
     domain_from_dict,
+    load_domain,
     parse_literal,
 )
 from loopwm.numerics import RandomSource
@@ -44,7 +45,7 @@ def test_six_step_plan(kitchen):
     goal = goal_of("cup.stirred")
     seq = plan(kitchen, goal)
     assert len(seq) == 6
-    assert minimal_plan_length(kitchen, kitchen.initial_state(), goal.literals) == 6
+    assert minimal_plan_length(kitchen, kitchen.initial_frame, goal.literals) == 6
 
 
 def test_goal_already_satisfied_gives_empty_plan(kitchen):
@@ -60,7 +61,7 @@ def test_unreachable_goal_raises(kitchen):
 def test_plans_reach_the_cap_and_no_further():
     # step i of the chain needs the literal step i - 1 sets, so chain.p<i> is i deep
     spec = domain_from_dict(chain_domain_dict(MAX_PLAN_LEN + 1))
-    start = spec.initial_state()
+    start = spec.initial_frame
     deepest = goal_of(f"chain.p{MAX_PLAN_LEN}")
     seq = plan(spec, deepest)
     assert [spec.operators[s.op].verb for s in seq] == [
@@ -72,6 +73,43 @@ def test_plans_reach_the_cap_and_no_further():
     assert minimal_plan_length(spec, start, beyond.literals) is None
     assert minimal_plan_length(spec, start, beyond.literals, MAX_PLAN_LEN + 1) == MAX_PLAN_LEN + 1
     assert max(node.depth for node in spec.plan_graph) == MAX_PLAN_LEN
+
+
+@pytest.mark.parametrize("name", ["kitchen", "workshop", "chain"])
+def test_plan_graph_matches_the_dynamics(name):
+    # the graph's bit keys and the operator tables' frame columns are two
+    # compilations of one domain: each node's parent chain, applied to the
+    # initial frame, lands on a state whose predicate channels encode the
+    # node's key, and the operators applicable there lead to its successors
+    if name == "chain":
+        spec = domain_from_dict(chain_domain_dict(MAX_PLAN_LEN))
+    else:
+        spec = load_domain(name)
+    n_pred = spec.n_predicates
+
+    def key(frame):
+        assert set(frame[:n_pred].tolist()) <= {0.0, 1.0}
+        return sum(1 << i for i in range(n_pred) if frame[i] == 1.0)
+
+    index = {node.key: n for n, node in enumerate(spec.plan_graph)}
+    for node in spec.plan_graph:
+        ops, at = [], node
+        while at.parent != -1:
+            ops.append(at.op)
+            at = spec.plan_graph[at.parent]
+        frame = spec.initial_frame
+        for op in reversed(ops):
+            frame = apply_operator(spec, frame, op)
+        assert key(frame) == node.key
+        if node.depth == MAX_PLAN_LEN:
+            continue
+        reached = []
+        for op in range(len(spec.operators)):
+            try:
+                reached.append(index[key(apply_operator(spec, frame, op))])
+            except PreconditionError:
+                pass
+        assert node.successors == tuple(reached)
 
 
 def test_unknown_goal_predicate_raises(kitchen):
@@ -98,15 +136,15 @@ def _reachable_states(spec, limit=5000):
     from collections import deque
 
     def key(state):
-        return frozenset(p for p, v in state.predicates.items() if v)
+        return state[:spec.n_predicates].tobytes()
 
-    start = spec.initial_state()
+    start = spec.initial_frame
     seen = {key(start): start}
     queue = deque([start])
     while queue and len(seen) < limit:
         cur = queue.popleft()
         for i, op in enumerate(spec.operators):
-            if cur.satisfies(op.pre):
+            if spec.holds(cur, op.pre):
                 nxt = apply_operator(spec, cur, i)
                 if key(nxt) not in seen:
                     seen[key(nxt)] = nxt
@@ -119,11 +157,11 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
     spec = request.getfixturevalue(domain_fixture)
     rng = RandomSource(2289, 5)
     states = _reachable_states(spec)
-    initial = spec.initial_state()
+    initial = spec.initial_frame
     checked = 0
     for _ in range(100):
         target = states[rng.choice(len(states))]
-        true_lits = [parse_literal(p) for p, v in target.predicates.items() if v]
+        true_lits = [parse_literal(p) for i, (p, _) in enumerate(spec.predicates) if target[i]]
         if not true_lits:
             continue
         k = 1 + rng.choice(min(3, len(true_lits)))
@@ -132,9 +170,9 @@ def test_fuzz_plans_validate_and_match_oracle(domain_fixture, request):
         seq = plan(spec, goal)
         state = initial
         for step in seq:
-            assert state.satisfies(spec.operators[step.op].pre)
+            assert spec.holds(state, spec.operators[step.op].pre)
             state = apply_operator(spec, state, step.op)
-        assert state.satisfies(goal.literals)
+        assert spec.holds(state, goal.literals)
         oracle_len = minimal_plan_length(spec, initial, goal.literals)
         assert oracle_len == len(seq)
         checked += 1

@@ -2,8 +2,8 @@
 against the uncached assembly.
 
 `reference_search` is a breadth-first search from the initial state written
-over `SymbolicState` predicate dicts, reading each operator's literals
-directly and none of the tables `DomainSpec` compiles. `plan` must return its
+over plain predicate dicts, built from `spec.predicates` and each operator's
+literals and from none of the tables `DomainSpec` compiles. `plan` must return its
 operator indices, or both must find no plan.
 """
 
@@ -19,8 +19,6 @@ from loopwm.memory import WorldMemory
 from loopwm.microworld import (
     MAX_PLAN_LEN,
     Literal,
-    SymbolicState,
-    encode_state,
     load_domain,
     reference_segment,
 )
@@ -31,19 +29,20 @@ SPECS = {name: load_domain(name) for name in ("kitchen", "workshop")}
 
 
 def _true_predicates(state):
-    return frozenset(p for p, v in state.predicates.items() if v)
+    return frozenset(p for p, v in state.items() if v)
+
+
+def _holds(state, literals):
+    return all(state[lit.pred] == lit.value for lit in literals)
 
 
 def _successor(state, op):
-    predicates = dict(state.predicates)
-    for lit in op.post:
-        predicates[lit.pred] = lit.value
-    return SymbolicState(predicates, state.poses)
+    return {**state, **{lit.pred: lit.value for lit in op.post}}
 
 
 def reference_search(spec, goal):
-    state = spec.initial_state()
-    if state.satisfies(goal.literals):
+    state = dict(spec.predicates)
+    if _holds(state, goal.literals):
         return ()
     ordered = sorted(enumerate(spec.operators), key=lambda pair: (pair[1].verb, pair[1].objects))
     queue = deque([(state, ())])
@@ -51,14 +50,14 @@ def reference_search(spec, goal):
     while queue:
         current, path = queue.popleft()
         for index, op in ordered:
-            if not current.satisfies(op.pre):
+            if not _holds(current, op.pre):
                 continue
             nxt = _successor(current, op)
             key = _true_predicates(nxt)
             if key in visited:
                 continue
             new_path = path + (index,)
-            if nxt.satisfies(goal.literals):
+            if _holds(nxt, goal.literals):
                 return new_path
             visited.add(key)
             queue.append((nxt, new_path))
@@ -75,9 +74,9 @@ def _outcome(search, spec, goal):
 @st.composite
 def walked_states(draw, spec):
     """A state reached from the initial state by a random walk of 0-8 applicable operators."""
-    state = spec.initial_state()
+    state = dict(spec.predicates)
     for _ in range(draw(st.integers(0, 8))):
-        applicable = [op for op in spec.operators if state.satisfies(op.pre)]
+        applicable = [op for op in spec.operators if _holds(state, op.pre)]
         if not applicable:
             break
         state = _successor(state, draw(st.sampled_from(applicable)))
@@ -92,7 +91,7 @@ def goals(draw, spec):
     if draw(st.booleans()):
         target = draw(walked_states(spec))
         picks = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-        return Goal(tuple(Literal(p, target.predicates[p]) for p in picks))
+        return Goal(tuple(Literal(p, target[p]) for p in picks))
     literals = draw(st.lists(st.builds(Literal, st.sampled_from(names), st.booleans()),
                              min_size=1, max_size=3))
     return Goal(tuple(literals))
@@ -110,15 +109,12 @@ def test_bitmask_search_matches_dict_state_reference(name, data):
     steps = _outcome(plan, spec, goal)
     expected = _outcome(reference_search, spec, goal)
     assert (None if steps is None else tuple(s.op for s in steps)) == expected
-    length = minimal_plan_length(spec, spec.initial_state(), goal.literals)
+    length = minimal_plan_length(spec, spec.initial_frame, goal.literals)
     assert length == (None if steps is None else len(steps))
 
 
 def _uncached_condition(spec, step, memory):
     """Frame, one-hot, channel mask and capped sid, each assembled from the declared fields."""
-    frame = memory.frame
-    if frame is None:
-        frame = encode_state(spec, spec.initial_state())
     op = spec.operators[step.op]
     one_hot = np.zeros(len(spec.operators))
     one_hot[step.op] = 1.0
@@ -129,7 +125,7 @@ def _uncached_condition(spec, step, memory):
         mask[spec.channels.index(f"{entity}.x")] = 1.0
         mask[spec.channels.index(f"{entity}.y")] = 1.0
     sid = np.array([min(step.sid, MAX_NORM_SID) / MAX_NORM_SID])
-    return np.concatenate([np.asarray(frame, dtype=np.float64), one_hot, mask, sid])
+    return np.concatenate([np.asarray(memory.frame, dtype=np.float64), one_hot, mask, sid])
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -137,9 +133,9 @@ def test_embed_condition_matches_uncached_assembly(name):
     spec = SPECS[name]
     fresh = WorldMemory.fresh(spec)
     advanced = WorldMemory.fresh(spec)
-    first = next(i for i, op in enumerate(spec.operators) if advanced.state.satisfies(op.pre))
+    first = next(i for i, op in enumerate(spec.operators) if spec.holds(advanced.state, op.pre))
     advanced.advance(PlanStep(1, first), reference_segment(spec, advanced.state, first))
-    assert advanced.frame is not None
+    assert not np.array_equal(advanced.frame, fresh.frame)
     for memory in (fresh, advanced):
         for op in range(len(spec.operators)):
             for sid in range(1, 21):

@@ -16,7 +16,7 @@ from loopwm.errors import (
 )
 from loopwm.loop import Request
 from loopwm.memory import WorldMemory
-from loopwm.microworld import encode_state, parse_literal, reference_segment
+from loopwm.microworld import parse_literal, reference_segment
 from loopwm.numerics import (
     DTYPE,
     RandomSource,
@@ -92,7 +92,7 @@ def test_context_width_and_initial_frame(kitchen):
     cond = embed_condition(kitchen, steps[0], memory)
     assert cond.shape == (width,)
     d = len(kitchen.channels)
-    np.testing.assert_array_equal(cond[:d], encode_state(kitchen, kitchen.initial_state()))
+    np.testing.assert_array_equal(cond[:d], kitchen.initial_frame)
     # one-hot block sums to exactly one
     assert cond[d:d + len(kitchen.operators)].sum() == 1.0
 
@@ -383,7 +383,7 @@ def round_of_requests(spec, config, seed, n):
     """A round of requests from three streams: two steps of one plan, one with memory."""
     steps = plan_steps(spec, "cup.full")
     advanced = WorldMemory.fresh(spec)
-    advanced.advance(steps[0], reference_segment(spec, spec.initial_state(), steps[0].op,
+    advanced.advance(steps[0], reference_segment(spec, spec.initial_frame, steps[0].op,
                                                  n_frames=config.n_frames, rng=RandomSource(9)))
     return [Request(steps[1], WorldMemory.fresh(spec), RandomSource(seed, 1), n),
             Request(steps[0], WorldMemory.fresh(spec), RandomSource(seed, 2), 1),
@@ -822,8 +822,7 @@ def test_build_demos_chain_from_initial_state(kitchen):
         assert cond.shape == (width,)
         assert seg.frames.shape == (6, d)
         assert np.all(np.isfinite(cond))
-    np.testing.assert_array_equal(
-        demos[0][0][:d], encode_state(kitchen, kitchen.initial_state()))
+    np.testing.assert_array_equal(demos[0][0][:d], kitchen.initial_frame)
     again = build_demos(kitchen, 40, RandomSource(91), n_frames=6)
     for (c0, s0), (c1, s1) in zip(demos, again):
         np.testing.assert_array_equal(c0, c1)
