@@ -4,8 +4,11 @@ Each section is a frozen dataclass and `RunConfig()` is the defaults. `parse`
 builds one from a YAML tree with the walk of `loopwm.parse`, the one domain
 files go through too: it rejects unknown keys, leaves missing ones to the
 field defaults, converts no strings, and names the dotted key of a value of
-another type; each `__post_init__` checks ranges. The resolved config is
-written into every run directory to reproduce the run.
+another type; each `__post_init__` checks ranges. Every field is a key: what
+the program derives, such as a frame's width (the domain's channel count),
+is no field. The resolved config is written into every run directory to
+reproduce the run, and the run directory itself is the command's `--out`
+flag, not a key.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ class RunConfig:
 
     domain: str = "kitchen"
     seed: int = 0
-    out: str | None = None
     loop: LoopConfig = field(default_factory=LoopConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     net: NetConfig = field(default_factory=NetConfig)
@@ -107,10 +109,6 @@ class RunConfig:
     grpo: GrpoConfig = field(default_factory=GrpoConfig)
     critic: CriticConfig = field(default_factory=CriticConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
-
-
-# The frame width comes from the domain, so no file or flag sets it.
-_FROM_DOMAIN = {("sampler", "frame_width")}
 
 
 def _config_key(path: tuple) -> str:
@@ -122,14 +120,13 @@ def parse(cls, tree):
 
     The constructors' range checks raise as the sections are built.
     """
-    return build(cls, tree, _config_key, skip=_FROM_DOMAIN)
+    return build(cls, tree, _config_key)
 
 
-def _plain(value, path: tuple = ()):
+def _plain(value):
     """The YAML-safe tree of a parsed value: sections as mappings, tuples as lists."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name), path + (f.name,))
-                for f in fields(value) if path + (f.name,) not in _FROM_DOMAIN}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 

@@ -15,7 +15,6 @@ commands read typed, checked sections.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -37,14 +36,7 @@ from ..bench import (
     verify_suite,
 )
 from ..errors import CheckpointError, DomainError, LoopwmError, NoPlanError, SuiteError
-from ..grpo import (
-    CSV_HEADER,
-    ROLLOUT_K_RULE,
-    TrainingLog,
-    TrainingRecord,
-    rollout_k_steps,
-    train,
-)
+from ..grpo import ROLLOUT_K_RULE, TrainingLog, TrainingRecord, rollout_k_steps, train
 from ..loop import OraclePolicy
 from ..microworld import DomainSpec, load_domain
 from ..numerics import NetParams, RandomSource, clone_params, net_init
@@ -193,7 +185,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_sft(args: argparse.Namespace) -> int:
     config = _resolve(args)
     spec = _load_spec(config.domain)
-    sampler = replace(config.sampler, frame_width=spec.n_channels)
     run_dir = _prepare_run_dir(config, args.out)
     with _run_logging(run_dir):
         rng = RandomSource(config.seed)
@@ -204,13 +195,13 @@ def cmd_sft(args: argparse.Namespace) -> int:
             net.hidden, net.depth,
         )
         demos = build_demos(spec, sft.demos, rng.split(1),
-                            n_frames=sampler.n_frames, jitter=sft.jitter)
-        sizes = velocity_net_sizes(spec, sampler, hidden=net.hidden, depth=net.depth)
+                            n_frames=config.sampler.n_frames, jitter=sft.jitter)
+        sizes = velocity_net_sizes(spec, config.sampler, hidden=net.hidden, depth=net.depth)
         theta = net_init(sizes, rng.split(2))
         theta, history = sft_train(theta, demos, sft.epochs, sft.lr,
                                    rng.split(3), batch_size=sft.batch_size)
         ckpt = run_dir / "checkpoints" / "model.ckpt"
-        save_policy(ckpt, theta, spec, sampler)
+        save_policy(ckpt, theta, spec, config.sampler)
         write_csv(run_dir / "reports" / "loss.csv", ("epoch", "loss"),
                   [(i + 1, f"{v:.6f}") for i, v in enumerate(history)])
         if history:
@@ -228,31 +219,6 @@ def cmd_sft(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- grpo
-
-def _read_training_csv(path: Path) -> list[TrainingRecord]:
-    if not path.exists():
-        return []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise UsageError(f"{path} is not a training log")
-        try:
-            return [
-                TrainingRecord(
-                    iteration=int(row[0]),
-                    mean_reward=float(row[1]),
-                    adherence_mean=float(row[2]),
-                    coherence_mean=float(row[3]),
-                    kl_mean=float(row[4]),
-                    clip_fraction=float(row[5]),
-                    curriculum_level=int(row[6]),
-                )
-                for row in reader
-            ]
-        except (ValueError, IndexError) as exc:
-            raise UsageError(f"{path} holds malformed rows: {exc}") from exc
-
 
 def _goal_pool(spec: DomainSpec, config: RunConfig) -> list[Goal]:
     """Single-step goals from the initial frontier plus a sampled suite.
@@ -304,7 +270,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         config_path = str(candidate)
     config = _resolve(args, config_path)
     spec = _load_spec(config.domain)
-    sampler = replace(config.sampler, frame_width=spec.n_channels)
+    sampler = config.sampler
     if sampler.eta_scale <= 0.0:
         raise UsageError(f"group rollouts need eta_scale > 0, got {sampler.eta_scale}: "
                          "a deterministic sampler gives every member the same segment")
@@ -329,7 +295,11 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         reference = _load_ckpt(resume_dir / "checkpoints" / "reference.ckpt", spec, sampler)
         theta = _load_ckpt(resume_dir / "checkpoints" / "model.ckpt", spec, sampler)
         bundle = PolicyBundle(theta=theta, theta_old=clone_params(theta), reference=reference)
-        prev_records = _read_training_csv(resume_dir / "reports" / "training_log.csv")
+        log_csv = resume_dir / "reports" / "training_log.csv"
+        try:
+            prev_records = TrainingLog.read_csv(log_csv).records if log_csv.exists() else []
+        except LoopwmError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         if not args.checkpoint:
             raise UsageError("grpo needs --checkpoint (or --resume)")
@@ -374,10 +344,8 @@ def cmd_grpo(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def _fmt_metric(value: float | None, scaled: bool) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:.2f}" if scaled else f"{value:.3f}"
+def _fmt_metric(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.2f}"
 
 
 def _report_lines(mode: str, report) -> list[str]:
@@ -389,9 +357,9 @@ def _report_lines(mode: str, report) -> list[str]:
         lines.append(
             f"  {name}: completeness {row.action_completeness:.3f}  "
             f"success {row.success_rate:.3f}  "
-            f"smoothness {_fmt_metric(row.motion_smoothness, True)}  "
-            f"interaction {_fmt_metric(row.object_interaction, True)}  "
-            f"fidelity {_fmt_metric(row.physical_fidelity, True)}"
+            f"smoothness {_fmt_metric(row.motion_smoothness)}  "
+            f"interaction {_fmt_metric(row.object_interaction)}  "
+            f"fidelity {_fmt_metric(row.physical_fidelity)}"
         )
     return lines
 
@@ -405,14 +373,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _resolve(args)
     mode = config.bench.mode
     spec = _load_spec(config.domain)
-    sampler = replace(config.sampler, frame_width=spec.n_channels)
     if args.oracle and args.checkpoint:
         raise UsageError("pass either --checkpoint or --oracle, not both")
     if args.oracle:
-        policy = OraclePolicy(spec, n_frames=sampler.n_frames)
+        policy = OraclePolicy(spec, n_frames=config.sampler.n_frames)
     elif args.checkpoint:
-        theta = _load_ckpt(args.checkpoint, spec, sampler)
-        policy = WorldModelPolicy(theta, spec, sampler)
+        theta = _load_ckpt(args.checkpoint, spec, config.sampler)
+        policy = WorldModelPolicy(theta, spec, config.sampler)
         config = _with_net_of(config, theta)
     else:
         raise UsageError("bench needs --checkpoint or --oracle")

@@ -122,9 +122,9 @@ def rollout_group(
             "all members would coincide and there is nothing to rank"
         )
     cond = embed_condition(spec, step, memory)
-    z_init = np.asarray(rng.normal(shape=sampler_config.latent_width), dtype=np.float64)
-    noise = np.asarray(rng.normal(shape=(grpo_config.group_size, sampler_config.k_steps,
-                                         sampler_config.latent_width)))
+    latent = theta_old.sizes[-1]
+    z_init = np.asarray(rng.normal(shape=latent), dtype=np.float64)
+    noise = np.asarray(rng.normal(shape=(grpo_config.group_size, sampler_config.k_steps, latent)))
     frames, trace = sample_group(theta_old, cond, z_init, sampler_config, noise)
     scored = score_group(spec, frames, step, weights)
     rewards = group_rewards(scored, grpo_config)

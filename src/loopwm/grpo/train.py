@@ -16,6 +16,8 @@ serves any K.
 
 from __future__ import annotations
 
+import csv
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,27 +37,14 @@ from .update import grpo_update
 
 __all__ = ["ROLLOUT_K_RULE", "TrainingLog", "TrainingRecord", "rollout_k_steps", "train"]
 
-# mean_reward is the critic reward of the iteration's training rollouts, which
-# denoise at the train-time K: it is no bench figure, and coarser rollouts
-# score lower (about 2% from 5 to 3 steps at --k-steps 10)
-CSV_HEADER = (
-    "iteration",
-    "mean_reward",
-    "adherence_mean",
-    "coherence_mean",
-    "kl_mean",
-    "clip_fraction",
-    "curriculum_level",
-)
-
-
 @dataclass(frozen=True)
 class TrainingRecord:
-    """One iteration's means over its groups' members.
+    """One iteration's means over its groups' members, one row of the training log.
 
     `mean_reward` is the critic reward of the training rollouts, sampled at
     the train-time K (`rollout_k_steps`), not at the sampler's K that bench
-    samples at; it is not a bench figure.
+    samples at; it is not a bench figure, and coarser rollouts score lower
+    (about 2% from 5 to 3 steps at --k-steps 10).
     """
 
     iteration: int
@@ -65,6 +54,12 @@ class TrainingRecord:
     kl_mean: float
     clip_fraction: float
     curriculum_level: int
+
+
+# the training log's columns: every field of a record, ints as they are and
+# floats at 6 decimals
+_COLUMNS = typing.get_type_hints(TrainingRecord)
+CSV_HEADER = tuple(_COLUMNS)
 
 
 @dataclass
@@ -78,21 +73,30 @@ class TrainingLog:
     events: list[str] = field(default_factory=list)
 
     def rows(self) -> list[tuple]:
-        return [
-            (
-                r.iteration,
-                f"{r.mean_reward:.6f}",
-                f"{r.adherence_mean:.6f}",
-                f"{r.coherence_mean:.6f}",
-                f"{r.kl_mean:.6f}",
-                f"{r.clip_fraction:.6f}",
-                r.curriculum_level,
-            )
-            for r in self.records
-        ]
+        return [tuple(f"{getattr(r, name):.6f}" if tp is float else getattr(r, name)
+                      for name, tp in _COLUMNS.items()) for r in self.records]
 
     def write_csv(self, path: str | Path) -> Path:
         return write_csv(path, CSV_HEADER, self.rows())
+
+    @classmethod
+    def read_csv(cls, path: str | Path) -> "TrainingLog":
+        """The records of a log `write_csv` wrote; a LoopwmError names a file of another form."""
+        with Path(path).open(newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(CSV_HEADER):
+                raise LoopwmError(f"{path} is not a training log")
+            try:
+                return cls([TrainingRecord(*_fit(row)) for row in reader])
+            except ValueError as exc:
+                raise LoopwmError(f"{path} holds malformed rows: {exc}") from exc
+
+
+def _fit(row: list[str]) -> list:
+    """A csv row as a record's field values; a ValueError if it does not fit."""
+    if len(row) != len(_COLUMNS):
+        raise ValueError(f"{len(row)} fields in a row of {len(_COLUMNS)}")
+    return [tp(value) for tp, value in zip(_COLUMNS.values(), row)]
 
 
 # The one statement of `rollout_k_steps`' rule; the grpo help and the resume
@@ -161,8 +165,7 @@ def train(
 
     Each pool goal is planned once, up front, by this module's `plan` (it
     reads the domain's fixed plan graph, so a goal's plan never changes); every
-    group is scored by the programmatic critic under `weights`, and the
-    objective recomputes each transition mean with the sampler's `delta`.
+    group is scored by the programmatic critic under `weights`.
     Groups are rolled out with `sampler_config` at the train-time K,
     `rollout_k_steps(sampler_config.k_steps)`; nothing else of the sampler
     changes. Zero iterations returns the parameters untouched.
@@ -191,8 +194,7 @@ def train(
         for step in steps:
             group = rollout_group(bundle.theta_old, spec, step, memory,
                                   rollout_config, grpo_config, rng, weights)
-            _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state,
-                                              delta=rollout_config.delta)
+            _, opt_state, terms = grpo_update(bundle, group, grpo_config, opt_state)
             if terms.skipped:
                 log.events.append(
                     f"iteration {iteration}: update skipped at step {step.sid} "

@@ -93,14 +93,14 @@ def objective_terms(
     reference: NetParams,
     group: RolloutGroup,
     config: GrpoConfig,
-    delta: float,
     out: NetParams | None = None,
 ) -> ObjectiveTerms:
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
     Each row is scored under the condition and time it was sampled at, and
-    `delta` is the sigma floor the sampler used, so each recomputed
-    transition mean matches the one the trace was drawn from.
+    the means are recomputed with the sampler's `mean_terms`, whose sigma
+    floor is the sampler's constant, so each recomputed transition mean
+    matches the one the trace was drawn from.
 
     A non-finite output of theta's or the reference's net raises
     NumericError. Members whose ratios go non-finite are dropped with a
@@ -124,7 +124,7 @@ def objective_terms(
     adv = np.asarray(group.advantages, dtype=np.float64)[:, None]
 
     # transition mean is affine in the velocity: mean = base + coeff * u
-    base, coeff = mean_terms(z, t, trace.std, delta=delta)
+    base, coeff = mean_terms(z, t, trace.std)
     std = trace.std[:, None]
 
     acts = net_activations(theta, x)
@@ -181,8 +181,6 @@ def grpo_update(
     group: RolloutGroup,
     config: GrpoConfig,
     opt_state: OptState | None = None,
-    *,
-    delta: float,
 ) -> tuple[NetParams, OptState, ObjectiveTerms]:
     """One ascent step on the group objective; updates bundle.theta in place.
 
@@ -194,8 +192,7 @@ def grpo_update(
     """
     if opt_state is None:
         opt_state = opt_init(bundle.theta)
-    terms = objective_terms(bundle.theta, bundle.reference, group, config, delta,
-                            out=opt_state.grad)
+    terms = objective_terms(bundle.theta, bundle.reference, group, config, out=opt_state.grad)
     if terms.skipped:
         _log.warning("skipping update: all %d members dropped", terms.dropped)
     else:

@@ -30,17 +30,20 @@ class Policy(Protocol):
         ...
 
 
+# the pose jitter of the oracle's reference segments
+ORACLE_JITTER = 0.005
+
+
 class OraclePolicy:
     """Emits idealized reference segments from the memory's simulated state frame."""
 
-    def __init__(self, spec: DomainSpec, n_frames: int = 16, jitter: float = 0.005):
+    def __init__(self, spec: DomainSpec, n_frames: int = 16):
         self.spec = spec
         self.n_frames = n_frames
-        self.jitter = jitter
 
     def generate(self, step: PlanStep, memory: WorldMemory, rng: RandomSource) -> Segment:
         return reference_segment(self.spec, memory.state, step.op,
-                                 n_frames=self.n_frames, rng=rng, jitter=self.jitter)
+                                 n_frames=self.n_frames, rng=rng, jitter=ORACLE_JITTER)
 
     def fulfil(self, requests: list) -> list[Callable[[], Segment]]:
         """One `generate` call for the request's step per candidate taken, when it is taken."""

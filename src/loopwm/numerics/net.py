@@ -1,11 +1,11 @@
 """A small fully-connected network with hand-written reverse-mode gradients.
 
-The architecture is deliberately plain: affine layers with a smooth
-activation on every hidden layer and a linear output layer. One layer loop
-is the one forward pass: `net_activations` returns its per-layer outputs, and
-callers that need only the output take the last one. `net_backward_batch`
-takes those activations and runs only the reverse sweep, so a training step
-runs the network forward once per gradient. Neither pass checks its inputs:
+The architecture is deliberately plain: affine layers with tanh on every
+hidden layer and a linear output layer. One layer loop is the one forward
+pass: `net_activations` returns its per-layer outputs, and callers that need
+only the output take the last one. `net_backward_batch` takes those
+activations and runs only the reverse sweep, so a training step runs the
+network forward once per gradient. Neither pass checks its inputs:
 each stage validates once, at entry, and only these kernels run inside.
 Gradients are computed by explicit backprop (no autograd framework) so they
 can be checked coordinate-by-coordinate against a central-difference oracle
@@ -26,7 +26,8 @@ in float64.
 Checkpoint layout (all integers and floats little-endian):
 
     bytes 0..7   magic b"LWNET002"
-    u8           length of the activation name, then that many ascii bytes
+    u8           length of the activation name, then that many ascii bytes:
+                 the net is tanh throughout, so these are always b"tanh"
     u32          S, the number of layer sizes
     S * u32      layer sizes, input width first
     payload      the parameter vector: per layer the weight matrix
@@ -43,7 +44,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,18 +55,18 @@ from .tensor import DTYPE, Tensor
 MAGIC = b"LWNET002"
 # magic -> payload entry type; LWNET001 is the float64 layout, cast on load
 _PAYLOADS = {MAGIC: np.dtype("<f4"), b"LWNET001": np.dtype("<f8")}
+# the checkpoint header names the activation; a file naming another is refused
+_ACTIVATION = "tanh"
+
+
+def _tanh(h: Tensor) -> None:
+    np.tanh(h, out=h)
 
 
 def _tanh_grad(a: Tensor) -> Tensor:
+    """The derivative 1 - a^2 of tanh, from its value a."""
     d = a * a
     return np.subtract(1.0, d, out=d)
-
-
-# name -> (forward in place, derivative from the activation value); the
-# checkpoint header names the activation, and a file naming another is refused
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (lambda h: np.tanh(h, out=h), _tanh_grad),
-}
 
 
 def _n_params(sizes: Sequence[int]) -> int:
@@ -79,18 +80,15 @@ class NetParams:
     `vector` holds every parameter in checkpoint order; weights[i], of shape
     (sizes[i+1], sizes[i]), and biases[i] are views into it, so a write
     through either is a write to the other. Construction checks the
-    activation and the vector's length, so every NetParams is consistent.
+    vector's layout and length, so every NetParams is consistent.
     """
 
     sizes: tuple[int, ...]
     vector: Tensor
-    activation: str = "tanh"
     weights: tuple[Tensor, ...] = field(init=False, repr=False)
     biases: tuple[Tensor, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.sizes) < 2:
             raise ValueError(f"a net needs at least 2 layer sizes, got {self.sizes}")
         vector = self.vector
@@ -113,13 +111,13 @@ class NetParams:
         return len(self.weights)
 
 
-def net_init(sizes: Sequence[int], rng: RandomSource, activation: str = "tanh") -> NetParams:
+def net_init(sizes: Sequence[int], rng: RandomSource) -> NetParams:
     """Glorot-scaled normal weights, zero biases.
 
     The weights are float64 draws, scaled and then cast to `DTYPE`.
     """
     sizes = tuple(int(s) for s in sizes)
-    params = NetParams(sizes, np.zeros(_n_params(sizes), dtype=DTYPE), activation)
+    params = NetParams(sizes, np.zeros(_n_params(sizes), dtype=DTYPE))
     gen = rng.generator()
     for w, fan_in, fan_out in zip(params.weights, sizes[:-1], sizes[1:]):
         scale = np.sqrt(2.0 / (fan_in + fan_out))
@@ -128,26 +126,25 @@ def net_init(sizes: Sequence[int], rng: RandomSource, activation: str = "tanh") 
 
 
 def clone_params(params: NetParams) -> NetParams:
-    return NetParams(params.sizes, params.vector.copy(), params.activation)
+    return NetParams(params.sizes, params.vector.copy())
 
 
 def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     """The forward pass, returning every layer's output, `[x, h_1, ..., y]`.
 
     x is a `DTYPE` array of shape (n, sizes[0]) and y has shape
-    (n, sizes[-1]): post-activation outputs, linear on the last layer. Pass
+    (n, sizes[-1]): tanh outputs, linear on the last layer. Pass
     the list to `net_backward_batch` to differentiate this forward without
     rerunning it. Nothing is checked here: each stage validates its inputs
     once, at entry, and non-finite values pass through.
     """
-    act, _ = _ACTIVATIONS[params.activation]
     acts = [x]
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = acts[-1] @ w.T
         h += b
         if i < last:
-            act(h)
+            _tanh(h)
         acts.append(h)
     return acts
 
@@ -165,7 +162,6 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
     the output's shape and is not modified; like the forward, the sweep
     checks nothing.
     """
-    _, dact = _ACTIVATIONS[params.activation]
     last = params.n_layers() - 1
     if out is None:
         out = replace(params, vector=np.empty_like(params.vector))
@@ -175,7 +171,7 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
         if i < last:
             # below the output layer g is a product made here, not the caller's
             # out_grad, so it may be scaled in place
-            g *= dact(acts[i + 1])
+            g *= _tanh_grad(acts[i + 1])
         np.matmul(g.T, acts[i], out=grad_w[i])
         np.sum(g, axis=0, out=grad_b[i])
         if i > 0:
@@ -185,7 +181,7 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
 
 def save_checkpoint(path: str | Path, params: NetParams) -> None:
     """Write the documented binary layout. Deterministic bytes for equal params."""
-    name = params.activation.encode("ascii")
+    name = _ACTIVATION.encode("ascii")
     Path(path).write_bytes(b"".join([
         MAGIC, struct.pack("<B", len(name)), name,
         struct.pack("<I", len(params.sizes)),
@@ -211,7 +207,7 @@ def load_checkpoint(path: str | Path) -> NetParams:
         raise CheckpointError(f"{path}: bad magic, not a network checkpoint")
     (name_len,) = struct.unpack("<B", take(1))
     activation = take(name_len).decode("ascii")
-    if activation not in _ACTIVATIONS:
+    if activation != _ACTIVATION:
         raise CheckpointError(f"{path}: unknown activation {activation!r}")
     (n_sizes,) = struct.unpack("<I", take(4))
     if n_sizes < 2 or n_sizes > 64:
@@ -221,4 +217,4 @@ def load_checkpoint(path: str | Path) -> NetParams:
     vector = np.frombuffer(take(n_bytes), dtype=payload).astype(DTYPE)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return NetParams(sizes, vector, activation)
+    return NetParams(sizes, vector)

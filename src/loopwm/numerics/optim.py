@@ -57,18 +57,10 @@ class OptState:
 
 def opt_init(params: NetParams) -> OptState:
     return OptState(np.zeros_like(params.vector), np.zeros_like(params.vector),
-                    NetParams(params.sizes, np.empty_like(params.vector), params.activation))
+                    NetParams(params.sizes, np.empty_like(params.vector)))
 
 
-def opt_step(
-    params: NetParams,
-    grad: Tensor,
-    state: OptState,
-    lr: float,
-    beta1: float = DEFAULT_BETA1,
-    beta2: float = DEFAULT_BETA2,
-    eps: float = DEFAULT_EPS,
-) -> None:
+def opt_step(params: NetParams, grad: Tensor, state: OptState, lr: float) -> None:
     """One descent step along `grad`, in place; pass a negative `lr` to ascend.
 
     The moments follow the textbook update, m = b1*m + (1-b1)*g and
@@ -84,6 +76,7 @@ def opt_step(
         raise ValueError(f"gradient shape {shape} does not match parameter vector {p.shape}")
     if state.m.shape != p.shape:
         raise ValueError(f"optimizer state of shape {state.m.shape} belongs to another net")
+    beta1, beta2, eps = DEFAULT_BETA1, DEFAULT_BETA2, DEFAULT_EPS
     state.step += 1
     t = state.step
     root = math.sqrt(1.0 - beta2**t)

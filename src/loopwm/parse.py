@@ -13,12 +13,13 @@ its fields:
 - a nested record from a mapping: as a field, an item of a tuple, an entry
   of a mapping or a member of a union.
 
-The walk rejects unknown keys, leaves missing ones to the field defaults and
-converts no strings. A field whose default is None but whose annotation
-admits no None may be left out but not written as null. Each record's
-`__post_init__` checks what its annotations cannot say (ranges, patterns,
-non-empty lists) with `require`. Every error is a `ParseError` at the path of
-the value at fault, worded with the caller's `key(path)`.
+Every field of a record is a key the tree may set. The walk rejects unknown
+keys, leaves missing ones to the field defaults and converts no strings. A
+field whose default is None but whose annotation admits no None may be left
+out but not written as null. Each record's `__post_init__` checks what its
+annotations cannot say (ranges, patterns, non-empty lists) with `require`.
+Every error is a `ParseError` at the path of the value at fault, worded with
+the caller's `key(path)`.
 """
 
 from __future__ import annotations
@@ -65,16 +66,14 @@ def _fields(cls) -> dict:
     return {f.name: (f, hints[f.name]) for f in fields(cls)}
 
 
-def build(cls, tree, key, skip=frozenset()):
+def build(cls, tree, key):
     """Record `cls` from the mapping `tree`; a ParseError names a bad value by `key(path)`.
 
-    `path` is the tuple of keys and list indices from the root to a value;
-    fields whose path is in `skip` are not settable.
+    `path` is the tuple of keys and list indices from the root to a value.
     """
 
     def record(cls, tree: dict, path: tuple):
-        settable = {name: field for name, field in _fields(cls).items()
-                    if path + (name,) not in skip}
+        settable = _fields(cls)
         values = {}
         for name, value in tree.items():
             if name not in settable:

@@ -16,6 +16,7 @@ from .policy import (
     save_policy,
 )
 from .sampler import (
+    SIGMA_FLOOR,
     SamplerConfig,
     Transitions,
     mean_affine_coeffs,
@@ -31,6 +32,7 @@ __all__ = [
     "MANIFEST_FORMAT",
     "MAX_NORM_SID",
     "PolicyBundle",
+    "SIGMA_FLOOR",
     "SamplerConfig",
     "Transitions",
     "WorldModelPolicy",

@@ -5,8 +5,9 @@ requests: one block draw per request, one `sample_rows` batch per round.
 
 The sidecar manifest pins only what the weights depend on: the domain hash
 and the net's input and output widths (`n_frames`, `frame_width`,
-`context_width`). The velocity net is trained on continuous t, so any
-`k_steps`, `eta_scale` and `delta` can sample from any checkpoint.
+`context_width`), where the frame width is the domain's channel count. The
+velocity net is trained on continuous t, so any `k_steps` and `eta_scale`
+can sample from any checkpoint.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def policy_manifest(spec: DomainSpec, config: SamplerConfig) -> dict:
         "format": MANIFEST_FORMAT,
         "domain_hash": domain_hash(spec),
         "n_frames": config.n_frames,
-        "frame_width": config.frame_width,
+        "frame_width": spec.n_channels,
         "context_width": context_width(spec),
     }
 
@@ -131,7 +132,7 @@ class WorldModelPolicy:
         at its own candidate, naming its request's step; neither touches the
         other requests.
         """
-        latent, k_steps = self.config.latent_width, self.config.k_steps
+        latent, k_steps = self.theta.sizes[-1], self.config.k_steps
         stochastic = self.config.eta_scale > 0.0
         conds, blocks, served = [], [], []
         for request in requests:

@@ -10,7 +10,8 @@ The stochastic sampler adds the analytic score correction
     dz = [u - 0.5*eta_t^2 * score] dt + eta_t dW,   eta_t = a*sqrt(t)
 
 with score = -(z - alpha_t*x_pred)/sigma_t^2, alpha_t = 1-t,
-sigma_t = max(t, delta), and the rectified-flow identity x_pred = z - t*u.
+sigma_t = max(t, SIGMA_FLOOR), and the rectified-flow identity x_pred = z - t*u.
+The grid's smallest t is 1/K, so the floor binds only from K = 1001 on.
 Every stochastic transition is Gaussian with mean z - drift*dt and
 std eta_t*sqrt(dt); traces record enough per step to recompute the mean
 under fresh parameters, which is what importance ratios need.
@@ -18,6 +19,9 @@ under fresh parameters, which is what importance ratios need.
 Every state, net input and noise array is `DTYPE` (float32): `_inputs`
 casts the caller's condition, initial latents and float64 noise draws once,
 and the step updates stay in that dtype. Only the densities are float64.
+
+A segment's latent is the net's output, of width L = `theta.sizes[-1]`, which
+holds the F frames of C channels each; the config fixes F, the net fixes L.
 
 A group's trace is a `Transitions` of arrays, the layout the GRPO objective
 reads: `steps` (G, K, W) holds the net input [z | t | cond] of every row at
@@ -55,29 +59,25 @@ from ..numerics import DTYPE, NetParams, net_activations, require_finite
 from ..numerics.tensor import LOG_2PI
 
 
+# the floor of sigma_t in the score; below every grid time 1/K for K <= 1000
+SIGMA_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Denoising schedule parameters plus the segment shape they produce."""
+    """Denoising schedule parameters plus the frame count of a segment."""
 
     k_steps: int = 10
     eta_scale: float = 0.3
-    delta: float = 1e-3
     n_frames: int = 16
-    frame_width: int = 0
 
     def __post_init__(self):
         if self.k_steps < 1:
             raise LoopwmError(f"k_steps must be >= 1, got {self.k_steps}")
         if self.eta_scale < 0:
             raise LoopwmError(f"eta_scale must be >= 0, got {self.eta_scale}")
-        if self.delta <= 0:
-            raise LoopwmError(f"delta must be > 0, got {self.delta}")
         if self.n_frames < 2:
             raise LoopwmError(f"n_frames must be >= 2, got {self.n_frames}")
-
-    @property
-    def latent_width(self) -> int:
-        return self.n_frames * self.frame_width
 
     def time_grid(self) -> list[float]:
         """Evaluation times t_k = 1 - k/K for k = 0..K-1 (uniform on (0,1])."""
@@ -104,12 +104,12 @@ class Transitions:
         return Transitions(self.steps[i], self.z_next[i], self.std, self.logp[i])
 
 
-def score_term(z: np.ndarray, x_pred: np.ndarray, t: float, *, delta: float) -> np.ndarray:
-    """Analytic conditional score -(z - (1-t)*x_pred) / max(t, delta)^2.
+def score_term(z: np.ndarray, x_pred: np.ndarray, t: float) -> np.ndarray:
+    """Analytic conditional score -(z - (1-t)*x_pred) / max(t, SIGMA_FLOOR)^2.
 
     t is a point of `SamplerConfig.time_grid()`, which lies in (0, 1].
     """
-    sigma = max(t, delta)
+    sigma = max(t, SIGMA_FLOOR)
     return -(z - (1.0 - t) * x_pred) / (sigma * sigma)
 
 
@@ -122,7 +122,9 @@ def _inputs(theta: NetParams, cond: np.ndarray, z_init: np.ndarray, config: Samp
     """
     cond = np.asarray(cond, dtype=DTYPE)
     z = np.array(z_init, dtype=DTYPE, ndmin=2)
-    latent = config.latent_width
+    latent = theta.sizes[-1]
+    if latent % config.n_frames:
+        raise LoopwmError(f"net output width {latent} does not hold {config.n_frames} frames")
     if z.ndim != 2 or z.shape[1] != latent:
         raise LoopwmError(
             f"z_init has shape {np.shape(z_init)}, expected ({latent},) or (G, {latent})"
@@ -171,7 +173,7 @@ def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.n
     copies its next state into block k + 1. Both ways run the same
     operations, so they give the same states bit for bit.
     """
-    latent = config.latent_width
+    latent = theta.sizes[-1]
     stochastic = config.eta_scale > 0.0
     dt = 1.0 / config.k_steps
     diverged = np.zeros(x.shape[0], dtype=bool)
@@ -191,7 +193,7 @@ def _denoise(theta: NetParams, x: np.ndarray, config: SamplerConfig, noise: np.n
         else:
             x_pred = z - t * u
             eta = config.eta_scale * math.sqrt(t)
-            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
+            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t)
             std = eta * math.sqrt(dt)
             # the transition mean, then the noise added to it in place
             z_next = np.subtract(z, drift * dt, out=z_out)
@@ -247,7 +249,7 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     score terms vanish and every row follows the plain Euler path
     z <- z - u*dt.
     """
-    k_steps, latent = config.k_steps, config.latent_width
+    k_steps, latent = config.k_steps, theta.sizes[-1]
     x, noise = _inputs(theta, cond, z_init, config, noise, k_steps)
     rows = x.shape[0]
     z_next, u = (np.empty((rows, k_steps, latent), dtype=DTYPE) for _ in range(2))
@@ -258,9 +260,9 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
                               f"of {rows} rows")
     logp = np.zeros((rows, k_steps))
     if config.eta_scale > 0.0:
-        base, coeff = mean_terms(x[:, :, :latent], x[0, :, latent], std, delta=config.delta)
+        base, coeff = mean_terms(x[:, :, :latent], x[0, :, latent], std)
         logp = transition_logp(z_next - (base + coeff * u), std)
-    frames = z_next[:, -1].reshape(rows, config.n_frames, config.frame_width)
+    frames = z_next[:, -1].reshape(rows, config.n_frames, -1)
     return frames, Transitions(x, z_next, std, logp)
 
 
@@ -278,12 +280,12 @@ def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     """
     x, noise = _inputs(theta, cond, z_init, config, noise, 1)
     z, diverged = _denoise(theta, x, config, noise)
-    frames = z.reshape(-1, config.n_frames, config.frame_width)
+    frames = z.reshape(z.shape[0], config.n_frames, -1)
     return [None if diverged[i] else Segment(frames[i], checked=True)
             for i in range(frames.shape[0])]
 
 
-def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def mean_affine_coeffs(t, dt, std) -> tuple[np.ndarray, np.ndarray]:
     """(a, c) with transition mean = a*z + c*u, elementwise over transitions.
 
     Substituting x_pred = z - t*u into the score makes the mean affine in u:
@@ -295,15 +297,13 @@ def mean_affine_coeffs(t, dt, std, *, delta: float) -> tuple[np.ndarray, np.ndar
     """
     t, dt, std = (np.asarray(v, dtype=np.float64) for v in (t, dt, std))
     eta_sq = (std * std) / dt
-    sigma = np.maximum(t, delta)
+    sigma = np.maximum(t, SIGMA_FLOOR)
     a = 1.0 - dt * eta_sq * t / (2.0 * sigma * sigma)
     c = -dt * (1.0 + eta_sq * t * (1.0 - t) / (2.0 * sigma * sigma))
     return a, c
 
 
-
-def mean_terms(z: np.ndarray, t: np.ndarray, std: np.ndarray, *,
-               delta: float) -> tuple[np.ndarray, np.ndarray]:
+def mean_terms(z: np.ndarray, t: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(base, coeff): the float64 transition means of (G, K) transitions are base + coeff*u.
 
     `z` (G, K, L) holds each transition's state, `t` (K,) and `std` (K,) each
@@ -312,7 +312,7 @@ def mean_terms(z: np.ndarray, t: np.ndarray, std: np.ndarray, *,
     sampler records its log-densities through this function and the GRPO
     objective recomputes them through it, so both round alike.
     """
-    scale, coeff = mean_affine_coeffs(t, 1.0 / t.shape[0], std, delta=delta)
+    scale, coeff = mean_affine_coeffs(t, 1.0 / t.shape[0], std)
     return z * scale[:, None], coeff[:, None]
 
 

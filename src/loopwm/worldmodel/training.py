@@ -26,17 +26,19 @@ from ..planner import PlanStep
 from .context import context_width, embed_condition
 from .sampler import SamplerConfig
 
+# the longest demonstration walk, in operator steps
+MAX_WALK = 6
+
 
 def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64,
                        depth: int = 3) -> list[int]:
     """Layer sizes for a velocity net over (z, t, cond) on this domain."""
-    width_in = config.latent_width + 1 + context_width(spec)
-    return [width_in] + [hidden] * depth + [config.latent_width]
+    latent = config.n_frames * spec.n_channels
+    return [latent + 1 + context_width(spec)] + [hidden] * depth + [latent]
 
 
 def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epochs: int,
-              lr: float, rng: RandomSource, batch_size: int = 16,
-              beta1: float = 0.9, beta2: float = 0.999) -> tuple[NetParams, list[float]]:
+              lr: float, rng: RandomSource, batch_size: int = 16) -> tuple[NetParams, list[float]]:
     """Minibatch Adam on the flow-matching objective, updating `theta` in place.
 
     The inputs are validated once, at entry: every condition and segment must
@@ -88,25 +90,25 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
             net_backward_batch(theta, acts, 2.0 * resid / resid.size, out=state.grad)
-            opt_step(theta, state.grad.vector, state, lr=lr, beta1=beta1, beta2=beta2)
+            opt_step(theta, state.grad.vector, state, lr=lr)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return theta, history
 
 
 def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int = 16,
-                jitter: float = 0.005, max_walk: int = 6) -> list[tuple[np.ndarray, Segment]]:
+                jitter: float = 0.005) -> list[tuple[np.ndarray, Segment]]:
     """Generate (condition, segment) pairs from random operator walks.
 
-    Each walk starts at the domain's initial state and applies random
-    applicable operators; segments come from the reference generator and the
-    memory is advanced exactly as the loop would, so conditioning frames
-    chain realistically.
+    Each walk starts at the domain's initial state and applies 1 to
+    `MAX_WALK` random applicable operators; segments come from the reference
+    generator and the memory is advanced exactly as the loop would, so
+    conditioning frames chain realistically.
     """
     demos: list[tuple[np.ndarray, Segment]] = []
     while len(demos) < n_demos:
         memory = WorldMemory.fresh(spec)
-        walk_len = int(rng.integers(1, max_walk + 1))
+        walk_len = int(rng.integers(1, MAX_WALK + 1))
         for sid in range(1, walk_len + 1):
             applicable = [i for i, op in enumerate(spec.operators)
                           if spec.holds(memory.state, op.pre)]

@@ -4,7 +4,7 @@ The package keeps every parameter of a net in one float32 vector and updates
 it with whole-vector operations (`opt_step`) and one gradient vector
 (`net_backward_batch`). These are the versions that work one (W, b) array at
 a time, as the package did before the vector, on a `PlainNet`: the layer
-sizes, one parameter vector of any dtype and the activation. A `NetParams`
+sizes and one parameter vector of any dtype, tanh throughout. A `NetParams`
 reads the same way, so each reference runs on the package's own float32
 parameters, or in float64 on `PlainNet.float64(params)` as an oracle:
 
@@ -27,10 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FORWARD = {"tanh": np.tanh}
-_DERIVATIVE = {"tanh": lambda a: 1.0 - a * a}
-
-
 def layer_arrays(sizes, vector) -> list[np.ndarray]:
     """[W0, b0, W1, b1, ...] as views of `vector`, laid out as a checkpoint."""
     out, off = [], 0
@@ -43,16 +39,15 @@ def layer_arrays(sizes, vector) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class PlainNet:
-    """A net as plain arrays: layer sizes, a parameter vector of any dtype, the activation."""
+    """A net as plain arrays: layer sizes and a parameter vector of any dtype."""
 
     sizes: tuple[int, ...]
     vector: np.ndarray
-    activation: str = "tanh"
 
     @classmethod
     def float64(cls, params) -> "PlainNet":
         """A float64 copy of a net's parameters, for an oracle."""
-        return cls(tuple(params.sizes), params.vector.astype(np.float64), params.activation)
+        return cls(tuple(params.sizes), params.vector.astype(np.float64))
 
     @property
     def weights(self) -> list[np.ndarray]:
@@ -67,24 +62,22 @@ class PlainNet:
 
 
 def forward_per_array(params, x: np.ndarray) -> list[np.ndarray]:
-    act = _FORWARD[params.activation]
     acts = [x]
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = acts[-1] @ w.T + b
-        acts.append(act(h) if i < last else h)
+        acts.append(np.tanh(h) if i < last else h)
     return acts
 
 
 def backward_per_array(params, acts, out_grad) -> np.ndarray:
     """The parameter gradient as one vector in the layout of `params.vector`."""
-    dact = _DERIVATIVE[params.activation]
     last = params.n_layers() - 1
     grads = [np.zeros_like(a) for a in layer_arrays(params.sizes, params.vector)]
     g = out_grad
     for i in range(last, -1, -1):
         if i < last:
-            g = g * dact(acts[i + 1])
+            g = g * (1.0 - acts[i + 1] * acts[i + 1])
         grads[2 * i] += g.T @ acts[i]
         grads[2 * i + 1] += g.sum(axis=0)
         if i > 0:

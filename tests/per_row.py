@@ -80,7 +80,7 @@ class DenoiseTrace:
     steps: np.ndarray
 
 
-def transition_mean(theta, step, cond, *, delta: float):
+def transition_mean(theta, step, cond):
     """Recompute a trace record's transition mean under fresh parameters.
 
     The std never depends on theta, so callers reuse step["std"].
@@ -89,22 +89,22 @@ def transition_mean(theta, step, cond, *, delta: float):
     u = net_activations(theta, net_input(z, t, cond))[-1][0]
     x_pred = z - t * u
     eta_sq = (std * std) / dt
-    drift = u - 0.5 * eta_sq * score_term(z, x_pred, t, delta=delta)
+    drift = u - 0.5 * eta_sq * score_term(z, x_pred, t)
     return z - drift * dt
 
 
-def transition_logprob(theta, step, cond, *, delta: float) -> float:
+def transition_logprob(theta, step, cond) -> float:
     """Log-density of the recorded next state under theta's transition mean."""
     if step["std"] <= 0.0:
         raise LoopwmError(
             "transition has degenerate std; stochastic sampling (eta_scale > 0) "
             "is required for likelihood ratios"
         )
-    mean = transition_mean(theta, step, cond, delta=delta)
+    mean = transition_mean(theta, step, cond)
     return gaussian_logpdf(step["z_next"], mean, step["std"])
 
 
-def kl_term(theta, reference, trace: DenoiseTrace, delta: float) -> float:
+def kl_term(theta, reference, trace: DenoiseTrace) -> float:
     """Mean over denoise steps of the Gaussian KL between theta and reference.
 
     Both transition kernels share the recorded std, so each step reduces to
@@ -117,8 +117,8 @@ def kl_term(theta, reference, trace: DenoiseTrace, delta: float) -> float:
         raise LoopwmError("kl_term needs stochastic trace steps (std > 0)")
     total = 0.0
     for ts in steps:
-        diff = (transition_mean(theta, ts, trace.cond, delta=delta)
-                - transition_mean(reference, ts, trace.cond, delta=delta))
+        diff = (transition_mean(theta, ts, trace.cond)
+                - transition_mean(reference, ts, trace.cond))
         total += float(diff @ diff) / (2.0 * ts["std"] * ts["std"])
     return float(total / len(steps))
 
@@ -139,7 +139,7 @@ def sample_group_records(theta, cond, z_init, config, noise):
         rows = max(z.shape[0], cond.shape[0] if cond.ndim == 2 else 1)
     if z.shape[0] != rows:
         z = np.tile(z, (rows, 1))
-    latent = config.latent_width
+    latent = theta.sizes[-1]
     steps = np.zeros((rows, config.k_steps), dtype=trace_dtype(latent))
     steps["dt"] = 1.0 / config.k_steps
     stochastic = config.eta_scale > 0.0
@@ -154,7 +154,7 @@ def sample_group_records(theta, cond, z_init, config, noise):
         else:
             x_pred = z - t * u
             eta = config.eta_scale * math.sqrt(t)
-            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t, delta=config.delta)
+            drift = u - 0.5 * eta * eta * score_term(z, x_pred, t)
             std = eta * math.sqrt(dt)
             z_next = (z - drift * dt) + std * noise[:, k]
         column = steps[:, k]
@@ -163,12 +163,12 @@ def sample_group_records(theta, cond, z_init, config, noise):
         column["z_next"] = z_next
         if stochastic:
             column["std"] = std
-            scale, coeff = mean_affine_coeffs(x[0, latent], dt, std, delta=config.delta)
+            scale, coeff = mean_affine_coeffs(x[0, latent], dt, std)
             column["logp"] = gaussian_logpdf_rows(z_next, z * scale + coeff * u, std)
         z = z_next
         if not np.isfinite(z).all():
             raise DivergenceError("sampler state went non-finite")
-    return [(Segment(np.array(z[i]).reshape(config.n_frames, config.frame_width)),
+    return [(Segment(np.array(z[i]).reshape(config.n_frames, -1)),
              DenoiseTrace(cond=cond if cond.ndim == 1 else cond[i], steps=steps[i]))
             for i in range(rows)]
 
@@ -207,7 +207,7 @@ def as_record_group(group) -> RecordGroup:
     return RecordGroup(members, np.asarray(group.advantages))
 
 
-def objective_terms_records(theta, reference, group, config, delta) -> ObjectiveTerms:
+def objective_terms_records(theta, reference, group, config) -> ObjectiveTerms:
     """The record-array objective: the members' records concatenated, in member order."""
     advantages = np.asarray(group.advantages, dtype=np.float64)
     members = group.members
@@ -224,7 +224,7 @@ def objective_terms_records(theta, reference, group, config, delta) -> Objective
     latent = z.shape[1]
 
     x = net_input(z, t, cond, DTYPE)
-    scale, coeff = mean_affine_coeffs(t, dt, std, delta=delta)
+    scale, coeff = mean_affine_coeffs(t, dt, std)
     base = z * scale[:, None]
     coeff = coeff[:, None]
     std = std[:, None]

@@ -63,7 +63,7 @@ def sample_sde(theta, cond, z_init, config, rng):
     """One stochastic path: its (1, K, L) noise drawn from `rng`, none at eta_scale 0."""
     noise = None
     if config.eta_scale > 0.0:
-        noise = rng.normal(shape=(1, config.k_steps, config.latent_width))
+        noise = rng.normal(shape=(1, config.k_steps, theta.sizes[-1]))
     return sample_one(theta, cond, z_init, config, noise)
 
 
@@ -73,11 +73,11 @@ def sample_ode(theta, cond, z_init, config):
     return segment
 
 
-def block_draw(config, rng, n):
+def block_draw(config, latent, rng, n):
     """A request's draw for n candidates: (n, 1 + K, L), or (n, L) at eta_scale 0."""
     if config.eta_scale > 0.0:
-        return rng.normal(shape=(n, 1 + config.k_steps, config.latent_width))
-    return rng.normal(shape=(n, config.latent_width))
+        return rng.normal(shape=(n, 1 + config.k_steps, latent))
+    return rng.normal(shape=(n, latent))
 
 
 class SequentialPolicy:
@@ -100,7 +100,7 @@ class SequentialPolicy:
                 raise failure
 
             return refuse
-        rows = iter(block_draw(config, request.rng, request.n))
+        rows = iter(block_draw(config, theta.sizes[-1], request.rng, request.n))
 
         def draw():
             row = next(rows)

@@ -249,7 +249,7 @@ def nan_frames(step, memory, rng):
 
 
 def nan_net(spec):
-    config = SamplerConfig(n_frames=4, frame_width=len(spec.channels))
+    config = SamplerConfig(n_frames=4)
     theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(2))
     theta.biases[-1][0] = np.nan
     policy = SequentialPolicy(WorldModelPolicy(theta, spec, config))

@@ -249,11 +249,11 @@ _POSITIVE = st.floats(0, 1e300, exclude_min=True)
 _UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
 # a valid value of every key a config file may set, arbitrary strings included
 CONFIG_VALUES = {
-    "domain": st.text(), "seed": st.integers(), "out": st.none() | st.text(),
+    "domain": st.text(), "seed": st.integers(),
     "loop.tau": _UNIT, "loop.k_retries": st.integers(0, 10**6),
     "loop.max_outer_replans": st.integers(0, 10**6),
     "sampler.k_steps": st.integers(1, 10**6), "sampler.eta_scale": st.floats(0, 1e300),
-    "sampler.delta": _POSITIVE, "sampler.n_frames": st.integers(2, 10**6),
+    "sampler.n_frames": st.integers(2, 10**6),
     "net.hidden": st.integers(1, 10**6), "net.depth": st.integers(0, 10**6),
     "sft.demos": st.integers(1, 10**6), "sft.epochs": st.integers(0, 10**6),
     "sft.lr": _POSITIVE, "sft.batch_size": st.integers(1, 10**6),
@@ -382,7 +382,7 @@ def test_list_and_optional_integer_config_keys_reject_other_values(key, value, s
 
 @pytest.mark.parametrize("section, value", [
     pytest.param("sampler", "eta_scale: abc", id="eta_scale: abc"),
-    pytest.param("sampler", "delta: [1]", id="delta: [1]"),
+    pytest.param("sampler", "eta_scale: [1]", id="eta_scale: [1]"),
     ("sft", "lr: true"),
     ("grpo", "lr: true"),
     ("sampler", "eta_scale: true"),
@@ -411,7 +411,7 @@ def test_non_numeric_sampler_values_exit_2_before_the_run(section, value, tmp_pa
     ("1", "sft: {lr: .inf}", "sft.lr"),
     ("2", "sft: {lr: .inf}", "sft.lr"),
     ("1", "grpo: {beta: .inf}", "grpo.beta"),
-    ("1", "sampler: {delta: .inf}", "sampler.delta"),
+    ("1", "sampler: {eta_scale: .inf}", "sampler.eta_scale"),
     ("1", "critic: {weights: [.inf, 0, 0, 0, 0]}", "critic.weights"),
 ])
 def test_non_finite_config_values_exit_2_before_the_run(epochs, text, key, tmp_path, capsys):
@@ -445,12 +445,11 @@ def test_a_bad_bench_section_exits_2_on_sft_too(text, key, tmp_path, capsys):
 
 
 def _settable_fields(cls=RunConfig, prefix=""):
-    """(dotted key, annotation) of every leaf field of the run config a file may set."""
-    settable = set(_config_keys(DEFAULTS))
+    """(dotted key, annotation) of every leaf field of the run config."""
     for name, tp in typing.get_type_hints(cls).items():
         if dataclasses.is_dataclass(tp):
             yield from _settable_fields(tp, prefix + name + ".")
-        elif prefix + name in settable:
+        else:
             yield prefix + name, tp
 
 
@@ -481,7 +480,7 @@ def _wrong_value(tp):
 FIELDS = sorted(_settable_fields())
 
 
-def test_every_default_key_is_a_section_field_but_the_frame_width(tmp_path, capsys):
+def test_every_section_field_is_a_config_key_but_no_frame_width(tmp_path, capsys):
     # so the test below covers every key; the frame width comes from the domain
     assert sorted(key for key, _ in FIELDS) == sorted(_config_keys(DEFAULTS))
     cfg = tmp_path / "cfg.yaml"
@@ -650,7 +649,7 @@ def test_sft_zero_epochs_equals_initialization(tmp_path):
     got = load_checkpoint(out / "checkpoints" / "model.ckpt")
 
     spec = load_domain("kitchen")
-    sampler = SamplerConfig(k_steps=6, n_frames=6, frame_width=spec.n_channels)
+    sampler = SamplerConfig(k_steps=6, n_frames=6)
     sizes = velocity_net_sizes(spec, sampler, hidden=24, depth=2)
     expected = net_init(sizes, RandomSource(11).split(2))
     assert got.sizes == tuple(sizes)
@@ -864,6 +863,31 @@ def test_resolve_config_rejects_a_backend_section_by_name(tmp_path):
     path.write_text(yaml.safe_dump({"backend": {}}))
     with pytest.raises(UsageError, match="unknown config key 'backend'"):
         resolve_config(path)
+
+
+@pytest.mark.parametrize("key", ["out", "sampler.delta"])
+def test_config_with_out_or_sampler_delta_exits_2(key, sft_small, tmp_path, capsys):
+    # run directories saved while `out` and the sigma floor were settable
+    # carry `out: null` and `sampler: {delta: 0.001}`
+    tree = ({**DEFAULTS, "out": None} if key == "out"
+            else {**DEFAULTS, "sampler": {**DEFAULTS["sampler"], "delta": 0.001}})
+    _assert_old_config_exits_2(tree, key, sft_small, tmp_path, capsys)
+
+
+def test_grpo_resume_with_a_malformed_training_log_exits_2_naming_it(sft_small, tmp_path,
+                                                                     capsys):
+    first = tmp_path / "first"
+    assert main(["grpo", "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
+                 "--iterations", "1", "--group-size", "2", "--out", str(first)] + SAMPLER) == 0
+    log = first / "reports" / "training_log.csv"
+    header, row = log.read_text().splitlines()
+    for text, words in ((header.replace("kl_mean", "kl") + "\n" + row, "is not a training log"),
+                        (header + "\n" + row.rsplit(",", 1)[0], "holds malformed rows")):
+        log.write_text(text + "\n")
+        out = tmp_path / "resumed"
+        assert main(["grpo", "--resume", str(first), "--iterations", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {log} {words}")
+        assert not out.exists()
 
 
 def test_config_with_backend_section_exits_2(sft_small, tmp_path, capsys):

@@ -15,6 +15,8 @@ from loopwm.errors import LoopwmError, NumericError
 from loopwm.grpo import (
     GrpoConfig,
     RolloutGroup,
+    TrainingLog,
+    TrainingRecord,
     compute_advantages,
     curriculum_schedule,
     group_rewards,
@@ -64,9 +66,8 @@ from per_row import (
 from sequential import sample_sde
 
 
-def small_sampler(frame_width, n_frames=2, k_steps=3, eta_scale=0.3):
-    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames,
-                         frame_width=frame_width)
+def small_sampler(n_frames=2, k_steps=3, eta_scale=0.3):
+    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames)
 
 
 def tiny_net(latent, cond_width, hidden=4, seed=0):
@@ -87,8 +88,9 @@ def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
     Member i's noise is drawn from `rng.split(i)`.
     """
     rng = RandomSource(seed)
-    z_init = np.asarray(rng.normal(shape=sampler.latent_width), dtype=np.float64)
-    noise = np.stack([rng.split(i).normal(shape=(sampler.k_steps, sampler.latent_width))
+    latent = theta_old.sizes[-1]
+    z_init = np.asarray(rng.normal(shape=latent), dtype=np.float64)
+    noise = np.stack([rng.split(i).normal(shape=(sampler.k_steps, latent))
                       for i in range(len(rewards))])
     frames, trace = sample_group(theta_old, cond, z_init, sampler, noise)
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -231,8 +233,7 @@ def test_advantages_reject_bad_input():
 
 
 def kitchen_sampler(kitchen, k_steps=3, n_frames=2, eta_scale=0.3):
-    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames,
-                         frame_width=len(kitchen.channels))
+    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames)
 
 
 def kitchen_net(kitchen, sampler, hidden=8, seed=0):
@@ -248,7 +249,7 @@ def test_rollout_group_shares_initial_noise(kitchen):
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(5))
     assert group.frames.shape[0] == group.rewards.size == 4
-    latent = sampler.latent_width
+    latent = theta.sizes[-1]
     z_init = group.trace.steps[0, 0, :latent]
     assert z_init.shape == (latent,)
     for i in range(4):
@@ -295,9 +296,10 @@ def test_group_sampler_shared_stream_collapses_group(kitchen):
     theta = kitchen_net(kitchen, sampler)
     step = first_step(kitchen, "kettle.grasped")
     cond = embed_condition(kitchen, step, WorldMemory.fresh(kitchen))
-    z_init = np.asarray(RandomSource(1).normal(shape=sampler.latent_width))
+    latent = theta.sizes[-1]
+    z_init = np.asarray(RandomSource(1).normal(shape=latent))
     noise = np.stack([RandomSource(1).split(0).normal(
-        shape=(sampler.k_steps, sampler.latent_width)) for _ in range(2)])
+        shape=(sampler.k_steps, latent)) for _ in range(2)])
     frames, trace = sample_group(theta, cond, z_init, sampler, noise)
     assert np.array_equal(frames[0], frames[1])
     assert np.array_equal(trace.logp[0], trace.logp[1])
@@ -327,7 +329,7 @@ def test_member_reward_sources(kitchen):
 
 def test_best_segment_is_the_first_top_reward_row_as_a_view():
     # the row the training loop carries on: highest reward, first on ties
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     theta = tiny_net(latent=4, cond_width=3)
     group = synthetic_group(theta, np.array([0.5, 0.1, 0.2]), sampler,
                             rewards=[0.1, 0.9, 0.4, 0.9])
@@ -384,11 +386,10 @@ def test_ratios_equal_one_at_sync(kitchen):
     for member in as_record_group(group).members:
         for ts in member.trace.steps:
             # the float64 oracle against the float32 net's recorded density
-            rho = math.exp(transition_logprob(theta, ts, member.trace.cond,
-                                              delta=sampler.delta) - ts["logp"])
+            rho = math.exp(transition_logprob(theta, ts, member.trace.cond) - ts["logp"])
             assert abs(rho - 1.0) <= SYNC_RATIO_BOUND
     bundle = PolicyBundle.from_reference(theta)
-    _, _, terms = grpo_update(bundle, group, config, delta=sampler.delta)
+    _, _, terms = grpo_update(bundle, group, config)
     assert terms.clip_fraction == 0.0
     assert terms.dropped == 0
     assert terms.ratios.dtype == np.float64
@@ -396,15 +397,14 @@ def test_ratios_equal_one_at_sync(kitchen):
 
 
 def test_fixed_point_leaves_parameters_untouched():
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     cond = np.array([0.3, -0.1, 0.6])
     theta = tiny_net(4, 3, seed=4)
     group = synthetic_group(theta, cond, sampler, rewards=[0.4] * 4, seed=6)
     assert np.array_equal(group.advantages, np.zeros(4))
     bundle = PolicyBundle.from_reference(theta)
     before = bundle.theta.vector.copy()
-    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=4),
-                                    delta=sampler.delta)
+    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=4))
     assert stats.surrogate == 0.0
     assert stats.kl == 0.0
     drift = float(np.abs(updated.vector - before).max())
@@ -412,20 +412,20 @@ def test_fixed_point_leaves_parameters_untouched():
 
 
 def test_degenerate_group_gradient_is_pure_kl():
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     cond = np.array([0.4, 0.3, -0.5])
     theta = tiny_net(4, 3, seed=2)
     reference = tiny_net(4, 3, seed=7)
     group = synthetic_group(theta, cond, sampler, rewards=[0.6] * 3, seed=9)
     config = GrpoConfig(group_size=3, beta=0.05)
-    terms = objective_terms(theta, reference, group, config, sampler.delta)
+    terms = objective_terms(theta, reference, group, config)
     assert terms.surrogate == 0.0
     assert terms.kl > 0.0
 
     records = as_record_group(group)
 
     def scaled_neg_kl(params):
-        values = [kl_term(params, reference, m.trace, sampler.delta) for m in records.members]
+        values = [kl_term(params, reference, m.trace) for m in records.members]
         return -config.beta * float(np.mean(values))
 
     fd = finite_diff_grad(scaled_neg_kl, theta)
@@ -433,7 +433,7 @@ def test_degenerate_group_gradient_is_pure_kl():
 
 
 def test_surrogate_gradient_matches_finite_differences():
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     cond = np.array([0.7, -0.2, 0.1])
     theta_old = tiny_net(4, 3, seed=1)
     group = synthetic_group(theta_old, cond, sampler,
@@ -441,7 +441,7 @@ def test_surrogate_gradient_matches_finite_differences():
     theta = clone_params(theta_old)
     theta.vector[:] += 0.01 * np.asarray(RandomSource(11).normal(shape=theta.vector.size))
     config = GrpoConfig(group_size=4, beta=0.0)
-    terms = objective_terms(theta, theta_old, group, config, sampler.delta)
+    terms = objective_terms(theta, theta_old, group, config)
     # the check only covers the smooth regime: no row may be clipped
     assert terms.clip_fraction == 0.0
     eps = config.epsilon
@@ -452,7 +452,7 @@ def test_surrogate_gradient_matches_finite_differences():
         for i, member in enumerate(records.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
-                rho = math.exp(transition_logprob(params, ts, cond, delta=sampler.delta)
+                rho = math.exp(transition_logprob(params, ts, cond)
                                - ts["logp"])
                 clipped = min(max(rho, 1.0 - eps), 1.0 + eps)
                 values.append(min(rho * adv, clipped * adv))
@@ -464,7 +464,7 @@ def test_surrogate_gradient_matches_finite_differences():
     assert flat_rel_err(terms.grads, fd) < 1e-3
 
 
-def row_loop_objective(theta, reference, group, config, delta):
+def row_loop_objective(theta, reference, group, config):
     """One row at a time through transition_mean: (value, ratios, grads).
 
     Reference for the stacked rows of objective_terms; assumes no member is
@@ -477,8 +477,8 @@ def row_loop_objective(theta, reference, group, config, delta):
     values, kls, ratios, grads = [], [], [], None
     for adv, cond, ts in rows:
         t, dt, std, z, z_next = ts["t"], ts["dt"], ts["std"], ts["z"], ts["z_next"]
-        mean_t = transition_mean(theta, ts, cond, delta=delta)
-        mean_r = transition_mean(reference, ts, cond, delta=delta)
+        mean_t = transition_mean(theta, ts, cond)
+        mean_r = transition_mean(reference, ts, cond)
         rho = math.exp(gaussian_logpdf(z_next, mean_t, std) - ts["logp"])
         clipped = min(max(rho, 1.0 - config.epsilon), 1.0 + config.epsilon)
         values.append(min(rho * adv, clipped * adv))
@@ -489,7 +489,7 @@ def row_loop_objective(theta, reference, group, config, delta):
         flow = 0.0 if binding else 1.0
         weight = (flow * adv * rho * (z_next - mean_t) - config.beta * (mean_t - mean_r)) \
             / std ** 2
-        out_grad = mean_affine_coeffs(t, dt, std, delta=delta)[1] * weight / len(rows)
+        out_grad = mean_affine_coeffs(t, dt, std)[1] * weight / len(rows)
         acts = net_activations(theta, net_input(z, t, cond))
         row_grads = net_backward_batch(theta, acts, out_grad[None, :])
         grads = row_grads if grads is None else grads + row_grads
@@ -500,7 +500,7 @@ def row_loop_objective(theta, reference, group, config, delta):
 @pytest.mark.parametrize("beta, scale", [(0.0, 0.01), (0.05, 0.01), (0.05, 0.5)])
 def test_objective_terms_match_row_loop(beta, scale):
     # scale 0.5 pushes ratios past the clip, so binding rows are covered too
-    sampler = small_sampler(frame_width=2, k_steps=4)
+    sampler = small_sampler(k_steps=4)
     cond = np.array([0.3, -0.6, 0.2])
     theta_old = tiny_net(4, 3, hidden=5, seed=21)
     group = synthetic_group(theta_old, cond, sampler,
@@ -509,9 +509,9 @@ def test_objective_terms_match_row_loop(beta, scale):
     theta.vector[:] += scale * np.asarray(RandomSource(23).normal(shape=theta.vector.size))
     reference = tiny_net(4, 3, hidden=5, seed=22)
     config = GrpoConfig(group_size=5, beta=beta)
-    terms = objective_terms(theta, reference, group, config, sampler.delta)
+    terms = objective_terms(theta, reference, group, config)
     assert terms.dropped == 0
-    value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
+    value, ratios, grads = row_loop_objective(theta, reference, group, config)
     assert terms.value == pytest.approx(value, rel=ROW_LOOP_RTOL, abs=1e-6)
     np.testing.assert_allclose(terms.ratios, ratios, rtol=ROW_LOOP_RTOL, atol=0)
     assert flat_rel_err(terms.grads, grads) < ROW_LOOP_RTOL
@@ -523,7 +523,7 @@ def test_objective_terms_scores_each_member_under_its_own_condition():
     # members sampled under different conditions: at theta == theta_old every
     # ratio is 1 only if each member is re-scored under the condition its
     # trace recorded
-    sampler = small_sampler(frame_width=2, k_steps=3)
+    sampler = small_sampler(k_steps=3)
     theta = tiny_net(4, 3, hidden=5, seed=31)
     near = synthetic_group(theta, np.array([0.3, -0.6, 0.2]), sampler,
                            rewards=[0.1, 0.8], seed=4)
@@ -531,14 +531,14 @@ def test_objective_terms_scores_each_member_under_its_own_condition():
                           rewards=[0.4, 0.6], seed=5)
     group = rows_of((near, 0), (far, 1))
     config = GrpoConfig(group_size=2, beta=0.05)
-    terms = objective_terms(theta, theta, group, config, sampler.delta)
+    terms = objective_terms(theta, theta, group, config)
     assert terms.dropped == 0
     np.testing.assert_allclose(terms.ratios, 1.0, rtol=0, atol=SYNC_RATIO_BOUND)
     reference = tiny_net(4, 3, hidden=5, seed=32)
-    terms = objective_terms(theta, reference, group, config, sampler.delta)
-    value, ratios, grads = row_loop_objective(theta, reference, group, config, sampler.delta)
+    terms = objective_terms(theta, reference, group, config)
+    value, ratios, grads = row_loop_objective(theta, reference, group, config)
     assert terms.value == pytest.approx(value, rel=ROW_LOOP_RTOL, abs=1e-6)
-    kls = [kl_term(theta, reference, m.trace, sampler.delta)
+    kls = [kl_term(theta, reference, m.trace)
            for m in as_record_group(group).members]
     assert terms.kl == pytest.approx(float(np.mean(kls)), rel=ROW_LOOP_RTOL)
     assert flat_rel_err(terms.grads, grads) < ROW_LOOP_RTOL
@@ -560,8 +560,8 @@ def test_objective_terms_equal_the_record_objective(hidden, frame_width, cond_wi
                                                     k_steps, drop, beta, scale, seed):
     # the objective over the group's arrays is the record-array objective
     # over the same rollout, bit for bit, whether or not a member is dropped
-    sampler = small_sampler(frame_width, k_steps=k_steps)
-    latent = sampler.latent_width
+    sampler = small_sampler(k_steps=k_steps)
+    latent = sampler.n_frames * frame_width
     sizes = [latent + 1 + cond_width, *hidden, latent]
     theta_old = net_init(sizes, RandomSource(seed))
     theta = clone_params(theta_old)
@@ -577,9 +577,8 @@ def test_objective_terms_equal_the_record_objective(hidden, frame_width, cond_wi
     if drop:
         group = poison(group, int(rng.choice(group_size)))
     config = GrpoConfig(group_size=group_size, beta=beta)
-    got = objective_terms(theta, reference, group, config, sampler.delta)
-    want = objective_terms_records(theta, reference, as_record_group(group), config,
-                                   sampler.delta)
+    got = objective_terms(theta, reference, group, config)
+    want = objective_terms_records(theta, reference, as_record_group(group), config)
     assert got.dropped == want.dropped == int(drop)
     assert got.kept == want.kept
     for name in ("value", "surrogate", "kl", "clip_fraction"):
@@ -595,13 +594,13 @@ def bits(x: float) -> str:
 def test_objective_terms_runs_each_net_forward_once(tanh_calls):
     # theta's forward feeds the backward pass, so each net runs its hidden
     # layers once per call: one activation call per hidden layer and net
-    sampler = small_sampler(frame_width=2, k_steps=4)
+    sampler = small_sampler(k_steps=4)
     cond = np.array([0.3, -0.6, 0.2])
     theta = net_init([8, 5, 5, 4], RandomSource(21))
     reference = net_init([8, 5, 5, 4], RandomSource(22))
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.8, 0.4], seed=9)
     tanh_calls.clear()
-    terms = objective_terms(theta, reference, group, GrpoConfig(group_size=3), sampler.delta)
+    terms = objective_terms(theta, reference, group, GrpoConfig(group_size=3))
     assert terms.dropped == 0
     assert tanh_calls == [(12, 5)] * 4
 
@@ -609,13 +608,13 @@ def test_objective_terms_runs_each_net_forward_once(tanh_calls):
 def test_single_member_gradient_is_vanilla_policy_gradient():
     # A = +1 on the lone live member reduces the surrogate to its trace
     # log-likelihood, up to the step average
-    sampler = small_sampler(frame_width=1, n_frames=3, k_steps=2)
+    sampler = small_sampler(n_frames=3, k_steps=2)
     cond = np.array([0.2, 0.4])
     theta = tiny_net(3, 2, hidden=3, seed=8)
     group = synthetic_group(theta, cond, sampler, rewards=[1.0, 0.0], seed=12)
     assert group.advantages[0] > 0.99
     config = GrpoConfig(group_size=2, beta=0.0)
-    terms = objective_terms(theta, theta, group, config, sampler.delta)
+    terms = objective_terms(theta, theta, group, config)
 
     records = as_record_group(group)
 
@@ -624,7 +623,7 @@ def test_single_member_gradient_is_vanilla_policy_gradient():
         for i, member in enumerate(records.members):
             adv = float(group.advantages[i])
             for ts in member.trace.steps:
-                values.append(adv * transition_logprob(params, ts, cond, delta=sampler.delta))
+                values.append(adv * transition_logprob(params, ts, cond))
         return float(np.mean(values))
 
     fd = finite_diff_grad(weighted_loglik, theta)
@@ -635,7 +634,7 @@ def test_single_member_gradient_is_vanilla_policy_gradient():
 
 
 def test_kl_zero_at_reference_and_hand_offset():
-    sampler = small_sampler(frame_width=2, k_steps=1)
+    sampler = small_sampler(k_steps=1)
     cond = np.array([0.2, 0.2, 0.2])
     theta = net_init([4 + 1 + 3, 4], RandomSource(0))
     theta.vector[:] = 0.0
@@ -643,14 +642,14 @@ def test_kl_zero_at_reference_and_hand_offset():
     trace = as_records(trace)
     step = trace.steps[0]
     assert step["t"] == 1.0 and step["std"] == pytest.approx(0.3)
-    assert kl_term(theta, theta, trace, sampler.delta) == 0.0
+    assert kl_term(theta, theta, trace) == 0.0
     # at t=1 the mean is z - dt*u, so a velocity offset of s in one
     # coordinate shifts the mean by exactly s: KL contribution 0.5*(s/std)^2,
     # 0.5 up to the float32 rounding of s = std
     reference = clone_params(theta)
     reference.biases[-1][0] = step["std"]
     offset = float(reference.biases[-1][0])
-    assert kl_term(theta, reference, trace, sampler.delta) == pytest.approx(
+    assert kl_term(theta, reference, trace) == pytest.approx(
         0.5 * (offset / step["std"]) ** 2, abs=1e-12)
 
 
@@ -666,10 +665,10 @@ def test_kl_matches_monte_carlo_estimate_1d():
     theta = net_init([4, 1], RandomSource(3))
     reference = clone_params(theta)
     reference.biases[-1][0] += 1.0
-    exact = kl_term(theta, reference, trace, 1e-3)
+    exact = kl_term(theta, reference, trace)
     assert exact > 0.1
-    mu_theta = transition_mean(theta, ts, trace.cond, delta=1e-3)
-    mu_ref = transition_mean(reference, ts, trace.cond, delta=1e-3)
+    mu_theta = transition_mean(theta, ts, trace.cond)
+    mu_ref = transition_mean(reference, ts, trace.cond)
     std = ts["std"]
     gen = np.random.default_rng(42)
     draws = gen.normal(mu_theta[0], std, size=200_000)
@@ -682,7 +681,7 @@ def test_kl_rejects_deterministic_trace():
     trace = one_step_trace(np.array([0.1]), t=1.0, dt=1.0, std=0.0, z=0.2, z_next=0.2)
     theta = net_init([3, 1], RandomSource(0))
     with pytest.raises(LoopwmError):
-        kl_term(theta, theta, trace, 1e-3)
+        kl_term(theta, theta, trace)
 
 
 # dropping and skipping
@@ -696,13 +695,13 @@ def poison(group, *members):
 
 
 def test_nonfinite_ratio_drops_member():
-    sampler = small_sampler(frame_width=2, k_steps=2)
+    sampler = small_sampler(k_steps=2)
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
     group = poison(group, 0)
     config = GrpoConfig(group_size=2)
-    terms = objective_terms(theta, theta, group, config, sampler.delta)
+    terms = objective_terms(theta, theta, group, config)
     assert terms.kept == (1,)
     assert terms.dropped == 1
     assert terms.grads.shape == theta.vector.shape
@@ -710,15 +709,14 @@ def test_nonfinite_ratio_drops_member():
 
 
 def test_all_members_dropped_skips_update():
-    sampler = small_sampler(frame_width=2, k_steps=2)
+    sampler = small_sampler(k_steps=2)
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
     group = poison(group, 0, 1)
     bundle = PolicyBundle.from_reference(theta)
     before = bundle.theta.vector.copy()
-    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2),
-                                    delta=sampler.delta)
+    updated, _, stats = grpo_update(bundle, group, GrpoConfig(group_size=2))
     assert stats.skipped
     assert stats.dropped == 2
     assert np.array_equal(updated.vector, before)
@@ -727,7 +725,7 @@ def test_all_members_dropped_skips_update():
 def test_objective_terms_rejects_a_nonfinite_net_output():
     # the objective checks each net's output once per group; its forwards
     # and its backward run unchecked
-    sampler = small_sampler(frame_width=2, k_steps=2)
+    sampler = small_sampler(k_steps=2)
     cond = np.array([0.1, 0.9, -0.4])
     theta = tiny_net(4, 3, seed=0)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.9], seed=2)
@@ -735,20 +733,18 @@ def test_objective_terms_rejects_a_nonfinite_net_output():
         nets = {"theta": clone_params(theta), "reference": clone_params(theta)}
         nets[poisoned].biases[-1][0] = bad
         with pytest.raises(NumericError, match="net output") as info:
-            objective_terms(nets["theta"], nets["reference"], group, GrpoConfig(group_size=2),
-                            sampler.delta)
+            objective_terms(nets["theta"], nets["reference"], group, GrpoConfig(group_size=2))
         assert isinstance(info.value, LoopwmError) and isinstance(info.value, ValueError)
 
 
 def test_update_moves_parameters_and_reports_stats():
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     cond = np.array([0.5, 0.1, 0.2])
     theta = tiny_net(4, 3, seed=3)
     group = synthetic_group(theta, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=7)
     bundle = PolicyBundle.from_reference(theta)
     before = bundle.theta.vector.copy()
-    updated, opt_state, stats = grpo_update(bundle, group, GrpoConfig(group_size=3),
-                                            delta=sampler.delta)
+    updated, opt_state, stats = grpo_update(bundle, group, GrpoConfig(group_size=3))
     assert updated is bundle.theta
     assert opt_state.step == 1
     assert not stats.skipped
@@ -763,7 +759,7 @@ def test_update_ascends_along_the_optimizer_gradient_like_a_negated_descent():
     # grpo_update backprops into opt_state.grad and steps it at -lr; over
     # consecutive groups, so the moments carry over, theta keeps the bytes of
     # a loop that descends at lr along a freshly allocated, negated gradient
-    sampler = small_sampler(frame_width=2)
+    sampler = small_sampler()
     cond = np.array([0.5, 0.1, 0.2])
     theta_old = net_init([8, 6, 6, 4], RandomSource(3))
     bundle = PolicyBundle.from_reference(theta_old)
@@ -773,13 +769,12 @@ def test_update_ascends_along_the_optimizer_gradient_like_a_negated_descent():
     for seed in range(4):
         # groups sampled under the first parameters, so later ratios move off 1
         group = synthetic_group(theta_old, cond, sampler, rewards=[0.1, 0.6, 0.9], seed=seed)
-        want = objective_terms(twin, bundle.reference, group, config, sampler.delta)
+        want = objective_terms(twin, bundle.reference, group, config)
         buf = replace(twin, vector=np.full_like(twin.vector, np.nan))
-        into = objective_terms(twin, bundle.reference, group, config, sampler.delta, out=buf)
+        into = objective_terms(twin, bundle.reference, group, config, out=buf)
         assert into.grads is buf.vector and buf.vector.tobytes() == want.grads.tobytes()
         opt_step(twin, -want.grads, twin_state, lr=config.lr)
-        _, opt_state, terms = grpo_update(bundle, group, config, opt_state,
-                                          delta=sampler.delta)
+        _, opt_state, terms = grpo_update(bundle, group, config, opt_state)
         assert terms.grads is opt_state.grad.vector
         assert bundle.theta.vector.tobytes() == twin.vector.tobytes()
     assert opt_state.step == twin_state.step == 4
@@ -789,16 +784,16 @@ def test_grpo_groups_and_sft_epochs_allocate_no_parameter_sized_vector(kitchen, 
     # once the optimizer state exists, backprop writes into its gradient
     # vector, so neither a GRPO group nor an SFT epoch allocates anything of
     # the parameters' size; the nets' 512-wide layers dwarf their batches
-    sampler = small_sampler(frame_width=2, k_steps=2)
+    sampler = small_sampler(k_steps=2)
     theta = net_init([8, 512, 512, 4], RandomSource(0))
     group = synthetic_group(theta, np.array([0.5, 0.1, 0.2]), sampler, rewards=[0.2, 0.7])
     bundle = PolicyBundle.from_reference(theta)
     config = GrpoConfig(group_size=2)
-    _, opt_state, _ = grpo_update(bundle, group, config, delta=sampler.delta)
+    _, opt_state, _ = grpo_update(bundle, group, config)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        grpo_update(bundle, group, config, opt_state, delta=sampler.delta)
+        grpo_update(bundle, group, config, opt_state)
         grpo_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -865,6 +860,26 @@ def test_train_two_iterations_logs_and_emits(kitchen, tmp_path):
                         "kl_mean,clip_fraction,curriculum_level")
     assert len(lines) == 3
     assert final is bundle.theta
+
+
+def test_training_log_reads_back_the_records_it_writes(tmp_path):
+    # each float has at most 6 decimals, which the log keeps exactly
+    records = [TrainingRecord(i, 0.125 * i, 0.5, 0.75, 0.001, 0.0, 1 + i // 2)
+               for i in range(1, 4)]
+    path = TrainingLog(records).write_csv(tmp_path / "log.csv")
+    assert path.read_text().splitlines()[1] == "1,0.125000,0.500000,0.750000,0.001000,0.000000,1"
+    assert TrainingLog.read_csv(path).records == records
+    again = TrainingLog.read_csv(path).write_csv(tmp_path / "again.csv")
+    assert again.read_bytes() == path.read_bytes()
+    lines = path.read_text().splitlines()
+    for text, words in (("\n".join(["iteration,reward", *lines[1:]]), "is not a training log"),
+                        ("\n".join([lines[0], lines[1][:-2]]), "holds malformed rows"),
+                        ("\n".join([lines[0], lines[1] + ",1"]), "holds malformed rows"),
+                        ("\n".join([lines[0], lines[1].replace("1,", "1.5,", 1)]),
+                         "holds malformed rows")):
+        path.write_text(text + "\n")
+        with pytest.raises(LoopwmError, match=f"{path} {words}"):
+            TrainingLog.read_csv(path)
 
 
 def test_train_resamples_unplannable_goals(kitchen):
@@ -942,28 +957,6 @@ def test_train_draws_until_a_goal_fits_however_few_do(kitchen):
         train(bundle, kitchen, [goal_of("cup.full")], sampler, config, RandomSource(0))
 
 
-def test_train_objective_uses_the_sampler_delta(kitchen, monkeypatch):
-    # theta equals theta_old at an iteration's first update, so every ratio
-    # is 1 exactly when the objective recomputes the sampler's own means
-    seen = []
-
-    def spy(*args, **kwargs):
-        terms = objective_terms(*args, **kwargs)
-        seen.append(terms)
-        return terms
-
-    monkeypatch.setattr("loopwm.grpo.update.objective_terms", spy)
-    # rollouts at a quarter of the sampler's K, so each member has 4 transitions
-    sampler = replace(kitchen_sampler(kitchen, k_steps=16, n_frames=4), delta=0.5)
-    theta = net_init(velocity_net_sizes(kitchen, sampler, hidden=16, depth=2),
-                     RandomSource(5))
-    config = GrpoConfig(iterations=1, group_size=4, curriculum=((1, 1),))
-    train(PolicyBundle.from_reference(theta), kitchen, [goal_of("kettle.grasped")], sampler,
-          config, RandomSource(8))
-    assert seen and seen[0].ratios.size == 16
-    np.testing.assert_allclose(seen[0].ratios, 1.0, rtol=0, atol=1e-9)
-
-
 def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
     # a group denoises min(K, max(3, ceil(K/4))) steps of the sampler's K,
     # and the objective's forwards and backward read G times as many rows
@@ -993,12 +986,13 @@ def test_train_rolls_out_at_the_train_time_k(kitchen, monkeypatch):
         sampler = kitchen_sampler(kitchen, k_steps=k_steps, n_frames=3)
         groups, backward_rows = run(sampler)
         assert len(groups) == 2
+        latent = sampler.n_frames * kitchen.n_channels
         for group in groups:
             assert group.trace.steps.shape[:2] == (3, rollout_k)
-            assert group.trace.z_next.shape == (3, rollout_k, sampler.latent_width)
-            assert group.frames.shape == (3, sampler.n_frames, sampler.frame_width)
+            assert group.trace.z_next.shape == (3, rollout_k, latent)
+            assert group.frames.shape == (3, sampler.n_frames, kitchen.n_channels)
             # the rollout's time grid is t = 1 - k/K'
-            np.testing.assert_allclose(group.trace.steps[0, :, sampler.latent_width],
+            np.testing.assert_allclose(group.trace.steps[0, :, latent],
                                        1.0 - np.arange(rollout_k) / rollout_k)
         assert backward_rows == [3 * rollout_k] * 2
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -187,3 +188,65 @@ def test_every_other_tracer_target_resolves():
     absent = {target for target in targets if tracing._resolve(target)[0] is None}
     assert absent == ABSENT_TRACER_TARGETS
     assert "loopwm.loop.engine.plan" in targets and "loopwm.cli.main.generate_suite" in targets
+
+
+# Defaulted parameters that no call in src/ or benchmarks/ passes, each with
+# the reason it keeps its default
+UNPASSED_DEFAULTS = {
+    # the reference oracle's search bound; test_planner raises it past the
+    # planner's cap to show that the cap is where plans stop
+    "loopwm/bench/oracle.py minimal_plan_length(max_len)",
+    # numpy's signature; the program draws one integer at a time
+    "loopwm/numerics/rng.py RandomSource.integers(shape)",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, qualified name, positional index or None, parameter) per default.
+
+    A method's index counts from its first argument after self or cls, and a
+    class's `__init__` is called by the class's name.
+    """
+    owner = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        called = cls.name if cls and node.name == "__init__" else node.name
+        qualified = f"{cls.name}.{node.name}" if cls else node.name
+        bound = int(cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        for i in range(len(positional) - len(spec.defaults), len(positional)):
+            yield called, qualified, i - bound, positional[i].arg
+        for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+            if default is not None:
+                yield called, qualified, None, arg.arg
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that no call of the program or the benchmark overrides is a
+    # setting with one value, a constant in disguise; tests do not count
+    root = Path(__file__).resolve().parents[1]
+    sources = [*_package_trees().values(),
+               *(ast.parse(path.read_text(), str(path))
+                 for path in sorted((root / "benchmarks").glob("*.py")))]
+    positional, keywords = Counter(), {}
+    for tree in sources:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            star = any(isinstance(a, ast.Starred) for a in call.args)
+            positional[name] = max(positional[name], math.inf if star else len(call.args))
+            keywords.setdefault(name, set()).update(
+                k.arg or "**" for k in call.keywords)
+    unpassed = sorted(
+        f"{path} {qualified}({param})"
+        for path, tree in _package_trees().items()
+        for called, qualified, index, param in _defaulted_parameters(tree)
+        if not (index is not None and positional[called] > index)
+        and not keywords.get(called, set()) & {param, "**"}
+    )
+    assert [u for u in unpassed if u not in UNPASSED_DEFAULTS] == []
+    assert set(unpassed) == UNPASSED_DEFAULTS

@@ -230,8 +230,7 @@ ROW_ATOL = 1e-5
 
 
 def learned_policy(spec, seed=0, eta_scale=0.3):
-    config = SamplerConfig(k_steps=3, eta_scale=eta_scale, n_frames=4,
-                           frame_width=len(spec.channels))
+    config = SamplerConfig(k_steps=3, eta_scale=eta_scale, n_frames=4)
     theta = net_init(velocity_net_sizes(spec, config, hidden=8, depth=1), RandomSource(seed))
     return WorldModelPolicy(theta, spec, config)
 
@@ -244,7 +243,7 @@ def diverging_policy(spec):
     weights = policy.theta.weights[0]
     weights[0, :] = 0.0
     weights[0, 0] = np.finfo(DTYPE).max / 1.8
-    weights[0, policy.config.latent_width] = -np.inf
+    weights[0, policy.theta.sizes[-1]] = -np.inf
     return policy
 
 

@@ -46,8 +46,7 @@ FLOAT32_BOUND = 32 * float(np.finfo(np.float32).eps)
 
 
 def test_identity_single_layer_returns_input():
-    params = NetParams((4, 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]).astype(DTYPE),
-                       "tanh")
+    params = NetParams((4, 4), np.concatenate([np.eye(4).ravel(), np.zeros(4)]).astype(DTYPE))
     x = np.array([0.3, -1.2, 0.0, 2.5], dtype=DTYPE)
     np.testing.assert_array_equal(net_activations(params, x[None, :])[-1][0], x)
 
@@ -63,8 +62,6 @@ def test_net_params_are_views_of_one_vector_and_reject_a_misfit():
                    np.zeros((26, 1), DTYPE), np.zeros(52, DTYPE)[::2]):
         with pytest.raises(ValueError):
             NetParams((3, 4, 2), vector)
-    with pytest.raises(ValueError, match="activation"):
-        NetParams((3, 4, 2), np.zeros(26, DTYPE), "relu")
     with pytest.raises(ValueError):
         NetParams((3,), np.zeros(0, DTYPE))
 
@@ -90,17 +87,13 @@ def test_forward_batch_matches_single():
                                    rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("sizes,activation", [
-    ([5, 7, 3], "tanh"),
-    ([4, 6, 6, 2], "tanh"),
-    ([3, 4, 1], "tanh"),
-])
-def test_backward_matches_finite_differences(sizes, activation):
+@pytest.mark.parametrize("sizes", [[5, 7, 3], [4, 6, 6, 2], [3, 4, 1]])
+def test_backward_matches_finite_differences(sizes):
     # both passes run in the dtype of their inputs; the check runs them in
     # float64, where central differences resolve the gradient, and
     # test_float32_passes_stay_near_the_float64_oracle bounds the float32 run
     rng = RandomSource(42, hash(tuple(sizes)) & 0xFFFF)
-    params = PlainNet.float64(net_init(sizes, rng, activation=activation))
+    params = PlainNet.float64(net_init(sizes, rng))
     x = rng.normal(sizes[0])
     og = rng.normal(sizes[-1])
 
@@ -127,7 +120,7 @@ def test_backward_batch_sums_per_sample_grads():
 
 def test_adam_single_step_matches_hand_value():
     # scalar p=0, grad=1, lr=0.1: bias-corrected first step moves by ~lr
-    params = NetParams((1, 1), np.array([0.0, 0.0], dtype=DTYPE), "tanh")
+    params = NetParams((1, 1), np.array([0.0, 0.0], dtype=DTYPE))
     state = opt_init(params)
     opt_step(params, np.array([1.0, 0.0], dtype=DTYPE), state, lr=0.1)
     assert abs(params.weights[0][0, 0] + 0.1) < 1e-7
@@ -335,7 +328,7 @@ def test_gaussian_logpdf_rejects_bad_std():
 
 
 def test_finite_diff_on_quadratic():
-    params = PlainNet((2, 2), np.array([1.0, 0.5, -0.25, 2.0, 0.0, 0.0]), "tanh")
+    params = PlainNet((2, 2), np.array([1.0, 0.5, -0.25, 2.0, 0.0, 0.0]))
 
     def quad(p):
         return float(p.vector @ p.vector)
@@ -382,7 +375,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     assert loaded.sizes == params.sizes
-    assert loaded.activation == params.activation
     assert loaded.vector.tobytes() == params.vector.tobytes()
     # identical params -> identical bytes
     path2 = tmp_path / "net2.ckpt"
@@ -431,7 +423,7 @@ def test_checkpoint_loads_the_float64_layout_as_its_float32_cast(tmp_path):
     old.write_bytes(b"LWNET001" + bytes([4]) + b"tanh" + np.array([3], "<u4").tobytes()
                     + np.array(sizes, "<u4").tobytes() + payload.astype("<f8").tobytes())
     loaded = load_checkpoint(old)
-    assert (loaded.sizes, loaded.activation) == (sizes, "tanh")
+    assert loaded.sizes == sizes
     assert loaded.vector.dtype == DTYPE and loaded.vector.flags.writeable
     assert np.array_equal(loaded.vector, payload.astype(DTYPE))
     # saved again, it takes the float32 layout

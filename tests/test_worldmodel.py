@@ -29,6 +29,7 @@ from loopwm.numerics import (
 )
 from loopwm.planner import Goal, plan
 from loopwm.worldmodel import (
+    SIGMA_FLOOR,
     PolicyBundle,
     SamplerConfig,
     WorldModelPolicy,
@@ -66,9 +67,8 @@ ROW_ATOL = 1e-5
 LOGP_ATOL = 1e-5
 
 
-def small_config(frame_width, n_frames=2, k_steps=4, eta_scale=0.3):
-    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames,
-                         frame_width=frame_width)
+def small_config(n_frames=2, k_steps=4, eta_scale=0.3):
+    return SamplerConfig(k_steps=k_steps, eta_scale=eta_scale, n_frames=n_frames)
 
 
 def plan_steps(spec, *texts):
@@ -143,7 +143,7 @@ def test_net_input_rows():
 
 def test_velocity_rejects_bad_time_and_shape():
     theta = tiny_net(latent=4, cond_width=3)
-    config = small_config(frame_width=2)
+    config = small_config()
     with pytest.raises(LoopwmError):
         net_input(np.ones(4), 0.0, np.ones(3))
     with pytest.raises(LoopwmError):
@@ -162,13 +162,18 @@ def test_velocity_rejects_bad_time_and_shape():
     with pytest.raises(LoopwmError):
         sample_group(theta, np.ones(3), np.ones((3, 4)), config,
                      np.ones((2, config.k_steps, 4)))
+    # the net's output width fixes the latent's, and 5 holds no 2 whole frames
+    for sampler in (sample_group, sample_rows):
+        with pytest.raises(LoopwmError, match="output width 5 does not hold 2 frames"):
+            sampler(tiny_net(latent=5, cond_width=3), np.ones(3), np.ones(5), config,
+                    np.ones((1, config.k_steps, 5)))
 
 
 def test_samplers_reject_nonfinite_cond_and_z_init():
     # sample_group and sample_rows check their inputs once, at entry; the
     # net runs unchecked inside the denoising loop
     theta = tiny_net(latent=4, cond_width=3)
-    config = small_config(frame_width=2)
+    config = small_config()
     noise = RandomSource(1).normal(shape=(2, config.k_steps, 4))
     for cond, z_init, what in ((np.array([0.0, np.nan, 1.0]), np.ones(4), "cond"),
                                (np.ones(3), np.array([0.0, np.inf, 0.0, 0.0]), "z_init")):
@@ -183,7 +188,7 @@ def test_ode_zero_velocity_returns_input():
         w[:] = 0.0
     for b in theta.biases:
         b[:] = 0.0
-    config = small_config(frame_width=2)
+    config = small_config()
     z = np.array([0.1, 0.2, 0.3, 0.4])
     seg = sample_ode(theta, np.ones(3), z, config)
     assert seg.frames.dtype == DTYPE
@@ -192,7 +197,7 @@ def test_ode_zero_velocity_returns_input():
 
 def test_ode_single_step_unroll():
     theta = tiny_net(latent=4, cond_width=3, seed=5)
-    config = small_config(frame_width=2, k_steps=1)
+    config = small_config(k_steps=1)
     z = np.linspace(-1.0, 1.0, 4)
     cond = np.array([0.3, 0.6, 0.9])
     seg = sample_ode(theta, cond, z, config)
@@ -206,7 +211,7 @@ def test_sde_zero_noise_matches_ode_bitwise():
     rng = RandomSource(11)
     for trial in range(20):
         theta = tiny_net(latent=6, cond_width=2, seed=100 + trial)
-        config = small_config(frame_width=3, k_steps=5, eta_scale=0.0)
+        config = small_config(k_steps=5, eta_scale=0.0)
         z = np.asarray(rng.normal(shape=6))
         cond = np.asarray(rng.normal(shape=2))
         ode = sample_ode(theta, cond, z, config)
@@ -217,7 +222,7 @@ def test_sde_zero_noise_matches_ode_bitwise():
 
 def test_sde_reproducible_and_trace_shape():
     theta = tiny_net(latent=4, cond_width=3, seed=2)
-    config = small_config(frame_width=2, k_steps=6)
+    config = small_config(k_steps=6)
     z = np.full(4, 0.5)
     cond = np.array([0.1, 0.2, 0.3])
     seg_a, tr_a = sample_sde(theta, cond, z, config, RandomSource(7, 3))
@@ -232,7 +237,7 @@ def test_sde_reproducible_and_trace_shape():
 
 def test_trace_records_consistent_transitions():
     theta = tiny_net(latent=4, cond_width=3, seed=3)
-    config = small_config(frame_width=2, k_steps=5)
+    config = small_config(k_steps=5)
     z = np.array([0.4, -0.2, 0.8, 0.0])
     cond = np.array([1.0, 0.0, 0.5])
     _, trace = sample_sde(theta, cond, z, config, RandomSource(21))
@@ -249,13 +254,13 @@ def test_trace_records_consistent_transitions():
         # the float64 mean under the same params regenerates the recorded
         # float32 next state with the stream's noise, up to float32 rounding
         # (1e-12 when the sampler ran in float64)
-        mean = transition_mean(theta, step, cond, delta=config.delta)
+        mean = transition_mean(theta, step, cond)
         np.testing.assert_allclose(step["z_next"], mean + std * noise[k], atol=1e-6)
         # x_pred identity feeds the score: mean = z - (u - 0.5*eta^2*score)*dt
         t = step["t"]
         u = net_activations(theta, net_input(step["z"], t, cond))[-1][0]
         x_pred = step["z"] - t * u
-        drift = u - 0.5 * eta * eta * score_term(step["z"], x_pred, t, delta=config.delta)
+        drift = u - 0.5 * eta * eta * score_term(step["z"], x_pred, t)
         np.testing.assert_allclose(mean, step["z"] - drift * dt, atol=1e-12)
 
 
@@ -264,7 +269,7 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     # the group sampler must reproduce G one-row calls on the same streams,
     # every trace field included; the G rows share one network evaluation
     theta = tiny_net(latent=6, cond_width=3, hidden=8, seed=14)
-    config = small_config(frame_width=3, k_steps=5, eta_scale=eta_scale)
+    config = small_config(k_steps=5, eta_scale=eta_scale)
     z = np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.9])
     cond = np.array([0.4, -0.2, 0.6])
     noise = np.stack([RandomSource(17).split(i).normal(shape=(config.k_steps, z.size))
@@ -280,8 +285,8 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
             assert (got["t"], got["dt"]) == (ref["t"], ref["dt"])
             for name in ("z", "z_next"):
                 np.testing.assert_allclose(got[name], ref[name], rtol=0, atol=ROW_ATOL)
-            np.testing.assert_allclose(transition_mean(theta, got, cond, delta=config.delta),
-                                       transition_mean(theta, ref, cond, delta=config.delta),
+            np.testing.assert_allclose(transition_mean(theta, got, cond),
+                                       transition_mean(theta, ref, cond),
                                        rtol=0, atol=ROW_ATOL)
             assert got["std"] == pytest.approx(ref["std"], abs=1e-12)
             assert got["logp"] == pytest.approx(ref["logp"], abs=LOGP_ATOL)
@@ -297,7 +302,7 @@ def test_sample_rows_are_sample_group_per_row_conditions(eta_scale):
     # per-row conditions: each row is the one-row call under its own
     # condition, and sample_rows hands back sample_group's frames bit for bit
     theta = tiny_net(latent=4, cond_width=3, seed=21)
-    config = small_config(frame_width=2, eta_scale=eta_scale)
+    config = small_config(eta_scale=eta_scale)
     rng = RandomSource(8)
     cond = rng.normal(shape=(3, 3))
     z_init = rng.normal(shape=(3, 4))
@@ -327,7 +332,7 @@ def test_sample_rows_drop_only_the_rows_that_diverge():
     theta.weights[0][0, :] = 0.0
     theta.weights[0][0, 5] = np.inf
     theta.weights[0][0, 6] = -np.inf
-    config = small_config(frame_width=2, eta_scale=0.0)
+    config = small_config(eta_scale=0.0)
     cond = np.array([[1.0, -1.0, 0.5], [1.0, 1.0, 0.5], [-1.0, 1.0, 0.5]])
     with np.errstate(invalid="ignore"):
         rows = sample_rows(theta, cond, np.ones(4), config, None)
@@ -347,7 +352,7 @@ def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed)
     # each row's transitions chain z -> z_next along the time grid under its
     # condition, end at the segment, and are views of the group's arrays,
     # which equal the record-array sampler's bit for bit
-    config = small_config(frame_width=2, k_steps=k_steps, eta_scale=eta_scale)
+    config = small_config(k_steps=k_steps, eta_scale=eta_scale)
     theta = tiny_net(latent=4, cond_width=3, seed=seed)
     rng = RandomSource(seed)
     # float64 draws cast to DTYPE, as the sampler casts them
@@ -404,12 +409,12 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
     # a request's candidate j is the one-row reference on row j of its block
     # draw, each row under its own request's condition, and after any 1..n
     # candidates the stream stands where the one block draw leaves it
-    config = SamplerConfig(k_steps=4, eta_scale=eta_scale, n_frames=3,
-                           frame_width=len(kitchen.channels))
+    config = SamplerConfig(k_steps=4, eta_scale=eta_scale, n_frames=3)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
     policy = WorldModelPolicy(theta, kitchen, config)
     n = 4
-    block = (n, 1 + config.k_steps, config.latent_width) if eta_scale else (n, config.latent_width)
+    latent = theta.sizes[-1]
+    block = (n, 1 + config.k_steps, latent) if eta_scale else (n, latent)
     for seed in range(3):
         requests = round_of_requests(kitchen, config, seed, n)
         reference = twins(requests)
@@ -436,8 +441,7 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
 
 
 def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
-    config = SamplerConfig(k_steps=3, eta_scale=0.3, n_frames=3,
-                           frame_width=len(kitchen.channels))
+    config = SamplerConfig(k_steps=3, eta_scale=0.3, n_frames=3)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
     policy = WorldModelPolicy(theta, kitchen, config)
     requests = round_of_requests(kitchen, config, seed=0, n=2)
@@ -463,7 +467,7 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
 def test_sampler_nonfinite_net_raises_divergence(bad):
     theta = tiny_net(latent=4, cond_width=3, seed=15)
     theta.biases[-1][2] = bad
-    config = small_config(frame_width=2)
+    config = small_config()
     with pytest.raises(DivergenceError):
         sample_group(theta, np.ones(3), np.ones(4), config,
                      RandomSource(1).normal(shape=(3, config.k_steps, 4)))
@@ -473,7 +477,7 @@ def test_sampler_nonfinite_net_raises_divergence(bad):
 
 def test_first_transition_std_monte_carlo():
     theta = tiny_net(latent=4, cond_width=3, seed=4)
-    config = small_config(frame_width=2, k_steps=1, eta_scale=0.3)
+    config = small_config(k_steps=1, eta_scale=0.3)
     z = np.full(4, 0.2)
     cond = np.array([0.5, 0.5, 0.5])
     samples = []
@@ -481,7 +485,7 @@ def test_first_transition_std_monte_carlo():
         _, trace = sample_sde(theta, cond, z, config, RandomSource(13, i))
         samples.append(trace.z_next[0])
     # every path starts at z and t = 1, so all share one transition mean
-    mean = transition_mean(theta, as_records(trace).steps[0], cond, delta=config.delta)
+    mean = transition_mean(theta, as_records(trace).steps[0], cond)
     samples = np.asarray(samples) - mean
     observed = float(np.std(np.asarray(samples)))
     expected = 0.3 * np.sqrt(1.0) * np.sqrt(1.0)  # eta_1 * sqrt(dt), K=1
@@ -493,32 +497,32 @@ def test_score_term_schedule():
     x_pred = np.array([0.25, 0.75])
     t = 0.5
     expected = -(z - 0.5 * x_pred) / 0.25
-    np.testing.assert_allclose(score_term(z, x_pred, t, delta=1e-3), expected)
+    np.testing.assert_allclose(score_term(z, x_pred, t), expected)
     # at the conditional mean the score vanishes
-    np.testing.assert_array_equal(score_term(0.5 * x_pred, x_pred, 0.5, delta=1e-3),
+    np.testing.assert_array_equal(score_term(0.5 * x_pred, x_pred, 0.5),
                                   np.zeros(2))
     # alpha = 0 at t = 1: score reduces to -z
-    np.testing.assert_allclose(score_term(z, x_pred, 1.0, delta=1e-3), -z)
+    np.testing.assert_allclose(score_term(z, x_pred, 1.0), -z)
     # linearity in the residual
-    np.testing.assert_allclose(score_term(2 * z, 2 * x_pred, 0.5, delta=1e-3), 2 * expected)
+    np.testing.assert_allclose(score_term(2 * z, 2 * x_pred, 0.5), 2 * expected)
 
 
-def test_mean_recomputation_requires_delta():
-    # a caller that leaves delta out fails instead of recomputing at a default
-    theta = tiny_net(latent=4, cond_width=3, seed=10)
-    config = small_config(frame_width=2, k_steps=2)
-    cond = np.ones(3)
-    _, trace = sample_sde(theta, cond, np.ones(4), config, RandomSource(3))
-    trace = as_records(trace)
-    calls = [
-        lambda: score_term(np.ones(2), np.ones(2), 0.5),
-        lambda: mean_affine_coeffs(0.5, 0.5, 0.1),
-        lambda: transition_mean(theta, trace.steps[0], cond),
-        lambda: transition_logprob(theta, trace.steps[0], cond),
-    ]
-    for call in calls:
-        with pytest.raises(TypeError, match="delta"):
-            call()
+def test_the_sigma_floor_binds_only_below_the_time_grid():
+    # sigma_t = max(t, SIGMA_FLOOR) is t at every grid time 1/K.. of K <= 1000,
+    # so the score and the mean's coefficients there are the unfloored ones
+    z, x_pred = np.array([0.5, -0.5]), np.array([0.25, 0.75])
+    for t in (1.0 / 1000, 0.5, 1.0):
+        np.testing.assert_array_equal(score_term(z, x_pred, t), -(z - (1 - t) * x_pred) / (t * t))
+        a, c = mean_affine_coeffs(t, 0.1, 0.05)
+        eta_sq = 0.05 * 0.05 / 0.1
+        assert a == 1.0 - 0.1 * eta_sq * t / (2.0 * t * t)
+        assert c == -0.1 * (1.0 + eta_sq * t * (1.0 - t) / (2.0 * t * t))
+    # below the grid of K = 1000 the floor binds
+    t = SIGMA_FLOOR / 2
+    np.testing.assert_allclose(score_term(z, x_pred, t),
+                               -(z - (1 - t) * x_pred) / SIGMA_FLOOR**2, rtol=1e-15)
+    a, _ = mean_affine_coeffs(t, 0.1, 0.05)
+    assert a == pytest.approx(1.0 - 0.1 * eta_sq * t / (2.0 * SIGMA_FLOOR**2), rel=1e-15)
 
 
 # transition log-densities
@@ -526,7 +530,7 @@ def test_mean_recomputation_requires_delta():
 
 def test_transition_logprob_self_consistency():
     theta = tiny_net(latent=4, cond_width=3, seed=6)
-    config = small_config(frame_width=2, k_steps=5)
+    config = small_config(k_steps=5)
     z = np.array([0.3, 0.1, -0.4, 0.9])
     cond = np.array([0.2, 0.8, 0.5])
     trace = as_records(sample_sde(theta, cond, z, config, RandomSource(31))[1])
@@ -534,7 +538,7 @@ def test_transition_logprob_self_consistency():
     # net outputs (1e-12 and 1e-10 when the net ran in float64)
     total = 0.0
     for step in trace.steps:
-        lp = transition_logprob(theta, step, cond, delta=config.delta)
+        lp = transition_logprob(theta, step, cond)
         assert lp == pytest.approx(step["logp"], abs=LOGP_ATOL)
         total += lp
     assert total == pytest.approx(trace.steps["logp"].sum(), abs=10 * LOGP_ATOL)
@@ -542,12 +546,12 @@ def test_transition_logprob_self_consistency():
 
 def test_transition_logprob_mode_and_additivity():
     theta = tiny_net(latent=4, cond_width=3, seed=7)
-    config = small_config(frame_width=2, k_steps=3)
+    config = small_config(k_steps=3)
     cond = np.ones(3) * 0.4
     _, trace = sample_sde(theta, cond, np.ones(4) * 0.1, config, RandomSource(41))
     step = as_records(trace).steps[0]
     z_next, std = step["z_next"], step["std"]
-    mean = transition_mean(theta, step, cond, delta=config.delta)
+    mean = transition_mean(theta, step, cond)
     at_mode = gaussian_logpdf(mean, mean, std)
     assert at_mode > step["logp"] or np.allclose(z_next, mean)
     # additivity over coordinate slices
@@ -559,17 +563,17 @@ def test_transition_logprob_mode_and_additivity():
 
 def test_transition_logprob_requires_noise():
     theta = tiny_net(latent=4, cond_width=3, seed=8)
-    config = small_config(frame_width=2, k_steps=2, eta_scale=0.0)
+    config = small_config(k_steps=2, eta_scale=0.0)
     _, trace = sample_sde(theta, np.ones(3), np.ones(4), config, RandomSource(5))
     with pytest.raises(LoopwmError):
-        transition_logprob(theta, as_records(trace).steps[0], np.ones(3), delta=config.delta)
+        transition_logprob(theta, as_records(trace).steps[0], np.ones(3))
 
 
 def test_logprob_gradient_matches_finite_differences():
     # the analytic route: d(logp)/d(u) = c(t) * (z_next - mean) / std^2,
     # with c from mean_affine_coeffs, pushed through net_backward_batch
     theta = tiny_net(latent=3, cond_width=2, hidden=4, seed=9)
-    config = small_config(frame_width=1, n_frames=3, k_steps=4)
+    config = small_config(n_frames=3, k_steps=4)
     z = np.array([0.2, -0.1, 0.5])
     cond = np.array([0.7, 0.3])
     _, trace = sample_sde(theta, cond, z, config, RandomSource(61))
@@ -579,14 +583,14 @@ def test_logprob_gradient_matches_finite_differences():
     # differences resolve the gradient
     net = PlainNet.float64(theta)
     t, std = step["t"], step["std"]
-    mean = transition_mean(net, step, cond, delta=config.delta)
-    _, coeff = mean_affine_coeffs(t, step["dt"], std, delta=config.delta)
+    mean = transition_mean(net, step, cond)
+    _, coeff = mean_affine_coeffs(t, step["dt"], std)
     out_grad = coeff * (step["z_next"] - mean) / (std * std)
     acts = net_activations(net, net_input(step["z"], t, cond))
     analytic = net_backward_batch(net, acts, out_grad[None, :])
 
     numeric = finite_diff_grad(
-        lambda p: transition_logprob(p, step, cond, delta=config.delta), theta)
+        lambda p: transition_logprob(p, step, cond), theta)
     sizes = theta.sizes
     for a, n in zip(layer_arrays(sizes, analytic), layer_arrays(sizes, numeric)):
         denom = max(np.max(np.abs(n)), 1e-8)
@@ -626,7 +630,7 @@ def test_flow_matching_loss_runs_the_net_forward_once(tanh_calls):
 
 
 def test_sft_zero_epochs_is_identity(kitchen):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     demos = build_demos(kitchen, 3, RandomSource(71), n_frames=4)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
     before = [w.copy() for w in theta.weights]
@@ -660,7 +664,7 @@ def _sft_along_flow_matching_loss(theta, demos, epochs, lr, rng, batch_size):
 def test_sft_batches_equal_the_checked_loss_bitwise(kitchen):
     # sft_train validates its demos once and runs each batch unchecked; the
     # checked flow_matching_loss must see the same losses and take the same steps
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     demos = build_demos(kitchen, 37, RandomSource(72), n_frames=4)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
     reference = clone_params(theta)
@@ -684,7 +688,7 @@ def _poison_segment(demos):
 
 @pytest.mark.parametrize("poison", [_poison_condition, _poison_segment])
 def test_sft_rejects_nonfinite_demos_before_any_step(kitchen, poison):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     demos = build_demos(kitchen, 8, RandomSource(71), n_frames=4)
     poison(demos)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
@@ -695,7 +699,7 @@ def test_sft_rejects_nonfinite_demos_before_any_step(kitchen, poison):
 
 
 def test_sft_rejects_a_net_that_does_not_fit_the_demos(kitchen):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     demos = build_demos(kitchen, 4, RandomSource(71), n_frames=4)
     sizes = velocity_net_sizes(kitchen, config, hidden=8)
     for misfit in ([sizes[0] + 1] + sizes[1:], sizes[:-1] + [sizes[-1] - 1]):
@@ -705,7 +709,7 @@ def test_sft_rejects_a_net_that_does_not_fit_the_demos(kitchen):
 
 
 def test_sft_raises_divergence_error_on_a_nonfinite_loss(kitchen):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     demos = build_demos(kitchen, 8, RandomSource(71), n_frames=4)
     # a net whose output is NaN: the first batch's loss, before its step
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(1))
@@ -721,7 +725,7 @@ def test_sft_raises_divergence_error_on_a_nonfinite_loss(kitchen):
 
 
 def test_sft_loss_halves_on_kitchen_demos(kitchen):
-    config = SamplerConfig(n_frames=8, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=8)
     demos = build_demos(kitchen, 200, RandomSource(73), n_frames=8, jitter=0.005)
     theta = net_init(velocity_net_sizes(kitchen, config), RandomSource(3))
     probe_rng = RandomSource(99)
@@ -739,7 +743,7 @@ def test_sft_loss_halves_on_kitchen_demos(kitchen):
 def test_sft_overfits_single_demo():
     from loopwm.microworld import Segment
 
-    config = SamplerConfig(n_frames=2, frame_width=3)
+    config = SamplerConfig(n_frames=2)
     target = np.array([0.2, 0.8, 0.5, 0.4, 0.1, 0.9])
     seg = Segment(frames=target.reshape(2, 3))
     cond = np.array([1.0, 0.0, 0.5, 0.25])
@@ -749,7 +753,7 @@ def test_sft_overfits_single_demo():
     assert history[-1] < history[0]
     rng = RandomSource(85)
     for _ in range(5):
-        z = np.asarray(rng.normal(shape=config.latent_width))
+        z = np.asarray(rng.normal(shape=6))
         out = sample_ode(theta, cond, z, config)
         assert np.max(np.abs(out.frames.reshape(-1) - target)) < 0.1
 
@@ -758,7 +762,7 @@ def test_sft_overfits_single_demo():
 
 
 def test_policy_bundle_sync(kitchen):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     reference = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(12))
     bundle = PolicyBundle.from_reference(reference)
     bundle.theta.weights[0][0, 0] += 1.0
@@ -777,7 +781,7 @@ def test_policy_bundle_sync(kitchen):
 
 
 def test_policy_checkpoint_roundtrip_and_mismatch(tmp_path, kitchen, workshop):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(13))
     path = tmp_path / "policy.ckpt"
     save_policy(path, theta, kitchen, config)
@@ -786,17 +790,16 @@ def test_policy_checkpoint_roundtrip_and_mismatch(tmp_path, kitchen, workshop):
         np.testing.assert_array_equal(w0, w1)
 
     with pytest.raises(CheckpointError, match="domain_hash"):
-        load_policy(path, workshop,
-                    SamplerConfig(n_frames=4, frame_width=len(workshop.channels)))
+        load_policy(path, workshop, SamplerConfig(n_frames=4))
     with pytest.raises(CheckpointError, match="n_frames"):
-        load_policy(path, kitchen, SamplerConfig(n_frames=6, frame_width=len(kitchen.channels)))
+        load_policy(path, kitchen, SamplerConfig(n_frames=6))
     (tmp_path / "policy.ckpt.json").unlink()
     with pytest.raises(CheckpointError, match="manifest"):
         load_policy(path, kitchen, config)
 
 
 def test_policy_manifest_leaves_sampling_settings_free(tmp_path, kitchen):
-    config = SamplerConfig(n_frames=4, frame_width=len(kitchen.channels))
+    config = SamplerConfig(n_frames=4)
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8), RandomSource(13))
     path = tmp_path / "policy.ckpt"
     save_policy(path, theta, kitchen, config)
@@ -804,8 +807,8 @@ def test_policy_manifest_leaves_sampling_settings_free(tmp_path, kitchen):
     manifest = json.loads(sidecar.read_text())
     assert sorted(manifest) == ["context_width", "domain_hash", "format", "frame_width",
                                 "n_frames"]
-    other = SamplerConfig(k_steps=3, eta_scale=0.0, delta=0.5, n_frames=4,
-                          frame_width=len(kitchen.channels))
+    assert manifest["frame_width"] == kitchen.n_channels
+    other = SamplerConfig(k_steps=3, eta_scale=0.0, n_frames=4)
     load_policy(path, kitchen, other)
     # a sidecar written when the sampling settings were pinned still loads
     sidecar.write_text(json.dumps({**manifest, "k_steps": 10, "eta_scale": 0.3,
