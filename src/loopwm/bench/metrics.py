@@ -40,7 +40,6 @@ from ..critic import DEFAULT_WEIGHTS, CriticWeights, evaluate_rows
 from ..critic.scoring import coherence_score
 from ..errors import DivergenceError, NoPlanError, NumericError, ParseError, SuiteError
 from ..loop import Critique, EpisodeLog, LoopConfig, Policy, episode
-from ..microworld import Segment
 from ..numerics import RandomSource
 from ..parse import build
 from .suite import DIFFICULTIES, PromptSuite
@@ -146,15 +145,15 @@ class _EpisodeSamples:
     fidelity: list[float]
 
 
-def _boundary_score(prev: Segment, nxt: Segment) -> float:
-    """Score the jump between consecutive accepted segments.
+def _boundary_score(prev: np.ndarray, nxt: np.ndarray) -> float:
+    """Score the jump between the frames of consecutive accepted segments.
 
     The next segment should pick up where the last one stopped; the mean
     squared frame delta across the junction is judged against the same
     scale the critic uses for intra-segment curvature, in float64 like the
     critic's scores.
     """
-    delta = np.subtract(nxt.frames[0], prev.frames[-1], dtype=np.float64)
+    delta = np.subtract(nxt[0], prev[-1], dtype=np.float64)
     return coherence_score(float(np.mean(delta * delta)))
 
 
@@ -163,7 +162,7 @@ def _episode_samples(log: EpisodeLog) -> _EpisodeSamples:
     smooth: list[float] = []
     inter: list[float] = []
     fidel: list[float] = []
-    accepted: list[Segment] = []
+    accepted: list[np.ndarray] = []
     for attempt in log.attempts:
         scores = attempt.report.scores
         smooth.append(scores["temporal_coherence"])
@@ -171,7 +170,7 @@ def _episode_samples(log: EpisodeLog) -> _EpisodeSamples:
             inter.append(scores["object_interaction"])
         fidel.append(scores["physical_realism"])
         if attempt.accepted:
-            accepted.append(attempt.segment)
+            accepted.append(attempt.frames)
             if scores["goal_achievement"] >= 1.0 - _COMPLETE_EPS:
                 completed += 1
     for prev, nxt in zip(accepted, accepted[1:]):
@@ -244,7 +243,7 @@ def run_suite(
         waiting = [i for i, wanted in pending.items() if isinstance(wanted, Critique)]
         if waiting:
             items = [pending.pop(i) for i in waiting]
-            answers = evaluate_rows(spec, [item.segment.frames for item in items],
+            answers = evaluate_rows(spec, [item.frames for item in items],
                                     [item.step for item in items], weights, config.tau)
         else:
             waiting = list(pending)

@@ -300,6 +300,10 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             prev_records = TrainingLog.read_csv(log_csv).records if log_csv.exists() else []
         except LoopwmError as exc:
             raise UsageError(str(exc)) from exc
+        if [record.iteration for record in prev_records] != list(range(1, start)):
+            raise UsageError(f"{log_csv} logs {len(prev_records)} iterations but {state_file} "
+                             f"records {state.iterations_done} done; a resumed log holds "
+                             f"iterations 1..{state.iterations_done} in order")
     else:
         if not args.checkpoint:
             raise UsageError("grpo needs --checkpoint (or --resume)")

@@ -26,7 +26,8 @@ compiles one table per operator, `spec.operator_tables[step.op]`.
 and returns each dimension score and the scalar as a (G,) column: a GRPO
 group reads them and builds no report. `evaluate_rows` scores G rows, each
 a segment's (F, C) frames with its own plan step, and returns one report
-per row in input order. It stacks the rows of one frame shape once and
+per row in input order. The rows share one frame shape, as every segment
+of a run has the run's frame count: it stacks them once as (G, F, C) and
 scores temporal coherence and physical realism over the whole stack, then
 the three step-dependent dimensions once per operator from its table. Each
 report takes its tags from the table's feedback, so two rows of one
@@ -214,36 +215,30 @@ def evaluate_rows(
 ) -> list[CriticReport]:
     """Score row i, frames of shape (F, C), against steps[i]; one report per row, in order.
 
-    Rows are stacked per frame shape and scored per operator, each report
-    under its own step's operator table (see the row contract in the module
-    docstring).
+    The rows, all of one shape, are stacked once and scored per operator,
+    each report under its own step's operator table (see the row contract
+    in the module docstring).
     """
     if len(frames) != len(steps):
         raise ValueError(f"{len(frames)} rows of frames but {len(steps)} steps")
-    shapes: dict[tuple, list[int]] = {}
-    for i, row in enumerate(frames):
-        shapes.setdefault(np.shape(row), []).append(i)
-    reports: list[CriticReport | None] = [None] * len(steps)
-    for rows in shapes.values():
-        stack = np.asarray([frames[i] for i in rows], dtype=np.float64)
-        columns = {d: np.empty(len(rows)) for d in DIMENSIONS}
-        columns.update(_checked(spec, stack))
-        ops: dict[int, list[int]] = {}
-        for j, i in enumerate(rows):
-            ops.setdefault(steps[i].op, []).append(j)
-        hits: list[tuple] = [()] * len(rows)
-        for op, picks in ops.items():
-            table = spec.operator_tables[op]
-            scores, pre_hits, post_hits = _step_scores(table, stack[picks])
-            for d, column in scores.items():
-                columns[d][picks] = column
-            for j, pre_hit, post_hit in zip(picks, pre_hits.tolist(), post_hits.tolist()):
-                hits[j] = (table, pre_hit, post_hit)
-        scalars = _weighted_mean(columns, weights).tolist()
-        for i, row_scores, scalar, (table, pre_hit, post_hit) in zip(
-                rows, zip(*(columns[d].tolist() for d in DIMENSIONS)), scalars, hits):
-            reports[i] = _report(table, tau, row_scores, scalar, pre_hit, post_hit)
-    return reports
+    stack = np.asarray(frames, dtype=np.float64)
+    columns = {d: np.empty(len(steps)) for d in DIMENSIONS}
+    columns.update(_checked(spec, stack))
+    ops: dict[int, list[int]] = {}
+    for i, step in enumerate(steps):
+        ops.setdefault(step.op, []).append(i)
+    hits: list[tuple] = [()] * len(steps)
+    for op, picks in ops.items():
+        table = spec.operator_tables[op]
+        scores, pre_hits, post_hits = _step_scores(table, stack[picks])
+        for d, column in scores.items():
+            columns[d][picks] = column
+        for i, pre_hit, post_hit in zip(picks, pre_hits.tolist(), post_hits.tolist()):
+            hits[i] = (table, pre_hit, post_hit)
+    scalars = _weighted_mean(columns, weights).tolist()
+    return [_report(table, tau, row_scores, scalar, pre_hit, post_hit)
+            for row_scores, scalar, (table, pre_hit, post_hit)
+            in zip(zip(*(columns[d].tolist() for d in DIMENSIONS)), scalars, hits)]
 
 
 @dataclass(frozen=True)

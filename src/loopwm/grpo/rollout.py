@@ -10,9 +10,10 @@ i of each. The group is sampled in one `sample_group` call, which returns
 the (G, F, C) frames and the (G, K) transitions the objective reads. The
 critic's core scores the frames in one `score_group` call, and the group
 keeps its five score columns and its (G,) rewards and advantages. No report
-is built and nothing is copied per member; `members` hands out views of a
-member's row, and `best_segment` the best member's frames, the one row the
-training loop carries on.
+is built and nothing is copied per member: `members` hands out each
+member's row as views, its (F, C) frames and its (K,) transitions, and
+`best_segment` is the best member's frames, the one row the training loop
+carries on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ..critic import DEFAULT_WEIGHTS, CriticWeights, GroupScores, score_group
 from ..errors import LoopwmError
 from ..memory import WorldMemory
-from ..microworld import DomainSpec, Segment
+from ..microworld import DomainSpec
 from ..numerics import NetParams, RandomSource
 from ..planner import PlanStep
 from ..worldmodel import SamplerConfig, Transitions, embed_condition, sample_group
@@ -57,9 +58,9 @@ class RolloutGroup:
     def members(self) -> tuple[GroupMember, ...]:
         return tuple(GroupMember(self, i) for i in range(self.rewards.size))
 
-    def best_segment(self) -> Segment:
-        """The segment of the member with the highest reward (first on ties), a view."""
-        return self.members[int(np.argmax(self.rewards))].segment
+    def best_segment(self) -> np.ndarray:
+        """The (F, C) frames of the member with the highest reward (first on ties), a view."""
+        return self.members[int(np.argmax(self.rewards))].frames
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class GroupMember:
     index: int
 
     @property
-    def segment(self) -> Segment:
-        return Segment(self.group.frames[self.index], checked=True)
+    def frames(self) -> np.ndarray:
+        return self.group.frames[self.index]
 
     @property
     def trace(self) -> Transitions:

@@ -15,10 +15,11 @@ plan graph (`plan`) and calls neither the policy nor the critic.
 Where it needs segments it yields a `Request` for n candidates of one
 (step, memory) from its own stream: n = 1 for a step's first try, and
 n = k_retries for `inner_refine`. It is resumed with a draw, which it calls
-once per candidate it takes. Where it needs a score it yields a
-`Critique(segment, step)` and is resumed with the critic's report. The
-episode log keeps each attempt and each outer pass; the critic's tags are
-its whole failure record.
+once per candidate it takes; a draw returns a segment's (F, C) frames,
+finite because the policy makes them so (see `Policy`). Where it needs a
+score it yields a `Critique(frames, step)` and is resumed with the critic's
+report. The episode log keeps each attempt and each outer pass; the
+critic's tags are its whole failure record.
 
 A policy's `fulfil(requests)` turns a list of requests into their draws
 (see `Policy`). `bench.metrics.run_suite` drives the episodes of a suite in
@@ -31,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
+import numpy as np
+
 from ..critic import CriticReport
 from ..errors import LoopwmError
 from ..memory import WorldMemory
-from ..microworld import DomainSpec, Segment
+from ..microworld import DomainSpec
 from ..numerics import RandomSource
 from ..planner import Goal, PlanStep, plan
 
@@ -61,8 +64,8 @@ class AttemptRecord:
     attempt: int  # 0 = first generation, 1..k = inner retries
     report: CriticReport
     accepted: bool
-    # the scored segment; kept for metrics, left out of the episode log
-    segment: Segment = field(repr=False, compare=False)
+    # the scored segment's frames; kept for metrics, left out of the episode log
+    frames: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,24 +103,24 @@ class Request:
 
 @dataclass(frozen=True)
 class Critique:
-    """A score wanted for one segment under the step it was generated for."""
+    """A score wanted for one segment's (F, C) frames under the step they were made for."""
 
-    segment: Segment
+    frames: np.ndarray
     step: PlanStep
 
 
-# called once per candidate taken
-Draw = Callable[[], Segment]
+# called once per candidate taken; returns its (F, C) frames
+Draw = Callable[[], np.ndarray]
 Episode = Generator[Request | Critique, Draw | CriticReport, EpisodeLog]
 
 
 def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
                  config: LoopConfig, rng: RandomSource
                  ) -> Generator[Request | Critique, Draw | CriticReport,
-                                tuple[Segment | None, CriticReport, list[AttemptRecord]]]:
+                                tuple[np.ndarray | None, CriticReport, list[AttemptRecord]]]:
     """Retry a rejected step with fresh noise.
 
-    Returns (accepted segment or None, best report seen, attempt records).
+    Returns (accepted frames or None, best report seen, attempt records).
     With k_retries = 0 it fails at once without generating. Otherwise it
     yields one request for k_retries candidates, takes them in turn and
     yields a `Critique` for each candidate it takes.
@@ -128,14 +131,14 @@ def inner_refine(step: PlanStep, report: CriticReport, memory: WorldMemory,
         return None, best, records
     draw = yield Request(step, memory, rng, config.k_retries)
     for attempt in range(1, config.k_retries + 1):
-        segment = draw()
-        current = yield Critique(segment, step)
+        frames = draw()
+        current = yield Critique(frames, step)
         accepted = current.scalar >= config.tau
-        records.append(AttemptRecord(step.sid, attempt, current, accepted, segment))
+        records.append(AttemptRecord(step.sid, attempt, current, accepted, frames))
         if current.scalar > best.scalar:
             best = current
         if accepted:
-            return segment, current, records
+            return frames, current, records
     return None, best, records
 
 
@@ -161,21 +164,21 @@ def episode(spec: DomainSpec, goal: Goal, config: LoopConfig | None = None,
     while i < len(steps):
         step = steps[i]
         draw = yield Request(step, memory, rng, 1)
-        segment = draw()
-        report = yield Critique(segment, step)
+        frames = draw()
+        report = yield Critique(frames, step)
         accepted = report.scalar >= config.tau
-        log.attempts.append(AttemptRecord(step.sid, 0, report, accepted, segment))
+        log.attempts.append(AttemptRecord(step.sid, 0, report, accepted, frames))
         if not accepted:
-            segment, best, records = yield from inner_refine(step, report, memory, config,
-                                                             rng)
+            frames, best, records = yield from inner_refine(step, report, memory, config,
+                                                            rng)
             log.attempts.extend(records)
-            if segment is None:
+            if frames is None:
                 if len(log.replans) >= config.max_outer_replans:
                     log.status = STATUS_PLAN_FAILURE
                     return log
                 log.replans.append(ReplanEvent(step.sid, best.tags))
                 continue
-        memory.advance(step, segment)
+        memory.advance(step, frames)
         i += 1
 
     # memory applies the plan's operators, so it now satisfies the goal

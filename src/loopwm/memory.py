@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .microworld import DomainSpec, Segment, apply_operator
+from .microworld import DomainSpec, apply_operator
 from .planner import PlanStep
 
 
@@ -33,7 +33,7 @@ class WorldMemory:
     def fresh(cls, spec: DomainSpec) -> "WorldMemory":
         return cls(spec=spec, state=spec.initial_frame, frame=spec.initial_frame)
 
-    def advance(self, step: PlanStep, segment: Segment) -> None:
-        """Accept `segment` for `step`: apply the step's operator to the state."""
+    def advance(self, step: PlanStep, frames: np.ndarray) -> None:
+        """Accept a segment's (F, C) `frames` for `step`: apply the step's operator."""
         self.state = apply_operator(self.spec, self.state, step.op)
-        self.frame = segment.final_frame
+        self.frame = frames[-1]

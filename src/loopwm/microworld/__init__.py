@@ -13,7 +13,6 @@ from .types import (
     MotionProfile,
     ObjectSpec,
     Operator,
-    Segment,
     parse_literal,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "MotionProfile",
     "ObjectSpec",
     "Operator",
-    "Segment",
     "apply_operator",
     "canonical_dict",
     "contact_window_frames",

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import PreconditionError
 from ..numerics.rng import RandomSource
-from .types import DEFAULT_CONTACT, DomainSpec, Segment
+from .types import DEFAULT_CONTACT, DomainSpec
 
 MAX_JITTER = 0.02
 
@@ -59,8 +59,8 @@ def reference_segment(
     n_frames: int = 16,
     rng: RandomSource | None = None,
     jitter: float = 0.0,
-) -> Segment:
-    """Idealized demonstration of one application of `spec.operators[op]`.
+) -> np.ndarray:
+    """Idealized demonstration of one application of `spec.operators[op]`: (F, C) frames.
 
     Frame 0 is the state frame `state` and frame F-1 its successor, both
     exactly. Pose channels and unchanged predicates interpolate linearly
@@ -96,4 +96,4 @@ def reference_segment(
         noise = rng.uniform(-jitter, jitter, (n_frames - 2, pose_cols.size))
         frames[1:-1, pose_cols] = np.clip(frames[1:-1, pose_cols] + noise, 0.0, 1.0)
 
-    return Segment(frames)
+    return frames

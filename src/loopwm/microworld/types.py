@@ -6,7 +6,10 @@ predicate channels (declaration order) followed by x/y pose channels per
 movable entity (declaration order): float64 where the domain writes them
 (world states, reference segments), float32 where the velocity net samples
 them. A world state is such a frame whose predicate channels are exactly 0.0
-or 1.0; `DomainSpec.initial_frame` is the initial state. A predicate channel
+or 1.0; `DomainSpec.initial_frame` is the initial state. A segment is its
+frames, one (F, C) array: float64 from `reference_segment`, float32 from
+the sampler, whose segments are views of rows of one block. Its producer
+makes it finite; nothing wraps or checks it on the way. A predicate channel
 reads true at DECODE_THRESHOLD and above, in states and generated frames
 alike. Operators rewrite predicate literals and drag their moving entities
 toward a target object.
@@ -15,12 +18,12 @@ toward a target object.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, NumericError
+from ..errors import DomainError
 from ..parse import require
 
 DEFAULT_CONTACT = (0.25, 0.75)
@@ -377,42 +380,3 @@ def _check_semantics(spec: DomainSpec) -> None:
                     raise DomainError(f"{where}: unknown moving entity {ent!r}")
                 if not spec.objects[ent].movable:
                     raise DomainError(f"{where}: moving entity {ent!r} is not movable")
-
-
-@dataclass
-class Segment:
-    """A dense rollout of n_frames frame vectors, shape (F, d).
-
-    A float array is kept as it is, float32 or float64, so a segment can be
-    a view of a larger block; anything else becomes float64. The frames must
-    be 2-D and finite. A caller that has already checked them, as the
-    sampler checks every row it returns, passes `checked=True` and the
-    array is taken as it is, unchecked.
-    """
-
-    frames: np.ndarray
-    checked: InitVar[bool] = False
-
-    def __post_init__(self, checked: bool) -> None:
-        if checked:
-            return
-        frames = np.asarray(self.frames)
-        if frames.dtype.kind != "f":
-            frames = frames.astype(np.float64)
-        self.frames = frames
-        if frames.ndim != 2:
-            raise ValueError(f"segment frames must be 2-D, got shape {frames.shape}")
-        if not np.all(np.isfinite(frames)):
-            raise NumericError("segment contains non-finite values")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def final_frame(self) -> np.ndarray:
-        return self.frames[-1]

@@ -3,9 +3,9 @@
 `WorldModelPolicy.fulfil` serves a lockstep round of the loop engine's
 requests: one block draw per request, one `sample_rows` batch per round.
 
-The sidecar manifest pins only what the weights depend on: the domain hash
-and the net's input and output widths (`n_frames`, `frame_width`,
-`context_width`), where the frame width is the domain's channel count. The
+The sidecar manifest pins only what the weights depend on: its `format`,
+the `domain_hash` and `n_frames`. The domain fixes the frame and context
+widths, so its hash pins the net's widths given the frame count. The
 velocity net is trained on continuous t, so any `k_steps` and `eta_scale`
 can sample from any checkpoint.
 """
@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CheckpointError, DivergenceError, LoopwmError
-from ..microworld import DomainSpec, Segment, domain_hash
+from ..microworld import DomainSpec, domain_hash
 from ..numerics import NetParams, clone_params, load_checkpoint, save_checkpoint
-from .context import context_width, embed_condition
+from .context import embed_condition
 from .sampler import SamplerConfig, sample_rows
 
 MANIFEST_FORMAT = "loopwm-policy-v1"
@@ -67,8 +67,6 @@ def policy_manifest(spec: DomainSpec, config: SamplerConfig) -> dict:
         "format": MANIFEST_FORMAT,
         "domain_hash": domain_hash(spec),
         "n_frames": config.n_frames,
-        "frame_width": spec.n_channels,
-        "context_width": context_width(spec),
     }
 
 
@@ -92,7 +90,8 @@ def load_policy(path: str | Path, spec: DomainSpec, config: SamplerConfig) -> Ne
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unreadable policy manifest {sidecar}: {exc}") from exc
     expected = policy_manifest(spec, config)
-    # older sidecars also carry sampling settings; only the expected keys count
+    # older sidecars also carry sampling settings and the frame and context
+    # widths; only the expected keys count
     mismatched = [key for key in expected if manifest.get(key) != expected[key]]
     if mismatched:
         detail = ", ".join(
@@ -158,14 +157,14 @@ class WorldModelPolicy:
 
 
 def _draw(segments, failure: LoopwmError | None, sid: int):
-    """Hand out one request's segments in turn."""
+    """Hand out one request's segments, finite (F, C) frames, in turn."""
 
-    def draw() -> Segment:
+    def draw() -> np.ndarray:
         if failure is not None:
             raise failure
-        segment = next(segments)
-        if segment is None:
+        frames = next(segments)
+        if frames is None:
             raise DivergenceError(f"sampler state of step {sid} went non-finite")
-        return segment
+        return frames
 
     return draw

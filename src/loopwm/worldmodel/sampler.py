@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
-from ..microworld import Segment
 from ..numerics import DTYPE, NetParams, net_activations, require_finite
 from ..numerics.tensor import LOG_2PI
 
@@ -267,22 +266,21 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
 
 
 def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
-                config: SamplerConfig, noise: np.ndarray | None) -> list[Segment | None]:
-    """The segments of `sample_group`, without traces, and failing row by row.
+                config: SamplerConfig, noise: np.ndarray | None) -> list[np.ndarray | None]:
+    """The (F, C) frames of `sample_group`'s rows, without traces, failing row by row.
 
     Same row contract and the same frames bit for bit, but no transition is
     recorded, and a row whose state goes non-finite comes back as None while
     the other rows are returned as usual. The rows' final states are one
     new (G, L) `DTYPE` array that nothing else holds; read as (G, F, C)
     frames, each segment is a view of its row, so the round's frames are
-    stored once. `_denoise` has checked every row's finiteness, so the
-    segments are built without a second check.
+    stored once. `_denoise` has checked every row's finiteness, so every
+    row returned is finite.
     """
     x, noise = _inputs(theta, cond, z_init, config, noise, 1)
     z, diverged = _denoise(theta, x, config, noise)
     frames = z.reshape(z.shape[0], config.n_frames, -1)
-    return [None if diverged[i] else Segment(frames[i], checked=True)
-            for i in range(frames.shape[0])]
+    return [None if diverged[i] else frames[i] for i in range(frames.shape[0])]
 
 
 def mean_affine_coeffs(t, dt, std) -> tuple[np.ndarray, np.ndarray]:

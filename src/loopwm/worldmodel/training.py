@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import DivergenceError, LoopwmError
 from ..memory import WorldMemory
-from ..microworld import DomainSpec, Segment, reference_segment
+from ..microworld import DomainSpec, reference_segment
 from ..numerics import (
     DTYPE,
     NetParams,
@@ -37,12 +37,13 @@ def velocity_net_sizes(spec: DomainSpec, config: SamplerConfig, hidden: int = 64
     return [latent + 1 + context_width(spec)] + [hidden] * depth + [latent]
 
 
-def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epochs: int,
+def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, np.ndarray]], epochs: int,
               lr: float, rng: RandomSource, batch_size: int = 16) -> tuple[NetParams, list[float]]:
     """Minibatch Adam on the flow-matching objective, updating `theta` in place.
 
-    The inputs are validated once, at entry: every condition and segment must
-    be finite, and their widths must fit the net. Each batch then runs one
+    `dataset` holds (condition, frames) pairs. The inputs are validated
+    once, at entry: every condition and segment must be finite, and their
+    widths must fit the net. Each batch then runs one
     unchecked forward and one unchecked backward; a non-finite batch loss,
     which a diverging net produces, raises DivergenceError before its
     backward and its step. The demos are cast to `DTYPE` once, here, and
@@ -56,7 +57,7 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
     if not dataset:
         raise LoopwmError("sft_train requires a non-empty dataset")
     conds = np.stack([c for c, _ in dataset], dtype=DTYPE)
-    xs = np.stack([seg.frames.reshape(-1) for _, seg in dataset], dtype=DTYPE)
+    xs = np.stack([frames.reshape(-1) for _, frames in dataset], dtype=DTYPE)
     require_finite(conds, "demo conditions")
     require_finite(xs, "demo segments")
     n, latent = xs.shape
@@ -97,15 +98,15 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, Segment]], epoch
 
 
 def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int = 16,
-                jitter: float = 0.005) -> list[tuple[np.ndarray, Segment]]:
-    """Generate (condition, segment) pairs from random operator walks.
+                jitter: float = 0.005) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generate (condition, frames) pairs from random operator walks.
 
     Each walk starts at the domain's initial state and applies 1 to
     `MAX_WALK` random applicable operators; segments come from the reference
     generator and the memory is advanced exactly as the loop would, so
     conditioning frames chain realistically.
     """
-    demos: list[tuple[np.ndarray, Segment]] = []
+    demos: list[tuple[np.ndarray, np.ndarray]] = []
     while len(demos) < n_demos:
         memory = WorldMemory.fresh(spec)
         walk_len = int(rng.integers(1, MAX_WALK + 1))
@@ -115,11 +116,11 @@ def build_demos(spec: DomainSpec, n_demos: int, rng: RandomSource, n_frames: int
             if not applicable:
                 break
             step = PlanStep(sid, applicable[int(rng.integers(0, len(applicable)))])
-            segment = reference_segment(spec, memory.state, step.op,
-                                        n_frames=n_frames, rng=rng, jitter=jitter)
+            frames = reference_segment(spec, memory.state, step.op,
+                                       n_frames=n_frames, rng=rng, jitter=jitter)
             cond = embed_condition(spec, step, memory)
-            demos.append((cond, segment))
-            memory.advance(step, segment)
+            demos.append((cond, frames))
+            memory.advance(step, frames)
             if len(demos) >= n_demos:
                 break
     return demos

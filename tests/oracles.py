@@ -63,7 +63,6 @@ from loopwm.errors import LoopwmError, SuiteError
 from loopwm.microworld import (
     DomainSpec,
     Literal,
-    Segment,
     contact_window_frames,
     load_domain,
 )
@@ -177,13 +176,13 @@ def channel_mask(spec: DomainSpec, step: PlanStep) -> np.ndarray:
 
 def evaluate(
     spec: DomainSpec,
-    segment: Segment,
+    frames: np.ndarray,
     step: PlanStep,
     weights: CriticWeights = DEFAULT_WEIGHTS,
     tau: float = DEFAULT_TAU,
 ) -> CriticReport:
-    """Score one generated segment against its plan step."""
-    return evaluate_rows(spec, [segment.frames], [step], weights, tau)[0]
+    """Score one generated segment's (F, C) frames against its plan step."""
+    return evaluate_rows(spec, [frames], [step], weights, tau)[0]
 
 
 def tag_dimension(tag: str) -> str:

@@ -40,7 +40,6 @@ import numpy as np
 
 from loopwm.errors import DivergenceError, LoopwmError
 from loopwm.grpo import ObjectiveTerms, surrogate_rows
-from loopwm.microworld import Segment
 from loopwm.numerics import DTYPE, net_activations, net_backward_batch
 from loopwm.numerics.tensor import LOG_2PI
 from loopwm.worldmodel import mean_affine_coeffs, score_term
@@ -124,7 +123,7 @@ def kl_term(theta, reference, trace: DenoiseTrace) -> float:
 
 
 def sample_group_records(theta, cond, z_init, config, noise):
-    """The record-array sampler: [(segment, DenoiseTrace)] per row.
+    """The record-array sampler: [((F, C) frames, DenoiseTrace)] per row.
 
     Takes inputs that pass the package's row contract and casts them to
     `DTYPE`; writes denoise step k's column of one (G, K) record array field
@@ -168,7 +167,7 @@ def sample_group_records(theta, cond, z_init, config, noise):
         z = z_next
         if not np.isfinite(z).all():
             raise DivergenceError("sampler state went non-finite")
-    return [(Segment(np.array(z[i]).reshape(config.n_frames, -1)),
+    return [(np.array(z[i]).reshape(config.n_frames, -1),
              DenoiseTrace(cond=cond if cond.ndim == 1 else cond[i], steps=steps[i]))
             for i in range(rows)]
 

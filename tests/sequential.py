@@ -28,7 +28,6 @@ import numpy as np
 from loopwm.critic import DEFAULT_WEIGHTS, evaluate_rows
 from loopwm.errors import LoopwmError
 from loopwm.loop import Critique, LoopConfig, episode
-from loopwm.microworld import Segment
 from loopwm.worldmodel import embed_condition, sample_group
 
 
@@ -44,7 +43,7 @@ def run_episode(spec, goal, policy, config=None, rng=None, rows=evaluate_rows):
         wanted = next(running)
         while True:
             if isinstance(wanted, Critique):
-                (answer,) = rows(spec, [wanted.segment.frames], [wanted.step],
+                (answer,) = rows(spec, [wanted.frames], [wanted.step],
                                  DEFAULT_WEIGHTS, config.tau)
             else:
                 (answer,) = policy.fulfil([wanted])
@@ -54,9 +53,9 @@ def run_episode(spec, goal, policy, config=None, rng=None, rows=evaluate_rows):
 
 
 def sample_one(theta, cond, z_init, config, noise):
-    """The one-row `sample_group` call: (segment, the row's (K,) transitions)."""
+    """The one-row `sample_group` call: (the row's (F, C) frames, its (K,) transitions)."""
     frames, trace = sample_group(theta, cond, z_init, config, noise)
-    return Segment(frames[0]), trace.row(0)
+    return frames[0], trace.row(0)
 
 
 def sample_sde(theta, cond, z_init, config, rng):
@@ -69,8 +68,8 @@ def sample_sde(theta, cond, z_init, config, rng):
 
 def sample_ode(theta, cond, z_init, config):
     """Deterministic Euler integration of dz = u dt from t=1 to t=0."""
-    segment, _ = sample_one(theta, cond, z_init, replace(config, eta_scale=0.0), None)
-    return segment
+    frames, _ = sample_one(theta, cond, z_init, replace(config, eta_scale=0.0), None)
+    return frames
 
 
 def block_draw(config, latent, rng, n):
@@ -130,4 +129,4 @@ class FrozenPolicy(GeneratePolicy):
         self.n_frames = n_frames
 
     def generate(self, step, memory, rng):
-        return Segment(frames=np.tile(memory.frame, (self.n_frames, 1)))
+        return np.tile(memory.frame, (self.n_frames, 1))

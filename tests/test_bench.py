@@ -31,8 +31,8 @@ from loopwm.critic import DIMENSIONS, CriticReport
 from loopwm.errors import LoopwmError, SuiteError
 from loopwm.grpo import TrainingLog, TrainingRecord
 from loopwm.loop import LoopConfig, OraclePolicy, Request
-from loopwm.microworld import Literal, Segment, load_domain
-from loopwm.numerics import RandomSource, net_init
+from loopwm.microworld import Literal, load_domain
+from loopwm.numerics import RandomSource, net_init, require_finite
 from loopwm.planner import nearest, plan
 from loopwm.worldmodel import SamplerConfig, WorldModelPolicy, velocity_net_sizes
 from oracles import load_suite
@@ -245,7 +245,10 @@ class NanOnOneStep(GeneratePolicy):
 
 
 def nan_frames(step, memory, rng):
-    return Segment(frames=np.full((16, len(memory.spec.channels)), np.nan))
+    # a policy owns its frames' finiteness: a draw of NaN frames raises
+    frames = np.full((16, memory.spec.n_channels), np.nan)
+    require_finite(frames, f"frames of step {step.sid}")
+    return frames
 
 
 def nan_net(spec):
@@ -315,10 +318,9 @@ def test_boundary_jump_drags_smoothness_down(kitchen):
 
     class TeleportPolicy(OraclePolicy):
         def generate(self, step, memory, rng):
-            segment = super().generate(step, memory, rng)
-            frames = segment.frames.copy()
+            frames = super().generate(step, memory, rng)
             frames[0] = frames[0] + 0.4
-            return type(segment)(frames=frames)
+            return frames
 
     smooth = oracle_report(kitchen, suite)
     jumpy = evaluate_policy(TeleportPolicy(kitchen), suite, rng=RandomSource(3))

@@ -890,6 +890,37 @@ def test_grpo_resume_with_a_malformed_training_log_exits_2_naming_it(sft_small, 
         assert not out.exists()
 
 
+def test_grpo_resume_with_a_log_that_disagrees_with_the_state_exits_2(sft_small, tmp_path,
+                                                                       capsys):
+    # a state that says 1 done over a log of 1-2 would resume to a log of
+    # iterations 1 2 2 3; the resume stops before it writes anything
+    first = tmp_path / "first"
+    assert main(["grpo", "--checkpoint", str(sft_small / "checkpoints" / "model.ckpt"),
+                 "--iterations", "2", "--group-size", "2", "--out", str(first)] + SAMPLER) == 0
+    log, state = first / "reports" / "training_log.csv", first / "state.json"
+    state.write_text(json.dumps({**json.loads(state.read_text()), "iterations_done": 1}))
+    out = tmp_path / "resumed"
+    assert main(["grpo", "--resume", str(first), "--iterations", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log} logs 2 iterations but {state} records 1 done")
+    assert not out.exists()
+    # a log out of order, a state past its log and a log lost from the run
+    # dir exit 2 alike
+    header, first_row, second_row = log.read_text().splitlines()
+    for done, rows, logged in ((2, [second_row, first_row], 2), (3, [first_row, second_row], 2),
+                               (3, None, 0)):
+        state.write_text(json.dumps({**json.loads(state.read_text()), "iterations_done": done}))
+        if rows is None:
+            log.unlink()
+        else:
+            log.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["grpo", "--resume", str(first), "--iterations", "4",
+                     "--out", str(out)]) == 2
+        assert f"logs {logged} iterations but {state} records {done} done" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_with_backend_section_exits_2(sft_small, tmp_path, capsys):
     # run directories saved while the remote agent backend existed carry a
     # backend section
@@ -1059,7 +1090,7 @@ def test_pipeline_runs_in_float32_and_sums_in_float64(tmp_path, monkeypatch):
     spy("loopwm.critic.scoring", "_checked",
         lambda args, result: seen["critic"].append(args[1].dtype))
     spy("loopwm.worldmodel.policy", "sample_rows",
-        lambda args, rows: seen["segments"].extend(r.frames.dtype for r in rows if r))
+        lambda args, rows: seen["segments"].extend(r.dtype for r in rows if r is not None))
     _tiny_pipeline(tmp_path, [])
 
     f32, f64 = np.dtype(np.float32), np.dtype(np.float64)

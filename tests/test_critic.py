@@ -24,7 +24,6 @@ from loopwm.critic.scoring import (
     coherence_score,
 )
 from loopwm.microworld import (
-    Segment,
     apply_operator,
     canonical_dict,
     contact_window_frames,
@@ -83,8 +82,8 @@ def test_chained_references_score_high_everywhere(domain_name, goal_lits):
 
 def test_frozen_segment_fails_with_post_condition_tags(kitchen):
     step = open_jar_step(kitchen)
-    first = reference_segment(kitchen, kitchen.initial_frame, step.op, 16).frames[0]
-    frozen = Segment(np.tile(first, (16, 1)))
+    first = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)[0]
+    frozen = np.tile(first, (16, 1))
     report = evaluate(kitchen, frozen, step)
     assert report.scores["goal_achievement"] == 0.0
     assert report.scores["action_adherence"] == pytest.approx(2.0 / 3.0)
@@ -96,13 +95,13 @@ def test_frozen_segment_fails_with_post_condition_tags(kitchen):
 def test_teleporting_pose_tanks_realism(kitchen):
     step = open_jar_step(kitchen)
     seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
-    frames = seg.frames.copy()
+    frames = seg.copy()
     hx = kitchen.channel_index["hand.x"]
     hy = kitchen.channel_index["hand.y"]
     # teleport the hand to a far corner for the middle of the contact window
     frames[5:11, hx] = 0.95
     frames[5:11, hy] = 0.95
-    report = evaluate(kitchen, Segment(frames), step)
+    report = evaluate(kitchen, frames, step)
     assert report.scores["physical_realism"] < 0.5
     assert report.scalar < 0.7
     assert "physics-violation" in report.tags
@@ -161,7 +160,7 @@ def test_scores_bounded_and_tags_match_threshold(data):
             min_size=2, max_size=10,
         )
     )
-    report = evaluate(kitchen, Segment(np.array(frames)), step)
+    report = evaluate(kitchen, np.array(frames), step)
     for d, s in report.scores.items():
         assert 0.0 <= s <= 1.0, d
     assert 0.0 <= report.scalar <= 1.0
@@ -255,7 +254,7 @@ def test_batch_rows_equal_one_row_calls(rows, n_frames, scale, snap, seed):
         reports = evaluate_rows(kitchen, frames, [step] * rows)
         assert len(reports) == rows
         for row, report in zip(frames, reports):
-            assert_reports_equal(report, evaluate(kitchen, Segment(row), step))
+            assert_reports_equal(report, evaluate(kitchen, row, step))
             assert report.scores == reference_scores(kitchen, row, step)
 
 
@@ -271,7 +270,26 @@ def test_batch_rejects_bad_shapes(kitchen):
     with pytest.raises(ValueError, match="steps"):
         evaluate_rows(kitchen, np.zeros((2, 4, width)), [step])
     with pytest.raises(ValueError, match="at least 2 frames"):
-        evaluate(kitchen, Segment(np.zeros((1, width))), step)
+        evaluate(kitchen, np.zeros((1, width)), step)
+    # a pass is one stack, so its rows share one frame count
+    with pytest.raises(ValueError):
+        evaluate_rows(kitchen, [np.zeros((4, width)), np.zeros((3, width))], [step] * 2)
+
+
+def test_a_pass_of_mixed_operators_is_scored_as_one_stack(monkeypatch):
+    spec, every = every_operator("kitchen")
+    frames = [reference_segment(spec, state, step.op, 8) for step, state in every]
+    steps = [step for step, _ in every]
+    want = evaluate_rows(spec, frames, steps)
+    checked, stacks = scoring._checked, []
+
+    def spy(spec, stack):
+        stacks.append(stack.shape)
+        return checked(spec, stack)
+
+    monkeypatch.setattr(scoring, "_checked", spy)
+    assert evaluate_rows(spec, frames, steps) == want
+    assert stacks == [(len(steps), 8, spec.n_channels)]
 
 
 def bits(x: float) -> str:
@@ -282,18 +300,18 @@ def bits(x: float) -> str:
 @given(data=st.data(), domain=st.sampled_from(["kitchen", "workshop"]),
        seed=st.integers(0, 2**32 - 1))
 def test_rows_carry_their_own_steps(data, domain, seed):
-    # rows of mixed operators and frame counts, some sharing a step, some
-    # under a step of the same operator at another sid; every report is the
-    # one-row call's, in order, and no score reads the sid
+    # rows of mixed operators at one frame count, as a run's rows are, some
+    # sharing a step, some under a step of the same operator at another sid;
+    # every report is the one-row call's, in order, and no score reads the sid
     spec, every = every_operator(domain)
     pool = data.draw(st.lists(st.sampled_from([step for step, _ in every]),
                               min_size=1, max_size=4))
-    picks = data.draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8]), st.booleans()),
-        min_size=1, max_size=12))
+    n_frames = data.draw(st.sampled_from([2, 3, 8]))
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                               min_size=1, max_size=12))
     rng = np.random.default_rng(seed)
     frames, steps = [], []
-    for step, n_frames, resequenced in picks:
+    for step, resequenced in picks:
         start = rng.uniform(0.0, 1.0, size=(1, spec.n_channels))
         row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, spec.n_channels)),
                                 axis=0)
@@ -302,8 +320,8 @@ def test_rows_carry_their_own_steps(data, domain, seed):
         if resequenced:
             original = step
             step = PlanStep(step.sid + 7, step.op)
-            assert_reports_equal(evaluate(spec, Segment(row), step),
-                                 evaluate(spec, Segment(row), original))
+            assert_reports_equal(evaluate(spec, row, step),
+                                 evaluate(spec, row, original))
             got, want = (score_group(spec, row[None], s) for s in (step, original))
             assert bits(got.scalar[0]) == bits(want.scalar[0])
             assert all(np.array_equal(got.scores[d], want.scores[d]) for d in DIMENSIONS)
@@ -312,7 +330,7 @@ def test_rows_carry_their_own_steps(data, domain, seed):
     reports = evaluate_rows(spec, frames, steps)
     assert len(reports) == len(steps)
     for row, step, report in zip(frames, steps, reports):
-        want = evaluate(spec, Segment(row), step)
+        want = evaluate(spec, row, step)
         assert_reports_equal(report, want)
         assert bits(report.scalar) == bits(want.scalar)
         assert {d: bits(v) for d, v in report.scores.items()} == \
@@ -336,9 +354,9 @@ def test_realism_clamps_at_zero_and_tags_physics_violation(kitchen):
     # value box zeroes the dimension instead of driving it negative
     step = open_jar_step(kitchen)
     seg = reference_segment(kitchen, kitchen.initial_frame, step.op, 16)
-    frames = seg.frames.copy()
+    frames = seg.copy()
     frames[8, kitchen.channel_index["hand.x"]] = VALUE_BOX[1] + 4 * MAX_FRAME_DELTA
-    report = evaluate(kitchen, Segment(frames), step, tau=0.95)
+    report = evaluate(kitchen, frames, step, tau=0.95)
     assert report.scores["physical_realism"] == 0.0
     assert all(0.0 <= report.scores[d] <= 1.0 for d in DIMENSIONS)
     assert report.scalar < 0.95
@@ -466,7 +484,7 @@ def critique_row(spec, state, step, n_frames, kind, rng):
     demonstration of the step, a random walk, or noise."""
     if kind == "reference":
         row = reference_segment(spec, state, step.op, n_frames,
-                                RandomSource(int(rng.integers(1 << 31))), 0.02).frames.copy()
+                                RandomSource(int(rng.integers(1 << 31))), 0.02)
     elif kind == "walk":
         start = rng.uniform(0.0, 1.0, size=(1, spec.n_channels))
         row = start + np.cumsum(rng.normal(0.0, 0.1, size=(n_frames, spec.n_channels)), axis=0)
@@ -479,8 +497,8 @@ def critique_row(spec, state, step, n_frames, kind, rng):
 
 
 def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
-    """The pass's reports, and the columns of each (operator, frame count)
-    group, equal the reference scorer's bit for bit; returns the reports."""
+    """The pass's reports, and the columns of each operator's rows, equal the
+    reference scorer's bit for bit; returns the reports."""
     reports = evaluate_rows(spec, frames, steps, tau=tau)
     wants = reference_rows(spec, frames, steps, tau=tau)
     assert len(reports) == len(wants) == len(steps)
@@ -491,8 +509,8 @@ def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
             {d: bits(v) for d, v in want.scores.items()}
     groups = {}
     for row, step in zip(frames, steps):
-        groups.setdefault((step.op, row.shape), []).append(row)
-    for (op, _), rows in groups.items():
+        groups.setdefault(step.op, []).append(row)
+    for op, rows in groups.items():
         step = PlanStep(1, op)
         got = score_group(spec, np.stack(rows), step)
         want = reference_score_group(spec, np.stack(rows), step)
@@ -506,16 +524,16 @@ def assert_pass_equals_reference(spec, frames, steps, tau=0.7):
 @given(data=st.data(), domain=st.sampled_from(["kitchen", "workshop"]),
        tau=st.sampled_from([0.3, 0.7, 0.95]), seed=st.integers(0, 2**32 - 1))
 def test_critique_passes_equal_the_reference_scorer(data, domain, tau, seed):
-    # a pass mixes every operator of the domain, frame counts, clean and
-    # broken rows; the tables give the reference's reports and columns
+    # a pass mixes every operator of the domain, clean and broken rows at
+    # one frame count; the tables give the reference's reports and columns
     spec, pool = every_operator(domain)
+    n_frames = data.draw(st.sampled_from([2, 3, 8, 16]))
     picks = data.draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.sampled_from([2, 3, 8, 16]),
-                  st.sampled_from(["reference", "walk", "noise"])),
+        st.tuples(st.sampled_from(pool), st.sampled_from(["reference", "walk", "noise"])),
         min_size=1, max_size=16))
     rng = np.random.default_rng(seed)
     frames, steps = [], []
-    for (step, state), n_frames, kind in picks:
+    for (step, state), kind in picks:
         row = critique_row(spec, state, step, n_frames, kind, rng)
         frames.append(row)
         steps.append(step)

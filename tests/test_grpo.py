@@ -28,7 +28,7 @@ from loopwm.grpo import (
     train,
 )
 from loopwm.memory import WorldMemory
-from loopwm.microworld import Segment, parse_literal, reference_segment
+from loopwm.microworld import parse_literal, reference_segment
 from loopwm.numerics import (
     RandomSource,
     clone_params,
@@ -303,7 +303,7 @@ def test_group_sampler_shared_stream_collapses_group(kitchen):
     frames, trace = sample_group(theta, cond, z_init, sampler, noise)
     assert np.array_equal(frames[0], frames[1])
     assert np.array_equal(trace.logp[0], trace.logp[1])
-    first, second = Segment(frames[0]), Segment(frames[1])
+    first, second = frames[0], frames[1]
     assert evaluate(kitchen, first, step).scalar == evaluate(kitchen, second, step).scalar
 
 
@@ -321,7 +321,7 @@ def test_member_reward_sources(kitchen):
     segment = reference_segment(kitchen, kitchen.initial_frame, step.op,
                                 n_frames=8)
     report = evaluate(kitchen, segment, step)
-    scored = score_group(kitchen, segment.frames[None], step)
+    scored = score_group(kitchen, segment[None], step)
     assert group_rewards(scored, GrpoConfig()).tolist() == [report.scalar]
     dim_config = GrpoConfig(reward_dimension="action_adherence")
     assert group_rewards(scored, dim_config).tolist() == [report.scores["action_adherence"]]
@@ -335,8 +335,8 @@ def test_best_segment_is_the_first_top_reward_row_as_a_view():
                             rewards=[0.1, 0.9, 0.4, 0.9])
     assert len({row.tobytes() for row in group.frames}) == 4
     best = group.best_segment()
-    assert best.frames.tobytes() == group.frames[1].tobytes()
-    assert np.shares_memory(best.frames, group.frames)
+    assert best.tobytes() == group.frames[1].tobytes()
+    assert np.shares_memory(best, group.frames)
 
 
 @pytest.mark.parametrize("dimension", [None, "temporal_coherence"])
@@ -348,7 +348,7 @@ def test_rollout_group_reports_equal_per_member_evaluate(kitchen, dimension):
     group = rollout_group(theta, kitchen, step, WorldMemory.fresh(kitchen),
                           sampler, config, RandomSource(2))
     for i, frames in enumerate(group.frames):
-        want = evaluate(kitchen, Segment(frames), step)
+        want = evaluate(kitchen, frames, step)
         assert {d: group.scores[d][i] for d in DIMENSIONS} == want.scores
         assert group.rewards[i] == (want.scalar if dimension is None
                                     else want.scores[dimension])

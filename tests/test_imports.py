@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import loopwm
 from loopwm import numerics
@@ -116,6 +118,26 @@ def test_every_import_is_read():
         unread.extend(f"{path}:{line} {name}" for line, name in _bound_imports(tree)
                       if name not in read)
     assert sorted(unread) == []
+
+
+def test_every_package_exports_exactly_what_it_binds():
+    # a package `__init__` that defines `__all__` lists every public name it
+    # binds, submodules aside, and each entry resolves, so a stale export
+    # fails here instead of breaking `from package import *`
+    package = Path(loopwm.__file__).parent
+    checked = []
+    for init in sorted(package.rglob("__init__.py")):
+        name = ".".join(("loopwm", *init.parent.relative_to(package).parts))
+        module = importlib.import_module(name)
+        if not hasattr(module, "__all__"):
+            continue
+        bound = {key for key, value in vars(module).items()
+                 if not key.startswith("_") and not isinstance(value, ModuleType)}
+        assert [entry for entry in module.__all__ if not hasattr(module, entry)] == [], name
+        assert len(module.__all__) == len(set(module.__all__)), name
+        assert set(module.__all__) == bound, name
+        checked.append(name)
+    assert "loopwm.microworld" in checked and "loopwm.grpo" in checked
 
 
 def test_one_forward_and_one_backward_checked_at_each_stage_entry():

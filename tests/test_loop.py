@@ -13,7 +13,7 @@ import loopwm.bench.metrics as metrics_module
 import loopwm.worldmodel.policy as policy_module
 from loopwm.bench import evaluate_policy, generate_suite, run_suite
 from loopwm.critic import CriticWeights, evaluate_rows
-from loopwm.errors import DivergenceError, NoPlanError, NumericError
+from loopwm.errors import DivergenceError, LoopwmError, NoPlanError, NumericError
 from loopwm.loop import (
     STATUS_PLAN_FAILURE,
     STATUS_SUCCESS,
@@ -217,7 +217,7 @@ def test_memory_advance_chain_replay(kitchen):
         seg = reference_segment(kitchen, memory.state, step.op, rng=rng)
         memory.advance(step, seg)
         state = apply_operator(kitchen, state, step.op)
-        assert np.array_equal(memory.frame, seg.final_frame)
+        assert np.array_equal(memory.frame, seg[-1])
     assert memory.state.tobytes() == state.tobytes()
 
 
@@ -255,7 +255,7 @@ def assert_same_episode(log, reference):
     ]
     assert summary[0] == summary[1]
     for got, want in zip(log.attempts, reference.attempts):
-        np.testing.assert_allclose(got.segment.frames, want.segment.frames, rtol=0,
+        np.testing.assert_allclose(got.frames, want.frames, rtol=0,
                                    atol=ROW_ATOL)
 
 
@@ -396,6 +396,52 @@ def test_lockstep_suite_fails_the_episodes_that_fail_alone(kitchen, monkeypatch,
     for log, reference in zip(lockstep, alone):
         if log is not None:
             assert_same_episode(log, reference)
+
+
+class CheckedDraws:
+    """A policy whose every draw must return finite (F, C) float frames or raise a LoopwmError."""
+
+    def __init__(self, policy, spec, n_frames):
+        self.policy = policy
+        self.shape = (n_frames, spec.n_channels)
+        self.outcomes = Counter()
+
+    def fulfil(self, requests):
+        return [self.checked(draw) for draw in self.policy.fulfil(requests)]
+
+    def checked(self, draw):
+        def checked_draw():
+            try:
+                frames = draw()
+            except LoopwmError:
+                self.outcomes["raised"] += 1
+                raise
+            assert isinstance(frames, np.ndarray) and frames.dtype.kind == "f"
+            assert frames.shape == self.shape and np.isfinite(frames).all()
+            self.outcomes["returned"] += 1
+            return frames
+
+        return checked_draw
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("source", ["oracle", "net", "diverging net"])
+def test_every_draw_is_finite_frames_or_raises(name, source):
+    # nothing downstream checks a segment: each policy owns its frames'
+    # finiteness and shape, and raises the failures it cannot serve
+    spec = SPECS[name]
+    if source == "oracle":
+        policy, n_frames = OraclePolicy(spec), 16
+    else:
+        policy = learned_policy(spec) if source == "net" else diverging_policy(spec)
+        n_frames = policy.config.n_frames
+    checked = CheckedDraws(policy, spec, n_frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = run_suite(checked, generate_suite(spec, seed=7, counts=(4, 4, 2)),
+                         LoopConfig(tau=0.4), rng=RandomSource(5))
+    assert checked.outcomes["returned"] > 0
+    assert (checked.outcomes["raised"] > 0) == (source == "diverging net")
+    assert (None in logs) == (source == "diverging net")
 
 
 def candidates_taken(log):

@@ -104,7 +104,7 @@ def test_context_uses_last_accepted_frame(kitchen):
     memory.advance(steps[0], seg)
     cond = embed_condition(kitchen, steps[1], memory)
     d = len(kitchen.channels)
-    np.testing.assert_array_equal(cond[:d], seg.final_frame)
+    np.testing.assert_array_equal(cond[:d], seg[-1])
     again = embed_condition(kitchen, steps[1], memory)
     np.testing.assert_array_equal(cond, again)
 
@@ -191,8 +191,8 @@ def test_ode_zero_velocity_returns_input():
     config = small_config()
     z = np.array([0.1, 0.2, 0.3, 0.4])
     seg = sample_ode(theta, np.ones(3), z, config)
-    assert seg.frames.dtype == DTYPE
-    np.testing.assert_array_equal(seg.frames.reshape(-1), z.astype(DTYPE))
+    assert seg.dtype == DTYPE
+    np.testing.assert_array_equal(seg.reshape(-1), z.astype(DTYPE))
 
 
 def test_ode_single_step_unroll():
@@ -204,7 +204,7 @@ def test_ode_single_step_unroll():
     # the sampler casts its inputs to DTYPE once and steps in it
     z = z.astype(DTYPE)
     expected = z - net_activations(theta, net_input(z, 1.0, cond, DTYPE))[-1][0] * 1.0
-    np.testing.assert_array_equal(seg.frames.reshape(-1), expected)
+    np.testing.assert_array_equal(seg.reshape(-1), expected)
 
 
 def test_sde_zero_noise_matches_ode_bitwise():
@@ -216,7 +216,7 @@ def test_sde_zero_noise_matches_ode_bitwise():
         cond = np.asarray(rng.normal(shape=2))
         ode = sample_ode(theta, cond, z, config)
         sde, trace = sample_sde(theta, cond, z, config, RandomSource(999, trial))
-        assert np.array_equal(ode.frames, sde.frames)
+        assert np.array_equal(ode, sde)
         assert np.all(trace.std == 0.0)
 
 
@@ -227,7 +227,7 @@ def test_sde_reproducible_and_trace_shape():
     cond = np.array([0.1, 0.2, 0.3])
     seg_a, tr_a = sample_sde(theta, cond, z, config, RandomSource(7, 3))
     seg_b, tr_b = sample_sde(theta, cond, z, config, RandomSource(7, 3))
-    assert np.array_equal(seg_a.frames, seg_b.frames)
+    assert np.array_equal(seg_a, seg_b)
     assert len(tr_a.steps) == 6
     assert np.array_equal(tr_a.z_next, tr_b.z_next)
     assert np.array_equal(tr_a.logp, tr_b.logp)
@@ -279,7 +279,7 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
     for i in range(5):
         trace = group.row(i)
         want_seg, want = sample_sde(theta, cond, z, config, RandomSource(17).split(i))
-        np.testing.assert_allclose(frames[i], want_seg.frames, rtol=0, atol=ROW_ATOL)
+        np.testing.assert_allclose(frames[i], want_seg, rtol=0, atol=ROW_ATOL)
         assert len(trace.steps) == len(want.steps) == config.k_steps
         for got, ref in zip(as_records(trace).steps, as_records(want).steps):
             assert (got["t"], got["dt"]) == (ref["t"], ref["dt"])
@@ -291,7 +291,7 @@ def test_group_sampler_matches_sequential_sde(eta_scale):
             assert got["std"] == pytest.approx(ref["std"], abs=1e-12)
             assert got["logp"] == pytest.approx(ref["logp"], abs=LOGP_ATOL)
         if eta_scale == 0.0:
-            np.testing.assert_allclose(frames[i], sample_ode(theta, cond, z, config).frames,
+            np.testing.assert_allclose(frames[i], sample_ode(theta, cond, z, config),
                                        rtol=0, atol=ROW_ATOL)
     if eta_scale > 0.0:
         assert not np.array_equal(frames[0], frames[1])
@@ -310,17 +310,17 @@ def test_sample_rows_are_sample_group_per_row_conditions(eta_scale):
     frames, trace = sample_group(theta, cond, z_init, config, noise)
     rows = sample_rows(theta, cond, z_init, config, noise)
     # the segments are views of one float32 block of the round's frames
-    block = rows[0].frames.base
-    assert block is not None and all(row.frames.base is block for row in rows)
+    block = rows[0].base
+    assert block is not None and all(row.base is block for row in rows)
     for i, row in enumerate(rows):
-        assert row.frames.dtype == DTYPE
-        assert np.array_equal(row.frames, frames[i])
+        assert row.dtype == DTYPE
+        assert np.array_equal(row, frames[i])
         assert np.array_equal(trace.steps[i, :, 5:],
                               np.tile(cond[i].astype(DTYPE), (config.k_steps, 1)))
         alone, _ = sample_group(theta, cond[i], z_init[i], config,
                                 None if noise is None else noise[i:i + 1])
         np.testing.assert_allclose(frames[i], alone[0], rtol=0, atol=ROW_ATOL)
-    assert not np.allclose(rows[0].frames, rows[1].frames)
+    assert not np.allclose(rows[0], rows[1])
     with pytest.raises(LoopwmError):
         sample_rows(theta, cond[:2], z_init, config, noise)
 
@@ -339,8 +339,8 @@ def test_sample_rows_drop_only_the_rows_that_diverge():
         assert [row is None for row in rows] == [False, True, False]
         with pytest.raises(DivergenceError):
             sample_group(theta, cond, np.ones(4), config, None)
-    np.testing.assert_allclose(rows[2].frames,
-                               sample_ode(theta, cond[2], np.ones(4), config).frames,
+    np.testing.assert_allclose(rows[2],
+                               sample_ode(theta, cond[2], np.ones(4), config),
                                rtol=0, atol=ROW_ATOL)
 
 
@@ -381,7 +381,7 @@ def test_sample_group_trace_records(rows, k_steps, eta_scale, shared_init, seed)
         assert np.array_equal(got.cond, want.cond)
         for name in want.steps.dtype.names:
             assert np.array_equal(got.steps[name], want.steps[name]), name
-        assert np.array_equal(frames[i], segment.frames)
+        assert np.array_equal(frames[i], segment)
 
 
 def round_of_requests(spec, config, seed, n):
@@ -424,12 +424,12 @@ def test_fulfil_matches_sequential_generate(kitchen, eta_scale):
             for _ in range(request.n):
                 segment = draw()
                 want = want_draw()
-                np.testing.assert_allclose(segment.frames, want.frames, rtol=0, atol=ROW_ATOL)
+                np.testing.assert_allclose(segment, want, rtol=0, atol=ROW_ATOL)
                 segments.append(segment)
         assert len(segments) == 2 * n + 1
-        assert not np.array_equal(segments[0].frames, segments[1].frames)
+        assert not np.array_equal(segments[0], segments[1])
         # the same step under another context frame is another condition
-        assert not np.allclose(segments[0].frames, segments[n + 1].frames)
+        assert not np.allclose(segments[0], segments[n + 1])
         for taken in range(1, n + 1):
             requests = round_of_requests(kitchen, config, seed, n)
             after = twin(requests[0].rng)
@@ -445,7 +445,7 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
     theta = net_init(velocity_net_sizes(kitchen, config, hidden=8, depth=1), RandomSource(5))
     policy = WorldModelPolicy(theta, kitchen, config)
     requests = round_of_requests(kitchen, config, seed=0, n=2)
-    # a context frame poisoned after the segment passed its finiteness check
+    # a context frame poisoned after the policy drew its finite segment
     requests[2].memory.frame[0] = np.nan
     with pytest.raises(NumericError):
         embed_condition(kitchen, requests[2].step, requests[2].memory)
@@ -455,7 +455,7 @@ def test_fulfil_fails_only_the_request_with_a_nonfinite_condition(kitchen):
         draws[2]()
     for request, draw, want_draw in list(zip(requests, draws, reference))[:2]:
         for _ in range(request.n):
-            np.testing.assert_allclose(draw().frames, want_draw().frames, rtol=0, atol=ROW_ATOL)
+            np.testing.assert_allclose(draw(), want_draw(), rtol=0, atol=ROW_ATOL)
 
 
 @pytest.mark.parametrize("bad", [
@@ -643,7 +643,7 @@ def test_sft_zero_epochs_is_identity(kitchen):
 def _sft_along_flow_matching_loss(theta, demos, epochs, lr, rng, batch_size):
     """sft_train's draws and steps, with every batch through the checked loss."""
     conds = np.stack([c for c, _ in demos])
-    xs = np.stack([seg.frames.reshape(-1) for _, seg in demos])
+    xs = np.stack([seg.reshape(-1) for _, seg in demos])
     state = opt_init(theta)
     history = []
     for _ in range(epochs):
@@ -682,8 +682,8 @@ def _poison_condition(demos):
 
 
 def _poison_segment(demos):
-    # a segment checks its frames when it is built, not after
-    demos[0][1].frames[1, 0] = np.inf
+    # nothing checks a segment's frames but sft_train, at entry
+    demos[0][1][1, 0] = np.inf
 
 
 @pytest.mark.parametrize("poison", [_poison_condition, _poison_segment])
@@ -730,7 +730,7 @@ def test_sft_loss_halves_on_kitchen_demos(kitchen):
     theta = net_init(velocity_net_sizes(kitchen, config), RandomSource(3))
     probe_rng = RandomSource(99)
     conds = np.stack([c for c, _ in demos[:64]])
-    xs = np.stack([s.frames.reshape(-1) for _, s in demos[:64]])
+    xs = np.stack([s.reshape(-1) for _, s in demos[:64]])
     ts = np.asarray(1.0 - probe_rng.uniform(shape=64))
     eps = np.asarray(probe_rng.normal(shape=xs.shape))
     initial, _ = flow_matching_loss(theta, conds, xs, ts, eps)
@@ -741,11 +741,9 @@ def test_sft_loss_halves_on_kitchen_demos(kitchen):
 
 
 def test_sft_overfits_single_demo():
-    from loopwm.microworld import Segment
-
     config = SamplerConfig(n_frames=2)
     target = np.array([0.2, 0.8, 0.5, 0.4, 0.1, 0.9])
-    seg = Segment(frames=target.reshape(2, 3))
+    seg = target.reshape(2, 3)
     cond = np.array([1.0, 0.0, 0.5, 0.25])
     theta = net_init([6 + 1 + 4, 64, 64, 64, 6], RandomSource(5))
     theta, history = sft_train(theta, [(cond, seg)] * 64, epochs=600, lr=3e-3,
@@ -755,7 +753,7 @@ def test_sft_overfits_single_demo():
     for _ in range(5):
         z = np.asarray(rng.normal(shape=6))
         out = sample_ode(theta, cond, z, config)
-        assert np.max(np.abs(out.frames.reshape(-1) - target)) < 0.1
+        assert np.max(np.abs(out.reshape(-1) - target)) < 0.1
 
 
 # bundle and checkpointing
@@ -805,15 +803,19 @@ def test_policy_manifest_leaves_sampling_settings_free(tmp_path, kitchen):
     save_policy(path, theta, kitchen, config)
     sidecar = tmp_path / "policy.ckpt.json"
     manifest = json.loads(sidecar.read_text())
-    assert sorted(manifest) == ["context_width", "domain_hash", "format", "frame_width",
-                                "n_frames"]
-    assert manifest["frame_width"] == kitchen.n_channels
+    # the domain hash pins the frame and context widths, so they are not keys
+    assert sorted(manifest) == ["domain_hash", "format", "n_frames"]
     other = SamplerConfig(k_steps=3, eta_scale=0.0, n_frames=4)
     load_policy(path, kitchen, other)
     # a sidecar written when the sampling settings were pinned still loads
     sidecar.write_text(json.dumps({**manifest, "k_steps": 10, "eta_scale": 0.3,
                                    "delta": 1e-3}))
     load_policy(path, kitchen, other)
+    # and so does one that still holds the two widths, whatever they read
+    for widths in ({"frame_width": kitchen.n_channels, "context_width": context_width(kitchen)},
+                   {"frame_width": 0, "context_width": 0}):
+        sidecar.write_text(json.dumps({**manifest, **widths}))
+        load_policy(path, kitchen, other)
 
 
 def test_build_demos_chain_from_initial_state(kitchen):
@@ -823,10 +825,10 @@ def test_build_demos_chain_from_initial_state(kitchen):
     assert len(demos) == 40
     for cond, seg in demos:
         assert cond.shape == (width,)
-        assert seg.frames.shape == (6, d)
+        assert seg.shape == (6, d)
         assert np.all(np.isfinite(cond))
     np.testing.assert_array_equal(demos[0][0][:d], kitchen.initial_frame)
     again = build_demos(kitchen, 40, RandomSource(91), n_frames=6)
     for (c0, s0), (c1, s1) in zip(demos, again):
         np.testing.assert_array_equal(c0, c1)
-        np.testing.assert_array_equal(s0.frames, s1.frames)
+        np.testing.assert_array_equal(s0, s1)
