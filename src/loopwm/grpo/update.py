@@ -14,8 +14,10 @@ sampler's time grid, so the terms that depend on the step alone (the mean's
 affine coefficients, the std and the density's normalizer) are computed once
 per step and broadcast over the members. The nets run in float32 (`DTYPE`);
 the transition means, log-densities, ratios, KL and output gradient are
-float64, computed with the sampler's own `mean_terms` and `transition_logp`,
-and the output gradient is cast to `DTYPE` for the backward alone.
+float64: the means are affine in the net output, with the terms the sampler
+computed once with `mean_terms` and carried on the trace, the log-densities
+come from the sampler's own `transition_logp`, and the output gradient is
+cast to `DTYPE` for the backward alone.
 `grpo_update` reports the `ObjectiveTerms` it stepped along.
 """
 
@@ -37,7 +39,7 @@ from ..numerics import (
     opt_step,
     require_finite,
 )
-from ..worldmodel import mean_terms, transition_logp
+from ..worldmodel import transition_logp
 from .config import GrpoConfig
 from .rollout import RolloutGroup
 
@@ -98,9 +100,10 @@ def objective_terms(
     """Evaluate surrogate - beta*KL and its parameter gradient for one group.
 
     Each row is scored under the condition and time it was sampled at, and
-    the means are recomputed with the sampler's `mean_terms`, whose sigma
-    floor is the sampler's constant, so each recomputed transition mean
-    matches the one the trace was drawn from.
+    its mean is affine in the net output with the terms the trace carries
+    (`trace.base`, `trace.coeff`), the ones the sampler drew the row with,
+    so each recomputed transition mean matches the one the trace was drawn
+    from.
 
     A non-finite output of theta's or the reference's net raises
     NumericError. Members whose ratios go non-finite are dropped with a
@@ -119,12 +122,10 @@ def objective_terms(
     # is a (G, K, .) view, and what depends on the step alone is computed
     # once per step and broadcast over the members
     x = trace.steps.reshape(n_members * k_steps, width)
-    z = trace.steps[:, :, :latent]
-    t = trace.steps[0, :, latent]
     adv = np.asarray(group.advantages, dtype=np.float64)[:, None]
 
     # transition mean is affine in the velocity: mean = base + coeff * u
-    base, coeff = mean_terms(z, t, trace.std)
+    base, coeff = trace.base, trace.coeff
     std = trace.std[:, None]
 
     acts = net_activations(theta, x)

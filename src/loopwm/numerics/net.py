@@ -5,7 +5,22 @@ hidden layer and a linear output layer. One layer loop is the one forward
 pass: `net_activations` returns its per-layer outputs, and callers that need
 only the output take the last one. `net_backward_batch` takes those
 activations and runs only the reverse sweep, so a training step runs the
-network forward once per gradient. Neither pass checks its inputs:
+network forward once per gradient.
+
+The forward runs feature-major: it transposes its (rows, width) input once
+into a contiguous (width, rows) block, and each layer is one product
+`w @ h` of the (out, in) weight and that block, with the bias added and
+tanh applied in place. The weight is the left operand so that neither
+operand of the product is transposed: BLAS must repack a transposed operand
+before its kernel runs, and at the benchmark's net (129-128-128-128-96)
+one hidden layer over 32 rows takes about 23 us as `h @ w.T` and 9.5 us as
+`w @ h` (16 rows: 16 us and 7 us; OpenBLAS 0.3.31, Haswell kernels, one
+thread). Each layer's output is handed out as the (rows, width) transpose
+of its block, a view, so callers that only read the output pay no copy.
+The backward copies each layer's output once into a row-major array and
+reads it twice, for that layer's weight gradient `g.T @ a` and for the
+tanh derivative of the layer below; its other products (`g @ w`) read only
+row-major arrays. Neither pass checks its inputs:
 each stage validates once, at entry, and only these kernels run inside.
 Gradients are computed by explicit backprop (no autograd framework) so they
 can be checked coordinate-by-coordinate against a central-difference oracle
@@ -133,19 +148,25 @@ def net_activations(params: NetParams, x: Tensor) -> list[Tensor]:
     """The forward pass, returning every layer's output, `[x, h_1, ..., y]`.
 
     x is a `DTYPE` array of shape (n, sizes[0]) and y has shape
-    (n, sizes[-1]): tanh outputs, linear on the last layer. Pass
-    the list to `net_backward_batch` to differentiate this forward without
-    rerunning it. Nothing is checked here: each stage validates its inputs
-    once, at entry, and non-finite values pass through.
+    (n, sizes[-1]): tanh outputs, linear on the last layer. The layers run
+    feature-major: x is transposed once into a contiguous (sizes[0], n)
+    block, and each layer is one product `w @ h` into a new (width, n)
+    block, whose bias is added and whose tanh is applied in place. Each
+    `h_i` and y is returned as the (n, width) transpose of its block, a
+    view, not a row-major array; x is returned as passed. Pass the list
+    to `net_backward_batch` to differentiate this forward without rerunning
+    it. Nothing is checked here: each stage validates its inputs once, at
+    entry, and non-finite values pass through.
     """
     acts = [x]
+    h = np.ascontiguousarray(x.T)
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w.T
-        h += b
+        h = w @ h
+        h += b[:, None]
         if i < last:
             _tanh(h)
-        acts.append(h)
+        acts.append(h.T)
     return acts
 
 
@@ -158,22 +179,29 @@ def net_backward_batch(params: NetParams, acts: Sequence[Tensor], out_grad: Tens
     given, a `NetParams` of the parameters' sizes, and its vector is
     returned; otherwise it goes into a copy of `params` over a new vector.
     The sweep stops at the first layer's weights: no caller needs the
-    gradient with respect to the input. `out_grad` is a `DTYPE` array of
-    the output's shape and is not modified; like the forward, the sweep
-    checks nothing.
+    gradient with respect to the input. `acts` is the forward's list, whose
+    layers below the output are read here: each once, as a row-major copy
+    (none when it already is, as x usually is), which serves that layer's
+    weight gradient and the tanh derivative of the layer below. `out_grad`
+    is a `DTYPE` array of the output's shape and is not modified;
+    like the forward, the sweep checks nothing.
     """
     last = params.n_layers() - 1
     if out is None:
         out = replace(params, vector=np.empty_like(params.vector))
     grad_w, grad_b = out.weights, out.biases
     g = out_grad  # gradient w.r.t. the current layer's pre-activation (output layer is linear)
+    a = None
     for i in range(last, -1, -1):
         if i < last:
             # below the output layer g is a product made here, not the caller's
-            # out_grad, so it may be scaled in place
-            g *= _tanh_grad(acts[i + 1])
-        np.matmul(g.T, acts[i], out=grad_w[i])
-        np.sum(g, axis=0, out=grad_b[i])
+            # out_grad, so it may be scaled in place; a is layer i + 1's output
+            g *= _tanh_grad(a)
+        # one row-major copy of a feature-major layer, read by this layer's
+        # weight gradient and by the tanh derivative one layer down
+        a = np.ascontiguousarray(acts[i])
+        np.matmul(g.T, a, out=grad_w[i])
+        np.add.reduce(g, axis=0, out=grad_b[i])
         if i > 0:
             g = g @ params.weights[i]
     return out.vector

@@ -26,13 +26,16 @@ holds the F frames of C channels each; the config fixes F, the net fixes L.
 A group's trace is a `Transitions` of arrays, the layout the GRPO objective
 reads: `steps` (G, K, W) holds the net input [z | t | cond] of every row at
 every denoise step, `z_next` (G, K, L) each step's next state, `std` (K,)
-each step's std and `logp` (G, K) each transition's log-density. The
-sampler writes each step's z into its block of `steps` and forwards that
-(G, W) block as it is, so the objective's (G*K, W) input is a reshape of
-what the sampler fed the net. It keeps each step's net output and, after
-the last step, computes every transition's mean and log-density in float64
-with `mean_terms` and `transition_logp`, the functions the objective
-recomputes them with, so at equal parameters the two agree up to the
+each step's std, `logp` (G, K) each transition's log-density, and `base`
+(G, K, L) and `coeff` (K, 1) the float64 terms of `mean_terms`, with which
+a transition's mean is base + coeff*u for the net output u. The sampler
+writes each step's z into its block of `steps` and forwards that (G, W)
+block as it is, so the objective's (G*K, W) input is a reshape of what the
+sampler fed the net. It keeps each step's net output and, after the last
+step, computes every transition's mean terms and log-density in float64
+with `mean_terms` and `transition_logp`. The objective reads the mean terms
+from the trace and recomputes the log-densities with `transition_logp`
+from its own forward, so at equal parameters the two agree up to the
 rounding of the float32 forward. Deterministic transitions (eta_scale = 0)
 record std = 0 and logp = 0: they carry no density.
 
@@ -90,17 +93,24 @@ class Transitions:
     `steps` holds each transition's net input [z | t | cond], `z_next` its
     next state, `std` each denoise step's std (one per step, shared by the
     rows) and `logp` each transition's log-density under the sampling net.
-    `steps` and `z_next` are `DTYPE`; `std` and `logp` are float64.
+    `base` and `coeff` are `mean_terms` of the states, times and stds:
+    a transition's mean under a net whose output is u is base + coeff*u,
+    with `base` one entry per transition and `coeff` one per step.
+    `steps` and `z_next` are `DTYPE`; `std`, `logp`, `base` and `coeff`
+    are float64.
     """
 
     steps: np.ndarray
     z_next: np.ndarray
     std: np.ndarray
     logp: np.ndarray
+    base: np.ndarray
+    coeff: np.ndarray
 
     def row(self, i: int) -> "Transitions":
         """Row i's (K,) transitions, as views."""
-        return Transitions(self.steps[i], self.z_next[i], self.std, self.logp[i])
+        return Transitions(self.steps[i], self.z_next[i], self.std, self.logp[i],
+                           self.base[i], self.coeff)
 
 
 def score_term(z: np.ndarray, x_pred: np.ndarray, t: float) -> np.ndarray:
@@ -234,9 +244,10 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     step makes one (G, width) network evaluation. Rows never mix, so each
     row's state is checked on its own. The condition, z_init and noise are
     cast to `DTYPE`, and so are the frames and the trace's states;
-    `trace.std` and `trace.logp` are float64, the log-densities computed
-    from the kept net outputs through `mean_terms` and `transition_logp`,
-    as the GRPO objective computes them.
+    `trace.std`, `trace.logp` and the mean terms `trace.base` and
+    `trace.coeff` are float64; the log-densities are computed from the
+    kept net outputs through those terms and `transition_logp`, as the
+    GRPO objective computes them.
 
     `theta`, the widths, `cond`, `z_init` and the noise shape are validated
     once, here; inside the loop only each row's state is checked. A row
@@ -257,12 +268,12 @@ def sample_group(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
     if diverged.any():
         raise DivergenceError(f"sampler state went non-finite in {int(diverged.sum())} "
                               f"of {rows} rows")
+    base, coeff = mean_terms(x[:, :, :latent], x[0, :, latent], std)
     logp = np.zeros((rows, k_steps))
     if config.eta_scale > 0.0:
-        base, coeff = mean_terms(x[:, :, :latent], x[0, :, latent], std)
         logp = transition_logp(z_next - (base + coeff * u), std)
     frames = z_next[:, -1].reshape(rows, config.n_frames, -1)
-    return frames, Transitions(x, z_next, std, logp)
+    return frames, Transitions(x, z_next, std, logp, base, coeff)
 
 
 def sample_rows(theta: NetParams, cond: np.ndarray, z_init: np.ndarray,
@@ -307,8 +318,8 @@ def mean_terms(z: np.ndarray, t: np.ndarray, std: np.ndarray) -> tuple[np.ndarra
     `z` (G, K, L) holds each transition's state, `t` (K,) and `std` (K,) each
     denoise step's time and std, and u is the (G, K, L) net output. base is
     a*z and coeff (K, 1) is c, from `mean_affine_coeffs` at dt = 1/K. The
-    sampler records its log-densities through this function and the GRPO
-    objective recomputes them through it, so both round alike.
+    sampler computes them once per group and carries them on its trace,
+    where its log-densities and the GRPO objective's means both read them.
     """
     scale, coeff = mean_affine_coeffs(t, 1.0 / t.shape[0], std)
     return z * scale[:, None], coeff[:, None]

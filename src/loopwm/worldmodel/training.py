@@ -81,16 +81,24 @@ def sft_train(theta: NetParams, dataset: list[tuple[np.ndarray, np.ndarray]], ep
             ts = (1.0 - rng.uniform(shape=len(idx))).astype(DTYPE)  # uniform on (0, 1]
             eps = rng.normal(shape=(len(idx), latent)).astype(DTYPE)
             x, t = xs[idx], ts[:, None]
+            # the batch's rows, their latents z_t = (1-t)*x + t*eps written in place
             rows = inputs[idx]
-            rows[:, :latent] = (1.0 - t) * x + t * eps
+            z = np.multiply(1.0 - t, x, out=rows[:, :latent])
+            z += t * eps
             rows[:, latent] = ts
+            # one forward; its (batch, width) layer outputs are transposed views
+            # of feature-major blocks, which the backward copies row-major once
             acts = net_activations(theta, rows)
-            # mean squared velocity error and its gradient w.r.t. the output
+            # mean squared velocity error, then, in place, its gradient w.r.t.
+            # the output; resid is a new row-major array
             resid = acts[-1] - (eps - x)
-            loss = float(np.sum(resid * resid, dtype=np.float64) / resid.size)
+            loss = float(np.add.reduce(resid * resid, axis=None, dtype=np.float64)
+                         / resid.size)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite flow-matching loss {loss}")
-            net_backward_batch(theta, acts, 2.0 * resid / resid.size, out=state.grad)
+            resid *= 2.0
+            resid /= resid.size
+            net_backward_batch(theta, acts, resid, out=state.grad)
             opt_step(theta, state.grad.vector, state, lr=lr)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

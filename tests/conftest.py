@@ -16,7 +16,7 @@ def workshop():
 
 @pytest.fixture
 def tanh_calls(monkeypatch):
-    """Input shapes of every forward tanh call, one per hidden layer run."""
+    """Shapes of every forward tanh call, one (width, rows) block per hidden layer run."""
     calls = []
     tanh = net._tanh
 

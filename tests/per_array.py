@@ -9,7 +9,9 @@ reads the same way, so each reference runs on the package's own float32
 parameters, or in float64 on `PlainNet.float64(params)` as an oracle:
 
 - `layer_arrays` lists a vector as its arrays [W0, b0, W1, b1, ...];
-- `forward_per_array` is the layer loop with fresh arrays per operation;
+- `forward_per_array` is the feature-major layer loop with fresh arrays per
+  operation, each layer's output copied out row-major, which is how the
+  package's backward reads it;
 - `backward_per_array` zero-fills one gradient array per parameter array and
   adds each layer's product into it;
 - `opt_step_per_array` runs Adam's update array by array, with temporaries,
@@ -62,11 +64,12 @@ class PlainNet:
 
 
 def forward_per_array(params, x: np.ndarray) -> list[np.ndarray]:
+    """Each layer as `w @ h` over a contiguous (width, rows) h, kept as a row-major copy."""
     acts = [x]
     last = params.n_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w.T + b
-        acts.append(np.tanh(h) if i < last else h)
+        h = w @ np.ascontiguousarray(acts[-1].T) + b[:, None]
+        acts.append((np.tanh(h) if i < last else h).T.copy())
     return acts
 
 

@@ -46,6 +46,7 @@ from loopwm.worldmodel import (
     build_demos,
     embed_condition,
     mean_affine_coeffs,
+    mean_terms,
     sample_group,
     sft_train,
     velocity_net_sizes,
@@ -100,16 +101,20 @@ def synthetic_group(theta_old, cond, sampler, rewards, delta=1e-8, seed=3):
 def rows_of(*picks):
     """A group of the given (group, member) rows, in order, with the first group's advantages."""
     traces = [group.trace.row(i) for group, i in picks]
-    trace = Transitions(np.stack([t.steps for t in traces]), np.stack([t.z_next for t in traces]),
-                        traces[0].std, np.stack([t.logp for t in traces]))
+    steps, std = np.stack([t.steps for t in traces]), traces[0].std
+    latent = traces[0].z_next.shape[-1]
+    trace = Transitions(steps, np.stack([t.z_next for t in traces]), std,
+                        np.stack([t.logp for t in traces]),
+                        *mean_terms(steps[:, :, :latent], steps[0, :, latent], std))
     first = picks[0][0]
     return RolloutGroup(np.stack([group.frames[i] for group, i in picks]), trace, {},
                         first.rewards[:len(picks)], first.advantages[:len(picks)])
 
 
 # max |ratio - 1| at theta_old == theta. The sampler records each density in
-# float64 from its float32 net outputs, through the objective's own
-# `mean_terms` and `transition_logp`, so the ratios differ from 1 only
+# float64 from its float32 net outputs, through the mean terms its trace
+# carries to the objective and the objective's own `transition_logp`, so
+# the ratios differ from 1 only
 # where the objective's (G*K)-row float32 forward rounds differently from
 # the sampler's G-row ones: 5.1e-5 at the benchmark's sizes (net 128x3,
 # F=8, rollout K=3, G=8) over 187 groups, 0 at the sizes tested here
@@ -593,7 +598,8 @@ def bits(x: float) -> str:
 
 def test_objective_terms_runs_each_net_forward_once(tanh_calls):
     # theta's forward feeds the backward pass, so each net runs its hidden
-    # layers once per call: one activation call per hidden layer and net
+    # layers once per call: one activation call per hidden layer and net, on
+    # a feature-major (width, rows) block of the 3 members' 4 steps
     sampler = small_sampler(k_steps=4)
     cond = np.array([0.3, -0.6, 0.2])
     theta = net_init([8, 5, 5, 4], RandomSource(21))
@@ -602,7 +608,7 @@ def test_objective_terms_runs_each_net_forward_once(tanh_calls):
     tanh_calls.clear()
     terms = objective_terms(theta, reference, group, GrpoConfig(group_size=3))
     assert terms.dropped == 0
-    assert tanh_calls == [(12, 5)] * 4
+    assert tanh_calls == [(5, 12)] * 4
 
 
 def test_single_member_gradient_is_vanilla_policy_gradient():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopwm.errors import CheckpointError
@@ -264,8 +264,18 @@ def test_a_negated_lr_steps_like_a_negated_gradient_bitwise(params, seed, expone
         assert up.m.tobytes() == (-down.m).tobytes() and up.v.tobytes() == down.v.tobytes()
 
 
+# the benchmark's velocity net: 8 frames of 12 channels, t and a 32-wide
+# condition in, three hidden layers of 128
+BENCHMARK_NET = (129, 128, 128, 128, 96)
+
+
+# rows 1-40 cover the row counts the workloads run: 8 (a GRPO group's
+# sampler step), 16 and 32 (SFT batches) and 24 (a 3-step GRPO objective)
 @settings(max_examples=40, deadline=None)
-@given(params=small_nets(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+@given(params=small_nets(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
+@example(params=net_init(BENCHMARK_NET, RandomSource(3)), seed=11, rows=8)
+@example(params=net_init(BENCHMARK_NET, RandomSource(3)), seed=11, rows=24)
+@example(params=net_init(BENCHMARK_NET, RandomSource(3)), seed=11, rows=32)
 def test_forward_and_backward_equal_the_per_array_reference_bitwise(params, seed, rows):
     # the reference runs on the package's float32 parameters and inputs
     rng = RandomSource(seed)

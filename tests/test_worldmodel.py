@@ -618,7 +618,8 @@ def test_flow_matching_gradient_matches_finite_differences():
 
 
 def test_flow_matching_loss_runs_the_net_forward_once(tanh_calls):
-    # the backward pass reads the loss's own forward activations
+    # the backward pass reads the loss's own forward activations: one tanh
+    # per hidden layer, each on a feature-major (width, rows) block
     rng = RandomSource(17)
     theta = net_init([5, 4, 3, 2], rng)
     conds = np.asarray(rng.normal(shape=(6, 2)))
@@ -626,7 +627,7 @@ def test_flow_matching_loss_runs_the_net_forward_once(tanh_calls):
     ts = np.asarray(1.0 - rng.uniform(shape=6))
     eps = np.asarray(rng.normal(shape=(6, 2)))
     flow_matching_loss(theta, conds, xs, ts, eps)
-    assert tanh_calls == [(6, 4), (6, 3)]
+    assert tanh_calls == [(4, 6), (3, 6)]
 
 
 def test_sft_zero_epochs_is_identity(kitchen):
